@@ -2,8 +2,12 @@
 
 Expressions are immutable trees.  They can be
 
-* *evaluated* — :meth:`Expression.compile` turns a tree into a fast
-  ``row -> value`` closure for a given schema;
+* *evaluated* — :meth:`Expression.compile` and :func:`compile_row` generate
+  the source of one ``row -> value`` (or ``row -> tuple``) function for a
+  given schema and evaluate it once, so a whole tree costs one Python call
+  per row.  No text from a query reaches that source: columns become integer
+  positions, and every literal that is not a plain ``int`` and every scalar
+  function is bound to a generated name in the function's globals;
 * *rendered* — :meth:`Expression.to_sql` produces the SQL text the
   Translator-To-SQL emits for DBMS-resident plan parts;
 * *inspected* — :func:`attributes_of` (the paper's ``attr(P)``) and
@@ -39,12 +43,62 @@ _ARITHMETIC: dict[str, Callable[[float, float], float]] = {
     "/": operator.truediv,
 }
 
+#: The SQL operators that Python spells differently; generated source uses
+#: every other operator of the two tables above as is.
+_PYTHON_SPELLING = {"=": "==", "<>": "!="}
+
+#: Arithmetic precedence, the same in SQL and in Python.
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+class _Codegen:
+    """The schema one function is generated against, and the globals it
+    will run in: no builtins, only the constants and functions bound here."""
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+        self.globals: dict[str, object] = {"__builtins__": {}}
+
+    def bind(self, prefix: str, value: object) -> str:
+        name = f"_{prefix}{len(self.globals)}"
+        self.globals[name] = value
+        return name
+
+
+def _generate(expressions: Sequence["Expression"], schema: Schema, as_tuple: bool):
+    """Evaluate ``lambda row: <rendered expressions>`` in fresh globals."""
+    gen = _Codegen(schema)
+    try:
+        terms = [expression._render(gen) for expression in expressions]
+        # "(a, b, )", "(a, )" and "()" are all tuple displays.
+        body = f"({''.join(f'{term}, ' for term in terms)})" if as_tuple else terms[0]
+        return eval(f"lambda row: {body}", gen.globals)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        try:
+            text = ", ".join(expression.to_sql() for expression in expressions)
+        except RecursionError:
+            text = f"a {type(expressions[0]).__name__} tree"
+        raise ExpressionError(
+            f"cannot compile {text[:200]}: {type(exc).__name__}: {exc}"
+        ) from exc
+
 
 class Expression:
     """Abstract base for scalar expressions."""
 
     def compile(self, schema: Schema) -> RowFunc:
-        """Return a ``row -> value`` evaluator bound to *schema*."""
+        """Return a ``row -> value`` evaluator bound to *schema*.
+
+        Python's parser accepts about 200 nested parentheses (older ones
+        report the overflow as ``MemoryError``) and every node but a
+        left-hand arithmetic operand adds a level, so a tree nested deeper
+        than that — not a long ``AND``/``OR`` list or ``a + b + …`` chain,
+        which render flat — raises :class:`ExpressionError`.
+        """
+        return _generate((self,), schema, as_tuple=False)
+
+    def _render(self, gen: _Codegen) -> str:
+        """Python source of this node over ``row``: an atom or parenthesized."""
         raise NotImplementedError
 
     def to_sql(self) -> str:
@@ -93,9 +147,8 @@ class ColumnRef(Expression):
 
     name: str
 
-    def compile(self, schema: Schema) -> RowFunc:
-        position = schema.index_of(self.name)
-        return lambda row: row[position]
+    def _render(self, gen: _Codegen) -> str:
+        return f"row[{gen.schema.index_of(self.name)}]"
 
     def to_sql(self) -> str:
         return self.name
@@ -117,9 +170,11 @@ class Literal(Expression):
     value: object
     type: AttrType | None = None
 
-    def compile(self, schema: Schema) -> RowFunc:
+    def _render(self, gen: _Codegen) -> str:
         value = self.value
-        return lambda row: value
+        if type(value) is int and value.bit_length() < 64:
+            return f"({value})"
+        return gen.bind("k", value)
 
     def to_sql(self) -> str:
         if isinstance(self.value, str):
@@ -157,11 +212,14 @@ class BinOp(Expression):
         if self.op not in _ARITHMETIC:
             raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = _ARITHMETIC[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: func(left(row), right(row))
+    def _render(self, gen: _Codegen) -> str:
+        left = self.left._render(gen)
+        # Python's arithmetic associates to the left as SQL's does, so a left
+        # operand that binds at least as tightly drops its own parentheses: a
+        # parsed ``a + b + c + …`` chain stays flat however long it is.
+        if isinstance(self.left, BinOp) and _BINDS[self.left.op] >= _BINDS[self.op]:
+            left = left[1:-1]
+        return f"({left} {self.op} {self.right._render(gen)})"
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
@@ -195,11 +253,9 @@ class Comparison(Expression):
         if self.op not in _COMPARISONS:
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = _COMPARISONS[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: func(left(row), right(row))
+    def _render(self, gen: _Codegen) -> str:
+        op = _PYTHON_SPELLING.get(self.op, self.op)
+        return f"({self.left._render(gen)} {op} {self.right._render(gen)})"
 
     def to_sql(self) -> str:
         return f"{self.left.to_sql()} {self.op} {self.right.to_sql()}"
@@ -239,9 +295,9 @@ class And(Expression):
             raise ExpressionError("empty conjunction")
         object.__setattr__(self, "terms", tuple(flattened))
 
-    def compile(self, schema: Schema) -> RowFunc:
-        funcs = [term.compile(schema) for term in self.terms]
-        return lambda row: all(func(row) for func in funcs)
+    def _render(self, gen: _Codegen) -> str:
+        terms = " and ".join(term._render(gen) for term in self.terms)
+        return f"(True if ({terms}) else False)"
 
     def to_sql(self) -> str:
         return " AND ".join(
@@ -278,9 +334,9 @@ class Or(Expression):
             raise ExpressionError("empty disjunction")
         object.__setattr__(self, "terms", tuple(flattened))
 
-    def compile(self, schema: Schema) -> RowFunc:
-        funcs = [term.compile(schema) for term in self.terms]
-        return lambda row: any(func(row) for func in funcs)
+    def _render(self, gen: _Codegen) -> str:
+        terms = " or ".join(term._render(gen) for term in self.terms)
+        return f"(True if ({terms}) else False)"
 
     def to_sql(self) -> str:
         return " OR ".join(t.to_sql() for t in self.terms)
@@ -304,9 +360,8 @@ class Not(Expression):
 
     term: Expression
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = self.term.compile(schema)
-        return lambda row: not func(row)
+    def _render(self, gen: _Codegen) -> str:
+        return f"(not {self.term._render(gen)})"
 
     def to_sql(self) -> str:
         return f"NOT ({self.term.to_sql()})"
@@ -346,10 +401,9 @@ class FuncCall(Expression):
         object.__setattr__(self, "name", upper)
         object.__setattr__(self, "args", tuple(args))
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = _FUNCTIONS[self.name]
-        arg_funcs = [arg.compile(schema) for arg in self.args]
-        return lambda row: func(*(arg(row) for arg in arg_funcs))
+    def _render(self, gen: _Codegen) -> str:
+        func = gen.bind("f", _FUNCTIONS[self.name])
+        return f"{func}({', '.join(arg._render(gen) for arg in self.args)})"
 
     def to_sql(self) -> str:
         rendered = ", ".join(arg.to_sql() for arg in self.args)
@@ -372,6 +426,13 @@ class FuncCall(Expression):
 
     def _key(self) -> tuple:
         return (self.name, self.args)
+
+
+def compile_row(expressions: Sequence[Expression], schema: Schema) -> Callable[[tuple], tuple]:
+    """One ``row -> tuple`` function computing every expression at once."""
+    if len(expressions) > 1 and all(isinstance(e, ColumnRef) for e in expressions):
+        return operator.itemgetter(*(schema.index_of(e.name) for e in expressions))
+    return _generate(expressions, schema, as_tuple=True)
 
 
 # -- convenience constructors -------------------------------------------------

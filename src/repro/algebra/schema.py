@@ -75,10 +75,12 @@ class Schema:
     2
     """
 
-    __slots__ = ("_attributes", "_index")
+    __slots__ = ("_attributes", "_index", "row_width")
 
     def __init__(self, attributes: Iterable[Attribute]):
         self._attributes: tuple[Attribute, ...] = tuple(attributes)
+        #: Average row size in bytes, used by ``size(r)`` in cost formulas.
+        self.row_width: int = sum(a.byte_width for a in self._attributes) or 1
         self._index: dict[str, int] = {}
         for position, attribute in enumerate(self._attributes):
             key = attribute.name.lower()
@@ -132,11 +134,6 @@ class Schema:
 
     def has(self, name: str) -> bool:
         return name.lower() in self._index
-
-    @property
-    def row_width(self) -> int:
-        """Average row size in bytes, used by ``size(r)`` in cost formulas."""
-        return sum(a.byte_width for a in self._attributes) or 1
 
     # -- derivation ---------------------------------------------------------
 

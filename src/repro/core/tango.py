@@ -307,7 +307,10 @@ class Tango:
         #: service's workers learn into one store; loaded from
         #: ``config.feedback_path`` when set (and saved back on close).
         self._owns_feedback_store = feedback_store is None
-        self.feedback_store = feedback_store or CardinalityFeedbackStore()
+        # ``is None``: an empty shared store is falsy (``__len__`` is 0).
+        self.feedback_store = (
+            CardinalityFeedbackStore() if feedback_store is None else feedback_store
+        )
         if feedback_store is None and self.config.feedback_path:
             try:
                 self.feedback_store.load(self.config.feedback_path)
@@ -326,7 +329,9 @@ class Tango:
         #: Optimized plans keyed by (query fingerprint, statistics epoch,
         #: config); cleared whenever the cost factors move.  Shared when
         #: supplied: the service's workers pool their optimizations.
-        self.plan_cache = plan_cache or PlanCache(self.config.plan_cache_size)
+        self.plan_cache = (
+            PlanCache(self.config.plan_cache_size) if plan_cache is None else plan_cache
+        )
         self._optimizer: Optimizer | None = None
         self._service = None  # lazily-built QueryService (config.service)
         self._views = None  # lazily-built ViewManager (repro.views)

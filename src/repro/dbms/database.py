@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
+from repro.algebra.expressions import Literal, compile_row
 from repro.algebra.schema import Attribute, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.indexes import Index
@@ -217,16 +218,17 @@ class MiniDB:
         if isinstance(statement, InsertValuesStmt):
             table = self.table(statement.table)
             rows = []
+            empty = Schema([])
             for value_exprs in statement.rows:
                 if len(value_exprs) != len(table.schema):
                     raise DatabaseError(
                         f"INSERT arity {len(value_exprs)} does not match "
                         f"{table.name}'s {len(table.schema)} columns"
                     )
-                empty = Schema([])
-                rows.append(
-                    tuple(expression.compile(empty)(()) for expression in value_exprs)
-                )
+                if all(isinstance(e, Literal) for e in value_exprs):
+                    rows.append(tuple(e.value for e in value_exprs))
+                else:
+                    rows.append(compile_row(value_exprs, empty)(()))
             return self.insert_rows(statement.table, rows)
         if isinstance(statement, InsertSelectStmt):
             result = plan_select(self, statement.select, self.meter)

@@ -11,9 +11,11 @@ row-prefetch setting visibly affects ``TRANSFER^M`` — the ablation benchmark
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from contextlib import contextmanager
+from itertools import islice
 from typing import Iterator, Sequence
 
 from repro.algebra.schema import Schema
@@ -121,12 +123,8 @@ class Cursor:
         assert self._iterator is not None
         self._connection._inject("round_trip")
         self._connection._simulate_wire()
-        batch: list[tuple] = []
+        batch = list(islice(self._iterator, self.prefetch))
         row_width = self.schema.row_width
-        for row in self._iterator:
-            batch.append(row)
-            if len(batch) >= self.prefetch:
-                break
         if batch or self._round_trips == 0:
             self._round_trips += 1
             meter = self._connection.db.meter
@@ -190,12 +188,7 @@ class Cursor:
         return rows
 
     def fetchall(self) -> list[tuple]:
-        rows: list[tuple] = []
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return rows
-            rows.append(row)
+        return self.fetchmany(sys.maxsize)
 
     def __iter__(self) -> Iterator[tuple]:
         while True:

@@ -23,7 +23,7 @@ class AggregateCall(Expression):
     argument: Expression | None  # None means COUNT(*)
     distinct: bool = False
 
-    def compile(self, schema: Schema):  # pragma: no cover - defensive
+    def _render(self, gen):
         raise ExpressionError(
             f"{self.func} is an aggregate and cannot be evaluated per-row"
         )

@@ -69,10 +69,11 @@ def filter_rows(rows: Iterable[tuple], predicate: RowFunc, meter: CostMeter) -> 
             yield row
 
 
-def project_rows(rows: Iterable[tuple], funcs: Sequence[RowFunc], meter: CostMeter) -> RowIter:
+def project_rows(rows: Iterable[tuple], func: RowFunc, meter: CostMeter) -> RowIter:
+    """*func* maps an input row to the whole output row."""
     for row in rows:
         meter.charge_cpu(1)
-        yield tuple(func(row) for func in funcs)
+        yield func(row)
 
 
 def limit_rows(rows: Iterable[tuple], limit: int) -> RowIter:
@@ -177,21 +178,23 @@ def merge_join(
 
 def hash_group(
     rows: Iterable[tuple],
-    key_funcs: Sequence[RowFunc],
+    key_func: RowFunc | None,
     aggregate_specs: Sequence[tuple[str, RowFunc | None, bool]],
     meter: CostMeter,
 ) -> RowIter:
     """Hash aggregation.
 
+    *key_func* maps a row to its tuple of group-key values.
     *aggregate_specs* entries are ``(func, argument_func, distinct)`` with
     ``argument_func`` ``None`` for ``COUNT(*)``.  Output rows are
-    ``key values + aggregate results``.  With no keys, exactly one row is
-    produced (scalar aggregation), even over an empty input.
+    ``key values + aggregate results``.  With no keys (*key_func* ``None``),
+    exactly one row is produced (scalar aggregation), even over an empty
+    input.
     """
     groups: dict[tuple, list[Accumulator]] = {}
     for row in rows:
         meter.charge_cpu(1 + len(aggregate_specs))
-        key = tuple(func(row) for func in key_funcs)
+        key = () if key_func is None else key_func(row)
         accumulators = groups.get(key)
         if accumulators is None:
             accumulators = [
@@ -200,7 +203,7 @@ def hash_group(
             groups[key] = accumulators
         for accumulator, (func, argument, _) in zip(accumulators, aggregate_specs):
             accumulator.add(1 if argument is None else argument(row))
-    if not groups and not key_funcs:
+    if not groups and key_func is None:
         empty = [Accumulator(func, distinct) for func, _, distinct in aggregate_specs]
         groups[()] = empty
     for key, accumulators in groups.items():

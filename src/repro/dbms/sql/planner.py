@@ -15,6 +15,7 @@ join ordering:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.algebra.expressions import (
@@ -22,6 +23,7 @@ from repro.algebra.expressions import (
     Comparison,
     Expression,
     Literal,
+    compile_row,
     conjoin,
     conjuncts,
 )
@@ -76,18 +78,21 @@ class _Scope:
 
     def __init__(self, sources: Sequence[_Source]):
         self.sources = list(sources)
+        #: Each binding's slice of the combined schema: what its
+        #: single-table conjuncts are compiled against.
+        self.local: dict[str, Schema] = {}
         attributes: list[Attribute] = []
-        seen_bindings: set[str] = set()
         for source in sources:
-            if source.binding in seen_bindings:
+            if source.binding in self.local:
                 raise SQLSyntaxError(
                     f"duplicate table binding {source.binding!r}; use aliases"
                 )
-            seen_bindings.add(source.binding)
-            for attribute in source.schema:
-                attributes.append(
-                    attribute.renamed(f"{source.binding}.{attribute.name}")
-                )
+            renamed = [
+                attribute.renamed(f"{source.binding}.{attribute.name}")
+                for attribute in source.schema
+            ]
+            self.local[source.binding] = Schema(renamed)
+            attributes.extend(renamed)
         self.combined = Schema(attributes)
 
     def resolve_name(self, name: str) -> str:
@@ -208,7 +213,9 @@ def _plan_core(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
         Attribute(name, expression.result_type(row_schema))
         for name, expression in output_items
     )
-    funcs = [expression.compile(row_schema) for _, expression in output_items]
+    output_func = compile_row(
+        [expression for _, expression in output_items], row_schema
+    )
 
     order_by = stmt.order_by
     presort = _presort_items(order_by, output_schema, scope, group_exprs)
@@ -216,7 +223,7 @@ def _plan_core(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
         rows = _apply_order(list(rows), presort, row_schema, meter)
         order_by = ()
 
-    rows = project_rows(rows, funcs, meter)
+    rows = project_rows(rows, output_func, meter)
     if stmt.distinct:
         rows = distinct_rows(rows, meter)
     if order_by:
@@ -257,11 +264,9 @@ def _join_sources(
     meter: CostMeter,
 ) -> tuple[Iterable[tuple], frozenset[str], list[Expression]]:
     """Left-deep join of all sources; returns (rows, bindings, leftover)."""
-    prefix_width = 0
     first = sources[0]
-    rows, pending = _source_rows(db, first, scope, pending, prefix_width, meter)
+    rows, pending = _source_rows(db, first, scope, pending, meter)
     bindings = frozenset((first.binding,))
-    prefix_width = len(first.schema)
 
     method = "merge"
     if "USE_NL" in hints:
@@ -297,12 +302,9 @@ def _join_sources(
             left_pos = scope.combined.index_of(equi[0])
             rows = _index_nl_join(rows, index, left_pos, residual_func, meter)
             bindings = new_bindings
-            prefix_width += len(source.schema)
             continue
 
-        inner_rows, pending = _source_rows(
-            db, source, scope, pending, prefix_width, meter
-        )
+        inner_rows, pending = _source_rows(db, source, scope, pending, meter)
         evaluable = [
             term for term in pending if scope.bindings_of(term) <= new_bindings
         ]
@@ -317,23 +319,16 @@ def _join_sources(
 
         if equi is not None and method == "merge":
             left_name, right_name, _ = equi
-            left_pos = scope.combined.index_of(left_name)
-            right_pos = scope.combined.index_of(right_name) - prefix_width
+            left_key = itemgetter(scope.combined.index_of(left_name))
+            right_key = itemgetter(scope.local[source.binding].index_of(right_name))
             left_sorted = sort_rows(
-                rows, lambda row, p=left_pos: (row[p],), meter,
-                row_width=scope.combined.row_width,
+                rows, left_key, meter, row_width=scope.combined.row_width
             )
             right_sorted = sort_rows(
-                inner_rows, lambda row, p=right_pos: (row[p],), meter,
-                row_width=source.schema.row_width,
+                inner_rows, right_key, meter, row_width=source.schema.row_width
             )
             rows = merge_join(
-                left_sorted,
-                right_sorted,
-                lambda row, p=left_pos: row[p],
-                lambda row, p=right_pos: row[p],
-                residual_func,
-                meter,
+                left_sorted, right_sorted, left_key, right_key, residual_func, meter
             )
         else:
             condition = conjoin(evaluable)
@@ -344,7 +339,6 @@ def _join_sources(
             rows = nested_loop_join(rows, inner_list, condition_func, meter)
 
         bindings = new_bindings
-        prefix_width += len(source.schema)
     return rows, bindings, pending
 
 
@@ -390,14 +384,13 @@ def _source_rows(
     source: _Source,
     scope: _Scope,
     pending: list[Expression],
-    prefix_width: int,
     meter: CostMeter,
 ) -> tuple[Iterable[tuple], list[Expression]]:
     """Rows of one source with its single-table conjuncts pushed down.
 
-    Local conjuncts are compiled against the source's own schema by shifting
-    the combined-schema positions; an equality conjunct may be answered by an
-    index when the source is a base table.
+    Local conjuncts are compiled against the source's slice of the combined
+    schema; an equality conjunct may be answered by an index when the source
+    is a base table.
     """
     local = [
         term
@@ -431,14 +424,11 @@ def _source_rows(
 
     filters = [term for term in local if term not in used_index_terms]
     if filters:
-        local_schema = Schema(
-            attribute.renamed(f"{source.binding}.{attribute.name}")
-            for attribute in source.schema
-        )
         predicate = conjoin(filters)
         assert predicate is not None
-        rows = filter_rows(rows, predicate.compile(local_schema), meter)
-    __ = prefix_width
+        rows = filter_rows(
+            rows, predicate.compile(scope.local[source.binding]), meter
+        )
     return rows, remaining
 
 
@@ -525,7 +515,7 @@ def _apply_grouping(
     aggregate_calls: list[AggregateCall],
     meter: CostMeter,
 ) -> tuple[Iterable[tuple], Schema, dict[Expression, Expression]]:
-    key_funcs = [expression.compile(schema) for expression in group_exprs]
+    key_func = compile_row(group_exprs, schema) if group_exprs else None
     spec_list: list[tuple[str, Callable | None, bool]] = []
     for call in aggregate_calls:
         argument_func = (
@@ -544,7 +534,7 @@ def _apply_grouping(
         attributes.append(Attribute(name, call.result_type(schema)))
         mapping[call] = ColumnRef(name)
     grouped_schema = Schema(attributes)
-    grouped = hash_group(rows, key_funcs, spec_list, meter)
+    grouped = hash_group(rows, key_func, spec_list, meter)
     return grouped, grouped_schema, mapping
 
 
@@ -559,10 +549,9 @@ def _apply_order(
 ) -> list[tuple]:
     """Stable multi-key sort honouring per-key direction."""
     for item in reversed(order_by):
-        func = item.expression.compile(schema)
         rows = sort_rows(
             rows,
-            lambda row, f=func: f(row),
+            item.expression.compile(schema),
             meter,
             reverse=not item.ascending,
             row_width=schema.row_width,

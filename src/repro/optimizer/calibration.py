@@ -8,7 +8,10 @@ algorithms used by the DBMS" — each factor is fitted from end-to-end timings
 of operations whose cost the corresponding formula describes.
 
 Timings use :func:`time.perf_counter`; sample relations are synthesized in a
-scratch table and dropped afterwards.
+scratch table and dropped afterwards.  Middleware probes drain their cursor
+with :func:`~repro.xxl.cursor.materialize` — the batch protocol the
+execution engine uses — so a factor prices the algorithm as it will run,
+not the per-row ``has_next``/``next`` dispatch the engine never pays.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ import random
 import time
 from dataclasses import replace
 
+from repro.algebra.expressions import Comparison, col, lit
 from repro.algebra.operators import AggregateSpec
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.jdbc import Connection
 from repro.errors import CalibrationError
 from repro.optimizer.costs import CostFactors
+from repro.xxl.cursor import materialize
+from repro.xxl.filter import FilterCursor
 from repro.xxl.sort import SortCursor
 from repro.xxl.sources import RelationCursor, SQLCursor
 from repro.xxl.temporal_aggregate import TemporalAggregateCursor
@@ -98,6 +104,7 @@ class Calibrator:
         p_tdr, p_td = self._fit_two_term(
             self._measure_transfer_d, self._measure_transfer_d_wide
         )
+        p_sem = self._median(self._measure_filter_m)
         p_sortm = self._median(self._measure_sort_m)
         p_taggm = self._median(self._measure_taggr_m)
         p_taggd = self._median(self._measure_taggr_d)
@@ -113,6 +120,7 @@ class Calibrator:
             p_tmr=p_tmr,
             p_td=p_td,
             p_tdr=p_tdr,
+            p_sem=p_sem,
             p_sortm=p_sortm,
             p_taggm1=p_taggm,
             p_taggm2=p_taggm / 2,
@@ -180,7 +188,7 @@ class Calibrator:
     def _measure_transfer_m(self, count: int, wide: bool = False) -> float:
         def probe(name: str) -> float:
             cursor = SQLCursor(self._connection, f"SELECT * FROM {name}")
-            elapsed = _timed(lambda: list(cursor.init()))
+            elapsed = _timed(lambda: materialize(cursor))
             return elapsed / count
 
         return self._with_table(count, probe, wide)
@@ -207,9 +215,19 @@ class Calibrator:
     def _measure_sort_m(self, count: int) -> float:
         rows = _sample_rows(count)
         cursor = SortCursor(RelationCursor(_SCHEMA, rows), ("T1", "K"))
-        elapsed = _timed(lambda: list(cursor.init()))
+        elapsed = _timed(lambda: materialize(cursor))
         log = max(1, count.bit_length())
         return elapsed / (count * _SCHEMA.row_width * log)
+
+    def _measure_filter_m(self, count: int) -> float:
+        """``FILTER^M`` per byte for a one-comparison predicate (Figure 6's
+        ``f(P)`` = 1) that every row passes."""
+        cursor = FilterCursor(
+            RelationCursor(_SCHEMA, _sample_rows(count)),
+            Comparison(">=", col("V"), lit(0)),
+        )
+        elapsed = _timed(lambda: materialize(cursor))
+        return elapsed / (count * _SCHEMA.row_width)
 
     def _measure_taggr_m(self, count: int) -> float:
         rows = sorted(_sample_rows(count), key=lambda row: (row[0], row[2]))
@@ -218,7 +236,7 @@ class Calibrator:
             group_by=("K",),
             aggregates=(AggregateSpec("COUNT", "K"),),
         )
-        elapsed = _timed(lambda: list(cursor.init()))
+        elapsed = _timed(lambda: materialize(cursor))
         return elapsed / (count * _SCHEMA.row_width)
 
     def _measure_taggr_d(self, count: int) -> float:
@@ -284,7 +302,7 @@ class Calibrator:
         output = 0
         def run():
             nonlocal output
-            output = sum(1 for _ in cursor.init())
+            output = len(materialize(cursor))
         elapsed = _timed(run)
         touched = (2 * count + max(1, output)) * _SCHEMA.row_width
         return elapsed / touched
@@ -301,7 +319,7 @@ class Calibrator:
         output = 0
         def run():
             nonlocal output
-            output = sum(1 for _ in cursor.init())
+            output = len(materialize(cursor))
         elapsed = _timed(run)
         touched = (2 * count + max(1, output)) * _SCHEMA.row_width
         return elapsed / touched

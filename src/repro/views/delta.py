@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.algebra.expressions import compile_row
 from repro.algebra.operators import (
     Coalesce,
     Operator,
@@ -164,15 +165,9 @@ def evaluate(node: Operator, rows_of: Callable[[str], list[tuple]]) -> list[tupl
         return evaluate(node.input, rows_of)
     if isinstance(node, Select):
         predicate = node.predicate.compile(node.input.schema)
-        return [row for row in evaluate(node.input, rows_of) if predicate(row)]
+        return list(filter(predicate, evaluate(node.input, rows_of)))
     if isinstance(node, Project):
-        outputs = [
-            expression.compile(node.input.schema) for _, expression in node.outputs
-        ]
-        return [
-            tuple(output(row) for output in outputs)
-            for row in evaluate(node.input, rows_of)
-        ]
+        return list(map(_output_func(node), evaluate(node.input, rows_of)))
     if isinstance(node, TemporalAggregate):
         return _taggr_rows(node, evaluate(node.input, rows_of))
     if isinstance(node, Coalesce):
@@ -182,6 +177,11 @@ def evaluate(node: Operator, rows_of: Callable[[str], list[tuple]]) -> list[tupl
             node, evaluate(node.left, rows_of), evaluate(node.right, rows_of)
         )
     raise DeltaUnsupported(f"no delta evaluation for {node.name}")
+
+
+def _output_func(node: Project):
+    """The fused ``row -> output row`` function of a projection."""
+    return compile_row([e for _, e in node.outputs], node.input.schema)
 
 
 def _order_key(positions: Sequence[int]):
@@ -261,21 +261,15 @@ def compute_delta(node: Operator, state: DeltaState) -> Delta:
             return delta
         predicate = node.predicate.compile(node.input.schema)
         return Delta(
-            [row for row in delta.inserts if predicate(row)],
-            [row for row in delta.deletes if predicate(row)],
+            list(filter(predicate, delta.inserts)),
+            list(filter(predicate, delta.deletes)),
         )
     if isinstance(node, Project):
         delta = compute_delta(node.input, state)
         if delta.empty():
             return delta
-        outputs = [
-            expression.compile(node.input.schema) for _, expression in node.outputs
-        ]
-
-        def mapped(rows: list[tuple]) -> list[tuple]:
-            return [tuple(output(row) for output in outputs) for row in rows]
-
-        return Delta(mapped(delta.inserts), mapped(delta.deletes))
+        output = _output_func(node)
+        return Delta(list(map(output, delta.inserts)), list(map(output, delta.deletes)))
     if isinstance(node, TemporalJoin):
         return _temporal_join_delta(node, state)
     if isinstance(node, TemporalAggregate):

@@ -95,7 +95,7 @@ class FilterCursor(Cursor):
                 break
             if meter is not None:
                 meter.charge_cpu(len(batch))
-            out.extend(row for row in batch if predicate(row))
+            out.extend(filter(predicate, batch))
         if len(out) > n:
             self._lookahead.extend(out[n:])
             del out[n:]
@@ -149,8 +149,7 @@ class FilterCursor(Cursor):
             return batch.filter(bitmap)
         except Exception:
             self.columnar_fallbacks += 1
-            predicate = self._predicate
-            rows = [row for row in batch.to_rows() if predicate(row)]
+            rows = list(filter(self._predicate, batch.to_rows()))
             return ColumnBatch.from_rows(self.schema, rows, batch.backend)
 
     def _close(self) -> None:

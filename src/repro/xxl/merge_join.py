@@ -277,8 +277,7 @@ class MergeJoinCursor(GeneratorCursor):
             return combined.filter(bitmap)
         except Exception:
             self.columnar_fallbacks += 1
-            predicate = self._row_residual
-            rows = [row for row in combined.to_rows() if predicate(row)]
+            rows = list(filter(self._row_residual, combined.to_rows()))
             return ColumnBatch.from_rows(self.schema, rows, self._column_backend())
 
     def _generate(self) -> Iterator[tuple]:

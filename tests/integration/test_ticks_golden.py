@@ -1,0 +1,98 @@
+"""Tick-exact golden numbers: the guard behind "same program, faster".
+
+MiniDB's meter and the middleware meter charge deterministic work units, so
+a change that only makes the executor or the expression evaluator faster must
+reproduce these numbers to the digit.  They were recorded on the commit
+before the fused expression compiler (PR 12) at ``load_uis(scale=0.02,
+seed=1)`` with default ``TangoConfig()``/``CostFactors()``; a change that
+moves one of them has changed *what* is executed (a plan choice, a meter
+charge, how lazily rows are pulled), not just how fast, and must say so.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.core.tango import Tango
+from repro.dbms.database import MiniDB
+from repro.dbms.jdbc import Connection
+from repro.resilience import FaultInjector, FaultPolicy
+from repro.workloads import queries
+from repro.workloads.uis import load_uis
+
+pytestmark = pytest.mark.skipif(
+    os.environ.get("TANGO_COLUMNAR", "").strip().lower()
+    not in ("", "0", "off", "false"),
+    reason="the TANGO_COLUMNAR profile runs other middleware algorithms",
+)
+
+#: name -> (DBMS io, DBMS cpu, middleware ticks, result rows)
+GOLDEN = {
+    "Q1 chosen": (16, 56142, 10931, 2888),
+    "Q2 chosen": (80, 54903, 75951, 4311),
+    "Q3 chosen": (76, 78034, 59421, 8749),
+    "Q4 chosen": (98, 56321, 0, 1677),
+    "Q2-P1 forced": (241, 201444, 5260, 4311),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_db() -> MiniDB:
+    db = MiniDB()
+    load_uis(db, scale=0.02, seed=1)
+    return db
+
+
+def build(name: str, db: MiniDB):
+    return {
+        "Q1 chosen": lambda: queries.query1_sql(),
+        "Q2 chosen": lambda: queries.query2_initial_plan(db, "1996-01-01"),
+        "Q3 chosen": lambda: queries.query3_initial_plan(db, "1999-01-01"),
+        "Q4 chosen": lambda: queries.query4_initial_plan(db),
+        "Q2-P1 forced": lambda: queries.query2_plans(db, "1996-01-01")[0].plan,
+    }[name]()
+
+
+def measure(name: str, db: MiniDB) -> tuple[int, int, int, int]:
+    # The explicit zero-probability injector keeps the run fault-free under
+    # the TANGO_CHAOS_P profile (a retried round trip is charged twice).
+    tango = Tango(db, fault_injector=FaultInjector(FaultPolicy(), seed=0))
+    try:
+        query = build(name, db)
+        db.meter.reset()
+        if name.endswith("forced"):
+            result = tango.execute_plan(query)
+        else:
+            result = tango.run(query)
+        return (
+            db.meter.io,
+            db.meter.cpu,
+            tango.middleware_meter.ticks,
+            len(result.rows),
+        )
+    finally:
+        tango.close()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_ticks_repeat_to_the_digit(golden_db, name):
+    assert measure(name, golden_db) == GOLDEN[name]
+
+
+def test_abandoned_cursor_is_metered_lazily(golden_db):
+    """Fetch 10 rows of an un-ordered SELECT and close: the scan bills its
+    16 blocks and 1,677 rows when the statement is planned, and after that
+    only the 10 rows that crossed the wire are filtered, projected and
+    charged — 200 for the round trip, 10 for its 160 bytes, 10 + 10 for
+    ``filter_rows`` and ``project_rows``."""
+    db = golden_db
+    cursor = Connection(db, prefetch=10).cursor()
+    db.meter.reset()
+    cursor.execute("SELECT PosID, T1 + 1 FROM POSITION WHERE PayRate > 0")
+    assert (db.meter.io, db.meter.cpu) == (16, 1677)
+    assert len(cursor.fetchmany(10)) == 10
+    cursor.close()
+    assert (db.meter.io, db.meter.cpu) == (16, 1677 + 230)
+

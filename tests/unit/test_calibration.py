@@ -32,7 +32,7 @@ class TestCalibrator:
 
     def test_produces_positive_factors(self, connection):
         factors = Calibrator(connection, sizes=(100,)).calibrate()
-        for name in ("p_sortm", "p_taggm1", "p_taggd1", "p_scand", "p_joind"):
+        for name in ("p_sem", "p_sortm", "p_taggm1", "p_taggd1", "p_scand", "p_joind"):
             assert getattr(factors, name) > 0, name
         # Transfers fit a two-term model; in-process the per-byte share can
         # legitimately measure zero, but the combined cost never can.
@@ -48,10 +48,10 @@ class TestCalibrator:
         assert factors.p_taggd1 > factors.p_taggm1
 
     def test_base_factors_preserved_for_unfitted_fields(self, connection):
-        base = CostFactors(p_prodd=123.0, p_sem=9.0)
+        base = CostFactors(p_prodd=123.0, p_dedupm=9.0)
         factors = Calibrator(connection, sizes=(100,)).calibrate(base)
         assert factors.p_prodd == 123.0
-        assert factors.p_sem == 9.0
+        assert factors.p_dedupm == 9.0
 
     def test_no_tables_leak(self, connection):
         Calibrator(connection, sizes=(100,)).calibrate()

@@ -13,6 +13,7 @@ from repro.algebra.expressions import (
     Or,
     attributes_of,
     col,
+    compile_row,
     conjoin,
     conjuncts,
     lit,
@@ -137,6 +138,49 @@ class TestFunctions:
 
     def test_sql_rendering(self):
         assert FuncCall("LEAST", [col("A"), lit(9)]).to_sql() == "LEAST(A, 9)"
+
+
+class TestGeneratedSource:
+    """No text from a query reaches the source ``compile`` evaluates."""
+
+    HOSTILE = "'); __import__('os').system('x') #"
+
+    def test_hostile_literal_round_trips_as_a_value(self):
+        assert evaluate(lit(self.HOSTILE)) == self.HOSTILE
+        assert compile_row([lit(self.HOSTILE), col("A")], SCHEMA)(ROW) == (self.HOSTILE, 10)
+
+    def test_hostile_column_name_is_a_position(self):
+        schema = Schema([Attribute("B"), Attribute("row[0]"), Attribute(self.HOSTILE)])
+        assert evaluate(col("row[0]"), (1, 2, 3), schema) == 2
+        assert evaluate(col(self.HOSTILE), (1, 2, 3), schema) == 3
+
+    @pytest.mark.parametrize(
+        "value", ["text", 1.5, float("nan"), float("inf"), True, None, 2**70]
+    )
+    def test_only_plain_ints_are_inlined(self, value):
+        func = Comparison("=", col("A"), lit(value)).compile(SCHEMA)
+        # The constant lives in the globals, under a generated name.
+        assert all(name.startswith("_k") for name in func.__code__.co_names)
+        (bound,) = [v for k, v in func.__globals__.items() if k.startswith("_k")]
+        assert bound is value
+        assert Comparison("=", col("A"), lit(7)).compile(SCHEMA).__code__.co_names == ()
+
+    def test_generated_functions_see_no_builtins(self):
+        func = FuncCall("GREATEST", [col("A"), lit("x")]).compile(SCHEMA)
+        assert func.__globals__["__builtins__"] == {}
+        assert sorted(func.__globals__) == ["__builtins__", "_f1", "_k2"]
+
+    def test_aggregate_calls_do_not_compile(self):
+        from repro.dbms.sql.ast import AggregateCall
+
+        call = AggregateCall("SUM", col("A"))
+        for attempt in (
+            lambda: call.compile(SCHEMA),
+            lambda: BinOp("+", call, lit(1)).compile(SCHEMA),
+            lambda: compile_row([col("A"), call], SCHEMA),
+        ):
+            with pytest.raises(ExpressionError, match="aggregate"):
+                attempt()
 
 
 class TestEqualityAndHash:

@@ -362,6 +362,39 @@ class TestQueryService:
         )
 
 
+class TestWorkersShareLearning:
+    """The service's plan cache and feedback store start *empty*, hence
+    falsy (``__len__`` is 0): workers must take them by identity."""
+
+    def test_second_worker_hits_the_plan_the_first_one_cached(self, db):
+        with QueryService(db, ServiceConfig(max_concurrency=2)) as service:
+            first, second = service._make_worker_tango(), service._make_worker_tango()
+
+            def counted(name: str) -> int:
+                return service.metrics.to_dict()["counters"].get(name, 0)
+
+            try:
+                first.run(TEMPORAL)
+                assert (counted("plan_cache_misses"), counted("plan_cache_hits")) == (1, 0)
+                second.run(TEMPORAL)
+                assert (counted("plan_cache_misses"), counted("plan_cache_hits")) == (1, 1)
+            finally:
+                first.close()
+                second.close()
+
+    def test_workers_hold_the_services_own_store_objects(self, db):
+        with QueryService(db, ServiceConfig(max_concurrency=2)) as service:
+            assert len(service.plan_cache) == 0 and len(service.feedback_store) == 0
+            workers = [service._make_worker_tango() for _ in range(2)]
+            try:
+                for worker in workers:
+                    assert worker.plan_cache is service.plan_cache
+                    assert worker.feedback_store is service.feedback_store
+            finally:
+                for worker in workers:
+                    worker.close()
+
+
 class TestTangoServiceIntegration:
     def test_tango_submit_routes_through_service(self, db):
         config = TangoConfig(service=ServiceConfig(max_concurrency=2))

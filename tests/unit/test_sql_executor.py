@@ -49,7 +49,7 @@ class TestScalarPrimitives:
 
     def test_project(self, meter):
         rows = [(1, 2)]
-        out = list(project_rows(rows, [lambda r: r[1], lambda r: r[0] * 10], meter))
+        out = list(project_rows(rows, lambda r: (r[1], r[0] * 10), meter))
         assert out == [(2, 10)]
 
     def test_limit(self):
@@ -132,7 +132,7 @@ class TestJoins:
 class TestHashGroup:
     def test_count_star(self, meter):
         rows = [(1,), (1,), (2,)]
-        out = sorted(hash_group(rows, [lambda r: r[0]], [("COUNT", None, False)], meter))
+        out = sorted(hash_group(rows, lambda r: (r[0],), [("COUNT", None, False)], meter))
         assert out == [(1, 2), (2, 1)]
 
     def test_sum_min_max_avg(self, meter):
@@ -143,27 +143,27 @@ class TestHashGroup:
             ("MAX", lambda r: r[1], False),
             ("AVG", lambda r: r[1], False),
         ]
-        out = list(hash_group(rows, [lambda r: r[0]], specs, meter))
+        out = list(hash_group(rows, lambda r: (r[0],), specs, meter))
         assert out == [(1, 40.0, 10, 30, 20.0)]
 
     def test_scalar_aggregate_over_empty_input(self, meter):
-        out = list(hash_group([], [], [("COUNT", None, False)], meter))
+        out = list(hash_group([], None, [("COUNT", None, False)], meter))
         assert out == [(0,)]
 
     def test_grouped_aggregate_over_empty_input(self, meter):
-        out = list(hash_group([], [lambda r: r[0]], [("COUNT", None, False)], meter))
+        out = list(hash_group([], lambda r: (r[0],), [("COUNT", None, False)], meter))
         assert out == []
 
     def test_distinct_aggregate(self, meter):
         rows = [(1, 5), (1, 5), (1, 7)]
         out = list(
-            hash_group(rows, [lambda r: r[0]], [("COUNT", lambda r: r[1], True)], meter)
+            hash_group(rows, lambda r: (r[0],), [("COUNT", lambda r: r[1], True)], meter)
         )
         assert out == [(1, 2)]
 
     def test_nulls_ignored(self, meter):
         rows = [(1, None), (1, 4)]
         out = list(
-            hash_group(rows, [lambda r: r[0]], [("SUM", lambda r: r[1], False)], meter)
+            hash_group(rows, lambda r: (r[0],), [("SUM", lambda r: r[1], False)], meter)
         )
         assert out == [(1, 4.0)]
