@@ -1,16 +1,11 @@
 """Batched execution and the plan cache — the fast paths, measured.
 
-Four checks:
+Three checks:
 
 * the middleware aggregation stage (Query 1's ``TAGGR^M`` over its sorted
   argument) must run at least ``BENCH_BATCHING_MIN_SPEEDUP`` (default 2.0)
   times faster at ``batch_size=256`` than at ``batch_size=1``, the paper's
   row-at-a-time protocol;
-* the columnar ``TAGGR^M`` path must beat the row-at-a-time COUNT fast
-  path by ``BENCH_COLUMNAR_MIN_SPEEDUP`` (default 3.0) on the interval
-  reporting shape it targets — an ungrouped multi-COUNT over
-  coarse-granularity periods (the pure-python backend is gated; the numpy
-  backend and the vectorization-hostile shapes are reported, not gated);
 * end-to-end Query 1 must be no slower batched than row-at-a-time (the
   lenient form CI asserts on its tiny dataset);
 * a repeated query must be answered from the plan cache without invoking
@@ -24,30 +19,19 @@ test appends its numbers to ``BENCH_BATCHING_JSON`` (default
 import json
 import os
 import time
-from operator import itemgetter
 
-import pytest
 from harness import fmt, print_series
 
 from repro.algebra.operators import AggregateSpec
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.core.tango import Tango, TangoConfig
-from repro.dbms.database import MiniDB
 from repro.workloads.queries import query1_plans, query1_sql
-from repro.workloads.uis import load_uis
-from repro.xxl.columnar import numpy_available
 from repro.xxl.sources import RelationCursor
 from repro.xxl.temporal_aggregate import TemporalAggregateCursor
 
 ROUNDS = 11
 BATCHED = 256
 MIN_SPEEDUP = float(os.environ.get("BENCH_BATCHING_MIN_SPEEDUP", "2.0"))
-COLUMNAR_MIN_SPEEDUP = float(os.environ.get("BENCH_COLUMNAR_MIN_SPEEDUP", "3.0"))
-# The columnar comparison gets its own, larger dataset: the vectorized
-# sweep's advantage grows with input size (its python-level work scales
-# with distinct instants, not rows), and the shared 0.02-scale bench_db
-# leaves the >=3x gate within measurement noise.
-COLUMNAR_SCALE = float(os.environ.get("BENCH_COLUMNAR_SCALE", "0.05"))
 RESULTS_PATH = os.environ.get("BENCH_BATCHING_JSON", "bench_batching_results.json")
 
 
@@ -122,107 +106,6 @@ def test_middleware_aggregation_speedup(bench_db):
     assert speedup >= MIN_SPEEDUP, (
         f"batched aggregation is only {speedup:.2f}x row-at-a-time "
         f"(need >= {MIN_SPEEDUP}x): {fmt(batched)} vs {fmt(rowwise)}"
-    )
-
-
-@pytest.fixture(scope="module")
-def columnar_db() -> MiniDB:
-    db = MiniDB()
-    load_uis(db, scale=COLUMNAR_SCALE, with_variants=False)
-    return db
-
-
-def columnar_aggregation_inputs(bench_db) -> dict[str, tuple[list, list, list]]:
-    """``TAGGR^M`` workload shapes for the row-vs-columnar comparison.
-
-    ``monthly``
-        The gated shape: an ungrouped interval report — ``COUNT(*)`` next
-        to ``COUNT(PosID)`` over POSITION validity periods snapped to
-        30-day boundaries, T1-sorted.  Many rows share each event instant,
-        which is exactly what the vectorized sweep exploits.
-    ``raw``
-        The same report at day granularity (nearly one distinct instant
-        per row) — the sweep's worst ungrouped case, reported for honesty.
-    ``grouped``
-        Query 1's own argument (grouped by PosID, mean group ~8 rows) —
-        the shape adaptive de-vectorization hands back to the row path.
-    """
-    both_counts = [AggregateSpec("COUNT", None), AggregateSpec("COUNT", "PosID")]
-    raw = bench_db.query("SELECT PosID, T1, T2 FROM POSITION ORDER BY T1")
-    monthly = sorted(
-        (
-            (pos, t1 - t1 % 30, t2 + (-t2) % 30 or t2 + 30)
-            for pos, t1, t2 in raw
-        ),
-        key=itemgetter(1),
-    )
-    grouped = bench_db.query("SELECT PosID, T1, T2 FROM POSITION ORDER BY PosID, T1")
-    return {
-        "monthly": (monthly, [], both_counts),
-        "raw": (raw, [], both_counts),
-        "grouped": (grouped, ["PosID"], [AggregateSpec("COUNT", "PosID")]),
-    }
-
-
-def drain_columnar(schema, rows, group_by, aggregates, backend):
-    """Drain one ``TAGGR^M`` over *rows*; returns (seconds, output rows)."""
-    source = RelationCursor(schema, rows)
-    source.batch_size = BATCHED
-    taggr = TemporalAggregateCursor(source, group_by=group_by, aggregates=aggregates)
-    taggr.batch_size = BATCHED
-    if backend is not None:
-        source.columnar = backend
-        taggr.columnar = backend
-    output = []
-    begin = time.perf_counter()
-    while True:
-        batch = taggr.next_batch(BATCHED)
-        if not batch:
-            break
-        output.extend(batch)
-    return time.perf_counter() - begin, output
-
-
-def test_columnar_taggr_speedup(columnar_db):
-    schema = Schema(
-        [
-            Attribute("PosID"),
-            Attribute("T1", AttrType.DATE),
-            Attribute("T2", AttrType.DATE),
-        ]
-    )
-    shapes = columnar_aggregation_inputs(columnar_db)
-    backends = ["python"] + (["numpy"] if numpy_available() else [])
-    payload, table = {}, []
-    for name, (rows, group_by, aggregates) in shapes.items():
-        timings = {backend: [] for backend in [None] + backends}
-        expected = drain_columnar(schema, rows, group_by, aggregates, None)[1]
-        for backend in backends:  # warm + byte-identical output guard
-            assert drain_columnar(schema, rows, group_by, aggregates, backend)[1] == expected
-        for _ in range(ROUNDS):
-            for backend, series in timings.items():
-                series.append(drain_columnar(schema, rows, group_by, aggregates, backend)[0])
-        rowwise = min(timings[None])
-        entry = {"input_tuples": len(rows), "rowwise_seconds": rowwise, "speedups": {}}
-        for backend in backends:
-            best = min(timings[backend])
-            entry[f"{backend}_seconds"] = best
-            entry["speedups"][backend] = rowwise / best
-            table.append(
-                [name, backend, fmt(rowwise), fmt(best), f"{rowwise / best:.2f}x"]
-            )
-        payload[name] = entry
-    print_series(
-        f"Columnar TAGGR^M vs the row COUNT fast path [scale={COLUMNAR_SCALE}]",
-        ["shape", "backend", "row best", "columnar best", "speedup"],
-        table,
-    )
-    record("columnar_aggregation", {"scale": COLUMNAR_SCALE, "shapes": payload})
-    gated = payload["monthly"]["speedups"]["python"]
-    assert gated >= COLUMNAR_MIN_SPEEDUP, (
-        f"columnar TAGGR^M (python backend) is only {gated:.2f}x the row "
-        f"COUNT fast path on the interval-report shape "
-        f"(need >= {COLUMNAR_MIN_SPEEDUP}x)"
     )
 
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro --chaos-seed 7  # ... deterministically, from seed 7
     python -m repro --deadline 5    # per-query deadline in seconds
     python -m repro --workers 4     # partition-parallel execution (1=serial)
-    python -m repro --columnar [python|numpy]   # vectorized columnar operators
 
 Statements are regular SQL (executed by MiniDB) or temporal SQL
 (``VALIDTIME ...``, routed through the TANGO optimizer and execution
@@ -214,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
     chaos_seed = 0
     deadline: float | None = None
     workers = 1
-    columnar = "off"
     while argv:
         argument = argv.pop(0)
         if argument == "--uis":
@@ -233,10 +231,6 @@ def main(argv: list[str] | None = None) -> int:
             deadline = float(argv.pop(0))
         elif argument == "--workers":
             workers = int(argv.pop(0))
-        elif argument == "--columnar":
-            columnar = (
-                argv.pop(0) if argv and not argv[0].startswith("-") else "python"
-            )
         elif argument in ("-h", "--help"):
             print(__doc__)
             return 0
@@ -255,7 +249,6 @@ def main(argv: list[str] | None = None) -> int:
             tracing=tracing,
             deadline_seconds=deadline,
             workers=workers,
-            columnar=columnar,
         ),
         fault_injector=injector,
     )

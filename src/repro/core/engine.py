@@ -220,11 +220,7 @@ class ExecutionEngine:
             metrics.counter("batches_produced").inc(batches)
             # Exchange bookkeeping (parallel_efficiency is computed at
             # cursor close, i.e. during the teardown just above).
-            columnar_batches = 0
-            columnar_fallbacks = 0
             for raw in _iter_cursors(plan.steps):
-                columnar_batches += getattr(raw, "cbatches_produced", 0)
-                columnar_fallbacks += getattr(raw, "columnar_fallbacks", 0)
                 if isinstance(raw, ExchangeCursor):
                     metrics.counter("exchange_partitions").inc(raw.partitions)
                     if raw.queue_full_stalls:
@@ -234,10 +230,6 @@ class ExecutionEngine:
                     metrics.histogram("parallel_efficiency").observe(
                         raw.parallel_efficiency
                     )
-            if columnar_batches:
-                metrics.counter("columnar_batches").inc(columnar_batches)
-            if columnar_fallbacks:
-                metrics.counter("columnar_fallbacks").inc(columnar_fallbacks)
         trace = execution_trace(plan, elapsed)
         trace.set(rows=len(rows), batches=batches)
         tracer.attach(trace)

@@ -50,7 +50,6 @@ from repro.xxl import (
     TemporalJoinCursor,
     TransferDCursor,
 )
-from repro.xxl.columnar import resolve_backend
 from repro.xxl.exchange import RepartitionOutput
 from repro.xxl.sources import PooledSQLCursor
 from repro.xxl.transfer import DEFAULT_LOAD_CHUNK, unique_temp_name
@@ -147,7 +146,6 @@ def compile_plan(
     batch_size: int | None = None,
     retry=None,
     parallel=None,
-    columnar: str | None = None,
 ) -> ExecutionPlan:
     """Compile an optimized operator tree into an :class:`ExecutionPlan`.
 
@@ -180,7 +178,6 @@ def compile_plan(
         batch_size,
         retry,
         parallel,
-        columnar,
     )
     root = compiler.build_root(plan)
     execution_plan = ExecutionPlan(
@@ -200,7 +197,6 @@ class _Compiler:
         batch_size: int | None = None,
         retry=None,
         parallel=None,
-        columnar: str | None = None,
     ):
         self._connection = connection
         self._meter = meter
@@ -209,9 +205,6 @@ class _Compiler:
         self._batch_size = max(1, batch_size) if batch_size is not None else None
         self._retry = retry
         self._parallel = parallel
-        # "numpy" degrades to "python" here when numpy is absent, so one
-        # config runs anywhere.
-        self._columnar = resolve_backend(columnar)
         #: Steps that must be initialized before the output cursor, in order.
         self.steps: list[Cursor] = []
         self.transfers_down: list[TransferDCursor] = []
@@ -221,8 +214,6 @@ class _Compiler:
     def _register(self, cursor: Cursor, node: Operator) -> Cursor:
         if self._batch_size is not None:
             cursor.batch_size = self._batch_size
-        if self._columnar != "off":
-            cursor.columnar = self._columnar
         if self._registry is not None:
             self._registry[id(cursor)] = node
         return cursor

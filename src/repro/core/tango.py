@@ -147,14 +147,6 @@ class TangoConfig:
     #: fair-share scheduling, health-driven admission control) instead of
     #: executing inline on the caller's thread.
     service: ServiceConfig | None = None
-    #: Columnar execution backend for the middleware operators: ``"off"``
-    #: (row-at-a-time, paper faithful), ``"python"`` (struct-of-arrays
-    #: batches, C-speed ``bisect``/``compress`` vectorization), or
-    #: ``"numpy"`` (ndarray columns where types allow; degrades to
-    #: ``"python"`` when numpy is absent).  Results and error behavior are
-    #: identical in every mode — unsupported expressions and mixed-type
-    #: batches fall back to exact row semantics per batch.
-    columnar: str = "off"
     #: Learn per-subtree cardinalities from execution actuals into the
     #: :class:`~repro.core.cardinality.CardinalityFeedbackStore`, and let
     #: the estimator prefer a learned cardinality over its derivation —
@@ -662,7 +654,6 @@ class Tango:
                         batch_size=self.config.batch_size,
                         retry=retry,
                         parallel=self._parallel_context() if parallel else None,
-                        columnar=self.config.columnar,
                     )
                     span.set(steps=len(execution_plan.steps))
                 if registry is not None:

@@ -63,7 +63,7 @@ class _Parser:
         index = min(self._pos + offset, len(self._tokens) - 1)
         return self._tokens[index]
 
-    def _next(self) -> Token:
+    def _advance(self) -> Token:
         token = self._tokens[self._pos]
         if token.kind != "EOF":
             self._pos += 1
@@ -75,7 +75,7 @@ class _Parser:
             return None
         if value is not None and token.value != value:
             return None
-        return self._next()
+        return self._advance()
 
     def _expect(self, kind: str, value: str | None = None) -> Token:
         token = self._accept(kind, value)
@@ -95,13 +95,13 @@ class _Parser:
             if token.kind != "KEYWORD" or token.value != word:
                 return False
         for _ in words:
-            self._next()
+            self._advance()
         return True
 
     def _identifier(self) -> str:
         token = self._peek()
         if token.kind in ("IDENT", "KEYWORD"):
-            self._next()
+            self._advance()
             return token.text
         raise SQLSyntaxError(f"expected identifier, found {token.text!r}", token.position)
 
@@ -144,7 +144,7 @@ class _Parser:
                     raise SQLSyntaxError(
                         f"unknown column type {type_token.text!r}", type_token.position
                     )
-                self._next()
+                self._advance()
                 width = None
                 if self._accept("OP", "("):
                     width_token = self._expect("NUMBER")
@@ -202,7 +202,7 @@ class _Parser:
         self._expect("KEYWORD", "TABLE")
         if_exists = False
         if self._peek().kind == "IDENT" and self._peek().value == "IF":
-            self._next()
+            self._advance()
             exists = self._identifier()
             if exists.upper() != "EXISTS":
                 raise SQLSyntaxError("expected EXISTS after IF", self._peek().position)
@@ -281,7 +281,7 @@ class _Parser:
         self._expect("KEYWORD", "SELECT")
         hints: list[str] = []
         while self._peek().kind == "HINT":
-            hints.append(self._next().value)
+            hints.append(self._advance().value)
         distinct = bool(self._accept("KEYWORD", "DISTINCT"))
         items = self._select_items()
         self._expect("KEYWORD", "FROM")
@@ -328,9 +328,9 @@ class _Parser:
                 and self._peek(2).kind == "OP"
                 and self._peek(2).value == "*"
             ):
-                qualifier = self._next().text
-                self._next()
-                self._next()
+                qualifier = self._advance().text
+                self._advance()
+                self._advance()
                 items.append(SelectItem(Literal(1), star=qualifier))
             else:
                 expression = self.expression()
@@ -404,17 +404,17 @@ class _Parser:
         left = self._additive()
         token = self._peek()
         if token.kind == "OP" and token.value in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            self._next()
+            self._advance()
             right = self._additive()
             return Comparison(token.value, left, right)
         if token.kind == "KEYWORD" and token.value == "BETWEEN":
-            self._next()
+            self._advance()
             low = self._additive()
             self._expect("KEYWORD", "AND")
             high = self._additive()
             return And((Comparison(">=", left, low), Comparison("<=", left, high)))
         if token.kind == "KEYWORD" and token.value == "IN":
-            self._next()
+            self._advance()
             self._expect("OP", "(")
             choices: list[Expression] = []
             while True:
@@ -424,7 +424,7 @@ class _Parser:
             self._expect("OP", ")")
             return Or(tuple(Comparison("=", left, choice) for choice in choices))
         if token.kind == "KEYWORD" and token.value == "IS":
-            self._next()
+            self._advance()
             negated = bool(self._accept("KEYWORD", "NOT"))
             self._expect("KEYWORD", "NULL")
             null_test = Comparison("=", left, Literal(None))
@@ -436,7 +436,7 @@ class _Parser:
         while True:
             token = self._peek()
             if token.kind == "OP" and token.value in ("+", "-"):
-                self._next()
+                self._advance()
                 left = BinOp(token.value, left, self._term())
             else:
                 return left
@@ -446,7 +446,7 @@ class _Parser:
         while True:
             token = self._peek()
             if token.kind == "OP" and token.value in ("*", "/"):
-                self._next()
+                self._advance()
                 left = BinOp(token.value, left, self._factor())
             else:
                 return left
@@ -454,15 +454,15 @@ class _Parser:
     def _factor(self) -> Expression:
         token = self._peek()
         if token.kind == "NUMBER":
-            self._next()
+            self._advance()
             if "." in token.value:
                 return Literal(float(token.value))
             return Literal(int(token.value))
         if token.kind == "STRING":
-            self._next()
+            self._advance()
             return Literal(token.value)
         if token.kind == "KEYWORD" and token.value == "DATE":
-            self._next()
+            self._advance()
             date_token = self._expect("STRING")
             try:
                 day = day_of(date_token.value)
@@ -473,26 +473,26 @@ class _Parser:
                 ) from None
             return Literal(day, AttrType.DATE)
         if token.kind == "KEYWORD" and token.value == "NULL":
-            self._next()
+            self._advance()
             return Literal(None)
         if token.kind == "OP" and token.value == "(":
-            self._next()
+            self._advance()
             inner = self.expression()
             self._expect("OP", ")")
             return inner
         if token.kind == "OP" and token.value == "-":
-            self._next()
+            self._advance()
             return BinOp("-", Literal(0), self._factor())
         if token.kind in ("IDENT", "KEYWORD"):
             return self._identifier_expression()
         raise SQLSyntaxError(f"unexpected token {token.text!r}", token.position)
 
     def _identifier_expression(self) -> Expression:
-        name_token = self._next()
+        name_token = self._advance()
         name = name_token.text
         upper = name.upper()
         if self._peek().kind == "OP" and self._peek().value == "(":
-            self._next()
+            self._advance()
             if upper in _AGGREGATES:
                 if self._accept("OP", "*"):
                     self._expect("OP", ")")
@@ -510,7 +510,7 @@ class _Parser:
                 self._expect("OP", ")")
             return FuncCall(upper, args)
         if self._peek().kind == "OP" and self._peek().value == ".":
-            self._next()
+            self._advance()
             column = self._identifier()
             return ColumnRef(f"{name}.{column}")
         return ColumnRef(name)

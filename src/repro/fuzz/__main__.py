@@ -42,11 +42,6 @@ def main(argv: list[str] | None = None) -> int:
         help="report failures without delta-debugging them",
     )
     parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="drop the columnar backends from the configuration matrix",
-    )
-    parser.add_argument(
         "--no-adaptive",
         action="store_true",
         help=(
@@ -69,7 +64,6 @@ def main(argv: list[str] | None = None) -> int:
         out_dir=arguments.out,
         max_failures=arguments.max_failures,
         shrink=not arguments.no_shrink,
-        columnar_axis=not arguments.no_columnar,
         adaptive_axis=not arguments.no_adaptive,
         updates_axis=not arguments.no_updates,
     )

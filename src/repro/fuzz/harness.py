@@ -60,8 +60,6 @@ class FuzzHarness:
     #: Stop early after this many distinct failures.
     max_failures: int = 5
     shrink: bool = True
-    #: Cross the columnar backends into the oracle's configuration matrix.
-    columnar_axis: bool = True
     #: Cross adaptive execution (cardinality learning + mid-query
     #: re-optimization) into the oracle's configuration matrix.
     adaptive_axis: bool = True
@@ -73,7 +71,6 @@ class FuzzHarness:
         began = time.perf_counter()
         generator = QueryGenerator(seed=self.seed, updates=self.updates_axis)
         oracle = Oracle(
-            columnar_axis=self.columnar_axis,
             adaptive_axis=self.adaptive_axis,
             updates_axis=self.updates_axis,
         )

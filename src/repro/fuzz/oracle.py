@@ -51,7 +51,6 @@ from repro.resilience.retry import RetryPolicy
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import StatisticsCollector
 from repro.stats.selectivity import PredicateEstimator
-from repro.xxl.columnar import numpy_available
 
 #: Retry policy for chaos executions: generous attempts, no sleeping —
 #: chaos runs prove equivalence under faults, not backoff behavior.
@@ -62,9 +61,6 @@ CHAOS_RETRY = RetryPolicy(
 #: The configuration matrix the oracle samples (Section 6's knobs).
 WORKER_CHOICES = (1, 2, 4)
 BATCH_CHOICES = (1, 7, 256)
-#: Columnar backends crossed into the matrix: the row path, the
-#: pure-python vectorized path, and numpy when the interpreter has it.
-COLUMNAR_CHOICES = ("off", "python") + (("numpy",) if numpy_available() else ())
 #: Adaptive execution crossed into the matrix: cardinality learning plus
 #: mid-query re-optimization at materialization points — re-optimized
 #: plans must stay plan-equivalent and leak no temp tables across the
@@ -87,7 +83,6 @@ class ExecConfig:
     chaos_p: float = 0.1
     chaos_seed: int = 0
     tracing: bool = True
-    columnar: str = "off"
     adaptive: bool = False
 
     def tango_config(self) -> TangoConfig:
@@ -98,7 +93,6 @@ class ExecConfig:
             retry=retry,
             tracing=self.tracing,
             fallback=False,
-            columnar=self.columnar,
             learn_cardinalities=self.adaptive,
             reoptimize_threshold=(
                 ADAPTIVE_REOPTIMIZE_THRESHOLD if self.adaptive else 0.0
@@ -225,9 +219,6 @@ class Oracle:
     rule_samples: int = 3
     #: Configuration-matrix points sampled per case.
     config_samples: int = 2
-    #: Cross the columnar backends into the configuration matrix, checking
-    #: vectorized executions against the row-mode all-DBMS baseline.
-    columnar_axis: bool = True
     #: Cross adaptive execution (cardinality learning + mid-query
     #: re-optimization) into the matrix: spliced plans must stay
     #: plan-equivalent and leak no temp tables.
@@ -389,7 +380,6 @@ class Oracle:
             seen.add(plan.cache_key)
             yield ("rule", name), plan, DEFAULT_CONFIG
 
-        columnar_choices = COLUMNAR_CHOICES if self.columnar_axis else ("off",)
         adaptive_choices = ADAPTIVE_CHOICES if self.adaptive_axis else (False,)
         matrix = [
             ExecConfig(
@@ -397,18 +387,15 @@ class Oracle:
                 batch_size=batch,
                 chaos=chaos,
                 chaos_seed=rng.randrange(2**31) if chaos else 0,
-                columnar=columnar,
                 adaptive=adaptive,
             )
-            for workers, batch, chaos, columnar, adaptive in itertools.product(
+            for workers, batch, chaos, adaptive in itertools.product(
                 WORKER_CHOICES,
                 BATCH_CHOICES,
                 (False, True),
-                columnar_choices,
                 adaptive_choices,
             )
-            if (workers, batch, chaos, columnar, adaptive)
-            != (1, 256, False, "off", False)
+            if (workers, batch, chaos, adaptive) != (1, 256, False, False)
         ]
         for config in rng.sample(matrix, k=min(self.config_samples, len(matrix))):
             yield ("baseline",), baseline_plan, config

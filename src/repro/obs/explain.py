@@ -45,11 +45,6 @@ class OperatorMeasurement:
     retries: int | None = None
     #: Producer threads of an exchange operator (None = not an exchange).
     workers: int | None = None
-    #: Columnar backend this cursor executed under (None = row-at-a-time).
-    columnar: str | None = None
-    #: Column batches produced / batches re-run row-wise for exactness.
-    cbatches: int | None = None
-    columnar_fallbacks: int | None = None
     #: q-error of the row estimate, ``max(est/act, act/est)`` (None when
     #: no estimate exists for this span).
     qerror: float | None = None
@@ -71,9 +66,6 @@ class OperatorMeasurement:
             "batches": self.batches,
             "retries": self.retries,
             "workers": self.workers,
-            "columnar": self.columnar,
-            "cbatches": self.cbatches,
-            "columnar_fallbacks": self.columnar_fallbacks,
             "qerror": self.qerror,
             "flagged": self.flagged,
         }
@@ -131,10 +123,6 @@ class ExplainAnalyzeReport:
                 markers += f"  [retries={m.retries}]"
             if m.workers:
                 markers += f"  [workers={m.workers}]"
-            if m.columnar:
-                markers += f"  [columnar={m.columnar}]"
-                if m.columnar_fallbacks:
-                    markers += f"  [fallbacks={m.columnar_fallbacks}]"
             if len(label) + len(markers) > 44:
                 label = label[: max(0, 41 - len(markers))] + "..."
             label += markers
@@ -229,9 +217,6 @@ def build_report(
                 batches=span.attributes.get("batches"),
                 retries=span.attributes.get("retries"),
                 workers=span.attributes.get("workers"),
-                columnar=span.attributes.get("columnar"),
-                cbatches=span.attributes.get("cbatches"),
-                columnar_fallbacks=span.attributes.get("columnar_fallbacks"),
                 qerror=error,
                 flagged=(
                     error is not None

@@ -113,13 +113,6 @@ class InstrumentedCursor:
         self.wall_seconds += time.perf_counter() - begin
         return batch
 
-    def next_column_batch(self, n: int):
-        self.batch_calls += 1
-        begin = time.perf_counter()
-        batch = self.wrapped.next_column_batch(n)
-        self.wall_seconds += time.perf_counter() - begin
-        return batch
-
     def iter_batched(self, size: int | None = None):
         # Defined explicitly (not via __getattr__) so the pulls are timed.
         if size is None:
@@ -215,12 +208,6 @@ def cursor_span(cursor, seen: set[int] | None = None) -> Span | None:
         rows=raw.rows_produced,
         batches=getattr(raw, "batches_produced", 0),
     )
-    if getattr(raw, "columnar", "off") != "off":
-        span.set(
-            columnar=raw.columnar,
-            cbatches=getattr(raw, "cbatches_produced", 0),
-            columnar_fallbacks=getattr(raw, "columnar_fallbacks", 0),
-        )
     if wrapper is not None:
         span.seconds = wrapper.wall_seconds
         span.set(

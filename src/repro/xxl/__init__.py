@@ -19,13 +19,6 @@ All middleware algorithms are order preserving (Section 4) — a fact the
 optimizer's list-equivalence rules rely on.
 """
 
-from repro.xxl.columnar import (
-    ColumnBatch,
-    ColumnarUnsupported,
-    compile_columnar,
-    numpy_available,
-    resolve_backend,
-)
 from repro.xxl.cursor import BatchReader, Cursor, DEFAULT_BATCH_SIZE, materialize
 from repro.xxl.exchange import ExchangeCursor, PartitionSpec, RepartitionCursor
 from repro.xxl.sources import PooledSQLCursor, RelationCursor, SQLCursor
@@ -42,11 +35,6 @@ from repro.xxl.difference import DifferenceCursor
 
 __all__ = [
     "BatchReader",
-    "ColumnBatch",
-    "ColumnarUnsupported",
-    "compile_columnar",
-    "numpy_available",
-    "resolve_backend",
     "Cursor",
     "DEFAULT_BATCH_SIZE",
     "materialize",

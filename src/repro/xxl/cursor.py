@@ -2,19 +2,21 @@
 
 Figure 2 of the paper: every algorithm is wrapped in a result set exposing
 ``init()`` and ``getNext()``; ``init()`` usually just sets up inner state
-but may do real work (``TRANSFER^D`` drains its whole input there).  We add
-the customary ``has_next()`` and make cursors Python iterables, so
-``for row in cursor`` works after :meth:`Cursor.init`.
+but may do real work (``TRANSFER^D`` drains its whole input there).
 
-On top of the paper's row-at-a-time protocol, every cursor also speaks a
-*batched* protocol: :meth:`Cursor.next_batch` returns up to *n* rows per
-call, so a pipeline pays one method-dispatch round trip per batch rather
-than per row.  Row-at-a-time semantics are fully preserved — ``has_next``,
-``next``, ``next_batch``, and iteration may be mixed freely on the same
-cursor because all of them drain the shared look-ahead buffer first.
-Subclasses get batching for free through the default :meth:`Cursor.
-_next_batch` (a loop over :meth:`Cursor._next`); the hot algorithms
-override it with native batch implementations.
+An algorithm implements exactly one pull hook: :meth:`Cursor._next_batch`
+returns up to *n* rows per call (``[]`` exactly when drained), so a
+pipeline pays one method-dispatch round trip per batch rather than per
+row.  Most algorithms subclass :class:`GeneratorCursor`, which supplies the
+hook by slicing the generator built in ``_generate()``.
+
+Everything a consumer sees is layered on that one hook by the base class:
+:meth:`Cursor.next_batch` is the batched face; Figure 2's
+``has_next()``/``next()`` and ``for row in cursor`` are a small adapter that
+pulls ``_next_batch(1)`` into the shared look-ahead buffer.  All faces drain
+that buffer first, so they may be mixed freely on one cursor without
+dropping or reordering a row, and ``batch_size=1`` degenerates to the
+paper's row-at-a-time execution.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Iterator
 
 from repro.algebra.schema import Schema
 from repro.errors import ExecutionError
-from repro.xxl.columnar import ColumnBatch
 
 #: Default rows per batch (TangoConfig.batch_size overrides per query).
 DEFAULT_BATCH_SIZE = 256
@@ -35,41 +36,28 @@ class Cursor:
     """Abstract pipelined iterator over rows.
 
     Subclasses implement :meth:`_open` (called once from :meth:`init`) and
-    :meth:`_next` (return the next row or raise :class:`StopIteration`).
-    Most algorithms implement ``_open`` by building a generator.  Native
-    batching overrides :meth:`_next_batch` instead.
+    :meth:`_next_batch` (up to *n* rows, ``[]`` when drained) — directly,
+    or through :class:`GeneratorCursor` by writing the algorithm as a
+    generator.
     """
 
     #: Rows pulled per internal batch; plan compilation overrides this
     #: per instance from ``TangoConfig.batch_size``.
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Columnar backend ("off", "python", "numpy"); plan compilation
-    #: stamps this per instance from ``TangoConfig.columnar``.  Operators
-    #: with a vectorized path switch on it; everything else keeps rows and
-    #: the interop shims bridge at the boundary.
-    columnar: str = "off"
 
     def __init__(self, schema: Schema):
         self.schema = schema
         self._initialized = False
         self._closed = False
         #: Rows produced but not yet handed out: ``has_next`` buffers one
-        #: row here; a native ``_next_batch`` that overshoots parks its
-        #: surplus here.  Every consuming method drains it first, so a
-        #: buffered row is never dropped whichever protocol the caller
-        #: mixes.
+        #: row here; a ``_next_batch`` that overshoots parks its surplus
+        #: here.  Every consuming method drains it first, so a buffered
+        #: row is never dropped whichever faces the caller mixes.
         self._lookahead: deque[tuple] = deque()
         #: Rows handed out so far (handy for tests and accounting).
         self.rows_produced = 0
         #: Non-empty batches handed out via :meth:`next_batch`.
         self.batches_produced = 0
-        #: Column batches this cursor produced (via its native columnar
-        #: path or the row shim) — the EXPLAIN ANALYZE columnar signal.
-        self.cbatches_produced = 0
-        #: Batches where the vectorized path hit an exception and re-ran
-        #: the exact row semantics instead (e.g. a division by zero that a
-        #: short-circuiting row predicate would or would not reach).
-        self.columnar_fallbacks = 0
 
     # -- protocol -------------------------------------------------------------------
 
@@ -82,31 +70,11 @@ class Cursor:
             self._initialized = True
         return self
 
-    def has_next(self) -> bool:
-        """True when another row is available (buffers one row ahead)."""
-        self.init()
-        if self._lookahead:
-            return True
-        try:
-            self._lookahead.append(self._next())
-        except StopIteration:
-            return False
-        return True
-
-    def next(self) -> tuple:
-        """Return the next row; raises :class:`ExecutionError` when drained."""
-        if not self.has_next():
-            raise ExecutionError(f"{type(self).__name__} has no more rows")
-        row = self._lookahead.popleft()
-        self.rows_produced += 1
-        return row
-
     def next_batch(self, n: int) -> list[tuple]:
         """Return the next up-to-*n* rows; ``[]`` exactly when drained.
 
-        The batched face of the Figure 2 protocol: one call replaces *n*
-        ``has_next``/``next`` round trips.  Rows buffered by ``has_next``
-        are served first, so mixing the two protocols never drops a row.
+        Buffered look-ahead rows are served first, so mixing this with
+        ``has_next``/``next`` never drops a row.
         """
         self.init()
         if n <= 0:
@@ -125,47 +93,6 @@ class Cursor:
             self.batches_produced += 1
         return batch
 
-    def next_column_batch(self, n: int) -> ColumnBatch | None:
-        """Return the next up-to-*n* rows as a :class:`ColumnBatch`, or
-        ``None`` exactly when drained.
-
-        The columnar face of the protocol.  Cursors without a native
-        columnar path serve it through the default row shim
-        (:meth:`_next_column_batch` transposes ``_next_batch``), so any
-        consumer may ask any cursor for columns.  Rows buffered by
-        ``has_next`` are served first — protocol mixing never drops or
-        reorders a row.
-        """
-        self.init()
-        if n <= 0:
-            return None
-        if self._lookahead:
-            rows = self.next_batch(n)  # drains the buffer; accounts rows
-            if not rows:
-                return None
-            self.cbatches_produced += 1
-            return ColumnBatch.from_rows(self.schema, rows, self._column_backend())
-        batch = self._pull_columns(n)
-        if batch is None:
-            return None
-        self.rows_produced += len(batch)
-        self.batches_produced += 1
-        return batch
-
-    def _pull_columns(self, n: int) -> ColumnBatch | None:
-        """Native column pull plus columnar accounting (no row accounting —
-        both public faces layer that on top)."""
-        batch = self._next_column_batch(n)
-        if batch is None or not len(batch):
-            return None
-        self.cbatches_produced += 1
-        return batch
-
-    def _column_backend(self) -> str:
-        """Backend for batches this cursor builds ("python" when columnar
-        is off but a consumer explicitly asked for columns)."""
-        return self.columnar if self.columnar != "off" else "python"
-
     def iter_batched(self, size: int | None = None) -> Iterator[tuple]:
         """Iterate rows, pulling them through :meth:`next_batch` internally.
 
@@ -181,10 +108,31 @@ class Cursor:
             yield from batch
 
     def close(self) -> None:
-        """Release resources; further use is an error."""
+        """Release resources; further use is an error.
+
+        Marked closed *before* ``_close()`` runs, so a teardown that raises
+        is not re-entered by a later ``close()`` (the engine's ``finally``).
+        """
         if not self._closed:
-            self._close()
             self._closed = True
+            self._close()
+
+    # -- Figure 2's row-at-a-time face: an adapter over ``_next_batch(1)`` --------
+
+    def has_next(self) -> bool:
+        """True when another row is available (buffers one row ahead)."""
+        self.init()
+        if not self._lookahead:
+            # In front: a hook that overshot has parked its surplus behind.
+            self._lookahead.extendleft(self._next_batch(1))
+        return bool(self._lookahead)
+
+    def next(self) -> tuple:
+        """Return the next row; raises :class:`ExecutionError` when drained."""
+        if not self.has_next():
+            raise ExecutionError(f"{type(self).__name__} has no more rows")
+        self.rows_produced += 1
+        return self._lookahead.popleft()
 
     def __iter__(self) -> Iterator[tuple]:
         while self.has_next():
@@ -201,41 +149,21 @@ class Cursor:
     def _open(self) -> None:
         """One-time setup; default does nothing."""
 
-    def _next(self) -> tuple:
-        """Produce the next row or raise StopIteration."""
-        raise NotImplementedError
-
     def _next_batch(self, n: int) -> list[tuple]:
         """Produce up to *n* rows (empty list when drained).
 
-        Default: a loop over :meth:`_next`, correct for every subclass.
-        Implementations that naturally overproduce (e.g. a filter working
-        input-batch-wise) may return at most *n* rows and park the surplus
-        in ``self._lookahead``.
+        The single pull hook.  Implementations that naturally overproduce
+        (e.g. a filter working input-batch-wise) return at most *n* rows
+        and park the surplus via :meth:`_park_surplus`.
         """
-        batch: list[tuple] = []
-        append = batch.append
-        try:
-            for _ in range(n):
-                append(self._next())
-        except StopIteration:
-            pass
-        return batch
+        raise NotImplementedError
 
-    def _next_column_batch(self, n: int) -> ColumnBatch | None:
-        """Produce up to *n* rows as a :class:`ColumnBatch`; ``None`` when
-        drained.
-
-        Default: the row-to-column interop shim over :meth:`_next_batch`,
-        correct for every subclass.  Operators with a vectorized path
-        override this (and route their columnar-mode ``_next_batch``
-        through it via ``to_rows``, so columns flow between operators and
-        rows materialize only at the consumer boundary).
-        """
-        rows = self._next_batch(n)
-        if not rows:
-            return None
-        return ColumnBatch.from_rows(self.schema, rows, self._column_backend())
+    def _park_surplus(self, rows: list[tuple], n: int) -> list[tuple]:
+        """Trim *rows* to *n*; the overshoot waits in the look-ahead buffer."""
+        if len(rows) > n:
+            self._lookahead.extend(rows[n:])
+            del rows[n:]
+        return rows
 
     def _close(self) -> None:
         """Release resources; default does nothing."""
@@ -245,9 +173,8 @@ class GeneratorCursor(Cursor):
     """A cursor whose rows come from a generator built in :meth:`_generate`.
 
     Most middleware algorithms subclass this: ``_generate`` expresses the
-    algorithm naturally while the base class provides the protocol —
-    including batching, which ``islice``s the generator so a batch costs
-    one slicing call rather than *n* ``next()`` round trips.
+    algorithm naturally and ``_next_batch`` ``islice``s the generator, so
+    a batch costs one slicing call rather than *n* ``next()`` round trips.
     """
 
     def __init__(self, schema: Schema):
@@ -256,10 +183,6 @@ class GeneratorCursor(Cursor):
 
     def _open(self) -> None:
         self._generator = self._generate()
-
-    def _next(self) -> tuple:
-        assert self._generator is not None
-        return next(self._generator)
 
     def _next_batch(self, n: int) -> list[tuple]:
         assert self._generator is not None

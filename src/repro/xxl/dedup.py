@@ -35,22 +35,6 @@ class DedupCursor(Cursor):
         self._seen = None if self._assume_sorted else set()
         self._previous = None
 
-    def _next(self) -> tuple:
-        while self._input.has_next():
-            row = self._input.next()
-            if self._meter is not None:
-                self._meter.charge_cpu(1)
-            if self._assume_sorted:
-                if row != self._previous:
-                    self._previous = row
-                    return row
-            else:
-                assert self._seen is not None
-                if row not in self._seen:
-                    self._seen.add(row)
-                    return row
-        raise StopIteration
-
     def _next_batch(self, n: int) -> list[tuple]:
         out: list[tuple] = []
         meter = self._meter
@@ -74,10 +58,7 @@ class DedupCursor(Cursor):
                     if row not in seen:
                         seen.add(row)
                         out.append(row)
-        if len(out) > n:
-            self._lookahead.extend(out[n:])
-            del out[n:]
-        return out
+        return self._park_surplus(out, n)
 
     def _close(self) -> None:
         self._input.close()

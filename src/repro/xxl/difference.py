@@ -7,13 +7,14 @@ many times as it occurs in ``r2``.  Order preserving on the left input.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterator
 
 from repro.dbms.costmodel import CostMeter
 from repro.errors import ExecutionError
-from repro.xxl.cursor import Cursor
+from repro.xxl.cursor import Cursor, GeneratorCursor
 
 
-class DifferenceCursor(Cursor):
+class DifferenceCursor(GeneratorCursor):
     """Multiset difference of two union-compatible inputs."""
 
     def __init__(self, left: Cursor, right: Cursor, meter: CostMeter | None = None):
@@ -34,20 +35,24 @@ class DifferenceCursor(Cursor):
             self._suppress[row] += 1
             if self._meter is not None:
                 self._meter.charge_cpu(1)
+        super()._open()
 
-    def _next(self) -> tuple:
-        assert self._suppress is not None
-        while self._left.has_next():
-            row = self._left.next()
-            if self._meter is not None:
-                self._meter.charge_cpu(1)
-            if self._suppress[row] > 0:
-                self._suppress[row] -= 1
+    def _generate(self) -> Iterator[tuple]:
+        suppress = self._suppress
+        assert suppress is not None
+        meter = self._meter
+        for row in self._left.iter_batched(self.batch_size):
+            if meter is not None:
+                meter.charge_cpu(1)
+            if suppress[row] > 0:
+                suppress[row] -= 1
             else:
-                return row
-        raise StopIteration
+                yield row
 
     def _close(self) -> None:
-        self._left.close()
-        self._right.close()
+        super()._close()
         self._suppress = None
+        try:
+            self._left.close()
+        finally:
+            self._right.close()

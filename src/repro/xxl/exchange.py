@@ -37,7 +37,6 @@ from queue import Empty, Full, Queue
 from repro.algebra.schema import Schema
 from repro.errors import ExecutionError
 from repro.stats.collector import AttributeStats, RelationStats
-from repro.xxl.columnar import ColumnBatch
 from repro.xxl.cursor import Cursor
 
 #: Batches each partition queue buffers before its producer blocks
@@ -268,12 +267,6 @@ class RepartitionOutput(Cursor):
         self._owner._ensure_open()
         self.schema = self._owner.schema
 
-    def _next(self) -> tuple:
-        batch = self._next_batch(1)
-        if not batch:
-            raise StopIteration
-        return batch[0]
-
     def _next_batch(self, n: int) -> list[tuple]:
         return self._owner.take(self.partition_index, n)
 
@@ -313,11 +306,7 @@ class _StreamReader:
             batch = self._exchange._take(self._stream)
             if batch is None:
                 return None
-            # Columnar producers ship ColumnBatches; the merge itself is
-            # row-at-a-time, so materialize here at the stream boundary.
-            self._batch = (
-                batch.to_rows() if isinstance(batch, ColumnBatch) else batch
-            )
+            self._batch = batch
             self._pos = 0
         row = self._batch[self._pos]
         self._pos += 1
@@ -368,8 +357,6 @@ class ExchangeCursor(Cursor):
         self._busy: list[float] = []
         self._begin = 0.0
         self._wall_seconds = 0.0
-        self._pending: deque[tuple] = deque()
-        self._csurplus: ColumnBatch | None = None
         self._current = 0
         self._heap: list | None = None
         self._readers: list[_StreamReader] = []
@@ -404,16 +391,9 @@ class ExchangeCursor(Cursor):
             stream.schema = pipeline.schema
             busy += time.perf_counter() - begin
             size = max(1, self.batch_size)
-            columnar = self.columnar != "off"
             while not cancel.is_set():
                 begin = time.perf_counter()
-                if columnar:
-                    # Column batches flow through the queue untouched, so
-                    # parallel partitions and vectorized operators compose
-                    # without a transpose at the thread boundary.
-                    batch = pipeline.next_column_batch(size)
-                else:
-                    batch = pipeline.next_batch(size)
+                batch = pipeline.next_batch(size)
                 busy += time.perf_counter() - begin
                 if not batch:
                     break
@@ -433,9 +413,7 @@ class ExchangeCursor(Cursor):
                     cancel.set()
             stream.done.set()
 
-    def _offer(
-        self, stream: _PartitionStream, batch: list[tuple] | ColumnBatch
-    ) -> None:
+    def _offer(self, stream: _PartitionStream, batch: list[tuple]) -> None:
         queue = stream.queue
         cancel = self._cancel
         assert cancel is not None
@@ -453,9 +431,7 @@ class ExchangeCursor(Cursor):
 
     # -- consumer side ---------------------------------------------------------------
 
-    def _take(
-        self, stream: _PartitionStream
-    ) -> list[tuple] | ColumnBatch | None:
+    def _take(self, stream: _PartitionStream) -> list[tuple] | None:
         """Next batch from one stream; None when it finished cleanly."""
         queue = stream.queue
         while True:
@@ -485,100 +461,44 @@ class ExchangeCursor(Cursor):
         if not len(self.schema) and stream.schema is not None:
             self.schema = stream.schema
 
-    def _next(self) -> tuple:
-        batch = self._next_batch(1)
-        if not batch:
-            raise StopIteration
-        return batch[0]
-
     def _next_batch(self, n: int) -> list[tuple]:
+        if self.merge_keys:
+            return self._merge_batch(n)
         out: list[tuple] = []
-        pending = self._pending
-        merge = bool(self.merge_keys)
         while len(out) < n:
-            while pending and len(out) < n:
-                out.append(pending.popleft())
-            if len(out) >= n:
-                break
-            if merge:
-                if not self._fill_merge():
-                    break
-                continue
-            rows = self._take_concat_rows()
+            rows = self._take_concat()
             if rows is None:
                 break
             if not out and len(rows) == n:
                 # A full arriving batch with nothing buffered is the hot
-                # path: hand it straight through instead of round-tripping
-                # every row through the pending deque.
+                # path: hand it straight through.
                 return rows
-            take = n - len(out)
-            out.extend(rows[:take])
-            pending.extend(rows[take:])
-        return out
+            out.extend(rows)
+        return self._park_surplus(out, n)
 
-    def _take_concat_rows(self) -> list[tuple] | None:
-        """Next concat-mode batch as rows; ``None`` when every partition
-        stream has finished."""
-        surplus = self._csurplus
-        if surplus is not None:
-            self._csurplus = None
-            return surplus.to_rows()
-        batch = self._take_concat()
-        if batch is None:
-            return None
-        return batch.to_rows() if isinstance(batch, ColumnBatch) else batch
-
-    def _take_concat(self) -> list[tuple] | ColumnBatch | None:
+    def _take_concat(self) -> list[tuple] | None:
+        """Next concat-mode batch; ``None`` when every partition stream
+        has finished."""
         while self._current < len(self._streams):
             batch = self._take(self._streams[self._current])
-            if batch is None:
-                self._current += 1
-                continue
-            return batch
+            if batch is not None:
+                return batch
+            self._current += 1
         return None
 
-    def _next_column_batch(self, n: int) -> ColumnBatch | None:
-        if self.merge_keys or self.columnar == "off" or self._pending:
-            # Merge mode reassembles row-at-a-time; buffered rows must be
-            # served in order first — both go through the row shim.
-            return super()._next_column_batch(n)
-        parts: list[ColumnBatch] = []
-        filled = 0
-        if self._csurplus is not None:
-            parts.append(self._csurplus)
-            filled = len(self._csurplus)
-            self._csurplus = None
-        while filled < n:
-            batch = self._take_concat()
-            if batch is None:
-                break
-            if not isinstance(batch, ColumnBatch):
-                batch = ColumnBatch.from_rows(
-                    self.schema, batch, self._column_backend()
-                )
-            parts.append(batch)
-            filled += len(batch)
-        if not parts:
-            return None
-        combined = ColumnBatch.concat(parts)
-        if len(combined) > n:
-            self._csurplus = combined.slice(n, len(combined))
-            combined = combined.slice(0, n)
-        return combined
-
-    def _fill_merge(self) -> bool:
+    def _merge_batch(self, n: int) -> list[tuple]:
+        """Up to *n* rows of the k-way merge on ``merge_keys``."""
         if self._heap is None:
             self._init_merge()
         heap = self._heap
-        if not heap:
-            return False
-        key, index, row = heapq.heappop(heap)
-        self._pending.append(row)
-        following = self._readers[index].read()
-        if following is not None:
-            heapq.heappush(heap, (self._merge_key(following), index, following))
-        return True
+        out: list[tuple] = []
+        while heap and len(out) < n:
+            _, index, row = heapq.heappop(heap)
+            out.append(row)
+            following = self._readers[index].read()
+            if following is not None:
+                heapq.heappush(heap, (self._merge_key(following), index, following))
+        return out
 
     def _init_merge(self) -> None:
         self._readers = [
@@ -627,7 +547,5 @@ class ExchangeCursor(Cursor):
         if self._wall_seconds > 0 and self.partitions:
             efficiency = sum(self._busy) / (self._wall_seconds * self.partitions)
             self.parallel_efficiency = min(1.0, efficiency)
-        self._pending.clear()
-        self._csurplus = None
         self._heap = None
         self._readers = []

@@ -2,7 +2,7 @@
 
 :class:`SQLCursor` is the ``TRANSFER^M`` algorithm's core: it issues a
 ``SELECT`` over the JDBC connection on ``init()`` and streams the result
-rows into the middleware (Section 3.2).  Its batched face maps directly to
+rows into the middleware (Section 3.2).  Its pull hook maps directly to
 JDBC: ``next_batch(n)`` is one ``fetchmany(n)``, so middleware batching and
 the connection's row prefetch compose instead of fighting.
 """
@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.algebra.schema import Schema
 from repro.dbms.costmodel import CostMeter
-from repro.xxl.columnar import ColumnBatch
 from repro.xxl.cursor import Cursor
 
 
@@ -31,30 +30,12 @@ class RelationCursor(Cursor):
     def _open(self) -> None:
         self._position = 0
 
-    def _next(self) -> tuple:
-        if self._position >= len(self._rows):
-            raise StopIteration
-        row = self._rows[self._position]
-        self._position += 1
-        if self._meter is not None:
-            self._meter.charge_cpu(1)
-        return row
-
     def _next_batch(self, n: int) -> list[tuple]:
         batch = list(self._rows[self._position : self._position + n])
         self._position += len(batch)
         if self._meter is not None and batch:
             self._meter.charge_cpu(len(batch))
         return batch
-
-    def _next_column_batch(self, n: int) -> ColumnBatch | None:
-        rows = self._rows[self._position : self._position + n]
-        if not rows:
-            return None
-        self._position += len(rows)
-        if self._meter is not None:
-            self._meter.charge_cpu(len(rows))
-        return ColumnBatch.from_rows(self.schema, rows, self._column_backend())
 
 
 class SQLCursor(Cursor):
@@ -122,15 +103,6 @@ class SQLCursor(Cursor):
         self.fetch_seconds += time.perf_counter() - begin
         self.schema = self._cursor.schema
 
-    def _next(self) -> tuple:
-        assert self._cursor is not None
-        begin = time.perf_counter()
-        row = self._call_dbms(self._cursor.fetchone, "transfer_m.fetch")
-        self.fetch_seconds += time.perf_counter() - begin
-        if row is None:
-            raise StopIteration
-        return row
-
     def _next_batch(self, n: int) -> list[tuple]:
         assert self._cursor is not None
         begin = time.perf_counter()
@@ -139,18 +111,6 @@ class SQLCursor(Cursor):
         )
         self.fetch_seconds += time.perf_counter() - begin
         return batch
-
-    def _next_column_batch(self, n: int):
-        # TRANSFER^M builds column batches directly from the fetchmany
-        # result — the transfer boundary is also where string values get
-        # interned, so every later equality on those columns starts with a
-        # pointer comparison.
-        rows = self._next_batch(n)
-        if not rows:
-            return None
-        return ColumnBatch.from_rows(
-            self.schema, rows, self._column_backend(), intern=True
-        )
 
     def _close(self) -> None:
         if self._cursor is not None:
@@ -183,10 +143,13 @@ class PooledSQLCursor(SQLCursor):
             raise
 
     def _close(self) -> None:
-        super()._close()
-        if self._connection is not None:
-            self._pool.release(self._connection)
-            self._connection = None
+        try:
+            super()._close()
+        finally:
+            # Even a JDBC close that raises must not leak the connection.
+            if self._connection is not None:
+                self._pool.release(self._connection)
+                self._connection = None
 
 
 class IterableCursor(Cursor):
@@ -199,10 +162,6 @@ class IterableCursor(Cursor):
 
     def _open(self) -> None:
         self._iterator = iter(self._rows)
-
-    def _next(self) -> tuple:
-        assert self._iterator is not None
-        return next(self._iterator)
 
     def _next_batch(self, n: int) -> list[tuple]:
         assert self._iterator is not None

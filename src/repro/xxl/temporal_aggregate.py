@@ -16,10 +16,6 @@ trees of Kline & Snodgrass [13].
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_right
-from collections import Counter
-from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -28,51 +24,7 @@ from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.sql.functions import SlidingAggregate
 from repro.errors import ExecutionError
-from repro.xxl.columnar import ColumnBatch, _as_list
 from repro.xxl.cursor import Cursor, GeneratorCursor
-
-try:  # optional; the list-based sweep is always available
-    import numpy as _np
-except Exception:  # pragma: no cover - environment without numpy
-    _np = None
-
-_UNSET = object()
-
-#: Below this group size the vectorized sweep's fixed costs (Counter
-#: builds, sorts, compress passes) exceed the row sweep's per-tuple work,
-#: so small groups run the exact row sweep even in columnar mode.  The UIS
-#: workload's Query 1 groups average ~8 rows — squarely under the cutoff.
-_VECTOR_MIN_ROWS = 64
-
-
-def _flatten_segments(parts: list) -> list:
-    """One plain list from buffered column segments (lists or ndarrays)."""
-    if len(parts) == 1:
-        return _as_list(parts[0])
-    merged: list = []
-    for part in parts:
-        merged.extend(_as_list(part))
-    return merged
-
-
-def _segments_as_int64(parts: list):
-    """Buffered segments as one int64 ndarray — exactly, or not at all.
-
-    List segments must hold machine ints (``bool`` and date-like objects
-    would change the emitted value types); anything else raises and the
-    caller keeps the list sweep.
-    """
-    arrays = []
-    for part in parts:
-        if isinstance(part, _np.ndarray):
-            if part.dtype.kind != "i":
-                raise TypeError(f"non-integer instant column {part.dtype}")
-            arrays.append(part)
-        else:
-            if any(type(value) is not int for value in part):
-                raise TypeError("non-int instant value")
-            arrays.append(_np.fromiter(part, _np.int64, len(part)))
-    return arrays[0] if len(arrays) == 1 else _np.concatenate(arrays)
 
 
 class TemporalAggregateCursor(GeneratorCursor):
@@ -98,7 +50,6 @@ class TemporalAggregateCursor(GeneratorCursor):
         self.aggregates = tuple(aggregates)
         self.period = period
         self._meter = meter
-        self._cols_mode = False
         super().__init__(input.schema)
 
     def _open(self) -> None:
@@ -111,85 +62,9 @@ class TemporalAggregateCursor(GeneratorCursor):
         for spec in self.aggregates:
             attributes.append(Attribute(spec.output_name, spec.output_type(source)))
         self.schema = Schema(attributes)
-        self._columnar_setup(source)
         super()._open()
 
-    # -- columnar path -----------------------------------------------------
-
-    def _columnar_setup(self, source: Schema) -> None:
-        """Decide whether the vectorized sweep applies and reset its state.
-
-        Vectorized shapes: all-COUNT aggregates (any number), or a single
-        SUM/AVG over an INT/DATE attribute (int arithmetic keeps prefix
-        sums exact, so ``float(total)`` reproduces the row path's sliding
-        float total bit-for-bit).  Everything else keeps the row sweep.
-        """
-        self._cols_mode = False
-        #: Rows replayed into the row path after adaptive de-vectorization
-        #: (the peeked first batch); also read by the plain row generator.
-        self._replay_rows: list[tuple] | None = None
-        if self.columnar == "off":
-            return
-        specs = self.aggregates
-        all_count = all(spec.func == "COUNT" for spec in specs)
-        single_sum = (
-            len(specs) == 1
-            and specs[0].func in ("SUM", "AVG")
-            and specs[0].attribute is not None
-            and source.has(specs[0].attribute)
-            and source.type_of(specs[0].attribute)
-            in (AttrType.INT, AttrType.DATE)
-        )
-        if not (all_count or single_sum):
-            return
-        self._cols_mode = True
-        self._cols_group_positions = [
-            source.index_of(name) for name in self.group_by
-        ]
-        self._cols_t1 = source.index_of(self.period[0])
-        self._cols_t2 = source.index_of(self.period[1])
-        self._cols_args = [
-            source.index_of(spec.attribute) if spec.attribute is not None else None
-            for spec in self.aggregates
-        ]
-        self._cols_all_count = all_count
-        #: ndarray event sweep: all-COUNT aggregates under the numpy
-        #: backend go through :meth:`_numpy_sweep` (``searchsorted`` over
-        #: sorted int64 event arrays) before the list-based sweep.
-        self._cols_numpy = all_count and self.columnar == "numpy" and _np is not None
-        # Pending output, struct-of-arrays; served in slices of n.
-        self._out_cols: list[list] = [[] for _ in range(len(self.schema))]
-        self._out_pos = 0
-        # The in-progress group, buffered as column *segments* (list slices
-        # or ndarray views — ndarray input columns are never unboxed into
-        # Python objects just to be re-packed by the sweep).
-        self._gkey = _UNSET  # raw segment key (value, tuple, or ())
-        self._gt1: list = []
-        self._gt2: list = []
-        self._gargs: list[list | None] = [
-            [] if position is not None else None for position in self._cols_args
-        ]
-        self._glen = 0
-        self._in_done = False
-        #: First-batch peek pending: group sizes decide whether vectorizing
-        #: pays at all (adaptive de-vectorization; see ``_serve_columns``).
-        self._cols_decided = False
-        #: Once the row face (the generator) has started, the column face
-        #: shims through it so the two never double-consume shared state.
-        self._row_face = False
-
     def _generate(self) -> Iterator[tuple]:
-        if self._cols_mode:
-            # Row face over the columnar machinery: one shared state, so
-            # mixing faces can never double-consume the input.
-            self._row_face = True
-            while True:
-                batch = self._serve_columns(self.batch_size)
-                if batch is None:
-                    if self._cols_mode:
-                        return
-                    break  # de-vectorized: continue on the row path below
-                yield from batch.to_rows()
         source = self._input.schema
         group_positions = [source.index_of(name) for name in self.group_by]
         t1_pos = source.index_of(self.period[0])
@@ -203,7 +78,8 @@ class TemporalAggregateCursor(GeneratorCursor):
 
         current_key: tuple | None = None
         group_rows: list[tuple] = []
-        for batch in self._row_batches():
+        # Batch loop outside, row loop inside: no per-row generator resume.
+        while batch := self._input.next_batch(self.batch_size):
             for row in batch:
                 if single_group is not None:
                     key = (row[single_group],)
@@ -230,398 +106,6 @@ class TemporalAggregateCursor(GeneratorCursor):
             yield from self._sweep_group(
                 current_key, group_rows, t1_pos, t2_pos, argument_positions
             )
-
-    def _row_batches(self) -> Iterator[list[tuple]]:
-        """The row path's input batches — a replayed peek batch first (set
-        by adaptive de-vectorization), then the input cursor."""
-        replay = self._replay_rows
-        if replay:
-            self._replay_rows = None
-            yield replay
-        batch_size = self.batch_size
-        while True:
-            batch = self._input.next_batch(batch_size)
-            if not batch:
-                return
-            yield batch
-
-    def _next_column_batch(self, n: int) -> ColumnBatch | None:
-        if not self._cols_mode or self._row_face:
-            return super()._next_column_batch(n)
-        batch = self._serve_columns(n)
-        if batch is None and not self._cols_mode:
-            return super()._next_column_batch(n)  # de-vectorized mid-call
-        return batch
-
-    def _next_batch(self, n: int) -> list[tuple]:
-        # Serve row batches straight off the column buffers — one zip
-        # transpose per batch instead of one generator resumption per row.
-        if not self._cols_mode or self._row_face:
-            return super()._next_batch(n)
-        batch = self._serve_columns(n)
-        if batch is None and not self._cols_mode:
-            return super()._next_batch(n)  # de-vectorized mid-call
-        return batch.to_rows() if batch is not None else []
-
-    def _serve_columns(self, n: int) -> ColumnBatch | None:
-        """Up to *n* pending output rows as a column batch (``None`` when
-        the sweep is complete).  Pulls and segments input batches until
-        enough output is buffered or the input is exhausted.
-
-        The first pull peeks at the input to decide whether vectorizing
-        pays: when the batch shows many tiny groups (mean run length under
-        ``_VECTOR_MIN_ROWS``), the per-group sweep setup would dominate, so
-        the operator *de-vectorizes* — flips ``_cols_mode`` off and replays
-        the peeked rows through the exact row path.  Callers see ``None``
-        and re-dispatch to the row machinery.
-        """
-        if not self._cols_decided:
-            self._cols_decided = True
-            first = self._input.next_column_batch(self.batch_size)
-            if first is None:
-                self._in_done = True
-            elif self._should_devectorize(first):
-                self._cols_mode = False
-                self._replay_rows = first.to_rows()
-                return None
-            else:
-                self._consume_input_batch(first)
-        out = self._out_cols
-        while len(out[0]) - self._out_pos < n and not self._in_done:
-            batch = self._input.next_column_batch(self.batch_size)
-            if batch is None:
-                self._in_done = True
-                if self._gkey is not _UNSET:
-                    self._flush_group()
-                break
-            self._consume_input_batch(batch)
-        start = self._out_pos
-        available = len(out[0]) - start
-        if available <= 0:
-            return None
-        take = min(n, available)
-        columns = [column[start : start + take] for column in out]
-        self._out_pos += take
-        if self._out_pos >= len(out[0]):  # fully drained: release buffers
-            self._out_cols = [[] for _ in range(len(self.schema))]
-            self._out_pos = 0
-        return ColumnBatch(self.schema, columns, take, self._column_backend())
-
-    def _should_devectorize(self, batch: ColumnBatch) -> bool:
-        """True when the peeked batch's mean group run length is under the
-        vectorization cutoff (first grouping column only — a cheap, slightly
-        conservative estimate).  Ungrouped aggregation always vectorizes."""
-        if not self._cols_group_positions:
-            return False
-        keys = batch.column_list(self._cols_group_positions[0])
-        runs = 1 + sum(map(operator.ne, keys, islice(keys, 1, None)))
-        return len(keys) < runs * _VECTOR_MIN_ROWS
-
-    def _consume_input_batch(self, batch: ColumnBatch) -> None:
-        """Segment one input batch by group key and fold the segments into
-        the in-progress group, flushing each completed group's sweep."""
-        positions = self._cols_group_positions
-        if not positions:
-            keys = None
-        elif len(positions) == 1:
-            keys = batch.column_list(positions[0])
-        else:
-            keys = list(zip(*(batch.column_list(p) for p in positions)))
-        t1s = batch.column(self._cols_t1)
-        t2s = batch.column(self._cols_t2)
-        argument_columns = [
-            batch.column(position) if position is not None else None
-            for position in self._cols_args
-        ]
-        total = len(batch)
-        position = 0
-        while position < total:
-            if keys is None:
-                key, end = (), total
-            else:
-                key = keys[position]
-                end = self._segment_end(keys, position, total, key)
-            if self._gkey is _UNSET:
-                self._gkey = key
-            elif key != self._gkey:
-                # Same check, same message, same timing as the row path:
-                # an out-of-order key aborts before the current group's
-                # results are emitted.
-                try:
-                    out_of_order = key < self._gkey  # type: ignore[operator]
-                except TypeError:
-                    out_of_order = False
-                if out_of_order:
-                    raise ExecutionError(
-                        "TAGGR^M input is not sorted on the grouping attributes"
-                    )
-                self._flush_group()
-                self._gkey = key
-            # Buffer the segment without flattening: list slices copy at C
-            # speed, ndarray slices are zero-copy views.
-            self._gt1.append(t1s[position:end])
-            self._gt2.append(t2s[position:end])
-            for accumulated, column in zip(self._gargs, argument_columns):
-                if accumulated is not None:
-                    accumulated.append(column[position:end])
-            self._glen += end - position
-            position = end
-
-    @staticmethod
-    def _segment_end(keys: list, position: int, total: int, key) -> int:
-        """End of the run of *key* starting at *position*.
-
-        ``bisect_right`` finds the run end in O(log n) when the key column
-        really is sorted; a uniformity check (`count` over the candidate
-        run) detects mis-sorted data and incomparable keys degrade to the
-        linear scan — both reproduce exactly the adjacent-pair comparisons
-        the row path performs.
-        """
-        try:
-            end = bisect_right(keys, key, position, total)
-        except TypeError:
-            end = -1
-        if end > position and keys[position:end].count(key) == end - position:
-            return end
-        end = position + 1
-        while end < total and keys[end] == key:
-            end += 1
-        return end
-
-    def _flush_group(self) -> None:
-        """Sweep the buffered group and append its output columns."""
-        key_raw = self._gkey
-        if not self._cols_group_positions:
-            key = ()
-        elif len(self._cols_group_positions) == 1:
-            key = (key_raw,)
-        else:
-            key = key_raw
-        t1_parts, t2_parts = self._gt1, self._gt2
-        argument_parts = self._gargs
-        count = self._glen
-        self._gt1, self._gt2 = [], []
-        self._gargs = [
-            [] if position is not None else None for position in self._cols_args
-        ]
-        self._glen = 0
-        meter = self._meter
-        if meter is not None:
-            meter.charge_cpu(count * max(1, count.bit_length()) + 2 * count)
-        columns = None
-        small = count < _VECTOR_MIN_ROWS and bool(self._cols_group_positions)
-        if self._cols_numpy and not small:
-            try:
-                columns = self._numpy_sweep(key, t1_parts, t2_parts, argument_parts)
-            except Exception:
-                columns = None  # data the ndarray sweep can't carry exactly:
-                # fall through to the list sweep, which decides for itself
-        if columns is None:
-            t1s = _flatten_segments(t1_parts)
-            t2s = _flatten_segments(t2_parts)
-            arguments = [
-                _flatten_segments(parts) if parts is not None else None
-                for parts in argument_parts
-            ]
-            if small:
-                # Deliberate hybrid, not a fallback: under the cutoff the
-                # exact row sweep is faster than any vectorized plan.
-                columns = self._fallback_sweep(key, t1s, t2s, arguments)
-            else:
-                try:
-                    columns = self._vector_sweep(key, t1s, t2s, arguments)
-                except Exception:
-                    # Any data-level surprise (incomparable instants,
-                    # unsorted T1, stray value types) re-runs the exact row
-                    # sweep for just this group — raising, or not,
-                    # precisely where the row path would.
-                    self.columnar_fallbacks += 1
-                    columns = self._fallback_sweep(key, t1s, t2s, arguments)
-        out = self._out_cols
-        for target, column in zip(out, columns):
-            target.extend(column)
-
-    def _vector_sweep(
-        self,
-        key: tuple,
-        t1s: list,
-        t2s: list,
-        arguments: list[list | None],
-    ) -> list[list]:
-        """One group's constant-interval sweep, vectorized.
-
-        Event instants are the union of the group's T1/T2 values,
-        truncated at ``max(T2)`` — the row sweep stops when its T2-sorted
-        copy exhausts, so later start instants never emit.  Per-instant
-        live counts are running sums of a ``Counter`` delta map (+1 per
-        start, -1 per end, ``accumulate`` over the sorted instants), sums
-        are prefix-sum differences over ``bisect_right`` maps, and the
-        emission bitmap is applied with ``compress`` — no per-row Python.
-        """
-        delta = Counter(t1s)
-        # Subtracting a pre-counted Counter (C-built) makes the python-level
-        # subtract loop iterate distinct end instants, not rows — the hot
-        # line when periods share boundaries (coarse-granularity data).
-        delta.subtract(Counter(t2s))
-        instants = sorted(delta)
-        cutoff = bisect_right(instants, max(t2s))
-        del instants[cutoff:]
-        limit = len(instants) - 1
-        if limit < 1:
-            return [[] for _ in range(len(self.schema))]
-        aggregate_columns: list[list] = []
-        if self._cols_all_count:
-            count_lists = [
-                self._instant_counts(instants, t1s, t2s, argument, delta)
-                for argument in arguments
-            ]
-            if len(count_lists) == 1:
-                selectors = count_lists[0][:limit]
-            else:
-                selectors = list(map(any, zip(*count_lists)))[:limit]
-            aggregate_columns = [
-                list(compress(counts, selectors)) for counts in count_lists
-            ]
-        else:
-            # Single SUM or AVG over an INT/DATE column.
-            argument = arguments[0]
-            t1f, t2f, values = t1s, t2s, argument
-            if argument.count(None):
-                mask = [value is not None for value in argument]
-                t1f = list(compress(t1s, mask))
-                t2f = list(compress(t2s, mask))
-                values = list(compress(argument, mask))
-            started = list(map(bisect_right, repeat(t1f), instants))
-            pairs = sorted(zip(t2f, values))
-            if pairs:
-                ends_sorted, values_by_end = map(list, zip(*pairs))
-            else:
-                ends_sorted, values_by_end = [], []
-            ended = list(map(bisect_right, repeat(ends_sorted), instants))
-            counts = list(map(operator.sub, started, ended))
-            start_sums = [0]
-            start_sums.extend(accumulate(values))
-            end_sums = [0]
-            end_sums.extend(accumulate(values_by_end))
-            totals = map(
-                operator.sub,
-                map(start_sums.__getitem__, started),
-                map(end_sums.__getitem__, ended),
-            )
-            selectors = counts[:limit]
-            live_totals = compress(totals, selectors)
-            if self.aggregates[0].func == "SUM":
-                aggregate_columns = [list(map(float, live_totals))]
-            else:  # AVG
-                aggregate_columns = [
-                    list(
-                        map(
-                            operator.truediv,
-                            live_totals,
-                            compress(counts, selectors),
-                        )
-                    )
-                ]
-        t1_out = list(compress(instants, selectors))
-        t2_out = list(compress(islice(instants, 1, None), selectors))
-        emitted = len(t1_out)
-        columns: list[list] = [[value] * emitted for value in key]
-        columns.append(t1_out)
-        columns.append(t2_out)
-        columns.extend(aggregate_columns)
-        return columns
-
-    @staticmethod
-    def _instant_counts(
-        instants: list, t1s: list, t2s: list, argument: list | None, delta: Counter
-    ) -> list[int]:
-        """Live-tuple count at each instant: the running sum of the +1/-1
-        event deltas (*delta* maps instant -> starts minus ends).
-        ``COUNT(A)`` drops NULL-argument rows first — they still contribute
-        event instants, via the shared instant list, just not counts."""
-        if argument is not None and argument.count(None):
-            mask = [value is not None for value in argument]
-            delta = Counter(compress(t1s, mask))
-            delta.subtract(Counter(compress(t2s, mask)))
-        return list(accumulate(map(delta.__getitem__, instants)))
-
-    def _numpy_sweep(
-        self,
-        key: tuple,
-        t1_parts: list,
-        t2_parts: list,
-        argument_parts: list[list | None],
-    ) -> list[list]:
-        """The all-COUNT sweep on int64 event arrays.
-
-        Live counts at each instant are absolute — ``searchsorted`` into
-        the sorted start/end arrays — rather than running deltas, so the
-        whole group is four ufunc calls.  Results unbox via ``tolist`` to
-        the exact Python ints the row path yields.  Raises (to the list
-        sweep) on anything int64 cannot carry exactly: ``None`` arguments,
-        non-int instants, out-of-range values.
-        """
-        starts = _np.sort(_segments_as_int64(t1_parts))
-        ends = _np.sort(_segments_as_int64(t2_parts))
-        instants = _np.unique(_np.concatenate((starts, ends)))
-        instants = instants[: int(_np.searchsorted(instants, ends[-1], side="right"))]
-        if instants.size < 2:
-            return [[] for _ in range(len(self.schema))]
-        counts = _np.searchsorted(starts, instants, side="right") - _np.searchsorted(
-            ends, instants, side="right"
-        )
-        count_columns = []
-        for parts in argument_parts:
-            if parts is not None:
-                # COUNT(A) must drop NULL-argument rows; ndarray segments
-                # cannot hold None, list segments are checked outright.
-                for part in parts:
-                    if isinstance(part, list) and any(
-                        value is None for value in part
-                    ):
-                        raise ValueError("NULL aggregate argument")
-            count_columns.append(counts)
-        interior = [column[:-1] for column in count_columns]
-        selectors = interior[0] != 0
-        for column in interior[1:]:
-            selectors = selectors | (column != 0)
-        t1_out = instants[:-1][selectors].tolist()
-        t2_out = instants[1:][selectors].tolist()
-        emitted = len(t1_out)
-        columns: list[list] = [[value] * emitted for value in key]
-        columns.append(t1_out)
-        columns.append(t2_out)
-        columns.extend(column[selectors].tolist() for column in interior)
-        return columns
-
-    def _fallback_sweep(
-        self,
-        key: tuple,
-        t1s: list,
-        t2s: list,
-        arguments: list[list | None],
-    ) -> list[list]:
-        """Exact row semantics for one group: rebuild narrow rows
-        (T1, T2, args...) in original input order and run the row sweep."""
-        narrow_columns = [t1s, t2s]
-        remapped: list[int | None] = []
-        for argument in arguments:
-            if argument is None:
-                remapped.append(None)
-            else:
-                remapped.append(len(narrow_columns))
-                narrow_columns.append(argument)
-        rows = list(zip(*narrow_columns))
-        by_end = sorted(rows, key=itemgetter(1))
-        if all(spec.func == "COUNT" for spec in self.aggregates):
-            sweep = self._sweep_counts(key, rows, by_end, 0, 1, remapped, None)
-        else:
-            sweep = self._sweep_general(key, rows, by_end, 0, 1, remapped, None)
-        out_rows = list(sweep)
-        width = len(self.schema)
-        if not out_rows:
-            return [[] for _ in range(width)]
-        return list(map(list, zip(*out_rows)))
 
     def _sweep_group(
         self,

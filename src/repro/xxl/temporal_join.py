@@ -111,5 +111,7 @@ class TemporalJoinCursor(GeneratorCursor):
 
     def _close(self) -> None:
         super()._close()
-        self._left.close()
-        self._right.close()
+        try:
+            self._left.close()
+        finally:
+            self._right.close()

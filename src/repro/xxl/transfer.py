@@ -187,8 +187,8 @@ class TransferDCursor(Cursor):
         if failed:
             raise failed[0]
 
-    def _next(self) -> tuple:
-        raise StopIteration
+    def _next_batch(self, n: int) -> list[tuple]:
+        return []
 
     def drop(self) -> None:
         """End-of-query cleanup: drop the loaded temp table; idempotent

@@ -9,11 +9,6 @@ whole suite under seeded fault injection: every :class:`Tango` built
 without an explicit injector gets one with that per-call transient
 probability on round trips and load chunks.  The CI chaos job uses this to
 prove the resilience layer keeps every test green under p=0.2.
-
-Setting ``TANGO_COLUMNAR`` (``1``/``python``/``numpy``) runs the whole
-suite under columnar execution: every :class:`Tango` built with the
-default row path gets that backend instead.  The CI columnar job uses
-this to prove the vectorized operators are result-identical everywhere.
 """
 
 from __future__ import annotations
@@ -63,39 +58,6 @@ def _chaos_profile(monkeypatch):
         original_init(self, db, config, fault_injector=fault_injector, **kwargs)
 
     monkeypatch.setattr(Tango, "__init__", chaotic_init)
-    yield
-
-
-@pytest.fixture(autouse=True)
-def _columnar_profile(monkeypatch, _chaos_profile):
-    """Env-driven columnar execution: default a backend into every Tango.
-
-    Depends on ``_chaos_profile`` so its ``Tango.__init__`` patch stacks on
-    top of (and composes with) the chaos patch when both are active.
-    Explicit ``columnar`` settings — including tests pinning ``"off"`` via
-    a non-default config — are left alone only when non-default, mirroring
-    the chaos profile's explicit-injector escape hatch.
-    """
-    backend = os.environ.get("TANGO_COLUMNAR", "").strip().lower()
-    if backend in ("", "0", "off", "false"):
-        yield
-        return
-    if backend == "1":
-        backend = "python"
-    from dataclasses import replace
-
-    from repro.core.tango import Tango, TangoConfig
-
-    patched_init = Tango.__init__
-
-    def columnar_init(self, db, config=None, **kwargs):
-        if config is None:
-            config = TangoConfig(columnar=backend)
-        elif isinstance(config, TangoConfig) and config.columnar == "off":
-            config = replace(config, columnar=backend)
-        patched_init(self, db, config, **kwargs)
-
-    monkeypatch.setattr(Tango, "__init__", columnar_init)
     yield
 
 

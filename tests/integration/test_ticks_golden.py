@@ -11,8 +11,6 @@ charge, how lazily rows are pulled), not just how fast, and must say so.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.tango import Tango
@@ -21,12 +19,6 @@ from repro.dbms.jdbc import Connection
 from repro.resilience import FaultInjector, FaultPolicy
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("TANGO_COLUMNAR", "").strip().lower()
-    not in ("", "0", "off", "false"),
-    reason="the TANGO_COLUMNAR profile runs other middleware algorithms",
-)
 
 #: name -> (DBMS io, DBMS cpu, middleware ticks, result rows)
 GOLDEN = {

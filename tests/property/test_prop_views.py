@@ -3,7 +3,7 @@
 For random seeded update streams over random UIS-shaped relations, an
 incremental refresh must leave the stored view contents *byte-identical*
 to a full recompute, for every shape with a delta rule — across the
-columnar backends and worker counts the engine can execute under.
+worker counts the engine can execute under.
 
 Two Tango instances run over two independently-built but identical
 MiniDB instances; the same update stream is applied to both; one view is
@@ -100,12 +100,11 @@ def view_plan(db, shape: str):
     raise AssertionError(shape)
 
 
-@pytest.mark.parametrize("columnar", ["off", "python"])
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
-def test_incremental_matches_full_recompute(shape, seed, workers, columnar):
-    config = TangoConfig(workers=workers, columnar=columnar)
+def test_incremental_matches_full_recompute(shape, seed, workers):
+    config = TangoConfig(workers=workers)
     db_inc, specs = build_db(random.Random(f"prop-views:{seed}"))
     db_full, _ = build_db(random.Random(f"prop-views:{seed}"))
 

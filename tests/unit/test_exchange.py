@@ -13,7 +13,7 @@ from repro.dbms.jdbc import Connection
 from repro.errors import ExecutionError
 from repro.stats.collector import AttributeStats, RelationStats
 from repro.stats.histogram import Histogram
-from repro.xxl.cursor import Cursor, materialize
+from repro.xxl.cursor import GeneratorCursor, materialize
 from repro.xxl.exchange import (
     ExchangeCursor,
     PartitionSpec,
@@ -203,7 +203,7 @@ class TestRepartitionCursor:
         assert source.closed_count == 1
 
 
-class FailingCursor(Cursor):
+class FailingCursor(GeneratorCursor):
     """Produces a few rows, then raises."""
 
     def __init__(self, schema, rows, error):
@@ -211,12 +211,8 @@ class FailingCursor(Cursor):
         self._rows = list(rows)
         self._error = error
 
-    def _open(self):
-        pass
-
-    def _next(self):
-        if self._rows:
-            return self._rows.pop(0)
+    def _generate(self):
+        yield from self._rows
         raise self._error
 
 

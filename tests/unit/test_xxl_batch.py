@@ -10,7 +10,14 @@ import pytest
 
 from repro.algebra.expressions import BinOp, Comparison, col, lit
 from repro.algebra.schema import Attribute, Schema
-from repro.xxl.cursor import BatchReader, Cursor, DEFAULT_BATCH_SIZE, materialize
+from repro.xxl.cursor import (
+    BatchReader,
+    Cursor,
+    DEFAULT_BATCH_SIZE,
+    GeneratorCursor,
+    materialize,
+)
+from repro.xxl.dedup import DedupCursor
 from repro.xxl.filter import FilterCursor
 from repro.xxl.project import ProjectCursor
 from repro.xxl.sources import IterableCursor, RelationCursor
@@ -24,18 +31,16 @@ def relation(rows=ROWS):
     return RelationCursor(SCHEMA, rows)
 
 
-class FallbackCursor(Cursor):
-    """A cursor providing only ``_next`` — exercises the default batch path."""
+class FallbackCursor(GeneratorCursor):
+    """A cursor providing only ``_generate`` — the pull hook is the one
+    :class:`GeneratorCursor` supplies."""
 
     def __init__(self, rows):
         super().__init__(SCHEMA)
-        self._rows = iter(rows)
+        self._rows = rows
 
-    def _next(self) -> tuple:
-        try:
-            return next(self._rows)
-        except StopIteration:
-            raise StopIteration from None
+    def _generate(self):
+        yield from self._rows
 
 
 class TestNextBatch:
@@ -115,6 +120,20 @@ class TestProtocolMixing:
         assert cursor.next_batch(2) == [(4,), (5,)]
         assert cursor.next() == (6,)
         assert cursor.next_batch(10) == [(7,), (8,), (9,)]
+
+    def test_row_pull_over_an_overshooting_filter_keeps_order(self):
+        # The look-ahead re-buffering regression: has_next() pulls one row
+        # through a hook that parks its surplus in the same buffer — the
+        # pulled row must land in front of the surplus, not behind it.
+        cursor = FilterCursor(relation(), Comparison(">=", col("X"), lit(0)))
+        cursor.batch_size = 4
+        first = cursor.next()
+        assert [first] + cursor.next_batch(100) == ROWS
+
+    def test_iteration_over_an_overshooting_dedup_keeps_order(self):
+        cursor = DedupCursor(relation([(i // 2,) for i in range(20)]))
+        cursor.batch_size = 8
+        assert list(cursor) == ROWS
 
     def test_project_batches(self):
         cursor = ProjectCursor(relation(), [("Y", BinOp("*", col("X"), lit(10)))])

@@ -5,7 +5,7 @@ import pytest
 from repro.algebra.expressions import Comparison, col, lit
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
-from repro.xxl.cursor import materialize
+from repro.xxl.cursor import BatchReader, materialize
 from repro.xxl.merge_join import MergeJoinCursor, read_group
 from repro.xxl.sources import RelationCursor
 from repro.xxl.temporal_join import TemporalJoinCursor
@@ -34,19 +34,33 @@ def right(rows):
 class TestReadGroup:
     def test_reads_value_pack(self):
         cursor = RelationCursor(LEFT_SCHEMA, [(1, "a"), (1, "b"), (2, "c")]).init()
-        first = cursor.next()
-        group, lookahead = read_group(cursor, 0, first)
+        reader = BatchReader(cursor, 2)  # the pack straddles a batch boundary
+        group, lookahead = read_group(reader, 0, reader.read())
         assert group == [(1, "a"), (1, "b")]
         assert lookahead == (2, "c")
 
     def test_last_group_returns_none_lookahead(self):
-        cursor = RelationCursor(LEFT_SCHEMA, [(1, "a")]).init()
-        group, lookahead = read_group(cursor, 0, cursor.next())
+        reader = BatchReader(RelationCursor(LEFT_SCHEMA, [(1, "a")]).init())
+        group, lookahead = read_group(reader, 0, reader.read())
         assert group == [(1, "a")]
         assert lookahead is None
 
 
 class TestMergeJoin:
+    def test_incomparable_key_raises_where_the_merge_reaches_it(self):
+        # Matches before the mixed-type key are delivered; the TypeError
+        # surfaces only when the merge compares "x" with 3.
+        cursor = MergeJoinCursor(
+            left([(1, "a"), (2, "b"), ("x", "c")]),
+            right([(1, "p"), (2, "q"), (3, "r")]),
+            "K",
+            "K2",
+        ).init()
+        assert cursor.next() == (1, "a", 1, "p")
+        assert cursor.next() == (2, "b", 2, "q")
+        with pytest.raises(TypeError):
+            cursor.next()
+
     def test_basic(self):
         cursor = MergeJoinCursor(
             left([(1, "a"), (2, "b"), (4, "d")]),

@@ -86,6 +86,25 @@ class TestAggregateFunctions:
             (1, 10, 15, 30, 30),
         ]
 
+    def test_count_of_attribute_skips_null_arguments(self):
+        # COUNT(A) ignores NULLs; a NULL-argument row still contributes its
+        # instants, and an interval with only NULLs counted emits nothing.
+        rows = [(1, None, 0, 10), (1, 7, 5, 15)]
+        spec = [AggregateSpec("COUNT", "Pay", "N")]
+        assert materialize(taggr(rows, aggregates=spec)) == [
+            (1, 5, 10, 1),
+            (1, 10, 15, 1),
+        ]
+
+    def test_null_arguments_with_several_counts(self):
+        rows = [(1, None, 0, 10), (1, 7, 5, 15)]
+        specs = [AggregateSpec("COUNT", "Pay", "N"), AggregateSpec("COUNT", "PosID", "ALL")]
+        assert materialize(taggr(rows, aggregates=specs)) == [
+            (1, 0, 5, 0, 1),
+            (1, 5, 10, 1, 2),
+            (1, 10, 15, 1, 1),
+        ]
+
     def test_multiple_aggregates_align(self):
         rows = materialize(
             taggr(
@@ -132,6 +151,20 @@ class TestEdgeCases:
         cursor = taggr([(2, 0, 0, 5), (1, 0, 0, 5)])
         with pytest.raises(ExecutionError):
             materialize(cursor)
+
+    def test_unsorted_groups_error_surfaces_after_the_earlier_groups(self):
+        # Error timing: group 1 is swept when key 3 arrives; key 2 < 3 then
+        # aborts *before* group 3's results are emitted.
+        cursor = taggr([(1, 0, 0, 5), (3, 0, 0, 5), (2, 0, 0, 5)]).init()
+        assert cursor.next() == (1, 0, 5, 1)
+        with pytest.raises(
+            ExecutionError, match="not sorted on the grouping attributes"
+        ):
+            cursor.next()
+
+    def test_incomparable_group_keys_are_not_an_ordering_error(self):
+        rows = materialize(taggr([(1, 0, 0, 5), ("x", 0, 0, 5)]))
+        assert rows == [(1, 0, 5, 1), ("x", 0, 5, 1)]
 
     def test_meter_charged(self):
         meter = CostMeter()
