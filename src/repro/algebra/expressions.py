@@ -121,7 +121,14 @@ class Expression:
         return type(self) is type(other) and self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        # Nodes are immutable and sit in memo keys that are looked up over
+        # and over: hash the subtree once.
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            value = hash((type(self).__name__, self._key()))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def _key(self) -> tuple:
         raise NotImplementedError

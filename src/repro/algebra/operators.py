@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.algebra.expressions import Expression
-from repro.algebra.schema import Attribute, AttrType, Schema
+from repro.algebra.schema import Attribute, AttrType, Schema, concat_attributes
 from repro.errors import PlanError
 
 #: Default names of the period-delimiting attributes.
@@ -457,12 +457,11 @@ class TemporalJoin(_Binary):
                 raise PlanError(f"join attribute {attr!r} missing on the {side}")
             if not (schema.has(t1) and schema.has(t2)):
                 raise PlanError(f"temporal join requires {t1}/{t2} on the {side} input")
-        combined = Schema(self._nontemporal(self.left.schema)).concat(
-            Schema(self._nontemporal(self.right.schema))
+        combined = concat_attributes(
+            self._nontemporal(self.left.schema), self._nontemporal(self.right.schema)
         )
         return Schema(
-            list(combined)
-            + [Attribute(t1, AttrType.DATE), Attribute(t2, AttrType.DATE)]
+            combined + [Attribute(t1, AttrType.DATE), Attribute(t2, AttrType.DATE)]
         )
 
     def order(self) -> tuple[str, ...]:

@@ -148,20 +148,7 @@ class Schema:
         ``_2`` (``_3`` if needed, and so on) when *disambiguate* is set;
         otherwise a clash raises :class:`SchemaError`.
         """
-        attributes = list(self._attributes)
-        taken = {a.name.lower() for a in attributes}
-        for attribute in other:
-            name = attribute.name
-            if name.lower() in taken:
-                if not disambiguate:
-                    raise SchemaError(f"attribute {name!r} exists on both sides")
-                counter = 2
-                while f"{name}_{counter}".lower() in taken:
-                    counter += 1
-                name = f"{name}_{counter}"
-            taken.add(name.lower())
-            attributes.append(attribute.renamed(name))
-        return Schema(attributes)
+        return Schema(concat_attributes(self._attributes, other, disambiguate))
 
     def rename(self, mapping: dict[str, str]) -> "Schema":
         """Schema with attributes renamed per *mapping* (old -> new)."""
@@ -170,3 +157,24 @@ class Schema:
             attribute.renamed(lowered.get(attribute.name.lower(), attribute.name))
             for attribute in self._attributes
         )
+
+
+def concat_attributes(
+    left: Iterable[Attribute], right: Iterable[Attribute], disambiguate: bool = True
+) -> list[Attribute]:
+    """The attribute list :meth:`Schema.concat` builds its result from."""
+    attributes = list(left)
+    taken = {a.name.lower() for a in attributes}
+    for attribute in right:
+        name = attribute.name
+        if name.lower() in taken:
+            if not disambiguate:
+                raise SchemaError(f"attribute {name!r} exists on both sides")
+            counter = 2
+            while f"{name}_{counter}".lower() in taken:
+                counter += 1
+            name = f"{name}_{counter}"
+            attribute = attribute.renamed(name)
+        taken.add(name.lower())
+        attributes.append(attribute)
+    return attributes

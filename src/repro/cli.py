@@ -234,6 +234,10 @@ def main(argv: list[str] | None = None) -> int:
         elif argument in ("-h", "--help"):
             print(__doc__)
             return 0
+        elif argument.startswith("-"):
+            # A mistyped or retired flag is not a script path.
+            print(f"unknown option {argument}\n\n{__doc__}", file=sys.stderr)
+            return 2
         else:
             script_path = argument
 

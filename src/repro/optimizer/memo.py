@@ -19,6 +19,7 @@ union-find.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.algebra.operators import Location, Operator
 from repro.algebra.schema import Schema
@@ -56,20 +57,32 @@ class ClassRef(Operator):
         return f"[class {self.class_id}]"
 
 
-@dataclass(frozen=True)
 class Element:
     """One operator alternative inside an equivalence class.
 
     ``template`` is an operator node whose own inputs are ignored —
-    ``children`` (class ids) are authoritative.
+    ``children`` (class ids) are authoritative.  Elements compare by
+    identity; ``home``/``index`` locate the element in its class's list and
+    ``dirty`` says a rule may see something it has not seen before (all
+    three are kept by the :class:`Memo`, read by the search).
     """
 
-    template: Operator
-    children: tuple[int, ...]
+    __slots__ = ("template", "children", "home", "index", "dirty", "_head")
+
+    def __init__(self, template: Operator, children: tuple[int, ...]):
+        self.template = template
+        self.children = children
+        self.home = -1
+        self.index = -1
+        self.dirty = False
+        self._head = (template.signature(), template.location)
 
     def key(self, memo: "Memo") -> tuple:
-        canonical = tuple(memo.find(child) for child in self.children)
-        return (self.template.signature(), self.template.location, canonical)
+        find = memo.find
+        return (*self._head, tuple([find(child) for child in self.children]))
+
+    def __repr__(self) -> str:
+        return f"Element({self.template.label()}, {self.children})"
 
 
 class EqClass:
@@ -81,33 +94,72 @@ class EqClass:
         #: A concrete operator tree evaluating to this class's relation,
         #: used for schema and statistics derivation.
         self.representative = representative
+        #: Ids of the classes holding an element with this class as a child
+        #: (as inserted; resolve through :meth:`Memo.find`).
+        self.parents: set[int] = set()
 
     @property
     def schema(self) -> Schema:
         return self.representative.schema
+
+    @cached_property
+    def ref(self) -> ClassRef:
+        """The one leaf that rule outputs reference this class by."""
+        return ClassRef(class_id=self.id, ref_schema=self.schema)
 
     def __repr__(self) -> str:
         return f"EqClass(#{self.id}, {len(self.elements)} elements)"
 
 
 class Memo:
-    """Equivalence classes with union-find merging."""
+    """Equivalence classes with union-find merging.
+
+    The memo also keeps what an incremental search needs: which elements a
+    change can be *seen* from, i.e. where re-applying a rule might now do
+    something it did not do before.
+
+    * A rule applied to an element reads the element lists of the
+      element's child classes (the two-level patterns), so a **new
+      element** dirties itself and the elements that have its class as a
+      child.
+    * A rule also reads class *identities*: of its own class, of its child
+      classes and — ``memo.ref(child.children[0])`` — of its grandchild
+      classes.  And :attr:`_index` keys hold the canonical child ids *as of
+      insertion*, so once a class is merged away, re-deriving an expression
+      over it no longer finds the old key and lands as a new element: the
+      classes a rule's earlier output runs through count as read, too.
+      Those hang off the output's root, a *sibling* of the matched element,
+      as its children and grandchildren.  So a **merge** dirties every
+      element of the merged class, of its parent classes and of its
+      grandparent classes — whole classes, not only the elements that
+      reference the merged one.
+
+    Dirtied elements queue up in :attr:`dirtied` and merged-away class ids
+    in :attr:`retired` for the search to drain.
+    """
 
     def __init__(self):
+        #: Live (canonical) classes by id, in creation order.
         self._classes: dict[int, EqClass] = {}
-        self._parent: dict[int, int] = {}
+        #: Every class ever created, by id; a merged-away class keeps its
+        #: last element list so the search can finish a sweep over it.
+        self._every: list[EqClass] = []
+        self._parent: list[int] = []
         self._index: dict[tuple, int] = {}
-        self._next_id = 0
+        self._element_count = 0
+        self.dirtied: list[Element] = []
+        self.retired: list[int] = []
 
     # -- union-find ---------------------------------------------------------------
 
     def find(self, class_id: int) -> int:
         """Canonical id of *class_id*'s class."""
+        parent = self._parent
         root = class_id
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[class_id] != root:  # path compression
-            self._parent[class_id], class_id = root, self._parent[class_id]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[class_id] != root:  # path compression
+            parent[class_id], class_id = root, parent[class_id]
         return root
 
     def merge(self, a: int, b: int) -> int:
@@ -119,13 +171,42 @@ class Memo:
         self._parent[loser] = winner
         winner_class = self._classes[winner]
         loser_class = self._classes.pop(loser)
-        existing = {element.key(self) for element in winner_class.elements}
-        for element in loser_class.elements:
-            key = element.key(self)
-            if key not in existing:
-                existing.add(key)
-                winner_class.elements.append(element)
+        kept = winner_class.elements
+        existing: dict[tuple, Element] = {}
+        for element in kept:
+            existing.setdefault(element.key(self), element)
+        for position, element in enumerate(loser_class.elements):
+            twin = existing.setdefault(element.key(self), element)
+            if twin is element:
+                element.home, element.index = winner, len(kept)
+                kept.append(element)
+                # Moved: the search must learn the new position even if
+                # the element was dirty already.
+                element.dirty = True
+                self.dirtied.append(element)
+            else:
+                # The merged-away list only serves the sweep in progress,
+                # which may as well visit the surviving duplicate.
+                loser_class.elements[position] = twin
+                self._element_count -= 1
+        winner_class.parents |= loser_class.parents
+        self.retired.append(loser)
+        # Whole classes, two levels up: see the class docstring.
+        parents = self._parent_classes(winner)
+        grandparents = set().union(*map(self._parent_classes, parents))
+        for class_id in {winner} | parents | grandparents:
+            for element in self._classes[class_id].elements:
+                self._mark(element)
         return winner
+
+    def _mark(self, element: Element) -> None:
+        if not element.dirty:
+            element.dirty = True
+            self.dirtied.append(element)
+
+    def _parent_classes(self, class_id: int) -> set[int]:
+        """Canonical ids of the classes with an element over *class_id*."""
+        return {self.find(parent) for parent in self._classes[class_id].parents}
 
     # -- access --------------------------------------------------------------------
 
@@ -136,18 +217,27 @@ class Memo:
         """All live (canonical) classes."""
         return list(self._classes.values())
 
+    def slots(self, class_id: int) -> list[Element]:
+        """Class *class_id*'s own element list — for a merged-away class,
+        the list as of the merge."""
+        return self._every[class_id].elements
+
     @property
     def class_count(self) -> int:
         return len(self._classes)
 
     @property
+    def classes_created(self) -> int:
+        """Classes ever created, merged-away ones included: the next id."""
+        return len(self._every)
+
+    @property
     def element_count(self) -> int:
-        return sum(len(eq_class.elements) for eq_class in self._classes.values())
+        return self._element_count
 
     def ref(self, class_id: int) -> ClassRef:
         """A :class:`ClassRef` leaf for building rule outputs."""
-        eq_class = self.class_of(class_id)
-        return ClassRef(class_id=eq_class.id, ref_schema=eq_class.schema)
+        return self._classes[self.find(class_id)].ref
 
     # -- insertion ------------------------------------------------------------------
 
@@ -162,9 +252,8 @@ class Memo:
             if into is not None and self.find(into) != root:
                 root = self.merge(into, root)
             return root
-        children = tuple(self.insert_tree(child) for child in plan.inputs)
-        class_id, _ = self.add_element(plan, children, into)
-        return class_id
+        children = tuple([self.insert_tree(child) for child in plan.inputs])
+        return self.add_element(plan, children, into)[0]
 
     def add_element(
         self,
@@ -173,31 +262,44 @@ class Memo:
         into: int | None = None,
     ) -> tuple[int, bool]:
         """Add one element; dedups by key.  Returns (class id, was_new)."""
-        children = tuple(self.find(child) for child in children)
-        if len(children) != len(template.inputs) and template.inputs:
+        find = self.find
+        children = tuple([find(child) for child in children])
+        inputs = template.inputs
+        if inputs and len(children) != len(inputs):
             raise OptimizerError(
-                f"{template.name} expects {len(template.inputs)} children, "
+                f"{template.name} expects {len(inputs)} children, "
                 f"got {len(children)}"
             )
         key = (template.signature(), template.location, children)
         existing = self._index.get(key)
         if existing is not None:
-            existing = self.find(existing)
-            if into is not None and self.find(into) != existing:
+            existing = find(existing)
+            if into is not None and find(into) != existing:
                 return self.merge(into, existing), False
             return existing, False
 
         if into is None:
-            class_id = self._next_id
-            self._next_id += 1
-            self._parent[class_id] = class_id
-            representative = self._concrete(template, children)
-            self._classes[class_id] = EqClass(class_id, representative)
+            class_id = len(self._every)
+            self._parent.append(class_id)
+            eq_class = EqClass(class_id, self._concrete(template, children))
+            self._classes[class_id] = eq_class
+            self._every.append(eq_class)
         else:
-            class_id = self.find(into)
+            class_id = find(into)
+            eq_class = self._classes[class_id]
+            # The class's element list changes under the elements over it.
+            for parent_id in self._parent_classes(class_id):
+                for parent in self._classes[parent_id].elements:
+                    if class_id in map(find, parent.children):
+                        self._mark(parent)
         element = Element(template, children)
-        self._classes[class_id].elements.append(element)
+        element.home, element.index = class_id, len(eq_class.elements)
+        eq_class.elements.append(element)
+        self._element_count += 1
         self._index[key] = class_id
+        for child in children:
+            self._classes[child].parents.add(class_id)
+        self._mark(element)
         return class_id, True
 
     def _concrete(self, template: Operator, children: tuple[int, ...]) -> Operator:

@@ -72,6 +72,9 @@ class Rule:
     name: str = "?"
     #: "L" (list) or "M" (multiset) equivalence.
     equivalence: str = "M"
+    #: Operator types the rule's root pattern can match; the optimizer
+    #: offers the rule only elements of these types.
+    matches: tuple[type, ...] = (Operator,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         """Fire on one element.  Returns True when the memo changed."""
@@ -82,15 +85,10 @@ class Rule:
 
 
 def _insert_all(memo: Memo, class_id: int, expressions: Iterable[Operator]) -> bool:
-    changed = False
-    before_classes = memo.class_count
-    before_elements = memo.element_count
+    before = (memo.class_count, memo.element_count)
     for expression in expressions:
         memo.insert_tree(expression, into=class_id)
-    return (
-        memo.class_count != before_classes
-        or memo.element_count != before_elements
-    )
+    return (memo.class_count, memo.element_count) != before
 
 
 def _child_elements(memo: Memo, class_id: int) -> list[Element]:
@@ -105,6 +103,7 @@ class T1MoveTemporalAggregate(Rule):
 
     name = "T1"
     equivalence = "M"
+    matches = (TemporalAggregate,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -131,6 +130,7 @@ class T2MoveJoin(Rule):
 
     name = "T2"
     equivalence = "M"
+    matches = (Join,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -158,6 +158,7 @@ class T3MoveTemporalJoin(Rule):
 
     name = "T3"
     equivalence = "M"
+    matches = (TemporalJoin,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -183,6 +184,7 @@ class T3MoveTemporalJoin(Rule):
 class _TransferMPullRule(Rule):
     """Shared matcher for T4/T5/T6: ``T^M(op@D(r)) → op@M(T^M(r))``."""
 
+    matches = (TransferM,)
     inner_type: type = Operator
 
     def rebuild(self, inner: Operator, moved_input: Operator) -> Operator:
@@ -251,6 +253,7 @@ class T7EliminateTransferPairMD(Rule):
 
     name = "T7"
     equivalence = "M"
+    matches = (TransferM,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         if not isinstance(element.template, TransferM):
@@ -269,6 +272,7 @@ class T8EliminateTransferPairDM(Rule):
 
     name = "T8"
     equivalence = "M"
+    matches = (TransferD,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         if not isinstance(element.template, TransferD):
@@ -287,6 +291,7 @@ class T9DropIdentityProjection(Rule):
 
     name = "T9"
     equivalence = "L"
+    matches = (Project,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -313,6 +318,7 @@ class T11DropSort(Rule):
 
     name = "T11"
     equivalence = "M"
+    matches = (Sort,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         if not isinstance(element.template, Sort):
@@ -327,6 +333,7 @@ class T12CollapseSortPair(Rule):
 
     name = "T12"
     equivalence = "L"
+    matches = (Sort,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -359,6 +366,7 @@ class E1SwapProjectSelect(Rule):
 
     name = "E1"
     equivalence = "L"
+    matches = (Select,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -400,6 +408,7 @@ class E2CommuteBinary(Rule):
 
     name = "E2"
     equivalence = "M"
+    matches = (Product, Join, TemporalJoin)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -451,6 +460,7 @@ class E3AssociateJoin(Rule):
 
     name = "E3"
     equivalence = "L"
+    matches = (Join,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -493,6 +503,7 @@ class E4SwapSortSelect(Rule):
 
     name = "E4"
     equivalence = "L"
+    matches = (Select,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -526,6 +537,7 @@ class E5SwapSortProject(Rule):
 
     name = "E5"
     equivalence = "L"
+    matches = (Project,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -560,6 +572,7 @@ class P1PushSelectThroughJoin(Rule):
 
     name = "P1"
     equivalence = "L"
+    matches = (Select,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -638,6 +651,7 @@ class P2PushSelectThroughTemporalJoin(Rule):
 
     name = "P2"
     equivalence = "L"
+    matches = (Select,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -717,6 +731,7 @@ class X1MoveCoalesce(Rule):
 
     name = "X1"
     equivalence = "M"
+    matches = (Coalesce,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -747,6 +762,7 @@ class X2CoalesceIdempotent(Rule):
 
     name = "X2"
     equivalence = "M"
+    matches = (Coalesce,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         if not isinstance(element.template, Coalesce):
@@ -766,6 +782,7 @@ class X3DropDedupUnderCoalesce(Rule):
 
     name = "X3"
     equivalence = "M"
+    matches = (Coalesce,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         template = element.template
@@ -788,6 +805,7 @@ class X4DropDedupOverCoalesce(Rule):
 
     name = "X4"
     equivalence = "M"
+    matches = (Dedup,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         if not isinstance(element.template, Dedup):
@@ -806,6 +824,7 @@ class X5DedupIdempotent(Rule):
 
     name = "X5"
     equivalence = "M"
+    matches = (Dedup,)
 
     def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
         if not isinstance(element.template, Dedup):

@@ -3,13 +3,15 @@
 Phase 1 ("initially, a set of candidate algebraic query plans is produced by
 means of the optimizer's transformation rules and heuristics"): the initial
 plan is inserted into a :class:`~repro.optimizer.memo.Memo` and the rules are
-applied to a fixpoint.
+applied to a fixpoint — incrementally: a worklist of the elements the memo
+marks dirty, each offered the rules that match its operator type.
 
 Phase 2 ("the optimizer considers in more detail each of these plans ...
 one best physical query execution plan is found"): a dynamic program over
 (class, location, required order) picks, per class, the cheapest element
 whose algorithm prerequisites are met, using the Figure 6 cost formulas and
-the statistics derived per class.  The delivered-order bookkeeping realizes
+the statistics derived per class; only the winner's plan tree is ever
+built.  The delivered-order bookkeeping realizes
 the paper's list-vs-multiset equivalence discipline: a ``→_L`` rewrite is
 trusted only where the plan actually guarantees the order.
 """
@@ -17,6 +19,7 @@ trusted only where the plan actually guarantees the order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.algebra.operators import (
     Coalesce,
@@ -35,7 +38,7 @@ from repro.algebra.operators import (
     TransferD,
     TransferM,
 )
-from repro.algebra.properties import guaranteed_order, is_prefix_of
+from repro.algebra.properties import guaranteed_order
 from repro.errors import OptimizerError
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.optimizer.costs import CostFactors, PlanCoster
@@ -46,13 +49,43 @@ from repro.stats.cardinality import CardinalityEstimator
 Order = tuple[str, ...]
 
 _IN_PROGRESS = object()
+_UNSEEN = object()
 
 
-@dataclass
+def _lower(names) -> Order:
+    return tuple(name.lower() for name in names)
+
+
 class _Choice:
-    cost: float
-    plan: Operator
-    delivered: Order
+    """The cheapest way found to evaluate one memo element: its template
+    over the best choice per child.  The plan tree is built on demand —
+    only a winner needs one."""
+
+    __slots__ = ("cost", "template", "children", "delivered", "_plan")
+
+    def __init__(
+        self,
+        cost: float,
+        template: Operator,
+        children: list["_Choice"],
+        delivered: Order,
+    ):
+        self.cost = cost
+        self.template = template
+        self.children = children
+        self.delivered = delivered
+        self._plan: Operator | None = None
+
+    @property
+    def plan(self) -> Operator:
+        if self._plan is None:
+            template = self.template
+            self._plan = (
+                template.with_inputs(*(child.plan for child in self.children))
+                if self.children
+                else template
+            )
+        return self._plan
 
 
 @dataclass
@@ -64,14 +97,18 @@ class OptimizationResult:
     #: The paper's complexity measures for the search.
     class_count: int
     element_count: int
-    #: Rule-application passes until fixpoint.
-    passes: int
+    #: ``Rule.apply`` calls the exploration made, and how many of them
+    #: changed the memo.
+    rule_attempts: int = 0
+    rule_firings: int = 0
     memo: Memo = field(repr=False, default=None)  # type: ignore[assignment]
 
     def explain(self) -> str:
         return (
             f"cost={self.cost:.1f}us  classes={self.class_count}  "
-            f"elements={self.element_count}\n{self.plan.pretty()}"
+            f"elements={self.element_count}  "
+            f"rules={self.rule_firings}/{self.rule_attempts} fired\n"
+            f"{self.plan.pretty()}"
         )
 
 
@@ -83,7 +120,6 @@ class Optimizer:
         estimator: CardinalityEstimator,
         factors: CostFactors | None = None,
         rules: list[Rule] | None = None,
-        max_passes: int = 12,
         max_elements: int = 40_000,
         tracer: Tracer | None = None,
         parallel_degree: int = 1,
@@ -91,7 +127,6 @@ class Optimizer:
         self.estimator = estimator
         self.coster = PlanCoster(estimator, factors, parallel_degree=parallel_degree)
         self.rules = rules if rules is not None else default_rules()
-        self.max_passes = max_passes
         self.max_elements = max_elements
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -108,43 +143,50 @@ class Optimizer:
         guarantees (the query's ORDER BY); the chosen plan is constrained to
         deliver the same order — the list-equivalence contract.
         """
-        if required_order is None:
-            required_order = tuple(guaranteed_order(initial_plan))
+        required_order = self._required(initial_plan, required_order)
         with self.tracer.span("optimize", kind="phase") as span:
             memo = Memo()
             root = memo.insert_tree(initial_plan)
             with self.tracer.span("explore", kind="phase") as explore_span:
-                passes = self._explore(memo)
+                attempts, firings = self._explore(memo)
                 explore_span.set(
-                    passes=passes,
+                    rule_attempts=attempts,
+                    rule_firings=firings,
                     classes=memo.class_count,
                     elements=memo.element_count,
                 )
             with self.tracer.span("extract", kind="phase"):
-                root = memo.find(root)
-                choice = self._best(
-                    memo, root, initial_plan.location, required_order, {}
-                )
+                extraction = _Extraction(memo, self.coster)
+                location = initial_plan.location
+                choice = extraction.best(root, location, required_order)
                 if choice is None and required_order:
                     # The initial plan itself guarantees the order, so this is
                     # unreachable unless statistics are degenerate; fall back.
-                    choice = self._best(memo, root, initial_plan.location, (), {})
-            if choice is None:
-                raise OptimizerError("no valid plan found in the memo")
+                    choice = extraction.best(root, location, ())
+                if choice is None:
+                    raise OptimizerError("no valid plan found in the memo")
+                plan = choice.plan
             span.set(
                 cost=choice.cost,
                 classes=memo.class_count,
                 elements=memo.element_count,
-                passes=passes,
             )
         return OptimizationResult(
-            plan=choice.plan,
+            plan=plan,
             cost=choice.cost,
             class_count=memo.class_count,
             element_count=memo.element_count,
-            passes=passes,
+            rule_attempts=attempts,
+            rule_firings=firings,
             memo=memo,
         )
+
+    @staticmethod
+    def _required(initial_plan: Operator, required_order: Order | None) -> Order:
+        """The order contract, lower-cased once for the whole extraction."""
+        if required_order is None:
+            required_order = guaranteed_order(initial_plan)
+        return _lower(required_order)
 
     def enumerate_costs(
         self, plans: list[Operator]
@@ -168,27 +210,16 @@ class Optimizer:
         """
         from repro.optimizer.physical import PlanValidityError, validate_plan
 
-        if required_order is None:
-            required_order = tuple(guaranteed_order(initial_plan))
+        required_order = self._required(initial_plan, required_order)
         memo = Memo()
         root = memo.insert_tree(initial_plan)
         self._explore(memo)
-        root = memo.find(root)
-        table: dict = {}
+        extraction = _Extraction(memo, self.coster)
         choices: list[_Choice] = []
-        seen: set[tuple] = set()
-        for element in memo.class_of(root).elements:
-            element_key = element.key(memo)
-            if element_key in seen:
-                continue
-            seen.add(element_key)
-            choice = self._element_choice(
-                memo, element, initial_plan.location, required_order, table
-            )
+        for element in extraction.candidates(root, initial_plan.location):
+            choice = extraction.element_choice(element, required_order)
             if choice is None and required_order:
-                choice = self._element_choice(
-                    memo, element, initial_plan.location, (), table
-                )
+                choice = extraction.element_choice(element, ())
             if choice is not None:
                 choices.append(choice)
         choices.sort(key=lambda choice: choice.cost)
@@ -208,94 +239,191 @@ class Optimizer:
                 break
         return plans
 
-    # -- phase 1: rule fixpoint ------------------------------------------------------------
+    # -- phase 1: incremental rule closure -------------------------------------------------
 
-    def _explore(self, memo: Memo) -> int:
-        passes = 0
-        changed = True
-        while changed and passes < self.max_passes:
-            passes += 1
-            changed = False
-            for eq_class in memo.classes():
-                if memo.element_count > self.max_elements:
-                    return passes
-                for element in list(eq_class.elements):
-                    canonical = memo.find(eq_class.id)
-                    for rule in self.rules:
-                        if rule.apply(memo, canonical, element):
-                            changed = True
-                        canonical = memo.find(canonical)
-        return passes
+    def _explore(self, memo: Memo) -> tuple[int, int]:
+        """Apply the rules until no element is dirty (or the element budget
+        is spent); returns (rule attempts, rule firings).
 
-    # -- phase 2: extraction DP ---------------------------------------------------------------
+        An element meets only the rules whose ``matches`` covers its
+        operator type, and meets them again only after the memo changed
+        somewhere it can see (see :class:`~repro.optimizer.memo.Memo`).
+        """
+        rules_for: dict[type, list[Rule]] = {}
+        attempts = firings = 0
+        worklist = _Worklist(memo)
+        while memo.element_count <= self.max_elements:
+            visit = worklist.pop()
+            if visit is None:
+                break
+            class_id, element = visit
+            template_type = type(element.template)
+            rules = rules_for.get(template_type)
+            if rules is None:
+                rules = rules_for[template_type] = [
+                    rule for rule in self.rules
+                    if issubclass(template_type, rule.matches)
+                ]
+            for rule in rules:
+                attempts += 1
+                if rule.apply(memo, class_id, element):
+                    firings += 1
+                class_id = memo.find(class_id)
+            worklist.refill()
+        return attempts, firings
 
-    def _best(
-        self,
-        memo: Memo,
-        class_id: int,
-        location: Location,
-        required: Order,
-        table: dict,
+
+class _Worklist:
+    """The memo's dirty elements, in the order a sweep would reach them.
+
+    A naive closure loop sweeps the memo round after round: classes by id,
+    elements by position, where a round covers the classes that existed
+    when it began and, per class, the elements the class held when the
+    sweep reached it — a class merged away mid-round is still walked, as it
+    stood at the merge.  Only the applications that change the memo matter
+    to the outcome, and they reach exactly the dirty elements; popping
+    those in sweep order therefore creates classes and inserts elements in
+    the order the naive loop does, which extraction's first-of-equal-cost
+    tie-break makes observable.  Entries are ``(round, class id,
+    position)``; an element may have several, and only the first to come up
+    while it is dirty counts.
+    """
+
+    def __init__(self, memo: Memo):
+        self._memo = memo
+        self._heap: list[tuple[int, int, int]] = []
+        #: class id -> the round in which the class was merged away.
+        self._died: dict[int, int] = {}
+        self._round = 0
+        #: Classes the current round covers: those with a smaller id.
+        self._limit = memo.classes_created
+        #: The sweep's position, and how many elements its class held when
+        #: the sweep entered it.
+        self._class, self._index, self._held = -1, -1, 0
+        self.refill()
+
+    def refill(self) -> None:
+        """Queue what the memo dirtied since the last call."""
+        memo = self._memo
+        if not (memo.dirtied or memo.retired):
+            return
+        heap, now, limit = self._heap, self._round, self._limit
+        at_class, at_index, held = self._class, self._index, self._held
+
+        def ahead(class_id: int, index: int) -> bool:
+            """Does the current round still reach this slot?"""
+            if class_id >= limit:
+                return False
+            if class_id == at_class:
+                return at_index < index < held
+            return class_id > at_class
+
+        for class_id in memo.retired:
+            self._died[class_id] = now
+            for index in range(len(memo.slots(class_id))):
+                if ahead(class_id, index):
+                    heappush(heap, (now, class_id, index))
+        memo.retired.clear()
+        for element in memo.dirtied:
+            home, index = element.home, element.index
+            heappush(heap, (now if ahead(home, index) else now + 1, home, index))
+        memo.dirtied.clear()
+
+    def pop(self) -> tuple[int, Element] | None:
+        """The next dirty element, marked clean, with its canonical class
+        id; ``None`` when nothing is dirty."""
+        memo, heap = self._memo, self._heap
+        while heap:
+            when, class_id, index = heappop(heap)
+            if self._died.get(class_id, when) < when:
+                continue  # queued for a list that was merged away since
+            element = memo.slots(class_id)[index]
+            if not element.dirty:
+                continue
+            if when != self._round:
+                self._round, self._limit, self._class = when, memo.classes_created, -1
+            if class_id != self._class:
+                self._class, self._held = class_id, len(memo.slots(class_id))
+            self._index = index
+            element.dirty = False
+            return memo.find(class_id), element
+        return None
+
+
+class _Extraction:
+    """Phase 2 over one explored memo: a dynamic program over (class,
+    location, required order) cells.  Orders are lower-case throughout."""
+
+    def __init__(self, memo: Memo, coster: PlanCoster):
+        self.memo = memo
+        self.coster = coster
+        self._cells: dict[tuple, _Choice | None | object] = {}
+        self._candidates: dict[tuple[int, Location], list[Element]] = {}
+        self._node_costs: dict[Element, float] = {}
+
+    def candidates(self, class_id: int, location: Location) -> list[Element]:
+        """The class's elements at *location*, first of each duplicate key."""
+        memo = self.memo
+        key = (memo.find(class_id), location)
+        found = self._candidates.get(key)
+        if found is None:
+            found = self._candidates[key] = []
+            seen: set[tuple] = set()
+            for element in memo.class_of(class_id).elements:
+                if element.template.location is location:
+                    element_key = element.key(memo)
+                    if element_key not in seen:
+                        seen.add(element_key)
+                        found.append(element)
+        return found
+
+    def best(
+        self, class_id: int, location: Location, required: Order
     ) -> _Choice | None:
-        class_id = memo.find(class_id)
-        key = (class_id, location, tuple(name.lower() for name in required))
-        cached = table.get(key)
+        class_id = self.memo.find(class_id)
+        key = (class_id, location, required)
+        cells = self._cells
+        cached = cells.get(key, _UNSEEN)
         if cached is _IN_PROGRESS:
             return None  # cycle (merged classes can self-reference)
-        if cached is not None or key in table:
-            return cached
-        table[key] = _IN_PROGRESS
+        if cached is not _UNSEEN:
+            return cached  # type: ignore[return-value]
+        cells[key] = _IN_PROGRESS
 
         best: _Choice | None = None
-        seen: set[tuple] = set()
-        for element in memo.class_of(class_id).elements:
-            element_key = element.key(memo)
-            if element_key in seen:
-                continue
-            seen.add(element_key)
-            choice = self._element_choice(memo, element, location, required, table)
+        for element in self.candidates(class_id, location):
+            choice = self.element_choice(element, required)
             if choice is not None and (best is None or choice.cost < best.cost):
                 best = choice
 
-        table[key] = best
+        cells[key] = best
         return best
 
-    def _element_choice(
-        self,
-        memo: Memo,
-        element: Element,
-        location: Location,
-        required: Order,
-        table: dict,
-    ) -> _Choice | None:
+    def element_choice(self, element: Element, required: Order) -> _Choice | None:
         template = element.template
-        if template.location is not location:
-            return None
-
-        requirements = self._child_requirements(memo, element, required)
+        requirements = self._child_requirements(element, required)
         if requirements is None:
             return None
         child_choices: list[_Choice] = []
         for (child_loc, child_order), child_id in zip(requirements, element.children):
-            choice = self._best(memo, child_id, child_loc, child_order, table)
+            choice = self.best(child_id, child_loc, child_order)
             if choice is None:
                 return None
             child_choices.append(choice)
 
-        plan = (
-            template.with_inputs(*(choice.plan for choice in child_choices))
-            if element.children
-            else template
-        )
         delivered = self._delivered(template, child_choices)
-        if required and not is_prefix_of(required, delivered):
+        if required and delivered[: len(required)] != required:
             return None
-        node_cost = self.coster.node_cost(memo.concrete_element(element))
+        node_cost = self._node_costs.get(element)
+        if node_cost is None:
+            node_cost = self._node_costs[element] = self.coster.node_cost(
+                self.memo.concrete_element(element)
+            )
         total = node_cost + sum(choice.cost for choice in child_choices)
-        return _Choice(total, plan, delivered)
+        return _Choice(total, template, child_choices, delivered)
 
     def _child_requirements(
-        self, memo: Memo, element: Element, required: Order
+        self, element: Element, required: Order
     ) -> list[tuple[Location, Order]] | None:
         """Required (location, order) per child, or None if the element can
         never satisfy *required*."""
@@ -308,7 +436,7 @@ class Optimizer:
         if isinstance(template, TransferD):
             return [(Location.MIDDLEWARE, ())]
         if isinstance(template, Sort):
-            if required and not is_prefix_of(required, template.keys):
+            if required and _lower(template.keys)[: len(required)] != required:
                 return None
             return [(loc, ())]
         if isinstance(template, Select):
@@ -321,43 +449,43 @@ class Optimizer:
             return [(loc, required)]
         if isinstance(template, Coalesce):
             if loc is Location.MIDDLEWARE:
-                t1 = template.period[0]
+                period = _lower(template.period)
                 value_attrs = tuple(
-                    attribute.name
-                    for attribute in memo.class_of(element.children[0]).schema
-                    if attribute.name.lower()
-                    not in {p.lower() for p in template.period}
+                    name
+                    for name in _lower(
+                        self.memo.class_of(element.children[0]).schema.names
+                    )
+                    if name not in period
                 )
-                return [(loc, value_attrs + (t1,))]
+                return [(loc, value_attrs + period[:1])]
             # No SQL translation exists for coalescing; a DBMS-located
             # coalesce is not executable (rule X1 provides the middleware
             # alternative).
             return None
         if isinstance(template, TemporalAggregate):
             if loc is Location.MIDDLEWARE:
-                wanted = tuple(template.group_by) + (template.period[0],)
+                wanted = _lower(template.group_by) + _lower(template.period[:1])
                 return [(Location.MIDDLEWARE, wanted)]
             return [(Location.DBMS, ())]
         if isinstance(template, (Join, TemporalJoin)):
             if loc is Location.MIDDLEWARE:
                 return [
-                    (Location.MIDDLEWARE, (template.left_attr,)),
-                    (Location.MIDDLEWARE, (template.right_attr,)),
+                    (Location.MIDDLEWARE, (template.left_attr.lower(),)),
+                    (Location.MIDDLEWARE, (template.right_attr.lower(),)),
                 ]
             return [(Location.DBMS, ()), (Location.DBMS, ())]
         if isinstance(template, (Product, Difference)):
             return [(loc, ()), (loc, ())]
         raise OptimizerError(f"no extraction rule for {template.name}")
 
-    def _delivered(
-        self, template: Operator, child_choices: list[_Choice]
-    ) -> Order:
+    @staticmethod
+    def _delivered(template: Operator, child_choices: list[_Choice]) -> Order:
         """Order the chosen element actually delivers downstream."""
         loc = template.location
         if isinstance(template, Scan):
-            return template.clustered_order
+            return _lower(template.clustered_order)
         if isinstance(template, Sort):
-            return template.keys
+            return _lower(template.keys)
         if isinstance(template, TransferD):
             return ()
         if isinstance(template, TransferM):
@@ -371,18 +499,17 @@ class Optimizer:
         if isinstance(template, Project):
             if not template.is_simple():
                 return ()
-            kept = {name.lower() for name in template.column_names()}
+            kept = set(_lower(template.column_names()))
             surviving: list[str] = []
             for name in child_choices[0].delivered:
-                if name.lower() in kept:
-                    surviving.append(name)
-                else:
+                if name not in kept:
                     break
+                surviving.append(name)
             return tuple(surviving)
         if isinstance(template, TemporalAggregate):
-            return tuple(template.group_by) + (template.period[0],)
+            return _lower(template.group_by) + _lower(template.period[:1])
         if isinstance(template, (Join, TemporalJoin)):
-            return (template.left_attr,)
+            return (template.left_attr.lower(),)
         if isinstance(template, Coalesce):
             return child_choices[0].delivered
         if isinstance(template, Difference):

@@ -59,8 +59,14 @@ class CardinalityEstimator:
         self._predicates = predicate_estimator or PredicateEstimator()
         self._taggr_max_fraction = taggr_max_fraction
         self._cache: dict[tuple, RelationStats] = {}
-        #: Optional repro.obs.metrics.MetricsRegistry counting cache traffic.
-        self._metrics = metrics
+        #: Cache-traffic counters of an optional
+        #: repro.obs.metrics.MetricsRegistry, looked up once: ``estimate``
+        #: runs thousands of times per optimization.  (A registry
+        #: ``reset()`` would detach them; nothing resets a live one.)
+        self._hits = self._misses = None
+        if metrics is not None:
+            self._hits = metrics.counter("estimator_cache_hits")
+            self._misses = metrics.counter("estimator_cache_misses")
         #: Optional :class:`~repro.core.cardinality.CardinalityFeedbackStore`
         #: (anything with ``epoch`` and ``learned_cardinality(fp)``): a
         #: learned cardinality overrides the derived one per subtree.
@@ -79,11 +85,11 @@ class CardinalityEstimator:
         key = plan.cache_key
         cached = self._cache.get(key)
         if cached is not None:
-            if self._metrics is not None:
-                self._metrics.counter("estimator_cache_hits").inc()
+            if self._hits is not None:
+                self._hits.inc()
             return cached
-        if self._metrics is not None:
-            self._metrics.counter("estimator_cache_misses").inc()
+        if self._misses is not None:
+            self._misses.inc()
         stats = self._apply_feedback(plan, self._dispatch(plan))
         self._cache[key] = stats
         return stats
@@ -91,7 +97,9 @@ class CardinalityEstimator:
     def _apply_feedback(self, plan: Operator, stats: RelationStats) -> RelationStats:
         """Prefer a learned cardinality over the derived one (observed
         actuals outrank any model) — scaled copy, same attribute shapes."""
-        if self._feedback is None:
+        if not self._feedback:
+            # No store, or an empty one: nothing to look a fingerprint up
+            # in (learning something moves the epoch, which re-derives).
             return stats
         key = plan.cache_key
         if key not in self._fingerprints:

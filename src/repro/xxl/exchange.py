@@ -322,7 +322,8 @@ class ExchangeCursor(Cursor):
     ``merge_keys=()`` partitions are concatenated in index order (correct
     for range partitions whose bounds ascend); with merge keys the streams
     are k-way merged on those attributes (hash partitions), ties broken by
-    partition index so the output is deterministic.
+    partition index so the output is deterministic.  A merge needs every
+    partition running at once, so fewer workers than partitions is refused.
 
     A failing partition cancels its siblings: the first error is recorded,
     the cancel event stops every producer, and the error resurfaces from
@@ -345,6 +346,14 @@ class ExchangeCursor(Cursor):
         self.partitions = len(self.pipeline_roots)
         self.workers = max(1, min(workers, self.partitions))
         self.merge_keys = tuple(merge_keys)
+        if self.merge_keys and self.workers < self.partitions:
+            # The merge cannot emit a row before it holds a head from every
+            # partition; with a partition still waiting for a thread, the
+            # running ones fill their queues and block, and nobody moves.
+            raise ExecutionError(
+                f"a merging exchange needs a worker per partition "
+                f"({self.workers} workers for {self.partitions} partitions)"
+            )
         self._queue_batches = max(1, queue_batches)
         #: Producer blocks on a full partition queue (backpressure events).
         self.queue_full_stalls = 0

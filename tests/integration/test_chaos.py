@@ -138,7 +138,7 @@ class TestFallback:
         )
         tango.plan_cache.put(
             key,
-            OptimizationResult(plan=plan, cost=0.0, class_count=0, element_count=0, passes=0),
+            OptimizationResult(plan=plan, cost=0.0, class_count=0, element_count=0),
         )
 
     def test_budget_exhaustion_falls_back_to_all_dbms_plan(

@@ -1,0 +1,107 @@
+"""Property tests: the incremental exploration reaches a true fixpoint.
+
+The worklist in :mod:`repro.optimizer.search` applies a rule to an element
+only when the memo changed somewhere the element can see.  Whatever it
+skips must have been a no-op, so after ``Optimizer.optimize`` one naive
+sweep — every rule over every element — may change nothing.  A dirty mark
+the memo forgets to set shows up here as a sweep that still grows the memo.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.dbms.database import MiniDB
+from repro.errors import OptimizerError
+from repro.fuzz.generator import QueryGenerator
+from repro.fuzz.oracle import build_estimator
+from repro.optimizer.memo import Memo
+from repro.optimizer.physical import validate_plan
+from repro.optimizer.rules import default_rules
+from repro.optimizer.search import Optimizer
+from repro.workloads import queries
+from repro.workloads.uis import load_uis
+
+#: Generated plans checked, per generator size.
+FUZZ_PLANS = 150
+
+
+def naive_sweep(memo: Memo) -> list[str]:
+    """One pass of every rule over every element; the rules that fired."""
+    fired = []
+    for eq_class in memo.classes():
+        for element in list(eq_class.elements):
+            for rule in default_rules():
+                if rule.apply(memo, memo.find(eq_class.id), element):
+                    fired.append(f"{rule.name} on {element!r} of class {eq_class.id}")
+    return fired
+
+
+def assert_closed(result) -> None:
+    memo = result.memo
+    before = (memo.class_count, memo.element_count)
+    fired = naive_sweep(memo)
+    assert (memo.class_count, memo.element_count) == before, fired
+    assert fired == []
+
+
+@pytest.fixture(scope="module")
+def uis_db() -> MiniDB:
+    db = MiniDB()
+    load_uis(db, scale=0.02, seed=1)
+    return db
+
+
+def paper_queries(db: MiniDB) -> dict:
+    return {
+        "Q1": queries.query1_initial_plan(db),
+        "Q2": queries.query2_initial_plan(db, "1996-01-01"),
+        "Q3": queries.query3_initial_plan(db, "1999-01-01"),
+        "Q4": queries.query4_initial_plan(db),
+    }
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4"])
+def test_paper_queries_reach_a_fixpoint(uis_db, name):
+    optimizer = Optimizer(build_estimator(uis_db))
+    assert_closed(optimizer.optimize(paper_queries(uis_db)[name]))
+
+
+@pytest.mark.parametrize("max_operators", [7, 11])
+def test_generated_plans_reach_a_fixpoint(max_operators):
+    generator = QueryGenerator(seed=14, max_operators=max_operators)
+    explored = 0
+    index = 0
+    while explored < FUZZ_PLANS:
+        case = generator.case(index)
+        index += 1
+        try:
+            result = Optimizer(build_estimator(case.build_db())).optimize(case.plan)
+        except OptimizerError:
+            continue  # no executable plan for this shape: nothing to check
+        assert_closed(result)
+        explored += 1
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4"])
+def test_rule_counts_are_deterministic(uis_db, name):
+    plan = paper_queries(uis_db)[name]
+    first = Optimizer(build_estimator(uis_db)).optimize(plan)
+    second = Optimizer(build_estimator(uis_db)).optimize(plan)
+    assert first.rule_attempts == second.rule_attempts
+    assert first.rule_firings == second.rule_firings
+    assert 0 < first.rule_firings <= first.rule_attempts
+
+
+@pytest.mark.parametrize("budget", [10, 25, 50, 80])
+def test_budget_hit_mid_worklist_still_extracts_a_valid_plan(uis_db, budget):
+    plan = paper_queries(uis_db)["Q2"]
+    full = Optimizer(build_estimator(uis_db)).optimize(plan)
+    assert full.element_count > 80  # every budget above cuts the search short
+    cut = Optimizer(build_estimator(uis_db), max_elements=budget).optimize(plan)
+    validate_plan(cut.plan)
+    assert cut.rule_attempts < full.rule_attempts
+    # The budget is checked between elements, so one element's rules may
+    # overshoot it, but the search stops there.
+    assert budget < cut.element_count < full.element_count
+    assert cut.cost >= full.cost

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import Shell, format_table, split_statements
+from repro.cli import Shell, format_table, main, split_statements
 from repro.core.tango import Tango
 from repro.dbms.database import MiniDB
 
@@ -119,3 +119,21 @@ class TestShell:
         sh, out = shell
         assert sh.run_line("   ;") is True
         assert out.getvalue() == ""
+
+
+class TestMainArguments:
+    def test_unknown_flag_is_refused_not_taken_for_a_script(self, capsys):
+        # `--columnar` was a real flag once; a stale one must not be
+        # silently swallowed as a script path.
+        assert main(["--columnar", "python"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown option --columnar" in captured.err
+        assert "python -m repro --workers 4" in captured.err  # the usage block
+        assert captured.out == ""
+
+    def test_positional_argument_is_still_a_script_path(self, tmp_path):
+        script = tmp_path / "setup.sql"
+        script.write_text("CREATE TABLE T (K INT); SELECT K FROM T;")
+        assert main([str(script)]) == 0
+        with pytest.raises(FileNotFoundError):
+            main([str(tmp_path / "missing.sql")])

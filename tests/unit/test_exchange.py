@@ -260,6 +260,38 @@ class TestExchangeCursor:
         )
         assert materialize(exchange) == []
 
+    def test_merge_with_fewer_workers_than_partitions_is_refused(self):
+        # Two partitions that each outgrow a one-batch queue, one worker:
+        # the merge waits for a head from the partition no thread is
+        # running while the running one blocks on its full queue.  The
+        # constructor refuses the shape; the watchdog turns a regression
+        # into a failure instead of a wedged test run.
+        outcome: dict = {}
+
+        def drive():
+            try:
+                outcome["exchange"] = exchange = ExchangeCursor(
+                    [
+                        IterableCursor(SCHEMA, rows_for(range(0, 4000, 2))),
+                        IterableCursor(SCHEMA, rows_for(range(1, 4000, 2))),
+                    ],
+                    workers=1,
+                    merge_keys=("K",),
+                    queue_batches=1,
+                )
+                outcome["rows"] = materialize(exchange)
+            except ExecutionError as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        thread.join(5.0)
+        if thread.is_alive():
+            outcome["exchange"].close()  # cancels the producers
+            thread.join(5.0)
+            pytest.fail("k-way merge deadlocked with workers < partitions")
+        assert "worker per partition" in str(outcome["error"])
+
     def test_workers_capped_by_partitions(self):
         exchange = ExchangeCursor([IterableCursor(SCHEMA, [])], workers=8)
         assert exchange.workers == 1

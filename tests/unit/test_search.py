@@ -76,7 +76,14 @@ class TestOptimize:
         result = optimizer.optimize(taggr_query(db))
         assert result.class_count > 0
         assert result.element_count >= result.class_count
-        assert result.passes >= 1
+        assert 1 <= result.rule_firings <= result.rule_attempts
+
+    def test_explain_reports_the_rule_counts(self, db, optimizer):
+        result = optimizer.optimize(taggr_query(db))
+        assert (
+            f"rules={result.rule_firings}/{result.rule_attempts} fired"
+            in result.explain()
+        )
 
     def test_deterministic(self, db, optimizer):
         first = optimizer.optimize(taggr_query(db))
@@ -129,12 +136,6 @@ class TestBudgets:
         tight = Optimizer(estimator, max_elements=5)
         result = tight.optimize(taggr_query(db))
         validate_plan(result.plan)  # still returns something executable
-
-    def test_single_pass(self, db):
-        estimator = CardinalityEstimator(StatisticsCollector(Connection(db)))
-        quick = Optimizer(estimator, max_passes=1)
-        result = quick.optimize(taggr_query(db))
-        validate_plan(result.plan)
 
 
 class TestCostFactorsInfluence:
