@@ -37,7 +37,7 @@ def _location_of(plan, node_type):
 
 def test_dbms_temporal_penalty_ablation(benchmark, tango):
     def measure():
-        base = tango.factors
+        base = tango.planner.factors
         rows = []
         placements = []
         for scale in PENALTY_SCALES:
@@ -47,7 +47,7 @@ def test_dbms_temporal_penalty_ablation(benchmark, tango):
                 p_taggd2=base.p_taggd2 * scale,
                 p_joind=base.p_joind * scale,
             )
-            optimizer = Optimizer(tango.estimator, factors)
+            optimizer = Optimizer(tango.planner.estimator, factors)
             q1 = _location_of(
                 optimizer.optimize(query1_initial_plan(tango.db)).plan,
                 TemporalAggregate,

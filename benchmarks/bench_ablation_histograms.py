@@ -46,8 +46,8 @@ def test_histogram_ablation_estimates(benchmark, bench_db):
                 & Comparison(">", col("T2"), lit(start))
             )
             plan = scan(bench_db, "POSITION").select(predicate).build()
-            est_with = with_hist.estimator.estimate(plan).cardinality
-            est_without = without.estimator.estimate(plan).cardinality
+            est_with = with_hist.planner.estimator.estimate(plan).cardinality
+            est_without = without.planner.estimator.estimate(plan).cardinality
             for key, estimate in (("with", est_with), ("without", est_without)):
                 errors[key].append(
                     abs(estimate - actual) / max(1, actual)

@@ -16,7 +16,7 @@ from dataclasses import replace
 from harness import print_series
 
 from repro.algebra.operators import Location, TemporalJoin
-from repro.core.feedback import FeedbackAdapter
+from repro.core.learner import FeedbackAdapter
 from repro.core.tango import Tango, TangoConfig
 from repro.workloads.queries import query3_initial_plan
 
@@ -32,7 +32,7 @@ CANDIDATE_BOUNDS = ("1996-01-01", "1997-01-01", "1998-01-01", "1999-01-01")
 def _tjoin_location_under(tango, factors, bound) -> str:
     from repro.optimizer.search import Optimizer
 
-    optimizer = Optimizer(tango.estimator, factors)
+    optimizer = Optimizer(tango.planner.estimator, factors)
     result = optimizer.optimize(query3_initial_plan(tango.db, bound))
     node = next(n for n in result.plan.walk() if isinstance(n, TemporalJoin))
     return node.location.value
@@ -40,7 +40,7 @@ def _tjoin_location_under(tango, factors, bound) -> str:
 
 def _pick_probe_bound(tango, stale) -> str | None:
     for bound in CANDIDATE_BOUNDS:
-        calibrated = _tjoin_location_under(tango, tango.factors, bound)
+        calibrated = _tjoin_location_under(tango, tango.planner.factors, bound)
         under_stale = _tjoin_location_under(tango, stale, bound)
         if calibrated == "middleware" and under_stale == "dbms":
             return bound
@@ -51,9 +51,9 @@ def test_feedback_converges_partitioning(benchmark, bench_db, tango):
     # Transfer costs stale by orders of magnitude — as if carried over from
     # a deployment with a slow client-DBMS network.
     stale = replace(
-        tango.factors,
-        p_tmr=tango.factors.p_tmr * 5000 + 5000,
-        p_tdr=tango.factors.p_tdr * 5000 + 5000,
+        tango.planner.factors,
+        p_tmr=tango.planner.factors.p_tmr * 5000 + 5000,
+        p_tdr=tango.planner.factors.p_tdr * 5000 + 5000,
     )
     probe_bound = _pick_probe_bound(tango, stale)
     if probe_bound is None:  # pragma: no cover - rare calibration corner
@@ -70,12 +70,12 @@ def test_feedback_converges_partitioning(benchmark, bench_db, tango):
 
     def run():
         adaptive = Tango(bench_db, config=TangoConfig(adaptive=True), factors=stale)
-        adaptive.feedback = FeedbackAdapter(smoothing=0.6)
+        adaptive.learner.adapter = FeedbackAdapter(smoothing=0.6)
         history = []
         for round_number in range(12):
             placement = _tjoin_location(adaptive)
             history.append(
-                [round_number, placement, f"{adaptive.factors.p_tmr:.1f}"]
+                [round_number, placement, f"{adaptive.planner.factors.p_tmr:.1f}"]
             )
             if placement == Location.MIDDLEWARE.value and round_number >= 1:
                 break
@@ -84,7 +84,7 @@ def test_feedback_converges_partitioning(benchmark, bench_db, tango):
                 "VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION_8000 "
                 "GROUP BY PosID ORDER BY PosID"
             )
-        return history, adaptive.feedback.observations_applied
+        return history, adaptive.learner.adapter.observations_applied
 
     history, applied = benchmark.pedantic(run, rounds=1, iterations=1)
     print_series(

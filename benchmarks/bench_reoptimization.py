@@ -106,8 +106,8 @@ def initial_plan(db):
 
 
 def corrupt_stats(tango: Tango) -> None:
-    stats = tango.collector.collect("BIGPOS")
-    tango.collector._cache["bigpos"] = stats.with_cardinality(
+    stats = tango.planner.collector.collect("BIGPOS")
+    tango.planner.collector._cache["bigpos"] = stats.with_cardinality(
         CORRUPTED_CARDINALITY
     )
 
@@ -175,7 +175,7 @@ def test_reoptimization_recovers_from_corrupted_statistics(tmp_path):
     assert has_transfer_d(cold_plan)
     t_cold, ticks_cold, cold_rows = best_of(cold, cold_plan)
     reoptimizations = cold.metrics.counter("reoptimizations").value
-    learned_entries = len(cold.feedback_store)
+    learned_entries = len(cold.learner.store)
     cold.close()  # persists the feedback store to feedback_path
     assert cold_rows == oracle_rows
     assert reoptimizations >= 1, "the probe never fired"

@@ -54,12 +54,12 @@ def main() -> None:
     print("\nSame queries against a hypothetical DBMS with native temporal")
     print("support (temporal processing priced at 5% of the measured cost):")
     native_factors = replace(
-        tango.factors,
-        p_taggd1=tango.factors.p_taggd1 * 0.05,
-        p_taggd2=tango.factors.p_taggd2 * 0.05,
-        p_joind=tango.factors.p_joind * 0.05,
+        tango.planner.factors,
+        p_taggd1=tango.planner.factors.p_taggd1 * 0.05,
+        p_taggd2=tango.planner.factors.p_taggd2 * 0.05,
+        p_joind=tango.planner.factors.p_joind * 0.05,
     )
-    native_optimizer = Optimizer(tango.estimator, native_factors)
+    native_optimizer = Optimizer(tango.planner.estimator, native_factors)
     for bound in BOUNDS:
         result = native_optimizer.optimize(query3_initial_plan(db, bound))
         print(f"{bound:<12} {tjoin_location(result.plan):<12} "

@@ -33,7 +33,6 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.core.plans import compile_plan
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.errors import ReproError
@@ -145,9 +144,7 @@ class Shell:
         if word == "\\plan":
             try:
                 optimization = self.tango.optimize(argument)
-                execution = compile_plan(
-                    optimization.plan, self.tango.connection
-                )
+                execution = self.tango.executor.compile(optimization.plan)
                 self.echo(execution.describe())
                 execution.cleanup()
             except ReproError as error:

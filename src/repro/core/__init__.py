@@ -9,20 +9,24 @@ Components per Figure 1:
 * :mod:`repro.core.plans` — execution-ready plans: the Figure 5 algorithm
   sequence compiled from an optimized operator tree;
 * :mod:`repro.core.engine` — the Execution Engine (Figure 2);
+* :mod:`repro.core.planner`, :mod:`repro.core.executor`,
+  :mod:`repro.core.learner` — the query pipeline's three stages: what a
+  plan is priced with (one planning epoch), the per-thread run / re-plan /
+  fallback loop, and the Section 7 feedback loops;
 * :mod:`repro.core.tango` — the :class:`~repro.core.tango.Tango` facade a
-  client application talks to.
+  client application talks to, a composition root over the three.
 """
 
 from repro.core.tango import Tango, TangoConfig, QueryResult
 from repro.core.parser import parse_temporal_query
 from repro.core.translator import SQLTranslator
 from repro.core.plans import compile_plan, ExecutionPlan
-from repro.core.engine import ExecutionEngine
-from repro.core.feedback import (
-    FeedbackAdapter,
+from repro.core.engine import (
+    ExecutionEngine,
     TransferObservation,
     observations_from_trace,
 )
+from repro.core.learner import FeedbackAdapter
 
 __all__ = [
     "Tango",

@@ -1,0 +1,84 @@
+"""The frozen :class:`TangoConfig` — every behavioural knob of the middleware.
+
+Its own module so that the pipeline stages' other composition root, the
+:class:`~repro.service.QueryService`, can default one without importing the
+:class:`~repro.core.tango.Tango` facade (which imports the service).
+``repro.core.tango`` re-exports it; that is the path clients use.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from repro.resilience.retry import RetryPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.service.config import ServiceConfig
+
+
+@dataclass(frozen=True)
+class TangoConfig:
+    """Construction-time configuration of a :class:`Tango` instance.
+
+    Frozen: the middleware never mutates its configuration mid-flight.
+    Derive variants with :func:`dataclasses.replace`.
+    """
+
+    #: Use equi-width histograms for predicate selectivity estimation.
+    use_histograms: bool = True
+    #: JDBC row-prefetch for TRANSFER^M fetches (Section 3.2).
+    prefetch: int = 50
+    #: Feed observed transfer timings back into the cost factors
+    #: (the Section 7 adaptive loop).
+    adaptive: bool = False
+    #: Record a span tree for every temporal query (parse → optimize →
+    #: translate → execute, with per-cursor cardinalities and transfer
+    #: timings; per-``next()`` wall times are the EXPLAIN ANALYZE path).
+    tracing: bool = False
+    #: Rows per ``next_batch`` through the whole execution pipeline
+    #: (TRANSFER^M fetchmany size, TRANSFER^D executemany chunk, engine
+    #: drain).  1 degenerates to the paper's row-at-a-time protocol.
+    batch_size: int = 256
+    #: Plans kept in the planning-epoch plan cache (LRU); 0 disables
+    #: caching.
+    plan_cache_size: int = 64
+    #: How transient DBMS failures inside the transfer operators are
+    #: retried (capped exponential backoff, per-query budget).
+    retry: RetryPolicy = RetryPolicy()
+    #: Wall-time bound per query execution, checked at batch boundaries;
+    #: a violation raises :class:`~repro.errors.QueryTimeoutError` carrying
+    #: the partial trace.  None = no deadline.
+    deadline_seconds: float | None = None
+    #: When a middleware-partitioned plan fails beyond its retry budget,
+    #: re-execute the Section 3.1 initial plan (all processing in the
+    #: DBMS) instead of surfacing the error.
+    fallback: bool = True
+    #: Maximum partitions (and producer threads) a plan may fan out to:
+    #: the shipped ``TRANSFER^M`` SELECT splits into per-range predicates
+    #: pulled over pooled connections.  1 is the paper-faithful serial
+    #: engine — plans, traces, and results are byte-for-byte what they
+    #: were without the exchange layer.
+    workers: int = 1
+    #: When set, :meth:`Tango.submit` routes through an owned
+    #: :class:`~repro.service.QueryService` (concurrent workers, weighted
+    #: fair-share scheduling, health-driven admission control) instead of
+    #: executing inline on the caller's thread.
+    service: ServiceConfig | None = None
+    #: Learn per-subtree cardinalities from execution actuals into the
+    #: :class:`~repro.core.learner.CardinalityFeedbackStore`, and let
+    #: the estimator prefer a learned cardinality over its derivation —
+    #: repeated workloads converge to near-true estimates (Section 7's
+    #: feedback promise, applied to cardinalities).
+    learn_cardinalities: bool = False
+    #: JSON file the feedback store is loaded from at startup and saved to
+    #: on close — learned cardinalities survive middleware restarts.  None
+    #: keeps the store in-memory only.
+    feedback_path: str | None = None
+    #: Mid-query re-optimization trigger: when the q-error observed at a
+    #: ``TRANSFER^D`` materialization point exceeds this factor, the
+    #: remainder of the plan is re-optimized with the now-known
+    #: cardinalities and spliced onto the completed work (see
+    #: :mod:`repro.core.reoptimize`).  0.0 (default) disables; 2.0 is a
+    #: reasonable production setting (re-plan when off by more than 2x).
+    reoptimize_threshold: float = 0.0

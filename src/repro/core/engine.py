@@ -24,10 +24,11 @@ after the same unconditional teardown.
 
 Every execution is materialized as a span tree (:mod:`repro.obs`): one
 child span per plan step, nested spans per cursor carrying cardinalities,
-transfer spans carrying the tuple/byte/second attributes the Section 7
-feedback loop consumes.  That costs nothing per row — the cursors track
-those numbers anyway.  With ``instrument=True`` the plan's cursors are
-additionally wrapped in
+transfer spans carrying tuples/bytes/seconds.  :func:`observations_from_trace`
+and :func:`cardinality_observations` project that tree into what the
+Section 7 feedback loops (:mod:`repro.core.learner`) consume.  That costs
+nothing per row — the cursors track those numbers anyway.  With ``instrument=True`` the plan's
+cursors are additionally wrapped in
 :class:`~repro.obs.instrument.InstrumentedCursor` so the spans also record
 per-cursor ``next()``/``next_batch()`` counts and wall time; that is the
 EXPLAIN ANALYZE path, and (as in any database) the per-call timing is not
@@ -40,8 +41,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from repro.algebra.operators import Operator
 from repro.algebra.schema import Schema
-from repro.core.feedback import TransferObservation, observations_from_trace
 from repro.core.plans import ExecutionPlan
 from repro.core.reoptimize import ReoptimizationSignal
 from repro.errors import QueryCancelledError, QueryTimeoutError
@@ -56,6 +57,66 @@ from repro.xxl.exchange import ExchangeCursor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.xxl.cursor import DEFAULT_BATCH_SIZE
+
+
+@dataclass(frozen=True)
+class TransferObservation:
+    """One observed transfer: direction, tuples moved, bytes moved, and
+    the wall-clock seconds it took."""
+
+    direction: str  # "up" (TRANSFER^M) or "down" (TRANSFER^D)
+    tuples: int
+    bytes: int
+    seconds: float
+
+    @property
+    def per_tuple_us(self) -> float:
+        if self.tuples <= 0:
+            return 0.0
+        return self.seconds * 1e6 / self.tuples
+
+
+def observations_from_trace(trace: Span) -> list[TransferObservation]:
+    """Project a span tree's transfer spans into observations.
+
+    Every ``kind="transfer"`` span carries ``direction``, ``tuples``,
+    ``bytes``, and ``seconds`` attributes (the transfer algorithms time
+    themselves, so the signal exists even when full tracing is off).
+    """
+    return [
+        TransferObservation(
+            direction=span.attributes["direction"],
+            tuples=int(span.attributes.get("tuples", 0)),
+            bytes=int(span.attributes.get("bytes", 0)),
+            seconds=float(span.attributes.get("seconds", 0.0)),
+        )
+        for span in trace.iter()
+        if span.kind == "transfer"
+    ]
+
+
+def cardinality_observations(
+    trace: Span, registry: dict[int, Operator]
+) -> list[tuple[Operator, int]]:
+    """(plan node, actual rows) pairs from one finished execution trace.
+
+    Spans are joined to plan nodes through the compile-time cursor
+    *registry*.  Partitioned executions register several cursors per node
+    (pooled range fetches, pipeline clones); their counts sum to the
+    node's total.
+    """
+    totals: dict[int, list] = {}
+    for span in trace.iter():
+        if span.kind not in ("cursor", "transfer"):
+            continue
+        node = registry.get(span.attributes.get("cursor_id"))
+        if node is not None:
+            rows = span.attributes.get("tuples")
+            if rows is None:
+                rows = span.attributes.get("rows", 0)
+            slot = totals.setdefault(id(node), [node, 0])
+            slot[1] += int(rows)
+    return [(node, rows) for node, rows in totals.values()]
 
 
 @dataclass

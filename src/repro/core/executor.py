@@ -1,0 +1,442 @@
+"""The Executor: what one thread needs to run queries, and the policy it
+runs them under.
+
+Per thread: a DBMS connection, the Translator-To-SQL, the Execution Engine
+(Figure 2), the middleware cost meter, a tracer, and a retry budget per
+query.  Shared with every other thread of the middleware: the
+:class:`~repro.core.planner.Planner` plans come from and the
+:class:`~repro.core.learner.Learner` executions report to.
+
+The execution policy is one loop, :meth:`Executor._drive` (state diagram
+in DESIGN.md §13): RUN compiles and executes the current plan; a q-error
+above the threshold at a ``TRANSFER^D`` sends it through REPLAN (completed
+materializations spliced, the remainder re-optimized; at most
+``MAX_REOPTIMIZATIONS`` times); an exhausted retry budget sends it, once,
+to FALLBACK (the initial all-DBMS plan, serial, fresh budget); DONE feeds
+the learner; anything else is FAIL.  Temp tables kept alive across a splice
+are dropped in the loop's single ``finally``, whichever way it is left.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from contextlib import ExitStack
+from dataclasses import dataclass, field
+
+from repro.algebra.operators import Operator
+from repro.algebra.properties import guaranteed_order
+from repro.algebra.schema import Schema
+from repro.core.engine import ExecutionEngine, ExecutionOutcome
+from repro.core.parser import is_temporal_query
+from repro.core.partition import ParallelContext
+from repro.core.plans import ExecutionPlan, compile_plan
+from repro.core.reoptimize import (
+    MAX_REOPTIMIZATIONS,
+    ReoptimizationDecision,
+    ReoptimizationSignal,
+    splice_completed,
+    temp_scan,
+)
+from repro.core.translator import SQLTranslator
+from repro.dbms.costmodel import CostMeter
+from repro.dbms.jdbc import Connection, ConnectionPool
+from repro.errors import RetryExhaustedError
+from repro.obs.explain import ExplainAnalyzeReport, build_report
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Span, Tracer
+from repro.optimizer.physical import validate_plan
+from repro.resilience.retry import RetryState
+
+
+@dataclass
+class QueryResult:
+    """What a TANGO query returns to the client."""
+
+    schema: Schema
+    rows: list[tuple]
+    #: Total wall time including middleware optimization (Section 5.1).
+    elapsed_seconds: float
+    #: The executed plan (None for straight DBMS passthrough).
+    plan: Operator | None = None
+    #: Estimated cost of the chosen plan, microseconds.
+    estimated_cost: float | None = None
+    #: Memo complexity of the optimizer run.
+    class_count: int | None = None
+    element_count: int | None = None
+    #: Engine-only execution wall time (excludes parse/optimize/translate).
+    execution_seconds: float | None = None
+    #: True when this answer came off the fallback path (the optimizer's
+    #: plan failed beyond its retry budget and the initial all-DBMS plan
+    #: re-ran).  Correct rows, degraded service — the health monitor
+    #: counts these against the backend.
+    degraded: bool = False
+    #: The query's span tree when tracing was on (the full lifecycle for
+    #: Tango.query; the execution subtree for Tango.execute_plan).
+    trace: Span | None = field(default=None, repr=False)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def to_dict(self) -> dict:
+        """Structured form for programmatic consumers (JSON-ready)."""
+        return {
+            "columns": list(self.schema.names),
+            "rows": [list(row) for row in self.rows],
+            "elapsed_seconds": self.elapsed_seconds,
+            "execution_seconds": self.execution_seconds,
+            "estimated_cost": self.estimated_cost,
+            "class_count": self.class_count,
+            "element_count": self.element_count,
+            "degraded": self.degraded,
+            "trace": self.trace.to_dict() if self.trace is not None else None,
+        }
+
+
+class Executor:
+    """Runs queries on one thread, over one connection.
+
+    *config* supplies ``tracing``, ``batch_size``, ``retry``,
+    ``deadline_seconds``, ``fallback``, ``workers`` and
+    ``reoptimize_threshold``.  *pool* is where partition fan-out draws its
+    extra connections (``workers > 1``); the caller owns *connection* and
+    *pool* and releases them.
+    """
+
+    def __init__(
+        self,
+        planner,
+        learner,
+        connection: Connection,
+        config,
+        *,
+        pool: ConnectionPool | None = None,
+        metrics: MetricsRegistry | None = None,
+        middleware_meter: CostMeter | None = None,
+    ):
+        self.planner = planner
+        self.learner = learner
+        self.connection = connection
+        self.config = config
+        self.pool = pool
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Meter charged by middleware algorithms (separate from the DBMS's).
+        self.middleware_meter = middleware_meter or CostMeter()
+        self.tracer = Tracer(enabled=config.tracing)
+        self.translator = SQLTranslator()
+        self.engine = ExecutionEngine()
+
+    # -- the three ways in --------------------------------------------------------------
+
+    def run(self, query: str | Operator, abort=None) -> QueryResult:
+        """The full TANGO path: plan, execute, fall back if need be.
+
+        Accepts temporal SQL or an already-parsed initial plan.
+        Non-temporal statements go straight to the DBMS (stratum
+        passthrough).  When the chosen plan fails beyond its retry budget
+        (``config.fallback``), the query is re-executed on the Section 3.1
+        initial plan — all processing in the DBMS, one ``TRANSFER^M`` on
+        top — so a flaky connection costs latency, never a wrong answer
+        or an application-visible error; the result is flagged
+        ``degraded`` so the health monitor hears about it.  *abort* is
+        the cooperative-cancellation probe, checked at batch boundaries.
+        """
+        self.metrics.counter("queries_total").inc()
+        if isinstance(query, str) and not is_temporal_query(query):
+            self.metrics.counter("queries_passthrough").inc()
+            return self._passthrough(query)
+        self.metrics.counter("queries_temporal").inc()
+        begin = time.perf_counter()
+        sql = query if isinstance(query, str) else None
+        with self.tracer.span("query", kind="query", sql=sql) as query_span:
+            optimization = self.planner.plan(query, self.tracer)
+            result = self.execute(optimization.plan, fallback=query, abort=abort)
+        # Middleware optimization time is part of the query time (Section
+        # 5.1); execution_seconds keeps the engine-only share.
+        result.elapsed_seconds = time.perf_counter() - begin
+        result.estimated_cost = optimization.cost
+        result.class_count = optimization.class_count
+        result.element_count = optimization.element_count
+        if self.tracer.enabled:
+            query_span.set(rows=len(result.rows))
+            result.trace = query_span
+        self.metrics.histogram("query_seconds").observe(result.elapsed_seconds)
+        return result
+
+    def execute(
+        self,
+        plan: Operator,
+        *,
+        fallback: str | Operator | None = None,
+        retry: RetryState | None = None,
+        parallel: bool = True,
+        abort=None,
+    ) -> QueryResult:
+        """Execute a complete (validated) plan tree.
+
+        *fallback* is the query (SQL or initial plan) to fall back to when
+        the retry budget runs out; None surfaces the error.  *retry* is
+        the per-query budget (a fresh one by default).  *parallel* False
+        forces serial compilation even when ``config.workers > 1``.
+        """
+        outcome, executed, degraded = self._drive(
+            plan, fallback=fallback, retry=retry, parallel=parallel, abort=abort
+        )
+        return QueryResult(
+            schema=outcome.schema,
+            rows=outcome.rows,
+            elapsed_seconds=outcome.elapsed_seconds,
+            execution_seconds=outcome.elapsed_seconds,
+            plan=executed,
+            degraded=degraded,
+            trace=outcome.trace if self.tracer.enabled else None,
+        )
+
+    def explain_analyze(
+        self, query: str | Operator
+    ) -> tuple[ExplainAnalyzeReport, list[tuple]]:
+        """Plan, execute instrumented (every cursor wrapped to time its
+        calls, whatever ``config.tracing`` says), and lay actuals against
+        estimates.  Returns the report and the rows the run produced."""
+        optimization = self.planner.plan(query, self.tracer)
+        registry: dict[int, Operator] = {}
+        outcome, executed, _ = self._drive(
+            optimization.plan, instrument=True, registry=registry
+        )
+        report = build_report(
+            outcome.trace,
+            registry,
+            self.planner.estimator,
+            self.planner.coster(),
+            estimated_total_us=optimization.cost,
+            result_rows=len(outcome.rows),
+            reoptimize_threshold=self.config.reoptimize_threshold,
+            reoptimized=executed is not optimization.plan,
+        )
+        return report, outcome.rows
+
+    # -- the loop -----------------------------------------------------------------------
+
+    def _drive(
+        self,
+        plan: Operator,
+        *,
+        fallback: str | Operator | None = None,
+        retry: RetryState | None = None,
+        parallel: bool = True,
+        abort=None,
+        instrument: bool = False,
+        registry: dict[int, Operator] | None = None,
+    ) -> tuple[ExecutionOutcome, Operator, bool]:
+        """RUN → REPLAN → FALLBACK → DONE/FAIL (see the module docstring).
+
+        Returns ``(outcome, executed plan, degraded)``; *registry*, when
+        given, accumulates every round's cursor→node mapping (EXPLAIN
+        ANALYZE).
+        """
+        validate_plan(plan)
+        retry = retry if retry is not None else self._retry_state()
+        current, rounds = plan, 0
+        failure: RetryExhaustedError | None = None  # what sent us to FALLBACK
+        kept: list = []  # completed TransferDCursors surviving splices
+        with ExitStack() as spans:
+            try:
+                while True:
+                    round_registry: dict[int, Operator] = {}
+                    try:
+                        outcome = self._round(
+                            current,
+                            round_registry,
+                            retry,
+                            parallel,
+                            abort,
+                            instrument,
+                            probing=failure is None and rounds < MAX_REOPTIMIZATIONS,
+                        )
+                    except ReoptimizationSignal as signal:  # → REPLAN
+                        rounds += 1
+                        kept.extend(signal.completed)
+                        current = self._replan(current, signal, round_registry)
+                        continue
+                    except RetryExhaustedError as error:  # → FALLBACK, or FAIL
+                        if failure is not None:
+                            raise error from failure
+                        if fallback is None or not self.config.fallback:
+                            raise
+                        failure = error
+                        self.metrics.counter("fallbacks").inc()
+                        spans.enter_context(
+                            self.tracer.span(
+                                "fallback",
+                                kind="fallback",
+                                error=str(error),
+                                retries=error.retries,
+                            )
+                        )
+                        # The all-DBMS shape is the most failure-resistant
+                        # plan there is: no TRANSFER^D round trips, one
+                        # TRANSFER^M — compiled serially (a fan-out would
+                        # multiply the connections that just proved flaky)
+                        # and given a fresh budget of its own.
+                        current = (
+                            self.planner.parse(fallback)
+                            if isinstance(fallback, str)
+                            else fallback
+                        )
+                        validate_plan(current)
+                        retry, parallel = self._retry_state(), False
+                        continue
+                    finally:
+                        if registry is not None:
+                            registry.update(round_registry)
+                    self._record(outcome, current, round_registry)  # → DONE
+                    if rounds and failure is None and outcome.trace is not None:
+                        outcome.trace.set(reoptimizations=rounds)
+                    return outcome, current, failure is not None
+            finally:
+                self._drop_kept(kept)
+
+    def compile(
+        self,
+        plan: Operator,
+        *,
+        retry: RetryState | None = None,
+        parallel: bool = True,
+        registry: dict[int, Operator] | None = None,
+    ) -> ExecutionPlan:
+        """The Figure 5 algorithm sequence this executor would run *plan*
+        as — over its connection, fanned out across its pool when
+        ``config.workers > 1`` and *parallel*."""
+        context = None
+        if parallel and self.config.workers > 1:
+            context = ParallelContext(
+                workers=self.config.workers,
+                estimator=self.planner.estimator,
+                pool=self.pool,
+            )
+        return compile_plan(
+            plan,
+            self.connection,
+            self.middleware_meter,
+            self.translator,
+            registry=registry,
+            batch_size=self.config.batch_size,
+            retry=retry,
+            parallel=context,
+        )
+
+    def _round(
+        self, plan, registry, retry, parallel, abort, instrument, probing
+    ) -> ExecutionOutcome:
+        """One RUN: compile *plan* and hand it to the engine."""
+        with self.tracer.span("translate", kind="phase") as span:
+            execution_plan = self.compile(
+                plan, retry=retry, parallel=parallel, registry=registry
+            )
+            span.set(steps=len(execution_plan.steps))
+        probe = None
+        if probing and self.config.reoptimize_threshold > 0:
+            probe = self._materialization_probe(registry)
+        return self.engine.execute(
+            execution_plan,
+            tracer=Tracer() if instrument else self.tracer,
+            instrument=instrument,
+            metrics=self.metrics,
+            deadline_seconds=self.config.deadline_seconds,
+            abort=abort,
+            on_materialize=probe,
+        )
+
+    def _materialization_probe(self, registry: dict[int, Operator]):
+        """The engine's ``on_materialize`` callback for one round: the
+        learner lays the loaded row count against the estimate, and a
+        q-error above the threshold answers with a decision — which makes
+        the engine unwind for a re-plan."""
+
+        def probe(cursor):
+            node = registry.get(id(cursor))
+            if node is None:
+                return None
+            actual = float(cursor.rows_loaded)
+            estimated, error = self.learner.observe_materialization(node, actual)
+            if error <= self.config.reoptimize_threshold:
+                return None
+            return ReoptimizationDecision(
+                node=node, estimated=estimated, actual=actual, qerror=error
+            )
+
+        return probe
+
+    def _replan(
+        self,
+        plan: Operator,
+        signal: ReoptimizationSignal,
+        registry: dict[int, Operator],
+    ) -> Operator:
+        """Splice completed materializations out of *plan* and re-enter
+        the planner for the remainder, under the original order contract.
+        The collector auto-ANALYZEs the temp tables, so the re-entered
+        search runs on exact cardinalities for everything already
+        computed."""
+        self.metrics.counter("reoptimizations").inc()
+        decision = signal.decision
+        replacements = {
+            id(node): temp_scan(node, cursor.table_name)
+            for cursor in signal.completed
+            if (node := registry.get(id(cursor))) is not None
+        }
+        with self.tracer.span(
+            "reoptimize",
+            kind="reoptimize",
+            qerror=decision.qerror,
+            estimated=decision.estimated,
+            actual=decision.actual,
+            at=decision.node.describe(),
+        ) as span:
+            result = self.planner.replan(
+                splice_completed(plan, replacements),
+                tuple(guaranteed_order(plan)),
+                self.tracer,
+            )
+            span.set(cost=result.cost)
+        return result.plan
+
+    def _record(self, outcome: ExecutionOutcome, plan: Operator, registry) -> None:
+        """Metrics for one completed engine execution; then the learner."""
+        self.metrics.histogram("execution_seconds").observe(outcome.elapsed_seconds)
+        for observation in outcome.observations:
+            prefix = "transfer_up" if observation.direction == "up" else "transfer_down"
+            self.metrics.counter(f"{prefix}_tuples").inc(observation.tuples)
+            self.metrics.counter(f"{prefix}_bytes").inc(observation.bytes)
+        self.learner.observe(outcome, plan, registry)
+
+    def _drop_kept(self, kept: list) -> None:
+        """Drop temp tables kept alive across splices; every drop is
+        attempted, and the first failure surfaces only when no other
+        error is already propagating (mirrors the engine's teardown)."""
+        first_error: BaseException | None = None
+        for cursor in kept:
+            try:
+                cursor.drop()
+            except BaseException as error:  # noqa: BLE001 - must keep going
+                if first_error is None:
+                    first_error = error
+        if first_error is not None and sys.exc_info()[0] is None:
+            raise first_error
+
+    def _retry_state(self) -> RetryState:
+        """A fresh per-execution retry budget under the configured policy."""
+        return RetryState(self.config.retry, metrics=self.metrics)
+
+    def _passthrough(self, sql: str) -> QueryResult:
+        begin = time.perf_counter()
+        outcome = self.planner.db.execute(sql)
+        elapsed = time.perf_counter() - begin
+        self.metrics.histogram("query_seconds").observe(elapsed)
+        if isinstance(outcome, int):
+            return QueryResult(Schema([]), [], elapsed, execution_seconds=elapsed)
+        rows = outcome.fetchall()
+        return QueryResult(outcome.schema, rows, elapsed, execution_seconds=elapsed)

@@ -50,9 +50,6 @@ class ParallelContext:
 
     #: Maximum partitions / producer threads (``TangoConfig.workers``).
     workers: int
-    #: ``"range"`` (T^M fan-out over pooled connections) or ``"hash"``
-    #: (middleware repartitioning of one serial transfer).
-    strategy: str = "range"
     #: The Section 3.3 estimator supplying partition-point statistics.
     estimator: object | None = None
     #: Connection pool the per-partition ``TRANSFER^M`` cursors draw from.
@@ -119,14 +116,7 @@ def partition_spec_for(
         stats = context.estimator.estimate(transfer.input)
     except Exception:  # noqa: BLE001 - missing stats means "stay serial"
         return None
-    degree = min(
-        context.workers,
-        int(stats.cardinality // max(1, context.min_partition_rows)),
-    )
-    if degree < 2:
-        return None
-    if context.strategy == "hash":
-        return PartitionSpec(attribute, "hash", degree)
+    # Caps the degree by cardinality (and distinct values) itself.
     return range_partition_spec(
-        attribute, stats, degree, min_rows=context.min_partition_rows
+        attribute, stats, context.workers, min_rows=context.min_partition_rows
     )

@@ -1,19 +1,18 @@
-"""A statistics-epoch plan cache for the Tango middleware.
+"""A planning-epoch plan cache for the Tango middleware.
 
 "Query Optimization in the Wild" observes that industrial systems avoid
 re-optimizing repeated queries by caching plans; middleware is the natural
 place to do it (QueryBooster intercepts at exactly this layer), and TANGO's
 Queries 1–4 workload is repetitive by construction.  The cache maps
 
-    (normalized query fingerprint, statistics epoch, TangoConfig)
+    (normalized query fingerprint, planning epoch)
 
 to a finished :class:`~repro.optimizer.search.OptimizationResult`.  The
-epoch component makes staleness structural rather than procedural: when the
-Statistics Collector observes new statistics it bumps its epoch, every old
-key stops matching, and the LRU discipline ages the dead entries out — no
-scan-and-invalidate pass.  Cost-factor changes (recalibration, the Section 7
-adaptive feedback loop) clear the cache outright, since they re-price every
-plan without touching statistics.
+epoch component makes staleness structural rather than procedural: when
+anything a plan is priced with changes — statistics, cost factors, learned
+cardinalities — the :class:`~repro.core.planner.Planner` advances its
+epoch, every old key stops matching, and the LRU discipline ages the dead
+entries out.  There is no scan-and-invalidate pass and no ``clear``.
 
 Plans are safe to share across executions: compilation
 (:func:`repro.core.plans.compile_plan`) builds fresh cursors — and fresh
@@ -54,8 +53,8 @@ class PlanCache:
     ``max_size <= 0`` disables caching entirely (every ``get`` misses,
     ``put`` is a no-op) — the ``plan_cache_size=0`` escape hatch.
 
-    Thread-safe: the query service shares one cache across its worker
-    Tangos (any tenant's optimization is every tenant's hit), and
+    Thread-safe: the query service's workers share one planner and so one
+    cache (any tenant's optimization is every tenant's hit), and
     concurrent ``move_to_end``/``popitem`` on an OrderedDict corrupt it
     without the lock.
     """
@@ -96,11 +95,6 @@ class PlanCache:
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (cost factors changed; nothing re-keys)."""
-        with self._lock:
-            self._entries.clear()
 
     def to_dict(self) -> dict:
         with self._lock:

@@ -1,0 +1,188 @@
+"""The Planner: parse → plan cache → optimize, under one planning epoch.
+
+Figure 1's optimizer is fed by the Statistics Collector and the Cost
+Estimator; the Section 7 arrow feeds learned cardinalities and adapted
+cost factors back into it.  The question "what was this plan priced with,
+and is that still true?" has one owner here: the statistics, both
+estimators, the cost factors, the learned-cardinality source, the
+:class:`~repro.optimizer.search.Optimizer` and the
+:class:`~repro.core.plan_cache.PlanCache` all belong to the
+:class:`Planner`, and whatever a plan is priced with changes only through
+it — :meth:`Planner.refresh`, :meth:`Planner.set_factors`,
+:meth:`Planner.learned` — each ending in the one private ``_advance()``.
+The cache key is ``(fingerprint(query), epoch)``: a stale plan is a key
+that no longer matches, aged out by the LRU; nothing is ever scanned,
+cleared or reset from outside.
+
+One planner serves every thread of a middleware instance (the facade's own
+executor and its service's workers), so its public methods are
+thread-safe: a cache hit takes only the cache's own lock; a miss, a
+re-plan and every advance serialize on the planner's.
+"""
+
+from __future__ import annotations
+
+import threading
+
+from repro.algebra.operators import Operator
+from repro.core.parser import parse_temporal_query
+from repro.core.plan_cache import PlanCache, fingerprint
+from repro.dbms.database import MiniDB
+from repro.dbms.jdbc import Connection
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.optimizer.costs import CostFactors, PlanCoster
+from repro.optimizer.physical import validate_plan
+from repro.optimizer.search import OptimizationResult, Optimizer
+from repro.stats.cardinality import CardinalityEstimator
+from repro.stats.collector import StatisticsCollector
+from repro.stats.selectivity import PredicateEstimator
+
+
+class Planner:
+    """Everything a plan is priced with, and the plans priced with it.
+
+    *config* supplies ``use_histograms``, ``workers`` (the parallel degree
+    plans are costed at) and ``plan_cache_size``.  Read :attr:`epoch`,
+    :attr:`factors`, :attr:`estimator` and :attr:`optimizer` freely; they
+    are replaced, never mutated, and only by this class.
+    """
+
+    def __init__(
+        self,
+        db: MiniDB,
+        config,
+        *,
+        factors: CostFactors | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
+        self.db = db
+        self.config = config
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Reads the catalog only — never a round trip, so the connection
+        #: is the planner's own, outside any fault injection.
+        self.collector = StatisticsCollector(Connection(db))
+        self.predicate_estimator = PredicateEstimator(
+            use_histograms=config.use_histograms
+        )
+        self.cache = PlanCache(config.plan_cache_size)
+        self.factors = factors or CostFactors()
+        self.epoch = -1
+        self._feedback = None  # the Learner's store (use_feedback)
+        self._lock = threading.RLock()
+        self._advance()
+
+    def _advance(self) -> None:
+        """Enter a new planning epoch: every cached plan stops matching,
+        and the estimator (memoized per plan node) and the optimizer built
+        on it are replaced by ones that see the current statistics, learned
+        cardinalities and factors."""
+        with self._lock:
+            self.epoch += 1
+            self.estimator = CardinalityEstimator(
+                self.collector,
+                self.predicate_estimator,
+                metrics=self.metrics,
+                feedback=self._feedback,
+            )
+            self.optimizer = Optimizer(
+                self.estimator, self.factors, parallel_degree=self.config.workers
+            )
+
+    # -- what moves the epoch -----------------------------------------------------------
+
+    def refresh(self, tables: list[str] | None = None, analyze: bool = True) -> None:
+        """Re-ANALYZE *tables* (default: all) and re-read their statistics.
+
+        With ``analyze=False`` only the cached statistics are dropped —
+        for callers that changed data by a tracked delta (``pending_delta``)
+        and defer the histogram rebuild.
+        """
+        if analyze:
+            for table in tables if tables is not None else self.db.list_tables():
+                self.db.analyze(table)
+        with self._lock:
+            self.collector.refresh()
+            self._advance()
+
+    def set_factors(self, factors: CostFactors) -> None:
+        """Price every later plan with *factors* (calibration, or the
+        learner's materially drifted transfer factors)."""
+        with self._lock:
+            self.factors = factors
+            self._advance()
+
+    def use_feedback(self, store) -> None:
+        """Prefer *store*'s learned cardinalities over derived ones."""
+        with self._lock:
+            self._feedback = store
+            self._advance()
+
+    def learned(self, material: bool) -> None:
+        """The feedback store changed; re-plan iff the change was material."""
+        if material:
+            self._advance()
+
+    # -- planning -----------------------------------------------------------------------
+
+    def parse(self, sql: str) -> Operator:
+        """Temporal SQL → initial plan (all processing in the DBMS)."""
+        return parse_temporal_query(sql, self.db)
+
+    def cache_key(self, query: str | Operator) -> tuple[str, int]:
+        """Where *query*'s plan is cached during the current epoch."""
+        return fingerprint(query), self.epoch
+
+    def plan(self, query: str | Operator, tracer: Tracer = NULL_TRACER) -> OptimizationResult:
+        """The validated plan for *query* (temporal SQL or an initial
+        plan): from the cache when the current epoch has planned it — a
+        hit skips parsing and the optimizer entirely — else freshly
+        optimized and cached."""
+        identity = fingerprint(query)
+        cached = self.cache.get((identity, self.epoch))
+        if cached is not None:
+            self.metrics.counter("plan_cache_hits").inc()
+            return cached
+        self.metrics.counter("plan_cache_misses").inc()
+        with self._lock:
+            # Keyed under the lock: the epoch cannot move while we plan.
+            key = (identity, self.epoch)
+            if key in self.cache:  # planned by another thread while we waited
+                return self.cache.get(key)
+            if isinstance(query, str):
+                with tracer.span("parse", kind="phase"):
+                    initial = self.parse(query)
+            else:
+                initial = query
+            self.metrics.counter("optimizer_runs").inc()
+            result = self.optimizer.optimize(initial, tracer=tracer)
+            validate_plan(result.plan)
+            self.cache.put(key, result)
+        self.metrics.histogram("memo_classes").observe(result.class_count)
+        self.metrics.histogram("memo_elements").observe(result.element_count)
+        return result
+
+    def replan(
+        self,
+        remainder: Operator,
+        required_order: tuple[str, ...],
+        tracer: Tracer = NULL_TRACER,
+    ) -> OptimizationResult:
+        """Mid-query re-entry: optimize the *remainder* of a running plan
+        under the original plan's order contract.  Never cached — the
+        remainder scans temp tables that die with the query."""
+        with self._lock:
+            result = self.optimizer.optimize(
+                remainder, required_order=required_order, tracer=tracer
+            )
+        validate_plan(result.plan)
+        return result
+
+    def coster(self, estimator: CardinalityEstimator | None = None) -> PlanCoster:
+        """A coster under the current factors and parallel degree, over the
+        current estimator unless the caller brings its own."""
+        return PlanCoster(
+            estimator or self.estimator,
+            self.factors,
+            parallel_degree=self.config.workers,
+        )

@@ -30,6 +30,7 @@ from repro.algebra.operators import (
     TransferD,
     TransferM,
 )
+from repro.algebra.properties import guaranteed_order
 from repro.core.translator import SQLTranslator
 from repro.dbms.costmodel import CostMeter
 from repro.errors import PlanError
@@ -43,14 +44,12 @@ from repro.xxl import (
     FilterCursor,
     MergeJoinCursor,
     ProjectCursor,
-    RepartitionCursor,
     SortCursor,
     SQLCursor,
     TemporalAggregateCursor,
     TemporalJoinCursor,
     TransferDCursor,
 )
-from repro.xxl.exchange import RepartitionOutput
 from repro.xxl.sources import PooledSQLCursor
 from repro.xxl.transfer import DEFAULT_LOAD_CHUNK, unique_temp_name
 
@@ -85,28 +84,13 @@ class ExecutionPlan:
 def _describe_cursor(cursor: Cursor, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(cursor, ExchangeCursor):
-        reassembly = (
-            "merge on " + ", ".join(cursor.merge_keys)
-            if cursor.merge_keys
-            else "concat"
-        )
         lines = [
             f"{pad}EXCHANGE  Partitions: {cursor.partitions}"
-            f"  Workers: {cursor.workers}  Reassembly: {reassembly}"
+            f"  Workers: {cursor.workers}  Reassembly: concat"
         ]
         for index, child in enumerate(cursor.pipeline_roots):
             lines.append(f"{pad}  [partition {index}]")
             lines.extend(_describe_cursor(child, indent + 2))
-        return lines
-    if isinstance(cursor, RepartitionOutput):
-        owner = cursor._owner
-        lines = [
-            f"{pad}REPARTITION  Strategy: hash({owner._spec.attribute})"
-            f"  Partition: {cursor.partition_index}"
-        ]
-        if cursor.partition_index == 0:
-            # The shared serial input is printed once, under partition 0.
-            lines.extend(_describe_cursor(owner._input, indent + 1))
         return lines
     if isinstance(cursor, SQLCursor):
         sql = " ".join(cursor.sql.split())
@@ -239,47 +223,29 @@ class _Compiler:
         )
 
         found = partitionable_pipeline(root)
-        if found is None:
+        if found is None or self._parallel.pool is None:
             return None
         transfer, attribute = found
         spec = partition_spec_for(transfer, attribute, self._parallel)
         if spec is None or spec.degree < 2:
             return None
-        merge_keys: tuple[str, ...] = ()
-        if spec.strategy == "range":
-            # TRANSFER^M fan-out: one SQL per partition range, each pulled
-            # over its own pooled connection.  Cut-point order makes plain
-            # concatenation reproduce the delivered sort order.
-            if self._parallel.pool is None:
-                return None
-            self._prepare_transfers_down(transfer.input)
-            leaves: list[Cursor] = [
-                self._register(
-                    PooledSQLCursor(self._parallel.pool, sql, retry=self._retry),
-                    transfer,
-                )
-                for sql in self._partition_sqls(transfer, spec)
-            ]
-        else:
-            # Hash strategy: one serial transfer, dealt to the partitions
-            # in the middleware; reassembly needs the k-way merge on the
-            # delivered order (partition-index tie-break keeps it
-            # deterministic).
-            merge_keys = tuple(root.order())
-            if not merge_keys:
-                return None
-            serial = self._register(self._build_transfer_m(transfer), transfer)
-            splitter = RepartitionCursor(serial, spec)
-            leaves = list(splitter.outputs)
-            for leaf in leaves:
-                self._register(leaf, transfer)
+        # TRANSFER^M fan-out: one SQL per partition range, each pulled over
+        # its own pooled connection.  Cut-point order makes plain
+        # concatenation reproduce the delivered sort order.
+        self._prepare_transfers_down(transfer.input)
+        leaves = [
+            self._register(
+                PooledSQLCursor(self._parallel.pool, sql, retry=self._retry),
+                transfer,
+            )
+            for sql in self._partition_sqls(transfer, spec)
+        ]
         pipelines = [
             self._build_partition_pipeline(root, transfer, leaf) for leaf in leaves
         ]
-        exchange = ExchangeCursor(
-            pipelines, self._parallel.workers, merge_keys=merge_keys
+        return self._register(
+            ExchangeCursor(pipelines, self._parallel.workers), root
         )
-        return self._register(exchange, root)
 
     def _build_partition_pipeline(
         self, node: Operator, transfer: TransferM, leaf: Cursor
@@ -378,8 +344,6 @@ class _Compiler:
                 table_name = unique_temp_name()
                 self._temp_names[id(node)] = table_name
                 inner = self.build(node.input)
-                from repro.algebra.properties import guaranteed_order
-
                 transfer = TransferDCursor(
                     inner,
                     self._connection,

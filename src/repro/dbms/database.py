@@ -113,7 +113,7 @@ class MiniDB:
             inserted += 1
             self.meter.charge_cpu(5)
         self.meter.charge_io(max(1, inserted // table.rows_per_block()))
-        self._rebuild_indexes(table)
+        self.rebuild_indexes(table)
         return inserted
 
     def delete_rows(self, name: str, rows: Iterable[Sequence[object]]) -> list[tuple]:
@@ -150,7 +150,7 @@ class MiniDB:
         table.pending_delta += len(removed)
         self.meter.charge_io(table.blocks)
         self.meter.charge_cpu(table.cardinality + len(removed))
-        self._rebuild_indexes(table)
+        self.rebuild_indexes(table)
         return removed
 
     def stats_delta_of(self, name: str) -> int:
@@ -187,7 +187,7 @@ class MiniDB:
         self.meter.charge_io(table.blocks)
         return index
 
-    def _rebuild_indexes(self, table: Table) -> None:
+    def rebuild_indexes(self, table: Table) -> None:
         for index in self._indexes.values():
             if index.table is table:
                 index.rebuild()
@@ -247,7 +247,7 @@ class MiniDB:
                 table.pending_delta += removed
             self.meter.charge_io(table.blocks)
             self.meter.charge_cpu(table.cardinality + removed)
-            self._rebuild_indexes(table)
+            self.rebuild_indexes(table)
             return removed
         if isinstance(statement, DropTableStmt):
             self.drop_table(statement.table, statement.if_exists)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.algebra.operators import Operator, TransferD, TransferM
 from repro.obs.tracing import Span
+from repro.stats.fingerprint import qerror as _qerror
 
 
 @dataclass
@@ -170,8 +171,6 @@ def build_report(
     exceeds *reoptimize_threshold* (when > 0) come back flagged;
     *reoptimized* marks a plan that was re-planned mid-query.
     """
-    from repro.core.cardinality import qerror as _qerror
-
     measurements: list[OperatorMeasurement] = []
 
     def visit(span: Span, depth: int) -> None:

@@ -31,7 +31,6 @@ ALGORITHM_NAMES = {
     "PooledSQLCursor": "TRANSFER^M",
     "TransferDCursor": "TRANSFER^D",
     "ExchangeCursor": "EXCHANGE",
-    "RepartitionOutput": "REPARTITION",
     "FilterCursor": "FILTER^M",
     "ProjectCursor": "PROJECT^M",
     "SortCursor": "SORT^M",

@@ -9,7 +9,7 @@ without knowing about each other.
 Spans are plain data: :meth:`Span.to_dict` renders a span tree as nested
 dicts (JSON-ready), :meth:`Span.render` as an indented text tree.  The
 Section 7 feedback loop consumes the same trees — transfer spans carry the
-tuple/byte/second attributes that :func:`repro.core.feedback.
+tuple/byte/second attributes that :func:`repro.core.engine.
 observations_from_trace` turns into :class:`TransferObservation` values.
 """
 

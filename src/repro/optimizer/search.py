@@ -136,18 +136,22 @@ class Optimizer:
         self,
         initial_plan: Operator,
         required_order: Order | None = None,
+        tracer: Tracer | None = None,
     ) -> OptimizationResult:
         """Optimize *initial_plan* and return the chosen plan.
 
         *required_order* defaults to whatever order the initial plan
         guarantees (the query's ORDER BY); the chosen plan is constrained to
-        deliver the same order — the list-equivalence contract.
+        deliver the same order — the list-equivalence contract.  *tracer*
+        overrides the constructor's for this run (one optimizer serves
+        callers on several threads, each with its own tracer).
         """
         required_order = self._required(initial_plan, required_order)
-        with self.tracer.span("optimize", kind="phase") as span:
+        tracer = tracer if tracer is not None else self.tracer
+        with tracer.span("optimize", kind="phase") as span:
             memo = Memo()
             root = memo.insert_tree(initial_plan)
-            with self.tracer.span("explore", kind="phase") as explore_span:
+            with tracer.span("explore", kind="phase") as explore_span:
                 attempts, firings = self._explore(memo)
                 explore_span.set(
                     rule_attempts=attempts,
@@ -155,7 +159,7 @@ class Optimizer:
                     classes=memo.class_count,
                     elements=memo.element_count,
                 )
-            with self.tracer.span("extract", kind="phase"):
+            with tracer.span("extract", kind="phase"):
                 extraction = _Extraction(memo, self.coster)
                 location = initial_plan.location
                 choice = extraction.best(root, location, required_order)

@@ -1,11 +1,11 @@
 """Retry with capped exponential backoff and deterministic jitter.
 
-:class:`RetryPolicy` is frozen configuration (it lives inside
-``TangoConfig``, which must stay hashable for the plan cache);
-:class:`RetryState` is the per-query-execution mutable side — the retry
-*budget*, shared by every transfer cursor of one plan, so a pathologically
-flaky connection bounds the total time spent retrying rather than paying
-``max_attempts`` at every one of an unbounded number of call sites.
+:class:`RetryPolicy` is frozen configuration (it lives inside the frozen
+``TangoConfig``); :class:`RetryState` is the per-query-execution mutable
+side — the retry *budget*, shared by every transfer cursor of one plan, so
+a pathologically flaky connection bounds the total time spent retrying
+rather than paying ``max_attempts`` at every one of an unbounded number of
+call sites.
 
 Jitter is deterministic: a CRC of ``(op, attempt)`` scales the backoff
 delay, so two runs with the same fault schedule sleep the same amounts —

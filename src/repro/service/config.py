@@ -1,8 +1,8 @@
 """Frozen configuration for the query service.
 
-Both dataclasses are frozen and hashable: :class:`ServiceConfig` rides
-inside :class:`~repro.core.tango.TangoConfig` (itself a plan-cache key
-component), so nothing here may be mutable.
+Both dataclasses are frozen: :class:`ServiceConfig` rides inside the
+frozen :class:`~repro.core.tango.TangoConfig`, so nothing here may be
+mutable.
 """
 
 from __future__ import annotations

@@ -21,12 +21,9 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import TYPE_CHECKING
 
+from repro.core.executor import QueryResult
 from repro.errors import QueryCancelledError, ResultTimeoutError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
-    from repro.core.tango import QueryResult
 
 
 class HandleState(str, enum.Enum):
@@ -66,7 +63,7 @@ class QueryHandle:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         self._state = HandleState.QUEUED
-        self._result: "QueryResult | None" = None
+        self._result: QueryResult | None = None
         self._error: BaseException | None = None
         self._cancel_requested = False
         self._lock = threading.Lock()
@@ -86,7 +83,7 @@ class QueryHandle:
         """Block until terminal; True if it finished within *timeout*."""
         return self._finished.wait(timeout)
 
-    def result(self, timeout: float | None = None) -> "QueryResult":
+    def result(self, timeout: float | None = None) -> QueryResult:
         """The query's :class:`QueryResult`, blocking up to *timeout*.
 
         Re-raises the query's own error when it failed or was cancelled;
@@ -155,7 +152,7 @@ class QueryHandle:
             self.started_at = time.monotonic()
             return True
 
-    def complete(self, result: "QueryResult") -> None:
+    def complete(self, result: QueryResult) -> None:
         with self._lock:
             if self._state in _TERMINAL:
                 return

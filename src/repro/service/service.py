@@ -1,13 +1,17 @@
 """The long-lived, concurrent, multi-tenant query service.
 
 One :class:`QueryService` is TANGO running as a *server*: N worker
-threads, each owning a full middleware stack (optimizer, engine, a
-primary DBMS connection leased from a shared
-:class:`~repro.dbms.jdbc.ConnectionPool`), all sharing one
-:class:`~repro.obs.metrics.MetricsRegistry`, one thread-safe
-:class:`~repro.core.plan_cache.PlanCache` (tenant A's optimization warms
-tenant B's cache hit), and one
-:class:`~repro.resilience.health.HealthMonitor`.
+threads, each with an :class:`~repro.core.executor.Executor` of its own
+(engine, tracer, a primary DBMS connection leased from a shared
+:class:`~repro.dbms.jdbc.ConnectionPool`), all planning with one
+:class:`~repro.core.planner.Planner` (tenant A's optimization is tenant
+B's cache hit, and one statistics refresh reaches every worker), all
+reporting to one :class:`~repro.core.learner.Learner`, and sharing one
+:class:`~repro.obs.metrics.MetricsRegistry` and one
+:class:`~repro.resilience.health.HealthMonitor`.  The planner and learner
+are the owning :class:`~repro.core.tango.Tango`'s when there is one —
+its ``apply_updates``, ``refresh_statistics``, ``calibrate`` and view DDL
+reach the workers by construction — else the service's own.
 
 The admission pipeline per submit::
 
@@ -26,8 +30,11 @@ and the backlog drains one query at a time.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING
 
+from repro.core.config import TangoConfig
+from repro.core.executor import Executor, QueryResult
+from repro.core.learner import Learner
+from repro.core.planner import Planner
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import ConnectionPool
 from repro.errors import BackendSickError, DatabaseError, QueueFullError
@@ -38,9 +45,6 @@ from repro.service.config import ServiceConfig
 from repro.service.handle import HandleState, QueryHandle
 from repro.service.scheduler import FairShareScheduler
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
-    from repro.core.tango import QueryResult, TangoConfig
-
 
 class QueryService:
     """Admits, schedules, and executes queries for many tenants at once."""
@@ -50,27 +54,15 @@ class QueryService:
         db: MiniDB,
         config: ServiceConfig | None = None,
         *,
-        tango_config: "TangoConfig | None" = None,
+        tango_config: TangoConfig | None = None,
         fault_injector: FaultInjector | None = None,
         metrics: MetricsRegistry | None = None,
         pool: ConnectionPool | None = None,
+        stages: tuple[Planner, Learner] | None = None,
     ):
-        # Imported here, not at module level: repro.core.tango imports
-        # this package for the handle surface.
-        from repro.core.cardinality import CardinalityFeedbackStore
-        from repro.core.plan_cache import PlanCache
-        from repro.core.tango import TangoConfig
-
         self.db = db
         self.config = config or ServiceConfig()
-        base = tango_config or TangoConfig()
-        if base.service is not None:
-            # Worker Tangos must execute inline, not recurse into a
-            # service of their own.
-            from dataclasses import replace
-
-            base = replace(base, service=None)
-        self.tango_config = base
+        base = self.tango_config = tango_config or TangoConfig()
         self.metrics = metrics or MetricsRegistry()
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
@@ -82,23 +74,16 @@ class QueryService:
             prefetch=base.prefetch,
             metrics=self.metrics,
             injector=fault_injector,
-            latency_seconds=base.network_latency_seconds,
         )
         self.health = HealthMonitor(self.config.health)
         self.scheduler = FairShareScheduler(self.config)
-        #: Shared across workers: one tenant's optimization is every
-        #: tenant's cache hit (PlanCache is thread-safe).
-        self.plan_cache = PlanCache(base.plan_cache_size)
-        #: Shared across workers too: cardinalities one tenant's execution
-        #: taught the store sharpen every tenant's next optimization (the
-        #: store is thread-safe).  Loaded/saved by the service, which owns
-        #: it — worker Tangos receive it pre-built.
-        self.feedback_store = CardinalityFeedbackStore()
-        if base.feedback_path:
-            try:
-                self.feedback_store.load(base.feedback_path)
-            except FileNotFoundError:
-                pass
+        #: One planner and one learner for all workers — *stages* when an
+        #: owning Tango lends its own, else built (and closed) here.
+        self._owns_stages = stages is None
+        if stages is None:
+            planner = Planner(db, base, metrics=self.metrics)
+            stages = planner, Learner(planner, base, metrics=self.metrics)
+        self.planner, self.learner = stages
         self._closed = False
         self._lock = threading.Lock()
         self._workers = [
@@ -160,7 +145,7 @@ class QueryService:
         tenant: str = "default",
         priority: int = 0,
         timeout: float | None = None,
-    ) -> "QueryResult":
+    ) -> QueryResult:
         """Sugar: ``submit(...).result(timeout)``."""
         return self.submit(query, tenant=tenant, priority=priority).result(timeout)
 
@@ -186,21 +171,8 @@ class QueryService:
             )
         return self.config.max_concurrency
 
-    def _make_worker_tango(self):
-        from repro.core.tango import Tango
-
-        return Tango(
-            self.db,
-            config=self.tango_config,
-            fault_injector=self.fault_injector,
-            metrics=self.metrics,
-            pool=self.pool,
-            plan_cache=self.plan_cache,
-            feedback_store=self.feedback_store,
-        )
-
     def _worker_loop(self) -> None:
-        tango = None
+        executor = None
         try:
             while True:
                 item = self.scheduler.next_task(capacity=self._capacity)
@@ -210,23 +182,32 @@ class QueryService:
                 try:
                     if not handle.mark_running():
                         continue  # cancelled between dispatch and start
-                    if tango is None:
-                        tango = self._make_worker_tango()
-                    self._run_one(tango, handle, tenant)
+                    if executor is None:
+                        # Leased on the first task: idle workers hold no
+                        # connection.
+                        executor = Executor(
+                            self.planner,
+                            self.learner,
+                            self.pool.acquire(),
+                            self.tango_config,
+                            pool=self.pool,
+                            metrics=self.metrics,
+                        )
+                    self._run_one(executor, handle, tenant)
                 finally:
                     self.scheduler.task_done(tenant)
         finally:
-            if tango is not None:
-                tango.close()
+            if executor is not None:
+                self.pool.release(executor.connection)
 
-    def _run_one(self, tango, handle: QueryHandle, tenant: str) -> None:
+    def _run_one(self, executor: Executor, handle: QueryHandle, tenant: str) -> None:
         queue_wait = handle.queue_seconds or 0.0
         self.metrics.histogram("service_queue_seconds").observe(queue_wait)
         self.metrics.histogram(f"service_queue_seconds.{tenant}").observe(
             queue_wait
         )
         try:
-            result = tango.run(handle.query, abort=handle.abort_reason)
+            result = executor.run(handle.query, abort=handle.abort_reason)
         except BaseException as error:  # noqa: BLE001 - a worker must survive
             handle.fail(error)
             self.health.record_outcome(error)
@@ -266,11 +247,8 @@ class QueryService:
         self.scheduler.close(cancel_queued=not drain)
         for worker in self._workers:
             worker.join(timeout)
-        if self.tango_config.feedback_path and len(self.feedback_store):
-            try:
-                self.feedback_store.save(self.tango_config.feedback_path)
-            except OSError:
-                self.metrics.counter("feedback_store_save_errors").inc()
+        if self._owns_stages:
+            self.learner.close()
         if self._owns_pool:
             self.pool.close()
 

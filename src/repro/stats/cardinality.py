@@ -37,6 +37,7 @@ from repro.algebra.operators import (
 )
 from repro.errors import StatisticsError
 from repro.stats.collector import AttributeStats, RelationStats, StatisticsCollector
+from repro.stats.fingerprint import plan_fingerprint
 from repro.stats.selectivity import PredicateEstimator
 
 
@@ -67,21 +68,18 @@ class CardinalityEstimator:
         if metrics is not None:
             self._hits = metrics.counter("estimator_cache_hits")
             self._misses = metrics.counter("estimator_cache_misses")
-        #: Optional :class:`~repro.core.cardinality.CardinalityFeedbackStore`
-        #: (anything with ``epoch`` and ``learned_cardinality(fp)``): a
-        #: learned cardinality overrides the derived one per subtree.
+        #: Optional :class:`~repro.core.learner.CardinalityFeedbackStore`
+        #: (anything with ``learned_cardinality(fp)``): a learned
+        #: cardinality overrides the derived one per subtree.  Estimates
+        #: are memoized against the store as it was when first asked; the
+        #: planner builds a fresh estimator when the store materially moves.
         self._feedback = feedback
-        self._feedback_epoch = feedback.epoch if feedback is not None else 0
         self._fingerprints: dict[tuple, str | None] = {}
 
     # -- public API -----------------------------------------------------------------
 
     def estimate(self, plan: Operator) -> RelationStats:
         """Statistics of the relation *plan* evaluates to."""
-        if self._feedback is not None and self._feedback.epoch != self._feedback_epoch:
-            # New learned cardinalities re-derive everything memoized.
-            self._cache.clear()
-            self._feedback_epoch = self._feedback.epoch
         key = plan.cache_key
         cached = self._cache.get(key)
         if cached is not None:
@@ -99,14 +97,11 @@ class CardinalityEstimator:
         actuals outrank any model) — scaled copy, same attribute shapes."""
         if not self._feedback:
             # No store, or an empty one: nothing to look a fingerprint up
-            # in (learning something moves the epoch, which re-derives).
+            # in (learning something moves the planning epoch, and the
+            # planner re-derives on a fresh estimator).
             return stats
         key = plan.cache_key
         if key not in self._fingerprints:
-            # Imported lazily: repro.core's package init pulls in the Tango
-            # facade, which imports this module back.
-            from repro.core.cardinality import plan_fingerprint
-
             self._fingerprints[key] = plan_fingerprint(plan)
         fingerprint = self._fingerprints[key]
         if fingerprint is None:

@@ -97,15 +97,11 @@ class StatisticsCollector:
         self._connection = connection
         self._auto_analyze = auto_analyze
         self._cache: dict[str, RelationStats] = {}
-        #: Bumped on every refresh; anything keyed on statistics (the plan
-        #: cache above all) includes the epoch so new statistics silently
-        #: retire every stale entry.
-        self.epoch = 0
 
     def refresh(self) -> None:
-        """Drop all cached statistics and enter a new statistics epoch."""
+        """Drop all cached statistics (the planner, which owns the one
+        planning epoch, calls this and then advances it)."""
         self._cache.clear()
-        self.epoch += 1
 
     def collect(self, table_name: str) -> RelationStats:
         """Statistics for a base relation, from cache or the catalog."""

@@ -1,0 +1,88 @@
+"""Cardinality fingerprints and the q-error metric.
+
+Two pure functions of plans and numbers that the estimator, the learner
+(:mod:`repro.core.learner`), EXPLAIN ANALYZE and the view-refresh chooser
+all share:
+
+* :func:`qerror` — the standard plan-quality metric: the factor by which an
+  estimate is off, ``max(est/act, act/est)``, symmetric and always ≥ 1.
+* :func:`plan_fingerprint` — a *cardinality* fingerprint of an operator
+  subtree: two subtrees that must produce the same number of rows map to
+  the same fingerprint.  Location moves (``T^M``/``T^D``), sorts,
+  projections, and top-level conjunct order all normalize away, so the
+  selectivity learned while executing one physical shape transfers to
+  every equivalent shape the optimizer may consider later.
+"""
+
+from __future__ import annotations
+
+from repro.algebra.expressions import conjuncts
+from repro.algebra.operators import (
+    Join,
+    Operator,
+    Project,
+    Scan,
+    Select,
+    Sort,
+    TemporalJoin,
+    TransferD,
+    TransferM,
+)
+
+#: Temp tables (TRANSFER^D materializations) are execution artifacts; their
+#: subtrees never get a fingerprint — a learned cardinality keyed on a
+#: throwaway table name could never be recalled.
+TEMP_TABLE_PREFIX = "tango_tmp"
+
+
+def qerror(estimated: float, actual: float) -> float:
+    """The q-error of one estimate: ``max(est/act, act/est)``, floored at 1.
+
+    Both sides are clamped to 1 row first, the usual convention so that
+    empty results (where any ratio degenerates) compare sanely.
+    """
+    est = max(float(estimated), 1.0)
+    act = max(float(actual), 1.0)
+    return max(est / act, act / est)
+
+
+def plan_fingerprint(plan: Operator) -> str | None:
+    """The cardinality fingerprint of *plan*, or None when unlearnable.
+
+    Cardinality-preserving operators (``Sort``, ``Project``, both
+    transfers) map to their input's fingerprint; a ``Select``'s top-level
+    conjuncts are sorted on their SQL text, and join sides are ordered
+    canonically — so predicate reordering, commuted joins, and every
+    location assignment of the same logical subtree share one entry.
+    Subtrees that scan a ``TANGO_TMP`` materialization return None.
+    """
+    if isinstance(plan, (Sort, Project, TransferM, TransferD)):
+        return plan_fingerprint(plan.inputs[0])
+    if isinstance(plan, Scan):
+        table = plan.table.lower()
+        if table.startswith(TEMP_TABLE_PREFIX):
+            return None
+        return f"scan:{table}"
+    inputs = [plan_fingerprint(child) for child in plan.inputs]
+    if any(child is None for child in inputs):
+        return None
+    if isinstance(plan, Select):
+        terms = sorted(term.to_sql() for term in conjuncts(plan.predicate))
+        return f"select[{' AND '.join(terms)}]({inputs[0]})"
+    if isinstance(plan, (Join, TemporalJoin)):
+        tag = type(plan).__name__.lower()
+        if isinstance(plan, TemporalJoin):
+            payload = ",".join(name.lower() for name in plan.period)
+        else:
+            payload = " AND ".join(
+                sorted(term.to_sql() for term in conjuncts(plan.residual))
+            )
+        sides = sorted(
+            zip((plan.left_attr.lower(), plan.right_attr.lower()), inputs)
+        )
+        body = ";".join(f"{attr}={child}" for attr, child in sides)
+        return f"{tag}[{payload}]({body})"
+    # Remaining operators (TAggr, Dedup, Coalesce, Difference, Product):
+    # their memo signatures are pure string/tuple payloads, stable across
+    # sessions.
+    return f"{plan.signature()!r}({','.join(inputs)})"

@@ -38,14 +38,14 @@ from dataclasses import dataclass, field, replace
 
 from repro.algebra.operators import Operator, Scan
 from repro.algebra.schema import Schema
-from repro.core.cardinality import plan_fingerprint
 from repro.dbms.loader import DirectPathLoader
 from repro.errors import ExecutionError, ViewError
 from repro.fuzz.compare import canonical_rows
-from repro.obs.explain import ExplainAnalyzeReport, build_report
-from repro.optimizer.costs import AlgorithmCosts, PlanCoster
+from repro.obs.explain import ExplainAnalyzeReport
+from repro.optimizer.costs import AlgorithmCosts
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import RelationStats
+from repro.stats.fingerprint import plan_fingerprint
 from repro.views.delta import (
     Delta,
     DeltaMismatch,
@@ -154,10 +154,20 @@ class MaterializedView:
 
 
 class ViewManager:
-    """The registry and refresh machinery behind ``Tango.create_view``."""
+    """The registry and refresh machinery behind ``Tango.create_view``.
 
-    def __init__(self, tango):
-        self._tango = tango
+    Built over the pipeline stages it uses: the *planner* (plans, prices,
+    statistics — every store below ends in ``planner.refresh``, so plans
+    cached over a view die with its old contents), the *learner* (the
+    learned view cardinality) and the calling thread's *executor*.
+    """
+
+    def __init__(self, planner, learner, executor):
+        self.planner = planner
+        self.learner = learner
+        self.executor = executor
+        self.db = planner.db
+        self.metrics = executor.metrics
         self._views: dict[str, MaterializedView] = {}
 
     def __len__(self) -> int:
@@ -179,32 +189,35 @@ class ViewManager:
 
     def create(self, name: str, query: str | Operator) -> MaterializedView:
         """Materialize *query* as the TANGO-managed table *name*."""
-        tango = self._tango
-        if self.has(name) or tango.db.has_table(name):
+        if self.has(name) or self.db.has_table(name):
             raise ViewError(f"view or table {name!r} already exists")
-        plan = tango.parse(query) if isinstance(query, str) else query
+        plan = self.planner.parse(query) if isinstance(query, str) else query
         base_tables = frozenset(
             node.table.lower() for node in plan.walk() if isinstance(node, Scan)
         )
-        optimization = tango.optimize(plan)
-        result = tango.execute_plan(optimization.plan)
+        result = self._execute(plan)
         rows = canonical_rows(result.rows)
-        DirectPathLoader(tango.db).load(name, result.schema, rows, temporary=False)
+        DirectPathLoader(self.db).load(name, result.schema, rows, temporary=False)
         view = MaterializedView(
             name=name, plan=plan, schema=result.schema, base_tables=base_tables
         )
         self._views[name.lower()] = view
         # The view is a queryable table: give the collector its statistics
         # and move the epoch so cached plans see the new catalog.
-        tango.refresh_statistics([name])
-        tango.metrics.counter("views_created").inc()
+        self.planner.refresh([name])
+        self.metrics.counter("views_created").inc()
         return view
+
+    def _execute(self, plan: Operator):
+        """*plan* through the regular optimize/execute path."""
+        optimization = self.planner.plan(plan, self.executor.tracer)
+        return self.executor.execute(optimization.plan)
 
     def drop(self, name: str) -> None:
         view = self.get(name)
         del self._views[name.lower()]
-        self._tango.db.drop_table(view.name, if_exists=True)
-        self._tango.collector.refresh()
+        self.db.drop_table(view.name, if_exists=True)
+        self.planner.refresh([], analyze=False)
 
     def record_update(self, table: str, inserts, deletes) -> int:
         """Feed one applied update batch into every dependent view's
@@ -221,7 +234,7 @@ class ViewManager:
     def choose(self, name: str | MaterializedView) -> RefreshDecision:
         """Price both refresh strategies and pick the cheaper one."""
         view = name if isinstance(name, MaterializedView) else self.get(name)
-        tango = self._tango
+        planner = self.planner
         # The recompute cost is priced feedback-blind: base statistics and
         # Section 3.3 histograms fully determine what re-running the plan
         # costs, so a corrupted learned cardinality must not inflate the
@@ -229,28 +242,25 @@ class ViewManager:
         # out and the chooser could never notice the corruption).  Only
         # the *view-size* estimate below trusts the feedback store.
         blind_estimator = CardinalityEstimator(
-            tango.collector, tango.predicate_estimator
+            planner.collector, planner.predicate_estimator
         )
-        coster = PlanCoster(
-            blind_estimator, tango.factors, parallel_degree=tango.config.workers
-        )
-        algorithms = AlgorithmCosts(tango.factors)
-        plan_cost = coster.cost(view.plan)
+        algorithms = AlgorithmCosts(planner.factors)
+        plan_cost = planner.coster(blind_estimator).cost(view.plan)
 
-        table = tango.db.table(view.name)
+        table = self.db.table(view.name)
         stored_stats = RelationStats(
             cardinality=max(1, table.cardinality),
             avg_row_size=max(1, table.avg_row_size),
         )
         base_rows = sum(
-            tango.collector.collect(base).cardinality for base in view.base_tables
+            planner.collector.collect(base).cardinality for base in view.base_tables
         )
         delta_rows = view.pending_rows
         churn = delta_rows / max(1.0, float(base_rows))
 
         fingerprint = plan_fingerprint(view.plan)
         learned = (
-            tango.feedback_store.learned_cardinality(fingerprint)
+            self.learner.store.learned_cardinality(fingerprint)
             if fingerprint is not None
             else None
         )
@@ -308,7 +318,6 @@ class ViewManager:
         banner records the decision.
         """
         view = self.get(name)
-        tango = self._tango
         decision = self.choose(view)
         if strategy is not None:
             if strategy not in ("incremental", "full"):
@@ -320,7 +329,7 @@ class ViewManager:
         executed = decision.strategy
         delta_applied = 0
         report: ExplainAnalyzeReport | None = None
-        with tango.tracer.span(
+        with self.executor.tracer.span(
             "refresh",
             kind="refresh",
             view=view.name,
@@ -334,13 +343,13 @@ class ViewManager:
             rows: list[tuple] | None = None
             if decision.strategy == "incremental":
                 try:
-                    state = DeltaState(tango.db, view.pending)
+                    state = DeltaState(self.db, view.pending)
                     delta = compute_delta(view.plan, state)
-                    stored = list(tango.db.table(view.name).rows)
+                    stored = list(self.db.table(view.name).rows)
                     rows = apply_delta_rows(stored, delta)
                     delta_applied = delta.rows
                 except (DeltaUnsupported, DeltaMismatch, ExecutionError, TypeError) as error:
-                    tango.metrics.counter("view_refresh_fallbacks").inc()
+                    self.metrics.counter("view_refresh_fallbacks").inc()
                     span.set(fallback=f"{type(error).__name__}: {error}")
                     rows = None
             if rows is None:
@@ -353,12 +362,12 @@ class ViewManager:
             view.refreshes += 1
             span.set(rows=len(rows), executed=executed)
         elapsed = time.perf_counter() - began
-        tango.metrics.counter("view_refreshes").inc()
+        self.metrics.counter("view_refreshes").inc()
         if executed == "incremental":
-            tango.metrics.counter("view_refresh_incremental").inc()
+            self.metrics.counter("view_refresh_incremental").inc()
         else:
-            tango.metrics.counter("view_refresh_full").inc()
-        tango.metrics.histogram("view_delta_rows").observe(decision.delta_rows)
+            self.metrics.counter("view_refresh_full").inc()
+        self.metrics.histogram("view_delta_rows").observe(decision.delta_rows)
         if explain and report is None:
             report = ExplainAnalyzeReport(
                 operators=[],
@@ -383,38 +392,18 @@ class ViewManager:
         self, view: MaterializedView, explain: bool = False
     ) -> tuple[list[tuple], ExplainAnalyzeReport | None]:
         """Full recompute through the regular optimize/execute path."""
-        tango = self._tango
-        optimization = tango.optimize(view.plan)
         if not explain:
-            result = tango.execute_plan(optimization.plan)
-            return canonical_rows(result.rows), None
-        registry: dict[int, Operator] = {}
-        outcome, executed = tango._execute_optimized(
-            optimization.plan, instrument=True, registry=registry
-        )
-        coster = PlanCoster(
-            tango.estimator, tango.factors, parallel_degree=tango.config.workers
-        )
-        report = build_report(
-            outcome.trace,
-            registry,
-            tango.estimator,
-            coster,
-            estimated_total_us=optimization.cost,
-            result_rows=len(outcome.rows),
-            reoptimize_threshold=tango.config.reoptimize_threshold,
-            reoptimized=executed is not optimization.plan,
-        )
-        return canonical_rows(outcome.rows), report
+            return canonical_rows(self._execute(view.plan).rows), None
+        report, rows = self.executor.explain_analyze(view.plan)
+        return canonical_rows(rows), report
 
     def _store(self, view: MaterializedView, rows: list[tuple]) -> None:
         """Replace the stored contents (already canonical) and re-ANALYZE,
         moving the statistics epoch so cached plans over the view die."""
-        tango = self._tango
-        table = tango.db.table(view.name)
+        table = self.db.table(view.name)
         table.truncate()
         table.bulk_load(rows)
-        tango.refresh_statistics([view.name])
+        self.planner.refresh([view.name])
 
     def _store_incremental(
         self, view: MaterializedView, rows: list[tuple], delta_rows: int
@@ -427,10 +416,9 @@ class ViewManager:
         the statistics epoch still moves, so cached plans over the view
         die just as they do on a full store.
         """
-        tango = self._tango
-        table = tango.db.table(view.name)
+        table = self.db.table(view.name)
         table.rows[:] = rows
         table.clustered_order = ()
         table.pending_delta += delta_rows
-        tango.db._rebuild_indexes(table)
-        tango.refresh_statistics([], analyze=False)
+        self.db.rebuild_indexes(table)
+        self.planner.refresh([], analyze=False)

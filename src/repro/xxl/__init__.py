@@ -20,7 +20,7 @@ optimizer's list-equivalence rules rely on.
 """
 
 from repro.xxl.cursor import BatchReader, Cursor, DEFAULT_BATCH_SIZE, materialize
-from repro.xxl.exchange import ExchangeCursor, PartitionSpec, RepartitionCursor
+from repro.xxl.exchange import ExchangeCursor, PartitionSpec
 from repro.xxl.sources import PooledSQLCursor, RelationCursor, SQLCursor
 from repro.xxl.filter import FilterCursor
 from repro.xxl.project import ProjectCursor
@@ -42,7 +42,6 @@ __all__ = [
     "PartitionSpec",
     "PooledSQLCursor",
     "RelationCursor",
-    "RepartitionCursor",
     "SQLCursor",
     "FilterCursor",
     "ProjectCursor",

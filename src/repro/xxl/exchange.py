@@ -1,23 +1,21 @@
-"""Partition-parallel execution: exchange, repartition, and merge.
+"""Partition-parallel execution: range partitions behind an exchange.
 
 The paper's Execution Engine (Figure 2) is strictly serial: wall-clock time
 is the *sum* of DBMS fetch time and middleware CPU.  This module adds the
 classic exchange-operator design (Graefe's Volcano) on top of the cursor
 protocol so a middleware pipeline can run as *k* independent partitions:
 
-* :class:`PartitionSpec` describes how rows split — ``range`` on an
-  attribute (cut points picked from the Section 3.3 histograms, so the
-  DBMS-side ``SELECT`` fans out into per-partition predicates) or ``hash``
-  on a grouping attribute (middleware-side repartitioning);
-* :class:`RepartitionCursor` routes one serial input stream into
-  per-partition output cursors (the hash strategy's splitter);
+* :class:`PartitionSpec` describes how rows split — by range on an
+  attribute, cut points picked from the Section 3.3 histograms, so the
+  DBMS-side ``SELECT`` fans out into per-partition predicates;
 * :class:`ExchangeCursor` fans the per-partition pipelines out across a
   bounded thread pool with backpressure-bounded per-partition queues, and
-  reassembles the delivered sort order — by concatenating range partitions
-  in cut-point order, or by an order-preserving k-way merge on the
-  delivered sort key for hash partitions.
+  reassembles the delivered sort order by concatenating the partitions in
+  cut-point order.
 
-Everything here is strictly opt-in: plans compiled without a
+Under CPython's GIL the win is overlapped wire latency, not CPU (DESIGN.md
+§5), which is why the fan-out happens at the ``TRANSFER^M`` and nowhere
+else.  Everything here is strictly opt-in: plans compiled without a
 :class:`~repro.core.partition.ParallelContext` (``TangoConfig.workers=1``)
 never touch this module, so the serial engine stays byte-for-byte the
 paper's.
@@ -25,11 +23,9 @@ paper's.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from bisect import bisect_right
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from queue import Empty, Full, Queue
@@ -61,40 +57,29 @@ def _sql_literal(value: float) -> str:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How one stream of rows splits into ``degree`` partitions.
+    """How one stream of rows splits into ``degree`` range partitions.
 
-    ``range``: partition *i* holds rows whose ``attribute`` value falls in
+    Partition *i* holds rows whose ``attribute`` value falls in
     ``[cut_points[i-1], cut_points[i])`` (open-ended at both extremes), so
     concatenating partitions in order preserves any sort order led by
-    ``attribute``.  ``hash``: rows route by ``hash(value) % degree`` —
-    every distinct value (every TAGGR^M group) lands wholly in one
-    partition, but reassembly needs a merge on the delivered order.
+    ``attribute``, and every distinct value (every TAGGR^M group) lands
+    wholly in one partition.
     """
 
     attribute: str
-    strategy: str  # "range" | "hash"
     degree: int
     cut_points: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("range", "hash"):
-            raise ExecutionError(f"unknown partition strategy {self.strategy!r}")
         if self.degree < 1:
             raise ExecutionError("partition degree must be >= 1")
-        if self.strategy == "range":
-            if len(self.cut_points) != self.degree - 1:
-                raise ExecutionError(
-                    "range partitioning needs degree-1 cut points"
-                )
-            if any(
-                b <= a for a, b in zip(self.cut_points, self.cut_points[1:])
-            ):
-                raise ExecutionError("cut points must be strictly increasing")
+        if len(self.cut_points) != self.degree - 1:
+            raise ExecutionError("range partitioning needs degree-1 cut points")
+        if any(b <= a for a, b in zip(self.cut_points, self.cut_points[1:])):
+            raise ExecutionError("cut points must be strictly increasing")
 
     def assign(self, value) -> int:
         """Partition index for one attribute value."""
-        if self.strategy == "hash":
-            return hash(value) % self.degree
         return bisect_right(self.cut_points, value)
 
     def bounds(self, index: int) -> tuple[float | None, float | None]:
@@ -108,8 +93,6 @@ class PartitionSpec:
         TRANSFER^M fan-out's per-partition WHERE clauses.  The predicates
         cover every value whatever the statistics said, so stale histograms
         can only unbalance the partitions, never lose rows."""
-        if self.strategy != "range":
-            raise ExecutionError("only range partitions translate to SQL")
         column = f"{alias}.{self.attribute}"
         predicates = []
         for index in range(self.degree):
@@ -186,92 +169,7 @@ def range_partition_spec(
     cut_points = _strictly_increasing(points)
     if not cut_points:
         return None
-    return PartitionSpec(attribute, "range", len(cut_points) + 1, cut_points)
-
-
-class RepartitionCursor:
-    """Routes one serial input cursor into per-partition output cursors.
-
-    The splitter half of the exchange pair: the hash strategy pulls the
-    whole stream over one ``TRANSFER^M`` and deals rows to the partition
-    pipelines by ``spec.assign``.  Demand-driven and lock-protected — the
-    partition that runs dry pumps the shared input, so no producer thread
-    is needed and a partition's backlog is bounded by how far the merge
-    lets its siblings run ahead.
-    """
-
-    def __init__(self, input: Cursor, spec: PartitionSpec):
-        self._input = input
-        self._spec = spec
-        self._lock = threading.Lock()
-        self._queues: list[deque[tuple]] = [deque() for _ in range(spec.degree)]
-        self._position: int | None = None
-        self._opened = False
-        self._drained = False
-        self._open_outputs = spec.degree
-        self.outputs: list[RepartitionOutput] = [
-            RepartitionOutput(self, index) for index in range(spec.degree)
-        ]
-
-    def _ensure_open(self) -> None:
-        with self._lock:
-            if not self._opened:
-                self._input.init()
-                self._position = self._input.schema.index_of(self._spec.attribute)
-                self._opened = True
-
-    @property
-    def schema(self) -> Schema:
-        return self._input.schema
-
-    def _pump(self, index: int) -> None:
-        """Under the lock: route input batches until partition *index* has
-        rows or the input is drained."""
-        queue = self._queues[index]
-        assign = self._spec.assign
-        position = self._position
-        queues = self._queues
-        while not queue and not self._drained:
-            batch = self._input.next_batch(self._input.batch_size)
-            if not batch:
-                self._drained = True
-                break
-            for row in batch:
-                queues[assign(row[position])].append(row)
-
-    def take(self, index: int, n: int) -> list[tuple]:
-        with self._lock:
-            self._pump(index)
-            queue = self._queues[index]
-            take = min(n, len(queue))
-            return [queue.popleft() for _ in range(take)]
-
-    def release(self) -> None:
-        """One output closed; close the shared input with the last one."""
-        with self._lock:
-            self._open_outputs -= 1
-            last = self._open_outputs <= 0
-        if last:
-            self._input.close()
-
-
-class RepartitionOutput(Cursor):
-    """One partition's face of a :class:`RepartitionCursor`."""
-
-    def __init__(self, owner: RepartitionCursor, index: int):
-        super().__init__(Schema([]))
-        self._owner = owner
-        self.partition_index = index
-
-    def _open(self) -> None:
-        self._owner._ensure_open()
-        self.schema = self._owner.schema
-
-    def _next_batch(self, n: int) -> list[tuple]:
-        return self._owner.take(self.partition_index, n)
-
-    def _close(self) -> None:
-        self._owner.release()
+    return PartitionSpec(attribute, len(cut_points) + 1, cut_points)
 
 
 class _Cancelled(Exception):
@@ -290,40 +188,16 @@ class _PartitionStream:
         self.schema: Schema | None = None
 
 
-class _StreamReader:
-    """Row-at-a-time reads over one partition stream (merge mode)."""
-
-    __slots__ = ("_exchange", "_stream", "_batch", "_pos")
-
-    def __init__(self, exchange: "ExchangeCursor", stream: _PartitionStream):
-        self._exchange = exchange
-        self._stream = stream
-        self._batch: list[tuple] = []
-        self._pos = 0
-
-    def read(self) -> tuple | None:
-        while self._pos >= len(self._batch):
-            batch = self._exchange._take(self._stream)
-            if batch is None:
-                return None
-            self._batch = batch
-            self._pos = 0
-        row = self._batch[self._pos]
-        self._pos += 1
-        return row
-
-
 class ExchangeCursor(Cursor):
     """Runs per-partition pipelines on a bounded thread pool and
     reassembles one ordered output stream.
 
     Each pipeline is produced into a backpressure-bounded queue by one
-    task on a ``ThreadPoolExecutor`` of at most ``workers`` threads.  With
-    ``merge_keys=()`` partitions are concatenated in index order (correct
-    for range partitions whose bounds ascend); with merge keys the streams
-    are k-way merged on those attributes (hash partitions), ties broken by
-    partition index so the output is deterministic.  A merge needs every
-    partition running at once, so fewer workers than partitions is refused.
+    task on a ``ThreadPoolExecutor`` of at most ``workers`` threads, and
+    the partitions are concatenated in index order (correct for range
+    partitions, whose bounds ascend).  Fewer workers than partitions is
+    fine: the consumer drains partition *i* before it asks for *i+1*, so a
+    partition still waiting for a thread blocks nobody.
 
     A failing partition cancels its siblings: the first error is recorded,
     the cancel event stops every producer, and the error resurfaces from
@@ -336,7 +210,6 @@ class ExchangeCursor(Cursor):
         self,
         pipelines: list[Cursor],
         workers: int,
-        merge_keys: tuple[str, ...] = (),
         queue_batches: int = DEFAULT_QUEUE_BATCHES,
     ):
         super().__init__(Schema([]))
@@ -345,15 +218,6 @@ class ExchangeCursor(Cursor):
         self.pipeline_roots = list(pipelines)
         self.partitions = len(self.pipeline_roots)
         self.workers = max(1, min(workers, self.partitions))
-        self.merge_keys = tuple(merge_keys)
-        if self.merge_keys and self.workers < self.partitions:
-            # The merge cannot emit a row before it holds a head from every
-            # partition; with a partition still waiting for a thread, the
-            # running ones fill their queues and block, and nobody moves.
-            raise ExecutionError(
-                f"a merging exchange needs a worker per partition "
-                f"({self.workers} workers for {self.partitions} partitions)"
-            )
         self._queue_batches = max(1, queue_batches)
         #: Producer blocks on a full partition queue (backpressure events).
         self.queue_full_stalls = 0
@@ -367,9 +231,6 @@ class ExchangeCursor(Cursor):
         self._begin = 0.0
         self._wall_seconds = 0.0
         self._current = 0
-        self._heap: list | None = None
-        self._readers: list[_StreamReader] = []
-        self._key_positions: list[int] = []
 
     # -- producer side ---------------------------------------------------------------
 
@@ -471,8 +332,6 @@ class ExchangeCursor(Cursor):
             self.schema = stream.schema
 
     def _next_batch(self, n: int) -> list[tuple]:
-        if self.merge_keys:
-            return self._merge_batch(n)
         out: list[tuple] = []
         while len(out) < n:
             rows = self._take_concat()
@@ -486,49 +345,14 @@ class ExchangeCursor(Cursor):
         return self._park_surplus(out, n)
 
     def _take_concat(self) -> list[tuple] | None:
-        """Next concat-mode batch; ``None`` when every partition stream
-        has finished."""
+        """Next batch in partition order; ``None`` when every partition
+        stream has finished."""
         while self._current < len(self._streams):
             batch = self._take(self._streams[self._current])
             if batch is not None:
                 return batch
             self._current += 1
         return None
-
-    def _merge_batch(self, n: int) -> list[tuple]:
-        """Up to *n* rows of the k-way merge on ``merge_keys``."""
-        if self._heap is None:
-            self._init_merge()
-        heap = self._heap
-        out: list[tuple] = []
-        while heap and len(out) < n:
-            _, index, row = heapq.heappop(heap)
-            out.append(row)
-            following = self._readers[index].read()
-            if following is not None:
-                heapq.heappush(heap, (self._merge_key(following), index, following))
-        return out
-
-    def _init_merge(self) -> None:
-        self._readers = [
-            _StreamReader(self, stream) for stream in self._streams
-        ]
-        heads: list[tuple[int, tuple]] = []
-        for index, reader in enumerate(self._readers):
-            row = reader.read()
-            if row is not None:
-                heads.append((index, row))
-        positions = []
-        if heads:  # an all-empty result never needs key positions
-            for name in self.merge_keys:
-                positions.append(self.schema.index_of(name))
-        self._key_positions = positions
-        self._heap = []
-        for index, row in heads:
-            heapq.heappush(self._heap, (self._merge_key(row), index, row))
-
-    def _merge_key(self, row: tuple) -> tuple:
-        return tuple(row[position] for position in self._key_positions)
 
     # -- teardown --------------------------------------------------------------------
 
@@ -556,5 +380,3 @@ class ExchangeCursor(Cursor):
         if self._wall_seconds > 0 and self.partitions:
             efficiency = sum(self._busy) / (self._wall_seconds * self.partitions)
             self.parallel_efficiency = min(1.0, efficiency)
-        self._heap = None
-        self._readers = []

@@ -6,7 +6,6 @@ honor query deadlines."""
 import pytest
 
 from repro.core.tango import Tango, TangoConfig
-from repro.core.plan_cache import fingerprint
 from repro.dbms.database import MiniDB
 from repro.errors import QueryTimeoutError, RetryExhaustedError
 from repro.fuzz.compare import canonical_rows
@@ -130,14 +129,8 @@ class TestFallback:
             .to_middleware()
             .build()
         )
-        key = (
-            fingerprint(sql),
-            tango.collector.epoch,
-            tango.feedback_store.epoch,
-            tango.config,
-        )
-        tango.plan_cache.put(
-            key,
+        tango.planner.cache.put(
+            tango.planner.cache_key(sql),
             OptimizationResult(plan=plan, cost=0.0, class_count=0, element_count=0),
         )
 

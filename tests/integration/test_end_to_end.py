@@ -71,13 +71,13 @@ class TestStaffingScenario:
 class TestLifecycle:
     def test_statistics_refresh_changes_estimates(self, tango):
         plan = tango.parse("VALIDTIME SELECT ProjID FROM ASSIGNMENT")
-        before = tango.estimator.estimate(plan).cardinality
+        before = tango.planner.estimator.estimate(plan).cardinality
         values = ", ".join(
             f"(3, 'X{i}', 50.0, {i}, {i + 10})" for i in range(500)
         )
         tango.db.execute(f"INSERT INTO ASSIGNMENT VALUES {values}")
         tango.refresh_statistics()
-        after = tango.estimator.estimate(
+        after = tango.planner.estimator.estimate(
             tango.parse("VALIDTIME SELECT ProjID FROM ASSIGNMENT")
         ).cardinality
         assert after > before

@@ -188,12 +188,12 @@ class TestAdaptiveFeedbackFromSpans:
         tango = Tango(
             uis_db, config=TangoConfig(adaptive=True), factors=stale
         )
-        previous = tango.factors.p_tmr
+        previous = tango.planner.factors.p_tmr
         for _ in range(5):
             tango.query(queries.query1_sql())
-            assert tango.factors.p_tmr <= previous
-            previous = tango.factors.p_tmr
-        assert tango.factors.p_tmr < stale.p_tmr / 2
+            assert tango.planner.factors.p_tmr <= previous
+            previous = tango.planner.factors.p_tmr
+        assert tango.planner.factors.p_tmr < stale.p_tmr / 2
         assert tango.metrics.value("feedback_updates") > 0
 
     def test_feedback_works_with_tracing_enabled_too(self, uis_db):
@@ -205,4 +205,4 @@ class TestAdaptiveFeedbackFromSpans:
         )
         for _ in range(3):
             tango.query(queries.query1_sql())
-        assert tango.factors.p_tmr < stale.p_tmr
+        assert tango.planner.factors.p_tmr < stale.p_tmr

@@ -63,8 +63,8 @@ class TestQuery2Choice:
         without = Tango(uis_db, config=TangoConfig(use_histograms=False))
         plan = queries.query2_initial_plan(uis_db, "1992-01-01")
         scan_like = plan  # estimate the initial plan's output
-        est_with = with_hist.estimator.estimate(scan_like).cardinality
-        est_without = without.estimator.estimate(scan_like).cardinality
+        est_with = with_hist.planner.estimator.estimate(scan_like).cardinality
+        est_without = without.planner.estimator.estimate(scan_like).cardinality
         assert est_with != est_without
 
 

@@ -1,14 +1,13 @@
 """Integration: partition-parallel execution is an invisible optimization.
 
 The paper's four queries must return exactly the serial answers at every
-worker count and partition strategy; ``workers=1`` must reproduce the
+worker count; ``workers=1`` must reproduce the
 serial plans verbatim; parallel runs must leak no temp tables, share one
 retry budget across partitions, and fall back to the all-DBMS plan when
 that budget runs out — chaos included."""
 
 import pytest
 
-from repro.core.plans import compile_plan
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.errors import TransientError
@@ -66,40 +65,24 @@ def assert_same_rows(actual, expected):
 class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("strategy", ["range", "hash"])
-    def test_same_rows_at_every_degree(
-        self, parallel_db, baseline, name, workers, strategy
-    ):
+    def test_same_rows_at_every_degree(self, parallel_db, baseline, name, workers):
         # Multiset comparison: the parallel cost terms may legitimately
         # pick a different (cheaper) plan, which can reorder rows that tie
         # under the query's ORDER BY.  The row multiset must be identical.
-        tango = Tango(
-            parallel_db,
-            config=TangoConfig(workers=workers, partition_strategy=strategy),
-        )
+        tango = Tango(parallel_db, config=TangoConfig(workers=workers))
         assert_same_rows(run(tango, name), baseline[name])
         assert_no_leaked_temp_tables(parallel_db)
         tango.close()
 
-    @pytest.mark.parametrize("strategy", ["range", "hash"])
-    def test_query1_order_is_preserved_exactly(
-        self, parallel_db, baseline, strategy
-    ):
+    def test_query1_order_is_preserved_exactly(self, parallel_db, baseline):
         # Query 1's delivered order (PosID, T1) is a key of the result, so
         # exchange reassembly must reproduce the serial order exactly.
-        tango = Tango(
-            parallel_db,
-            config=TangoConfig(workers=4, partition_strategy=strategy),
-        )
+        tango = Tango(parallel_db, config=TangoConfig(workers=4))
         assert run(tango, "Q1") == baseline["Q1"]
         tango.close()
 
-    @pytest.mark.parametrize("strategy", ["range", "hash"])
-    def test_parallel_run_actually_fans_out(self, parallel_db, baseline, strategy):
-        tango = Tango(
-            parallel_db,
-            config=TangoConfig(workers=4, partition_strategy=strategy),
-        )
+    def test_parallel_run_actually_fans_out(self, parallel_db, baseline):
+        tango = Tango(parallel_db, config=TangoConfig(workers=4))
         assert_same_rows(run(tango, "Q1"), baseline["Q1"])
         assert tango.metrics.value("exchange_partitions") >= 2
         tango.close()
@@ -112,11 +95,7 @@ class TestWorkersOneIsSerial:
 
         def describe(tango):
             optimization = tango.optimize(initial_plan(tango.db, "Q1"))
-            execution = compile_plan(
-                optimization.plan,
-                tango.connection,
-                parallel=tango._parallel_context(),
-            )
+            execution = tango.executor.compile(optimization.plan)
             text = execution.describe()
             execution.cleanup()
             return text
@@ -147,7 +126,7 @@ class TestWorkersOneIsSerial:
     def test_no_pool_is_built_for_serial_sessions(self, parallel_db):
         tango = Tango(parallel_db, config=TangoConfig(workers=1))
         tango.query(Q1_SQL)
-        assert tango._pool is None
+        assert tango.pool is None
         tango.close()
 
 
@@ -241,10 +220,7 @@ class TestRetryBudgetAcrossPartitions:
 
 
 class TestParallelChaosEquivalence:
-    @pytest.mark.parametrize("strategy", ["range", "hash"])
-    def test_seeded_chaos_parallel_answers_unchanged(
-        self, parallel_db, baseline, strategy
-    ):
+    def test_seeded_chaos_parallel_answers_unchanged(self, parallel_db, baseline):
         injector = FaultInjector(
             FaultPolicy(round_trip_p=0.2, load_chunk_p=0.2), seed=CHAOS_SEED
         )
@@ -252,7 +228,6 @@ class TestParallelChaosEquivalence:
             parallel_db,
             config=TangoConfig(
                 workers=4,
-                partition_strategy=strategy,
                 retry=RetryPolicy(
                     max_attempts=10,
                     budget=100_000,

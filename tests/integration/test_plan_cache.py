@@ -1,15 +1,21 @@
-"""Integration: the statistics-epoch plan cache across the benchmark queries.
+"""Integration: the planning-epoch plan cache across the benchmark queries.
 
-Correctness contract (the ISSUE's satellite 3): an identical re-run is a
-cache hit that skips the optimizer; a statistics refresh (new epoch) or a
-different ``TangoConfig`` forces a fresh optimization; cached plans return
-the same answers as fresh ones.
+Correctness contract: an identical re-run is a cache hit that skips the
+optimizer; cached plans return the same answers as fresh ones; and
+*everything* a plan is priced with — statistics, cost factors, learned
+cardinalities, the catalog of views — moves the one planning epoch
+(``planner.epoch``) exactly once when it materially changes, inline and
+through a service's workers alike, while immaterial drift leaves cached
+plans alone (the staleness matrix below).
 """
 
-import pytest
-from dataclasses import replace
+from types import SimpleNamespace
 
+import pytest
+
+from repro.core.engine import TransferObservation
 from repro.core.tango import Tango, TangoConfig
+from repro.service import ServiceConfig
 from repro.workloads import queries
 
 
@@ -56,27 +62,6 @@ class TestCacheHits:
 
 
 class TestCacheInvalidation:
-    def test_statistics_epoch_bump_forces_reoptimize(self, tango):
-        tango.optimize(queries.query1_sql())
-        epoch = tango.collector.epoch
-        tango.refresh_statistics(["POSITION"])
-        assert tango.collector.epoch == epoch + 1
-        tango.optimize(queries.query1_sql())
-        assert tango.metrics.value("optimizer_runs") == 2
-        assert tango.metrics.value("plan_cache_hits") == 0
-
-    def test_config_change_forces_reoptimize(self, tango):
-        tango.optimize(queries.query1_sql())
-        tango.config = replace(tango.config, use_histograms=False)
-        tango.optimize(queries.query1_sql())
-        assert tango.metrics.value("optimizer_runs") == 2
-        assert tango.metrics.value("plan_cache_hits") == 0
-        # Back to the original config: the first entry still matches.
-        tango.config = replace(tango.config, use_histograms=True)
-        tango.optimize(queries.query1_sql())
-        assert tango.metrics.value("optimizer_runs") == 2
-        assert tango.metrics.value("plan_cache_hits") == 1
-
     def test_cache_disabled_by_config(self, uis_db):
         tango = Tango(uis_db, config=TangoConfig(plan_cache_size=0))
         tango.optimize(queries.query1_sql())
@@ -86,10 +71,6 @@ class TestCacheInvalidation:
 
 
 class TestUpdateInvalidation:
-    """apply_updates moves both epochs the cache keys on (ISSUE 10
-    satellite 4): the statistics epoch (PR 2 cache) and the feedback
-    epoch (PR 8 learned cardinalities)."""
-
     @pytest.fixture
     def learning_tango(self, figure3_db):
         return Tango(figure3_db, TangoConfig(learn_cardinalities=True))
@@ -99,40 +80,106 @@ class TestUpdateInvalidation:
         first = tango.optimize(queries.query1_sql())
         assert tango.optimize(queries.query1_sql()) is first
         assert tango.metrics.value("plan_cache_hits") == 1
-        stats_epoch = tango.collector.epoch
 
         doomed = tango.db.table("POSITION").rows[0]
         tango.apply_updates("POSITION", deletes=[doomed])
 
-        assert tango.collector.epoch > stats_epoch
         tango.optimize(queries.query1_sql())
         assert tango.metrics.value("optimizer_runs") == 2
         assert tango.metrics.value("plan_cache_hits") == 1
 
-    def test_apply_updates_moves_the_feedback_epoch(self, learning_tango):
+    def test_apply_updates_forgets_learned_cardinalities(self, learning_tango):
         tango = learning_tango
         # Execute once so the feedback store learns cardinalities that
         # read POSITION.
         tango.query(queries.query1_sql())
-        assert len(tango.feedback_store) > 0
-        feedback_epoch = tango.feedback_store.epoch
+        assert len(tango.learner.store) > 0
 
         doomed = tango.db.table("POSITION").rows[0]
         result = tango.apply_updates("POSITION", deletes=[doomed])
 
         assert result["feedback_invalidated"] > 0
-        assert tango.feedback_store.epoch > feedback_epoch
         # Every learned entry read POSITION; all must be gone.
-        assert len(tango.feedback_store) == 0
+        assert len(tango.learner.store) == 0
 
-    def test_view_refresh_moves_the_statistics_epoch(self, learning_tango):
-        tango = learning_tango
-        tango.create_view("VQ1", queries.query1_sql())
-        tango.apply_updates(
-            "POSITION", deletes=[tango.db.table("POSITION").rows[0]]
-        )
-        epoch = tango.collector.epoch
-        tango.refresh_view("VQ1")
-        # The refresh rewrote the view table: plans cached over it are
-        # stale, so the epoch must move again.
-        assert tango.collector.epoch > epoch
+
+# -- the staleness matrix ---------------------------------------------------------------
+
+SQL = "VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION GROUP BY PosID ORDER BY PosID"
+
+
+def transfers(per_tuple_us: float) -> SimpleNamespace:
+    """A finished execution whose one TRANSFER^M took *per_tuple_us* per
+    tuple (no bytes, so nothing is attributed to the per-byte term)."""
+    observation = TransferObservation("up", 1000, 0, per_tuple_us * 1000 / 1e6)
+    return SimpleNamespace(observations=[observation], trace=None)
+
+
+def with_view(tango):
+    tango.create_view("V", SQL)
+
+
+def with_stale_view(tango):
+    with_view(tango)
+    tango.apply_updates("POSITION", inserts=[(3, "Ann", 1, 9)])
+
+
+def with_learned(tango):
+    tango.learner.learn("fp", 100)
+
+
+#: event → (setup, the event, whether it is material).  The service cases
+#: run on POSITION's three rows: a transfer that small is below the
+#: adapter's ``min_tuples``, so executing queries never drifts the factors
+#: by itself, and nothing is learned unless the event does it.
+EVENTS = {
+    "refresh_statistics": (None, lambda t: t.refresh_statistics(["POSITION"]), True),
+    "deferred_analyze": (None, lambda t: t.refresh_statistics([], analyze=False), True),
+    "apply_updates": (
+        None, lambda t: t.apply_updates("POSITION", inserts=[(3, "Ann", 1, 9)]), True
+    ),
+    "calibrate": (None, lambda t: t.calibrate(sizes=(40,), repeats=1), True),
+    "factor_drift": (None, lambda t: t.learner.observe(transfers(500.0), None, {}), True),
+    "factor_drift_within_tolerance": (
+        None, lambda t: t.learner.observe(transfers(1.01), None, {}), False
+    ),
+    "learned_new_fingerprint": (None, lambda t: t.learner.learn("fp", 100), True),
+    "learned_shift": (with_learned, lambda t: t.learner.learn("fp", 1000), True),
+    "learned_shift_within_tolerance": (
+        with_learned, lambda t: t.learner.learn("fp", 101), False
+    ),
+    "create_view": (None, with_view, True),
+    "drop_view": (with_view, lambda t: t.drop_view("V"), True),
+    "refresh_view": (with_stale_view, lambda t: t.refresh_view("V"), True),
+}
+
+
+@pytest.mark.parametrize("mode", ["inline", "service"])
+@pytest.mark.parametrize("event", EVENTS)
+def test_staleness_matrix(figure3_db, event, mode):
+    setup, happen, material = EVENTS[event]
+    service = ServiceConfig(max_concurrency=2) if mode == "service" else None
+    with Tango(figure3_db, TangoConfig(adaptive=True, service=service)) as tango:
+        # Inline, planning is the facade's optimize(); in service mode it is
+        # whatever a worker does for a submitted query.
+        plan = tango.optimize if mode == "inline" else tango.query
+
+        def planned() -> tuple[int, int]:
+            before = tango.metrics.value("plan_cache_misses"), tango.metrics.value(
+                "plan_cache_hits"
+            )
+            plan(SQL)
+            return (
+                tango.metrics.value("plan_cache_misses") - before[0],
+                tango.metrics.value("plan_cache_hits") - before[1],
+            )
+
+        if setup is not None:
+            setup(tango)
+        planned()
+        assert planned() == (0, 1)  # warm
+        epoch = tango.planner.epoch
+        happen(tango)
+        assert tango.planner.epoch == epoch + material
+        assert planned() == ((1, 0) if material else (0, 1))
+        assert planned() == (0, 1)

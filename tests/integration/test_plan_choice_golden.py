@@ -109,7 +109,7 @@ def corpus(db: MiniDB) -> dict[str, object]:
 
 def measure(tango: Tango, query) -> dict:
     plan = tango.parse(query) if isinstance(query, str) else query
-    result = tango.optimizer.optimize(plan)
+    result = tango.planner.optimizer.optimize(plan)
     return {
         "digest": digest(result.plan),
         "cost": repr(result.cost),
@@ -117,7 +117,7 @@ def measure(tango: Tango, query) -> dict:
         "element_count": result.element_count,
         "top_plans": [
             [digest(top), repr(cost)]
-            for top, cost in tango.optimizer.top_plans(plan, k=3)
+            for top, cost in tango.planner.optimizer.top_plans(plan, k=3)
         ],
     }
 

@@ -56,8 +56,8 @@ def initial_plan(db):
 
 def corrupt_stats(tango: Tango, table: str = "BIGPOS", cardinality=10.0):
     """Replace the collector's cached statistics with a wildly low count."""
-    stats = tango.collector.collect(table)
-    tango.collector._cache[table.lower()] = stats.with_cardinality(cardinality)
+    stats = tango.planner.collector.collect(table)
+    tango.planner.collector._cache[table.lower()] = stats.with_cardinality(cardinality)
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +168,7 @@ class TestMidQueryReoptimization:
             tango.execute_plan(tango.optimize(initial_plan(db)).plan)
             # The probe fed the observed cardinality of the coalesced
             # subtree into the feedback store before re-optimizing.
-            assert len(tango.feedback_store) >= 1
+            assert len(tango.learner.store) >= 1
             assert (
                 tango.metrics.counter("cardinality_feedback_updates").value
                 >= 1

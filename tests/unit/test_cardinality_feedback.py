@@ -2,8 +2,8 @@
 
 Covers the q-error metric, fingerprint invariances (predicate
 reordering, commuted joins, cardinality-preserving wrappers), EMA
-convergence with tolerance-gated epochs, persistence round-trips across
-Tango sessions, and the plan cache keying on the feedback epoch.
+convergence with tolerance-gated materiality, persistence round-trips
+across Tango sessions, and the planning epoch following material changes.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.algebra.operators import (
     TransferM,
 )
 from repro.algebra.schema import Attribute, AttrType, Schema
-from repro.core.cardinality import (
+from repro.core.learner import (
     CardinalityFeedbackStore,
     plan_fingerprint,
     qerror,
@@ -151,31 +151,19 @@ class TestFeedbackStoreEMA:
 
     def test_epoch_stops_moving_once_converged(self):
         store = CardinalityFeedbackStore(smoothing=0.3, tolerance=0.05)
-        store.observe("fp", 1000)
-        epoch_after_seed = store.epoch
-        # Identical re-observations are immaterial: no epoch movement, so
-        # a converged workload keeps its plan-cache hits.
+        assert store.observe("fp", 1000) is True  # a new entry is material
+        # Identical re-observations are immaterial: the learner leaves the
+        # planning epoch alone, so a converged workload keeps its
+        # plan-cache hits.
         for _ in range(5):
             assert store.observe("fp", 1000) is False
-        assert store.epoch == epoch_after_seed
         # A genuine shift is material again.
         assert store.observe("fp", 5000) is True
-        assert store.epoch == epoch_after_seed + 1
 
     def test_unknown_fingerprint(self):
         store = CardinalityFeedbackStore()
         assert store.learned_cardinality("missing") is None
         assert store.observations("missing") == 0
-
-    def test_clear_bumps_epoch_once(self):
-        store = CardinalityFeedbackStore()
-        store.observe("fp", 10)
-        before = store.epoch
-        store.clear()
-        assert len(store) == 0
-        assert store.epoch == before + 1
-        store.clear()  # empty clear is a no-op
-        assert store.epoch == before + 1
 
 
 class TestPersistence:
@@ -189,7 +177,6 @@ class TestPersistence:
         assert fresh.load(path) == 2
         assert fresh.learned_cardinality("scan:r") == 123.0
         assert fresh.observations("select[RA < 5](scan:r)") == 1
-        assert fresh.epoch == 1  # one material bump for the whole merge
 
     def test_load_overwrites_in_memory(self, tmp_path):
         path = str(tmp_path / "feedback.json")
@@ -212,13 +199,12 @@ class TestPersistence:
         )
         with Tango(make_figure3_db(), config=config) as first:
             baseline = first.query(sql).rows
-            assert len(first.feedback_store) > 0
+            assert len(first.learner.store) > 0
         # close() persisted the learned store ...
         assert (tmp_path / "feedback.json").exists()
         # ... and a brand-new session loads it back and answers identically.
         with Tango(make_figure3_db(), config=config) as second:
-            assert len(second.feedback_store) > 0
-            assert second.feedback_store.epoch >= 1
+            assert len(second.learner.store) > 0
             assert second.query(sql).rows == baseline
 
     def test_missing_feedback_file_is_fine(self, tmp_path):
@@ -229,7 +215,7 @@ class TestPersistence:
         from tests.conftest import make_figure3_db
 
         with Tango(make_figure3_db(), config=config) as tango:
-            assert len(tango.feedback_store) == 0
+            assert len(tango.learner.store) == 0
 
 
 class TestPlanCacheEpoch:
@@ -250,17 +236,17 @@ class TestPlanCacheEpoch:
         assert hits == 1 and misses == 1
         # An epoch move means the learned world changed: the cached plan
         # was costed against stale estimates and must not be reused.
-        tango.feedback_store.observe("scan:somewhere", 42)
+        tango.learner.learn("scan:somewhere", 42)
         tango.optimize(self.SQL)
         hits, misses = self._counters(tango)
         assert hits == 1 and misses == 2
 
     def test_converged_store_keeps_cache_hits(self, figure3_db):
         tango = Tango(figure3_db)
-        tango.feedback_store.observe("fp", 100)
+        tango.learner.learn("fp", 100)
         tango.optimize(self.SQL)
         # Immaterial updates leave the epoch alone: still a cache hit.
-        tango.feedback_store.observe("fp", 100)
+        tango.learner.learn("fp", 100)
         tango.optimize(self.SQL)
         hits, misses = self._counters(tango)
         assert hits == 1 and misses == 1

@@ -37,10 +37,8 @@ from repro.xxl import (
     ExchangeCursor,
     FilterCursor,
     MergeJoinCursor,
-    PartitionSpec,
     ProjectCursor,
     RelationCursor,
-    RepartitionCursor,
     SortCursor,
     SQLCursor,
     TemporalAggregateCursor,
@@ -85,7 +83,6 @@ def test_every_operator_is_found():
         "TemporalAggregateCursor",
         "TransferDCursor",
         "ExchangeCursor",
-        "RepartitionOutput",
     } <= names
 
 
@@ -167,22 +164,9 @@ def taggr(func, attribute="Pay"):
     )
 
 
-def exchange(workers, merge):
-    spec = PartitionSpec("K", "hash", 4)
-    parts = [[row for row in KV_SORTED if spec.assign(row[0]) == i] for i in range(4)]
-    if not merge:
-        parts = [KV_SORTED[i : i + 25] for i in range(0, 100, 25)]
-    return ExchangeCursor(
-        [kv(part) for part in parts],
-        workers=workers,
-        merge_keys=("K", "V") if merge else (),
-    )
-
-
-def repartitioned():
-    splitter = RepartitionCursor(kv(KV_ROWS), PartitionSpec("K", "hash", 2))
-    # Only output 0 is driven; its sibling's rows simply queue up.
-    return splitter.outputs[0]
+def exchange(workers):
+    parts = [KV_SORTED[i : i + 25] for i in range(0, 100, 25)]
+    return ExchangeCursor([kv(part) for part in parts], workers=workers)
 
 
 OPERATORS = {
@@ -209,12 +193,8 @@ OPERATORS = {
     "taggr_count": lambda: taggr("COUNT"),
     "taggr_sum": lambda: taggr("SUM"),
     "taggr_min": lambda: taggr("MIN"),
-    "exchange_concat_w1": lambda: exchange(1, merge=False),
-    "exchange_concat_w4": lambda: exchange(4, merge=False),
-    # A k-way merge needs a live head from every stream, so merge mode
-    # runs one worker per partition (as compile_plan always arranges).
-    "exchange_merge_w4": lambda: exchange(4, merge=True),
-    "repartition_output": repartitioned,
+    "exchange_concat_w1": lambda: exchange(1),
+    "exchange_concat_w4": lambda: exchange(4),
 }
 
 FACE_CALLS = st.lists(

@@ -1,7 +1,7 @@
-"""Unit tests for the partition-parallel exchange layer: partition specs,
-cut-point selection, the repartition splitter, the exchange cursor's
-concat/merge reassembly, failure propagation, and the temp-name/drop
-races the parallel engine depends on."""
+"""Unit tests for the partition-parallel exchange layer: range partition
+specs, cut-point selection, the exchange cursor's concat reassembly,
+backpressure, failure propagation, and the temp-name/drop races the
+parallel engine depends on."""
 
 import threading
 
@@ -17,7 +17,6 @@ from repro.xxl.cursor import GeneratorCursor, materialize
 from repro.xxl.exchange import (
     ExchangeCursor,
     PartitionSpec,
-    RepartitionCursor,
     equal_count_cut_points,
     range_partition_spec,
 )
@@ -37,20 +36,16 @@ def rows_for(keys):
 
 
 class TestPartitionSpec:
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ExecutionError):
-            PartitionSpec("K", "round-robin", 2, (5.0,))
-
     def test_rejects_wrong_cut_point_count(self):
         with pytest.raises(ExecutionError):
-            PartitionSpec("K", "range", 3, (5.0,))
+            PartitionSpec("K", 3, (5.0,))
 
     def test_rejects_non_increasing_cut_points(self):
         with pytest.raises(ExecutionError):
-            PartitionSpec("K", "range", 3, (5.0, 5.0))
+            PartitionSpec("K", 3, (5.0, 5.0))
 
     def test_range_assign_uses_half_open_intervals(self):
-        spec = PartitionSpec("K", "range", 3, (10.0, 20.0))
+        spec = PartitionSpec("K", 3, (10.0, 20.0))
         assert spec.assign(9) == 0
         assert spec.assign(10) == 1  # cut point belongs to the upper side
         assert spec.assign(19) == 1
@@ -58,20 +53,14 @@ class TestPartitionSpec:
         assert spec.assign(-100) == 0
         assert spec.assign(10_000) == 2
 
-    def test_hash_assign_covers_every_partition(self):
-        spec = PartitionSpec("K", "hash", 4)
-        indexes = {spec.assign(value) for value in range(100)}
-        assert indexes == {0, 1, 2, 3}
-        assert all(0 <= spec.assign(v) < 4 for v in range(100))
-
     def test_bounds_open_at_the_extremes(self):
-        spec = PartitionSpec("K", "range", 3, (10.0, 20.0))
+        spec = PartitionSpec("K", 3, (10.0, 20.0))
         assert spec.bounds(0) == (None, 10.0)
         assert spec.bounds(1) == (10.0, 20.0)
         assert spec.bounds(2) == (20.0, None)
 
     def test_predicates_cover_the_whole_value_space(self):
-        spec = PartitionSpec("K", "range", 3, (10.0, 20.0))
+        spec = PartitionSpec("K", 3, (10.0, 20.0))
         predicates = spec.predicates_sql("T")
         assert predicates == [
             "T.K < 10",
@@ -80,12 +69,8 @@ class TestPartitionSpec:
         ]
 
     def test_single_partition_predicate_is_unbounded(self):
-        spec = PartitionSpec("K", "range", 1, ())
+        spec = PartitionSpec("K", 1, ())
         assert spec.predicates_sql("T") == ["1 = 1"]
-
-    def test_hash_spec_has_no_sql_form(self):
-        with pytest.raises(ExecutionError):
-            PartitionSpec("K", "hash", 2).predicates_sql("T")
 
 
 class TestCutPoints:
@@ -167,42 +152,6 @@ class ClosableCursor(IterableCursor):
         self.closed_count += 1
 
 
-class TestRepartitionCursor:
-    def test_routes_by_hash_and_loses_nothing(self):
-        rows = rows_for(range(50))
-        spec = PartitionSpec("K", "hash", 3)
-        splitter = RepartitionCursor(IterableCursor(SCHEMA, rows), spec)
-        routed = [materialize(output) for output in splitter.outputs]
-        assert sorted(row for part in routed for row in part) == sorted(rows)
-        for index, part in enumerate(routed):
-            assert all(spec.assign(row[0]) == index for row in part)
-
-    def test_groups_stay_whole(self):
-        rows = rows_for([1, 2, 1, 3, 2, 1])
-        splitter = RepartitionCursor(
-            IterableCursor(SCHEMA, rows), PartitionSpec("K", "hash", 2)
-        )
-        routed = [materialize(output) for output in splitter.outputs]
-        for key in (1, 2, 3):
-            holders = [i for i, part in enumerate(routed)
-                       if any(row[0] == key for row in part)]
-            assert len(holders) == 1
-
-    def test_outputs_adopt_input_schema(self):
-        splitter = RepartitionCursor(
-            IterableCursor(SCHEMA, rows_for([1])), PartitionSpec("K", "hash", 2)
-        )
-        output = splitter.outputs[0].init()
-        assert output.schema.names == ("K", "V")
-
-    def test_shared_input_closed_with_last_output(self):
-        source = ClosableCursor(SCHEMA, rows_for(range(10)))
-        splitter = RepartitionCursor(source, PartitionSpec("K", "hash", 3))
-        for output in splitter.outputs:
-            materialize(output)
-        assert source.closed_count == 1
-
-
 class FailingCursor(GeneratorCursor):
     """Produces a few rows, then raises."""
 
@@ -226,26 +175,6 @@ class TestExchangeCursor:
         exchange = ExchangeCursor(pipelines, workers=2)
         assert materialize(exchange) == rows_for(range(30))
 
-    def test_merge_reassembles_global_order(self):
-        rows = rows_for(range(40))
-        spec = PartitionSpec("K", "hash", 3)
-        parts = [[], [], []]
-        for row in rows:
-            parts[spec.assign(row[0])].append(row)
-        pipelines = [IterableCursor(SCHEMA, part) for part in parts]
-        exchange = ExchangeCursor(pipelines, workers=3, merge_keys=("K",))
-        assert materialize(exchange) == rows
-
-    def test_merge_breaks_ties_by_partition_index(self):
-        left = [(1, 100), (2, 100)]
-        right = [(1, 200), (2, 200)]
-        exchange = ExchangeCursor(
-            [IterableCursor(SCHEMA, left), IterableCursor(SCHEMA, right)],
-            workers=2,
-            merge_keys=("K",),
-        )
-        assert materialize(exchange) == [(1, 100), (1, 200), (2, 100), (2, 200)]
-
     def test_empty_partitions_still_publish_schema(self):
         exchange = ExchangeCursor(
             [IterableCursor(SCHEMA, []), IterableCursor(SCHEMA, [])],
@@ -254,43 +183,20 @@ class TestExchangeCursor:
         assert materialize(exchange) == []
         assert exchange.schema.names == ("K", "V")
 
-    def test_empty_merge_does_not_crash(self):
-        exchange = ExchangeCursor(
-            [IterableCursor(SCHEMA, [])], workers=1, merge_keys=("K",)
-        )
-        assert materialize(exchange) == []
-
-    def test_merge_with_fewer_workers_than_partitions_is_refused(self):
+    def test_fewer_workers_than_partitions_drains_in_order(self):
         # Two partitions that each outgrow a one-batch queue, one worker:
-        # the merge waits for a head from the partition no thread is
-        # running while the running one blocks on its full queue.  The
-        # constructor refuses the shape; the watchdog turns a regression
-        # into a failure instead of a wedged test run.
-        outcome: dict = {}
-
-        def drive():
-            try:
-                outcome["exchange"] = exchange = ExchangeCursor(
-                    [
-                        IterableCursor(SCHEMA, rows_for(range(0, 4000, 2))),
-                        IterableCursor(SCHEMA, rows_for(range(1, 4000, 2))),
-                    ],
-                    workers=1,
-                    merge_keys=("K",),
-                    queue_batches=1,
-                )
-                outcome["rows"] = materialize(exchange)
-            except ExecutionError as error:
-                outcome["error"] = error
-
-        thread = threading.Thread(target=drive, daemon=True)
-        thread.start()
-        thread.join(5.0)
-        if thread.is_alive():
-            outcome["exchange"].close()  # cancels the producers
-            thread.join(5.0)
-            pytest.fail("k-way merge deadlocked with workers < partitions")
-        assert "worker per partition" in str(outcome["error"])
+        # the consumer drains partition 0 before it asks for partition 1,
+        # so the partition waiting for the thread blocks nobody.
+        exchange = ExchangeCursor(
+            [
+                IterableCursor(SCHEMA, rows_for(range(0, 2000))),
+                IterableCursor(SCHEMA, rows_for(range(2000, 4000))),
+            ],
+            workers=1,
+            queue_batches=1,
+        )
+        assert materialize(exchange) == rows_for(range(4000))
+        assert exchange.queue_full_stalls > 0
 
     def test_workers_capped_by_partitions(self):
         exchange = ExchangeCursor([IterableCursor(SCHEMA, [])], workers=8)
@@ -306,7 +212,7 @@ class TestExchangeCursor:
             IterableCursor(SCHEMA, rows_for(range(1000))),
             FailingCursor(SCHEMA, rows_for(range(3)), boom),
         ]
-        exchange = ExchangeCursor(pipelines, workers=2, merge_keys=("K",))
+        exchange = ExchangeCursor(pipelines, workers=2)
         with pytest.raises(ValueError, match="partition exploded"):
             materialize(exchange)
 

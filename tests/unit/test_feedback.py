@@ -4,7 +4,8 @@ partitioning of subsequent queries")."""
 
 import pytest
 
-from repro.core.feedback import FeedbackAdapter, TransferObservation
+from repro.core.engine import TransferObservation
+from repro.core.learner import FeedbackAdapter
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.optimizer.costs import CostFactors
@@ -123,15 +124,15 @@ class TestTangoIntegration:
 
     def test_adaptive_updates_factors(self, db):
         tango = Tango(db, config=TangoConfig(adaptive=True), factors=CostFactors(p_tmr=1e6))
-        before = tango.factors.p_tmr
+        before = tango.planner.factors.p_tmr
         tango.query(self.temporal_query())
-        assert tango.factors.p_tmr < before  # moved toward reality
+        assert tango.planner.factors.p_tmr < before  # moved toward reality
 
     def test_non_adaptive_keeps_factors(self, db):
         tango = Tango(db, config=TangoConfig(adaptive=False))
-        before = tango.factors
+        before = tango.planner.factors
         tango.query(self.temporal_query())
-        assert tango.factors is before
+        assert tango.planner.factors is before
 
     def test_observations_collected_even_when_not_adaptive(self, db):
         from repro.core.plans import compile_plan
@@ -139,7 +140,7 @@ class TestTangoIntegration:
         tango = Tango(db)
         optimization = tango.optimize(self.temporal_query())
         execution = compile_plan(optimization.plan, tango.connection)
-        outcome = tango.engine.execute(execution)
+        outcome = tango.executor.engine.execute(execution)
         ups = [o for o in outcome.observations if o.direction == "up"]
         assert ups
         assert all(o.seconds >= 0 for o in ups)
@@ -147,6 +148,6 @@ class TestTangoIntegration:
 
     def test_adaptation_is_used_by_next_optimization(self, db):
         tango = Tango(db, config=TangoConfig(adaptive=True), factors=CostFactors(p_tmr=1e6))
-        first_optimizer = tango.optimizer
+        first_optimizer = tango.planner.optimizer
         tango.query(self.temporal_query())
-        assert tango.optimizer is not first_optimizer  # rebuilt on update
+        assert tango.planner.optimizer is not first_optimizer  # rebuilt on update

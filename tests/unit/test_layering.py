@@ -1,0 +1,80 @@
+"""Layering: the service and the views depend on the pipeline stages
+(:mod:`repro.core.planner`, ``executor``, ``learner``), never on the
+:class:`~repro.core.tango.Tango` facade that composes them, and never on
+anybody's private parts.
+
+Walks the two packages' sources with :mod:`ast`; fails on
+
+* any import of ``repro.core.tango``, at module or function level (the
+  facade imports the service, so the reverse edge is a cycle — the parent
+  dodged it with three function-level imports and a ``TYPE_CHECKING``
+  block);
+* any ``<name>._<private>`` attribute access where ``<name>`` is a stage
+  or a facade (``tango._execute_optimized``, ``db._rebuild_indexes`` and
+  ``tango.collector.refresh()`` behind the facade's back were the
+  parent's).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+LAYERED = sorted(
+    path for package in ("service", "views") for path in (SRC / package).glob("*.py")
+)
+#: Names that hold a stage, the facade, or the database in those packages.
+OWNERS = {"tango", "planner", "learner", "executor", "db", "service", "pool"}
+
+
+def owner_of(node: ast.expr) -> str | None:
+    """``planner`` for ``planner``, ``self.planner`` and ``self._planner``."""
+    if isinstance(node, ast.Name):
+        return node.id.lstrip("_")
+    if isinstance(node, ast.Attribute):
+        return node.attr.lstrip("_")
+    return None
+
+
+def violations(tree: ast.AST) -> list[str]:
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.core.tango":
+            problems.append(f"line {node.lineno}: from repro.core.tango import ...")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro.core.tango":
+                    problems.append(f"line {node.lineno}: import repro.core.tango")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and owner_of(node.value) in OWNERS
+            # ``self._planner`` is the holder's own slot, not a reach.
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            problems.append(
+                f"line {node.lineno}: {ast.unparse(node)} reaches into a private"
+            )
+    return problems
+
+
+@pytest.mark.parametrize("path", LAYERED, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_facade_import_and_no_private_reach(path):
+    problems = violations(ast.parse(path.read_text(), filename=str(path)))
+    assert not problems, f"{path}: " + "; ".join(problems)
+
+
+def test_the_walk_is_not_vacuous():
+    assert {"service.py", "manager.py"} <= {path.name for path in LAYERED}
+    parent_style = (
+        "def f(self, tango):\n"
+        "    from repro.core.tango import Tango\n"
+        "    tango._execute_optimized()\n"
+        "    self._tango.db._rebuild_indexes()\n"
+        "    self._planner.refresh()\n"
+    )
+    assert len(violations(ast.parse(parent_style))) == 3

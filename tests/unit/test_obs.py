@@ -6,7 +6,7 @@ import pytest
 
 from repro.algebra.builder import scan
 from repro.core.engine import ExecutionEngine
-from repro.core.feedback import observations_from_trace
+from repro.core.engine import observations_from_trace
 from repro.core.plans import compile_plan
 from repro.obs import (
     Counter,

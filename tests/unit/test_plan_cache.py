@@ -65,13 +65,6 @@ class TestPlanCache:
         assert len(cache) == 0
         assert cache.get("k") is None
 
-    def test_clear(self):
-        cache = PlanCache()
-        cache.put("k", "plan")
-        cache.clear()
-        assert cache.get("k") is None
-        assert len(cache) == 0
-
     def test_to_dict(self):
         cache = PlanCache(max_size=8)
         cache.put("k", "plan")

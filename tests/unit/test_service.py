@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro.core.engine import TransferObservation
+from repro.core.executor import Executor
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.errors import (
@@ -362,13 +364,39 @@ class TestQueryService:
         )
 
 
+def lease_executor(service: QueryService) -> Executor:
+    """An executor built exactly as a worker thread builds its own."""
+    return Executor(
+        service.planner,
+        service.learner,
+        service.pool.acquire(),
+        service.tango_config,
+        pool=service.pool,
+        metrics=service.metrics,
+    )
+
+
 class TestWorkersShareLearning:
-    """The service's plan cache and feedback store start *empty*, hence
-    falsy (``__len__`` is 0): workers must take them by identity."""
+    """Workers bring an executor each and share everything a plan is
+    priced with: one planner (statistics, factors, plan cache, epoch) and
+    one learner (both feedback loops) per service."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch) -> list[Executor]:
+        """Every Executor built while the test runs (the workers' own)."""
+        built: list[Executor] = []
+        original = Executor.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Executor, "__init__", recording)
+        return built
 
     def test_second_worker_hits_the_plan_the_first_one_cached(self, db):
         with QueryService(db, ServiceConfig(max_concurrency=2)) as service:
-            first, second = service._make_worker_tango(), service._make_worker_tango()
+            first, second = lease_executor(service), lease_executor(service)
 
             def counted(name: str) -> int:
                 return service.metrics.to_dict()["counters"].get(name, 0)
@@ -379,20 +407,124 @@ class TestWorkersShareLearning:
                 second.run(TEMPORAL)
                 assert (counted("plan_cache_misses"), counted("plan_cache_hits")) == (1, 1)
             finally:
-                first.close()
-                second.close()
+                service.pool.release(first.connection)
+                service.pool.release(second.connection)
 
-    def test_workers_hold_the_services_own_store_objects(self, db):
+    def test_workers_hold_the_services_own_store_objects(self, db, workers):
         with QueryService(db, ServiceConfig(max_concurrency=2)) as service:
-            assert len(service.plan_cache) == 0 and len(service.feedback_store) == 0
-            workers = [service._make_worker_tango() for _ in range(2)]
-            try:
-                for worker in workers:
-                    assert worker.plan_cache is service.plan_cache
-                    assert worker.feedback_store is service.feedback_store
-            finally:
-                for worker in workers:
-                    worker.close()
+            assert len(service.planner.cache) == 0 and len(service.learner.store) == 0
+            handles = [service.submit(TEMPORAL) for _ in range(8)]
+            for handle in handles:
+                handle.result(timeout=60)
+        assert workers
+        for worker in workers:
+            assert worker.planner is service.planner
+            assert worker.learner is service.learner
+
+    def test_an_owned_service_plans_with_the_facades_stages(self, db):
+        config = TangoConfig(service=ServiceConfig(max_concurrency=2))
+        with Tango(db, config=config) as tango:
+            tango.query(TEMPORAL)
+            assert tango.service.planner is tango.planner
+            assert tango.service.learner is tango.learner
+
+    def test_adaptive_service_holds_one_set_of_factors(self, db, workers, monkeypatch):
+        """Two adaptive workers fold their observations into one running
+        average, and the epoch advances on material drift only — a
+        converged workload keeps its cached plan.  (Parent: a CostFactors
+        per worker, the shared cache cleared by every query.)"""
+        import repro.core.engine as engine
+
+        # Every execution reports the same transfer, one the per-byte term
+        # fully explains (1,000 tuples x 48 B at p_tm = 0.03 us/B): the
+        # running p_tmr decays 1.0 -> 0.7 -> 0.49 -> ... by the smoothing
+        # weight per query whatever the machine's timing noise.
+        steady = [TransferObservation("up", 1000, 48_000, 0.00144)]
+        monkeypatch.setattr(engine, "observations_from_trace", lambda trace: steady)
+        with QueryService(
+            db,
+            ServiceConfig(max_concurrency=2),
+            tango_config=TangoConfig(adaptive=True),
+        ) as service:
+
+            def serve(count: int) -> dict:
+                handles = [service.submit(TEMPORAL) for _ in range(count)]
+                for handle in handles:
+                    handle.result(timeout=60)
+                return service.metrics.to_dict()["counters"]
+
+            counters = serve(12)
+            assert len(workers) == 2
+            assert all(worker.planner is service.planner for worker in workers)
+            assert all(worker.learner is service.learner for worker in workers)
+            assert counters["feedback_updates"] == 12
+            # The initial plan, plus one re-plan per material step of the
+            # decay: against the 1.44 us/tuple the per-byte term charges,
+            # observations 1, 2, 3, 4, 6 and 9 leave the transfer re-priced
+            # by more than 5 % since the last advance; none after does.
+            assert counters["optimizer_runs"] <= 7
+            assert service.planner.factors.p_tmr < 0.2
+            # Converged: the drift that remains re-prices nothing.
+            epoch, runs = service.planner.epoch, counters["optimizer_runs"]
+            counters = serve(12)
+            assert counters["feedback_updates"] == 24
+            assert service.planner.epoch == epoch
+            assert counters["optimizer_runs"] == runs
+            assert len(service.planner.cache) >= 1
+
+
+class TestServiceSeesTheFacadesWorld:
+    """What the facade does to statistics, data and views reaches the
+    workers: they plan with its planner (parent: a private collector per
+    worker, frozen at the statistics it first read)."""
+
+    @pytest.fixture
+    def uis(self):
+        from repro.workloads.uis import load_uis
+
+        instance = MiniDB()
+        load_uis(instance, scale=0.02, with_variants=False)
+        return instance
+
+    def test_workers_replan_after_the_facade_changes_what_plans_are_priced_with(
+        self, uis
+    ):
+        from repro.workloads import queries
+
+        sql = queries.query1_sql()
+        config = TangoConfig(service=ServiceConfig(max_concurrency=1))
+        with Tango(uis, config=config) as tango:
+
+            def served() -> tuple[int, int, float]:
+                before = tango.metrics.value("plan_cache_misses"), tango.metrics.value(
+                    "plan_cache_hits"
+                )
+                result = tango.submit(sql).result(timeout=60)
+                return (
+                    tango.metrics.value("plan_cache_misses") - before[0],
+                    tango.metrics.value("plan_cache_hits") - before[1],
+                    result.estimated_cost,
+                )
+
+            def fresh_cost() -> float:
+                with Tango(uis) as fresh:
+                    return fresh.optimize(sql).cost
+
+            assert served()[:2] == (1, 0)
+            stale_cost = served()[2]
+            position = list(uis.table("POSITION").rows)
+            changes = [
+                lambda: tango.apply_updates("POSITION", inserts=position * 4),
+                lambda: tango.refresh_statistics(),
+                lambda: tango.create_view("PV", "VALIDTIME SELECT PosID FROM POSITION"),
+                lambda: tango.drop_view("PV"),
+            ]
+            for change in changes:
+                change()
+                assert served() == (1, 0, pytest.approx(fresh_cost()))
+                assert served()[:2] == (0, 1)
+            # Five times the rows: the re-planned query is priced accordingly.
+            assert served()[2] > 3 * stale_cost
 
 
 class TestTangoServiceIntegration:
@@ -496,11 +628,11 @@ def test_no_starvation_low_priority_tenant_cannot_block_high(db, monkeypatch):
     # before the probes are even queued, and the assertion races the
     # hardware instead of testing the scheduler.  The floor keeps the
     # backlog alive so dispatch order is decided by weights alone.
-    real_run = Tango.run
+    real_run = Executor.run
     def floored_run(self, query, **kwargs):
         time.sleep(0.005)
         return real_run(self, query, **kwargs)
-    monkeypatch.setattr(Tango, "run", floored_run)
+    monkeypatch.setattr(Executor, "run", floored_run)
     config = ServiceConfig(
         max_concurrency=2,
         queue_limit=256,

@@ -99,21 +99,21 @@ class TestStatisticsLifecycle:
     def test_refresh_statistics(self, tango):
         tango.db.execute("INSERT INTO POSITION VALUES (3, 'Ann', 1, 9)")
         tango.refresh_statistics()
-        stats = tango.collector.collect("POSITION")
+        stats = tango.planner.collector.collect("POSITION")
         assert stats.cardinality == 4
 
     def test_histogram_toggle(self, figure3_db):
         with_hist = Tango(figure3_db, config=TangoConfig(use_histograms=True))
         without = Tango(figure3_db, config=TangoConfig(use_histograms=False))
-        assert with_hist.predicate_estimator.use_histograms
-        assert not without.predicate_estimator.use_histograms
+        assert with_hist.planner.predicate_estimator.use_histograms
+        assert not without.planner.predicate_estimator.use_histograms
 
     def test_calibrate_returns_factors(self, tango):
         factors = tango.calibrate(sizes=(50,))
         # The two-term transfer fit may attribute everything to the
         # per-tuple share in-process; the combined cost is always positive.
         assert factors.p_tmr + factors.p_tm > 0
-        assert tango.factors is factors
+        assert tango.planner.factors is factors
 
 
 class TestTangoConfig:
@@ -134,28 +134,23 @@ class TestTangoConfig:
             config=TangoConfig(use_histograms=False, prefetch=7, adaptive=True),
         )
         assert tango.connection.prefetch == 7
-        assert tango.adaptive is True
-        assert not tango.predicate_estimator.use_histograms
+        assert tango.config.adaptive is True
+        assert not tango.planner.predicate_estimator.use_histograms
 
-    @pytest.mark.parametrize(
-        "kwarg", ["use_histograms", "prefetch", "adaptive", "tracing"]
-    )
-    def test_retired_kwargs_error_names_the_config_field(
-        self, figure3_db, kwarg
-    ):
-        """The PR-1 deprecation shim is retired: the error must point the
-        caller at the exact TangoConfig field to set instead."""
-        with pytest.raises(TypeError, match=rf"TangoConfig\({kwarg}=") as exc:
-            Tango(figure3_db, **{kwarg: True})
-        assert kwarg in str(exc.value)
-
-    def test_retired_positional_bool_errors(self, figure3_db):
-        with pytest.raises(TypeError, match=r"TangoConfig\(use_histograms="):
-            Tango(figure3_db, False)
+    def test_config_is_read_only(self, figure3_db):
+        tango = Tango(figure3_db)
+        with pytest.raises(AttributeError):
+            tango.config = TangoConfig(use_histograms=False)
 
     def test_unknown_kwargs_error_too(self, figure3_db):
         with pytest.raises(TypeError):
             Tango(figure3_db, no_such_option=1)
+
+    def test_a_settings_keyword_is_pythons_own_type_error(self, figure3_db):
+        """No bespoke door: a settings keyword (they live in TangoConfig)
+        gets the error any unexpected argument gets."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'adaptive'"):
+            Tango(figure3_db, adaptive=True)
 
 
 class TestLifecycle:
