@@ -17,8 +17,9 @@ The table also prints how hard the search worked: ``rule_attempts``
 (``Rule.apply`` calls) and ``rule_firings`` (those that changed the memo).
 The gate on them is in counts, not seconds: an incremental exploration
 offers each element its few matching rules a few times over, so attempts
-stay within ``12 x element_count`` (the every-rule x every-element x
-every-pass loop it replaced sat at about 73 x).
+stay within ``6 x element_count`` (2.9-3.8 x measured; the
+every-rule x every-element x every-pass loop sat at about 73 x, and a memo
+that re-derives duplicate elements after every merge at about 5 x).
 """
 
 from harness import print_series
@@ -78,4 +79,4 @@ def test_memo_counts_table(benchmark, tango):
         assert result.element_count <= q2.element_count
         assert result.class_count < 1000
         assert result.rule_firings <= result.rule_attempts
-        assert result.rule_attempts <= 12 * result.element_count
+        assert result.rule_attempts <= 6 * result.element_count

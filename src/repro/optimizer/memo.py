@@ -18,6 +18,7 @@ union-find.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,25 +62,24 @@ class Element:
     """One operator alternative inside an equivalence class.
 
     ``template`` is an operator node whose own inputs are ignored —
-    ``children`` (class ids) are authoritative.  Elements compare by
-    identity; ``home``/``index`` locate the element in its class's list and
-    ``dirty`` says a rule may see something it has not seen before (all
-    three are kept by the :class:`Memo`, read by the search).
+    ``children`` (canonical class ids) are authoritative.  Elements compare
+    by identity; ``home`` is the id of the class the element was inserted
+    into (resolve through :meth:`Memo.find`) and ``dirty`` says a rule may
+    see something it has not seen before (all kept by the :class:`Memo`,
+    read by the search).
     """
 
-    __slots__ = ("template", "children", "home", "index", "dirty", "_head")
+    __slots__ = ("template", "children", "home", "dirty", "_head")
 
     def __init__(self, template: Operator, children: tuple[int, ...]):
         self.template = template
         self.children = children
         self.home = -1
-        self.index = -1
         self.dirty = False
         self._head = (template.signature(), template.location)
 
-    def key(self, memo: "Memo") -> tuple:
-        find = memo.find
-        return (*self._head, tuple([find(child) for child in self.children]))
+    def key(self) -> tuple:
+        return (*self._head, self.children)
 
     def __repr__(self) -> str:
         return f"Element({self.template.label()}, {self.children})"
@@ -95,7 +95,7 @@ class EqClass:
         #: used for schema and statistics derivation.
         self.representative = representative
         #: Ids of the classes holding an element with this class as a child
-        #: (as inserted; resolve through :meth:`Memo.find`).
+        #: (as of insertion; resolve through :meth:`Memo.find`).
         self.parents: set[int] = set()
 
     @property
@@ -112,43 +112,39 @@ class EqClass:
 
 
 class Memo:
-    """Equivalence classes with union-find merging.
+    """Equivalence classes with union-find merging, closed under congruence.
+
+    The memo is a *set*: an element's ``children`` are always canonical
+    class ids, :attr:`_index` has exactly one entry per live element, and
+    no two elements are the same operator over the same children — a merge
+    re-keys the elements over the merged-away class and, where one then
+    coincides with another, drops it and merges the two classes.
 
     The memo also keeps what an incremental search needs: which elements a
     change can be *seen* from, i.e. where re-applying a rule might now do
-    something it did not do before.
+    something it did not do before.  A rule applied to an element reads the
+    element's class, its ``children`` and the element lists of its child
+    classes (the two-level patterns), so
 
-    * A rule applied to an element reads the element lists of the
-      element's child classes (the two-level patterns), so a **new
-      element** dirties itself and the elements that have its class as a
-      child.
-    * A rule also reads class *identities*: of its own class, of its child
-      classes and — ``memo.ref(child.children[0])`` — of its grandchild
-      classes.  And :attr:`_index` keys hold the canonical child ids *as of
-      insertion*, so once a class is merged away, re-deriving an expression
-      over it no longer finds the old key and lands as a new element: the
-      classes a rule's earlier output runs through count as read, too.
-      Those hang off the output's root, a *sibling* of the matched element,
-      as its children and grandchildren.  So a **merge** dirties every
-      element of the merged class, of its parent classes and of its
-      grandparent classes — whole classes, not only the elements that
-      reference the merged one.
+    * a **new element** dirties itself and the elements that have its class
+      as a child;
+    * a **merge** dirties the merged class's elements (their class is
+      another one now), the elements that have it as a child (the list
+      they match into grew) and, among those, the re-keyed ones (their
+      ``children`` changed).
 
-    Dirtied elements queue up in :attr:`dirtied` and merged-away class ids
-    in :attr:`retired` for the search to drain.
+    Dirtied elements queue up in :attr:`dirtied` for the search to drain,
+    first in first out.
     """
 
     def __init__(self):
         #: Live (canonical) classes by id, in creation order.
         self._classes: dict[int, EqClass] = {}
-        #: Every class ever created, by id; a merged-away class keeps its
-        #: last element list so the search can finish a sweep over it.
-        self._every: list[EqClass] = []
         self._parent: list[int] = []
+        #: Element key -> the element's ``home``.
         self._index: dict[tuple, int] = {}
         self._element_count = 0
-        self.dirtied: list[Element] = []
-        self.retired: list[int] = []
+        self.dirtied: deque[Element] = deque()
 
     # -- union-find ---------------------------------------------------------------
 
@@ -163,50 +159,54 @@ class Memo:
         return root
 
     def merge(self, a: int, b: int) -> int:
-        """Union two classes (multiset equivalence); returns the survivor."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return a
-        winner, loser = (a, b) if a < b else (b, a)
-        self._parent[loser] = winner
-        winner_class = self._classes[winner]
-        loser_class = self._classes.pop(loser)
-        kept = winner_class.elements
-        existing: dict[tuple, Element] = {}
-        for element in kept:
-            existing.setdefault(element.key(self), element)
-        for position, element in enumerate(loser_class.elements):
-            twin = existing.setdefault(element.key(self), element)
-            if twin is element:
-                element.home, element.index = winner, len(kept)
-                kept.append(element)
-                # Moved: the search must learn the new position even if
-                # the element was dirty already.
-                element.dirty = True
-                self.dirtied.append(element)
-            else:
-                # The merged-away list only serves the sweep in progress,
-                # which may as well visit the surviving duplicate.
-                loser_class.elements[position] = twin
-                self._element_count -= 1
-        winner_class.parents |= loser_class.parents
-        self.retired.append(loser)
-        # Whole classes, two levels up: see the class docstring.
-        parents = self._parent_classes(winner)
-        grandparents = set().union(*map(self._parent_classes, parents))
-        for class_id in {winner} | parents | grandparents:
-            for element in self._classes[class_id].elements:
+        """Union two classes (multiset equivalence), then every two classes
+        that makes congruent; returns the survivor.  The lower id wins."""
+        pending = [(a, b)]
+        while pending:
+            first, second = map(self.find, pending.pop())
+            if first == second:
+                continue
+            winner, loser = min(first, second), max(first, second)
+            self._parent[loser] = winner
+            survivor, merged = self._classes[winner], self._classes.pop(loser)
+            survivor.elements += merged.elements
+            survivor.parents |= merged.parents
+            for element in survivor.elements:
                 self._mark(element)
-        return winner
+            for element in self._elements_over(winner, loser):
+                if loser in element.children:
+                    del self._index[element.key()]
+                    element.children = tuple(
+                        [winner if child == loser else child for child in element.children]
+                    )
+                    key = element.key()
+                    twin_home = self._index.get(key)
+                    if twin_home is not None:
+                        # The same expression twice: keep the indexed one,
+                        # and their classes (if two) are equivalent.
+                        self._classes[self.find(element.home)].elements.remove(element)
+                        self._element_count -= 1
+                        element.dirty = False
+                        pending.append((element.home, twin_home))
+                        continue
+                    self._index[key] = element.home
+                self._mark(element)
+        return self.find(a)
 
     def _mark(self, element: Element) -> None:
         if not element.dirty:
             element.dirty = True
             self.dirtied.append(element)
 
-    def _parent_classes(self, class_id: int) -> set[int]:
-        """Canonical ids of the classes with an element over *class_id*."""
-        return {self.find(parent) for parent in self._classes[class_id].parents}
+    def _elements_over(self, class_id: int, merged: int = -1) -> list[Element]:
+        """The elements that have *class_id* — or *merged*, the class just
+        merged into it — as a child."""
+        return [
+            element
+            for parent in {self.find(p) for p in self._classes[class_id].parents}
+            for element in self._classes[parent].elements
+            if class_id in element.children or merged in element.children
+        ]
 
     # -- access --------------------------------------------------------------------
 
@@ -217,19 +217,9 @@ class Memo:
         """All live (canonical) classes."""
         return list(self._classes.values())
 
-    def slots(self, class_id: int) -> list[Element]:
-        """Class *class_id*'s own element list — for a merged-away class,
-        the list as of the merge."""
-        return self._every[class_id].elements
-
     @property
     def class_count(self) -> int:
         return len(self._classes)
-
-    @property
-    def classes_created(self) -> int:
-        """Classes ever created, merged-away ones included: the next id."""
-        return len(self._every)
 
     @property
     def element_count(self) -> int:
@@ -270,7 +260,8 @@ class Memo:
                 f"{template.name} expects {len(inputs)} children, "
                 f"got {len(children)}"
             )
-        key = (template.signature(), template.location, children)
+        element = Element(template, children)
+        key = element.key()
         existing = self._index.get(key)
         if existing is not None:
             existing = find(existing)
@@ -279,21 +270,17 @@ class Memo:
             return existing, False
 
         if into is None:
-            class_id = len(self._every)
+            class_id = len(self._parent)
             self._parent.append(class_id)
             eq_class = EqClass(class_id, self._concrete(template, children))
             self._classes[class_id] = eq_class
-            self._every.append(eq_class)
         else:
             class_id = find(into)
             eq_class = self._classes[class_id]
             # The class's element list changes under the elements over it.
-            for parent_id in self._parent_classes(class_id):
-                for parent in self._classes[parent_id].elements:
-                    if class_id in map(find, parent.children):
-                        self._mark(parent)
-        element = Element(template, children)
-        element.home, element.index = class_id, len(eq_class.elements)
+            for parent in self._elements_over(class_id):
+                self._mark(parent)
+        element.home = class_id
         eq_class.elements.append(element)
         self._element_count += 1
         self._index[key] = class_id

@@ -3,8 +3,8 @@
 Phase 1 ("initially, a set of candidate algebraic query plans is produced by
 means of the optimizer's transformation rules and heuristics"): the initial
 plan is inserted into a :class:`~repro.optimizer.memo.Memo` and the rules are
-applied to a fixpoint — incrementally: a worklist of the elements the memo
-marks dirty, each offered the rules that match its operator type.
+applied to a fixpoint — incrementally: the elements the memo marks dirty,
+first in first out, each offered the rules that match its operator type.
 
 Phase 2 ("the optimizer considers in more detail each of these plans ...
 one best physical query execution plan is found"): a dynamic program over
@@ -19,7 +19,6 @@ trusted only where the plan actually guarantees the order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from repro.algebra.operators import (
     Coalesce,
@@ -43,6 +42,7 @@ from repro.errors import OptimizerError
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.memo import Element, Memo
+from repro.optimizer.physical import PlanValidityError, validate_plan
 from repro.optimizer.rules import Rule, default_rules
 from repro.stats.cardinality import CardinalityEstimator
 
@@ -146,21 +146,12 @@ class Optimizer:
         overrides the constructor's for this run (one optimizer serves
         callers on several threads, each with its own tracer).
         """
-        required_order = self._required(initial_plan, required_order)
         tracer = tracer if tracer is not None else self.tracer
         with tracer.span("optimize", kind="phase") as span:
-            memo = Memo()
-            root = memo.insert_tree(initial_plan)
-            with tracer.span("explore", kind="phase") as explore_span:
-                attempts, firings = self._explore(memo)
-                explore_span.set(
-                    rule_attempts=attempts,
-                    rule_firings=firings,
-                    classes=memo.class_count,
-                    elements=memo.element_count,
-                )
+            memo, root, extraction, required_order, attempts, firings = self._search(
+                initial_plan, required_order, tracer
+            )
             with tracer.span("extract", kind="phase"):
-                extraction = _Extraction(memo, self.coster)
                 location = initial_plan.location
                 choice = extraction.best(root, location, required_order)
                 if choice is None and required_order:
@@ -185,12 +176,26 @@ class Optimizer:
             memo=memo,
         )
 
-    @staticmethod
-    def _required(initial_plan: Operator, required_order: Order | None) -> Order:
-        """The order contract, lower-cased once for the whole extraction."""
+    def _search(
+        self, initial_plan: Operator, required_order: Order | None, tracer: Tracer
+    ) -> tuple[Memo, int, "_Extraction", Order, int, int]:
+        """Phase 1 for :meth:`optimize` and :meth:`top_plans`: the explored
+        memo, its root class, an extraction over it, the order contract
+        (lower-cased once for the whole extraction) and the rule counts."""
         if required_order is None:
             required_order = guaranteed_order(initial_plan)
-        return _lower(required_order)
+        memo = Memo()
+        root = memo.insert_tree(initial_plan)
+        with tracer.span("explore", kind="phase") as span:
+            attempts, firings = self._explore(memo)
+            span.set(
+                rule_attempts=attempts,
+                rule_firings=firings,
+                classes=memo.class_count,
+                elements=memo.element_count,
+            )
+        extraction = _Extraction(memo, self.coster)
+        return memo, memo.find(root), extraction, _lower(required_order), attempts, firings
 
     def enumerate_costs(
         self, plans: list[Operator]
@@ -212,13 +217,9 @@ class Optimizer:
         pass physical validation — the plan-space sample the differential
         fuzzer (:mod:`repro.fuzz`) executes against the initial plan.
         """
-        from repro.optimizer.physical import PlanValidityError, validate_plan
-
-        required_order = self._required(initial_plan, required_order)
-        memo = Memo()
-        root = memo.insert_tree(initial_plan)
-        self._explore(memo)
-        extraction = _Extraction(memo, self.coster)
+        _, root, extraction, required_order, _, _ = self._search(
+            initial_plan, required_order, NULL_TRACER
+        )
         choices: list[_Choice] = []
         for element in extraction.candidates(root, initial_plan.location):
             choice = extraction.element_choice(element, required_order)
@@ -255,12 +256,13 @@ class Optimizer:
         """
         rules_for: dict[type, list[Rule]] = {}
         attempts = firings = 0
-        worklist = _Worklist(memo)
-        while memo.element_count <= self.max_elements:
-            visit = worklist.pop()
-            if visit is None:
-                break
-            class_id, element = visit
+        dirtied = memo.dirtied
+        while dirtied and memo.element_count <= self.max_elements:
+            element = dirtied.popleft()
+            if not element.dirty:
+                continue  # dropped by a merge, as a duplicate, while queued
+            element.dirty = False
+            class_id = memo.find(element.home)
             template_type = type(element.template)
             rules = rules_for.get(template_type)
             if rules is None:
@@ -273,85 +275,7 @@ class Optimizer:
                 if rule.apply(memo, class_id, element):
                     firings += 1
                 class_id = memo.find(class_id)
-            worklist.refill()
         return attempts, firings
-
-
-class _Worklist:
-    """The memo's dirty elements, in the order a sweep would reach them.
-
-    A naive closure loop sweeps the memo round after round: classes by id,
-    elements by position, where a round covers the classes that existed
-    when it began and, per class, the elements the class held when the
-    sweep reached it — a class merged away mid-round is still walked, as it
-    stood at the merge.  Only the applications that change the memo matter
-    to the outcome, and they reach exactly the dirty elements; popping
-    those in sweep order therefore creates classes and inserts elements in
-    the order the naive loop does, which extraction's first-of-equal-cost
-    tie-break makes observable.  Entries are ``(round, class id,
-    position)``; an element may have several, and only the first to come up
-    while it is dirty counts.
-    """
-
-    def __init__(self, memo: Memo):
-        self._memo = memo
-        self._heap: list[tuple[int, int, int]] = []
-        #: class id -> the round in which the class was merged away.
-        self._died: dict[int, int] = {}
-        self._round = 0
-        #: Classes the current round covers: those with a smaller id.
-        self._limit = memo.classes_created
-        #: The sweep's position, and how many elements its class held when
-        #: the sweep entered it.
-        self._class, self._index, self._held = -1, -1, 0
-        self.refill()
-
-    def refill(self) -> None:
-        """Queue what the memo dirtied since the last call."""
-        memo = self._memo
-        if not (memo.dirtied or memo.retired):
-            return
-        heap, now, limit = self._heap, self._round, self._limit
-        at_class, at_index, held = self._class, self._index, self._held
-
-        def ahead(class_id: int, index: int) -> bool:
-            """Does the current round still reach this slot?"""
-            if class_id >= limit:
-                return False
-            if class_id == at_class:
-                return at_index < index < held
-            return class_id > at_class
-
-        for class_id in memo.retired:
-            self._died[class_id] = now
-            for index in range(len(memo.slots(class_id))):
-                if ahead(class_id, index):
-                    heappush(heap, (now, class_id, index))
-        memo.retired.clear()
-        for element in memo.dirtied:
-            home, index = element.home, element.index
-            heappush(heap, (now if ahead(home, index) else now + 1, home, index))
-        memo.dirtied.clear()
-
-    def pop(self) -> tuple[int, Element] | None:
-        """The next dirty element, marked clean, with its canonical class
-        id; ``None`` when nothing is dirty."""
-        memo, heap = self._memo, self._heap
-        while heap:
-            when, class_id, index = heappop(heap)
-            if self._died.get(class_id, when) < when:
-                continue  # queued for a list that was merged away since
-            element = memo.slots(class_id)[index]
-            if not element.dirty:
-                continue
-            if when != self._round:
-                self._round, self._limit, self._class = when, memo.classes_created, -1
-            if class_id != self._class:
-                self._class, self._held = class_id, len(memo.slots(class_id))
-            self._index = index
-            element.dirty = False
-            return memo.find(class_id), element
-        return None
 
 
 class _Extraction:
@@ -366,25 +290,20 @@ class _Extraction:
         self._node_costs: dict[Element, float] = {}
 
     def candidates(self, class_id: int, location: Location) -> list[Element]:
-        """The class's elements at *location*, first of each duplicate key."""
-        memo = self.memo
-        key = (memo.find(class_id), location)
+        """The class's elements at *location*, in insertion order."""
+        key = (class_id, location)
         found = self._candidates.get(key)
         if found is None:
-            found = self._candidates[key] = []
-            seen: set[tuple] = set()
-            for element in memo.class_of(class_id).elements:
-                if element.template.location is location:
-                    element_key = element.key(memo)
-                    if element_key not in seen:
-                        seen.add(element_key)
-                        found.append(element)
+            found = self._candidates[key] = [
+                element
+                for element in self.memo.class_of(class_id).elements
+                if element.template.location is location
+            ]
         return found
 
     def best(
         self, class_id: int, location: Location, required: Order
     ) -> _Choice | None:
-        class_id = self.memo.find(class_id)
         key = (class_id, location, required)
         cells = self._cells
         cached = cells.get(key, _UNSEEN)

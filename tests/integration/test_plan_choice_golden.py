@@ -1,22 +1,30 @@
-"""Golden plan choices: the guard behind "same search, faster".
+"""Golden plan choices: the guard behind "same search, done differently".
 
-``golden_plans.json`` was recorded on the commit *before* the incremental
-memo exploration (PR 14), by running this file as a script
-(``PYTHONPATH=src python tests/integration/test_plan_choice_golden.py
---record``).  It holds, for Queries 1–4, the paper's Query 2 Plan 1 used as
-an initial plan, and the 112 ad-hoc queries the ``adhoc_cold`` benchmark
-workload cycles through at seed 1 (rebuilt here from the same SQL templates
-and :mod:`repro.workloads.queries`; ``bench/`` is not imported):
+``golden_plans.json`` holds, for Queries 1–4, the paper's Query 2 Plan 1
+used as an initial plan, and the 112 ad-hoc queries the ``adhoc_cold``
+benchmark workload cycles through at seed 1 (rebuilt here from the same SQL
+templates and :mod:`repro.workloads.queries`; ``bench/`` is not imported):
 
 * a digest of the chosen plan's ``cache_key`` and its cost, ``repr``-exact;
 * the memo's ``class_count`` and ``element_count``;
 * digest and cost of each of ``Optimizer.top_plans(k=3)``.
 
-``_best`` keeps the first of equal-cost candidates, so the order in which the
-search creates classes and inserts elements is observable in these numbers.
-A change to the search that moves a digest, a cost, a class count or the
-top-k list has changed *what* is found, not only how fast; ``element_count``
-may only fall (stale duplicates no longer re-derived), never rise.
+Digests, costs, class counts and top-k lists were recorded on the commit
+*before* the incremental memo exploration (PR 14) and have not moved since;
+``element_count`` was re-recorded when the memo became a congruence-closed
+set (PR 16: one element per distinct key, 4,542 -> 3,526 over the corpus).
+Re-record with ``PYTHONPATH=src python
+tests/integration/test_plan_choice_golden.py --record`` and diff the JSON.
+
+*What* the search finds — classes, elements, the best cost — does not depend
+on the order it works in (``tests/property/test_prop_explore.py`` checks that
+against a naive closure).  *Which* of several equal-cost plans is chosen
+does: ``_Extraction.best`` keeps the first of equal-cost candidates in a
+class's element list, and that list is in insertion order — the order the
+search drains its first-in-first-out queue of dirtied elements — with the
+lower class id surviving a merge.  109 of this corpus's 2,208 extraction
+cells have an equal-cost rival with a different plan and 19 of the 117
+winners pass through one, so every number here is compared for equality.
 """
 
 from __future__ import annotations
@@ -148,7 +156,7 @@ def test_plan_choice_matches_golden(golden_tango, name):
     assert measured["cost"] == golden["cost"]
     assert measured["class_count"] == golden["class_count"]
     assert measured["top_plans"] == golden["top_plans"]
-    assert measured["element_count"] <= golden["element_count"]
+    assert measured["element_count"] == golden["element_count"]
 
 
 def record() -> None:

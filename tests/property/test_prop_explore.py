@@ -1,10 +1,16 @@
-"""Property tests: the incremental exploration reaches a true fixpoint.
+"""Property tests: the incremental exploration reaches the true fixpoint.
 
-The worklist in :mod:`repro.optimizer.search` applies a rule to an element
+The search in :mod:`repro.optimizer.search` applies a rule to an element
 only when the memo changed somewhere the element can see.  Whatever it
 skips must have been a no-op, so after ``Optimizer.optimize`` one naive
 sweep — every rule over every element — may change nothing.  A dirty mark
 the memo forgets to set shows up here as a sweep that still grows the memo.
+
+The memo it leaves is a set closed under congruence (no expression twice,
+no child id merged away), and it is *the* closure: :class:`ReferenceOptimizer`
+— every rule over every element until a pass changes nothing, no queue, no
+dirty marks — finds as many classes and elements and the same best cost.
+The order the queue is drained in is not observable in what is found.
 """
 
 from __future__ import annotations
@@ -37,12 +43,36 @@ def naive_sweep(memo: Memo) -> list[str]:
     return fired
 
 
+class ReferenceOptimizer(Optimizer):
+    """The naive closure the search replaced, as the reference: every rule
+    over every element of the memo until a pass changes nothing."""
+
+    def _explore(self, memo: Memo) -> tuple[int, int]:
+        while naive_sweep(memo):
+            pass
+        return 0, 0
+
+
 def assert_closed(result) -> None:
     memo = result.memo
+    elements = [element for eq_class in memo.classes() for element in eq_class.elements]
+    assert memo.element_count == len(elements)
+    assert len({element.key() for element in elements}) == len(elements)
+    for element in elements:
+        assert element.children == tuple(map(memo.find, element.children))
     before = (memo.class_count, memo.element_count)
     fired = naive_sweep(memo)
     assert (memo.class_count, memo.element_count) == before, fired
     assert fired == []
+
+
+def assert_is_the_closure(estimator, plan, result) -> None:
+    reference = ReferenceOptimizer(estimator).optimize(plan)
+    assert (result.class_count, result.element_count, result.cost) == (
+        reference.class_count,
+        reference.element_count,
+        reference.cost,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +93,10 @@ def paper_queries(db: MiniDB) -> dict:
 
 @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4"])
 def test_paper_queries_reach_a_fixpoint(uis_db, name):
-    optimizer = Optimizer(build_estimator(uis_db))
-    assert_closed(optimizer.optimize(paper_queries(uis_db)[name]))
+    estimator, plan = build_estimator(uis_db), paper_queries(uis_db)[name]
+    result = Optimizer(estimator).optimize(plan)
+    assert_is_the_closure(estimator, plan, result)
+    assert_closed(result)
 
 
 @pytest.mark.parametrize("max_operators", [7, 11])
@@ -75,10 +107,12 @@ def test_generated_plans_reach_a_fixpoint(max_operators):
     while explored < FUZZ_PLANS:
         case = generator.case(index)
         index += 1
+        estimator = build_estimator(case.build_db())
         try:
-            result = Optimizer(build_estimator(case.build_db())).optimize(case.plan)
+            result = Optimizer(estimator).optimize(case.plan)
         except OptimizerError:
             continue  # no executable plan for this shape: nothing to check
+        assert_is_the_closure(estimator, case.plan, result)
         assert_closed(result)
         explored += 1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.expressions import Comparison, col, lit
-from repro.algebra.operators import Location, Scan, Select, Sort
+from repro.algebra.operators import Dedup, Join, Location, Scan, Select, Sort
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.optimizer.memo import ClassRef, Memo
 
@@ -123,7 +123,7 @@ class TestMerging:
         b = memo.insert_tree(scan())
         memo.merge(a, b)
         memo.insert_tree(sorted_scan(), into=b)
-        keys = [element.key(memo) for element in memo.class_of(a).elements]
+        keys = [element.key() for element in memo.class_of(a).elements]
         assert len(keys) == len(set(keys))
 
     def test_self_referential_element_after_merge(self):
@@ -138,8 +138,70 @@ class TestMerging:
             for element in memo.class_of(survivor).elements
             if isinstance(element.template, Sort)
         ]
-        assert sort_elements[0].children[0] in (sort_class, scan_class)
-        assert memo.find(sort_elements[0].children[0]) == survivor
+        assert sort_elements[0].children == (survivor,)
+
+
+class TestCongruence:
+    """A merge re-keys the elements over the merged-away class, so the memo
+    stays a set: one element, and one class, per expression."""
+
+    @staticmethod
+    def two_scans(memo: Memo) -> tuple[int, int]:
+        return memo.insert_tree(scan()), memo.insert_tree(Scan("S", SCHEMA))
+
+    @staticmethod
+    def sort_over(memo: Memo, class_id: int, into: int | None = None) -> int:
+        return memo.insert_tree(Sort(memo.ref(class_id), Location.DBMS, ("K",)), into)
+
+    def test_twins_in_one_class_collapse(self):
+        memo = Memo()
+        a, b = self.two_scans(memo)
+        sorts = self.sort_over(memo, a)
+        self.sort_over(memo, b, into=sorts)
+        assert len(memo.class_of(sorts).elements) == 2
+        before = memo.element_count
+        memo.merge(a, b)
+        assert [element.children for element in memo.class_of(sorts).elements] == [(a,)]
+        assert memo.element_count == before - 1
+
+    def test_twins_in_two_classes_merge_them_and_cascade(self):
+        memo = Memo()
+        a, b = self.two_scans(memo)
+        sort_a, sort_b = self.sort_over(memo, a), self.sort_over(memo, b)
+        dedup_a = memo.insert_tree(Dedup(memo.ref(sort_a)))
+        dedup_b = memo.insert_tree(Dedup(memo.ref(sort_b)))
+        assert (memo.class_count, memo.element_count) == (6, 6)
+        memo.merge(a, b)
+        assert memo.find(sort_b) == sort_a
+        assert memo.find(dedup_b) == dedup_a  # one level further up
+        assert (memo.class_count, memo.element_count) == (3, 4)  # two scans
+        assert memo.class_of(dedup_a).elements[0].children == (sort_a,)
+
+    def test_element_over_the_loser_twice_is_rekeyed_once(self):
+        memo = Memo()
+        a, b = self.two_scans(memo)
+        join = memo.insert_tree(Join(memo.ref(b), memo.ref(b), Location.DBMS, "K", "K"))
+        (element,) = memo.class_of(join).elements
+        old_key = element.key()
+        before = memo.element_count
+        memo.merge(a, b)
+        assert element.children == (a, a)
+        assert memo.element_count == before
+        assert old_key not in memo._index
+        assert memo._index[element.key()] == join
+        # Re-deriving either spelling finds the one element.
+        again = Join(memo.ref(a), memo.ref(b), Location.DBMS, "K", "K")
+        assert memo.insert_tree(again) == join
+        assert memo.element_count == before
+
+    def test_merging_a_self_referencing_class_terminates(self):
+        memo = Memo()
+        a, b = self.two_scans(memo)
+        looped = memo.merge(self.sort_over(memo, b), b)  # sort(b) is b: a cycle
+        survivor = memo.merge(looped, a)
+        assert survivor == a
+        assert {element.children for element in memo.class_of(a).elements} == {(), (a,)}
+        assert memo.element_count == 3
 
 
 class TestClassRef:
