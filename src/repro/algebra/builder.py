@@ -150,16 +150,10 @@ class PlanBuilder:
 def scan(database: "object", table: str) -> PlanBuilder:
     """Start a plan from a base relation of a MiniDB instance.
 
-    *database* is duck-typed: anything exposing ``schema_of(table)`` and
-    optionally ``clustered_order_of(table)`` works, so the algebra layer does
-    not import the DBMS package.
+    *database* is duck-typed: anything exposing ``schema_of(table)`` works,
+    so the algebra layer does not import the DBMS package.
     """
-    schema = database.schema_of(table)  # type: ignore[attr-defined]
-    clustered: tuple[str, ...] = ()
-    getter = getattr(database, "clustered_order_of", None)
-    if getter is not None:
-        clustered = tuple(getter(table))
-    return PlanBuilder(Scan(table, schema, clustered))
+    return PlanBuilder(Scan(table, database.schema_of(table)))  # type: ignore[attr-defined]
 
 
 def from_operator(plan: Operator) -> PlanBuilder:

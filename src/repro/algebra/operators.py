@@ -5,9 +5,10 @@ Operators form immutable trees.  Each node carries:
 * ``inputs`` — child operators;
 * ``location`` — where the paper assigns its evaluation
   (:attr:`Location.DBMS` or :attr:`Location.MIDDLEWARE`);
-* a derived output :meth:`~Operator.schema`;
-* a delivered :meth:`~Operator.order` (attribute-name tuple) — see
-  :mod:`repro.algebra.properties` for when that order is *guaranteed*.
+* a derived output :meth:`~Operator.schema`.
+
+What order a node needs and delivers is not a method here: it depends on
+where the node runs, and :mod:`repro.algebra.properties` answers it.
 
 The transfer operators :class:`TransferM` (``T^M``) and :class:`TransferD`
 (``T^D``) move a relation between the two locations and are ordinary tree
@@ -38,6 +39,10 @@ class Location(enum.Enum):
 
     DBMS = "dbms"
     MIDDLEWARE = "middleware"
+
+    # Members are singletons, and every memo key and extraction cell hashes
+    # one: identity, in C, instead of Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
 
     @property
     def superscript(self) -> str:
@@ -108,10 +113,6 @@ class Operator:
     def _derive_schema(self) -> Schema:
         raise NotImplementedError
 
-    def order(self) -> tuple[str, ...]:
-        """Attribute names the output is ordered by (possibly empty)."""
-        return ()
-
     def with_inputs(self, *inputs: "Operator") -> "Operator":
         """Copy of this node with new children (same arity)."""
         raise NotImplementedError
@@ -180,8 +181,6 @@ class Scan(Operator):
 
     table: str
     base_schema: Schema
-    #: Order the stored relation is clustered in, if any.
-    clustered_order: tuple[str, ...] = ()
 
     @property
     def location(self) -> Location:
@@ -189,9 +188,6 @@ class Scan(Operator):
 
     def _derive_schema(self) -> Schema:
         return self.base_schema
-
-    def order(self) -> tuple[str, ...]:
-        return self.clustered_order
 
     def with_inputs(self, *inputs: Operator) -> "Scan":
         if inputs:
@@ -268,9 +264,6 @@ class Select(_Unary):
                 raise PlanError(f"selection references unknown attribute {attribute!r}")
         return schema
 
-    def order(self) -> tuple[str, ...]:
-        return self.input.order()
-
     def signature(self) -> tuple:
         return ("Select", self.predicate)
 
@@ -324,24 +317,17 @@ class Project(_Unary):
     def column_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.outputs)
 
-    def order(self) -> tuple[str, ...]:
-        # Order survives projection for the prefix of the input order whose
-        # columns pass through as bare references — under the *output* name,
-        # since a renaming projection (e.g. the compensation E2 adds when it
-        # commutes a join) moves the ordered values to a different column.
+    @cached_property
+    def passthrough(self) -> dict[str, str]:
+        """Input column (lower-case) -> the output name its values appear
+        under, for the columns passed through as bare references."""
         from repro.algebra.expressions import ColumnRef
 
-        passthrough: dict[str, str] = {}
+        found: dict[str, str] = {}
         for name, expression in self.outputs:
             if isinstance(expression, ColumnRef):
-                passthrough.setdefault(expression.name.lower(), name)
-        surviving: list[str] = []
-        for attribute in self.input.order():
-            output_name = passthrough.get(attribute.lower())
-            if output_name is None:
-                break
-            surviving.append(output_name)
-        return tuple(surviving)
+                found.setdefault(expression.name.lower(), name)
+        return found
 
     def signature(self) -> tuple:
         return ("Project", self.outputs)
@@ -370,9 +356,6 @@ class Sort(_Unary):
             if not schema.has(key):
                 raise PlanError(f"sort key {key!r} not in input schema")
         return schema
-
-    def order(self) -> tuple[str, ...]:
-        return self.keys
 
     def signature(self) -> tuple:
         return ("Sort", tuple(key.lower() for key in self.keys))
@@ -410,10 +393,6 @@ class Join(_Binary):
         if not self.right.schema.has(self.right_attr):
             raise PlanError(f"join attribute {self.right_attr!r} missing on the right")
         return self.left.schema.concat(self.right.schema)
-
-    def order(self) -> tuple[str, ...]:
-        # Sort-merge implementations deliver rows grouped by the join key.
-        return (self.left_attr,)
 
     def signature(self) -> tuple:
         return ("Join", self.left_attr.lower(), self.right_attr.lower(), self.residual)
@@ -463,9 +442,6 @@ class TemporalJoin(_Binary):
         return Schema(
             combined + [Attribute(t1, AttrType.DATE), Attribute(t2, AttrType.DATE)]
         )
-
-    def order(self) -> tuple[str, ...]:
-        return (self.left_attr,)
 
     def signature(self) -> tuple:
         return (
@@ -518,10 +494,6 @@ class TemporalAggregate(_Unary):
             )
         return Schema(attributes)
 
-    def order(self) -> tuple[str, ...]:
-        # TAGGR^M emits groups in grouping-attribute order, then by T1.
-        return tuple(self.group_by) + (self.period[0],)
-
     def signature(self) -> tuple:
         return (
             "TemporalAggregate",
@@ -543,9 +515,6 @@ class Dedup(_Unary):
     def _derive_schema(self) -> Schema:
         return self.input.schema
 
-    def order(self) -> tuple[str, ...]:
-        return self.input.order()
-
     def signature(self) -> tuple:
         return ("Dedup",)
 
@@ -565,19 +534,6 @@ class Coalesce(_Unary):
         if not (schema.has(t1) and schema.has(t2)):
             raise PlanError(f"coalescing requires {t1}/{t2} in the input")
         return schema
-
-    def order(self) -> tuple[str, ...]:
-        # The single-pass algorithm emits each group at its first input
-        # row, carrying that row's value attributes and T1; only the
-        # extended endpoint T2 changes.  Every input order prefix up to
-        # (excluding) T2 therefore survives coalescing.
-        t2 = self.period[1].lower()
-        prefix: list[str] = []
-        for key in self.input.order():
-            if key.lower() == t2:
-                break
-            prefix.append(key)
-        return tuple(prefix)
 
     def signature(self) -> tuple:
         return ("Coalesce", tuple(name.lower() for name in self.period))
@@ -606,10 +562,6 @@ class TransferM(_Unary):
     def _derive_schema(self) -> Schema:
         return self.input.schema
 
-    def order(self) -> tuple[str, ...]:
-        # A cursor fetch preserves the order the DBMS produced.
-        return self.input.order()
-
     def signature(self) -> tuple:
         return ("TransferM",)
 
@@ -626,10 +578,6 @@ class TransferD(_Unary):
 
     def _derive_schema(self) -> Schema:
         return self.input.schema
-
-    def order(self) -> tuple[str, ...]:
-        # A freshly loaded DBMS table has no guaranteed scan order.
-        return ()
 
     def signature(self) -> tuple:
         return ("TransferD",)

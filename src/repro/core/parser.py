@@ -53,8 +53,7 @@ def is_temporal_query(sql: str) -> bool:
 def parse_temporal_query(sql: str, catalog) -> Operator:
     """Parse a ``VALIDTIME SELECT ...`` into its initial plan.
 
-    *catalog* is duck-typed: anything with ``schema_of(table)`` (and
-    optionally ``clustered_order_of(table)``) works — a
+    *catalog* is duck-typed: anything with ``schema_of(table)`` works — a
     :class:`~repro.dbms.database.MiniDB` does.
     """
     match = _VALIDTIME_RE.match(sql)
@@ -111,12 +110,7 @@ class _Builder:
                 raise SQLSyntaxError(
                     "temporal queries support base tables in FROM only"
                 )
-            schema = self._catalog.schema_of(item.table)
-            clustered: tuple[str, ...] = ()
-            getter = getattr(self._catalog, "clustered_order_of", None)
-            if getter is not None:
-                clustered = tuple(getter(item.table))
-            plan: Operator = Scan(item.table, schema, clustered)
+            plan: Operator = Scan(item.table, self._catalog.schema_of(item.table))
             binding = _Binding(
                 item.binding,
                 {a.name.lower(): a.name for a in plan.schema},

@@ -37,6 +37,7 @@ from repro.algebra.operators import (
     TransferD,
     TransferM,
 )
+from repro.algebra.properties import guaranteed_order
 from repro.xxl.exchange import (
     MIN_PARTITION_ROWS,
     PartitionSpec,
@@ -74,7 +75,7 @@ def partitionable_pipeline(node: Operator) -> tuple[TransferM, str] | None:
             if _contains_transfer_d(current.input):
                 return None
             if attribute is None:
-                delivered = current.order()
+                delivered = guaranteed_order(current)
                 if not delivered:
                     return None
                 attribute = delivered[0]

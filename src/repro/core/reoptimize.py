@@ -84,8 +84,8 @@ def splice_completed(
 def temp_scan(node: Operator, table_name: str) -> Scan:
     """The splice substitute for a completed ``TRANSFER^D`` *node*.
 
-    The scan claims no clustered order — exactly what ``TransferD.order()``
-    promised (a freshly loaded table guarantees none), so the re-entered
+    A scan delivers no order — exactly what the ``T^D`` it replaces
+    delivered (a freshly loaded table guarantees none) — so the re-entered
     optimizer re-derives any sorts it needs.
     """
-    return Scan(table_name, node.schema, clustered_order=())
+    return Scan(table_name, node.schema)

@@ -84,12 +84,7 @@ def plan_to_code(plan: Operator, depth: int = 0) -> str:
         return plan_to_code(child, depth + 1)
 
     if isinstance(plan, Scan):
-        extra = (
-            f", clustered_order={plan.clustered_order!r}"
-            if plan.clustered_order
-            else ""
-        )
-        return f"Scan({plan.table!r}, SCHEMA_{plan.table}{extra})"
+        return f"Scan({plan.table!r}, SCHEMA_{plan.table})"
     loc = f"Location.{plan.location.name}"
     if isinstance(plan, TransferM):
         return f"TransferM(\n{pad}{nest(plan.input)},\n{close})"

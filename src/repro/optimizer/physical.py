@@ -7,28 +7,20 @@ the 50-line SQL rewrite ``TAGGR^D``.  What makes a plan *invalid* is
 
 * a broken transfer structure (a middleware operator feeding a DBMS
   operator without a ``T^D`` in between, or vice versa), or
-* a middleware algorithm whose sorted-input prerequisite is not met:
-  ``TAGGR^M`` needs (grouping attributes, T1); the middleware sort-merge
-  joins need each input sorted on its join attribute (Section 4.1).
+* an algorithm whose sorted-input prerequisite is not met: what each one
+  needs (``TAGGR^M``: grouping attributes then T1; the sort-merge joins:
+  the join attribute per side; ``COAL^M``: value attributes then T1 —
+  Sections 4.1 and 7) must be a prefix of what its input is guaranteed to
+  deliver.
 
-:func:`validate_plan` checks both, using the order-guarantee discipline of
-:mod:`repro.algebra.properties` (middleware preserves order, the DBMS only
-delivers order through a top-level sort).
+:func:`validate_plan` checks both; needs and guarantees alike are read from
+:mod:`repro.algebra.properties`, where the extraction DP reads them too.
 """
 
 from __future__ import annotations
 
-from repro.algebra.operators import (
-    Join,
-    Location,
-    Operator,
-    Scan,
-    TemporalAggregate,
-    TemporalJoin,
-    TransferD,
-    TransferM,
-)
-from repro.algebra.properties import is_prefix_of, guaranteed_order
+from repro.algebra.operators import Location, Operator, Scan, TransferD, TransferM
+from repro.algebra.properties import guaranteed_order, needed_orders, satisfies_order
 from repro.errors import PlanError
 
 
@@ -88,31 +80,17 @@ def _check_locations(node: Operator) -> None:
 
 
 def _check_order_prerequisites(node: Operator) -> None:
-    if node.location is not Location.MIDDLEWARE:
-        return
-    if isinstance(node, TemporalAggregate):
-        wanted = tuple(node.group_by) + (node.period[0],)
-        have = guaranteed_order(node.input)
-        _require(
-            node,
-            is_prefix_of(wanted, have),
-            f"TAGGR^M needs its input sorted on {wanted}, got {have or '()'}",
-        )
-    elif isinstance(node, (Join, TemporalJoin)):
-        left_order = guaranteed_order(node.left)
-        right_order = guaranteed_order(node.right)
-        _require(
-            node,
-            is_prefix_of((node.left_attr,), left_order),
-            f"{algorithm_name(node)} needs its left input sorted on "
-            f"{node.left_attr}, got {left_order or '()'}",
-        )
-        _require(
-            node,
-            is_prefix_of((node.right_attr,), right_order),
-            f"{algorithm_name(node)} needs its right input sorted on "
-            f"{node.right_attr}, got {right_order or '()'}",
-        )
+    # No algorithm at all (COAL^D) is the translator's to report, as ever:
+    # an initial plan is a valid starting point before rule X1 has moved it.
+    needs = needed_orders(node) or ()
+    for position, (child, needed) in enumerate(zip(node.inputs, needs), start=1):
+        if not satisfies_order(child, needed):
+            _require(
+                node,
+                False,
+                f"{algorithm_name(node)} needs input {position} sorted on "
+                f"{needed}, got {guaranteed_order(child) or '()'}",
+            )
 
 
 def _require(node: Operator, condition: bool, message: str) -> None:

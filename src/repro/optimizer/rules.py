@@ -12,9 +12,9 @@ applying a ``→_L`` rule.
 
 Rule-to-implementation notes:
 
-* **T1-T3** fire only when the matched operator is DBMS-located, per the
-  paper ("applied only if the top operators of their left-hand sides are
-  assigned to processing in the DBMS").
+* **T1-T3** (and **X1**) share one body: the operator moves, and each input
+  is sorted in the DBMS on what the middleware algorithm needs of it, read
+  from :mod:`repro.algebra.properties`.
 * **T7/T8** (transfer-pair elimination), **T9** (identity projection) and
   **T11** (sort removal under multiset equivalence) are class merges; **T10**
   (sort removal when the argument is already ordered) is subsumed — after the
@@ -61,7 +61,7 @@ from repro.algebra.operators import (
     TransferD,
     TransferM,
 )
-from repro.algebra.properties import is_prefix_of
+from repro.algebra.properties import is_prefix_of, needed_orders
 from repro.optimizer.memo import Element, Memo
 
 
@@ -98,87 +98,48 @@ def _child_elements(memo: Memo, class_id: int) -> list[Element]:
 # -- Heuristic Group 1: move beneficial operations into the middleware ------------------
 
 
-class T1MoveTemporalAggregate(Rule):
+class _MoveToMiddlewareRule(Rule):
+    """Shared body of T1/T2/T3/X1:
+    ``op@D(r, ..) → T^D(op@M(T^M(sort@D_need(r)), ..))``, each input sorted
+    in the DBMS on what ``op@M`` needs of it
+    (:func:`~repro.algebra.properties.needed_orders`).  Fires only on a
+    DBMS-located operator, per the paper ("applied only if the top operators
+    of their left-hand sides are assigned to processing in the DBMS")."""
+
+    def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
+        template = element.template
+        if not isinstance(template, self.matches) or template.location is not Location.DBMS:
+            return False
+        moved = template.located(Location.MIDDLEWARE)
+        fetched = [
+            TransferM(Sort(memo.ref(child), Location.DBMS, need))
+            for child, need in zip(element.children, needed_orders(moved))
+        ]
+        return _insert_all(memo, class_id, [TransferD(moved.with_inputs(*fetched))])
+
+
+class T1MoveTemporalAggregate(_MoveToMiddlewareRule):
     """ξ^T(r)@D → T^D(ξ^T@M(T^M(sort@D_{G,T1}(r))))."""
 
     name = "T1"
     equivalence = "M"
     matches = (TemporalAggregate,)
 
-    def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
-        template = element.template
-        if not isinstance(template, TemporalAggregate):
-            return False
-        if template.location is not Location.DBMS:
-            return False
-        leaf = memo.ref(element.children[0])
-        sort_keys = tuple(template.group_by) + (template.period[0],)
-        rhs = TransferD(
-            TemporalAggregate(
-                TransferM(Sort(leaf, Location.DBMS, sort_keys)),
-                Location.MIDDLEWARE,
-                template.group_by,
-                template.aggregates,
-                template.period,
-            )
-        )
-        return _insert_all(memo, class_id, [rhs])
 
-
-class T2MoveJoin(Rule):
+class T2MoveJoin(_MoveToMiddlewareRule):
     """r1 ⋈ r2 @D → T^D(T^M(sort(r1)) ⋈@M T^M(sort(r2)))."""
 
     name = "T2"
     equivalence = "M"
     matches = (Join,)
 
-    def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
-        template = element.template
-        if not isinstance(template, Join) or isinstance(template, TemporalJoin):
-            return False
-        if template.location is not Location.DBMS:
-            return False
-        left = memo.ref(element.children[0])
-        right = memo.ref(element.children[1])
-        rhs = TransferD(
-            Join(
-                TransferM(Sort(left, Location.DBMS, (template.left_attr,))),
-                TransferM(Sort(right, Location.DBMS, (template.right_attr,))),
-                Location.MIDDLEWARE,
-                template.left_attr,
-                template.right_attr,
-                template.residual,
-            )
-        )
-        return _insert_all(memo, class_id, [rhs])
 
-
-class T3MoveTemporalJoin(Rule):
+class T3MoveTemporalJoin(_MoveToMiddlewareRule):
     """r1 ⋈^T r2 @D → T^D(T^M(sort(r1)) ⋈^T@M T^M(sort(r2)))."""
 
     name = "T3"
     equivalence = "M"
     matches = (TemporalJoin,)
-
-    def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
-        template = element.template
-        if not isinstance(template, TemporalJoin):
-            return False
-        if template.location is not Location.DBMS:
-            return False
-        left = memo.ref(element.children[0])
-        right = memo.ref(element.children[1])
-        rhs = TransferD(
-            TemporalJoin(
-                TransferM(Sort(left, Location.DBMS, (template.left_attr,))),
-                TransferM(Sort(right, Location.DBMS, (template.right_attr,))),
-                Location.MIDDLEWARE,
-                template.left_attr,
-                template.right_attr,
-                template.period,
-            )
-        )
-        return _insert_all(memo, class_id, [rhs])
 
 
 class _TransferMPullRule(Rule):
@@ -721,7 +682,7 @@ class P2PushSelectThroughTemporalJoin(Rule):
 # interplay follows Vassilakis [24]).
 
 
-class X1MoveCoalesce(Rule):
+class X1MoveCoalesce(_MoveToMiddlewareRule):
     """coalesce(r)@D → T^D(coalesce@M(T^M(sort@D_{value attrs, T1}(r)))).
 
     There is no SQL translation for coalescing in the translator (the SQL
@@ -732,29 +693,6 @@ class X1MoveCoalesce(Rule):
     name = "X1"
     equivalence = "M"
     matches = (Coalesce,)
-
-    def apply(self, memo: Memo, class_id: int, element: Element) -> bool:
-        template = element.template
-        if not isinstance(template, Coalesce):
-            return False
-        if template.location is not Location.DBMS:
-            return False
-        leaf = memo.ref(element.children[0])
-        period = {name.lower() for name in template.period}
-        value_attrs = tuple(
-            attribute.name
-            for attribute in leaf.schema
-            if attribute.name.lower() not in period
-        )
-        sort_keys = value_attrs + (template.period[0],)
-        rhs = TransferD(
-            Coalesce(
-                TransferM(Sort(leaf, Location.DBMS, sort_keys)),
-                Location.MIDDLEWARE,
-                template.period,
-            )
-        )
-        return _insert_all(memo, class_id, [rhs])
 
 
 class X2CoalesceIdempotent(Rule):

@@ -11,9 +11,12 @@ one best physical query execution plan is found"): a dynamic program over
 (class, location, required order) picks, per class, the cheapest element
 whose algorithm prerequisites are met, using the Figure 6 cost formulas and
 the statistics derived per class; only the winner's plan tree is ever
-built.  The delivered-order bookkeeping realizes
-the paper's list-vs-multiset equivalence discipline: a ``→_L`` rewrite is
-trusted only where the plan actually guarantees the order.
+built.  What order an element needs of its inputs and delivers is read from
+:mod:`repro.algebra.properties` — the tables ``guaranteed_order`` and
+``validate_plan`` read — which realizes the paper's list-vs-multiset
+discipline: a ``→_L`` rewrite is trusted only where the plan actually
+guarantees the order.  The search's own part is pushing a required order
+down through the operators that pass their input's order on.
 """
 
 from __future__ import annotations
@@ -21,39 +24,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.operators import (
-    Coalesce,
     Dedup,
     Difference,
-    Join,
     Location,
     Operator,
-    Product,
     Project,
-    Scan,
     Select,
-    Sort,
-    TemporalAggregate,
-    TemporalJoin,
     TransferD,
     TransferM,
 )
-from repro.algebra.properties import guaranteed_order
+from repro.algebra.properties import (
+    delivered_order,
+    guaranteed_order,
+    needed_orders,
+    source_order,
+)
 from repro.errors import OptimizerError
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.memo import Element, Memo
-from repro.optimizer.physical import PlanValidityError, validate_plan
+from repro.optimizer.physical import validate_plan
 from repro.optimizer.rules import Rule, default_rules
 from repro.stats.cardinality import CardinalityEstimator
 
 Order = tuple[str, ...]
+
+#: Operators whose middleware algorithm hands its first input's order on: a
+#: requirement on their output becomes one on that input.
+_ORDER_TRANSPARENT = (TransferM, Select, Project, Dedup, Difference)
+
+#: The transfers read their input on the other side.
+_ACROSS = {TransferM: Location.DBMS, TransferD: Location.MIDDLEWARE}
 
 _IN_PROGRESS = object()
 _UNSEEN = object()
 
 
 def _lower(names) -> Order:
-    return tuple(name.lower() for name in names)
+    return tuple([name.lower() for name in names]) if names else ()
 
 
 class _Choice:
@@ -213,9 +221,9 @@ class Optimizer:
 
         Where :meth:`optimize` extracts one winner, this enumerates one best
         plan per root-class element (each a different top-level shape with
-        best-cost subtrees underneath) and returns the cheapest *k* that
-        pass physical validation — the plan-space sample the differential
-        fuzzer (:mod:`repro.fuzz`) executes against the initial plan.
+        best-cost subtrees underneath) and returns the cheapest *k* — the
+        plan-space sample the differential fuzzer (:mod:`repro.fuzz`)
+        executes against the initial plan.
         """
         _, root, extraction, required_order, _, _ = self._search(
             initial_plan, required_order, NULL_TRACER
@@ -235,10 +243,7 @@ class Optimizer:
             if key in distinct:
                 continue
             distinct.add(key)
-            try:
-                validate_plan(choice.plan)
-            except PlanValidityError:
-                continue
+            validate_plan(choice.plan)  # the DP read the same tables: a failure is a bug
             plans.append((choice.plan, choice.cost))
             if len(plans) >= k:
                 break
@@ -288,6 +293,7 @@ class _Extraction:
         self._cells: dict[tuple, _Choice | None | object] = {}
         self._candidates: dict[tuple[int, Location], list[Element]] = {}
         self._node_costs: dict[Element, float] = {}
+        self._asks: dict[Element, tuple[Location, tuple[Order, ...]] | None] = {}
 
     def candidates(self, class_id: int, location: Location) -> list[Element]:
         """The class's elements at *location*, in insertion order."""
@@ -324,17 +330,26 @@ class _Extraction:
 
     def element_choice(self, element: Element, required: Order) -> _Choice | None:
         template = element.template
-        requirements = self._child_requirements(element, required)
-        if requirements is None:
+        asks = self._asks.get(element, _UNSEEN)
+        if asks is _UNSEEN:
+            asks = self._asks[element] = _asks(template)
+        if asks is None:
             return None
+        location, asked = asks
+        if required:
+            asked = _asked_under(template, asked, required)
+            if asked is None:
+                return None
         child_choices: list[_Choice] = []
-        for (child_loc, child_order), child_id in zip(requirements, element.children):
-            choice = self.best(child_id, child_loc, child_order)
+        for child_id, order in zip(element.children, asked):
+            choice = self.best(child_id, location, order)
             if choice is None:
                 return None
             child_choices.append(choice)
 
-        delivered = self._delivered(template, child_choices)
+        delivered = _lower(
+            delivered_order(template, [choice.delivered for choice in child_choices])
+        )
         if required and delivered[: len(required)] != required:
             return None
         node_cost = self._node_costs.get(element)
@@ -345,96 +360,29 @@ class _Extraction:
         total = node_cost + sum(choice.cost for choice in child_choices)
         return _Choice(total, template, child_choices, delivered)
 
-    def _child_requirements(
-        self, element: Element, required: Order
-    ) -> list[tuple[Location, Order]] | None:
-        """Required (location, order) per child, or None if the element can
-        never satisfy *required*."""
-        template = element.template
-        loc = template.location
-        if isinstance(template, Scan):
-            return []
-        if isinstance(template, TransferM):
-            return [(Location.DBMS, required)]
-        if isinstance(template, TransferD):
-            return [(Location.MIDDLEWARE, ())]
-        if isinstance(template, Sort):
-            if required and _lower(template.keys)[: len(required)] != required:
-                return None
-            return [(loc, ())]
-        if isinstance(template, Select):
-            return [(loc, required)]
-        if isinstance(template, Project):
-            if required and not template.is_simple():
-                return None
-            return [(loc, required)]
-        if isinstance(template, Dedup):
-            return [(loc, required)]
-        if isinstance(template, Coalesce):
-            if loc is Location.MIDDLEWARE:
-                period = _lower(template.period)
-                value_attrs = tuple(
-                    name
-                    for name in _lower(
-                        self.memo.class_of(element.children[0]).schema.names
-                    )
-                    if name not in period
-                )
-                return [(loc, value_attrs + period[:1])]
-            # No SQL translation exists for coalescing; a DBMS-located
-            # coalesce is not executable (rule X1 provides the middleware
-            # alternative).
-            return None
-        if isinstance(template, TemporalAggregate):
-            if loc is Location.MIDDLEWARE:
-                wanted = _lower(template.group_by) + _lower(template.period[:1])
-                return [(Location.MIDDLEWARE, wanted)]
-            return [(Location.DBMS, ())]
-        if isinstance(template, (Join, TemporalJoin)):
-            if loc is Location.MIDDLEWARE:
-                return [
-                    (Location.MIDDLEWARE, (template.left_attr.lower(),)),
-                    (Location.MIDDLEWARE, (template.right_attr.lower(),)),
-                ]
-            return [(Location.DBMS, ()), (Location.DBMS, ())]
-        if isinstance(template, (Product, Difference)):
-            return [(loc, ()), (loc, ())]
-        raise OptimizerError(f"no extraction rule for {template.name}")
 
-    @staticmethod
-    def _delivered(template: Operator, child_choices: list[_Choice]) -> Order:
-        """Order the chosen element actually delivers downstream."""
-        loc = template.location
-        if isinstance(template, Scan):
-            return _lower(template.clustered_order)
-        if isinstance(template, Sort):
-            return _lower(template.keys)
-        if isinstance(template, TransferD):
-            return ()
-        if isinstance(template, TransferM):
-            return child_choices[0].delivered
-        if loc is Location.DBMS:
-            # Inside the DBMS only a top-level sort guarantees order; any
-            # other operator may reorder.
-            return ()
-        if isinstance(template, (Select, Dedup)):
-            return child_choices[0].delivered
-        if isinstance(template, Project):
-            if not template.is_simple():
-                return ()
-            kept = set(_lower(template.column_names()))
-            surviving: list[str] = []
-            for name in child_choices[0].delivered:
-                if name not in kept:
-                    break
-                surviving.append(name)
-            return tuple(surviving)
-        if isinstance(template, TemporalAggregate):
-            return _lower(template.group_by) + _lower(template.period[:1])
-        if isinstance(template, (Join, TemporalJoin)):
-            return (template.left_attr.lower(),)
-        if isinstance(template, Coalesce):
-            return child_choices[0].delivered
-        if isinstance(template, Difference):
-            return child_choices[0].delivered
-        return ()
+def _asks(template: Operator) -> tuple[Location, tuple[Order, ...]] | None:
+    """What *template*'s algorithm asks of its inputs, whoever consumes its
+    output: where they run and the order it needs of each — or None when
+    there is no such algorithm."""
+    needs = needed_orders(template)
+    if needs is None:
+        return None
+    location = _ACROSS.get(type(template)) or template.location
+    return location, tuple(map(_lower, needs))
+
+
+def _asked_under(
+    template: Operator, asked: tuple[Order, ...], required: Order
+) -> tuple[Order, ...] | None:
+    """*asked* when the consumer requires the order *required*, or None if
+    *template* can never deliver it."""
+    if isinstance(template, _ORDER_TRANSPARENT):
+        pushed = _lower(source_order(template, required))
+        if len(pushed) < len(required):
+            return None  # a projection that computes a required column
+        return (pushed, *asked[1:])
+    own = _lower(delivered_order(template, asked))
+    if own and own[: len(required)] != required:
+        return None  # sorts, groups or joins on something else
+    return asked

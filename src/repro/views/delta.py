@@ -44,6 +44,7 @@ from typing import Callable, Iterable, Sequence
 from repro.algebra.expressions import compile_row
 from repro.algebra.operators import (
     Coalesce,
+    Location,
     Operator,
     Project,
     Scan,
@@ -54,6 +55,7 @@ from repro.algebra.operators import (
     TransferD,
     TransferM,
 )
+from repro.algebra.properties import needed_orders
 from repro.errors import ViewError
 from repro.fuzz.compare import canonical_rows, _sort_key
 from repro.xxl.coalesce import CoalesceCursor
@@ -168,14 +170,8 @@ def evaluate(node: Operator, rows_of: Callable[[str], list[tuple]]) -> list[tupl
         return list(filter(predicate, evaluate(node.input, rows_of)))
     if isinstance(node, Project):
         return list(map(_output_func(node), evaluate(node.input, rows_of)))
-    if isinstance(node, TemporalAggregate):
-        return _taggr_rows(node, evaluate(node.input, rows_of))
-    if isinstance(node, Coalesce):
-        return _coalesce_rows(node, evaluate(node.input, rows_of))
-    if isinstance(node, TemporalJoin):
-        return _temporal_join_rows(
-            node, evaluate(node.left, rows_of), evaluate(node.right, rows_of)
-        )
+    if isinstance(node, (TemporalAggregate, Coalesce, TemporalJoin)):
+        return _run_sorted(node, *(evaluate(child, rows_of) for child in node.inputs))
     raise DeltaUnsupported(f"no delta evaluation for {node.name}")
 
 
@@ -193,52 +189,26 @@ def _order_key(positions: Sequence[int]):
     return key
 
 
-def _taggr_rows(node: TemporalAggregate, rows: list[tuple]) -> list[tuple]:
-    source = node.input.schema
-    positions = [source.index_of(name) for name in node.group_by]
-    positions.append(source.index_of(node.period[0]))
-    ordered = sorted(rows, key=_order_key(positions))
-    cursor = TemporalAggregateCursor(
-        RelationCursor(source, ordered), node.group_by, node.aggregates, node.period
-    )
+def _run_sorted(node: Operator, *inputs: list[tuple]) -> list[tuple]:
+    """*node*'s middleware algorithm over in-memory *inputs*, each sorted
+    on what the algorithm needs of it."""
+    needs = needed_orders(node.located(Location.MIDDLEWARE))
+    cursors = []
+    for child, rows, needed in zip(node.inputs, inputs, needs):
+        schema = child.schema
+        key = _order_key([schema.index_of(name) for name in needed])
+        cursors.append(RelationCursor(schema, sorted(rows, key=key)))
+    if isinstance(node, TemporalAggregate):
+        cursor = TemporalAggregateCursor(
+            *cursors, node.group_by, node.aggregates, node.period
+        )
+    elif isinstance(node, Coalesce):
+        cursor = CoalesceCursor(*cursors, node.period)
+    else:
+        cursor = TemporalJoinCursor(
+            *cursors, node.left_attr, node.right_attr, node.period
+        )
     return materialize(cursor)
-
-
-def _coalesce_rows(node: Coalesce, rows: list[tuple]) -> list[tuple]:
-    source = node.input.schema
-    positions = _value_positions(source, node.period)
-    positions.append(source.index_of(node.period[0]))
-    ordered = sorted(rows, key=_order_key(positions))
-    return materialize(CoalesceCursor(RelationCursor(source, ordered), node.period))
-
-
-def _temporal_join_rows(
-    node: TemporalJoin, left_rows: list[tuple], right_rows: list[tuple]
-) -> list[tuple]:
-    left_schema, right_schema = node.left.schema, node.right.schema
-    left_sorted = sorted(
-        left_rows, key=_order_key([left_schema.index_of(node.left_attr)])
-    )
-    right_sorted = sorted(
-        right_rows, key=_order_key([right_schema.index_of(node.right_attr)])
-    )
-    cursor = TemporalJoinCursor(
-        RelationCursor(left_schema, left_sorted),
-        RelationCursor(right_schema, right_sorted),
-        node.left_attr,
-        node.right_attr,
-        node.period,
-    )
-    return materialize(cursor)
-
-
-def _value_positions(schema, period: tuple[str, str]) -> list[int]:
-    skip = {name.lower() for name in period}
-    return [
-        index
-        for index, attribute in enumerate(schema)
-        if attribute.name.lower() not in skip
-    ]
 
 
 # -- the delta rules -------------------------------------------------------------------
@@ -272,22 +242,8 @@ def compute_delta(node: Operator, state: DeltaState) -> Delta:
         return Delta(list(map(output, delta.inserts)), list(map(output, delta.deletes)))
     if isinstance(node, TemporalJoin):
         return _temporal_join_delta(node, state)
-    if isinstance(node, TemporalAggregate):
-        return _group_recompute_delta(
-            node,
-            state,
-            key_positions=[
-                node.input.schema.index_of(name) for name in node.group_by
-            ],
-            evaluate_node=_taggr_rows,
-        )
-    if isinstance(node, Coalesce):
-        return _group_recompute_delta(
-            node,
-            state,
-            key_positions=_value_positions(node.input.schema, node.period),
-            evaluate_node=_coalesce_rows,
-        )
+    if isinstance(node, (TemporalAggregate, Coalesce)):
+        return _group_recompute_delta(node, state)
     raise DeltaUnsupported(f"no delta rule for {node.name}")
 
 
@@ -319,21 +275,18 @@ def _temporal_join_delta(node: TemporalJoin, state: DeltaState) -> Delta:
     deletes: list[tuple] = []
     if not left_delta.empty():
         right_new = evaluate(node.right, state.new_rows)
-        inserts.extend(_temporal_join_rows(node, left_delta.inserts, right_new))
-        deletes.extend(_temporal_join_rows(node, left_delta.deletes, right_new))
+        inserts.extend(_run_sorted(node, left_delta.inserts, right_new))
+        deletes.extend(_run_sorted(node, left_delta.deletes, right_new))
     if not right_delta.empty():
         left_old = _rewind(evaluate(node.left, state.new_rows), left_delta)
-        inserts.extend(_temporal_join_rows(node, left_old, right_delta.inserts))
-        deletes.extend(_temporal_join_rows(node, left_old, right_delta.deletes))
+        inserts.extend(_run_sorted(node, left_old, right_delta.inserts))
+        deletes.extend(_run_sorted(node, left_old, right_delta.deletes))
     netted_inserts, netted_deletes = net_delta(inserts, deletes)
     return Delta(netted_inserts, netted_deletes)
 
 
 def _group_recompute_delta(
-    node: Operator,
-    state: DeltaState,
-    key_positions: list[int],
-    evaluate_node,
+    node: TemporalAggregate | Coalesce, state: DeltaState
 ) -> Delta:
     """Affected-group recompute for TAGGR and Coalesce.
 
@@ -346,6 +299,10 @@ def _group_recompute_delta(
     if input_delta.empty():
         return Delta()
 
+    # A group is what the algorithm's needed order makes contiguous: all of
+    # it (grouping or value attributes) but the trailing T1.
+    (needed,) = needed_orders(node.located(Location.MIDDLEWARE))
+    key_positions = [node.input.schema.index_of(name) for name in needed[:-1]]
     if key_positions:
         affected = {
             tuple(row[p] for p in key_positions)
@@ -369,8 +326,8 @@ def _group_recompute_delta(
         new_restricted,
         Delta(restrict(input_delta.inserts), restrict(input_delta.deletes)),
     )
-    old_output = evaluate_node(node, old_restricted)
-    new_output = evaluate_node(node, new_restricted)
+    old_output = _run_sorted(node, old_restricted)
+    new_output = _run_sorted(node, new_restricted)
     inserts, deletes = net_delta(new_output, old_output)
     return Delta(inserts, deletes)
 

@@ -11,10 +11,12 @@ import pytest
 from repro.algebra.operators import (
     Join,
     Location,
+    Sort,
     TemporalAggregate,
     TemporalJoin,
 )
 from repro.core.tango import Tango, TangoConfig
+from repro.fuzz.compare import canonical_rows, is_sorted_on
 from repro.optimizer.physical import validate_plan
 from repro.workloads import queries
 
@@ -55,6 +57,25 @@ class TestQuery2Choice:
         aggregation (and join) in the middleware."""
         result = tango.optimize(queries.query2_initial_plan(tango.db, "1999-01-01"))
         assert Location.MIDDLEWARE in located(result.plan, TemporalAggregate)
+
+    def test_no_sort_above_the_middleware_temporal_join(self, tango):
+        """Rule T10: TJOIN^M delivers its output on the join attribute and
+        the projection above passes PosID through, so the ``ORDER BY PosID``
+        needs no SORT^M on top — which the DP used to add, dropping all order
+        at a projection that computes any column (here the period)."""
+        initial = queries.query2_initial_plan(tango.db, "1996-01-01")
+        plan = tango.optimize(initial).plan
+        assert located(plan, TemporalJoin) == [Location.MIDDLEWARE]
+        path = []  # the operators above the temporal join
+        node = plan
+        while not isinstance(node, TemporalJoin):
+            path.append(node)
+            (node,) = node.inputs
+        assert not any(isinstance(above, Sort) for above in path)
+        chosen = tango.execute_plan(plan)
+        assert is_sorted_on(chosen.rows, chosen.schema, ("PosID",))
+        all_dbms = tango.execute_plan(initial)
+        assert canonical_rows(chosen.rows) == canonical_rows(all_dbms.rows)
 
     def test_histogram_ablation_changes_estimates(self, uis_db):
         """Section 5.2: without histograms the optimizer mis-estimates the

@@ -16,6 +16,25 @@ set (PR 16: one element per distinct key, 4,542 -> 3,526 over the corpus).
 Re-record with ``PYTHONPATH=src python
 tests/integration/test_plan_choice_golden.py --record`` and diff the JSON.
 
+PR 17 (one order discipline) re-recorded 18 entries — ``Q2``, ``Q2-P1 as
+initial plan`` and the 16 ``adhoc Q2<date>`` — and nothing else: all 117
+``class_count``/``element_count`` pairs and the other 99 entries are
+byte-equal, exploration being untouched.  The extraction DP used to drop all
+order at a projection that computes any column, so every Query-2-shaped plan
+kept a ``Sort^M[PosID]`` over its already sorted ``TemporalJoin^M``; reading
+``algebra/properties.py`` it carries the order through the bare ``PosID``
+column and the sort goes (the paper's T10).  :data:`MOVED_IN_PR17` keeps each
+old digest and cost, and ``test_moved_plans_only_lost_their_top_sort`` checks
+that the old plan is exactly the new one under that sort, at a strictly
+higher cost: Q2 and Q2-P1 54,293.8 -> 39,342.9 us, the ad-hoc sixteen by
+-2.1 % to -3.0 % (e.g. 3,201.5 -> 3,134.4, 4,647.6 -> 4,506.9).  In two of
+them (``adhoc Q2<1996-01-04``, ``<1996-01-27``) the third ``top_plans``
+entry also moved, to a cheaper plan of the same shape with the join sides
+commuted (3,495.1 -> 3,434.5 and 3,560.5 -> 3,521.5): the DP now probes a
+renaming ``Project^M`` under an order requirement, and what a cell caches
+depends on which cells were in progress when it was first asked (DESIGN.md
+§14, "left alone").
+
 *What* the search finds — classes, elements, the best cost — does not depend
 on the order it works in (``tests/property/test_prop_explore.py`` checks that
 against a naive closure).  *Which* of several equal-cost plans is chosen
@@ -37,6 +56,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.algebra.operators import Location, Sort
 from repro.core.tango import Tango
 from repro.dbms.database import MiniDB
 from repro.workloads import queries
@@ -157,6 +177,54 @@ def test_plan_choice_matches_golden(golden_tango, name):
     assert measured["class_count"] == golden["class_count"]
     assert measured["top_plans"] == golden["top_plans"]
     assert measured["element_count"] == golden["element_count"]
+
+
+#: The entries PR 17 re-recorded: name -> (digest, cost) before it.
+MOVED_IN_PR17 = {
+    'Q2': ('a45294d00f7c666f', '54293.84131826865'),
+    'Q2-P1 as initial plan': ('a45294d00f7c666f', '54293.84131826865'),
+    'adhoc Q2<1996-03-14': ('c44ee38ec3f10a68', '3436.583943638653'),
+    'adhoc Q2<1996-07-24': ('bf5d053b592f6e5a', '3947.5248299357195'),
+    'adhoc Q2<1996-04-04': ('4200c81a21b62260', '3508.306641617681'),
+    'adhoc Q2<1996-05-19': ('533062bbdd3d695f', '3665.1319942121936'),
+    'adhoc Q2<1996-09-10': ('2b0dc6dc69832822', '4156.47049666208'),
+    'adhoc Q2<1996-07-18': ('2906156c4a5324c3', '3920.6773687243667'),
+    'adhoc Q2<1996-11-14': ('96197dff83ed0858', '4448.515443807373'),
+    'adhoc Q2<1996-11-15': ('f48786e5dc890b08', '4453.091181484624'),
+    'adhoc Q2<1996-06-20': ('7a28b4a705b766e8', '3786.3106440981783'),
+    'adhoc Q2<1996-01-04': ('409bd0a0e2a1172c', '3201.514803376601'),
+    'adhoc Q2<1996-03-04': ('7330ab4b246b6f51', '3402.756907699535'),
+    'adhoc Q2<1996-12-27': ('e249c40be16790cb', '4647.56207292395'),
+    'adhoc Q2<1996-05-08': ('69a7b2a543d75a65', '3626.4018623694315'),
+    'adhoc Q2<1996-09-03': ('dff66ab21dbda8c3', '4125.646474100949'),
+    'adhoc Q2<1996-10-20': ('4595f6f4773bb5e1', '4334.940287105024'),
+    'adhoc Q2<1996-01-27': ('4cd27492991aec02', '3278.5408813188633'),
+}
+
+
+def test_moved_plans_only_lost_their_top_sort(golden_tango):
+    tango, named = golden_tango
+    for name, (old_digest, old_cost) in MOVED_IN_PR17.items():
+        result = tango.planner.optimizer.optimize(named[name])
+        assert digest(result.plan) == GOLDEN["plans"][name]["digest"]
+        assert not isinstance(result.plan, Sort)
+        with_the_sort = Sort(result.plan, Location.MIDDLEWARE, ("PosID",))
+        assert digest(with_the_sort) == old_digest, name
+        assert result.cost < float(old_cost), name
+
+
+def test_dp_order_is_guaranteed_order_on_the_corpus(golden_tango):
+    """Every ranked plan validates, and the order the DP recorded for it is
+    what ``guaranteed_order`` derives from its tree (18 queries — the moved
+    ones — disagreed before PR 17)."""
+    from tests.property.test_prop_explore import assert_orders_agree
+
+    tango, named = golden_tango
+    checked = 0
+    for query in named.values():
+        plan = tango.parse(query) if isinstance(query, str) else query
+        checked += assert_orders_agree(tango.planner.optimizer, plan)
+    assert checked == 350  # root-class candidates over the corpus
 
 
 def record() -> None:

@@ -7,12 +7,21 @@ before the fused expression compiler (PR 12) at ``load_uis(scale=0.02,
 seed=1)`` with default ``TangoConfig()``/``CostFactors()``; a change that
 moves one of them has changed *what* is executed (a plan choice, a meter
 charge, how lazily rows are pulled), not just how fast, and must say so.
+
+PR 17 (one order discipline) moved one: ``Q2 chosen`` middleware ticks
+75,951 -> 19,908, DBMS io/cpu and the 4,311 rows unchanged.  The chosen plan
+lost the ``Sort^M[PosID]`` the extraction DP used to put over its already
+sorted ``TemporalJoin^M`` (see ``test_plan_choice_golden.py``); the sort's
+56,043 ticks are the whole difference, and
+``test_q2_lost_only_a_redundant_sort`` holds the new plan to the old one's
+rows, in order.  The other four tuples did not move.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algebra.operators import Location, Sort
 from repro.core.tango import Tango
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
@@ -23,7 +32,7 @@ from repro.workloads.uis import load_uis
 #: name -> (DBMS io, DBMS cpu, middleware ticks, result rows)
 GOLDEN = {
     "Q1 chosen": (16, 56142, 10931, 2888),
-    "Q2 chosen": (80, 54903, 75951, 4311),
+    "Q2 chosen": (80, 54903, 19908, 4311),
     "Q3 chosen": (76, 78034, 59421, 8749),
     "Q4 chosen": (98, 56321, 0, 1677),
     "Q2-P1 forced": (241, 201444, 5260, 4311),
@@ -71,6 +80,23 @@ def measure(name: str, db: MiniDB) -> tuple[int, int, int, int]:
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_ticks_repeat_to_the_digit(golden_db, name):
     assert measure(name, golden_db) == GOLDEN[name]
+
+
+def test_q2_lost_only_a_redundant_sort(golden_db):
+    tango = Tango(golden_db, fault_injector=FaultInjector(FaultPolicy(), seed=0))
+    try:
+        plan = tango.optimize(build("Q2 chosen", golden_db)).plan
+        assert not any(
+            isinstance(node, Sort) and node.location is Location.MIDDLEWARE
+            for node in plan.walk()
+        )
+        rows = tango.execute_plan(plan).rows
+        before = tango.middleware_meter.ticks
+        old_plan = Sort(plan, Location.MIDDLEWARE, ("PosID",))
+        assert tango.execute_plan(old_plan).rows == rows
+        assert tango.middleware_meter.ticks - 2 * before == 75951 - 19908
+    finally:
+        tango.close()
 
 
 def test_abandoned_cursor_is_metered_lazily(golden_db):

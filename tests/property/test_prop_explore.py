@@ -11,16 +11,24 @@ no child id merged away), and it is *the* closure: :class:`ReferenceOptimizer`
 — every rule over every element until a pass changes nothing, no queue, no
 dirty marks — finds as many classes and elements and the same best cost.
 The order the queue is drained in is not observable in what is found.
+
+And one order discipline: the order the extraction DP records for a plan is
+the order :func:`~repro.algebra.properties.guaranteed_order` derives from
+the finished tree, and every plan it ranks passes ``validate_plan`` — all
+three read the same two tables (:func:`assert_orders_agree`, also run over
+the golden corpus by ``tests/integration/test_plan_choice_golden.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algebra.properties import guaranteed_order
 from repro.dbms.database import MiniDB
 from repro.errors import OptimizerError
 from repro.fuzz.generator import QueryGenerator
 from repro.fuzz.oracle import build_estimator
+from repro.obs.tracing import NULL_TRACER
 from repro.optimizer.memo import Memo
 from repro.optimizer.physical import validate_plan
 from repro.optimizer.rules import default_rules
@@ -75,6 +83,37 @@ def assert_is_the_closure(estimator, plan, result) -> None:
     )
 
 
+def assert_orders_agree(optimizer: Optimizer, plan) -> int:
+    """The winner and every candidate ``top_plans`` ranks: each validates,
+    and the DP's record of its order is ``guaranteed_order`` of its tree.
+    Returns how many plans were checked."""
+    # One extraction each, as ``optimize`` and ``top_plans`` have: a cell
+    # computed while another is in progress is cached without the plans
+    # through that one, so what a shared extraction finds depends on who
+    # asked first.
+    _, root, extraction, required, _, _ = optimizer._search(plan, None, NULL_TRACER)
+    winner = extraction.best(root, plan.location, required)
+    _, root, extraction, required, _, _ = optimizer._search(plan, None, NULL_TRACER)
+    ranked = [
+        choice
+        for element in extraction.candidates(root, plan.location)
+        for choice in [
+            extraction.element_choice(element, required)
+            or extraction.element_choice(element, ())
+        ]
+        if choice is not None
+    ]
+    for choice in ranked + [winner] * (winner is not None):
+        validate_plan(choice.plan)
+        guaranteed = tuple(name.lower() for name in guaranteed_order(choice.plan))
+        assert choice.delivered == guaranteed, choice.plan.pretty()
+    # Nothing is skipped any more: every distinct candidate is returned.
+    assert len(optimizer.top_plans(plan, k=len(ranked) + 1)) == len(
+        {choice.plan.cache_key for choice in ranked}
+    )
+    return len(ranked)
+
+
 @pytest.fixture(scope="module")
 def uis_db() -> MiniDB:
     db = MiniDB()
@@ -115,6 +154,16 @@ def test_generated_plans_reach_a_fixpoint(max_operators):
         assert_is_the_closure(estimator, case.plan, result)
         assert_closed(result)
         explored += 1
+
+
+def test_generated_plans_keep_one_order_discipline():
+    generator = QueryGenerator(seed=17, max_operators=9)
+    checked = 0
+    for index in range(FUZZ_PLANS):
+        case = generator.case(index)
+        optimizer = Optimizer(build_estimator(case.build_db()))
+        checked += assert_orders_agree(optimizer, case.plan)
+    assert checked > 2 * FUZZ_PLANS  # most shapes have several candidates
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4"])

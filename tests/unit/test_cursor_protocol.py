@@ -176,7 +176,7 @@ OPERATORS = {
     "filter": lambda: FilterCursor(kv(KV_ROWS), Comparison(">", col("V"), lit(1))),
     "filter_rare": lambda: FilterCursor(kv(KV_ROWS), Comparison("=", col("K"), lit(3))),
     "project": lambda: ProjectCursor.of_columns(kv(KV_ROWS), ["V", "K"]),
-    "dedup_sorted": lambda: DedupCursor(kv(), assume_sorted=True),
+    "dedup_sorted": lambda: DedupCursor(kv()),  # duplicates arrive adjacent
     "dedup_hashed": lambda: DedupCursor(kv(KV_ROWS)),
     "difference": lambda: DifferenceCursor(kv(KV_ROWS), kv(KV_ROWS[::3])),
     "sort": lambda: SortCursor(kv(KV_ROWS), ["K"], run_size=16),

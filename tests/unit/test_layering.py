@@ -78,3 +78,66 @@ def test_the_walk_is_not_vacuous():
         "    self._planner.refresh()\n"
     )
     assert len(violations(ast.parse(parent_style))) == 3
+
+
+# -- one order discipline -------------------------------------------------------------
+
+ALL_SOURCES = sorted(SRC.rglob("*.py"))
+
+
+def operator_classes(trees: list[ast.AST]) -> set[str]:
+    """Names of the classes that derive, however indirectly, from ``Operator``."""
+    bases = {
+        node.name: {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases}
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    found = {"Operator"}
+    while True:
+        grown = found | {name for name, of in bases.items() if of & found}
+        if grown == found:
+            return found
+        found = grown
+
+
+def order_copies(trees: dict[str, ast.AST]) -> list[str]:
+    operators = operator_classes(list(trees.values()))
+    problems = []
+    for where, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in operators:
+                problems += [
+                    f"{where}:{item.lineno}: {node.name}.order()"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "order"
+                ]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "order"
+            ):
+                problems.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    return problems
+
+
+def test_order_is_declared_in_one_module():
+    trees = {
+        str(path.relative_to(SRC)): ast.parse(path.read_text(), filename=str(path))
+        for path in ALL_SOURCES
+    }
+    assert {"Scan", "ClassRef", "TransferM"} <= operator_classes(list(trees.values()))
+    assert order_copies(trees) == []
+
+
+def test_the_order_walk_is_not_vacuous():
+    parent_style = (
+        "class Operator:\n"
+        "    def order(self): return ()\n"
+        "class _Unary(Operator): pass\n"
+        "class Select(_Unary):\n"
+        "    def order(self): return self.input.order()\n"
+        "class Cursor:\n"
+        "    def order(self): return 1\n"
+    )
+    assert len(order_copies({"parent.py": ast.parse(parent_style)})) == 3

@@ -20,7 +20,10 @@ from repro.algebra.operators import (
     TransferD,
     TransferM,
 )
+from repro.algebra.builder import scan
+from repro.algebra.properties import delivered_order, guaranteed_order
 from repro.algebra.schema import Attribute, AttrType, Schema
+from repro.dbms.database import MiniDB
 from repro.errors import PlanError
 
 POSITION = Schema(
@@ -75,8 +78,13 @@ class TestScan:
         assert position_scan().schema == POSITION
 
     def test_clustered_order(self):
-        scan = Scan("POSITION", POSITION, ("PosID",))
-        assert scan.order() == ("PosID",)
+        # How the table is clustered is the DBMS's business: the scan built
+        # over it is the scan of any other table, and delivers no order.
+        db = MiniDB()
+        db.create_table("POSITION", POSITION).bulk_load([(1, "Tom", 2, 20)], order=("PosID",))
+        assert db.clustered_order_of("POSITION") == ("PosID",)
+        assert scan(db, "POSITION").build() == position_scan()
+        assert guaranteed_order(position_scan()) == ()
 
 
 class TestSelectAndProject:
@@ -112,15 +120,15 @@ class TestSelectAndProject:
             Project(position_scan(), Location.DBMS, ())
 
     def test_project_order_survives_prefix(self):
-        sort = Sort(position_scan(), Location.DBMS, ("PosID", "T1"))
-        project = Project.of_columns(sort, ["PosID", "EmpName"])
-        assert project.order() == ("PosID",)
+        sort = Sort(TransferM(position_scan()), Location.MIDDLEWARE, ("PosID", "T1"))
+        project = Project.of_columns(sort, ["PosID", "EmpName"], Location.MIDDLEWARE)
+        assert guaranteed_order(project) == ("PosID",)
 
 
 class TestSort:
     def test_order_is_keys(self):
         sort = Sort(position_scan(), Location.DBMS, ("PosID", "T1"))
-        assert sort.order() == ("PosID", "T1")
+        assert guaranteed_order(sort) == ("PosID", "T1")
 
     def test_unknown_key_rejected(self):
         sort = Sort(position_scan(), Location.DBMS, ("Nope",))
@@ -161,7 +169,9 @@ class TestJoins:
 
     def test_join_order_is_left_attr(self):
         join = Join(position_scan(), position_scan(), Location.DBMS, "PosID", "PosID")
-        assert join.order() == ("PosID",)
+        sorted_inputs = [("PosID",), ("PosID",)]
+        assert delivered_order(join, sorted_inputs) == ()  # the DBMS may reorder
+        assert delivered_order(join.located(Location.MIDDLEWARE), sorted_inputs) == ("PosID",)
 
     def test_product_schema(self):
         product = Product(position_scan(), position_scan(), Location.DBMS)
@@ -181,7 +191,11 @@ class TestTemporalAggregate:
         assert self.make().schema.names == ("PosID", "T1", "T2", "COUNTofPosID")
 
     def test_delivered_order(self):
-        assert self.make().order() == ("PosID", "T1")
+        taggr = self.make()
+        assert delivered_order(taggr, [("PosID", "T1")]) == ()
+        assert delivered_order(taggr.located(Location.MIDDLEWARE), [("PosID", "T1")]) == (
+            "PosID", "T1",
+        )
 
     def test_requires_aggregate(self):
         with pytest.raises(PlanError):
@@ -211,11 +225,11 @@ class TestTransfers:
 
     def test_transfer_m_preserves_order(self):
         sort = Sort(position_scan(), Location.DBMS, ("PosID",))
-        assert TransferM(sort).order() == ("PosID",)
+        assert guaranteed_order(TransferM(sort)) == ("PosID",)
 
     def test_transfer_d_drops_order(self):
         sort = Sort(position_scan(), Location.DBMS, ("PosID",))
-        assert TransferD(TransferM(sort)).order() == ()
+        assert guaranteed_order(TransferD(TransferM(sort))) == ()
 
     def test_schema_passthrough(self):
         assert TransferM(position_scan()).schema == POSITION
@@ -224,7 +238,7 @@ class TestTransfers:
 class TestTreePlumbing:
     def test_with_inputs_replaces_child(self):
         select = Select(position_scan(), Location.DBMS, Comparison("<", col("T1"), lit(5)))
-        other = Scan("POSITION", POSITION, ("PosID",))
+        other = Scan("POSITION_COPY", POSITION)
         replaced = select.with_inputs(other)
         assert replaced.input is other
         assert replaced.predicate == select.predicate

@@ -5,6 +5,7 @@ import pytest
 from repro.algebra.builder import scan
 from repro.algebra.expressions import Comparison, col, lit
 from repro.algebra.operators import (
+    Coalesce,
     Join,
     Location,
     Select,
@@ -136,6 +137,22 @@ class TestOrderPrerequisites:
         )
         right = TransferM(Sort(base(), DB, ("K",)))
         validate_plan(TemporalJoin(aggregated, right, MW, "K", "K"))
+
+    def test_coalesce_m_requires_values_then_t1(self):
+        # The validator knew no prerequisite for COAL^M: this plan ran, and
+        # returned its unsorted input barely coalesced.
+        with pytest.raises(PlanValidityError, match=r"COAL\^M needs .*\('K', 'T1'\)"):
+            validate_plan(Coalesce(TransferM(base()), MW))
+        validate_plan(Coalesce(TransferM(Sort(base(), DB, ("K", "T1"))), MW))
+        validate_plan(Coalesce(Sort(TransferM(base()), MW, ("K", "T1", "T2")), MW))
+
+    def test_merge_join_over_a_filtered_dbms_join_rejected(self):
+        # Join^D delivers no order, whatever sits between it and JOIN^M.
+        fetched = TransferM(Join(base(), base(), DB, "K", "K"))
+        left = Select(fetched, MW, Comparison("<", col("K"), lit(1)))
+        right = TransferM(Sort(base(), DB, ("K",)))
+        with pytest.raises(PlanValidityError, match=r"JOIN\^M needs input 1"):
+            validate_plan(Join(left, right, MW, "K", "K"))
 
     def test_dbms_located_operators_have_no_order_requirements(self):
         plan = TemporalAggregate(base(), DB, ("K",), (AggregateSpec("COUNT", "K"),))

@@ -32,17 +32,6 @@ class TestDedup:
             (1, "a"), (2, "b"),
         ]
 
-    def test_sorted_dedup(self):
-        rows = [(1, "a"), (1, "a"), (2, "b")]
-        cursor = DedupCursor(RelationCursor(SCHEMA, rows), assume_sorted=True)
-        assert materialize(cursor) == [(1, "a"), (2, "b")]
-
-    def test_sorted_dedup_misses_scattered_duplicates(self):
-        # Documented contract: sorted mode only removes adjacent duplicates.
-        rows = [(1, "a"), (2, "b"), (1, "a")]
-        cursor = DedupCursor(RelationCursor(SCHEMA, rows), assume_sorted=True)
-        assert len(materialize(cursor)) == 3
-
     def test_order_preserved(self):
         rows = [(3, "x"), (1, "y"), (3, "x"), (2, "z")]
         assert materialize(DedupCursor(RelationCursor(SCHEMA, rows))) == [
