@@ -34,7 +34,7 @@ class TangoConfig:
     adaptive: bool = False
     #: Record a span tree for every temporal query (parse → optimize →
     #: translate → execute, with per-cursor cardinalities and transfer
-    #: timings; per-``next()`` wall times are the EXPLAIN ANALYZE path).
+    #: timings; per-call wall times are the EXPLAIN ANALYZE path).
     tracing: bool = False
     #: Rows per ``next_batch`` through the whole execution pipeline
     #: (TRANSFER^M fetchmany size, TRANSFER^D executemany chunk, engine

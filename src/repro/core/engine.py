@@ -25,14 +25,14 @@ after the same unconditional teardown.
 Every execution is materialized as a span tree (:mod:`repro.obs`): one
 child span per plan step, nested spans per cursor carrying cardinalities,
 transfer spans carrying tuples/bytes/seconds.  :func:`observations_from_trace`
-and :func:`cardinality_observations` project that tree into what the
-Section 7 feedback loops (:mod:`repro.core.learner`) consume.  That costs
-nothing per row — the cursors track those numbers anyway.  With ``instrument=True`` the plan's
-cursors are additionally wrapped in
-:class:`~repro.obs.instrument.InstrumentedCursor` so the spans also record
-per-cursor ``next()``/``next_batch()`` counts and wall time; that is the
-EXPLAIN ANALYZE path, and (as in any database) the per-call timing is not
-free.
+and :func:`~repro.obs.instrument.cardinality_observations` project that tree
+into what the Section 7 feedback loops (:mod:`repro.core.learner`) consume.
+That costs nothing per row — the cursors track those numbers anyway.  With
+``instrument=True`` every cursor of the plan is additionally told to time
+its own ``init()``/``next_batch()`` calls
+(:attr:`~repro.xxl.cursor.Cursor.timed`), so the spans also record per-cursor
+call counts and wall time; that is the EXPLAIN ANALYZE path, and (as in any
+database) the per-call timing is not free.
 """
 
 from __future__ import annotations
@@ -41,22 +41,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.algebra.operators import Operator
 from repro.algebra.schema import Schema
 from repro.core.plans import ExecutionPlan
 from repro.core.reoptimize import ReoptimizationSignal
 from repro.errors import QueryCancelledError, QueryTimeoutError
-from repro.xxl.transfer import TransferDCursor
-from repro.obs.instrument import (
-    CHILD_ATTRIBUTES,
-    execution_trace,
-    instrument_plan,
-    unwrap,
-)
-from repro.xxl.exchange import ExchangeCursor
+from repro.obs.instrument import execution_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
-from repro.xxl.cursor import DEFAULT_BATCH_SIZE
+from repro.xxl.cursor import walk
+from repro.xxl.transfer import TransferDCursor
 
 
 @dataclass(frozen=True)
@@ -95,30 +88,6 @@ def observations_from_trace(trace: Span) -> list[TransferObservation]:
     ]
 
 
-def cardinality_observations(
-    trace: Span, registry: dict[int, Operator]
-) -> list[tuple[Operator, int]]:
-    """(plan node, actual rows) pairs from one finished execution trace.
-
-    Spans are joined to plan nodes through the compile-time cursor
-    *registry*.  Partitioned executions register several cursors per node
-    (pooled range fetches, pipeline clones); their counts sum to the
-    node's total.
-    """
-    totals: dict[int, list] = {}
-    for span in trace.iter():
-        if span.kind not in ("cursor", "transfer"):
-            continue
-        node = registry.get(span.attributes.get("cursor_id"))
-        if node is not None:
-            rows = span.attributes.get("tuples")
-            if rows is None:
-                rows = span.attributes.get("rows", 0)
-            slot = totals.setdefault(id(node), [node, 0])
-            slot[1] += int(rows)
-    return [(node, rows) for node, rows in totals.values()]
-
-
 @dataclass
 class ExecutionOutcome:
     """Rows plus bookkeeping from one plan execution."""
@@ -131,7 +100,7 @@ class ExecutionOutcome:
     #: derived from the trace's transfer spans.
     observations: list[TransferObservation] = field(default_factory=list)
     #: The execution's span tree (always present; per-cursor wall time and
-    #: next() counts appear when the engine ran with ``instrument=True``).
+    #: call counts appear when the engine ran with ``instrument=True``).
     trace: Span | None = None
     #: Output batches the engine drained (rows/batches ≈ mean batch fill).
     batches: int = 0
@@ -143,37 +112,29 @@ class ExecutionOutcome:
         return len(self.rows)
 
 
-def _iter_cursors(roots):
-    """Every distinct algorithm cursor reachable from *roots* — child links
-    and exchange partition pipelines included — unwrapped."""
-    seen: set[int] = set()
-    stack = list(roots)
-    while stack:
-        cursor = unwrap(stack.pop())
-        if id(cursor) in seen:
-            continue
-        seen.add(id(cursor))
-        yield cursor
-        if isinstance(cursor, ExchangeCursor):
-            stack.extend(cursor.pipeline_roots)
-        for attribute in CHILD_ATTRIBUTES:
-            child = getattr(cursor, attribute, None)
-            if child is not None and hasattr(child, "has_next"):
-                stack.append(child)
+def attempt_all(actions) -> None:
+    """Run every cleanup action, letting no failure skip another; the first
+    error surfaces only after everything was attempted, and never shadows
+    an error already propagating."""
+    first_error: BaseException | None = None
+    for action in actions:
+        try:
+            action()
+        except BaseException as error:  # noqa: BLE001 - must keep going
+            if first_error is None:
+                first_error = error
+    if first_error is not None and sys.exc_info()[0] is None:
+        raise first_error
 
 
 class ExecutionEngine:
     """Runs execution-ready plans."""
-
-    def __init__(self, cleanup_temp_tables: bool = True):
-        self.cleanup_temp_tables = cleanup_temp_tables
 
     def execute(
         self,
         plan: ExecutionPlan,
         tracer: Tracer | None = None,
         instrument: bool = False,
-        batch_size: int | None = None,
         metrics: MetricsRegistry | None = None,
         deadline_seconds: float | None = None,
         abort=None,
@@ -181,10 +142,10 @@ class ExecutionEngine:
     ) -> ExecutionOutcome:
         """Figure 2's ExecuteQuery: init every result set, drain the last.
 
-        *batch_size* is the rows-per-``next_batch`` of the drain loop; when
-        omitted, the output cursor's own (plan-compiled) batch size is
-        used.  *metrics*, when given, receives the ``batches_produced``
-        counter and the ``rows_per_batch`` histogram.  *deadline_seconds*
+        The drain pulls the output cursor's own (plan-compiled) batch size
+        per ``next_batch``.  *metrics*, when given, receives the
+        ``batches_produced`` counter, the ``rows_per_batch`` histogram and
+        the exchange bookkeeping.  *deadline_seconds*
         bounds the execution's wall time, checked at batch boundaries (step
         inits and every drain pull); a violation raises
         :class:`~repro.errors.QueryTimeoutError` carrying the partial span
@@ -198,7 +159,7 @@ class ExecutionEngine:
 
         *on_materialize*, when given, is the mid-query re-optimization
         probe (see :mod:`repro.core.reoptimize`): called right after each
-        ``TRANSFER^D`` step's ``init`` with the raw cursor — its temp
+        ``TRANSFER^D`` step's ``init`` with the cursor — its temp
         table is fully loaded, nothing downstream has started.  A non-None
         return is a :class:`~repro.core.reoptimize.ReoptimizationDecision`
         and makes the engine unwind with
@@ -208,7 +169,8 @@ class ExecutionEngine:
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         if instrument:
-            instrument_plan(plan)
+            for cursor in walk(plan.steps):
+                cursor.timed = True
         begin = time.perf_counter()
         deadline = (
             begin + deadline_seconds if deadline_seconds is not None else None
@@ -244,11 +206,10 @@ class ExecutionEngine:
             for step in plan.steps:
                 check_interrupts()
                 step.init()
-                raw = unwrap(step)
-                if isinstance(raw, TransferDCursor):
-                    completed.append(raw)
+                if isinstance(step, TransferDCursor):
+                    completed.append(step)
                     if on_materialize is not None:
-                        decision = on_materialize(raw)
+                        decision = on_materialize(step)
                         if decision is not None:
                             keep = frozenset(
                                 cursor.table_name for cursor in completed
@@ -257,12 +218,7 @@ class ExecutionEngine:
                                 decision, tuple(completed)
                             )
             output = plan.output
-            size = max(
-                1,
-                batch_size
-                if batch_size is not None
-                else getattr(output, "batch_size", DEFAULT_BATCH_SIZE),
-            )
+            size = max(1, output.batch_size)
             fill = metrics.histogram("rows_per_batch") if metrics is not None else None
             while True:
                 check_interrupts()
@@ -275,25 +231,29 @@ class ExecutionEngine:
                 rows.extend(batch)
             schema = output.schema
         finally:
-            self._teardown(plan, keep=keep)
+            # Close every step and drop every temp table, whatever raised.
+            # Tables named in *keep* survive: they feed the re-optimized
+            # remainder plan, whose executor owns dropping them.
+            attempt_all(
+                [step.close for step in plan.steps]
+                + [t.drop for t in plan.transfers_down if t.table_name not in keep]
+            )
         elapsed = time.perf_counter() - begin
+        trace = execution_trace(plan, elapsed)
+        trace.set(rows=len(rows), batches=batches)
+        tracer.attach(trace)
         if metrics is not None:
             metrics.counter("batches_produced").inc(batches)
             # Exchange bookkeeping (parallel_efficiency is computed at
             # cursor close, i.e. during the teardown just above).
-            for raw in _iter_cursors(plan.steps):
-                if isinstance(raw, ExchangeCursor):
-                    metrics.counter("exchange_partitions").inc(raw.partitions)
-                    if raw.queue_full_stalls:
-                        metrics.counter("queue_full_stalls").inc(
-                            raw.queue_full_stalls
-                        )
-                    metrics.histogram("parallel_efficiency").observe(
-                        raw.parallel_efficiency
-                    )
-        trace = execution_trace(plan, elapsed)
-        trace.set(rows=len(rows), batches=batches)
-        tracer.attach(trace)
+            for span in trace.find_all(kind="exchange"):
+                exchange = span.attributes
+                metrics.counter("exchange_partitions").inc(exchange["partitions"])
+                if exchange["queue_full_stalls"]:
+                    metrics.counter("queue_full_stalls").inc(exchange["queue_full_stalls"])
+                metrics.histogram("parallel_efficiency").observe(
+                    exchange["parallel_efficiency"]
+                )
         return ExecutionOutcome(
             schema=schema,
             rows=rows,
@@ -303,31 +263,3 @@ class ExecutionEngine:
             trace=trace,
             batches=batches,
         )
-
-    def _teardown(
-        self, plan: ExecutionPlan, keep: frozenset[str] = frozenset()
-    ) -> None:
-        """Close every step and drop every temp table, letting no failure
-        in one step's cleanup skip another's; the first cleanup error
-        surfaces only after everything was attempted (and never shadows an
-        execution error already propagating).  Tables named in *keep*
-        survive — they feed the re-optimized remainder plan, whose
-        executor owns dropping them."""
-        first_error: BaseException | None = None
-        for step in plan.steps:
-            try:
-                step.close()
-            except BaseException as error:  # noqa: BLE001 - must keep going
-                if first_error is None:
-                    first_error = error
-        if self.cleanup_temp_tables:
-            for transfer in plan.transfers_down:
-                if transfer.table_name in keep:
-                    continue
-                try:
-                    transfer.drop()
-                except BaseException as error:  # noqa: BLE001
-                    if first_error is None:
-                        first_error = error
-        if first_error is not None and sys.exc_info()[0] is None:
-            raise first_error

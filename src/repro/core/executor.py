@@ -19,7 +19,6 @@ are dropped in the loop's single ``finally``, whichever way it is left.
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.algebra.operators import Operator
 from repro.algebra.properties import guaranteed_order
 from repro.algebra.schema import Schema
-from repro.core.engine import ExecutionEngine, ExecutionOutcome
+from repro.core.engine import ExecutionEngine, ExecutionOutcome, attempt_all
 from repro.core.parser import is_temporal_query
 from repro.core.partition import ParallelContext
 from repro.core.plans import ExecutionPlan, compile_plan
@@ -198,17 +197,13 @@ class Executor:
     def explain_analyze(
         self, query: str | Operator
     ) -> tuple[ExplainAnalyzeReport, list[tuple]]:
-        """Plan, execute instrumented (every cursor wrapped to time its
-        calls, whatever ``config.tracing`` says), and lay actuals against
+        """Plan, execute instrumented (every cursor timing its own calls,
+        whatever ``config.tracing`` says), and lay actuals against
         estimates.  Returns the report and the rows the run produced."""
         optimization = self.planner.plan(query, self.tracer)
-        registry: dict[int, Operator] = {}
-        outcome, executed, _ = self._drive(
-            optimization.plan, instrument=True, registry=registry
-        )
+        outcome, executed, _ = self._drive(optimization.plan, instrument=True)
         report = build_report(
             outcome.trace,
-            registry,
             self.planner.estimator,
             self.planner.coster(),
             estimated_total_us=optimization.cost,
@@ -229,13 +224,10 @@ class Executor:
         parallel: bool = True,
         abort=None,
         instrument: bool = False,
-        registry: dict[int, Operator] | None = None,
     ) -> tuple[ExecutionOutcome, Operator, bool]:
         """RUN → REPLAN → FALLBACK → DONE/FAIL (see the module docstring).
 
-        Returns ``(outcome, executed plan, degraded)``; *registry*, when
-        given, accumulates every round's cursor→node mapping (EXPLAIN
-        ANALYZE).
+        Returns ``(outcome, executed plan, degraded)``.
         """
         validate_plan(plan)
         retry = retry if retry is not None else self._retry_state()
@@ -245,11 +237,9 @@ class Executor:
         with ExitStack() as spans:
             try:
                 while True:
-                    round_registry: dict[int, Operator] = {}
                     try:
                         outcome = self._round(
                             current,
-                            round_registry,
                             retry,
                             parallel,
                             abort,
@@ -259,7 +249,7 @@ class Executor:
                     except ReoptimizationSignal as signal:  # → REPLAN
                         rounds += 1
                         kept.extend(signal.completed)
-                        current = self._replan(current, signal, round_registry)
+                        current = self._replan(current, signal)
                         continue
                     except RetryExhaustedError as error:  # → FALLBACK, or FAIL
                         if failure is not None:
@@ -289,15 +279,13 @@ class Executor:
                         validate_plan(current)
                         retry, parallel = self._retry_state(), False
                         continue
-                    finally:
-                        if registry is not None:
-                            registry.update(round_registry)
-                    self._record(outcome, current, round_registry)  # → DONE
+                    self._record(outcome, current)  # → DONE
                     if rounds and failure is None and outcome.trace is not None:
                         outcome.trace.set(reoptimizations=rounds)
                     return outcome, current, failure is not None
             finally:
-                self._drop_kept(kept)
+                # Temp tables kept alive across splices go now.
+                attempt_all(cursor.drop for cursor in kept)
 
     def compile(
         self,
@@ -305,7 +293,6 @@ class Executor:
         *,
         retry: RetryState | None = None,
         parallel: bool = True,
-        registry: dict[int, Operator] | None = None,
     ) -> ExecutionPlan:
         """The Figure 5 algorithm sequence this executor would run *plan*
         as — over its connection, fanned out across its pool when
@@ -322,24 +309,21 @@ class Executor:
             self.connection,
             self.middleware_meter,
             self.translator,
-            registry=registry,
             batch_size=self.config.batch_size,
             retry=retry,
             parallel=context,
         )
 
     def _round(
-        self, plan, registry, retry, parallel, abort, instrument, probing
+        self, plan, retry, parallel, abort, instrument, probing
     ) -> ExecutionOutcome:
         """One RUN: compile *plan* and hand it to the engine."""
         with self.tracer.span("translate", kind="phase") as span:
-            execution_plan = self.compile(
-                plan, retry=retry, parallel=parallel, registry=registry
-            )
+            execution_plan = self.compile(plan, retry=retry, parallel=parallel)
             span.set(steps=len(execution_plan.steps))
         probe = None
         if probing and self.config.reoptimize_threshold > 0:
-            probe = self._materialization_probe(registry)
+            probe = self._materialization_probe
         return self.engine.execute(
             execution_plan,
             tracer=Tracer() if instrument else self.tracer,
@@ -350,32 +334,23 @@ class Executor:
             on_materialize=probe,
         )
 
-    def _materialization_probe(self, registry: dict[int, Operator]):
-        """The engine's ``on_materialize`` callback for one round: the
-        learner lays the loaded row count against the estimate, and a
-        q-error above the threshold answers with a decision — which makes
-        the engine unwind for a re-plan."""
+    def _materialization_probe(self, cursor) -> ReoptimizationDecision | None:
+        """The engine's ``on_materialize`` callback: the learner lays the
+        row count a ``TRANSFER^D`` loaded against its node's estimate, and
+        a q-error above the threshold answers with a decision — which
+        makes the engine unwind for a re-plan."""
+        node = cursor.node
+        if node is None:
+            return None
+        actual = float(cursor.rows_loaded)
+        estimated, error = self.learner.observe_materialization(node, actual)
+        if error <= self.config.reoptimize_threshold:
+            return None
+        return ReoptimizationDecision(
+            node=node, estimated=estimated, actual=actual, qerror=error
+        )
 
-        def probe(cursor):
-            node = registry.get(id(cursor))
-            if node is None:
-                return None
-            actual = float(cursor.rows_loaded)
-            estimated, error = self.learner.observe_materialization(node, actual)
-            if error <= self.config.reoptimize_threshold:
-                return None
-            return ReoptimizationDecision(
-                node=node, estimated=estimated, actual=actual, qerror=error
-            )
-
-        return probe
-
-    def _replan(
-        self,
-        plan: Operator,
-        signal: ReoptimizationSignal,
-        registry: dict[int, Operator],
-    ) -> Operator:
+    def _replan(self, plan: Operator, signal: ReoptimizationSignal) -> Operator:
         """Splice completed materializations out of *plan* and re-enter
         the planner for the remainder, under the original order contract.
         The collector auto-ANALYZEs the temp tables, so the re-entered
@@ -384,9 +359,9 @@ class Executor:
         self.metrics.counter("reoptimizations").inc()
         decision = signal.decision
         replacements = {
-            id(node): temp_scan(node, cursor.table_name)
+            id(cursor.node): temp_scan(cursor.node, cursor.table_name)
             for cursor in signal.completed
-            if (node := registry.get(id(cursor))) is not None
+            if cursor.node is not None
         }
         with self.tracer.span(
             "reoptimize",
@@ -404,28 +379,14 @@ class Executor:
             span.set(cost=result.cost)
         return result.plan
 
-    def _record(self, outcome: ExecutionOutcome, plan: Operator, registry) -> None:
+    def _record(self, outcome: ExecutionOutcome, plan: Operator) -> None:
         """Metrics for one completed engine execution; then the learner."""
         self.metrics.histogram("execution_seconds").observe(outcome.elapsed_seconds)
         for observation in outcome.observations:
             prefix = "transfer_up" if observation.direction == "up" else "transfer_down"
             self.metrics.counter(f"{prefix}_tuples").inc(observation.tuples)
             self.metrics.counter(f"{prefix}_bytes").inc(observation.bytes)
-        self.learner.observe(outcome, plan, registry)
-
-    def _drop_kept(self, kept: list) -> None:
-        """Drop temp tables kept alive across splices; every drop is
-        attempted, and the first failure surfaces only when no other
-        error is already propagating (mirrors the engine's teardown)."""
-        first_error: BaseException | None = None
-        for cursor in kept:
-            try:
-                cursor.drop()
-            except BaseException as error:  # noqa: BLE001 - must keep going
-                if first_error is None:
-                    first_error = error
-        if first_error is not None and sys.exc_info()[0] is None:
-            raise first_error
+        self.learner.observe(outcome, plan)
 
     def _retry_state(self) -> RetryState:
         """A fresh per-execution retry budget under the configured policy."""

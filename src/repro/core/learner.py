@@ -42,11 +42,8 @@ from repro.algebra.operators import (
     TemporalJoin,
     TransferD,
 )
-from repro.core.engine import (
-    ExecutionOutcome,
-    TransferObservation,
-    cardinality_observations,
-)
+from repro.core.engine import ExecutionOutcome, TransferObservation
+from repro.obs.instrument import cardinality_observations
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
 from repro.optimizer.costs import AlgorithmCosts, CostFactors
@@ -329,12 +326,12 @@ class Learner:
         self._running = self._stamped = planner.factors
         planner.use_feedback(self.store)
 
-    def observe(self, outcome: ExecutionOutcome, plan: Operator, registry: dict) -> None:
+    def observe(self, outcome: ExecutionOutcome, plan: Operator) -> None:
         """Learn from one *completed* engine execution of *plan*."""
         if self.config.adaptive and outcome.observations:
             self._adapt(outcome.observations)
-        if self.config.learn_cardinalities and registry and outcome.trace is not None:
-            self._harvest(outcome.trace, plan, registry)
+        if self.config.learn_cardinalities and outcome.trace is not None:
+            self._harvest(outcome.trace, plan)
 
     def observe_materialization(self, node: Operator, rows: int) -> tuple[float, float]:
         """A ``TRANSFER^D`` below *node* loaded *rows*: record the q-error
@@ -405,8 +402,8 @@ class Learner:
                 self._stamped = updated
                 self.planner.set_factors(updated)
 
-    def _harvest(self, trace: Span, plan: Operator, registry) -> None:
-        """Feed the store from a finished execution's span tree.
+    def _harvest(self, trace: Span, plan: Operator) -> None:
+        """Feed the store from a finished execution's node-bearing spans.
 
         Only cursors that provably ran to exhaustion are believed (join
         inputs may be abandoned early — their counts are lower bounds);
@@ -417,7 +414,7 @@ class Learner:
         strict = trusted_nodes(plan, restore_blocking=False)
         estimator = self.planner.estimator
         updates = 0
-        for node, actual in cardinality_observations(trace, registry):
+        for node, actual in cardinality_observations(trace):
             if id(node) not in trusted:
                 continue
             if actual == 0 and id(node) not in strict:

@@ -34,7 +34,6 @@ from repro.algebra.properties import guaranteed_order
 from repro.core.translator import SQLTranslator
 from repro.dbms.costmodel import CostMeter
 from repro.errors import PlanError
-from repro.obs.instrument import ALGORITHM_NAMES as _ALGORITHM_NAMES
 from repro.xxl import (
     CoalesceCursor,
     Cursor,
@@ -70,10 +69,7 @@ class ExecutionPlan:
     def describe(self) -> str:
         """Figure 5-style rendering: one line per algorithm, middleware
         pipelines indented under the step that drains them."""
-        lines: list[str] = []
-        for step in self.steps:
-            lines.extend(_describe_cursor(step, 0))
-        return "\n".join(lines)
+        return "\n".join(line for step in self.steps for line in step.describe())
 
     def cleanup(self) -> None:
         """Drop every temp table this plan loaded."""
@@ -81,52 +77,11 @@ class ExecutionPlan:
             transfer.drop()
 
 
-def _describe_cursor(cursor: Cursor, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(cursor, ExchangeCursor):
-        lines = [
-            f"{pad}EXCHANGE  Partitions: {cursor.partitions}"
-            f"  Workers: {cursor.workers}  Reassembly: concat"
-        ]
-        for index, child in enumerate(cursor.pipeline_roots):
-            lines.append(f"{pad}  [partition {index}]")
-            lines.extend(_describe_cursor(child, indent + 2))
-        return lines
-    if isinstance(cursor, SQLCursor):
-        sql = " ".join(cursor.sql.split())
-        if len(sql) > 100:
-            sql = sql[:97] + "..."
-        return [f"{pad}TRANSFER^M  Query: {sql}"]
-    if isinstance(cursor, TransferDCursor):
-        lines = [f"{pad}TRANSFER^D  TableName: {cursor.table_name}"]
-        lines.extend(_describe_cursor(cursor._input, indent + 1))
-        return lines
-    name = _ALGORITHM_NAMES.get(type(cursor).__name__, type(cursor).__name__)
-    detail = ""
-    if isinstance(cursor, TemporalAggregateCursor):
-        group = ", ".join(cursor.group_by)
-        aggs = ", ".join(spec.to_sql() for spec in cursor.aggregates)
-        detail = f"  GroupBy: {group}  Aggregate: {aggs}"
-    elif isinstance(cursor, SortCursor):
-        detail = f"  Keys: {', '.join(cursor.keys)}"
-    elif isinstance(cursor, (MergeJoinCursor, TemporalJoinCursor)):
-        detail = f"  On: {cursor.left_attr}={cursor.right_attr}"
-    elif isinstance(cursor, FilterCursor):
-        detail = f"  Predicate: {cursor.predicate.to_sql()}"
-    lines = [f"{pad}{name}{detail}"]
-    for attribute in ("_input", "_left", "_right"):
-        child = getattr(cursor, attribute, None)
-        if isinstance(child, Cursor):
-            lines.extend(_describe_cursor(child, indent + 1))
-    return lines
-
-
 def compile_plan(
     plan: Operator,
     connection,
     meter: CostMeter | None = None,
     translator: SQLTranslator | None = None,
-    registry: dict[int, Operator] | None = None,
     batch_size: int | None = None,
     retry=None,
     parallel=None,
@@ -134,13 +89,13 @@ def compile_plan(
     """Compile an optimized operator tree into an :class:`ExecutionPlan`.
 
     *plan* must be middleware-rooted (every complete TANGO plan ends with
-    the result in the middleware).  When *registry* is given, each created
-    cursor is recorded there as ``id(cursor) -> plan node`` (a ``T^M``'s
-    SQL cursor maps to the ``TransferM`` node covering its DBMS region) —
-    the join key EXPLAIN ANALYZE uses to lay actuals against estimates.
-    *batch_size* (``TangoConfig.batch_size``) is stamped onto every created
-    cursor so the whole pipeline — including ``TRANSFER^D`` load chunking —
-    moves rows in batches of that size.  *retry* (a
+    the result in the middleware).  Every created cursor is stamped with
+    the plan node it implements (a ``T^M``'s SQL cursor with the
+    ``TransferM`` node covering its DBMS region) — what EXPLAIN ANALYZE, the
+    feedback loops and the re-plan probe lay actuals against — and with
+    *batch_size* (``TangoConfig.batch_size``), so the whole pipeline —
+    including ``TRANSFER^D`` load chunking — moves rows in batches of that
+    size.  *retry* (a
     :class:`~repro.resilience.retry.RetryState`, the per-query retry
     budget) is handed to every transfer cursor so DBMS calls are retried
     under the configured policy.  *parallel* (a
@@ -158,17 +113,15 @@ def compile_plan(
         connection,
         meter,
         translator or SQLTranslator(),
-        registry,
         batch_size,
         retry,
         parallel,
     )
     root = compiler.build_root(plan)
-    execution_plan = ExecutionPlan(
+    return ExecutionPlan(
         steps=compiler.steps + [root],
         transfers_down=compiler.transfers_down,
     )
-    return execution_plan
 
 
 class _Compiler:
@@ -177,7 +130,6 @@ class _Compiler:
         connection,
         meter: CostMeter | None,
         translator: SQLTranslator,
-        registry: dict[int, Operator] | None = None,
         batch_size: int | None = None,
         retry=None,
         parallel=None,
@@ -185,7 +137,6 @@ class _Compiler:
         self._connection = connection
         self._meter = meter
         self._translator = translator
-        self._registry = registry
         self._batch_size = max(1, batch_size) if batch_size is not None else None
         self._retry = retry
         self._parallel = parallel
@@ -196,10 +147,9 @@ class _Compiler:
         self._temp_names: dict[int, str] = {}
 
     def _register(self, cursor: Cursor, node: Operator) -> Cursor:
+        cursor.node = node
         if self._batch_size is not None:
             cursor.batch_size = self._batch_size
-        if self._registry is not None:
-            self._registry[id(cursor)] = node
         return cursor
 
     def build_root(self, node: Operator) -> Cursor:

@@ -46,8 +46,8 @@ carries a :class:`~repro.obs.metrics.MetricsRegistry` and a
 query produces a span tree (parse → optimize → translate → execute, down
 to per-cursor cardinalities and transfer timings) attached to the returned
 :class:`QueryResult`.  Tracing adds no per-row work;
-:meth:`Tango.explain_analyze` additionally wraps every cursor to time
-individual ``next()`` calls.
+:meth:`Tango.explain_analyze` additionally has every cursor time its own
+``init()``/``next_batch()`` calls.
 """
 
 from __future__ import annotations

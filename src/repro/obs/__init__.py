@@ -10,9 +10,8 @@ performance claim needs a measurement substrate.  This package provides it:
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters and
   histograms (queries served, memo complexity, transfer volume, cache
   hits, DBMS round trips);
-* :mod:`repro.obs.instrument` — :class:`InstrumentedCursor` wrappers that
-  measure any XXL cursor without editing the algorithm classes, and the
-  span-tree materialization of finished executions;
+* :mod:`repro.obs.instrument` — the span-tree materialization of finished
+  executions, read from what every XXL cursor declares about itself;
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE report joining optimizer
   estimates with executed actuals per operator.
 """
@@ -20,13 +19,9 @@ performance claim needs a measurement substrate.  This package provides it:
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.instrument import (
-    ALGORITHM_NAMES,
-    InstrumentedCursor,
-    algorithm_name,
+    cardinality_observations,
     cursor_span,
     execution_trace,
-    instrument_plan,
-    unwrap,
 )
 from repro.obs.explain import (
     ExplainAnalyzeReport,
@@ -41,13 +36,9 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "ALGORITHM_NAMES",
-    "InstrumentedCursor",
-    "algorithm_name",
+    "cardinality_observations",
     "cursor_span",
     "execution_trace",
-    "instrument_plan",
-    "unwrap",
     "ExplainAnalyzeReport",
     "OperatorMeasurement",
     "build_report",

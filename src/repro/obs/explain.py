@@ -7,9 +7,15 @@
   :class:`~repro.stats.cardinality.CardinalityEstimator` and per-node cost
   from the :class:`~repro.optimizer.costs.PlanCoster`;
 * the actuals — the execution span tree produced by
-  :func:`repro.obs.instrument.execution_trace`, whose cursor spans are
-  linked back to plan nodes through the compile-time cursor registry
-  (see :func:`repro.core.plans.compile_plan`).
+  :func:`repro.obs.instrument.execution_trace`, whose cursor spans carry
+  the plan node their cursor was compiled from.
+
+An estimate belongs to a plan *node*; a partitioned run compiles one cursor
+per partition for it.  Each row keeps its own actual rows and times, while
+the q-error lays the node's estimate against the sum over its cursors
+(:func:`~repro.obs.instrument.cardinality_observations`, as the learner
+does) — a quarter of the rows on each of four partitions is a right
+estimate, not one four times off.
 
 A ``TRANSFER^M`` row is costed for its whole DBMS region (the SQL the
 cursor ships covers every operator below the ``T^M``, down to any ``T^D``
@@ -21,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algebra.operators import Operator, TransferD, TransferM
+from repro.obs.instrument import actual_rows, cardinality_observations
 from repro.obs.tracing import Span
 from repro.stats.fingerprint import qerror as _qerror
 
@@ -39,7 +46,6 @@ class OperatorMeasurement:
     actual_self_us: float | None
     #: Wall time inside this cursor including children (None untraced).
     actual_total_us: float | None
-    next_calls: int | None = None
     #: Batches this cursor handed out (actual_rows / batches ≈ mean fill).
     batches: int | None = None
     #: Transient-fault retries this transfer spent (0/None = none).
@@ -63,7 +69,6 @@ class OperatorMeasurement:
             "estimated_cost_us": self.estimated_cost_us,
             "actual_self_us": self.actual_self_us,
             "actual_total_us": self.actual_total_us,
-            "next_calls": self.next_calls,
             "batches": self.batches,
             "retries": self.retries,
             "workers": self.workers,
@@ -155,7 +160,6 @@ class ExplainAnalyzeReport:
 
 def build_report(
     trace: Span,
-    registry: dict[int, Operator],
     estimator,
     coster,
     estimated_total_us: float,
@@ -165,27 +169,29 @@ def build_report(
 ) -> ExplainAnalyzeReport:
     """Assemble the report from an ``execute`` span tree.
 
-    *registry* maps ``id(cursor)`` (the ``cursor_id`` span attribute) to the
-    plan node the cursor implements; *estimator* and *coster* supply the
-    estimates against which the span actuals are laid.  Rows whose q-error
+    *estimator* and *coster* supply the estimates against which the actuals
+    of the node-bearing cursor spans are laid.  Rows whose q-error
     exceeds *reoptimize_threshold* (when > 0) come back flagged;
     *reoptimized* marks a plan that was re-planned mid-query.
     """
     measurements: list[OperatorMeasurement] = []
+    node_rows = {id(node): rows for node, rows in cardinality_observations(trace)}
 
     def visit(span: Span, depth: int) -> None:
         if span.kind not in ("cursor", "transfer", "exchange"):
             for child in span.children:
                 visit(child, depth)
             return
-        node = registry.get(span.attributes.get("cursor_id"))
-        estimated_rows = estimated_cost = None
+        node = span.node
+        rows = actual_rows(span)
+        estimated_rows = estimated_cost = error = None
         operator_label = ""
         if node is not None:
             estimated_rows = float(estimator.estimate(node).cardinality)
             estimated_cost = _estimated_cost(node, coster)
             operator_label = node.describe()
-        actual_total = actual_self = next_calls = None
+            error = _qerror(estimated_rows, node_rows[id(node)])
+        actual_total = actual_self = None
         if span.seconds is not None:
             actual_total = span.elapsed_seconds * 1e6
             child_time = sum(
@@ -195,24 +201,16 @@ def build_report(
                 and child.seconds is not None
             )
             actual_self = max(0.0, actual_total - child_time * 1e6)
-            next_calls = span.attributes.get("next_calls")
-        actual_rows = int(
-            span.attributes.get("tuples", span.attributes.get("rows", 0))
-        )
-        error = None
-        if estimated_rows is not None:
-            error = _qerror(estimated_rows, actual_rows)
         measurements.append(
             OperatorMeasurement(
                 algorithm=span.name,
                 operator=operator_label,
                 depth=depth,
                 estimated_rows=estimated_rows,
-                actual_rows=actual_rows,
+                actual_rows=rows,
                 estimated_cost_us=estimated_cost,
                 actual_self_us=actual_self,
                 actual_total_us=actual_total,
-                next_calls=next_calls,
                 batches=span.attributes.get("batches"),
                 retries=span.attributes.get("retries"),
                 workers=span.attributes.get("workers"),

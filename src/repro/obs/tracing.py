@@ -35,6 +35,10 @@ class Span:
     #: Explicit duration for spans reconstructed after the fact (cursor
     #: spans built from finished executions); overrides ``end - start``.
     seconds: float | None = None
+    #: The plan node a cursor span's cursor implements.  In-process only:
+    #: the feedback loops and EXPLAIN ANALYZE read it; ``to_dict()`` and
+    #: ``render()`` do not export it.
+    node: object = field(default=None, repr=False, compare=False)
 
     @property
     def elapsed_seconds(self) -> float:
@@ -99,7 +103,7 @@ class Span:
         notes = "".join(
             f"  {key}={_fmt_value(value)}"
             for key, value in self.attributes.items()
-            if key not in ("sql", "cursor_id")
+            if key != "sql"
         )
         lines = [f"{pad}{self.name}  {self.elapsed_seconds * 1000:.3f}ms{notes}"]
         for child in self.children:
@@ -113,17 +117,23 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+#: Root spans a tracer retains (see :class:`Tracer`).
+RETAINED_ROOTS = 1
+
+
 class Tracer:
     """Produces span trees; tracks the current span across layers.
 
     A disabled tracer hands out a shared throwaway span and records
     nothing, so instrumented code needs no ``if tracing`` branches.
-    Completed root spans accumulate in :attr:`spans`.
+    :attr:`spans` retains the :data:`RETAINED_ROOTS` most recent root
+    spans — ``QueryResult.trace`` is the published record; a tracer that
+    kept every tree would grow for the life of its instance.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        #: Completed root spans, oldest first.
+        #: The most recent root spans, oldest first.
         self.spans: list[Span] = []
         self._stack: list[Span] = []
 
@@ -138,10 +148,7 @@ class Tracer:
             yield _NULL_SPAN
             return
         span = Span(name, kind, dict(attributes), start=time.perf_counter())
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.spans.append(span)
+        self._adopt(span)
         self._stack.append(span)
         try:
             yield span
@@ -151,12 +158,15 @@ class Tracer:
 
     def attach(self, span: Span) -> None:
         """Adopt a prebuilt span (tree) as a child of the current span."""
-        if not self.enabled:
-            return
+        if self.enabled:
+            self._adopt(span)
+
+    def _adopt(self, span: Span) -> None:
         if self._stack:
             self._stack[-1].children.append(span)
         else:
             self.spans.append(span)
+            del self.spans[:-RETAINED_ROOTS]
 
     def last(self) -> Span | None:
         """The most recently completed root span."""
@@ -168,8 +178,15 @@ class Tracer:
         return spans
 
 
-#: Swallows attribute writes from code holding a disabled tracer's span.
-_NULL_SPAN = Span("null", kind="null")
+class _NullSpan(Span):
+    """What a disabled tracer hands out: shared by every thread, so what
+    is ``set()`` on it is dropped, not stored."""
+
+    def set(self, **attributes) -> "Span":
+        return self
+
+
+_NULL_SPAN = _NullSpan("null", kind="null")
 
 #: A shared disabled tracer for code paths run without observability.
 NULL_TRACER = Tracer(enabled=False)

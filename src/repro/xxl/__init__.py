@@ -19,7 +19,7 @@ All middleware algorithms are order preserving (Section 4) — a fact the
 optimizer's list-equivalence rules rely on.
 """
 
-from repro.xxl.cursor import BatchReader, Cursor, DEFAULT_BATCH_SIZE, materialize
+from repro.xxl.cursor import BatchReader, Cursor, DEFAULT_BATCH_SIZE, materialize, walk
 from repro.xxl.exchange import ExchangeCursor, PartitionSpec
 from repro.xxl.sources import PooledSQLCursor, RelationCursor, SQLCursor
 from repro.xxl.filter import FilterCursor
@@ -38,6 +38,7 @@ __all__ = [
     "Cursor",
     "DEFAULT_BATCH_SIZE",
     "materialize",
+    "walk",
     "ExchangeCursor",
     "PartitionSpec",
     "PooledSQLCursor",

@@ -20,6 +20,8 @@ from repro.xxl.cursor import Cursor, GeneratorCursor
 class CoalesceCursor(GeneratorCursor):
     """Coalesces an input sorted on (value attributes, T1)."""
 
+    algorithm = "COAL^M"
+
     def __init__(
         self,
         input: Cursor,
@@ -29,7 +31,7 @@ class CoalesceCursor(GeneratorCursor):
         self._input = input
         self.period = period
         self._meter = meter
-        super().__init__(input.schema)
+        super().__init__(input.schema, (input,))
 
     def _open(self) -> None:
         self._input.init()

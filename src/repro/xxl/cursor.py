@@ -17,13 +17,22 @@ pulls ``_next_batch(1)`` into the shared look-ahead buffer.  All faces drain
 that buffer first, so they may be mixed freely on one cursor without
 dropping or reordering a row, and ``batch_size=1`` degenerates to the
 paper's row-at-a-time execution.
+
+A cursor also *describes itself* — four facts every consumer (span tree,
+feedback loops, EXPLAIN ANALYZE, re-plan probe, Figure 5 text) reads here
+instead of guessing: its :attr:`~Cursor.inputs`, its Figure 5
+:attr:`~Cursor.algorithm` label and :meth:`~Cursor.detail`, the plan
+:attr:`~Cursor.node` it was compiled from, and its
+:meth:`~Cursor.measurements` (with per-call wall time once
+:attr:`~Cursor.timed` is set).  :func:`walk` is the one traversal.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Iterator
+from time import perf_counter
+from typing import Iterable, Iterator
 
 from repro.algebra.schema import Schema
 from repro.errors import ExecutionError
@@ -44,9 +53,28 @@ class Cursor:
     #: Rows pulled per internal batch; plan compilation overrides this
     #: per instance from ``TangoConfig.batch_size``.
     batch_size: int = DEFAULT_BATCH_SIZE
+    #: The Figure 5 label of the algorithm; every concrete class sets it.
+    algorithm: str = ""
+    #: The span kind this cursor reports under.
+    kind: str = "cursor"
+    #: The plan node this cursor implements (stamped by plan compilation;
+    #: several partition cursors may share one node).
+    node = None
+    #: Time ``init()``/``next_batch()`` calls (EXPLAIN ANALYZE); the engine
+    #: sets it on every cursor of an instrumented plan.  Tested once per
+    #: call, never per row.
+    timed: bool = False
+    #: What a timed cursor accumulates: ``next_batch`` calls, and wall
+    #: seconds inside ``_open`` / inside the cursor overall — children
+    #: included (span rendering subtracts child time to get self time).
+    batch_calls: int = 0
+    init_seconds: float = 0.0
+    wall_seconds: float = 0.0
 
-    def __init__(self, schema: Schema):
+    def __init__(self, schema: Schema, inputs: Iterable["Cursor"] = ()):
         self.schema = schema
+        #: The child cursors this one pulls from, declared once, here.
+        self.inputs: tuple[Cursor, ...] = tuple(inputs)
         self._initialized = False
         self._closed = False
         #: Rows produced but not yet handed out: ``has_next`` buffers one
@@ -66,7 +94,13 @@ class Cursor:
         if self._closed:
             raise ExecutionError(f"{type(self).__name__} is closed")
         if not self._initialized:
-            self._open()
+            if self.timed:
+                begin = perf_counter()
+                self._open()
+                self.init_seconds = perf_counter() - begin
+                self.wall_seconds += self.init_seconds
+            else:
+                self._open()
             self._initialized = True
         return self
 
@@ -79,6 +113,7 @@ class Cursor:
         self.init()
         if n <= 0:
             return []
+        begin = perf_counter() if self.timed else None
         if self._lookahead:
             buffered = list(islice(self._lookahead, n))
             for _ in buffered:
@@ -91,6 +126,9 @@ class Cursor:
         if batch:
             self.rows_produced += len(batch)
             self.batches_produced += 1
+        if begin is not None:
+            self.batch_calls += 1
+            self.wall_seconds += perf_counter() - begin
         return batch
 
     def iter_batched(self, size: int | None = None) -> Iterator[tuple]:
@@ -144,6 +182,34 @@ class Cursor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    # -- self-description ------------------------------------------------------------
+
+    def detail(self) -> str:
+        """The algorithm's one-line Figure 5 parameters (``Keys: …``)."""
+        return ""
+
+    def describe(self, indent: int = 0) -> list[str]:
+        """Figure 5 rendering of this cursor's tree: one line per
+        algorithm, inputs indented under the cursor that drains them."""
+        detail = self.detail()
+        lines = ["  " * indent + self.algorithm + (f"  {detail}" if detail else "")]
+        for child in self.inputs:
+            lines.extend(child.describe(indent + 1))
+        return lines
+
+    def measurements(self) -> dict:
+        """What this cursor measured, as span attributes."""
+        measured = {
+            "cursor": type(self).__name__,
+            "rows": self.rows_produced,
+            "batches": self.batches_produced,
+        }
+        if self.timed:
+            measured.update(
+                batch_calls=self.batch_calls, init_seconds=self.init_seconds
+            )
+        return measured
+
     # -- subclass hooks ----------------------------------------------------------------
 
     def _open(self) -> None:
@@ -177,8 +243,8 @@ class GeneratorCursor(Cursor):
     a batch costs one slicing call rather than *n* ``next()`` round trips.
     """
 
-    def __init__(self, schema: Schema):
-        super().__init__(schema)
+    def __init__(self, schema: Schema, inputs: Iterable[Cursor] = ()):
+        super().__init__(schema, inputs)
         self._generator: Iterator[tuple] | None = None
 
     def _open(self) -> None:
@@ -222,6 +288,19 @@ class BatchReader:
         row = self._batch[self._pos]
         self._pos += 1
         return row
+
+
+def walk(roots: Iterable[Cursor]) -> Iterator[Cursor]:
+    """Every distinct cursor reachable from *roots* through the declared
+    :attr:`Cursor.inputs`, pre-order."""
+    seen: set[int] = set()
+    stack = list(roots)[::-1]
+    while stack:
+        cursor = stack.pop()
+        if id(cursor) not in seen:
+            seen.add(id(cursor))
+            yield cursor
+            stack.extend(cursor.inputs[::-1])
 
 
 def materialize(cursor: Cursor) -> list[tuple]:

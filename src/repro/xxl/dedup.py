@@ -13,12 +13,14 @@ from repro.xxl.cursor import Cursor
 class DedupCursor(Cursor):
     """Removes duplicate rows."""
 
+    algorithm = "DEDUP^M"
+
     def __init__(
         self,
         input: Cursor,
         meter: CostMeter | None = None,
     ):
-        super().__init__(input.schema)
+        super().__init__(input.schema, (input,))
         self._input = input
         self._meter = meter
         self._seen: set[tuple] | None = None

@@ -17,8 +17,10 @@ from repro.xxl.cursor import Cursor, GeneratorCursor
 class DifferenceCursor(GeneratorCursor):
     """Multiset difference of two union-compatible inputs."""
 
+    algorithm = "DIFF^M"
+
     def __init__(self, left: Cursor, right: Cursor, meter: CostMeter | None = None):
-        super().__init__(left.schema)
+        super().__init__(left.schema, (left, right))
         self._left = left
         self._right = right
         self._meter = meter

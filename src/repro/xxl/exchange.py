@@ -206,17 +206,19 @@ class ExchangeCursor(Cursor):
     the shared retry budget was the cause.
     """
 
+    algorithm = "EXCHANGE"
+    kind = "exchange"
+
     def __init__(
         self,
         pipelines: list[Cursor],
         workers: int,
         queue_batches: int = DEFAULT_QUEUE_BATCHES,
     ):
-        super().__init__(Schema([]))
+        super().__init__(Schema([]), pipelines)
         if not pipelines:
             raise ExecutionError("an exchange needs at least one partition")
-        self.pipeline_roots = list(pipelines)
-        self.partitions = len(self.pipeline_roots)
+        self.partitions = len(self.inputs)
         self.workers = max(1, min(workers, self.partitions))
         self._queue_batches = max(1, queue_batches)
         #: Producer blocks on a full partition queue (backpressure events).
@@ -229,24 +231,44 @@ class ExchangeCursor(Cursor):
         self._streams: list[_PartitionStream] = []
         self._busy: list[float] = []
         self._begin = 0.0
-        self._wall_seconds = 0.0
         self._current = 0
+
+    def detail(self) -> str:
+        return (
+            f"Partitions: {self.partitions}  Workers: {self.workers}"
+            "  Reassembly: concat"
+        )
+
+    def describe(self, indent: int = 0) -> list[str]:
+        lines = ["  " * indent + f"{self.algorithm}  {self.detail()}"]
+        for index, pipeline in enumerate(self.inputs):
+            lines.append("  " * (indent + 1) + f"[partition {index}]")
+            lines.extend(pipeline.describe(indent + 2))
+        return lines
+
+    def measurements(self) -> dict:
+        measured = super().measurements()
+        measured.update(
+            partitions=self.partitions,
+            workers=self.workers,
+            queue_full_stalls=self.queue_full_stalls,
+            parallel_efficiency=self.parallel_efficiency,
+        )
+        return measured
 
     # -- producer side ---------------------------------------------------------------
 
     def _open(self) -> None:
         self._cancel = threading.Event()
         self._streams = [
-            _PartitionStream(self._queue_batches) for _ in self.pipeline_roots
+            _PartitionStream(self._queue_batches) for _ in self.inputs
         ]
         self._busy = [0.0] * self.partitions
         self._begin = time.perf_counter()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="tango-exchange"
         )
-        for index, (pipeline, stream) in enumerate(
-            zip(self.pipeline_roots, self._streams)
-        ):
+        for index, (pipeline, stream) in enumerate(zip(self.inputs, self._streams)):
             self._executor.submit(self._produce, index, pipeline, stream)
 
     def _produce(
@@ -359,7 +381,7 @@ class ExchangeCursor(Cursor):
     def _close(self) -> None:
         if self._cancel is None:
             # Never initialized: the pipelines were never started either.
-            for pipeline in self.pipeline_roots:
+            for pipeline in self.inputs:
                 try:
                     pipeline.close()
                 except BaseException:  # noqa: BLE001 - best-effort cleanup
@@ -376,7 +398,6 @@ class ExchangeCursor(Cursor):
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self._wall_seconds = time.perf_counter() - self._begin
-        if self._wall_seconds > 0 and self.partitions:
-            efficiency = sum(self._busy) / (self._wall_seconds * self.partitions)
-            self.parallel_efficiency = min(1.0, efficiency)
+        wall = time.perf_counter() - self._begin
+        if wall > 0:
+            self.parallel_efficiency = min(1.0, sum(self._busy) / (wall * self.partitions))

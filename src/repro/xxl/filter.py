@@ -17,21 +17,22 @@ from repro.xxl.cursor import Cursor
 class FilterCursor(Cursor):
     """Pipelined selection: passes through rows satisfying the predicate."""
 
+    algorithm = "FILTER^M"
+
     def __init__(
         self,
         input: Cursor,
         predicate: Expression,
         meter: CostMeter | None = None,
     ):
-        super().__init__(input.schema)
+        super().__init__(input.schema, (input,))
         self._input = input
         self._predicate_expr = predicate
         self._predicate = None
         self._meter = meter
 
-    @property
-    def predicate(self) -> Expression:
-        return self._predicate_expr
+    def detail(self) -> str:
+        return f"Predicate: {self._predicate_expr.to_sql()}"
 
     def _open(self) -> None:
         self._input.init()

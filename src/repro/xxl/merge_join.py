@@ -36,6 +36,8 @@ def read_group(
 class MergeJoinCursor(GeneratorCursor):
     """Sort-merge equi-join of two sorted inputs."""
 
+    algorithm = "JOIN^M"
+
     def __init__(
         self,
         left: Cursor,
@@ -51,7 +53,10 @@ class MergeJoinCursor(GeneratorCursor):
         self.right_attr = right_attr
         self._residual_expr = residual
         self._meter = meter
-        super().__init__(left.schema)
+        super().__init__(left.schema, (left, right))
+
+    def detail(self) -> str:
+        return f"On: {self.left_attr}={self.right_attr}"
 
     def _open(self) -> None:
         self._left.init()

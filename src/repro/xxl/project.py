@@ -13,6 +13,8 @@ from repro.xxl.cursor import Cursor
 class ProjectCursor(Cursor):
     """Computes ``(name, expression)`` outputs per input row."""
 
+    algorithm = "PROJECT^M"
+
     def __init__(
         self,
         input: Cursor,
@@ -24,7 +26,7 @@ class ProjectCursor(Cursor):
         #: The fused ``row -> output row`` function.
         self._func = None
         self._meter = meter
-        super().__init__(Schema([]))
+        super().__init__(Schema([]), (input,))
 
     @staticmethod
     def of_columns(

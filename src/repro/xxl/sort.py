@@ -22,6 +22,8 @@ DEFAULT_RUN_SIZE = 100_000
 class SortCursor(GeneratorCursor):
     """Sorts its input on an attribute list (ascending)."""
 
+    algorithm = "SORT^M"
+
     def __init__(
         self,
         input: Cursor,
@@ -33,7 +35,10 @@ class SortCursor(GeneratorCursor):
         self.keys = tuple(keys)
         self._meter = meter
         self._run_size = max(1, run_size)
-        super().__init__(input.schema)
+        super().__init__(input.schema, (input,))
+
+    def detail(self) -> str:
+        return f"Keys: {', '.join(self.keys)}"
 
     def _open(self) -> None:
         self._input.init()

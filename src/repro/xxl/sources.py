@@ -16,10 +16,13 @@ from typing import Iterable, Iterator, Sequence
 from repro.algebra.schema import Schema
 from repro.dbms.costmodel import CostMeter
 from repro.xxl.cursor import Cursor
+from repro.xxl.transfer import TransferMixin
 
 
 class RelationCursor(Cursor):
     """A cursor over an already materialized middleware relation."""
+
+    algorithm = "RELATION^M"
 
     def __init__(self, schema: Schema, rows: Sequence[tuple], meter: CostMeter | None = None):
         super().__init__(schema)
@@ -38,7 +41,7 @@ class RelationCursor(Cursor):
         return batch
 
 
-class SQLCursor(Cursor):
+class SQLCursor(TransferMixin, Cursor):
     """Streams the rows of an SQL query from the DBMS — ``TRANSFER^M``.
 
     The query is sent on ``init()``; rows arrive through the JDBC cursor's
@@ -53,6 +56,8 @@ class SQLCursor(Cursor):
     of dropping them.
     """
 
+    algorithm = "TRANSFER^M"
+
     def __init__(self, connection, sql: str, prefetch: int | None = None, retry=None):
         self._connection = connection
         self._sql = sql
@@ -62,9 +67,6 @@ class SQLCursor(Cursor):
         #: Wall-clock seconds spent fetching rows from the DBMS — the
         #: performance-feedback signal (Section 7) for TRANSFER^M.
         self.fetch_seconds = 0.0
-        #: Transient-fault retries this cursor spent (EXPLAIN ANALYZE shows
-        #: the count on the transfer span).
-        self.retries = 0
         self._final_round_trips = 0
         # The schema is only known after execution; initialize lazily with a
         # placeholder and fix it up in _open().
@@ -86,13 +88,14 @@ class SQLCursor(Cursor):
             return self._cursor.round_trips
         return self._final_round_trips
 
-    def _count_retry(self) -> None:
-        self.retries += 1
+    def detail(self) -> str:
+        sql = " ".join(self._sql.split())
+        return f"Query: {sql[:97] + '...' if len(sql) > 100 else sql}"
 
-    def _call_dbms(self, fn, op: str):
-        if self._retry is None:
-            return fn()
-        return self._retry.run(fn, op=op, on_retry=self._count_retry)
+    def measurements(self) -> dict:
+        return self._transfer_measurements(
+            "up", self.rows_produced, self.fetch_seconds, sql=self._sql
+        )
 
     def _open(self) -> None:
         begin = time.perf_counter()
@@ -154,6 +157,8 @@ class PooledSQLCursor(SQLCursor):
 
 class IterableCursor(Cursor):
     """Adapts any row iterable to the cursor protocol (testing helper)."""
+
+    algorithm = "ITERABLE^M"
 
     def __init__(self, schema: Schema, rows: Iterable[tuple]):
         super().__init__(schema)

@@ -35,6 +35,8 @@ class TemporalAggregateCursor(GeneratorCursor):
     preserving, so no extra sort is needed after it; see Query 1).
     """
 
+    algorithm = "TAGGR^M"
+
     def __init__(
         self,
         input: Cursor,
@@ -50,7 +52,11 @@ class TemporalAggregateCursor(GeneratorCursor):
         self.aggregates = tuple(aggregates)
         self.period = period
         self._meter = meter
-        super().__init__(input.schema)
+        super().__init__(input.schema, (input,))
+
+    def detail(self) -> str:
+        aggregates = ", ".join(spec.to_sql() for spec in self.aggregates)
+        return f"GroupBy: {', '.join(self.group_by)}  Aggregate: {aggregates}"
 
     def _open(self) -> None:
         self._input.init()

@@ -24,6 +24,8 @@ from repro.xxl.merge_join import read_group
 class TemporalJoinCursor(GeneratorCursor):
     """Sort-merge temporal equi-join of two sorted inputs."""
 
+    algorithm = "TJOIN^M"
+
     def __init__(
         self,
         left: Cursor,
@@ -39,7 +41,10 @@ class TemporalJoinCursor(GeneratorCursor):
         self.right_attr = right_attr
         self.period = period
         self._meter = meter
-        super().__init__(left.schema)
+        super().__init__(left.schema, (left, right))
+
+    def detail(self) -> str:
+        return f"On: {self.left_attr}={self.right_attr}"
 
     def _open(self) -> None:
         self._left.init()

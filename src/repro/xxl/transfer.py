@@ -39,6 +39,42 @@ _PIPELINE_DEPTH = 2
 _POLL_SECONDS = 0.05
 
 
+class TransferMixin:
+    """What ``TRANSFER^M`` and ``TRANSFER^D`` share: every DBMS call runs
+    under the per-query retry budget (a
+    :class:`~repro.resilience.retry.RetryState`, or None), and the cursor
+    reports itself as a ``transfer`` span — the Section 7 signal."""
+
+    kind = "transfer"
+    _retry = None
+    #: Transient-fault retries this cursor spent (EXPLAIN ANALYZE shows the
+    #: count on the transfer span).
+    retries = 0
+
+    def _count_retry(self) -> None:
+        self.retries += 1
+
+    def _call_dbms(self, fn, op: str):
+        if self._retry is None:
+            return fn()
+        return self._retry.run(fn, op=op, on_retry=self._count_retry)
+
+    def _transfer_measurements(
+        self, direction: str, tuples: int, seconds: float, **where
+    ) -> dict:
+        measured = Cursor.measurements(self)
+        measured.update(
+            direction=direction,
+            tuples=tuples,
+            bytes=tuples * self.schema.row_width,
+            seconds=seconds,
+            **where,
+        )
+        if self.retries:
+            measured["retries"] = self.retries
+        return measured
+
+
 def unique_temp_name(prefix: str = "TANGO_TMP") -> str:
     """A fresh temp-table name: ``prefix_pid_n``.
 
@@ -54,7 +90,7 @@ def unique_temp_name(prefix: str = "TANGO_TMP") -> str:
     return f"{prefix}_{os.getpid()}_{n}"
 
 
-class TransferDCursor(Cursor):
+class TransferDCursor(TransferMixin, Cursor):
     """Drains its input into a new DBMS table on ``init()``.
 
     ``order`` declares the sort order the input is known to arrive in, which
@@ -62,6 +98,8 @@ class TransferDCursor(Cursor):
     the rows per ``executemany`` round trip (and the middleware-side
     buffering).
     """
+
+    algorithm = "TRANSFER^D"
 
     def __init__(
         self,
@@ -73,7 +111,7 @@ class TransferDCursor(Cursor):
         retry=None,
         pipelined: bool = False,
     ):
-        super().__init__(Schema([]))
+        super().__init__(Schema([]), (input,))
         self._input = input
         self._connection = connection
         self.table_name = table_name or unique_temp_name()
@@ -86,20 +124,17 @@ class TransferDCursor(Cursor):
         self.rows_loaded = 0
         self._dropped = False
         self._drop_lock = threading.Lock()
-        #: Transient-fault retries this load spent (EXPLAIN ANALYZE shows
-        #: the count on the transfer span).
-        self.retries = 0
         #: Wall-clock seconds of the bulk load — the performance-feedback
         #: signal (Section 7) for TRANSFER^D.
         self.load_seconds = 0.0
 
-    def _count_retry(self) -> None:
-        self.retries += 1
+    def detail(self) -> str:
+        return f"TableName: {self.table_name}"
 
-    def _call_dbms(self, fn, op: str):
-        if self._retry is None:
-            return fn()
-        return self._retry.run(fn, op=op, on_retry=self._count_retry)
+    def measurements(self) -> dict:
+        return self._transfer_measurements(
+            "down", self.rows_loaded, self.load_seconds, table=self.table_name
+        )
 
     def _open(self) -> None:
         self._input.init()

@@ -6,11 +6,19 @@ regression check that the Section 7 adaptive loop still converges now that
 its observations are derived from spans.
 """
 
+import json
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.tango import Tango, TangoConfig
+from repro.dbms.database import MiniDB
 from repro.optimizer.costs import CostFactors
+from repro.resilience import FaultInjector, FaultPolicy
 from repro.workloads import queries
+from repro.workloads.uis import load_uis
 
 
 @pytest.fixture
@@ -179,6 +187,56 @@ class TestExplainAnalyze:
         assert tango.metrics.value("queries_analyzed") == 1
 
 
+    def test_partitioned_run_times_every_row_and_sums_per_node(self):
+        """An estimate belongs to a plan node; four partition cursors
+        implement it.  Before PR 18 each partition row was laid against
+        the whole node's estimate (q-error 3.8-4.1, flagged) and none of
+        them had a time."""
+        db = MiniDB()
+        load_uis(db, scale=0.05, with_variants=False, seed=1)
+        config = TangoConfig(workers=4, reoptimize_threshold=2.0)
+        with Tango(db, config, fault_injector=FaultInjector(FaultPolicy(), seed=0)) as tango:
+            report = tango.explain_analyze(queries.query1_sql())
+        exchange, *partitioned = report.operators
+        assert exchange.algorithm == "EXCHANGE" and exchange.workers == 4
+        assert all(m.depth > 0 and m.actual_total_us is not None for m in partitioned)
+        assert all(m.actual_self_us is not None for m in partitioned)
+        by_algorithm = {}
+        for m in partitioned:
+            by_algorithm.setdefault(m.algorithm, []).append(m)
+        assert {name: len(rows) for name, rows in by_algorithm.items()} == {
+            "TAGGR^M": 4, "SORT^M": 4, "TRANSFER^M": 4
+        }
+        for name in ("TRANSFER^M", "SORT^M"):
+            rows = by_algorithm[name]
+            assert [m.actual_rows for m in rows] == [1022, 1046, 1094, 1030]
+            assert all(m.estimated_rows == 4192 and m.qerror == 1.0 for m in rows)
+        taggr = by_algorithm["TAGGR^M"]
+        assert sum(m.actual_rows for m in taggr) == exchange.actual_rows == 7180
+        assert all(m.qerror == pytest.approx(7180 / 4721, abs=1e-3) for m in taggr)
+        assert exchange.qerror == taggr[0].qerror
+        assert not any(m.flagged for m in report)
+
+
+class TestTracerRetention:
+    def test_traced_queries_do_not_accumulate(self, tango):
+        """``QueryResult.trace`` is the published record; the tracer keeps
+        the most recent root, not one tree per query forever."""
+        sql = "VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION WHERE PosID < 40 GROUP BY PosID"
+        results = [tango.query(sql) for _ in range(200)]
+        assert len(tango.tracer.spans) <= 1
+        assert tango.tracer.last() is results[-1].trace
+        for result in (results[0], results[-1]):
+            assert result.trace.attributes["rows"] == len(result.rows)
+            assert result.trace.find(name="execute").find(kind="transfer") is not None
+
+    def test_an_untraced_query_leaves_the_null_span_empty(self, uis_db):
+        from repro.obs.tracing import _NULL_SPAN
+
+        Tango(uis_db).query(queries.query1_sql())
+        assert _NULL_SPAN.attributes == {}
+
+
 class TestAdaptiveFeedbackFromSpans:
     def test_stale_factors_converge(self, uis_db):
         """Regression for the Section 7 loop: with observations now derived
@@ -206,3 +264,157 @@ class TestAdaptiveFeedbackFromSpans:
         for _ in range(3):
             tango.query(queries.query1_sql())
         assert tango.planner.factors.p_tmr < stale.p_tmr
+
+
+# -- the behaviour pin of PR 18 ---------------------------------------------------------
+#
+# ``golden_spans.json`` was recorded on the commit *before* the cursor tree
+# learned to describe itself (``PYTHONPATH=<that commit>/src python
+# tests/integration/test_observability.py --record``): per plan x workers x
+# batch size, the Figure 5 text and the execution span tree reduced to what
+# consumers read; per query, the EXPLAIN ANALYZE rows of the serial run.  The
+# reduction drops what that PR removed on purpose (``cursor_id``,
+# ``next_calls``) and the two timing keys, which the parent could not put on
+# partition cursors; ``test_span_tree_and_figure5_text`` checks those itself.
+
+GOLDEN_SPANS = Path(__file__).with_name("golden_spans.json")
+DROPPED_KEYS = {"cursor_id", "next_calls", "batch_calls", "init_seconds"}
+VALUE_KEYS = ("rows", "tuples", "bytes", "batches", "step", "partition", "direction")
+QUERIES = {
+    "Q1": lambda db: queries.query1_sql(),
+    "Q2": lambda db: queries.query2_initial_plan(db, "1996-01-01"),
+    "Q3": lambda db: queries.query3_initial_plan(db, "1995-01-01"),
+    "Q4": lambda db: queries.query4_initial_plan(db),
+}
+PIN_CASES = [
+    f"{name} workers={workers} batch={batch_size}"
+    for name in (*QUERIES, "Q2-P1 forced")
+    for workers in (1, 4)
+    for batch_size in (1, 256)
+]
+
+
+def pin_db() -> MiniDB:
+    db = MiniDB()
+    load_uis(db, scale=0.02, with_variants=False, seed=1)
+    return db
+
+
+def pin_tango(db, workers=1, batch_size=256) -> Tango:
+    # The explicit zero-probability injector keeps the run fault-free under
+    # the TANGO_CHAOS_P profile (a retry adds a ``retries`` key).
+    return Tango(
+        db,
+        config=TangoConfig(tracing=True, workers=workers, batch_size=batch_size),
+        fault_injector=FaultInjector(FaultPolicy(), seed=0),
+    )
+
+
+def reduce_spans(trace) -> list[str]:
+    """One line per span, pre-order: depth, name, kind, attribute keys, and
+    the values that do not depend on the clock."""
+    lines = []
+
+    def visit(span, depth):
+        keys = ",".join(sorted(set(span.attributes) - DROPPED_KEYS))
+        values = "".join(
+            f" {key}={span.attributes[key]}" for key in VALUE_KEYS if key in span.attributes
+        )
+        lines.append(f"{depth} {span.name} {span.kind} [{keys}]{values}")
+        for child in span.children:
+            visit(child, depth + 1)
+
+    visit(trace, 0)
+    return lines
+
+
+def figure5_text(execution) -> str:
+    """``describe()`` with temp-table names numbered by first appearance
+    (they embed the pid and a process-wide counter)."""
+    names: dict[str, str] = {}
+    return re.sub(
+        r"TANGO_TMP_\d+_\d+",
+        lambda match: names.setdefault(match.group(), f"TANGO_TMP#{len(names)}"),
+        execution.describe(),
+    )
+
+
+def observe_case(db, case: str):
+    """``(Figure 5 text, plain trace, timed trace)`` of one pin case: plain
+    through the executor's loop, timed straight through the engine."""
+    name, workers, batch_size = re.fullmatch(r"(.+) workers=(\d) batch=(\d+)", case).groups()
+    with pin_tango(db, int(workers), int(batch_size)) as tango:
+        if name in QUERIES:
+            plan = tango.optimize(QUERIES[name](db)).plan
+        else:
+            plan = queries.query2_plans(db, "1996-01-01")[0].plan
+        plain = tango.execute_plan(plan).trace
+        execution = tango.executor.compile(plan)
+        text = figure5_text(execution)
+        timed = tango.executor.engine.execute(execution, instrument=True).trace
+    return text, plain, timed
+
+
+def explain_rows(report) -> list[list]:
+    return [
+        [m.algorithm, m.operator, m.depth, m.estimated_rows, m.actual_rows,
+         m.estimated_cost_us, m.batches, m.qerror]
+        for m in report
+    ]
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return pin_db(), json.loads(GOLDEN_SPANS.read_text())
+
+
+class TestBehaviourPin:
+    @pytest.mark.parametrize("case", PIN_CASES)
+    def test_span_tree_and_figure5_text(self, pinned, case):
+        db, golden = pinned
+        text, plain, timed = observe_case(db, case)
+        assert text == golden["cases"][case]["describe"]
+        assert reduce_spans(plain) == golden["cases"][case]["spans"]
+        assert reduce_spans(timed) == golden["cases"][case]["spans"]
+        for span in (*plain.iter(), *timed.iter()):
+            assert not {"cursor_id", "next_calls"} & set(span.attributes)
+        # Timing is on every cursor of a timed run — partition pipelines
+        # included, which the parent left untimed — and on none otherwise.
+        operators = [s for s in timed.iter() if s.kind in ("cursor", "transfer", "exchange")]
+        assert operators and all(
+            span.seconds is not None and {"batch_calls", "init_seconds"} <= set(span.attributes)
+            for span in operators
+        )
+        assert not any(
+            {"batch_calls", "init_seconds"} & set(span.attributes) for span in plain.iter()
+        )
+
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_serial_explain_analyze_rows(self, pinned, name):
+        db, golden = pinned
+        with pin_tango(db) as tango:
+            report = tango.explain_analyze(QUERIES[name](db))
+        assert json.loads(json.dumps(explain_rows(report))) == golden["explain"][name]
+        assert all(
+            m.actual_total_us is not None and m.actual_self_us is not None for m in report
+        )
+
+
+def record() -> None:
+    db = pin_db()
+    golden = {"cases": {}, "explain": {}}
+    with pin_tango(db) as tango:
+        for name, query in QUERIES.items():
+            golden["explain"][name] = explain_rows(tango.explain_analyze(query(db)))
+    for case in PIN_CASES:
+        text, plain, timed = observe_case(db, case)
+        assert reduce_spans(plain) == reduce_spans(timed), case
+        golden["cases"][case] = {"describe": text, "spans": reduce_spans(plain)}
+    GOLDEN_SPANS.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"recorded {len(PIN_CASES)} cases to {GOLDEN_SPANS}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_observability.py --record")
+    record()

@@ -139,9 +139,9 @@ EVENTS = {
         None, lambda t: t.apply_updates("POSITION", inserts=[(3, "Ann", 1, 9)]), True
     ),
     "calibrate": (None, lambda t: t.calibrate(sizes=(40,), repeats=1), True),
-    "factor_drift": (None, lambda t: t.learner.observe(transfers(500.0), None, {}), True),
+    "factor_drift": (None, lambda t: t.learner.observe(transfers(500.0), None), True),
     "factor_drift_within_tolerance": (
-        None, lambda t: t.learner.observe(transfers(1.01), None, {}), False
+        None, lambda t: t.learner.observe(transfers(1.01), None), False
     ),
     "learned_new_fingerprint": (None, lambda t: t.learner.learn("fp", 100), True),
     "learned_shift": (with_learned, lambda t: t.learner.learn("fp", 1000), True),

@@ -7,26 +7,35 @@ parallel implementations agree, these tests check that (a) no operator
 grows a second implementation, (b) every operator yields the same row
 sequence under any interleaving of the faces, and (c) ``batch_size=1`` —
 the paper's row-at-a-time engine — does the same metered work as 256.
+
+(d) is the wall behind the cursor tree describing itself: the inputs a
+cursor *declares* are the only way anything finds its children, so a class
+that forgets one must fail here — reflection over ``_input``/``_left``/
+``_right`` used to hide that as a silently missing span.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import pkgutil
 import random
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.xxl
+from repro.algebra.builder import PlanBuilder, scan
 from repro.algebra.expressions import Comparison, col, lit
-from repro.algebra.operators import AggregateSpec
+from repro.algebra.operators import AggregateSpec, Difference, Location
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
+from repro.optimizer.physical import algorithm_name
 from repro.resilience import FaultInjector, FaultPolicy
 from repro.workloads import queries
 from repro.xxl import (
@@ -44,6 +53,7 @@ from repro.xxl import (
     TemporalAggregateCursor,
     TemporalJoinCursor,
     materialize,
+    walk,
 )
 from repro.xxl.cursor import GeneratorCursor
 from repro.xxl.sources import IterableCursor
@@ -253,6 +263,15 @@ def test_operator_fixtures_are_not_vacuous(name):
 # -- (c) batch_size=1 is the same program as batch_size=256 ---------------------------
 
 
+#: Queries 1-4 as the client sends them (SQL, or an initial plan over *db*).
+QUERIES = {
+    "Q1": lambda db: queries.query1_sql(),
+    "Q2": lambda db: queries.query2_initial_plan(db, "1996-01-01"),
+    "Q3": lambda db: queries.query3_initial_plan(db, "1995-01-01"),
+    "Q4": lambda db: queries.query4_initial_plan(db),
+}
+
+
 def _measure(db: MiniDB, name: str, batch_size: int):
     # The explicit zero-probability injector keeps the run fault-free under
     # the TANGO_CHAOS_P profile (a retried round trip is charged twice).
@@ -262,12 +281,7 @@ def _measure(db: MiniDB, name: str, batch_size: int):
         fault_injector=FaultInjector(FaultPolicy(), seed=0),
     )
     try:
-        query = {
-            "Q1": lambda: queries.query1_sql(),
-            "Q2": lambda: queries.query2_initial_plan(db, "1996-01-01"),
-            "Q3": lambda: queries.query3_initial_plan(db, "1995-01-01"),
-            "Q4": lambda: queries.query4_initial_plan(db),
-        }[name]()
+        query = QUERIES[name](db)
         db.meter.reset()
         tango.middleware_meter.reset()
         result = tango.run(query)
@@ -283,3 +297,119 @@ def test_row_at_a_time_does_the_same_metered_work(uis_db, name):
     assert row_at_a_time[0] == batched[0]
     assert row_at_a_time[1:] == batched[1:]
     assert len(batched[0]) > 0
+
+
+# -- (d) the declared inputs reach every cursor the compiler creates ------------------
+
+
+def extensions_plan(db: MiniDB):
+    """A hand-built plan over the algorithms Q1-Q4 never choose:
+    ``COAL^M``, ``DEDUP^M``, ``DIFF^M`` and the regular ``JOIN^M``."""
+    periods = scan(db, "POSITION").project("PosID", "T1", "T2")
+    coalesced = periods.to_middleware().sort("PosID", "T1").coalesce().dedup()
+    difference = Difference(coalesced.plan, periods.to_middleware().plan, Location.MIDDLEWARE)
+    employees = scan(db, "EMPLOYEE").project("EmpID").sort("EmpID").to_middleware()
+    return PlanBuilder(difference).sort("PosID").join(employees, "PosID", "EmpID").build()
+
+
+WALL_PLANS = {
+    **{
+        name: lambda tango, query=query: tango.optimize(query(tango.db)).plan
+        for name, query in QUERIES.items()
+    },
+    "Q2-P1 forced": lambda tango: queries.query2_plans(tango.db, "1996-01-01")[0].plan,
+    "Q2-P4 forced": lambda tango: queries.query2_plans(tango.db, "1996-01-01")[3].plan,
+    "extensions": lambda tango: extensions_plan(tango.db),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("name", list(WALL_PLANS))
+def test_declared_inputs_reach_every_compiled_cursor(uis_db, monkeypatch, name, workers):
+    created: list[Cursor] = []
+    original = Cursor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        created.append(self)
+        original(self, *args, **kwargs)
+
+    with Tango(uis_db, config=TangoConfig(workers=workers)) as tango:
+        plan = WALL_PLANS[name](tango)
+        monkeypatch.setattr(Cursor, "__init__", recording_init)
+        execution = tango.executor.compile(plan)
+        monkeypatch.undo()
+    reached = list(walk(execution.steps))
+    assert len(reached) == len({id(cursor) for cursor in reached})
+    assert {id(cursor) for cursor in reached} == {id(cursor) for cursor in created}
+    assert execution.describe().count("\n") + 1 >= len(reached)
+    nodes = {id(node) for node in plan.walk()}
+    for cursor in reached:
+        # Every cursor carries its plan node, and the label next to the
+        # algorithm is the one the optimizer prints for that node.
+        assert cursor.node is not None and id(cursor.node) in nodes
+        if cursor.algorithm != "EXCHANGE":
+            assert cursor.algorithm == algorithm_name(cursor.node)
+    if workers > 1 and name == "Q1":
+        assert any(isinstance(cursor, ExchangeCursor) for cursor in reached)
+
+
+def test_the_wall_covers_every_compiled_algorithm(uis_db):
+    with Tango(uis_db, config=TangoConfig(workers=4)) as tango:
+        seen = {
+            cursor.algorithm
+            for build in WALL_PLANS.values()
+            for cursor in walk(tango.executor.compile(build(tango)).steps)
+        }
+    compiled = {
+        cls.algorithm for cls in xxl_cursor_classes() if cls.algorithm
+    } - {"RELATION^M", "ITERABLE^M"}
+    assert seen == compiled
+
+
+def test_an_undeclared_input_is_caught():
+    """What the wall is for: a cursor that keeps a child without declaring
+    it drops that child from the walk."""
+
+    class Forgetful(Cursor):
+        algorithm = "FORGETFUL^M"
+
+        def __init__(self, input):
+            super().__init__(input.schema)  # inputs not declared
+            self._input = input
+
+    child = kv()
+    assert child not in list(walk([Forgetful(child)]))
+    assert child in list(walk([DedupCursor(child)]))
+
+
+def test_every_cursor_class_sets_its_figure5_label():
+    """An ``ast`` walk over ``src/repro/xxl``: every class deriving from
+    ``Cursor`` assigns ``algorithm`` in its body or inherits it from a class
+    that does; only the two abstract bases go without."""
+    classes: dict[str, tuple[set[str], bool]] = {}
+    for path in sorted(Path(repro.xxl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                labelled = any(
+                    isinstance(item, ast.Assign)
+                    and any(ast.unparse(target) == "algorithm" for target in item.targets)
+                    and isinstance(item.value, ast.Constant)
+                    and isinstance(item.value.value, str)
+                    and item.value.value
+                    for item in node.body
+                )
+                bases = {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases}
+                classes[node.name] = (bases, labelled)
+
+    def is_cursor(name: str) -> bool:
+        return name == "Cursor" or any(
+            is_cursor(base) for base in classes.get(name, (set(), False))[0]
+        )
+
+    def has_label(name: str) -> bool:
+        bases, labelled = classes.get(name, (set(), False))
+        return labelled or any(has_label(base) for base in bases)
+
+    cursors = {name for name in classes if is_cursor(name)}
+    assert {cls.__name__ for cls in xxl_cursor_classes()} | {"Cursor"} == cursors
+    assert {name for name in cursors if not has_label(name)} == {"Cursor", "GeneratorCursor"}

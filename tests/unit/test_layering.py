@@ -13,6 +13,12 @@ Walks the two packages' sources with :mod:`ast`; fails on
   or a facade (``tango._execute_optimized``, ``db._rebuild_indexes`` and
   ``tango.collector.refresh()`` behind the facade's back were the
   parent's).
+
+Further down: order is declared in one module; and the cursor tree
+describes itself — the cursor library knows nothing of who observes or
+compiles it, the observers know the cursor *protocol* and no concrete
+cursor, nobody finds a cursor's children by probing ``_input``/``_left``/
+``_right``, and no cursor→plan-node ``registry`` is threaded anywhere.
 """
 
 import ast
@@ -141,3 +147,109 @@ def test_the_order_walk_is_not_vacuous():
         "    def order(self): return 1\n"
     )
     assert len(order_copies({"parent.py": ast.parse(parent_style)})) == 3
+
+
+# -- the cursor tree describes itself ---------------------------------------------------
+
+
+def imported_modules(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, module)`` for every import, at module or function level;
+    ``from package import name`` counts as ``package.name`` too."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append((node.lineno, node.module))
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names]
+    return found
+
+
+def under(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+#: sources → predicate over an imported module name that must never hold.
+IMPORT_RULES = {
+    "xxl/*.py": lambda m: under(m, "repro.obs") or under(m, "repro.core"),
+    # The protocol module is the one part of the library an observer may know.
+    "obs/*.py": lambda m: under(m, "repro.core")
+    or (under(m, "repro.xxl") and not under(m, "repro.xxl.cursor")),
+    "core/plans.py": lambda m: under(m, "repro.obs"),
+}
+
+
+def import_violations(rules=IMPORT_RULES, root: Path = SRC) -> list[str]:
+    problems = {  # one per offending line
+        f"{path.relative_to(root)}:{line}": module
+        for pattern, forbidden in rules.items()
+        for path in sorted(root.glob(pattern))
+        for line, module in imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if forbidden(module)
+    }
+    return [f"{where}: imports {module}" for where, module in problems.items()]
+
+
+def test_cursor_library_observers_and_compiler_import_downwards_only():
+    assert import_violations() == []
+    assert len(sorted(SRC.glob("xxl/*.py"))) >= 14 and (SRC / "core/plans.py").exists()
+
+
+CHILD_SLOTS = {"_input", "_left", "_right"}
+
+
+def reflection_and_registries(tree: ast.AST) -> list[str]:
+    problems = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and (
+                # a literal slot name, or a loop variable over some table of them
+                not isinstance(node.args[1], ast.Constant)
+                or node.args[1].value in CHILD_SLOTS | {"has_next"}
+            )
+        ):
+            problems.append(f"line {node.lineno}: {ast.unparse(node)} probes for children")
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            arguments = node.args
+            names = [a.arg for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs]
+            if "registry" in names:
+                problems.append(f"line {node.lineno}: a parameter named registry")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "registry":
+            problems.append(f"line {node.lineno}: a local named registry")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for package in ("core", "obs") for path in (SRC / package).glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_no_child_probing_and_no_cursor_registry(path):
+    problems = reflection_and_registries(ast.parse(path.read_text(), filename=str(path)))
+    assert not problems, f"{path}: " + "; ".join(problems)
+
+
+def test_the_cursor_tree_walks_are_not_vacuous(tmp_path):
+    parent_style = (
+        "def cursor_span(cursor, registry):\n"
+        "    for attribute in CHILD_ATTRIBUTES:\n"
+        "        child = getattr(cursor, attribute, None)\n"
+        "        if child is not None and hasattr(child, 'has_next'): pass\n"
+        "    lines.extend(_describe_cursor(getattr(cursor, '_input', None), 1))\n"
+        "    registry = {}\n"
+        "    label = getattr(config, 'tracing', False)\n"
+    )
+    assert len(reflection_and_registries(ast.parse(parent_style))) == 5
+    for name, source in {
+        "xxl/sort.py": "from repro.obs.tracing import Span\nfrom repro.xxl.cursor import Cursor\n",
+        "obs/instrument.py": "from repro.xxl.cursor import Cursor\nfrom repro.xxl.exchange import ExchangeCursor\n"
+        "from repro.xxl import SQLCursor\nimport repro.core.engine\n",
+        "core/plans.py": "def f():\n    from repro.obs.instrument import ALGORITHM_NAMES\n",
+    }.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source)
+    assert len(import_violations(root=tmp_path)) == 1 + 3 + 1

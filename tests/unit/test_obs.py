@@ -11,16 +11,16 @@ from repro.core.plans import compile_plan
 from repro.obs import (
     Counter,
     Histogram,
-    InstrumentedCursor,
     MetricsRegistry,
     Span,
     Tracer,
-    algorithm_name,
     cursor_span,
     execution_trace,
-    instrument_plan,
 )
+from repro.obs.tracing import NULL_TRACER, RETAINED_ROOTS
 from repro.algebra.schema import AttrType, Attribute, Schema
+from repro.xxl import materialize, walk
+from repro.xxl.sort import SortCursor
 from repro.xxl.sources import RelationCursor
 
 
@@ -50,6 +50,23 @@ class TestSpan:
         with tracer.span("query") as span:
             span.set(ignored=True)
         assert tracer.spans == []
+
+    def test_disabled_tracers_span_stores_nothing(self):
+        """The null span is module-level and shared by every thread."""
+        with NULL_TRACER.span("query") as span:
+            assert span.set(rule_attempts=28, cost=1.0) is span
+        assert span.attributes == {}
+
+    def test_only_the_most_recent_roots_are_retained(self):
+        tracer = Tracer()
+        for index in range(200):
+            with tracer.span("query", serial=index):
+                tracer.attach(Span("execute"))
+        assert RETAINED_ROOTS == 1 and len(tracer.spans) == 1
+        last = tracer.last()
+        assert last.attributes["serial"] == 199
+        assert [child.name for child in last.children] == ["execute"]
+        assert tracer.drain() == [last] and tracer.spans == []
 
     def test_attach_adopts_prebuilt_tree(self):
         tracer = Tracer()
@@ -144,29 +161,40 @@ def _relation_cursor():
 
 
 class TestInstrumentedCursor:
-    def test_counts_and_rows(self):
-        wrapper = InstrumentedCursor(_relation_cursor())
-        rows = list(wrapper.init())
-        assert rows == [(1, 10), (2, 20), (3, 30)]
-        assert wrapper.next_calls == 3
-        assert wrapper.rows_produced == 3
-        assert wrapper.wall_seconds > 0.0
-        assert wrapper.init_seconds >= 0.0
+    """A cursor is instrumented by telling it to time itself."""
 
-    def test_schema_delegates_to_wrapped(self):
+    def test_counts_and_rows(self):
+        cursor = SortCursor(_relation_cursor(), ["K"])
+        for timed in walk([cursor]):
+            timed.timed = True
+        cursor.batch_size = 2
+        assert materialize(cursor) == [(1, 10), (2, 20), (3, 30)]
+        assert cursor.batch_calls == 3  # two batches and the empty one
+        assert cursor.rows_produced == 3
+        assert cursor.wall_seconds >= cursor.init_seconds >= 0.0
+        assert cursor.wall_seconds > 0.0
+        # Wall time includes the input's: self time is the difference.
+        (source,) = cursor.inputs
+        assert source.batch_calls >= 1
+        assert 0.0 < source.wall_seconds <= cursor.wall_seconds
+
+    def test_untimed_cursor_records_no_calls(self):
         cursor = _relation_cursor()
-        wrapper = InstrumentedCursor(cursor)
-        wrapper.init()
-        assert wrapper.schema is cursor.schema
+        assert materialize(cursor) and not cursor.timed
+        assert (cursor.batch_calls, cursor.wall_seconds, cursor.init_seconds) == (0, 0.0, 0.0)
+        assert "batch_calls" not in cursor.measurements()
 
     def test_context_manager_protocol(self):
-        with InstrumentedCursor(_relation_cursor()) as wrapper:
-            assert wrapper.has_next()
-            assert wrapper.next() == (1, 10)
+        cursor = _relation_cursor()
+        cursor.timed = True
+        with cursor as opened:
+            assert opened is cursor
+            assert cursor.has_next()
+            assert cursor.next() == (1, 10)
 
-    def test_algorithm_name_unwraps(self):
-        wrapper = InstrumentedCursor(_relation_cursor())
-        assert algorithm_name(wrapper) == "RELATION^M"
+    def test_algorithm_label_is_declared_on_the_class(self):
+        assert RelationCursor.algorithm == "RELATION^M"
+        assert cursor_span(_relation_cursor()).name == "RELATION^M"
 
 
 class TestExecutionTrace:
@@ -182,12 +210,14 @@ class TestExecutionTrace:
         )
         return compile_plan(plan, figure3_connection)
 
-    def test_instrument_plan_wraps_every_cursor(self, execution_plan):
-        steps = instrument_plan(execution_plan)
-        assert all(isinstance(step, InstrumentedCursor) for step in steps)
-        # Interior children are wrapped too.
-        taggr = steps[-1].wrapped
-        assert isinstance(taggr._input, InstrumentedCursor)
+    def test_timing_flag_reaches_every_cursor(self, execution_plan):
+        steps = list(execution_plan.steps)
+        ExecutionEngine().execute(execution_plan, instrument=True)
+        # The plan is not rewritten; interior children are timed too.
+        assert execution_plan.steps == steps
+        cursors = list(walk(execution_plan.steps))
+        assert [c.algorithm for c in cursors] == ["TAGGR^M", "TRANSFER^M"]
+        assert all(c.timed and c.batch_calls >= 1 for c in cursors)
 
     def test_trace_without_instrumentation(self, execution_plan):
         outcome = ExecutionEngine().execute(execution_plan)
@@ -198,8 +228,9 @@ class TestExecutionTrace:
         assert transfer is not None
         assert transfer.attributes["direction"] == "up"
         assert transfer.attributes["tuples"] == 3
-        # Uninstrumented spans have no next-call counts.
-        assert "next_calls" not in transfer.attributes
+        # Untimed spans have no call counts; transfers self-time anyway.
+        assert "batch_calls" not in transfer.attributes
+        assert transfer.seconds == transfer.attributes["seconds"] > 0.0
 
     def test_trace_with_instrumentation(self, execution_plan):
         tracer = Tracer()
@@ -212,20 +243,31 @@ class TestExecutionTrace:
         assert taggr is not None
         # The engine drains batch-wise, so the signal is in batch_calls.
         assert taggr.attributes["batch_calls"] >= 1
+        assert taggr.attributes["init_seconds"] >= 0.0
         assert taggr.attributes["rows"] == len(outcome.rows)
         assert taggr.elapsed_seconds > 0.0
+        # Total time includes the input's.
+        assert taggr.elapsed_seconds >= trace.find(kind="transfer").elapsed_seconds
 
     def test_plain_tracing_does_not_wrap_cursors(self, execution_plan):
-        """tracing=True must stay cheap: spans without per-next() timing."""
+        """tracing=True must stay cheap: spans without per-call timing,
+        over the very cursors that were compiled."""
         tracer = Tracer()
+        steps = list(execution_plan.steps)
         outcome = ExecutionEngine().execute(execution_plan, tracer=tracer)
-        assert not any(
-            isinstance(step, InstrumentedCursor) for step in execution_plan.steps
-        )
+        assert execution_plan.steps == steps
+        assert not any(cursor.timed for cursor in walk(execution_plan.steps))
         taggr = outcome.trace.find(name="TAGGR^M")
         assert taggr is not None
         assert taggr.attributes["rows"] == len(outcome.rows)
-        assert "next_calls" not in taggr.attributes
+        assert "batch_calls" not in taggr.attributes and taggr.seconds is None
+
+    def test_spans_carry_the_plan_node_but_do_not_export_it(self, execution_plan):
+        trace = ExecutionEngine().execute(execution_plan).trace
+        cursors = trace.find_all(kind="cursor") + trace.find_all(kind="transfer")
+        assert cursors and all(span.node is not None for span in cursors)
+        assert "node" not in trace.to_json() and "node=" not in trace.render()
+        assert all("cursor_id" not in span.attributes for span in trace.iter())
 
     def test_observations_derive_from_trace(self, execution_plan):
         outcome = ExecutionEngine().execute(execution_plan)
@@ -236,8 +278,8 @@ class TestExecutionTrace:
         assert derived and derived[0].tuples == 3
 
     def test_cursor_span_shared_subtree_emitted_once(self):
-        cursor = InstrumentedCursor(_relation_cursor())
-        list(cursor.init())
+        cursor = _relation_cursor()
+        materialize(cursor)
         seen = set()
         first = cursor_span(cursor, seen)
         assert first is not None

@@ -98,15 +98,6 @@ class TestExecutionEngine:
         ExecutionEngine().execute(execution)
         assert set(figure3_db.list_tables()) == tables_before
 
-    def test_cleanup_can_be_disabled(self, figure3_db, connection):
-        execution = compile_plan(figure3_plan(figure3_db), connection)
-        ExecutionEngine(cleanup_temp_tables=False).execute(execution)
-        temp_tables = [
-            name for name in figure3_db.list_tables() if name.startswith("TANGO_TMP")
-        ]
-        assert temp_tables
-        execution.cleanup()
-
     def test_outcome_metadata(self, figure3_db, connection):
         plan = scan(figure3_db, "POSITION").to_middleware().build()
         outcome = ExecutionEngine().execute(compile_plan(plan, connection))
@@ -122,10 +113,15 @@ class TestExecutionEngine:
             step for step in execution.steps if isinstance(step, TransferDCursor)
         )
         assert transfer is transfer_step
-        ExecutionEngine(cleanup_temp_tables=False).execute(execution)
-        table = connection.db.table(transfer.table_name)
-        assert table.clustered_order == ("PosID", "T1")
-        execution.cleanup()
+        # The probe runs when the temp table is loaded, before its drop.
+        orders = []
+        ExecutionEngine().execute(
+            execution,
+            on_materialize=lambda cursor: orders.append(
+                connection.db.table(cursor.table_name).clustered_order
+            ),
+        )
+        assert orders == [("PosID", "T1")]
 
 
 class TestTeardownOnFailure:
