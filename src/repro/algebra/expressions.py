@@ -229,7 +229,7 @@ class BinOp(Expression):
         return f"({left} {self.op} {self.right._render(gen)})"
 
     def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
+        return f"({_operand_sql(self.left)} {self.op} {_operand_sql(self.right)})"
 
     def attributes(self) -> frozenset[str]:
         return self.left.attributes() | self.right.attributes()
@@ -265,7 +265,7 @@ class Comparison(Expression):
         return f"({self.left._render(gen)} {op} {self.right._render(gen)})"
 
     def to_sql(self) -> str:
-        return f"{self.left.to_sql()} {self.op} {self.right.to_sql()}"
+        return f"{_operand_sql(self.left)} {self.op} {_operand_sql(self.right)}"
 
     def attributes(self) -> frozenset[str]:
         return self.left.attributes() | self.right.attributes()
@@ -384,6 +384,13 @@ class Not(Expression):
 
     def _key(self) -> tuple:
         return (self.term,)
+
+
+def _operand_sql(expression: Expression) -> str:
+    """An operand of arithmetic or of a comparison: a predicate standing
+    there (a boolean column the translator substituted) is parenthesized."""
+    sql = expression.to_sql()
+    return f"({sql})" if isinstance(expression, (Comparison, And, Or, Not)) else sql
 
 
 _FUNCTIONS: dict[str, Callable[..., object]] = {

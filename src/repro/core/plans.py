@@ -280,13 +280,18 @@ class _Compiler:
         return SQLCursor(self._connection, sql, retry=self._retry)
 
     def _partition_sqls(self, transfer: TransferM, spec) -> list[str]:
-        """Per-partition SQL for a fanned-out ``TRANSFER^M``."""
-        return [
-            self._translator.translate_partition(
-                transfer.input, self._temp_names, predicate
-            )
-            for predicate in spec.predicates_sql("TPART")
-        ]
+        """Per-partition SQL for a fanned-out ``TRANSFER^M``: each range is
+        selected *under* the top-most sort, so every partition arrives in
+        delivered order and concatenation reproduces the global order."""
+        region = transfer.input
+        body = region.input if isinstance(region, Sort) else region
+        sqls = []
+        for predicate in spec.predicates():
+            part = body if predicate is None else Select(body, Location.DBMS, predicate)
+            if body is not region:
+                part = region.with_inputs(part)
+            sqls.append(self._translator.translate(part, self._temp_names))
+        return sqls
 
     def _prepare_transfers_down(self, node: Operator) -> None:
         if isinstance(node, TransferD):

@@ -4,15 +4,20 @@ Translates the parts of a chosen plan that are assigned to the DBMS — the
 subtrees below each ``T^M`` that reach either the leaf level (base-relation
 scans) or a ``T^D`` (a middleware-produced temp table) — into SQL text.
 
-Every operator becomes one SELECT layer over derived tables, so arbitrary
-DBMS-located trees translate compositionally.  Two operators get special
-treatment:
+The unit of translation is the select-project-join *block*
+(:class:`_Block`): FROM items, WHERE conjuncts, and named outputs that are
+expressions over alias-qualified source columns.  ``Scan`` and ``T^D`` open
+a block; ``Select`` substitutes its predicate through the outputs and
+appends the conjuncts; ``Project`` rewrites the outputs; the joins
+concatenate their sides' FROM lists and conjuncts and add the join
+condition.  One block renders as one flat ``SELECT`` — the statements of
+the paper's Figure 5 — so the DBMS sees each predicate next to the scan it
+restricts and each equi-join as ``Qa.x = Qb.y``.
 
-* ``TemporalJoin@D`` emits the Figure 5 shape: a regular join with the
-  overlap condition and ``GREATEST``/``LEAST`` period projections;
-* ``TemporalAggregate@D`` (``TAGGR^D``) emits the classic constant-interval
-  SQL — instants from a ``UNION`` of T1/T2, adjacent-instant pairing, and an
-  overlap-counting join — the "50-line SQL query" of Section 3.4.
+``Dedup`` (``SELECT DISTINCT`` over its input's block) and ``TAGGR^D`` (the
+constant-interval SQL of Section 3.4, the "50-line SQL query") *close* a
+block: what is above them sees ``(sql) Qn`` as one more FROM item.  Three
+rules close a block early; DESIGN.md §16 says what each protects.
 
 Interior sorts are dropped (a DBMS provides no order guarantees below the
 top level — Section 4); only the top-most sort becomes the final
@@ -21,7 +26,17 @@ top level — Section 4); only the top-most sort becomes the final
 
 from __future__ import annotations
 
-from repro.algebra.expressions import Expression
+from collections import Counter
+from typing import Iterable, Sequence
+
+from repro.algebra.expressions import (
+    ColumnRef,
+    Comparison,
+    Expression,
+    FuncCall,
+    conjoin,
+    conjuncts,
+)
 from repro.algebra.operators import (
     Dedup,
     Join,
@@ -36,6 +51,7 @@ from repro.algebra.operators import (
     TemporalJoin,
     TransferD,
 )
+from repro.algebra.rewrite import collect, transform
 from repro.errors import PlanError
 
 
@@ -43,11 +59,7 @@ class SQLTranslator:
     """Stateless translator; temp-table names for ``T^D`` nodes are supplied
     per call (they are assigned when the execution plan is linearized)."""
 
-    def translate(
-        self,
-        plan: Operator,
-        temp_tables: dict[int, str] | None = None,
-    ) -> str:
+    def translate(self, plan: Operator, temp_tables: dict[int, str] | None = None) -> str:
         """SQL for a DBMS-located plan subtree.
 
         *temp_tables* maps ``id(transfer_d_node)`` to the table each ``T^D``
@@ -58,46 +70,56 @@ class SQLTranslator:
                 f"cannot translate {plan.name} at {plan.location.value} to SQL"
             )
         context = _Context(temp_tables or {})
-        order_by: tuple[str, ...] = ()
-        body = plan
         if isinstance(plan, Sort):
-            order_by = plan.keys
-            body = plan.input
-        sql = context.render(body)
-        if order_by:
-            sql += "\nORDER BY " + ", ".join(order_by)
-        return sql
+            return context.statement(plan.input) + "\nORDER BY " + ", ".join(plan.keys)
+        return context.statement(plan)
 
-    def translate_partition(
+
+class _Block:
+    """One select-project-join block: what a single SELECT says."""
+
+    def __init__(
         self,
-        plan: Operator,
-        temp_tables: dict[int, str] | None,
-        predicate: str,
-    ) -> str:
-        """SQL for one partition of a fanned-out ``TRANSFER^M``.
+        items: list[str],
+        where: list[Expression],
+        outputs: Iterable[tuple[str, Expression]],
+    ):
+        #: FROM items in join order, each ``TABLE Qn`` or ``(sql) Qn``.
+        self.items = items
+        #: WHERE conjuncts over alias-qualified columns, each kept once.
+        self.where = where
+        #: Per output column, by lower-cased name and in SELECT-list order:
+        #: ``(name, expression over alias-qualified columns)``.
+        self.outputs = {name.lower(): (name, expression) for name, expression in outputs}
 
-        Wraps the subtree's SQL in one more SELECT layer restricted to
-        *predicate* (a range condition on the partition attribute,
-        rendered against alias ``TPART``), keeping the top-level
-        ``ORDER BY`` outermost so every partition arrives in delivered
-        order and concatenation in cut-point order reproduces the global
-        order.
-        """
-        if plan.location is not Location.DBMS:
-            raise PlanError(
-                f"cannot translate {plan.name} at {plan.location.value} to SQL"
-            )
-        context = _Context(temp_tables or {})
-        order_by: tuple[str, ...] = ()
-        body = plan
-        if isinstance(plan, Sort):
-            order_by = plan.keys
-            body = plan.input
-        sql = (
-            f"SELECT *\nFROM ({context.render(body)}) TPART\nWHERE {predicate}"
+    def __getitem__(self, name: str) -> Expression:
+        try:
+            return self.outputs[name.lower()][1]
+        except KeyError:
+            raise PlanError(f"{name!r} is not an output of the operator's input") from None
+
+    def substitute(self, expression: Expression) -> Expression:
+        """*expression* over output names, rewritten over source columns."""
+        if isinstance(expression, ColumnRef):  # most projections: no tree to walk
+            return self[expression.name]
+
+        def visit(node: Expression) -> Expression | None:
+            return self[node.name] if isinstance(node, ColumnRef) else None
+
+        return transform(expression, visit)
+
+    def add(self, terms: Iterable[Expression]) -> None:
+        for term in terms:
+            if term not in self.where:
+                self.where.append(term)
+
+    def render(self, distinct: bool = False) -> str:
+        columns = ", ".join(
+            f"{expression.to_sql()} AS {name}" for name, expression in self.outputs.values()
         )
-        if order_by:
-            sql += "\nORDER BY " + ", ".join(order_by)
+        sql = f"SELECT {'DISTINCT ' if distinct else ''}{columns}\nFROM {', '.join(self.items)}"
+        if self.where:
+            sql += f"\nWHERE {conjoin(self.where).to_sql()}"
         return sql
 
 
@@ -110,111 +132,132 @@ class _Context:
         self._alias_counter += 1
         return f"Q{self._alias_counter}"
 
-    def _from_item(self, node: Operator) -> str:
-        """A FROM-clause item for *node*: a bare table or a derived table."""
+    def statement(self, node: Operator) -> str:
+        """The SELECT statement computing *node*."""
+        if isinstance(node, Sort):
+            # Interior sort: the DBMS gives no mid-plan order guarantee, so
+            # the sort is translated away (multiset equivalence).
+            return self.statement(node.input)
+        if isinstance(node, Dedup):
+            return self._block(node.input).render(distinct=True)
+        if isinstance(node, TemporalAggregate):
+            return self._render_taggr(node)
+        return self._block(node).render()
+
+    def _source(self, node: Operator) -> str:
+        """What *node* is called in a FROM clause: a table, or its statement."""
         if isinstance(node, Scan):
-            return f"{node.table} {self._alias()}"
+            return node.table
         if isinstance(node, TransferD):
             try:
-                return f"{self._temp_tables[id(node)]} {self._alias()}"
+                return self._temp_tables[id(node)]
             except KeyError:
                 raise PlanError(
                     "T^D node has no assigned temp table; compile the plan "
                     "through repro.core.plans.compile_plan"
                 ) from None
-        return f"({self.render(node)}) {self._alias()}"
+        return f"({self.statement(node)})"
 
-    # -- per-operator rendering ---------------------------------------------------------
+    def _from_item(self, node: Operator) -> str:
+        return f"{self._source(node)} {self._alias()}"
 
-    def render(self, node: Operator) -> str:
-        if isinstance(node, (Scan, TransferD)):
-            item = self._from_item(node)
-            alias = item.rsplit(" ", 1)[1]
-            columns = ", ".join(
-                f"{alias}.{a.name} AS {a.name}" for a in node.schema
-            )
-            return f"SELECT {columns}\nFROM {item}"
-        if isinstance(node, Select):
-            return self._render_select(node)
-        if isinstance(node, Project):
-            return self._render_project(node)
+    def _open(self, source: str, names: Sequence[str]) -> _Block:
+        """A block over one FROM item whose columns are *names*."""
+        alias = self._alias()
+        return _Block(
+            [f"{source} {alias}"], [], [(name, ColumnRef(f"{alias}.{name}")) for name in names]
+        )
+
+    def _close(self, block: _Block) -> _Block:
+        """*block* as a derived table: every output a bare column again."""
+        return self._open(f"({block.render()})", [name for name, _ in block.outputs.values()])
+
+    # -- per-operator blocks ------------------------------------------------------------
+
+    def _block(self, node: Operator) -> _Block:
+        if isinstance(node, (Scan, TransferD, Dedup, TemporalAggregate)):
+            return self._open(self._source(node), node.schema.names)
         if isinstance(node, Sort):
-            # Interior sort: the DBMS gives no mid-plan order guarantee, so
-            # the sort is translated away (multiset equivalence).
-            return self.render(node.input)
-        if isinstance(node, Dedup):
-            inner = self._from_item(node.input)
-            return f"SELECT DISTINCT *\nFROM {inner}"
-        if isinstance(node, Product):
-            return self._render_product(node)
-        if isinstance(node, TemporalJoin):
-            return self._render_temporal_join(node)
-        if isinstance(node, Join):
-            return self._render_join(node)
-        if isinstance(node, TemporalAggregate):
-            return self._render_taggr(node)
+            return self._block(node.input)
+        if isinstance(node, Select):
+            return self._select(self._block(node.input), node.predicate)
+        if isinstance(node, Project):
+            block = self._flat(
+                self._block(node.input), [expression for _, expression in node.outputs]
+            )
+            return _Block(
+                block.items,
+                block.where,
+                [(name, block.substitute(expression)) for name, expression in node.outputs],
+            )
+        if isinstance(node, (Product, Join, TemporalJoin)):
+            return self._join(node)
         raise PlanError(f"no SQL translation for {node.name} in the DBMS")
 
-    def _render_select(self, node: Select) -> str:
-        item = self._from_item(node.input)
-        return (
-            f"SELECT *\nFROM {item}\nWHERE {node.predicate.to_sql()}"
-        )
+    def _flat(self, block: _Block, expressions: Sequence[Expression]) -> _Block:
+        """*block*, closed first when *expressions* together mention one of
+        its computed outputs more than once: substituting would copy the
+        computation, and a chain of such operators would double it per level."""
+        computed = [
+            name
+            for name, (_, expression) in block.outputs.items()
+            if not isinstance(expression, ColumnRef)
+        ]
+        if computed:
+            mentions = Counter(
+                reference.name.lower()
+                for expression in expressions
+                for reference in collect(expression, ColumnRef)
+            )
+            if any(mentions[name] > 1 for name in computed):
+                return self._close(block)
+        return block
 
-    def _render_project(self, node: Project) -> str:
-        item = self._from_item(node.input)
-        outputs = ", ".join(
-            _render_output(name, expression) for name, expression in node.outputs
-        )
-        return f"SELECT {outputs}\nFROM {item}"
+    def _select(self, block: _Block, predicate: Expression) -> _Block:
+        block = self._flat(block, [predicate])
+        block.add(conjuncts(block.substitute(predicate)))
+        return block
 
-    def _render_product(self, node: Product) -> str:
-        left = self._from_item(node.left)
-        right = self._from_item(node.right)
-        left_alias = left.rsplit(" ", 1)[1]
-        right_alias = right.rsplit(" ", 1)[1]
-        outputs = _combined_outputs(node, left_alias, right_alias)
-        return f"SELECT {outputs}\nFROM {left}, {right}"
-
-    def _render_join(self, node: Join) -> str:
-        left = self._from_item(node.left)
-        right = self._from_item(node.right)
-        left_alias = left.rsplit(" ", 1)[1]
-        right_alias = right.rsplit(" ", 1)[1]
-        outputs = _combined_outputs(node, left_alias, right_alias)
-        condition = (
-            f"{left_alias}.{node.left_attr} = {right_alias}.{node.right_attr}"
-        )
-        if node.residual is not None:
-            condition += f" AND {_qualify(node, node.residual, left_alias, right_alias)}"
-        return f"SELECT {outputs}\nFROM {left}, {right}\nWHERE {condition}"
-
-    def _render_temporal_join(self, node: TemporalJoin) -> str:
-        left = self._from_item(node.left)
-        right = self._from_item(node.right)
-        a = left.rsplit(" ", 1)[1]
-        b = right.rsplit(" ", 1)[1]
-        t1, t2 = node.period
-        skip = {t1.lower(), t2.lower()}
-        outputs: list[str] = []
-        schema_names = iter(node.schema.names)
-        for attribute in node.left.schema:
-            if attribute.name.lower() in skip:
-                continue
-            outputs.append(f"{a}.{attribute.name} AS {next(schema_names)}")
-        for attribute in node.right.schema:
-            if attribute.name.lower() in skip:
-                continue
-            outputs.append(f"{b}.{attribute.name} AS {next(schema_names)}")
-        outputs.append(f"GREATEST({a}.{t1}, {b}.{t1}) AS {t1}")
-        outputs.append(f"LEAST({a}.{t2}, {b}.{t2}) AS {t2}")
-        condition = (
-            f"{a}.{node.left_attr} = {b}.{node.right_attr} "
-            f"AND {a}.{t1} < {b}.{t2} AND {a}.{t2} > {b}.{t1}"
-        )
-        return (
-            f"SELECT {', '.join(outputs)}\nFROM {left}, {right}\nWHERE {condition}"
-        )
+    def _join(self, node: Product | Join | TemporalJoin) -> _Block:
+        """Both sides' FROM items and conjuncts in one block, outputs named
+        after ``node.schema`` (which disambiguates duplicates with ``_2``)."""
+        left, right = self._block(node.left), self._block(node.right)
+        keyed = not isinstance(node, Product)
+        # The DBMS picks its sort-merge join on ``Qa.x = Qb.y`` between bare
+        # columns, and joins FROM items left-deep in textual order: a merged
+        # bushy right input could meet its left neighbour in a cross product.
+        if keyed and not isinstance(left[node.left_attr], ColumnRef):
+            left = self._close(left)
+        if len(right.items) > 1 or (
+            keyed and not isinstance(right[node.right_attr], ColumnRef)
+        ):
+            right = self._close(right)
+        terms: list[Expression] = []
+        if keyed:
+            terms.append(Comparison("=", left[node.left_attr], right[node.right_attr]))
+        if isinstance(node, TemporalJoin):
+            # Figure 5: overlap condition, GREATEST/LEAST intersection period.
+            t1, t2 = node.period
+            terms.append(Comparison("<", left[t1], right[t2]))
+            terms.append(Comparison(">", left[t2], right[t1]))
+            sources = [
+                expression
+                for side in (left, right)
+                for name, (_, expression) in side.outputs.items()
+                if name not in (t1.lower(), t2.lower())
+            ]
+            sources.append(FuncCall("GREATEST", (left[t1], right[t1])))
+            sources.append(FuncCall("LEAST", (left[t2], right[t2])))
+        else:
+            sources = [
+                expression for side in (left, right) for _, expression in side.outputs.values()
+            ]
+        block = _Block(left.items + right.items, left.where, zip(node.schema.names, sources))
+        block.add(right.where + terms)
+        if isinstance(node, Join) and node.residual is not None:
+            # The residual speaks the join's output names, as a Select above.
+            return self._select(block, node.residual)
+        return block
 
     def _render_taggr(self, node: TemporalAggregate) -> str:
         """The constant-interval SQL rewrite of temporal aggregation.
@@ -285,61 +328,3 @@ class _Context:
             + f"{p}.{t1} <= {iv}.TS AND {iv}.TE <= {p}.{t2}\n"
             + f"GROUP BY {final_group_by}"
         )
-
-
-def _render_output(name: str, expression: Expression) -> str:
-    rendered = expression.to_sql()
-    if rendered.lower() == name.lower():
-        return rendered
-    return f"{rendered} AS {name}"
-
-
-def _combined_outputs(node: Operator, left_alias: str, right_alias: str) -> str:
-    """SELECT list renaming both sides to the operator's derived schema
-    (which disambiguates duplicate names with ``_2`` suffixes)."""
-    left_schema = node.inputs[0].schema
-    outputs: list[str] = []
-    names = node.schema.names
-    for position, name in enumerate(names):
-        if position < len(left_schema):
-            source = f"{left_alias}.{left_schema[position].name}"
-        else:
-            right_attr = node.inputs[1].schema[position - len(left_schema)].name
-            source = f"{right_alias}.{right_attr}"
-        outputs.append(f"{source} AS {name}")
-    return ", ".join(outputs)
-
-
-def _qualify(
-    node: Join, expression: Expression, left_alias: str, right_alias: str
-) -> str:
-    """Render a residual predicate with column references qualified.
-
-    Residual attributes use the join's *output* names (right-side duplicates
-    carry ``_2`` suffixes); they are mapped back to the underlying source
-    column on the owning side.
-    """
-    from repro.algebra.expressions import ColumnRef
-    from repro.algebra.rewrite import transform
-
-    left_schema = node.left.schema
-    right_schema = node.right.schema
-    mapping: dict[str, str] = {}
-    for position, name in enumerate(node.schema.names):
-        if position < len(left_schema):
-            source = f"{left_alias}.{left_schema[position].name}"
-        else:
-            source = f"{right_alias}.{right_schema[position - len(left_schema)].name}"
-        mapping[name.lower()] = source
-
-    def visit(expr: Expression) -> Expression | None:
-        if isinstance(expr, ColumnRef):
-            qualified = mapping.get(expr.name.lower())
-            if qualified is None:
-                raise PlanError(
-                    f"residual references {expr.name!r}, not in the join output"
-                )
-            return ColumnRef(qualified)
-        return None
-
-    return transform(expression, visit).to_sql()

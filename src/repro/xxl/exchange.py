@@ -7,7 +7,7 @@ protocol so a middleware pipeline can run as *k* independent partitions:
 
 * :class:`PartitionSpec` describes how rows split — by range on an
   attribute, cut points picked from the Section 3.3 histograms, so the
-  DBMS-side ``SELECT`` fans out into per-partition predicates;
+  DBMS-side ``SELECT`` fans out into per-partition range predicates;
 * :class:`ExchangeCursor` fans the per-partition pipelines out across a
   bounded thread pool with backpressure-bounded per-partition queues, and
   reassembles the delivered sort order by concatenating the partitions in
@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from queue import Empty, Full, Queue
 
+from repro.algebra.expressions import Comparison, Expression, col, conjoin, lit
 from repro.algebra.schema import Schema
 from repro.errors import ExecutionError
 from repro.stats.collector import AttributeStats, RelationStats
@@ -45,14 +46,6 @@ _POLL_SECONDS = 0.02
 
 #: Estimated rows below which a partition is not worth its startup cost.
 MIN_PARTITION_ROWS = 128
-
-
-def _sql_literal(value: float) -> str:
-    """Render a cut point as an SQL literal (integral floats as ints, so
-    predicates over INT/DATE columns read naturally)."""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
 
 
 @dataclass(frozen=True)
@@ -88,21 +81,25 @@ class PartitionSpec:
         hi = self.cut_points[index] if index < self.degree - 1 else None
         return lo, hi
 
-    def predicates_sql(self, alias: str) -> list[str]:
-        """One SQL predicate per partition over ``alias.attribute`` — the
-        TRANSFER^M fan-out's per-partition WHERE clauses.  The predicates
-        cover every value whatever the statistics said, so stale histograms
-        can only unbalance the partitions, never lose rows."""
-        column = f"{alias}.{self.attribute}"
+    def predicates(self) -> list[Expression | None]:
+        """One range predicate per partition over ``attribute`` — what the
+        TRANSFER^M fan-out selects each partition with; ``None`` for the
+        single partition that takes everything.  The ranges cover every
+        value whatever the statistics said, so stale histograms can only
+        unbalance the partitions, never lose rows."""
+        column = col(self.attribute)
+
+        def cut(value: float) -> Expression:
+            # Integral cut points as ints: predicates on INT/DATE read naturally.
+            return lit(int(value) if float(value).is_integer() else value)
+
         predicates = []
         for index in range(self.degree):
             lo, hi = self.bounds(index)
-            parts = []
-            if lo is not None:
-                parts.append(f"{column} >= {_sql_literal(lo)}")
+            terms = [] if lo is None else [Comparison(">=", column, cut(lo))]
             if hi is not None:
-                parts.append(f"{column} < {_sql_literal(hi)}")
-            predicates.append(" AND ".join(parts) if parts else "1 = 1")
+                terms.append(Comparison("<", column, cut(hi)))
+            predicates.append(conjoin(terms))
         return predicates
 
 

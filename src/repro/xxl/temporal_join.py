@@ -12,11 +12,12 @@ then ``T1``/``T2`` with the intersection.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
+from repro.algebra.expressions import col, compile_row
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
-from repro.temporal.period import overlaps
 from repro.xxl.cursor import BatchReader, Cursor, GeneratorCursor
 from repro.xxl.merge_join import read_group
 
@@ -58,8 +59,9 @@ class TemporalJoinCursor(GeneratorCursor):
             list(combined)
             + [Attribute(t1, AttrType.DATE), Attribute(t2, AttrType.DATE)]
         )
-        self._left_keep = [self._left.schema.index_of(a.name) for a in left_keep]
-        self._right_keep = [self._right.schema.index_of(a.name) for a in right_keep]
+        # ``row -> tuple`` of what each side contributes to an output row.
+        self._left_values = compile_row([col(a.name) for a in left_keep], self._left.schema)
+        self._right_values = compile_row([col(a.name) for a in right_keep], self._right.schema)
         super()._open()
 
     def _generate(self) -> Iterator[tuple]:
@@ -72,8 +74,9 @@ class TemporalJoinCursor(GeneratorCursor):
         left_t2 = left_schema.index_of(t2)
         right_t1 = right_schema.index_of(t1)
         right_t2 = right_schema.index_of(t2)
-        left_keep = self._left_keep
-        right_keep = self._right_keep
+        left_values = self._left_values
+        right_values = self._right_values
+        right_start = itemgetter(right_t1)
         meter = self._meter
 
         left_reader = BatchReader(self._left, self.batch_size)
@@ -94,25 +97,26 @@ class TemporalJoinCursor(GeneratorCursor):
                 right_group, right_row = read_group(right_reader, right_pos, right_row)
                 # Within a value pack, check every period pair; packs are
                 # small for realistic keys, and sorting the pack by start
-                # time lets us stop early.
-                right_group.sort(key=lambda row: row[right_t1])
+                # time lets us stop early.  What a pair needs of a right row
+                # is built once per pack, not once per pair.
+                right_group.sort(key=right_start)
+                rights = [(r[right_t1], r[right_t2], right_values(r)) for r in right_group]
                 for l_row in left_group:
                     l_start = l_row[left_t1]
                     l_end = l_row[left_t2]
-                    l_values = tuple(l_row[i] for i in left_keep)
-                    for r_row in right_group:
-                        r_start = r_row[right_t1]
+                    l_values = left_values(l_row)
+                    considered = 0
+                    for r_start, r_end, r_values in rights:
                         if r_start >= l_end:
                             break  # sorted by start: nothing later overlaps
-                        if meter is not None:
-                            meter.charge_cpu(1)
-                        r_end = r_row[right_t2]
-                        if overlaps(l_start, l_end, r_start, r_end):
-                            start = l_start if l_start > r_start else r_start
-                            end = l_end if l_end < r_end else r_end
-                            yield l_values + tuple(
-                                r_row[i] for i in right_keep
-                            ) + (start, end)
+                        considered += 1
+                        if l_start < r_end:  # overlap; the break settled r_start < l_end
+                            yield l_values + r_values + (
+                                l_start if l_start > r_start else r_start,
+                                l_end if l_end < r_end else r_end,
+                            )
+                    if meter is not None:
+                        meter.charge_cpu(considered)
 
     def _close(self) -> None:
         super()._close()

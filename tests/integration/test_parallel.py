@@ -6,6 +6,8 @@ serial plans verbatim; parallel runs must leak no temp tables, share one
 retry budget across partitions, and fall back to the all-DBMS plan when
 that budget runs out — chaos included."""
 
+import re
+
 import pytest
 
 from repro.core.tango import Tango, TangoConfig
@@ -15,6 +17,7 @@ from repro.fuzz.compare import canonical_rows
 from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
+from repro.xxl import SQLCursor, walk
 
 Q1_SQL = queries.query1_sql()
 CHAOS_SEED = 20010521
@@ -86,6 +89,61 @@ class TestSerialParallelEquivalence:
         assert_same_rows(run(tango, "Q1"), baseline["Q1"])
         assert tango.metrics.value("exchange_partitions") >= 2
         tango.close()
+
+
+class TestPartitionStatements:
+    """A partition's SQL is the region's own block with its range as one
+    more conjunct: the fan-out goes through ``translate()`` like every other
+    ``T^M`` (there is no second renderer to keep in step)."""
+
+    RANGE = r"(Q1\.PosID >= ([\d.]+))?( AND )?(Q1\.PosID < ([\d.]+))?"
+
+    def statements(self, db, workers):
+        with Tango(db, config=TangoConfig(workers=workers)) as tango:
+            execution = tango.executor.compile(tango.optimize(Q1_SQL).plan)
+            return [c.sql for c in walk(execution.steps) if isinstance(c, SQLCursor)]
+
+    def test_each_partition_is_one_block_with_its_range(self, parallel_db):
+        statements = self.statements(parallel_db, workers=4)
+        assert len(statements) == 4
+        bounds = []
+        for sql in statements:
+            assert sql.count("SELECT") == 1
+            select, source, where, order = sql.split("\n")
+            assert source == "FROM POSITION Q1" and order == "ORDER BY PosID, T1"
+            match = re.fullmatch("WHERE " + self.RANGE, where)
+            assert match, where
+            bounds.append((match.group(2), match.group(5)))
+        # Open at both extremes, and each range starts where the last ended.
+        assert bounds[0][0] is None and bounds[-1][1] is None
+        assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+        assert None not in [hi for _, hi in bounds[:-1]]
+
+    def test_partitions_concatenate_to_the_serial_statement(self, parallel_db):
+        (serial,) = self.statements(parallel_db, workers=1)
+        concatenated = [
+            row
+            for sql in self.statements(parallel_db, workers=4)
+            for row in parallel_db.query(sql)
+        ]
+        assert concatenated == parallel_db.query(serial)
+
+    def test_values_outside_the_histogram_land_in_the_open_partitions(self):
+        db = MiniDB()
+        load_uis(db, scale=0.01, with_variants=False)
+        position = db.table("POSITION")
+        template = position.rows[0]
+        quiet = FaultInjector(FaultPolicy(), seed=0)  # also under TANGO_CHAOS_P
+        with Tango(db, config=TangoConfig(workers=4), fault_injector=quiet) as tango:
+            before = tango.query(Q1_SQL).rows
+            # Behind the middleware's back: statistics, cut points and the
+            # cached plan all predate these two rows.
+            position.append((-7,) + template[1:])
+            position.append((10**9,) + template[1:])
+            after = tango.query(Q1_SQL).rows
+            assert tango.metrics.value("exchange_partitions") >= 2
+        period = template[-2:]  # POSITION ends (..., T1, T2)
+        assert after == [(-7, *period, 1)] + before + [(10**9, *period, 1)]
 
 
 class TestWorkersOneIsSerial:

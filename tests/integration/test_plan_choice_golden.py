@@ -56,8 +56,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.algebra.operators import Location, Sort
+from repro.algebra.operators import (
+    Join,
+    Location,
+    Project,
+    Scan,
+    Select,
+    Sort,
+    TemporalJoin,
+    TransferD,
+    TransferM,
+)
 from repro.core.tango import Tango
+from repro.core.translator import SQLTranslator
 from repro.dbms.database import MiniDB
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
@@ -225,6 +236,48 @@ def test_dp_order_is_guaranteed_order_on_the_corpus(golden_tango):
         plan = tango.parse(query) if isinstance(query, str) else query
         checked += assert_orders_agree(tango.planner.optimizer, plan)
     assert checked == 350  # root-class candidates over the corpus
+
+
+def spj_region(region) -> bool:
+    """True when the DBMS region under a ``T^M`` is select-project-join only,
+    its joins left-deep — the shape that translates to one flat block."""
+    stack = [region]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Join, TemporalJoin)):
+            if any(isinstance(n, (Join, TemporalJoin)) for n in node.right.walk()):
+                return False
+        elif not isinstance(node, (Scan, TransferD, Select, Project, Sort)):
+            return False
+        if not isinstance(node, TransferD):  # what is under a T^D runs elsewhere
+            stack.extend(node.inputs)
+    return True
+
+
+def test_chosen_plans_send_flat_sql(golden_tango):
+    """On every plan shape the optimizer produces over the corpus, not on
+    four queries: a select-project-join ``T^M`` region is one SELECT, no
+    derived table (DESIGN.md §16)."""
+    tango, named = golden_tango
+    flat = nested = 0
+    for query in named.values():
+        plan = tango.planner.optimizer.optimize(
+            tango.parse(query) if isinstance(query, str) else query
+        ).plan
+        for transfer in (n for n in plan.walk() if isinstance(n, TransferM)):
+            temp_tables = {
+                id(n): "TANGO_TMP" for n in transfer.input.walk() if isinstance(n, TransferD)
+            }
+            sql = SQLTranslator().translate(transfer.input, temp_tables)
+            if spj_region(transfer.input):
+                assert "(SELECT" not in sql and sql.count("SELECT") == 1, sql
+                flat += 1
+            else:
+                nested += 1
+    # Q1-Q4 and Q2-P1 have 1+2+2+1+2 regions, the 48 TAGGR statements and the
+    # 48 self-joins one each, the 16 Query 2s two; no chosen plan keeps a
+    # TAGGR^D, a Dedup or a bushy join in the DBMS.
+    assert (flat, nested) == (136, 0)
 
 
 def record() -> None:

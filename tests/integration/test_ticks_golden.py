@@ -15,6 +15,19 @@ sorted ``TemporalJoin^M`` (see ``test_plan_choice_golden.py``); the sort's
 56,043 ticks are the whole difference, and
 ``test_q2_lost_only_a_redundant_sort`` holds the new plan to the old one's
 rows, in order.  The other four tuples did not move.
+
+PR 19 (the translator emits one SELECT per select-project-join block) moved
+the DBMS io/cpu of four entries and nothing else — middleware ticks and row
+counts are the ones above, ``Q1 chosen`` (whose ``T^M`` was one block
+already) is untouched: ``Q2 chosen`` (80, 54903) -> (32, 44405), ``Q3
+chosen`` (76, 78034) -> (32, 71326), ``Q4 chosen`` (98, 56321) -> (52,
+47615), ``Q2-P1 forced`` (241, 201444) -> (43, 166786).  The plans are the
+same; what changed is the SQL a ``T^M`` sends for them.  Each operator used
+to be its own ``(SELECT ...) Qn`` layer, which MiniDB plans separately,
+materializes (a write+read pass in io, a re-scan and one more
+``project_rows`` pass in cpu) and cannot push a predicate through; a flat
+statement pays for the scans, the filters at the scans, the join and one
+projection (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -32,10 +45,10 @@ from repro.workloads.uis import load_uis
 #: name -> (DBMS io, DBMS cpu, middleware ticks, result rows)
 GOLDEN = {
     "Q1 chosen": (16, 56142, 10931, 2888),
-    "Q2 chosen": (80, 54903, 19908, 4311),
-    "Q3 chosen": (76, 78034, 59421, 8749),
-    "Q4 chosen": (98, 56321, 0, 1677),
-    "Q2-P1 forced": (241, 201444, 5260, 4311),
+    "Q2 chosen": (32, 44405, 19908, 4311),
+    "Q3 chosen": (32, 71326, 59421, 8749),
+    "Q4 chosen": (52, 47615, 0, 1677),
+    "Q2-P1 forced": (43, 166786, 5260, 4311),
 }
 
 

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.algebra.expressions import Comparison, col, lit
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
@@ -61,16 +62,27 @@ class TestPartitionSpec:
 
     def test_predicates_cover_the_whole_value_space(self):
         spec = PartitionSpec("K", 3, (10.0, 20.0))
-        predicates = spec.predicates_sql("T")
-        assert predicates == [
-            "T.K < 10",
-            "T.K >= 10 AND T.K < 20",
-            "T.K >= 20",
+
+        def at_least(value):
+            return Comparison(">=", col("K"), lit(value))
+
+        def below(value):
+            return Comparison("<", col("K"), lit(value))
+
+        assert spec.predicates() == [
+            below(10),
+            at_least(10) & below(20),
+            at_least(20),
+        ]
+        assert [p.to_sql() for p in spec.predicates()] == [
+            "K < 10",
+            "K >= 10 AND K < 20",
+            "K >= 20",
         ]
 
     def test_single_partition_predicate_is_unbounded(self):
         spec = PartitionSpec("K", 1, ())
-        assert spec.predicates_sql("T") == ["1 = 1"]
+        assert spec.predicates() == [None]
 
 
 class TestCutPoints:

@@ -5,13 +5,19 @@ MiniDB, and checks the rows — the translator's contract is semantic, not
 textual.
 """
 
+import re
+
 import pytest
 
 from repro.algebra.builder import scan
-from repro.algebra.expressions import Comparison, col, lit
-from repro.algebra.operators import Location, TransferD, TransferM
+from repro.algebra.expressions import BinOp, Comparison, col, lit
+from repro.algebra.operators import Location, TemporalAggregate, TransferD, TransferM
+from repro.core.tango import Tango
 from repro.core.translator import SQLTranslator
+from repro.dbms.database import MiniDB
 from repro.errors import PlanError
+from repro.workloads import queries
+from tests.conftest import FIGURE3_QUERY_RESULT
 
 
 @pytest.fixture
@@ -172,3 +178,256 @@ class TestDedup:
         plan = scan(db, "POSITION").project("EmpName").dedup().build()
         rows = run(db, translator.translate(plan))
         assert sorted(rows) == [("Jane",), ("Tom",)]
+
+
+# -- one SELECT per select-project-join block (DESIGN.md §16) ---------------------------
+
+DAY = 58440  # 1990-01-01: inside Query 2's window, before Query 3's bound
+
+
+def derived_tables(sql: str) -> int:
+    return sql.count("(SELECT")
+
+
+@pytest.fixture
+def mini_uis():
+    """POSITION/EMPLOYEE with the UIS columns Queries 2-4 touch: Figure 3's
+    three tuples, Tom in position 2 paid under Query 2's PayRate bound."""
+    db = MiniDB()
+    db.execute(
+        "CREATE TABLE POSITION (PosID INT, EmpID INT, EmpName VARCHAR(16), "
+        "PayRate FLOAT, T1 DATE, T2 DATE)"
+    )
+    db.execute(
+        "INSERT INTO POSITION VALUES "
+        f"(1, 10, 'Tom', 12.0, {DAY + 2}, {DAY + 20}), "
+        f"(1, 11, 'Jane', 15.0, {DAY + 5}, {DAY + 25}), "
+        f"(2, 10, 'Tom', 8.0, {DAY + 5}, {DAY + 10})"
+    )
+    db.execute("CREATE TABLE EMPLOYEE (EmpID INT, EmpName VARCHAR(16), Address VARCHAR(16))")
+    db.execute("INSERT INTO EMPLOYEE VALUES (10, 'Tom', 'Elm St'), (11, 'Jane', 'Oak St')")
+    return db
+
+
+@pytest.fixture
+def rsu():
+    db = MiniDB()
+    db.execute("CREATE TABLE R (K INT, V INT, T1 DATE, T2 DATE)")
+    db.execute("INSERT INTO R VALUES (1, 10, 0, 10), (1, 11, 5, 15), (2, 20, 0, 4), (3, 30, 1, 2)")
+    db.execute("CREATE TABLE S (K INT, W INT)")
+    db.execute("INSERT INTO S VALUES (1, 7), (2, 8), (2, 9), (4, 7)")
+    db.execute("CREATE TABLE U (W INT, Z INT)")
+    db.execute("INSERT INTO U VALUES (7, 70), (8, 80), (8, 81)")
+    return db
+
+
+class TestPaperQueriesAreFlat:
+    def test_query3_is_one_block(self, mini_uis, translator):
+        sql = translator.translate(queries.query3_initial_plan(mini_uis, "1995-01-01").input)
+        assert derived_tables(sql) == 0 and sql.count("SELECT") == 1
+        assert run(mini_uis, sql) == [(1, "Tom", "Jane", DAY + 5, DAY + 20)]
+
+    def test_query4_is_one_block(self, mini_uis, translator):
+        sql = translator.translate(queries.query4_initial_plan(mini_uis).input)
+        assert derived_tables(sql) == 0 and sql.count("SELECT") == 1
+        assert sorted(run(mini_uis, sql)) == [
+            (1, "Jane", "Oak St"), (1, "Tom", "Elm St"), (2, "Tom", "Elm St"),
+        ]
+
+    def test_query2_nests_only_its_taggr(self, mini_uis, translator):
+        plan = queries.query2_initial_plan(mini_uis, "1996-01-01").input
+        taggr = next(n for n in plan.walk() if isinstance(n, TemporalAggregate))
+        sql = translator.translate(plan)
+        # TAGGR^D re-enters the join's block as one FROM item; the join, the
+        # window selection, the clipping projection and the join side's own
+        # select-project chain add no derived table.
+        assert derived_tables(sql) == derived_tables(translator.translate(taggr)) + 1
+        # Figure 3(b) shifted to DAY, minus position 2 (PayRate 8 <= 10).
+        assert sorted(run(mini_uis, sql)) == sorted(
+            (1, name, DAY + t1, DAY + t2, count)
+            for _, name, t1, t2, count in FIGURE3_QUERY_RESULT[:4]
+        )
+
+    def test_query2_chosen_plan_sends_two_flat_statements(self, uis_db, translator):
+        with Tango(uis_db) as tango:
+            plan = tango.optimize(queries.query2_initial_plan(uis_db, "1996-01-01")).plan
+        regions = [n.input for n in plan.walk() if isinstance(n, TransferM)]
+        assert len(regions) == 2
+        for region in regions:
+            sql = translator.translate(region)
+            assert derived_tables(sql) == 0 and sql.count("SELECT") == 1
+
+
+class TestClosedBlocks:
+    def test_top_dedup_is_select_distinct_over_its_inputs_block(self, db, translator):
+        plan = (
+            scan(db, "POSITION")
+            .select(Comparison("=", col("PosID"), lit(1)))
+            .project("PosID")
+            .dedup()
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert sql.startswith("SELECT DISTINCT") and derived_tables(sql) == 0
+        assert run(db, sql) == [(1,)]
+
+    def test_dedup_mid_plan_keeps_exactly_its_own_derived_table(self, db, translator):
+        plan = (
+            scan(db, "POSITION")
+            .project("EmpName", "PosID")
+            .dedup()
+            .select(Comparison("=", col("PosID"), lit(1)))
+            .project("EmpName")
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 1 and "(SELECT DISTINCT" in sql
+        assert sorted(run(db, sql)) == [("Jane",), ("Tom",)]
+
+    def test_taggr_over_a_base_table_keeps_exactly_its_own_three(self, db, translator):
+        plan = scan(db, "POSITION").taggr(group_by=["PosID"], count="PosID").build()
+        # instants twice, intervals once; the argument is the bare table.
+        assert derived_tables(translator.translate(plan)) == 3
+
+    def test_selection_above_taggr_reads_the_closed_block(self, db, translator):
+        plan = (
+            scan(db, "POSITION")
+            .taggr(group_by=["PosID"], count="PosID")
+            .select(Comparison("=", col("COUNTofPosID"), lit(2)))
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 4
+        assert run(db, sql) == [(1, 5, 20, 2)]
+
+
+class TestClosingRules:
+    def test_bushy_right_input_is_closed(self, rsu, translator):
+        """MiniDB joins FROM items left-deep in textual order, so a flat
+        ``FROM R, S, U`` is (R join S) join U whatever the plan said — a
+        cross product whenever R's join attribute comes from U."""
+        inner = scan(rsu, "S").join(scan(rsu, "U"), "W", "W")
+        plan = scan(rsu, "R").project("K", "V").join(inner, "K", "K").build()
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 1
+        assert sql.count("FROM R Q1, (SELECT") == 1
+        assert sorted(run(rsu, sql)) == [
+            (1, 10, 1, 7, 7, 70),
+            (1, 11, 1, 7, 7, 70),
+            (2, 20, 2, 8, 8, 80),
+            (2, 20, 2, 8, 8, 81),
+        ]
+
+    def test_left_deep_joins_stay_flat(self, rsu, translator):
+        plan = (
+            scan(rsu, "R")
+            .join(scan(rsu, "S"), "K", "K")
+            .join(scan(rsu, "U"), "W", "W")
+            .project("V", "Z")
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 0
+        assert "FROM R Q1, S Q2, U Q3" in sql
+        assert sorted(run(rsu, sql)) == [(10, 70), (11, 70), (20, 80), (20, 81)]
+
+    def test_computed_join_key_is_closed(self, rsu, translator):
+        """``Project[K + 1 AS K2] join S``: MiniDB picks its sort-merge join
+        on ``Qa.x = Qb.y`` between bare columns only."""
+        shifted = scan(rsu, "R").project_exprs(
+            [("K2", BinOp("+", col("K"), lit(1))), ("V", col("V"))]
+        )
+        plan = shifted.join(scan(rsu, "S"), "K2", "K").build()
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 1
+        assert re.search(r"WHERE Q(\d+)\.K2 = Q(\d+)\.K$", sql)
+        assert sorted(run(rsu, sql)) == [
+            (2, 10, 2, 8), (2, 10, 2, 9), (2, 11, 2, 8), (2, 11, 2, 9), (4, 30, 4, 7),
+        ]
+
+    def test_doubling_projection_chain_stays_small(self, rsu, translator):
+        builder = scan(rsu, "R").project("V")
+        for _ in range(16):
+            builder = builder.project_exprs([("V", BinOp("+", col("V"), col("V")))])
+        sql = translator.translate(builder.build())
+        assert len(sql) < 4096
+        # The first doubling reads a bare column; each later one mentions a
+        # computed output twice and closes the block under it.
+        assert derived_tables(sql) == 15
+        assert sorted(run(rsu, sql)) == [(v * 2**16,) for v in (10, 11, 20, 30)]
+
+    def test_single_mentions_of_computed_outputs_stay_flat(self, rsu, translator):
+        plan = (
+            scan(rsu, "R")
+            .project_exprs([("K", col("K")), ("X", BinOp("*", col("V"), lit(2)))])
+            .select(Comparison(">", col("X"), lit(20)))
+            .project_exprs([("Y", BinOp("+", col("X"), col("K")))])
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 0
+        assert "WHERE (Q1.V * 2) > 20" in sql
+        assert sorted(run(rsu, sql)) == [(23,), (42,), (63,)]
+
+    def test_boolean_output_survives_substitution(self, rsu, translator):
+        plan = (
+            scan(rsu, "R")
+            .project_exprs([("K", col("K")), ("Early", Comparison("<", col("T2"), lit(5)))])
+            .select(Comparison("=", col("Early"), lit(1)))
+            .project("K")
+            .build()
+        )
+        assert sorted(run(rsu, translator.translate(plan))) == [(2,), (3,)]
+
+
+class TestSubstitution:
+    def test_temporal_self_join_aliases_and_intersected_period(self, rsu, translator):
+        plan = (
+            scan(rsu, "R")
+            .temporal_join(scan(rsu, "R"), "K", "K")
+            .select(Comparison("<", col("T1"), lit(5)))
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 0
+        assert "FROM R Q1, R Q2" in sql
+        assert "GREATEST(Q1.T1, Q2.T1) < 5" in sql
+        assert sorted(run(rsu, sql)) == [
+            (1, 10, 1, 10, 0, 10),
+            (2, 20, 2, 20, 0, 4),
+            (3, 30, 3, 30, 1, 2),
+        ]
+
+    def test_repeated_conjunct_appears_once(self, rsu, translator):
+        early = Comparison("<", col("T1"), lit(5))
+        plan = (
+            scan(rsu, "R")
+            .select(early & Comparison(">", col("V"), lit(10)))
+            .project("K", "V", "T1")
+            .select(early)
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert sql.count("Q1.T1 < 5") == 1
+        assert sorted(run(rsu, sql)) == [(2, 20, 0), (3, 30, 1)]
+
+    def test_select_above_product_reaches_the_right_side(self, rsu, translator):
+        plan = (
+            scan(rsu, "S")
+            .product(scan(rsu, "S"))
+            .select(Comparison("=", col("K_2"), lit(4)) & Comparison("=", col("W"), lit(8)))
+            .build()
+        )
+        sql = translator.translate(plan)
+        assert derived_tables(sql) == 0
+        assert "Q2.K = 4" in sql and "Q1.W = 8" in sql
+        assert run(rsu, sql) == [(2, 8, 4, 7)]
+
+    def test_residual_speaks_the_joins_output_names(self, rsu, translator):
+        residual = Comparison("<", col("W"), col("W_2"))
+        plan = (
+            scan(rsu, "S").join(scan(rsu, "S"), "K", "K", residual=residual).build()
+        )
+        sql = translator.translate(plan)
+        assert "Q1.W < Q2.W" in sql and derived_tables(sql) == 0
+        assert run(rsu, sql) == [(2, 8, 2, 9)]
