@@ -20,9 +20,15 @@ offers each element its few matching rules a few times over, so attempts
 stay within ``6 x element_count`` (2.9-3.8 x measured; the
 every-rule x every-element x every-pass loop sat at about 73 x, and a memo
 that re-derives duplicate elements after every merge at about 5 x).
+
+A second table splits those two numbers by rule — Section 4 at work on the
+four queries — through the counting proxy that pins the same split over
+the 117-query corpus in ``tests/integration/test_plan_choice_golden.py``.
 """
 
 from harness import print_series
+
+from tests.integration.test_plan_choice_golden import counting_optimizer
 
 from repro.workloads.queries import (
     query1_initial_plan,
@@ -39,16 +45,35 @@ PAPER_COUNTS = {
 }
 
 
+def initial_plans(db) -> dict:
+    return {
+        "Q1": query1_initial_plan(db),
+        "Q2": query2_initial_plan(db, "1996-01-01"),
+        "Q3": query3_initial_plan(db, "1995-01-01"),
+        "Q4": query4_initial_plan(db),
+    }
+
+
+def print_rule_census(tango) -> None:
+    """fired/attempted ``Rule.apply`` calls per rule and query."""
+    plans = initial_plans(tango.db)
+    columns = []
+    for plan in plans.values():
+        optimizer, rules = counting_optimizer(tango)
+        optimizer.optimize(plan)
+        columns.append([f"{rule.fired}/{rule.attempted}" for rule in rules])
+    print_series(
+        "Rule firings/attempts per query (Section 4)",
+        ["rule", *plans],
+        [[rule.name, *cells] for rule, *cells in zip(rules, *columns)],
+    )
+
+
 def test_memo_counts_table(benchmark, tango):
     def measure():
-        plans = {
-            "Q1": query1_initial_plan(tango.db),
-            "Q2": query2_initial_plan(tango.db, "1996-01-01"),
-            "Q3": query3_initial_plan(tango.db, "1995-01-01"),
-            "Q4": query4_initial_plan(tango.db),
-        }
         return {
-            name: tango.optimize(plan) for name, plan in plans.items()
+            name: tango.optimize(plan)
+            for name, plan in initial_plans(tango.db).items()
         }
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -73,6 +98,7 @@ def test_memo_counts_table(benchmark, tango):
          "rule attempts", "rule firings", "attempts/element"],
         table,
     )
+    print_rule_census(tango)
     # Shape: Query 2 dominates, every search stays small and terminates.
     q2 = results["Q2"]
     for name, result in results.items():

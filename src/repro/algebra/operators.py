@@ -334,7 +334,7 @@ class Project(_Unary):
 
     def describe(self) -> str:
         rendered = ", ".join(
-            name if isinstance(expr, type(expr)) and expr.to_sql() == name else f"{expr.to_sql()} AS {name}"
+            name if expr.to_sql() == name else f"{expr.to_sql()} AS {name}"
             for name, expr in self.outputs
         )
         return f"Project^{self.location.superscript}[{rendered}]"

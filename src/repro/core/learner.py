@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass, replace
 
@@ -204,17 +205,15 @@ class CardinalityFeedbackStore:
         Called when a base table's contents change (``Tango.apply_updates``):
         selectivities learned against the old contents are stale, and an
         update-heavy workload must not keep planning against them.  The
-        match is a conservative substring test on the ``scan:<table>``
-        fragment — a table whose name prefixes another's may invalidate a
-        few extra entries, never too few.  Returns how many entries were
+        match is ``scan:<table>`` as a whole token, anywhere in the
+        fingerprint: a join over *table* goes, ``POSITION_8000``'s entries
+        stay when ``POSITION`` changes.  Returns how many entries were
         dropped (material iff any were).
         """
-        needle = f"scan:{table.lower()}"
+        reads_table = re.compile(rf"scan:{re.escape(table.lower())}(?!\w)").search
         with self._lock:
             stale = [
-                fingerprint
-                for fingerprint in self._entries
-                if needle in fingerprint
+                fingerprint for fingerprint in self._entries if reads_table(fingerprint)
             ]
             for fingerprint in stale:
                 del self._entries[fingerprint]

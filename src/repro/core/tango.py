@@ -69,6 +69,7 @@ from repro.optimizer.search import OptimizationResult
 from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryState
 from repro.service import QueryHandle, QueryService
+from repro.views import ViewManager
 
 __all__ = ["QueryResult", "Tango", "TangoConfig"]
 
@@ -142,13 +143,9 @@ class Tango:
         return self._config
 
     @property
-    def views(self):
+    def views(self) -> ViewManager:
         """The materialized-view registry (see :mod:`repro.views`)."""
         if self._views is None:
-            # Imported here: repro.views reaches (through repro.fuzz.compare)
-            # the fuzz package, whose oracle imports this module.
-            from repro.views import ViewManager
-
             self._views = ViewManager(self.planner, self.learner, self.executor)
         return self._views
 

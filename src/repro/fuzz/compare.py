@@ -9,43 +9,15 @@ order of tuples that tie on those keys, so the sound differential check is:
 * **list**: each plan must actually deliver its *declared* order — the rows
   must be non-decreasing on ``guaranteed_order(plan)``.
 
-Canonicalization rounds floats (middleware and DBMS aggregation may sum in
-different orders; bit-exact float equality across plans is not part of the
-contract) and sorts with a type-tagged key so mixed-type columns cannot
-raise ``TypeError`` during the sort itself.
+Rows are compared in their canonical form (:mod:`repro.algebra.rows`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.algebra.rows import canonical_rows
 from repro.algebra.schema import Schema
-
-#: Decimal places floats are rounded to before comparison.
-FLOAT_DIGITS = 9
-
-
-def _normalize_value(value: object) -> object:
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        rounded = round(value, FLOAT_DIGITS)
-        # 2.0 and 2 must canonicalize identically: SUM over INT yields int
-        # in the middleware and may yield float through SQL.
-        if rounded == int(rounded):
-            return int(rounded)
-        return rounded
-    return value
-
-
-def _sort_key(row: tuple) -> tuple:
-    return tuple((type(value).__name__, value) for value in row)
-
-
-def canonical_rows(rows: Sequence[tuple]) -> list[tuple]:
-    """The canonical multiset form of *rows*: normalized and sorted."""
-    normalized = [tuple(_normalize_value(value) for value in row) for row in rows]
-    return sorted(normalized, key=_sort_key)
 
 
 def rows_equal(left: Sequence[tuple], right: Sequence[tuple]) -> bool:

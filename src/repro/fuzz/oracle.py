@@ -44,7 +44,7 @@ from repro.dbms.jdbc import Connection
 from repro.errors import DatabaseError, OptimizerError, ReproError
 from repro.fuzz.compare import canonical_rows, describe_mismatch, is_sorted_on
 from repro.fuzz.generator import FuzzCase
-from repro.optimizer.rules import Rule, X1MoveCoalesce, default_rules
+from repro.optimizer.rules import RULES, Rule, default_rules
 from repro.optimizer.search import Optimizer
 from repro.resilience.faults import FaultInjector, FaultPolicy
 from repro.resilience.retry import RetryPolicy
@@ -179,7 +179,7 @@ def derive_alternative(
     kind = strategy[0]
     try:
         if kind == "baseline":
-            return Optimizer(estimator, rules=[X1MoveCoalesce()]).optimize(
+            return Optimizer(estimator, rules=[RULES["X1"]]).optimize(
                 initial_plan
             ).plan
         if kind == "memo":
@@ -194,7 +194,7 @@ def derive_alternative(
                 return None
             rules: list[Rule] = [rule]
             if rule.name != "X1":
-                rules.append(X1MoveCoalesce())
+                rules.append(RULES["X1"])
             plans = Optimizer(estimator, rules=rules).top_plans(initial_plan, k=1)
             return plans[0][0] if plans else None
     except (OptimizerError, RecursionError):

@@ -6,7 +6,8 @@ An extended Volcano-style optimizer (Section 4):
   measures the paper reports per query (e.g. "12 equivalence classes with
   29 class elements" for Query 1);
 * :mod:`repro.optimizer.rules` — the transformation rules T1-T12 and
-  equivalences E1-E5, typed by list/multiset equivalence;
+  equivalences E1-E5 as a table of pattern → rewrite pairs, typed by
+  list/multiset equivalence;
 * :mod:`repro.optimizer.costs` — the Figure 6 cost formulas plus "generic"
   DBMS formulas, and a whole-plan coster;
 * :mod:`repro.optimizer.physical` — algorithm selection and plan validity

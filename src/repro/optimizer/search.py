@@ -205,12 +205,6 @@ class Optimizer:
         extraction = _Extraction(memo, self.coster)
         return memo, memo.find(root), extraction, _lower(required_order), attempts, firings
 
-    def enumerate_costs(
-        self, plans: list[Operator]
-    ) -> list[tuple[Operator, float]]:
-        """Phase-2 style costing of externally supplied candidate plans."""
-        return [(plan, self.coster.cost(plan)) for plan in plans]
-
     def top_plans(
         self,
         initial_plan: Operator,

@@ -185,20 +185,43 @@ class QueryService:
                     if executor is None:
                         # Leased on the first task: idle workers hold no
                         # connection.
-                        executor = Executor(
-                            self.planner,
-                            self.learner,
-                            self.pool.acquire(),
-                            self.tango_config,
-                            pool=self.pool,
-                            metrics=self.metrics,
-                        )
+                        try:
+                            executor = self._lease_executor()
+                        except BaseException as error:  # noqa: BLE001 - a worker must survive
+                            self._record_failure(handle, tenant, error)
+                            continue
                     self._run_one(executor, handle, tenant)
                 finally:
                     self.scheduler.task_done(tenant)
         finally:
             if executor is not None:
                 self.pool.release(executor.connection)
+
+    def _lease_executor(self) -> Executor:
+        connection = self.pool.acquire()
+        try:
+            return Executor(
+                self.planner,
+                self.learner,
+                connection,
+                self.tango_config,
+                pool=self.pool,
+                metrics=self.metrics,
+            )
+        except BaseException:
+            self.pool.release(connection)
+            raise
+
+    def _record_failure(
+        self, handle: QueryHandle, tenant: str, error: BaseException
+    ) -> None:
+        handle.fail(error)
+        self.health.record_outcome(error)
+        if handle.status() is HandleState.CANCELLED:
+            self.metrics.counter("service_cancelled_total").inc()
+        else:
+            self.metrics.counter("service_failed_total").inc()
+            self.metrics.counter(f"service_failed_total.{tenant}").inc()
 
     def _run_one(self, executor: Executor, handle: QueryHandle, tenant: str) -> None:
         queue_wait = handle.queue_seconds or 0.0
@@ -209,13 +232,7 @@ class QueryService:
         try:
             result = executor.run(handle.query, abort=handle.abort_reason)
         except BaseException as error:  # noqa: BLE001 - a worker must survive
-            handle.fail(error)
-            self.health.record_outcome(error)
-            if handle.status() is HandleState.CANCELLED:
-                self.metrics.counter("service_cancelled_total").inc()
-            else:
-                self.metrics.counter("service_failed_total").inc()
-                self.metrics.counter(f"service_failed_total.{tenant}").inc()
+            self._record_failure(handle, tenant, error)
             return
         handle.complete(result)
         self.health.record_outcome(None, degraded=result.degraded)

@@ -56,8 +56,8 @@ from repro.algebra.operators import (
     TransferM,
 )
 from repro.algebra.properties import needed_orders
+from repro.algebra.rows import canonical_rows, canonical_sort_key
 from repro.errors import ViewError
-from repro.fuzz.compare import canonical_rows, _sort_key
 from repro.xxl.coalesce import CoalesceCursor
 from repro.xxl.cursor import materialize
 from repro.xxl.sources import RelationCursor
@@ -341,7 +341,7 @@ def apply_delta_rows(
     """Merge *delta* into the canonically stored view rows.
 
     The stored rows are trusted to already be in
-    :func:`~repro.fuzz.compare.canonical_rows` form (the storage
+    :func:`~repro.algebra.rows.canonical_rows` form (the storage
     invariant every write path maintains), so only the delta — which
     comes fresh from the cursors and may say ``2.0`` where the store
     says ``2`` — is canonicalized; the merge itself is a sorted splice,
@@ -369,18 +369,18 @@ def apply_delta_rows(
             f"delta deletes {needed} more of {row!r} than the view holds"
         )
 
-    inserts = sorted(_expand(insert_counts), key=_sort_key)
+    inserts = sorted(_expand(insert_counts), key=canonical_sort_key)
     if not inserts:
         return kept
     # Splice each (sorted) insert into the (sorted) survivors; binary
     # search keeps key computations to O(inserts · log(stored)).
     positions: list[int] = []
     for row in inserts:
-        row_key = _sort_key(row)
+        row_key = canonical_sort_key(row)
         low, high = positions[-1] if positions else 0, len(kept)
         while low < high:
             mid = (low + high) // 2
-            if _sort_key(kept[mid]) < row_key:
+            if canonical_sort_key(kept[mid]) < row_key:
                 low = mid + 1
             else:
                 high = mid

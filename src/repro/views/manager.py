@@ -1,7 +1,7 @@
 """Materialized temporal views and the cost-based refresh chooser.
 
 A view is a TANGO-managed table holding the result of a temporal query in
-canonical form (:func:`~repro.fuzz.compare.canonical_rows`: value-
+canonical form (:func:`~repro.algebra.rows.canonical_rows`: value-
 normalized, deterministically ordered).  Storing canonically makes the
 central invariant checkable byte-for-byte: an incremental refresh and a
 full recompute that agree as multisets store *identical* table contents.
@@ -37,10 +37,10 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.algebra.operators import Operator, Scan
+from repro.algebra.rows import canonical_rows
 from repro.algebra.schema import Schema
 from repro.dbms.loader import DirectPathLoader
 from repro.errors import ExecutionError, ViewError
-from repro.fuzz.compare import canonical_rows
 from repro.obs.explain import ExplainAnalyzeReport
 from repro.optimizer.costs import AlgorithmCosts
 from repro.stats.cardinality import CardinalityEstimator

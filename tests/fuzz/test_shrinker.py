@@ -27,28 +27,18 @@ from repro.fuzz.generator import FuzzCase
 from repro.fuzz.harness import FuzzHarness
 from repro.fuzz.oracle import Oracle
 from repro.fuzz.shrinker import Shrinker
-from repro.optimizer.rules import Rule, X1MoveCoalesce
+from repro.optimizer.rules import RULES, Rule
 from repro.workloads.generator import ColumnSpec, RandomRelationSpec
 
 
-class BrokenDropSelect(Rule):
-    """σ(r) ≡ r — wrong on purpose: drops the selection entirely."""
-
-    name = "B1"
-    equivalence = "M"
-
-    def apply(self, memo, class_id, element):
-        if not isinstance(element.template, Select):
-            return False
-        before = memo.class_count
-        memo.merge(class_id, element.children[0])
-        return memo.class_count != before
+#: σ(r) ≡ r — wrong on purpose: drops the selection entirely.
+BROKEN_DROP_SELECT = Rule("B1", "M", (Select,), lambda m: m.r[0])
 
 
 @pytest.fixture
 def broken_rules(monkeypatch):
     """The oracle's forced-rule strategy space, with the broken rule in it."""
-    rules = [BrokenDropSelect(), X1MoveCoalesce()]
+    rules = [BROKEN_DROP_SELECT, RULES["X1"]]
     monkeypatch.setattr(
         "repro.fuzz.oracle.default_rules", lambda *args, **kwargs: list(rules)
     )

@@ -44,6 +44,11 @@ search drains its first-in-first-out queue of dirtied elements — with the
 lower class id surviving a merge.  109 of this corpus's 2,208 extraction
 cells have an equal-cost rival with a different plan and 19 of the 117
 winners pass through one, so every number here is compared for equality.
+
+:data:`CENSUS` pins *how* the search got there: per rule, how many
+``Rule.apply`` calls the corpus makes and how many change the memo.  It was
+recorded on the commit before the rule set became a table (ISSUE 20, 23
+classes with 18 ``apply`` bodies) and asserted on the table unchanged.
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ from repro.algebra.operators import (
 from repro.core.tango import Tango
 from repro.core.translator import SQLTranslator
 from repro.dbms.database import MiniDB
+from repro.optimizer.rules import default_rules
+from repro.optimizer.search import Optimizer
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
 
@@ -278,6 +285,54 @@ def test_chosen_plans_send_flat_sql(golden_tango):
     # 48 self-joins one each, the 16 Query 2s two; no chosen plan keeps a
     # TAGGR^D, a Dedup or a bushy join in the DBMS.
     assert (flat, nested) == (136, 0)
+
+
+class CountingRule:
+    """A rule as the search sees one — ``matches`` and ``apply`` — counting
+    its attempts and how many of them changed the memo."""
+
+    def __init__(self, rule):
+        self.rule, self.name, self.matches = rule, rule.name, rule.matches
+        self.attempted = self.fired = 0
+
+    def apply(self, memo, class_id, element) -> bool:
+        changed = self.rule.apply(memo, class_id, element)
+        self.attempted += 1
+        self.fired += changed
+        return changed
+
+
+def counting_optimizer(tango: Tango) -> tuple[Optimizer, list[CountingRule]]:
+    """The planner's optimizer over again, each rule behind a counter."""
+    rules = [CountingRule(rule) for rule in default_rules()]
+    return Optimizer(tango.planner.estimator, tango.planner.factors, rules=rules), rules
+
+
+#: rule -> (memo-changing, attempted) ``apply`` calls over the 117 queries.
+#: Twelve rules never fire here (X1-X5 are never even attempted: no query
+#: coalesces or deduplicates) — they rest on ``tests/unit/test_rules.py``,
+#: ``test_rule_properties.py``, ``tests/property`` and the fuzzer.
+CENSUS = {
+    "T1": (66, 217), "T2": (2, 7), "T3": (169, 574),
+    "T4": (261, 1036), "T5": (370, 1036), "T6": (354, 1036),
+    "T7": (171, 1036), "T8": (0, 391), "T9": (0, 1004),
+    "T11": (354, 1062), "T12": (0, 1062),
+    "E1": (146, 673), "E2": (324, 581), "E3": (0, 7), "E4": (0, 673), "E5": (0, 1004),
+    "P1": (0, 673), "P2": (18, 673),
+    "X1": (0, 0), "X2": (0, 0), "X3": (0, 0), "X4": (0, 0), "X5": (0, 0),
+}
+
+
+def test_rule_census_matches_the_hand_written_rule_classes(golden_tango):
+    tango, named = golden_tango
+    optimizer, rules = counting_optimizer(tango)
+    attempts = firings = 0
+    for query in named.values():
+        result = optimizer.optimize(tango.parse(query) if isinstance(query, str) else query)
+        attempts += result.rule_attempts
+        firings += result.rule_firings
+    assert {rule.name: (rule.fired, rule.attempted) for rule in rules} == CENSUS
+    assert (attempts, firings) == (12_745, 2_235)
 
 
 def record() -> None:

@@ -17,14 +17,7 @@ from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.core.tango import Tango
 from repro.dbms.database import MiniDB
 from repro.optimizer.memo import Memo
-from repro.optimizer.rules import (
-    X1MoveCoalesce,
-    X2CoalesceIdempotent,
-    X3DropDedupUnderCoalesce,
-    X4DropDedupOverCoalesce,
-    X5DedupIdempotent,
-    default_rules,
-)
+from repro.optimizer.rules import RULES, default_rules
 
 SCHEMA = Schema(
     [
@@ -52,7 +45,7 @@ class TestX1MoveCoalesce:
     def test_produces_middleware_alternative(self):
         memo = Memo()
         root = memo.insert_tree(Coalesce(scan(), DB))
-        apply_everywhere(X1MoveCoalesce(), memo)
+        apply_everywhere(RULES["X1"], memo)
         kinds = {
             (type(e.template).__name__, e.template.location.superscript)
             for c in memo.classes()
@@ -66,7 +59,7 @@ class TestX1MoveCoalesce:
     def test_sort_keys_are_value_attrs_then_t1(self):
         memo = Memo()
         memo.insert_tree(Coalesce(scan(), DB))
-        apply_everywhere(X1MoveCoalesce(), memo)
+        apply_everywhere(RULES["X1"], memo)
         sorts = [
             e.template
             for c in memo.classes()
@@ -79,7 +72,7 @@ class TestX1MoveCoalesce:
         memo = Memo()
         memo.insert_tree(Coalesce(TransferM(scan()), MW))
         before = memo.element_count
-        apply_everywhere(X1MoveCoalesce(), memo)
+        apply_everywhere(RULES["X1"], memo)
         assert memo.element_count == before
 
 
@@ -88,14 +81,14 @@ class TestMergeRules:
         memo = Memo()
         outer = memo.insert_tree(Coalesce(Coalesce(scan(), DB), DB))
         inner = memo.insert_tree(Coalesce(scan(), DB))
-        apply_everywhere(X2CoalesceIdempotent(), memo)
+        apply_everywhere(RULES["X2"], memo)
         assert memo.find(outer) == memo.find(inner)
 
     def test_x3_drops_dedup_under_coalesce(self):
         memo = Memo()
         memo.insert_tree(Coalesce(Dedup(scan(), DB), DB))
         memo.insert_tree(scan())
-        apply_everywhere(X3DropDedupUnderCoalesce(), memo)
+        apply_everywhere(RULES["X3"], memo)
         coalesce_elements = [
             e
             for c in memo.classes()
@@ -113,14 +106,14 @@ class TestMergeRules:
         memo = Memo()
         outer = memo.insert_tree(Dedup(Coalesce(scan(), DB), DB))
         inner = memo.insert_tree(Coalesce(scan(), DB))
-        apply_everywhere(X4DropDedupOverCoalesce(), memo)
+        apply_everywhere(RULES["X4"], memo)
         assert memo.find(outer) == memo.find(inner)
 
     def test_x5_dedup_idempotent(self):
         memo = Memo()
         outer = memo.insert_tree(Dedup(Dedup(scan(), DB), DB))
         inner = memo.insert_tree(Dedup(scan(), DB))
-        apply_everywhere(X5DedupIdempotent(), memo)
+        apply_everywhere(RULES["X5"], memo)
         assert memo.find(outer) == memo.find(inner)
 
     def test_extension_rules_registered(self):

@@ -18,10 +18,15 @@ Further down: order is declared in one module; and the cursor tree
 describes itself — the cursor library knows nothing of who observes or
 compiles it, the observers know the cursor *protocol* and no concrete
 cursor, nobody finds a cursor's children by probing ``_input``/``_left``/
-``_right``, and no cursor→plan-node ``registry`` is threaded anywhere.
+``_right``, and no cursor→plan-node ``registry`` is threaded anywhere; the
+fuzzer is imported by nothing it tests; and ``optimizer/rules.py`` has one
+``apply``, the only place a rule touches the memo.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,3 +258,101 @@ def test_the_cursor_tree_walks_are_not_vacuous(tmp_path):
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(source)
     assert len(import_violations(root=tmp_path)) == 1 + 3 + 1
+
+
+# -- the fuzzer is a client of the system, not a part of it -----------------------------
+
+
+def fuzz_imports(root: Path = SRC) -> list[str]:
+    """Every line outside ``fuzz/`` that imports :mod:`repro.fuzz`."""
+    return sorted(
+        {
+            f"{path.relative_to(root)}:{line}"
+            for path in root.rglob("*.py")
+            if path.relative_to(root).parts[0] != "fuzz"
+            for line, module in imported_modules(ast.parse(path.read_text(), filename=str(path)))
+            if under(module, "repro.fuzz")
+        }
+    )
+
+
+def test_nothing_outside_the_fuzzer_imports_it(tmp_path):
+    """The parent's views read their storage format out of
+    ``repro.fuzz.compare``, so ``import repro.views`` loaded the oracle (and
+    through it the facade: the cycle ``Tango.views`` imported around)."""
+    assert fuzz_imports() == []
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.views\n"
+         "print([name for name in sys.modules if name.startswith('repro.fuzz')])"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    assert loaded.stdout.strip() == "[]"
+    # Not vacuous: the walk sees the fuzzer's own imports and lets them be.
+    assert any(
+        under(module, "repro.fuzz")
+        for _, module in imported_modules(ast.parse((SRC / "fuzz/oracle.py").read_text()))
+    )
+    for name, source in {
+        "views/manager.py": "from repro.fuzz.compare import canonical_rows\n",
+        "views/delta.py": "def f():\n    from repro.fuzz.compare import canonical_rows, _sort_key\n",
+        "fuzz/oracle.py": "from repro.fuzz.compare import canonical_rows\n",
+        "core/tango.py": "from repro.views import ViewManager\n",
+    }.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source)
+    assert fuzz_imports(tmp_path) == ["views/delta.py:2", "views/manager.py:1"]
+
+
+# -- Section 4 as a table: one apply, and only it touches the memo ----------------------
+
+MEMO_MUTATORS = {"insert_tree", "add_element", "merge"}
+
+
+def applies_and_stray_mutations(tree: ast.AST) -> tuple[int, list[str]]:
+    """How many functions are named ``apply``, and the memo-mutating calls
+    made anywhere else."""
+    applies = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "apply"
+    ]
+    inside = {id(node) for apply in applies for node in ast.walk(apply)}
+    stray = [
+        f"line {node.lineno}: {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in MEMO_MUTATORS
+        and id(node) not in inside
+    ]
+    return len(applies), stray
+
+
+def test_rules_have_one_apply_and_rewrites_never_touch_the_memo():
+    path = SRC / "optimizer/rules.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert applies_and_stray_mutations(tree) == (1, [])
+    # Outside the two classes nothing so much as names the memo: Match is
+    # its only holder, and hands out ClassRefs and column names.
+    named = [
+        f"line {node.lineno}"
+        for statement in tree.body
+        if not isinstance(statement, ast.ClassDef)
+        for node in ast.walk(statement)
+        if (isinstance(node, ast.Name) and "memo" in node.id.lower())
+        or (isinstance(node, ast.Attribute) and "memo" in node.attr.lower())
+    ]
+    assert named == []
+    parent_style = (
+        "class T7(Rule):\n"
+        "    def apply(self, memo, class_id, element):\n"
+        "        memo.merge(class_id, element.children[0])\n"
+        "class T12(Rule):\n"
+        "    def apply(self, memo, class_id, element):\n"
+        "        return _insert_all(memo, class_id, [rhs])\n"
+        "def _insert_all(memo, class_id, expressions):\n"
+        "    memo.insert_tree(expressions[0], into=class_id)\n"
+    )
+    assert applies_and_stray_mutations(ast.parse(parent_style)) == (
+        2, ["line 8: memo.insert_tree"],
+    )

@@ -17,8 +17,10 @@ from repro.core.engine import TransferObservation
 from repro.core.executor import Executor
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
+from repro.dbms.jdbc import ConnectionPool
 from repro.errors import (
     BackendSickError,
+    DatabaseError,
     QueryCancelledError,
     QueueFullError,
     ResultTimeoutError,
@@ -362,6 +364,45 @@ class TestQueryService:
         assert all(
             handle.status() is HandleState.DONE for handle in handles
         )
+
+    def test_a_worker_that_cannot_lease_fails_the_query_and_lives(self, db):
+        """A lease error belongs to the query that needed the lease: before
+        ISSUE 20 it escaped ``_worker_loop``, the thread died and the handle
+        stayed RUNNING for ever."""
+        pool = ConnectionPool(db, size=2)
+        service = QueryService(db, ServiceConfig(max_concurrency=2), pool=pool)
+        try:
+            pool.close()
+            handle = service.submit(TEMPORAL)
+            with pytest.raises(DatabaseError, match="connection pool is closed"):
+                handle.result(timeout=10)
+            assert handle.status() is HandleState.FAILED
+            assert all(worker.is_alive() for worker in service._workers)
+            # Over a pool that works, the same workers serve the next query.
+            service.pool = working = ConnectionPool(db, size=2)
+            assert service.submit(TEMPORAL).result(timeout=10).rows
+        finally:
+            service.close()
+        assert service.scheduler.running_total == 0
+        assert service.metrics.counter("service_failed_total").value == 1
+        assert working.in_use == 0
+        working.close()
+
+    def test_a_failed_executor_build_returns_its_connection(self, db, monkeypatch):
+        original = Executor.__init__
+        failures = iter([RuntimeError("no executor today")])
+
+        def failing_once(self, *args, **kwargs):
+            for error in failures:
+                raise error
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Executor, "__init__", failing_once)
+        with QueryService(db, ServiceConfig(max_concurrency=1)) as service:
+            with pytest.raises(RuntimeError, match="no executor today"):
+                service.submit(TEMPORAL).result(timeout=10)
+            assert service.pool.in_use == 0
+            assert service.submit(TEMPORAL).result(timeout=10).rows
 
 
 def lease_executor(service: QueryService) -> Executor:

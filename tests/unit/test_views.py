@@ -283,6 +283,25 @@ class TestFeedbackInvalidation:
         assert store.learned_cardinality("scan:other") == 9
         assert store.learned_cardinality("scan:base") is None
 
+    def test_invalidate_table_matches_whole_table_names(self):
+        """The UIS names collide by prefix; a substring match dropped the
+        variants' entries on every POSITION update."""
+        store = CardinalityFeedbackStore()
+        store.observe("select[PayRate > 9](scan:position_17000)", 3)
+        store.observe("scan:position", 10)
+        store.observe("scan:employee", 7)
+        assert store.invalidate_table("POSITION") == 1
+        assert store.learned_cardinality("select[PayRate > 9](scan:position_17000)") == 3
+        assert store.learned_cardinality("scan:employee") == 7
+        # Never too few: the table anywhere in a join still goes.
+        joined = "join[](empid=scan:employee;empid=select[T1 < 5](scan:position))"
+        store.observe(joined, 4)
+        store.observe("temporaljoin[t1,t2](posid=scan:position_8000;posid=scan:position)", 5)
+        assert store.invalidate_table("position") == 2
+        assert store.invalidate_table("POSITION_8000") == 0
+        assert store.invalidate_table("EMPLOYEE") == 1
+        assert store.learned_cardinality(joined) is None
+
     def test_invalidate_table_without_matches_keeps_epoch(self):
         store = CardinalityFeedbackStore()
         store.observe("scan:other", 9)
