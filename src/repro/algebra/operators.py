@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from repro.algebra.expressions import Expression
+from repro.algebra.expressions import ColumnRef, Expression
 from repro.algebra.schema import Attribute, AttrType, Schema, concat_attributes
 from repro.errors import PlanError
 
@@ -295,6 +295,10 @@ class Project(_Unary):
         source = self.input.schema
         attributes = []
         for name, expression in self.outputs:
+            if isinstance(expression, ColumnRef):  # the common case, in one lookup
+                column = source[expression.name]
+                attributes.append(Attribute(name, column.type, column.byte_width))
+                continue
             attr_type = expression.result_type(source)
             width = None
             referenced = expression.attributes()
@@ -307,8 +311,6 @@ class Project(_Unary):
 
     def is_simple(self) -> bool:
         """True when every output is a bare column kept under its own name."""
-        from repro.algebra.expressions import ColumnRef
-
         return all(
             isinstance(expression, ColumnRef) and expression.name.lower() == name.lower()
             for name, expression in self.outputs
@@ -321,8 +323,6 @@ class Project(_Unary):
     def passthrough(self) -> dict[str, str]:
         """Input column (lower-case) -> the output name its values appear
         under, for the columns passed through as bare references."""
-        from repro.algebra.expressions import ColumnRef
-
         found: dict[str, str] = {}
         for name, expression in self.outputs:
             if isinstance(expression, ColumnRef):

@@ -1,4 +1,4 @@
-"""Plan properties: order — and the only module that knows it.
+"""Plan properties: order and required columns — declared once, here.
 
 Section 4 of the paper distinguishes *list* equivalence (equal as ordered
 lists) from *multiset* equivalence (equal up to order).  Whether a plan's
@@ -21,12 +21,18 @@ The extraction DP, :func:`~repro.optimizer.physical.validate_plan`, the rules
 that move an operator into the middleware and the view evaluator all call
 them; :func:`guaranteed_order` is the second one folded bottom-up over a
 tree.  DESIGN.md §14 has the table in prose.
+
+A third question has the same shape and the same home — what does each
+operator *read* of its inputs when only some of its output columns are asked
+for?  :func:`columns_read` answers it, for
+:func:`~repro.algebra.pruning.prune_columns` (DESIGN.md §18).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from repro.algebra.expressions import attributes_of
 from repro.algebra.operators import (
     Coalesce,
     Dedup,
@@ -34,15 +40,19 @@ from repro.algebra.operators import (
     Join,
     Location,
     Operator,
+    Product,
     Project,
     Select,
     Sort,
     TemporalAggregate,
     TemporalJoin,
+    TransferD,
     TransferM,
 )
 
 Order = tuple[str, ...]
+#: A set of lower-cased column names.
+Columns = frozenset
 
 _M, _D = Location.MIDDLEWARE, Location.DBMS
 
@@ -204,3 +214,82 @@ def satisfies_order(plan: Operator, required: Sequence[str]) -> bool:
     if not required:
         return True
     return is_prefix_of(required, guaranteed_order(plan))
+
+
+# -- what each operator reads -------------------------------------------------------------
+
+
+def _lowered(names: Sequence[str | None]) -> Columns:
+    return frozenset(name.lower() for name in names if name is not None)
+
+
+def _everything(node: Operator, asked: Columns) -> tuple[Columns, ...]:
+    return tuple(_lowered(child.schema.names) for child in node.inputs)
+
+
+def _groups_arguments_period(node: TemporalAggregate, asked: Columns) -> tuple[Columns, ...]:
+    arguments = [aggregate.attribute for aggregate in node.aggregates]
+    return (_lowered((*node.group_by, *arguments, *node.period)),)
+
+
+def _traced_to_sides(node: Product | Join | TemporalJoin, asked: Columns) -> tuple[Columns, ...]:
+    """The asked-for outputs traced to the side each comes from, plus what
+    the join itself compares.  A right column that clashed with a taken name
+    came out as ``name_k`` and keeps that name only while ``name``,
+    ``name_2`` … ``name_{k-1}`` are still taken: those are read too, so that
+    nothing above the join sees a column renamed."""
+    # A temporal join reads the period on either side and passes on neither's.
+    both = _lowered(node.period) if isinstance(node, TemporalJoin) else frozenset()
+    # Output names pair off, in order, with the left columns then the right.
+    sources = [
+        (side, name.lower())
+        for side, child in enumerate(node.inputs)
+        for name in child.schema.names
+        if name.lower() not in both
+    ]
+    origin = dict(zip((name.lower() for name in node.schema.names), sources))
+    if isinstance(node, Join):
+        asked = asked | attributes_of(node.residual)
+    read: tuple[set[str], set[str]] = (set(), set())
+    pending = list(asked - both)
+    while pending:
+        output = pending.pop()
+        side, name = origin[output]
+        if name not in read[side]:
+            read[side].add(name)
+            if name != output:
+                pending.append(name)
+                pending += [f"{name}_{k}" for k in range(2, int(output[len(name) + 1:]))]
+    if not isinstance(node, Product):
+        read[0].add(node.left_attr.lower())
+        read[1].add(node.right_attr.lower())
+    return both | read[0], both | read[1]
+
+
+#: operator -> the columns it reads of each input when *asked* for some of
+#: its output columns (all lower-cased; a strict subset is what lets a
+#: projection be placed under it).  Location plays no part.
+_READS: dict[type, Callable[[Operator, Columns], tuple[Columns, ...]]] = {
+    Select: lambda node, asked: (asked | node.predicate.attributes(),),
+    Sort: lambda node, asked: (asked | _lowered(node.keys),),
+    # A projection computes every output whether or not it was asked for.
+    Project: lambda node, asked: (attributes_of(*[e for _, e in node.outputs]),),
+    TemporalAggregate: _groups_arguments_period,
+    Product: _traced_to_sides,
+    Join: _traced_to_sides,
+    TemporalJoin: _traced_to_sides,
+    # Dropping a column under these changes which rows are duplicates,
+    # value-equivalent, or cancelled.
+    Dedup: _everything,
+    Coalesce: _everything,
+    Difference: _everything,
+    TransferM: lambda node, asked: (asked,),
+    TransferD: lambda node, asked: (asked,),
+}
+
+
+def columns_read(node: Operator, asked: Columns) -> tuple[Columns, ...]:
+    """The columns *node* reads of each input, one set per input, when the
+    columns *asked* of its output are wanted.  An operator not listed is
+    taken to read everything."""
+    return _READS.get(type(node), _everything)(node, asked)

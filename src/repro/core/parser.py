@@ -289,10 +289,15 @@ class _Builder:
         outputs: list[tuple[str, Expression]] = []
         for position, item in enumerate(stmt.items, start=1):
             if item.star is not None:
-                for binding in self._bindings:
-                    if item.star not in ("*", binding.alias):
-                        continue
-                    for original, current in binding.mapping.items():
+                starred = [
+                    binding
+                    for binding in self._bindings
+                    if item.star.upper() in ("*", binding.alias)
+                ]
+                if not starred:
+                    raise SQLSyntaxError(f"unknown table alias {item.star!r}")
+                for binding in starred:
+                    for current in binding.mapping.values():
                         outputs.append((current, ColumnRef(current)))
                 continue
             expression = self._resolve(item.expression, self._bindings)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 
 from repro.algebra.operators import Operator
+from repro.algebra.pruning import prune_columns
 from repro.core.parser import parse_temporal_query
 from repro.core.plan_cache import PlanCache, fingerprint
 from repro.dbms.database import MiniDB
@@ -155,7 +156,9 @@ class Planner:
             else:
                 initial = query
             self.metrics.counter("optimizer_runs").inc()
-            result = self.optimizer.optimize(initial, tracer=tracer)
+            # What the optimizer searches from ships only the columns that
+            # are read; the unpruned plan stays the oracle (DESIGN.md §18).
+            result = self.optimizer.optimize(prune_columns(initial), tracer=tracer)
             validate_plan(result.plan)
             self.cache.put(key, result)
         self.metrics.histogram("memo_classes").observe(result.class_count)

@@ -10,6 +10,9 @@ under the default configuration, then executes *alternatives* against it:
 * plans obtained by forcing a single transformation rule (each rule paired
   with X1, which is required whenever a coalescing step must leave the
   DBMS to become executable);
+* the cheapest plan found from the initial plan as ``Planner.plan`` prunes
+  it (:func:`~repro.algebra.pruning.prune_columns`) — held, like every
+  alternative, to the rows of the plan the pass never saw;
 * the baseline plan itself re-run across a worker/batch-size/chaos
   configuration matrix.
 
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.algebra.operators import Operator
 from repro.algebra.properties import guaranteed_order
+from repro.algebra.pruning import prune_columns
 from repro.core.tango import QueryResult, Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
@@ -173,8 +177,12 @@ def derive_alternative(
     * ``("memo", rank)`` — the rank-th cheapest distinct plan under the
       full rule set;
     * ``("rule", name)`` — the best plan reachable with only rule *name*
-      (plus X1, the executability rule) enabled.
+      (plus X1, the executability rule) enabled;
+    * ``("pruned",)`` — the cheapest plan under the full rule set from the
+      initial plan with its scans narrowed to the columns that are read.
     """
+    if strategy == ("pruned",):
+        return derive_alternative(db, prune_columns(initial_plan), ("memo", 0))
     estimator = build_estimator(db)
     kind = strategy[0]
     try:
@@ -373,12 +381,16 @@ class Oracle:
             yield ("memo", rank), plan, DEFAULT_CONFIG
 
         rule_names = [rule.name for rule in default_rules()]
-        for name in rng.sample(rule_names, k=min(self.rule_samples, len(rule_names))):
-            plan = derive_alternative(db, case.plan, ("rule", name))
+        strategies = [("pruned",)] + [
+            ("rule", name)
+            for name in rng.sample(rule_names, k=min(self.rule_samples, len(rule_names)))
+        ]
+        for strategy in strategies:
+            plan = derive_alternative(db, case.plan, strategy)
             if plan is None or plan.cache_key in seen:
                 continue
             seen.add(plan.cache_key)
-            yield ("rule", name), plan, DEFAULT_CONFIG
+            yield strategy, plan, DEFAULT_CONFIG
 
         adaptive_choices = ADAPTIVE_CHOICES if self.adaptive_axis else (False,)
         matrix = [

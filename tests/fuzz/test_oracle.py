@@ -7,7 +7,15 @@ import random
 import pytest
 
 from repro.algebra.expressions import ColumnRef, Comparison, Literal
-from repro.algebra.operators import Location, Scan, Select, Sort, TransferM
+from repro.algebra.operators import (
+    AggregateSpec,
+    Location,
+    Scan,
+    Select,
+    Sort,
+    TemporalAggregate,
+    TransferM,
+)
 from repro.fuzz.compare import rows_equal
 from repro.fuzz.generator import FuzzCase, QueryGenerator
 from repro.fuzz.oracle import (
@@ -118,3 +126,52 @@ def test_rule_strategy_derivation_round_trips():
         execute_with_config(db, plan, DEFAULT_CONFIG),
         execute_with_config(db, case.plan, DEFAULT_CONFIG),
     )
+
+
+def _wide_case() -> FuzzCase:
+    """``_simple_case`` over a table with a column nothing reads."""
+    spec = RandomRelationSpec(
+        name="R0",
+        columns=(
+            ColumnSpec("K0", AttrType.INT, distinct=4),
+            ColumnSpec("V0", AttrType.STR, distinct=6),
+        ),
+        cardinality=12,
+        window_start=60000,
+        window_end=60090,
+        seed=5,
+    )
+    plan = TransferM(
+        TemporalAggregate(
+            Scan("R0", spec.schema), Location.DBMS, ("K0",), (AggregateSpec("COUNT"),)
+        )
+    )
+    return FuzzCase(tables=(spec,), plan=plan, seed=0, index=0)
+
+
+def test_pruned_strategy_ships_fewer_columns_and_the_same_rows():
+    case = _wide_case()
+    db = case.build_db()
+    pruned = derive_alternative(db, case.plan, ("pruned",))
+    (transfer,) = [node for node in pruned.walk() if isinstance(node, TransferM)]
+    assert transfer.schema.names == ("K0", "T1", "T2")
+    assert rows_equal(
+        execute_with_config(db, pruned, DEFAULT_CONFIG).rows,
+        execute_with_config(db, derive_alternative(db, case.plan, ("baseline",)), DEFAULT_CONFIG).rows,
+    )
+    assert Oracle().probe(db, case.plan, ("pruned",), DEFAULT_CONFIG) is None
+
+
+def test_pruned_strategy_is_sampled_once_when_the_pass_changes_the_plan():
+    oracle = Oracle(rule_samples=0, config_samples=0)
+
+    def sampled(case):
+        db = case.build_db()
+        baseline = derive_alternative(db, case.plan, ("baseline",))
+        return [s for s, _, _ in oracle._alternatives(db, case, baseline, random.Random(0))]
+
+    assert sampled(_wide_case()).count(("pruned",)) == 1
+    # Nothing to drop: the pass is the identity and the memo's best plan is
+    # already in the sample.
+    assert ("pruned",) not in sampled(_simple_case())
+    assert oracle.check_case(_wide_case(), random.Random(0)) is None

@@ -28,6 +28,15 @@ materializes (a write+read pass in io, a re-scan and one more
 ``project_rows`` pass in cpu) and cannot push a predicate through; a flat
 statement pays for the scans, the filters at the scans, the join and one
 projection (DESIGN.md §16).
+
+PR 21 (required-column pruning of the initial plan) moved one: ``Q1
+chosen`` DBMS cpu 56,142 -> 48,595, io, middleware ticks and the 2,888 rows
+unchanged.  Query 1 comes in as SQL, whose initial plan has no projection
+under the sort; ``Planner.plan`` now narrows the scan to ``PosID, T1, T2``
+before the optimizer sees it, so the chosen plan is Figure 7's Plan 1 and its
+``T^M`` ships 24 of 96 bytes per row: 1,677 rows x 72 bytes at 1/16 tick per
+byte, truncated per round trip, is the whole difference.  The other four are
+hand-built with their projections already and did not move.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from repro.workloads.uis import load_uis
 
 #: name -> (DBMS io, DBMS cpu, middleware ticks, result rows)
 GOLDEN = {
-    "Q1 chosen": (16, 56142, 10931, 2888),
+    "Q1 chosen": (16, 48595, 10931, 2888),
     "Q2 chosen": (32, 44405, 19908, 4311),
     "Q3 chosen": (32, 71326, 59421, 8749),
     "Q4 chosen": (52, 47615, 0, 1677),

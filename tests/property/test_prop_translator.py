@@ -8,6 +8,10 @@ location of an operator is a *performance* decision, never a semantic one
 middleware evaluation of the same tree: every scan under a ``T^M``, every
 operator on its cursor, a ``SORT^M`` wherever
 :func:`~repro.algebra.properties.needed_orders` asks for one.
+
+The same plans, in both placements, hold required-column pruning
+(:func:`~repro.algebra.pruning.prune_columns`) to its contract: same column
+names, same rows, no transfer wider than it was.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -28,11 +32,13 @@ from repro.algebra.operators import (
     TransferM,
 )
 from repro.algebra.properties import needed_orders
+from repro.algebra.pruning import prune_columns
 from repro.core.engine import ExecutionEngine
 from repro.core.plans import compile_plan
 from repro.core.translator import SQLTranslator
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
+from repro.fuzz.compare import canonical_rows
 
 DB, MW = Location.DBMS, Location.MIDDLEWARE
 PERIOD = ("t1", "t2")
@@ -209,3 +215,29 @@ class TestLocationIndependence:
         assert [tuple(row[p] for p in positions) for row in dbms_rows] == [
             tuple(row[p] for p in positions) for row in middleware_rows
         ]
+
+
+def transfer_widths(plan: Operator) -> list[int]:
+    """Bytes per row under each ``T^M``, in pre-order."""
+    return [node.schema.row_width for node in plan.walk() if isinstance(node, TransferM)]
+
+
+class TestRequiredColumnPruning:
+    @settings(max_examples=150, deadline=None)
+    @given(rows_strategy, rows_strategy, recipes)
+    def test_same_names_same_rows_never_a_wider_transfer(self, r_rows, s_rows, recipe):
+        db = build_db(r_rows, s_rows)
+        logical = build(db, recipe)
+        # All in the DBMS under one T^M, and a T^M directly on every scan.
+        for plan in (TransferM(logical), in_middleware(logical)):
+            pruned = prune_columns(plan)
+            assert pruned.schema.names == plan.schema.names
+            assert prune_columns(pruned) is pruned
+            before, after = (
+                ExecutionEngine().execute(compile_plan(tree, Connection(db))).rows
+                for tree in (plan, pruned)
+            )
+            assert canonical_rows(after) == canonical_rows(before)
+            widths = transfer_widths(pruned), transfer_widths(plan)
+            assert len(widths[0]) == len(widths[1])
+            assert all(narrow <= wide for narrow, wide in zip(*widths))

@@ -132,11 +132,15 @@ def order_copies(trees: dict[str, ast.AST]) -> list[str]:
     return problems
 
 
-def test_order_is_declared_in_one_module():
-    trees = {
+def parsed_sources() -> dict[str, ast.AST]:
+    return {
         str(path.relative_to(SRC)): ast.parse(path.read_text(), filename=str(path))
         for path in ALL_SOURCES
     }
+
+
+def test_order_is_declared_in_one_module():
+    trees = parsed_sources()
     assert {"Scan", "ClassRef", "TransferM"} <= operator_classes(list(trees.values()))
     assert order_copies(trees) == []
 
@@ -356,3 +360,38 @@ def test_rules_have_one_apply_and_rewrites_never_touch_the_memo():
     assert applies_and_stray_mutations(ast.parse(parent_style)) == (
         2, ["line 8: memo.insert_tree"],
     )
+
+
+# -- required columns: one pass, called in one place ------------------------------------
+
+
+def prune_calls(trees: dict[str, ast.AST]) -> list[str]:
+    """``file:function`` of every call of ``prune_columns``."""
+    return sorted(
+        f"{where}:{function.name}"
+        for where, tree in trees.items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] == "prune_columns"
+    )
+
+
+def test_the_initial_plan_is_pruned_in_planner_plan_and_nowhere_else():
+    """The unpruned Section 3.1 plan is the oracle: the parser, the
+    optimizer, the views and the fuzzer's baseline never see the pass; the
+    fuzzer's ``("pruned",)`` strategy is the one other caller."""
+    assert prune_calls(parsed_sources()) == [
+        "core/planner.py:plan", "fuzz/oracle.py:derive_alternative",
+    ]
+    parent_style = (
+        "def parse_temporal_query(sql, catalog):\n"
+        "    return prune_columns(_Builder(sql, catalog).build())\n"
+        "class Optimizer:\n"
+        "    def _search(self, plan):\n"
+        "        return pruning.prune_columns(plan)\n"
+    )
+    assert prune_calls({"p.py": ast.parse(parent_style)}) == [
+        "p.py:_search", "p.py:parse_temporal_query",
+    ]

@@ -140,6 +140,35 @@ class TestResolution:
                 "VALIDTIME SELECT Z.PosID FROM POSITION A", figure3_db
             )
 
+    STARRED = (
+        "VALIDTIME SELECT {}.* FROM POSITION p, POSITION q "
+        "WHERE p.PosID = q.PosID AND q.T1 < 6"
+    )
+
+    @pytest.mark.parametrize("qualifier", ["P", "p"])
+    def test_qualified_star_matches_its_alias_in_any_case(self, figure3_db, qualifier):
+        # ``p.*`` used to match no binding and select only the period.
+        plan = parse_temporal_query(self.STARRED.format(qualifier), figure3_db)
+        assert plan.schema.names == ("PosID", "EmpName", "T1", "T2")
+        other = parse_temporal_query(self.STARRED.format("q"), figure3_db)
+        assert other.schema.names == ("PosID_2", "EmpName_2", "T1", "T2")
+
+    def test_qualified_star_of_an_unknown_alias_rejected(self, figure3_db):
+        with pytest.raises(SQLSyntaxError, match="unknown table alias 'x'"):
+            parse_temporal_query(self.STARRED.format("x"), figure3_db)
+
+    def test_lower_case_star_does_not_poison_the_plan_cache(self, figure3_db):
+        # The cache key folds case, so within one epoch ``P.*`` is served
+        # the plan ``p.*`` was given: two columns before the fix.
+        from repro.core.tango import Tango
+
+        with Tango(figure3_db) as tango:
+            lower = tango.query(self.STARRED.format("p"))
+            upper = tango.query(self.STARRED.format("P"))
+            assert tango.planner.cache.hits == 1
+        assert lower.schema.names == upper.schema.names == ("PosID", "EmpName", "T1", "T2")
+        assert lower.rows == upper.rows and len(lower.rows) == 5
+
 
 class TestRestrictions:
     def test_derived_tables_rejected(self, figure3_db):
