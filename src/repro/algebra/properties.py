@@ -101,21 +101,15 @@ _NEEDS: dict[type, Callable[..., tuple[Order, ...]]] = {
     Coalesce: _values_then_start,
 }
 
-#: Operators with no DBMS algorithm: the translator has no SQL for
-#: coalescing (rule X1 supplies the middleware alternative).
-_MIDDLEWARE_ONLY = (Coalesce,)
 
-
-def needed_orders(node: Operator) -> tuple[Order, ...] | None:
+def needed_orders(node: Operator) -> tuple[Order, ...]:
     """The order *node*'s algorithm needs on each input, one per input
-    (``()``: any order will do) — or None when no algorithm evaluates this
-    operator at this location."""
+    (``()``: any order will do).  Whether the pair has an algorithm at all
+    is not asked here but of ``optimizer.algorithms.ALGORITHMS``."""
     if node.location is _M:
         need = _NEEDS.get(type(node))
         if need is not None:
             return need(node)
-    elif isinstance(node, _MIDDLEWARE_ONLY):
-        return None
     return ((),) * len(node.inputs)
 
 
@@ -169,6 +163,14 @@ _DELIVERS: dict[type, Callable[[Operator, Sequence[Order]], Order]] = {
     TemporalJoin: lambda node, inputs: (node.left_attr,),
     Coalesce: _up_to_period_end,
 }
+
+#: The operators whose middleware algorithm hands its first input's order on:
+#: a requirement on their output becomes one on that input.
+PASSES_ORDER_ON = tuple(
+    operator
+    for operator, rule in _DELIVERS.items()
+    if rule in (_first_input, _through_projection)
+)
 
 
 def delivered_order(node: Operator, inputs: Sequence[Order]) -> Order:

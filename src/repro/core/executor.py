@@ -44,6 +44,7 @@ from repro.errors import RetryExhaustedError
 from repro.obs.explain import ExplainAnalyzeReport, build_report
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
+from repro.optimizer.algorithms import ALGORITHMS, algorithm_for
 from repro.optimizer.physical import validate_plan
 from repro.resilience.retry import RetryState
 
@@ -256,6 +257,18 @@ class Executor:
                             raise error from failure
                         if fallback is None or not self.config.fallback:
                             raise
+                        initial = (
+                            self.planner.parse(fallback)
+                            if isinstance(fallback, str)
+                            else fallback
+                        )
+                        if any(
+                            (type(node), node.location) not in ALGORITHMS
+                            for node in initial.walk()
+                        ):
+                            # A ``Coalesce^D`` in the Section 3.1 plan: there
+                            # is no all-DBMS plan to fall back to.
+                            raise
                         failure = error
                         self.metrics.counter("fallbacks").inc()
                         spans.enter_context(
@@ -271,11 +284,7 @@ class Executor:
                         # TRANSFER^M — compiled serially (a fan-out would
                         # multiply the connections that just proved flaky)
                         # and given a fresh budget of its own.
-                        current = (
-                            self.planner.parse(fallback)
-                            if isinstance(fallback, str)
-                            else fallback
-                        )
+                        current = initial
                         validate_plan(current)
                         retry, parallel = self._retry_state(), False
                         continue
@@ -297,6 +306,8 @@ class Executor:
         """The Figure 5 algorithm sequence this executor would run *plan*
         as — over its connection, fanned out across its pool when
         ``config.workers > 1`` and *parallel*."""
+        for node in plan.walk():
+            algorithm_for(node)  # refused here, once, before any cursor exists
         context = None
         if parallel and self.config.workers > 1:
             context = ParallelContext(

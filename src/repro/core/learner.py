@@ -47,7 +47,8 @@ from repro.core.engine import ExecutionOutcome, TransferObservation
 from repro.obs.instrument import cardinality_observations
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
-from repro.optimizer.costs import AlgorithmCosts, CostFactors
+from repro.optimizer.algorithms import transfer_d, transfer_m
+from repro.optimizer.costs import CostFactors
 from repro.stats.collector import RelationStats
 from repro.stats.fingerprint import plan_fingerprint, qerror
 
@@ -134,9 +135,8 @@ def _transfer_price(factors: CostFactors, observation: TransferObservation) -> f
     moved = RelationStats(
         observation.tuples, observation.bytes / max(1, observation.tuples)
     )
-    if observation.direction == "up":
-        return AlgorithmCosts(factors).transfer_m(moved)
-    return AlgorithmCosts(factors).transfer_d(moved)
+    formula = transfer_m if observation.direction == "up" else transfer_d
+    return formula(factors, moved)
 
 
 # -- loop 2: observed row counts → learned cardinalities -------------------------------

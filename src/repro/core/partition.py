@@ -5,16 +5,10 @@ exchange of *k* partitions (``TangoConfig.workers``) and how the rows
 split.  The analysis is deliberately conservative — only unary middleware
 pipelines over a single ``T^M`` region (no ``T^D`` inside, no joins)
 partition, and only when an attribute exists that keeps both semantics and
-delivered order intact:
-
-* a ``TAGGR^M`` pins the partition attribute to its leading group-by
-  attribute, so every group lands wholly in one partition;
-* a ``SORT^M`` pins it to its leading key, so concatenating range
-  partitions in cut-point order reproduces the global sort;
-* filters, projections, dedup, and coalescing pass the requirement
-  through untouched (they are order preserving and row-local — duplicate
-  and value-equivalent rows agree on the partition attribute, so they
-  never straddle a partition boundary).
+delivered order intact.  Which algorithms may fan out, and what each pins
+the partition attribute to, is the ``partition`` column of
+:data:`repro.optimizer.algorithms.ALGORITHMS`; the walk here only follows
+it down to the transfer.
 
 Range cut points come from the Section 3.3 statistics (histogram
 equal-count inversion) via :func:`repro.xxl.exchange.range_partition_spec`.
@@ -26,18 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algebra.operators import (
-    Coalesce,
-    Dedup,
-    Operator,
-    Project,
-    Select,
-    Sort,
-    TemporalAggregate,
-    TransferD,
-    TransferM,
-)
+from repro.algebra.operators import Operator, TransferD, TransferM
 from repro.algebra.properties import guaranteed_order
+from repro.optimizer.algorithms import ALGORITHMS, ROW_LOCAL
 from repro.xxl.exchange import (
     MIN_PARTITION_ROWS,
     PartitionSpec,
@@ -70,40 +55,29 @@ def partitionable_pipeline(node: Operator) -> tuple[TransferM, str] | None:
     *node* may partition on *attribute*, else None."""
     attribute: str | None = None
     current = node
-    while True:
-        if isinstance(current, TransferM):
-            if _contains_transfer_d(current.input):
-                return None
-            if attribute is None:
-                delivered = guaranteed_order(current)
-                if not delivered:
-                    return None
-                attribute = delivered[0]
-            if not current.schema.has(attribute):
-                return None
-            return current, attribute
-        if isinstance(current, (Select, Project, Dedup, Coalesce)):
-            current = current.input
-            continue
-        if isinstance(current, Sort):
-            leading = current.keys[0]
-            if attribute is None:
-                attribute = leading
-            elif attribute.lower() != leading.lower():
-                return None
-            current = current.input
-            continue
-        if isinstance(current, TemporalAggregate):
-            if not current.group_by:
+    while not isinstance(current, TransferM):
+        row = ALGORITHMS.get((type(current), current.location))
+        if row is None or row.partition is None:
+            return None  # serial: joins, differences, anything in the DBMS
+        if row.partition != ROW_LOCAL:
+            pinned = row.pinned(current)
+            if pinned is None:
                 return None  # one global group cannot split
-            leading = current.group_by[0]
             if attribute is None:
-                attribute = leading
-            elif attribute.lower() != leading.lower():
+                attribute = pinned
+            elif attribute.lower() != pinned.lower():
                 return None
-            current = current.input
-            continue
-        return None  # joins, differences, DBMS-located nodes: stay serial
+        current = current.input
+    if _contains_transfer_d(current.input):
+        return None
+    if attribute is None:
+        delivered = guaranteed_order(current)
+        if not delivered:
+            return None
+        attribute = delivered[0]
+    if not current.schema.has(attribute):
+        return None
+    return current, attribute
 
 
 def partition_spec_for(

@@ -16,17 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.operators import (
-    Coalesce,
-    Dedup,
-    Difference,
-    Join,
     Location,
     Operator,
-    Project,
     Select,
     Sort,
-    TemporalAggregate,
-    TemporalJoin,
     TransferD,
     TransferM,
 )
@@ -34,21 +27,8 @@ from repro.algebra.properties import guaranteed_order
 from repro.core.translator import SQLTranslator
 from repro.dbms.costmodel import CostMeter
 from repro.errors import PlanError
-from repro.xxl import (
-    CoalesceCursor,
-    Cursor,
-    DedupCursor,
-    DifferenceCursor,
-    ExchangeCursor,
-    FilterCursor,
-    MergeJoinCursor,
-    ProjectCursor,
-    SortCursor,
-    SQLCursor,
-    TemporalAggregateCursor,
-    TemporalJoinCursor,
-    TransferDCursor,
-)
+from repro.optimizer.algorithms import algorithm_for
+from repro.xxl import Cursor, ExchangeCursor, SQLCursor, TransferDCursor
 from repro.xxl.sources import PooledSQLCursor
 from repro.xxl.transfer import DEFAULT_LOAD_CHUNK, unique_temp_name
 
@@ -203,70 +183,25 @@ class _Compiler:
         """Clone the unary middleware chain above *transfer* onto *leaf*."""
         if node is transfer:
             return leaf
-        return self._make_unary(
-            node, self._build_partition_pipeline(node.input, transfer, leaf)
+        return self._open(
+            node, [self._build_partition_pipeline(node.input, transfer, leaf)]
         )
 
     def build(self, node: Operator) -> Cursor:
         """Cursor for a middleware-located operator."""
         if isinstance(node, TransferM):
             return self._register(self._build_transfer_m(node), node)
-        if isinstance(
-            node, (Select, Project, Sort, TemporalAggregate, Dedup, Coalesce)
-        ):
-            return self._make_unary(node, self.build(node.input))
-        if isinstance(node, TemporalJoin):
-            cursor: Cursor = TemporalJoinCursor(
-                self.build(node.left),
-                self.build(node.right),
-                node.left_attr,
-                node.right_attr,
-                node.period,
-                self._meter,
-            )
-        elif isinstance(node, Join):
-            cursor = MergeJoinCursor(
-                self.build(node.left),
-                self.build(node.right),
-                node.left_attr,
-                node.right_attr,
-                node.residual,
-                self._meter,
-            )
-        elif isinstance(node, Difference):
-            cursor = DifferenceCursor(
-                self.build(node.left), self.build(node.right), self._meter
-            )
-        else:
-            raise PlanError(
-                f"{node.name} at {node.location.value} cannot start a middleware "
-                "pipeline (expected a T^M boundary below it)"
-            )
-        return self._register(cursor, node)
+        return self._open(node, [self.build(child) for child in node.inputs])
 
-    def _make_unary(self, node: Operator, input_cursor: Cursor) -> Cursor:
-        """Cursor for one unary middleware operator over *input_cursor*."""
-        if isinstance(node, Select):
-            cursor: Cursor = FilterCursor(input_cursor, node.predicate, self._meter)
-        elif isinstance(node, Project):
-            cursor = ProjectCursor(input_cursor, node.outputs, self._meter)
-        elif isinstance(node, Sort):
-            cursor = SortCursor(input_cursor, node.keys, self._meter)
-        elif isinstance(node, TemporalAggregate):
-            cursor = TemporalAggregateCursor(
-                input_cursor,
-                node.group_by,
-                node.aggregates,
-                node.period,
-                self._meter,
+    def _open(self, node: Operator, inputs: list[Cursor]) -> Cursor:
+        """*node*'s algorithm over *inputs*, opened as its row says."""
+        row = algorithm_for(node)
+        if row.parameters is None:  # backstop: ``validate_plan`` refuses these
+            raise PlanError(
+                f"{row.name} cannot run in a middleware pipeline (expected a "
+                "T^M boundary below it)"
             )
-        elif isinstance(node, Dedup):
-            cursor = DedupCursor(input_cursor, meter=self._meter)
-        elif isinstance(node, Coalesce):
-            cursor = CoalesceCursor(input_cursor, node.period, self._meter)
-        else:  # pragma: no cover - callers dispatch on the same types
-            raise PlanError(f"{node.name} is not a unary middleware operator")
-        return self._register(cursor, node)
+        return self._register(row.open(node, inputs, self._meter), node)
 
     def _build_transfer_m(self, node: TransferM) -> SQLCursor:
         """One TRANSFER^M step covering the DBMS region below *node*.

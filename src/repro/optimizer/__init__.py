@@ -8,10 +8,12 @@ An extended Volcano-style optimizer (Section 4):
 * :mod:`repro.optimizer.rules` — the transformation rules T1-T12 and
   equivalences E1-E5 as a table of pattern → rewrite pairs, typed by
   list/multiset equivalence;
-* :mod:`repro.optimizer.costs` — the Figure 6 cost formulas plus "generic"
-  DBMS formulas, and a whole-plan coster;
-* :mod:`repro.optimizer.physical` — algorithm selection and plan validity
-  (transfer structure, sorted-input prerequisites);
+* :mod:`repro.optimizer.algorithms` — one row per (operator, location)
+  algorithm: its Figure 5 label, its Figure 6 (or "generic" DBMS) cost
+  formula, its cursor, its partition behaviour;
+* :mod:`repro.optimizer.costs` — the cost factors and a whole-plan coster;
+* :mod:`repro.optimizer.physical` — plan validity (transfer structure,
+  sorted-input prerequisites);
 * :mod:`repro.optimizer.search` — the two-phase optimization driver;
 * :mod:`repro.optimizer.calibration` — Du-et-al-style cost-factor
   calibration from sample queries.

@@ -1,46 +1,20 @@
-"""Cost formulas (Figure 6) and the whole-plan coster.
+"""The cost factors and the whole-plan coster.
 
-Each formula weighs ``size(r)`` — cardinality × average tuple size — with a
-cost factor ``p``.  Return values are microseconds.  "Conceptually, the cost
-of an algorithm consists of an initialization cost, the cost of processing
-the argument tuples, and the cost of forming the output tuples.  The
-initialization costs of all algorithms are set to zero, as are the costs of
-forming the outputs for sorting, selection, and projection.  In addition, we
-assume a zero cost for selection and projection in the DBMS."
-
-Beyond Figure 6, the optimizer carries "generic" formulas for DBMS join,
-Cartesian product, sorting, full table scan (the paper keeps these in the
-technical report [20]); we use simple linear/size-based shapes with factors
-fitted by :mod:`repro.optimizer.calibration`.
+The Figure 6 formulas themselves are one column of
+:data:`repro.optimizer.algorithms.ALGORITHMS`; the factors they weigh
+``size(r)`` with are fitted by :mod:`repro.optimizer.calibration`.  Return
+values are microseconds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.algebra.expressions import Comparison, Expression
-from repro.algebra.operators import (
-    Coalesce,
-    Dedup,
-    Difference,
-    Join,
-    Location,
-    Operator,
-    Product,
-    Project,
-    Scan,
-    Select,
-    Sort,
-    TemporalAggregate,
-    TemporalJoin,
-    TransferD,
-    TransferM,
-)
-from repro.algebra.rewrite import collect
-from repro.errors import OptimizerError
+from repro.algebra.operators import Location, Operator
+from repro.optimizer.algorithms import ALGORITHMS
 from repro.stats.cardinality import CardinalityEstimator
-from repro.stats.collector import RelationStats
+
+_M, _D = Location.MIDDLEWARE, Location.DBMS
 
 
 @dataclass(frozen=True)
@@ -81,154 +55,19 @@ class CostFactors:
     p_par_startup: float = 500.0  # microseconds per partition
 
 
-def predicate_complexity(predicate: Expression) -> float:
-    """The Figure 6 ``f(P)`` coefficient: comparison count of the condition."""
-    comparisons = collect(predicate, Comparison)
-    return float(max(1, len(comparisons)))
-
-
-def _log_cardinality(stats: RelationStats) -> float:
-    return max(1.0, math.log2(max(2.0, stats.cardinality)))
-
-
-class AlgorithmCosts:
-    """Per-algorithm cost functions, shared by the plan coster and the
-    memo-extraction DP."""
-
-    def __init__(self, factors: CostFactors):
-        self.factors = factors
-
-    # -- transfers -------------------------------------------------------------
-
-    def transfer_m(self, input_stats: RelationStats) -> float:
-        return (
-            self.factors.p_tmr * input_stats.cardinality
-            + self.factors.p_tm * input_stats.size
-        )
-
-    def transfer_d(self, input_stats: RelationStats) -> float:
-        return (
-            self.factors.p_tdr * input_stats.cardinality
-            + self.factors.p_td * input_stats.size
-        )
-
-    # -- middleware algorithms ----------------------------------------------------
-
-    def filter_m(self, predicate: Expression, input_stats: RelationStats) -> float:
-        return (
-            self.factors.p_sem
-            * predicate_complexity(predicate)
-            * input_stats.size
-        )
-
-    def project_m(self, input_stats: RelationStats) -> float:
-        return self.factors.p_projm * input_stats.size
-
-    def sort_m(self, input_stats: RelationStats) -> float:
-        return self.factors.p_sortm * input_stats.size * _log_cardinality(input_stats)
-
-    def taggr_m(
-        self, input_stats: RelationStats, output_stats: RelationStats
-    ) -> float:
-        # The external sort on (G, T1) is a separate plan operator; the
-        # internal T2 sort is folded into p_taggm1 (Section 3.4).
-        return (
-            self.factors.p_taggm1 * input_stats.size
-            + self.factors.p_taggm2 * output_stats.size
-        )
-
-    def join_m(
-        self,
-        left_stats: RelationStats,
-        right_stats: RelationStats,
-        output_stats: RelationStats,
-    ) -> float:
-        touched = left_stats.size + right_stats.size + output_stats.size
-        return self.factors.p_joinm * touched
-
-    def temporal_join_m(
-        self,
-        left_stats: RelationStats,
-        right_stats: RelationStats,
-        output_stats: RelationStats,
-    ) -> float:
-        touched = left_stats.size + right_stats.size + output_stats.size
-        return self.factors.p_tjoinm * touched
-
-    def dedup_m(self, input_stats: RelationStats) -> float:
-        return self.factors.p_dedupm * input_stats.size
-
-    def coalesce_m(self, input_stats: RelationStats) -> float:
-        return self.factors.p_coalm * input_stats.size
-
-    def difference_m(
-        self, left_stats: RelationStats, right_stats: RelationStats
-    ) -> float:
-        return self.factors.p_diffm * (left_stats.size + right_stats.size)
-
-    # -- generic DBMS algorithms -----------------------------------------------------
-
-    def scan_d(self, stats: RelationStats) -> float:
-        return self.factors.p_scand * stats.size
-
-    def sort_d(self, input_stats: RelationStats) -> float:
-        return self.factors.p_sortd * input_stats.size * _log_cardinality(input_stats)
-
-    def join_d(
-        self,
-        left_stats: RelationStats,
-        right_stats: RelationStats,
-        output_stats: RelationStats,
-    ) -> float:
-        # Generic: the middleware does not know which join algorithm the
-        # DBMS will pick, so one formula covers them all (Section 3.1).
-        touched = left_stats.size + right_stats.size + output_stats.size
-        sorts = self.sort_d(left_stats) + self.sort_d(right_stats)
-        return self.factors.p_joind * touched + sorts
-
-    def join_d_indexed(
-        self,
-        left_stats: RelationStats,
-        output_stats: RelationStats,
-    ) -> float:
-        """Generic DBMS join when the inner join attribute is indexed
-        (index availability is part of the collected statistics, Section 3):
-        the DBMS can drive an index nested loop, touching only the outer
-        input and the matching rows."""
-        touched = left_stats.size + output_stats.size
-        return self.factors.p_joind * touched
-
-    def product_d(
-        self,
-        left_stats: RelationStats,
-        right_stats: RelationStats,
-        output_stats: RelationStats,
-    ) -> float:
-        __ = left_stats, right_stats
-        return self.factors.p_prodd * output_stats.size
-
-    def taggr_d(
-        self, input_stats: RelationStats, output_stats: RelationStats
-    ) -> float:
-        return (
-            self.factors.p_taggd1 * input_stats.size
-            + self.factors.p_taggd2 * output_stats.size
-        )
-
-
 class PlanCoster:
     """Estimates the total cost of a complete logical plan tree.
 
-    Walks the tree once; each node contributes its algorithm cost given the
-    statistics of its inputs and output (derived by the
-    :class:`~repro.stats.cardinality.CardinalityEstimator`).
+    Walks the tree once; each node contributes its algorithm's ``cost``
+    column, which reads the statistics it needs off the
+    :class:`~repro.stats.cardinality.CardinalityEstimator`.
 
     With ``parallel_degree > 1`` the Figure 6 formulas gain the parallel
-    terms: partitionable work (transfers and unary middleware operators)
-    scales as ``startup · d + cost / d`` — per-partition scaling plus a
-    fixed startup per partition — while joins and differences (which the
-    compiler keeps serial) are charged unchanged.  ``parallel_degree=1``
-    reproduces the serial formulas exactly.
+    terms: an algorithm with a ``partition`` behaviour scales as
+    ``startup · d + cost / d`` — per-partition scaling plus a fixed startup
+    per partition — while the serial ones (joins, differences, everything in
+    the DBMS) are charged unchanged.  ``parallel_degree=1`` reproduces the
+    serial formulas exactly.
     """
 
     def __init__(
@@ -238,7 +77,7 @@ class PlanCoster:
         parallel_degree: int = 1,
     ):
         self.estimator = estimator
-        self.algorithms = AlgorithmCosts(factors or CostFactors())
+        self.factors = factors or CostFactors()
         self.parallel_degree = max(1, parallel_degree)
 
     def _parallel(self, cost: float) -> float:
@@ -246,7 +85,7 @@ class PlanCoster:
         degree = self.parallel_degree
         if degree <= 1:
             return cost
-        return self.algorithms.factors.p_par_startup * degree + cost / degree
+        return self.factors.p_par_startup * degree + cost / degree
 
     def cost(self, plan: Operator) -> float:
         """Total estimated cost of *plan* in microseconds."""
@@ -264,72 +103,12 @@ class PlanCoster:
 
     def node_cost(self, plan: Operator) -> float:
         """Cost of one node, excluding its subtree."""
-        algorithms = self.algorithms
-        estimate = self.estimator.estimate
-        in_middleware = plan.location is Location.MIDDLEWARE
-
-        if isinstance(plan, Scan):
-            return algorithms.scan_d(estimate(plan))
-        if isinstance(plan, TransferM):
-            return self._parallel(algorithms.transfer_m(estimate(plan.input)))
-        if isinstance(plan, TransferD):
-            return algorithms.transfer_d(estimate(plan.input))
-        if isinstance(plan, Select):
-            if in_middleware:
-                return self._parallel(
-                    algorithms.filter_m(plan.predicate, estimate(plan.input))
-                )
-            return 0.0  # selection in the DBMS is free (Section 3.1)
-        if isinstance(plan, Project):
-            if in_middleware:
-                return self._parallel(algorithms.project_m(estimate(plan.input)))
-            return 0.0  # projection in the DBMS is free (Section 3.1)
-        if isinstance(plan, Sort):
-            if in_middleware:
-                return self._parallel(algorithms.sort_m(estimate(plan.input)))
-            return algorithms.sort_d(estimate(plan.input))
-        if isinstance(plan, TemporalAggregate):
-            if in_middleware:
-                return self._parallel(
-                    algorithms.taggr_m(estimate(plan.input), estimate(plan))
-                )
-            return algorithms.taggr_d(estimate(plan.input), estimate(plan))
-        if isinstance(plan, TemporalJoin):
-            left, right = (estimate(child) for child in plan.inputs)
-            output = estimate(plan)
-            if in_middleware:
-                # TJOIN^M keeps each value pack sorted on T1 and stops at the
-                # first non-overlapping start, so its work tracks the actual
-                # output.
-                return algorithms.temporal_join_m(left, right, output)
-            # A generic DBMS plan evaluates the overlap predicate only after
-            # forming every key-matching pair, so the join is billed for the
-            # pre-overlap pair count.
-            pairs = self.estimator.equi_join_cardinality(
-                left, right, plan.left_attr, plan.right_attr
-            )
-            pair_stats = output.with_cardinality(max(pairs, output.cardinality))
-            return algorithms.join_d(left, right, pair_stats)
-        if isinstance(plan, Join):
-            left, right = (estimate(child) for child in plan.inputs)
-            output = estimate(plan)
-            if in_middleware:
-                return algorithms.join_m(left, right, output)
-            if right.attribute(plan.right_attr).has_index:
-                return algorithms.join_d_indexed(left, output)
-            if left.attribute(plan.left_attr).has_index:
-                return algorithms.join_d_indexed(right, output)
-            return algorithms.join_d(left, right, output)
-        if isinstance(plan, Product):
-            left, right = (estimate(child) for child in plan.inputs)
-            return algorithms.product_d(left, right, estimate(plan))
-        if isinstance(plan, Dedup):
-            if in_middleware:
-                return self._parallel(algorithms.dedup_m(estimate(plan.input)))
-            return algorithms.sort_d(estimate(plan.input))
-        if isinstance(plan, Coalesce):
-            return self._parallel(algorithms.coalesce_m(estimate(plan.input)))
-        if isinstance(plan, Difference):
-            left, right = (estimate(child) for child in plan.inputs)
-            return algorithms.difference_m(left, right)
-        raise OptimizerError(f"no cost rule for {type(plan).__name__}")
+        row = ALGORITHMS.get((type(plan), plan.location))
+        if row is None:
+            # No algorithm here — the ``Coalesce^D`` of a view's Section 3.1
+            # plan, which ``ViewManager.choose`` prices as it stands: borrow
+            # the price of the operator's algorithm on the other side, where
+            # the search (rule X1) puts it.
+            row = ALGORITHMS[type(plan), _M if plan.location is _D else _D]
+        cost = row.cost(self.factors, plan, self.estimator)
+        return cost if row.partition is None else self._parallel(cost)

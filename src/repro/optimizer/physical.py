@@ -1,7 +1,7 @@
 """Physical plan validity.
 
 A logical tree with locations *is* a physical plan in TANGO: each
-(operator, location) pair names exactly one algorithm — e.g. a
+(operator, location) pair names at most one algorithm — e.g. a
 ``TemporalAggregate`` at ``MIDDLEWARE`` is ``TAGGR^M``, at ``DBMS`` it is
 the 50-line SQL rewrite ``TAGGR^D``.  What makes a plan *invalid* is
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.algebra.operators import Location, Operator, Scan, TransferD, TransferM
 from repro.algebra.properties import guaranteed_order, needed_orders, satisfies_order
 from repro.errors import PlanError
+from repro.optimizer.algorithms import algorithm_for
 
 
 class PlanValidityError(PlanError):
@@ -30,26 +31,7 @@ class PlanValidityError(PlanError):
 
 def algorithm_name(plan: Operator) -> str:
     """The executable algorithm a plan node denotes, paper notation."""
-    mapping = {
-        "TransferM": "TRANSFER^M",
-        "TransferD": "TRANSFER^D",
-        "Scan": "SCAN^D",
-    }
-    if plan.name in mapping:
-        return mapping[plan.name]
-    base = {
-        "Select": "FILTER",
-        "Project": "PROJECT",
-        "Sort": "SORT",
-        "Join": "JOIN",
-        "TemporalJoin": "TJOIN",
-        "TemporalAggregate": "TAGGR",
-        "Dedup": "DEDUP",
-        "Coalesce": "COAL",
-        "Difference": "DIFF",
-        "Product": "PRODUCT",
-    }.get(plan.name, plan.name.upper())
-    return f"{base}^{plan.location.superscript}"
+    return algorithm_for(plan).name
 
 
 def validate_plan(plan: Operator) -> None:
@@ -71,18 +53,21 @@ def _check_locations(node: Operator) -> None:
                  "T^D input must reside in the middleware")
         return
     for child in node.inputs:
-        _require(
-            node,
-            child.location is node.location,
-            f"{algorithm_name(node)} input resides in "
-            f"{child.location.value}; a transfer operator is missing",
-        )
+        if child.location is not node.location:
+            _require(
+                node,
+                False,
+                # Not the algorithm's name: ``Coalesce^D`` may stand here and has none.
+                f"{node.label()} input resides in "
+                f"{child.location.value}; a transfer operator is missing",
+            )
 
 
 def _check_order_prerequisites(node: Operator) -> None:
-    # No algorithm at all (COAL^D) is the translator's to report, as ever:
-    # an initial plan is a valid starting point before rule X1 has moved it.
-    needs = needed_orders(node) or ()
+    # A node with no algorithm at all (``Coalesce^D``) passes: an initial plan
+    # is a valid starting point before rule X1 has moved it, and the executor
+    # refuses to compile one.
+    needs = needed_orders(node)
     for position, (child, needed) in enumerate(zip(node.inputs, needs), start=1):
         if not satisfies_order(child, needed):
             _require(

@@ -23,17 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algebra.operators import (
-    Dedup,
-    Difference,
-    Location,
-    Operator,
-    Project,
-    Select,
-    TransferD,
-    TransferM,
-)
+from repro.algebra.operators import Location, Operator, TransferD, TransferM
 from repro.algebra.properties import (
+    PASSES_ORDER_ON,
     delivered_order,
     guaranteed_order,
     needed_orders,
@@ -41,6 +33,7 @@ from repro.algebra.properties import (
 )
 from repro.errors import OptimizerError
 from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.optimizer.algorithms import ALGORITHMS
 from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.memo import Element, Memo
 from repro.optimizer.physical import validate_plan
@@ -48,10 +41,6 @@ from repro.optimizer.rules import Rule, default_rules
 from repro.stats.cardinality import CardinalityEstimator
 
 Order = tuple[str, ...]
-
-#: Operators whose middleware algorithm hands its first input's order on: a
-#: requirement on their output becomes one on that input.
-_ORDER_TRANSPARENT = (TransferM, Select, Project, Dedup, Difference)
 
 #: The transfers read their input on the other side.
 _ACROSS = {TransferM: Location.DBMS, TransferD: Location.MIDDLEWARE}
@@ -359,11 +348,10 @@ def _asks(template: Operator) -> tuple[Location, tuple[Order, ...]] | None:
     """What *template*'s algorithm asks of its inputs, whoever consumes its
     output: where they run and the order it needs of each — or None when
     there is no such algorithm."""
-    needs = needed_orders(template)
-    if needs is None:
+    if (type(template), template.location) not in ALGORITHMS:
         return None
     location = _ACROSS.get(type(template)) or template.location
-    return location, tuple(map(_lower, needs))
+    return location, tuple(map(_lower, needed_orders(template)))
 
 
 def _asked_under(
@@ -371,7 +359,7 @@ def _asked_under(
 ) -> tuple[Order, ...] | None:
     """*asked* when the consumer requires the order *required*, or None if
     *template* can never deliver it."""
-    if isinstance(template, _ORDER_TRANSPARENT):
+    if isinstance(template, PASSES_ORDER_ON):
         pushed = _lower(source_order(template, required))
         if len(pushed) < len(required):
             return None  # a projection that computes a required column

@@ -26,10 +26,9 @@ Shapes with no delta rule (``Join``, ``Product``, ``Dedup``,
 falls back to a full recompute — incremental maintenance is an
 optimization, never a semantics change.
 
-Sub-plan evaluation reuses the *actual* middleware cursors
-(:class:`~repro.xxl.temporal_aggregate.TemporalAggregateCursor`,
-:class:`~repro.xxl.temporal_join.TemporalJoinCursor`,
-:class:`~repro.xxl.coalesce.CoalesceCursor`) over in-memory relations,
+Sub-plan evaluation opens the *actual* middleware algorithms — ``TAGGR^M``,
+``TJOIN^M``, ``COAL^M``, through their rows in
+:data:`~repro.optimizer.algorithms.ALGORITHMS` — over in-memory relations,
 so the delta path computes with exactly the semantics the engine would —
 the equivalence wall in ``tests/property/test_prop_views.py`` holds by
 construction, not by re-implementation.
@@ -58,11 +57,9 @@ from repro.algebra.operators import (
 from repro.algebra.properties import needed_orders
 from repro.algebra.rows import canonical_rows, canonical_sort_key
 from repro.errors import ViewError
-from repro.xxl.coalesce import CoalesceCursor
+from repro.optimizer.algorithms import algorithm_for
 from repro.xxl.cursor import materialize
 from repro.xxl.sources import RelationCursor
-from repro.xxl.temporal_aggregate import TemporalAggregateCursor
-from repro.xxl.temporal_join import TemporalJoinCursor
 
 
 class DeltaUnsupported(ViewError):
@@ -192,23 +189,13 @@ def _order_key(positions: Sequence[int]):
 def _run_sorted(node: Operator, *inputs: list[tuple]) -> list[tuple]:
     """*node*'s middleware algorithm over in-memory *inputs*, each sorted
     on what the algorithm needs of it."""
-    needs = needed_orders(node.located(Location.MIDDLEWARE))
+    node = node.located(Location.MIDDLEWARE)
     cursors = []
-    for child, rows, needed in zip(node.inputs, inputs, needs):
+    for child, rows, needed in zip(node.inputs, inputs, needed_orders(node)):
         schema = child.schema
         key = _order_key([schema.index_of(name) for name in needed])
         cursors.append(RelationCursor(schema, sorted(rows, key=key)))
-    if isinstance(node, TemporalAggregate):
-        cursor = TemporalAggregateCursor(
-            *cursors, node.group_by, node.aggregates, node.period
-        )
-    elif isinstance(node, Coalesce):
-        cursor = CoalesceCursor(*cursors, node.period)
-    else:
-        cursor = TemporalJoinCursor(
-            *cursors, node.left_attr, node.right_attr, node.period
-        )
-    return materialize(cursor)
+    return materialize(algorithm_for(node).open(node, cursors))
 
 
 # -- the delta rules -------------------------------------------------------------------

@@ -7,7 +7,7 @@ central invariant checkable byte-for-byte: an incremental refresh and a
 full recompute that agree as multisets store *identical* table contents.
 
 Per refresh the chooser prices both strategies with the paper's Figure 6
-formulas (:class:`~repro.optimizer.costs.AlgorithmCosts`):
+formulas (:mod:`repro.optimizer.algorithms`):
 
 * **full recompute** — the optimizer's cost for the view plan plus a
   ``TRANSFER^D``-shaped reload of the result;
@@ -42,7 +42,7 @@ from repro.algebra.schema import Schema
 from repro.dbms.loader import DirectPathLoader
 from repro.errors import ExecutionError, ViewError
 from repro.obs.explain import ExplainAnalyzeReport
-from repro.optimizer.costs import AlgorithmCosts
+from repro.optimizer.algorithms import sort_m, transfer_d
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import RelationStats
 from repro.stats.fingerprint import plan_fingerprint
@@ -244,7 +244,7 @@ class ViewManager:
         blind_estimator = CardinalityEstimator(
             planner.collector, planner.predicate_estimator
         )
-        algorithms = AlgorithmCosts(planner.factors)
+        factors = planner.factors
         plan_cost = planner.coster(blind_estimator).cost(view.plan)
 
         table = self.db.table(view.name)
@@ -277,15 +277,15 @@ class ViewManager:
             max(1.0, churn * view_card_est)
         )
 
-        full_cost = plan_cost + algorithms.transfer_d(stored_stats)
+        full_cost = plan_cost + transfer_d(factors, stored_stats)
         incremental_cost = (
             REFRESH_OVERHEAD_US
             + churn * plan_cost
-            + algorithms.transfer_d(delta_out_stats)
+            + transfer_d(factors, delta_out_stats)
             # Re-merging and re-ordering the stored contents, priced at
             # the cardinality the chooser *believes* the view has.
-            + algorithms.sort_m(estimated_stats)
-            + algorithms.transfer_d(estimated_stats)
+            + sort_m(factors, estimated_stats)
+            + transfer_d(factors, estimated_stats)
         )
         if incremental_cost < full_cost:
             strategy, reason = "incremental", f"cheaper ({estimate_source} estimate)"

@@ -174,6 +174,24 @@ class TestFallback:
         assert len(spans) == 1
         assert spans[0].attributes["retries"] > 0
 
+    def test_no_fallback_when_the_initial_plan_cannot_run(self, chaos_db):
+        # A coalescing query's Section 3.1 plan holds a ``Coalesce^D``, which
+        # no algorithm evaluates (rule X1 is what makes the query runnable):
+        # there is no all-DBMS plan to fall back to, so the outage surfaces
+        # as what it is — not as a PlanError from a fallback that cannot run.
+        injector = FaultInjector(FaultPolicy(round_trip_p=1.0), seed=CHAOS_SEED)
+        config = TangoConfig(tracing=True, workers=2)  # workers: there is a pool
+        with Tango(chaos_db, config=config, fault_injector=injector) as tango:
+            with pytest.raises(RetryExhaustedError) as raised:
+                tango.query("VALIDTIME COALESCED SELECT PosID FROM POSITION")
+            # ... and as it was raised: not chained from a fallback's failure.
+            assert not isinstance(raised.value.__cause__, RetryExhaustedError)
+            assert tango.metrics.value("fallbacks") == 0
+            assert tango.metrics.value("retries") > 0
+            assert not tango.tracer.spans[-1].find_all(kind="fallback")
+            assert tango.pool.in_use == 0
+        assert_no_leaked_temp_tables(chaos_db)
+
 
 class TestDeadline:
     def test_deadline_violation_raises_with_partial_trace(self, chaos_db):

@@ -4,16 +4,22 @@ import pytest
 
 from repro.algebra.builder import scan
 from repro.algebra.expressions import And, Comparison, col, lit
+from repro.algebra.operators import Location, Select, TemporalAggregate
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
-from repro.optimizer.costs import (
-    AlgorithmCosts,
-    CostFactors,
-    PlanCoster,
+from repro.optimizer.algorithms import (
+    ALGORITHMS,
     predicate_complexity,
+    sort_m,
+    transfer_d,
+    transfer_m,
 )
+from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import RelationStats, StatisticsCollector
+from tests.unit.test_algorithms import Statistics
+
+MW, DB = Location.MIDDLEWARE, Location.DBMS
 
 
 @pytest.fixture
@@ -39,39 +45,44 @@ def stats(cardinality, width=10):
 class TestFormulas:
     def test_transfer_m_two_term_formula(self):
         # Section 3.2: "the number and size of the tuples transferred".
-        algorithms = AlgorithmCosts(CostFactors(p_tm=2.0, p_tmr=5.0))
-        assert algorithms.transfer_m(stats(100, 10)) == 100 * 5.0 + 2000.0
+        factors = CostFactors(p_tm=2.0, p_tmr=5.0)
+        assert transfer_m(factors, stats(100, 10)) == 100 * 5.0 + 2000.0
 
     def test_transfer_d_two_term_formula(self):
-        algorithms = AlgorithmCosts(CostFactors(p_td=3.0, p_tdr=1.0))
-        assert algorithms.transfer_d(stats(10, 10)) == 10 * 1.0 + 300.0
+        factors = CostFactors(p_td=3.0, p_tdr=1.0)
+        assert transfer_d(factors, stats(10, 10)) == 10 * 1.0 + 300.0
 
     def test_transfer_cost_monotone_in_rows_at_fixed_bytes(self):
-        algorithms = AlgorithmCosts(CostFactors())
-        few_wide = algorithms.transfer_m(stats(10, 100))
-        many_narrow = algorithms.transfer_m(stats(100, 10))
+        few_wide = transfer_m(CostFactors(), stats(10, 100))
+        many_narrow = transfer_m(CostFactors(), stats(100, 10))
         assert many_narrow > few_wide  # same bytes, 10x the tuples
 
-    def test_filter_m_scales_with_predicate_complexity(self):
-        algorithms = AlgorithmCosts(CostFactors(p_sem=1.0))
+    def test_filter_m_scales_with_predicate_complexity(self, db):
+        factors = CostFactors(p_sem=1.0)
         simple = Comparison("<", col("T1"), lit(5))
         compound = And((simple, Comparison(">", col("T2"), lit(1))))
-        assert algorithms.filter_m(compound, stats(10)) == pytest.approx(
-            2 * algorithms.filter_m(simple, stats(10))
-        )
 
-    def test_taggr_m_combines_input_and_output(self):
-        algorithms = AlgorithmCosts(CostFactors(p_taggm1=1.0, p_taggm2=2.0))
-        assert algorithms.taggr_m(stats(10, 10), stats(5, 10)) == 100 + 100
+        def filter_m(predicate):
+            node = scan(db, "R").to_middleware().select(predicate).build()
+            return ALGORITHMS[Select, MW].cost(factors, node, Statistics(node, stats(10)))
 
-    def test_taggr_d_uses_own_factors(self):
-        algorithms = AlgorithmCosts(CostFactors(p_taggd1=5.0, p_taggd2=0.0))
-        assert algorithms.taggr_d(stats(10, 10), stats(1, 10)) == 500.0
+        assert filter_m(compound) == pytest.approx(2 * filter_m(simple))
+
+    def test_taggr_m_combines_input_and_output(self, db):
+        factors = CostFactors(p_taggm1=1.0, p_taggm2=2.0)
+        node = scan(db, "R").to_middleware().taggr(group_by=["K"], count="K").build()
+        statistics = Statistics(node, stats(10, 10), out=stats(5, 10))
+        assert ALGORITHMS[TemporalAggregate, MW].cost(factors, node, statistics) == 100 + 100
+
+    def test_taggr_d_uses_own_factors(self, db):
+        factors = CostFactors(p_taggd1=5.0, p_taggd2=0.0)
+        node = scan(db, "R").taggr(group_by=["K"], count="K").build()
+        statistics = Statistics(node, stats(10, 10), out=stats(1, 10))
+        assert ALGORITHMS[TemporalAggregate, DB].cost(factors, node, statistics) == 500.0
 
     def test_sort_cost_superlinear(self):
-        algorithms = AlgorithmCosts(CostFactors())
-        small = algorithms.sort_m(stats(100))
-        large = algorithms.sort_m(stats(10_000))
+        small = sort_m(CostFactors(), stats(100))
+        large = sort_m(CostFactors(), stats(10_000))
         assert large > 100 * small / 100  # grows faster than linear per byte
 
     def test_predicate_complexity_counts_comparisons(self):

@@ -35,7 +35,7 @@ from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
-from repro.optimizer.physical import algorithm_name
+from repro.optimizer.algorithms import algorithm_for
 from repro.resilience import FaultInjector, FaultPolicy
 from repro.workloads import queries
 from repro.xxl import (
@@ -344,11 +344,13 @@ def test_declared_inputs_reach_every_compiled_cursor(uis_db, monkeypatch, name, 
     assert execution.describe().count("\n") + 1 >= len(reached)
     nodes = {id(node) for node in plan.walk()}
     for cursor in reached:
-        # Every cursor carries its plan node, and the label next to the
-        # algorithm is the one the optimizer prints for that node.
+        # Every cursor carries its plan node, and is an instance of the class
+        # that node's row names — true by construction since the compiler
+        # opens cursors through the row (a partition's pooled TRANSFER^M is a
+        # subclass), which is also why the two labels can no longer differ.
         assert cursor.node is not None and id(cursor.node) in nodes
         if cursor.algorithm != "EXCHANGE":
-            assert cursor.algorithm == algorithm_name(cursor.node)
+            assert isinstance(cursor, algorithm_for(cursor.node).cursor)
     if workers > 1 and name == "Q1":
         assert any(isinstance(cursor, ExchangeCursor) for cursor in reached)
 

@@ -19,8 +19,11 @@ describes itself — the cursor library knows nothing of who observes or
 compiles it, the observers know the cursor *protocol* and no concrete
 cursor, nobody finds a cursor's children by probing ``_input``/``_left``/
 ``_right``, and no cursor→plan-node ``registry`` is threaded anywhere; the
-fuzzer is imported by nothing it tests; and ``optimizer/rules.py`` has one
-``apply``, the only place a rule touches the memo.
+fuzzer is imported by nothing it tests; ``optimizer/rules.py`` has one
+``apply``, the only place a rule touches the memo; the initial plan is
+pruned in one place; and the cursor class for a plan node is named in the
+algorithm table and nowhere else, an operator wired in the ten modules of
+DESIGN.md §19's checklist.
 """
 
 import ast
@@ -395,3 +398,77 @@ def test_the_initial_plan_is_pruned_in_planner_plan_and_nowhere_else():
     assert prune_calls({"p.py": ast.parse(parent_style)}) == [
         "p.py:_search", "p.py:parse_temporal_query",
     ]
+
+
+# -- one row per algorithm: who may name a cursor class, who names an operator ------------
+
+ALGORITHM_CURSORS = {
+    "FilterCursor", "ProjectCursor", "SortCursor", "TemporalAggregateCursor",
+    "TemporalJoinCursor", "MergeJoinCursor", "DedupCursor", "CoalesceCursor",
+    "DifferenceCursor",
+}
+#: The table, and the calibration probes, which time an implementation (not
+#: a plan) and build their cursors by hand on purpose.
+MAY_NAME_A_CURSOR = {"optimizer/algorithms.py", "optimizer/calibration.py"}
+
+
+def imported_names(tree: ast.AST) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def cursor_class_imports(trees: dict[str, ast.AST]) -> list[str]:
+    """``file: Cursor`` for every concrete non-transfer cursor class imported
+    outside the cursor library and the two modules allowed to.  The sources
+    (``RelationCursor``), the transfers and the exchange are not algorithms
+    of an operator and may be named anywhere."""
+    return sorted(
+        f"{where}: {name}"
+        for where, tree in trees.items()
+        if not where.startswith("xxl/") and where not in MAY_NAME_A_CURSOR
+        for name in imported_names(tree) & ALGORITHM_CURSORS
+    )
+
+
+def test_the_cursor_for_a_plan_node_is_named_in_the_table_and_nowhere_else():
+    trees = parsed_sources()
+    assert cursor_class_imports(trees) == []
+    # Not vacuous: the table itself names all nine, and the parent's compiler
+    # and view evaluator are caught.
+    assert ALGORITHM_CURSORS <= imported_names(trees["optimizer/algorithms.py"])
+    parent_style = {
+        "core/plans.py": ast.parse("from repro.xxl import Cursor, FilterCursor, SQLCursor\n"),
+        "views/delta.py": ast.parse(
+            "from repro.xxl.coalesce import CoalesceCursor\n"
+            "from repro.xxl.sources import RelationCursor\n"
+        ),
+        "xxl/__init__.py": ast.parse("from repro.xxl.sort import SortCursor\n"),
+        "optimizer/calibration.py": ast.parse("from repro.xxl.sort import SortCursor\n"),
+    }
+    assert cursor_class_imports(parent_style) == [
+        "core/plans.py: FilterCursor", "views/delta.py: CoalesceCursor",
+    ]
+
+
+#: DESIGN.md §19's checklist for adding an operator, as the modules that name
+#: ``Coalesce``: the class and its export, the builder verb, the syntax; order
+#: and reads; its rules; its cardinality rule; its row; its delta rule; the
+#: fuzzer's generator and emitter.
+NAMES_COALESCE = {
+    "algebra/operators.py", "algebra/__init__.py", "algebra/builder.py", "core/parser.py",
+    "algebra/properties.py", "optimizer/rules.py", "stats/cardinality.py",
+    "optimizer/algorithms.py", "views/delta.py", "fuzz/generator.py", "fuzz/codegen.py",
+}
+
+
+def test_an_operator_is_wired_in_the_ten_places_of_the_checklist():
+    trees = parsed_sources()
+    importing = {where for where, tree in trees.items() if "Coalesce" in imported_names(tree)}
+    # The parent's twelve: the compiler, the coster and the partitioner each
+    # had a branch of their own for it.
+    assert importing == NAMES_COALESCE - {"algebra/operators.py"}
+    assert len(importing) == 10
