@@ -24,6 +24,12 @@ Asserted here:
 * the churn level where the chooser's decision actually crosses from
   incremental to full is measured and reported, not assumed.
 
+Reported beside it, not asserted: per swept churn and for both view
+shapes of the ``view_churn`` workload (the join above as ``VJ``, a
+``TAGGR`` view as ``VA``), the chooser's two estimates, the two measured
+refresh times and the pick — where an estimate and a measurement disagree
+about which side is cheaper, the table shows it.
+
 Numbers land in ``BENCH_VIEWS_JSON`` (default ``BENCH_views.json``) so
 CI can gate and archive the run.
 """
@@ -113,7 +119,12 @@ def make_tango() -> Tango:
     return Tango(db)
 
 
-def view_plan(db):
+VA_SQL = "VALIDTIME SELECT K0, COUNT(K0) FROM BASE GROUP BY K0 ORDER BY K0"
+
+
+def view_plan(db, shape: str = "VJ"):
+    if shape == "VA":
+        return VA_SQL
     return (
         scan(db, "BASE")
         .temporal_join(scan(db, "DIM").build(), "K0", "K0")
@@ -128,20 +139,22 @@ def refresh_timed(tango: Tango, strategy):
     return time.perf_counter() - begin, outcome
 
 
-def scratch_rows(tango: Tango) -> list[tuple]:
-    plan = view_plan(tango.db)
+def scratch_rows(tango: Tango, shape: str = "VJ") -> list[tuple]:
+    plan = view_plan(tango.db, shape)
     return canonical_rows(tango.execute_plan(tango.optimize(plan).plan).rows)
 
 
-def run_stream(churn: float, stream_seed: int):
-    """Twin instances, identical batches; chooser vs always-full.
+def run_stream(churn: float, stream_seed: int, shape: str = "VJ", strategy=None):
+    """Twin instances, identical batches; the chooser (or a forced
+    *strategy*) vs always-full.
 
-    Returns (best chooser seconds, best full seconds, strategies picked,
-    total delta rows applied).
+    Returns (best seconds of the first twin, best full seconds, strategies
+    that ran, total delta rows applied, the chooser's decision for the
+    first batch).
     """
     chooser, full = make_tango(), make_tango()
-    chooser.create_view("V", view_plan(chooser.db))
-    full.create_view("V", view_plan(full.db))
+    chooser.create_view("V", view_plan(chooser.db, shape))
+    full.create_view("V", view_plan(full.db, shape))
     batches = generate_update_stream(
         base_spec(),
         UpdateStreamSpec(
@@ -149,57 +162,68 @@ def run_stream(churn: float, stream_seed: int):
         ),
     )
     best_chooser, best_full = float("inf"), float("inf")
-    strategies, delta_rows = [], 0
+    strategies, delta_rows, decision = [], 0, None
     for batch in batches:
         delta_rows += batch.rows
         chooser.apply_updates("BASE", batch.inserts, batch.deletes)
         full.apply_updates("BASE", batch.inserts, batch.deletes)
-        elapsed, outcome = refresh_timed(chooser, None)
+        decision = decision or chooser.views.choose("V")
+        elapsed, outcome = refresh_timed(chooser, strategy)
         best_chooser = min(best_chooser, elapsed)
         strategies.append(outcome.strategy)
         elapsed, _ = refresh_timed(full, "full")
         best_full = min(best_full, elapsed)
         assert list(chooser.db.table("V").rows) == list(full.db.table("V").rows)
     # Whatever path was taken, the view is byte-identical to scratch.
-    assert list(chooser.db.table("V").rows) == scratch_rows(chooser)
+    assert list(chooser.db.table("V").rows) == scratch_rows(chooser, shape)
     chooser.close()
     full.close()
-    return best_chooser, best_full, strategies, delta_rows
+    return best_chooser, best_full, strategies, delta_rows, decision
 
 
-def measure_crossover() -> float | None:
-    """The lowest swept churn where the chooser's decision is full."""
+def measure_sweep(shape: str) -> list[dict]:
+    """Per swept churn: what the chooser estimates for each strategy (for
+    the first batch), what each takes when forced, and which it picks."""
+    sweep = []
     for churn in CROSSOVER_SWEEP:
-        tango = make_tango()
-        tango.create_view("V", view_plan(tango.db))
-        batch = generate_update_stream(
-            base_spec(),
-            UpdateStreamSpec(
-                batches=1, churn=churn, insert_fraction=0.5, seed=29
-            ),
-        )[0]
-        tango.apply_updates("BASE", batch.inserts, batch.deletes)
-        decision = tango.views.choose("V")
-        tango.close()
-        if decision.strategy == "full":
-            return churn
-    return None
+        incremental, full, strategies, _, decision = run_stream(
+            churn, 29, shape, strategy="incremental"
+        )
+        assert set(strategies) == {"incremental"}, strategies
+        sweep.append(
+            {
+                "churn": churn,
+                "estimated_incremental_ms": decision.estimated_incremental_us / 1e3,
+                "estimated_full_ms": decision.estimated_full_us / 1e3,
+                "incremental_ms": incremental * 1e3,
+                "full_ms": full * 1e3,
+                "picked": decision.strategy,
+                "faster": "incremental" if incremental < full else "full",
+            }
+        )
+    return sweep
+
+
+def crossover_of(sweep: list[dict]) -> float | None:
+    """The lowest swept churn where the chooser's decision is full."""
+    return next((row["churn"] for row in sweep if row["picked"] == "full"), None)
 
 
 def test_incremental_maintenance_beats_full_recompute():
-    t_inc, t_full_low, low_strategies, low_delta = run_stream(LOW_CHURN, 17)
+    t_inc, t_full_low, low_strategies, low_delta, _ = run_stream(LOW_CHURN, 17)
     assert all(strategy == "incremental" for strategy in low_strategies), (
         f"the chooser abandoned the incremental path at {LOW_CHURN:.0%} "
         f"churn: {low_strategies}"
     )
-    t_high, t_full_high, high_strategies, high_delta = run_stream(
+    t_high, t_full_high, high_strategies, high_delta, _ = run_stream(
         HIGH_CHURN, 23
     )
     assert all(strategy == "full" for strategy in high_strategies), (
         f"the chooser kept merging deltas at {HIGH_CHURN:.0%} churn: "
         f"{high_strategies}"
     )
-    crossover = measure_crossover()
+    sweeps = {shape: measure_sweep(shape) for shape in ("VJ", "VA")}
+    crossover = crossover_of(sweeps["VJ"])
 
     speedup = t_full_low / t_inc
     high_ratio = t_high / t_full_high
@@ -217,6 +241,21 @@ def test_incremental_maintenance_beats_full_recompute():
              "-", "-", "decision flips"],
         ],
     )
+    for shape, sweep in sweeps.items():
+        print_series(
+            f"Refresh chooser on {shape}: estimates vs measurements "
+            f"(ms, best of {ROUNDS})",
+            ["churn", "est incr", "est full", "incr", "full", "picked", "faster"],
+            [
+                [f"{row['churn']:.1%}"]
+                + [f"{row[key]:.1f}" for key in (
+                    "estimated_incremental_ms", "estimated_full_ms",
+                    "incremental_ms", "full_ms",
+                )]
+                + [row["picked"], row["faster"]]
+                for row in sweep
+            ],
+        )
     record(
         "views",
         {
@@ -236,6 +275,7 @@ def test_incremental_maintenance_beats_full_recompute():
             "low_churn_speedup": speedup,
             "high_churn_ratio": high_ratio,
             "crossover_churn": crossover,
+            "chooser_sweep": sweeps,
             "min_speedup_required": MIN_SPEEDUP,
             "max_high_churn_loss": MAX_HIGH_CHURN_LOSS,
         },

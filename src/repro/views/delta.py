@@ -3,7 +3,8 @@
 An update batch against a base table is a *signed multiset*: rows
 inserted and rows deleted.  :func:`compute_delta` propagates such deltas
 through an operator tree, producing the signed multiset of output rows
-that changed — without re-running the full plan:
+that changed — without re-running the full plan, and at a cost that
+follows the delta, not the base:
 
 * ``Select``/``Project`` distribute over deltas (filter or map both
   signs independently);
@@ -13,13 +14,32 @@ that changed — without re-running the full plan:
 * ``TemporalJoin`` uses the bilinear rule
   ``Δ(L ⋈ S) = ΔL ⋈ S_new  +  L_old ⋈ ΔS``
   (signs multiply through: deleted left rows join positively against the
-  new right state but land on the delete side of the output delta);
-* ``TemporalAggregate``/``Coalesce`` recompute *affected groups* only —
-  the groups whose key appears in the input delta are re-evaluated on
-  the old and the new input state, the old results becoming deletes and
-  the new results inserts (the interval delta-merge / re-coalesce of the
-  touched groups).  A grouping-free aggregate degenerates to a
-  whole-node recompute, still without touching the DBMS.
+  new right state but land on the delete side of the output delta); the
+  undelta'd side is cut down to the join keys the delta carries before it
+  is sorted, once for both signs;
+* ``TemporalAggregate`` is *time-local* (Section 3.4: "between two
+  consecutive instants the set of valid tuples is constant", so a result
+  row depends only on the rows valid during it).  Per group with changed
+  rows — one group, the empty key, when there is no ``GROUP BY`` — take
+  the hull ``[lo, hi)`` of the changed rows' periods and widen each end to
+  the nearest start or end instant of an *unchanged* row of the group.
+  ``TAGGR^M`` then sees, once for the old and once for the new state, only
+  the group's rows that overlap that window, clipped to it.  This is exact:
+  the edges are instants of unchanged rows, hence breakpoints of both
+  states that no result row straddles; outside the window both states hold
+  the same rows, hence the same result rows, which are neither computed
+  nor netted; inside it clipping changes no row's validity at any instant
+  and adds no instant but the edges.  What clipping does change is the
+  period columns themselves: an aggregate that reads one as a value
+  (``MAX(T1)``) has no rule and raises :class:`DeltaUnsupported`.  (Float
+  ``SUM``/``AVG`` slide in a different order than a recompute would, and
+  stay equal to it after the :data:`~repro.algebra.rows.FLOAT_DIGITS`
+  rounding of the stored form — the contract between any two plans.)
+* ``Coalesce`` recomputes its *affected groups* whole, on the old and the
+  new state.  Its output boundaries depend on periods that *meet* — a row
+  clipped at a window edge would stop meeting its neighbour outside — so
+  no window is exact; and its groups are value-equivalence classes, a few
+  rows each, so there is little to cut.
 
 Shapes with no delta rule (``Join``, ``Product``, ``Dedup``,
 ``Difference``) raise :class:`DeltaUnsupported`; the refresh machinery
@@ -36,8 +56,11 @@ construction, not by re-implementation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from repro.algebra.expressions import compile_row
@@ -55,7 +78,7 @@ from repro.algebra.operators import (
     TransferM,
 )
 from repro.algebra.properties import needed_orders
-from repro.algebra.rows import canonical_rows, canonical_sort_key
+from repro.algebra.rows import canonical_sort_key, normalize_rows
 from repro.errors import ViewError
 from repro.optimizer.algorithms import algorithm_for
 from repro.xxl.cursor import materialize
@@ -96,26 +119,49 @@ def net_delta(
 ) -> tuple[list[tuple], list[tuple]]:
     """Cancel rows that appear on both sides (delete-then-reinsert is a
     no-op on multiset content); returns the netted (inserts, deletes)."""
-    ins = Counter(tuple(row) for row in inserts)
-    dels = Counter(tuple(row) for row in deletes)
+    ins = Counter(map(tuple, inserts))
+    dels = Counter(map(tuple, deletes))
     common = ins & dels
-    ins -= common
-    dels -= common
-    return _expand(ins), _expand(dels)
+    if common:
+        ins -= common
+        dels -= common
+    return list(ins.elements()), list(dels.elements())
 
 
-def _expand(counts: Counter) -> list[tuple]:
-    return [row for row, count in counts.items() for _ in range(count)]
+def _subtract(rows: Iterable[tuple], removed: Sequence[tuple], what: str) -> list[tuple]:
+    """*rows* minus *removed* as multisets, in the order of *rows*.
+
+    The rows nothing removes — nearly all of them — cost one C-level
+    membership test each.  A removed row *rows* does not hold (often
+    enough) means the *what* and the delta drifted apart:
+    :class:`DeltaMismatch`.
+    """
+    if not removed:
+        return list(rows)
+    rows = rows if isinstance(rows, list) else list(rows)
+    remaining = Counter(map(tuple, removed))
+    kept: list[tuple] = []
+    previous = 0
+    for index in compress(count(), map(remaining.__contains__, rows)):
+        row = rows[index]
+        if remaining[row]:
+            remaining[row] -= 1
+            kept.extend(rows[previous:index])
+            previous = index + 1
+    kept.extend(rows[previous:])
+    for row, missing in remaining.items():
+        if missing:
+            raise DeltaMismatch(
+                f"the delta removes {missing} more of {row!r} than the {what} "
+                "holds; the two have drifted apart"
+            )
+    return kept
 
 
 class DeltaState:
-    """Base-table state for one refresh: current contents plus the pending
-    signed deltas, from which the pre-update contents are reconstructed.
-
-    ``new_rows`` is what the DBMS holds now; ``old_rows`` is what it held
-    at the last refresh — current rows minus the pending inserts plus the
-    pending deletes, as multisets.
-    """
+    """Base-table state for one refresh: the current contents (what the
+    DBMS holds now) plus the pending signed deltas, from which the delta
+    rules reconstruct whatever they need of the pre-update state."""
 
     def __init__(self, db, deltas: dict[str, tuple[list[tuple], list[tuple]]]):
         self._db = db
@@ -126,23 +172,6 @@ class DeltaState:
 
     def new_rows(self, table: str) -> list[tuple]:
         return list(self._db.table(table).rows)
-
-    def old_rows(self, table: str) -> list[tuple]:
-        rows = self.new_rows(table)
-        inserts, deletes = self.delta(table)
-        if not inserts and not deletes:
-            return rows
-        counts = Counter(rows)
-        for row in inserts:
-            row = tuple(row)
-            if counts[row] <= 0:
-                raise DeltaMismatch(
-                    f"pending insert {row!r} is absent from {table!r}; the "
-                    "delta log and the table have drifted apart"
-                )
-            counts[row] -= 1
-        counts.update(tuple(row) for row in deletes)
-        return _expand(+counts)
 
 
 # -- sub-plan evaluation (the real cursors over in-memory relations) -------------------
@@ -177,25 +206,32 @@ def _output_func(node: Project):
     return compile_row([e for _, e in node.outputs], node.input.schema)
 
 
-def _order_key(positions: Sequence[int]):
-    """Sort key over selected columns; NULLs last, per column."""
+def _sorted_input(node: Operator, index: int, rows: list[tuple]) -> list[tuple]:
+    """*rows* in the order the middleware algorithm of *node* needs on its
+    input number *index*; NULLs last, per column."""
+    schema = node.inputs[index].schema
+    needed = needed_orders(node.located(Location.MIDDLEWARE))[index]
+    positions = [schema.index_of(name) for name in needed]
+    if not positions:
+        return rows
+    return sorted(rows, key=lambda row: tuple((row[p] is None, row[p]) for p in positions))
 
-    def key(row: tuple) -> tuple:
-        return tuple((row[p] is None, row[p]) for p in positions)
 
-    return key
+def _run(node: Operator, *inputs: list[tuple]) -> list[tuple]:
+    """*node*'s middleware algorithm over in-memory *inputs*, each already
+    in the order the algorithm needs of it."""
+    node = node.located(Location.MIDDLEWARE)
+    cursors = [
+        RelationCursor(child.schema, rows) for child, rows in zip(node.inputs, inputs)
+    ]
+    return materialize(algorithm_for(node).open(node, cursors))
 
 
 def _run_sorted(node: Operator, *inputs: list[tuple]) -> list[tuple]:
-    """*node*'s middleware algorithm over in-memory *inputs*, each sorted
-    on what the algorithm needs of it."""
-    node = node.located(Location.MIDDLEWARE)
-    cursors = []
-    for child, rows, needed in zip(node.inputs, inputs, needed_orders(node)):
-        schema = child.schema
-        key = _order_key([schema.index_of(name) for name in needed])
-        cursors.append(RelationCursor(schema, sorted(rows, key=key)))
-    return materialize(algorithm_for(node).open(node, cursors))
+    """:func:`_run` over *inputs* in any order: each is sorted first."""
+    return _run(
+        node, *(_sorted_input(node, index, rows) for index, rows in enumerate(inputs))
+    )
 
 
 # -- the delta rules -------------------------------------------------------------------
@@ -237,51 +273,64 @@ def compute_delta(node: Operator, state: DeltaState) -> Delta:
 def _rewind(new_rows: Iterable[tuple], delta: Delta) -> list[tuple]:
     """The pre-update multiset of an operator's output: its current rows
     minus the delta's inserts plus its deletes (delta rules are exact, so
-    this reconstruction is too).  An insert absent from the current rows
-    means the delta log and the data drifted apart."""
-    counts = Counter(tuple(row) for row in new_rows)
-    for row in delta.inserts:
-        row = tuple(row)
-        if counts[row] <= 0:
-            raise DeltaMismatch(
-                f"pending insert {row!r} is absent from the current state; "
-                "the delta log and the data have drifted apart"
-            )
-        counts[row] -= 1
-    counts.update(tuple(row) for row in delta.deletes)
-    return _expand(+counts)
+    this reconstruction is too)."""
+    return _subtract(new_rows, delta.inserts, "current state") + list(delta.deletes)
+
+
+def _having(rows: list[tuple], key_of: Callable, keys) -> list[tuple]:
+    """The *rows* whose key is among *keys*, in one C-level pass."""
+    return list(compress(rows, map(keys.__contains__, map(key_of, rows))))
 
 
 def _temporal_join_delta(node: TemporalJoin, state: DeltaState) -> Delta:
-    """The bilinear rule: ``Δ(L ⋈ S) = ΔL ⋈ S_new + L_old ⋈ ΔS``."""
+    """The bilinear rule: ``Δ(L ⋈ S) = ΔL ⋈ S_new + L_old ⋈ ΔS``.
+
+    Either term joins a delta against a whole input of which only the rows
+    sharing a join key with the delta can match: the rest is dropped before
+    the sort, and what is left is sorted once for both signs.
+    """
     left_delta = compute_delta(node.left, state)
     right_delta = compute_delta(node.right, state)
-    if left_delta.empty() and right_delta.empty():
-        return Delta()
+    left_key = itemgetter(node.left.schema.index_of(node.left_attr))
+    right_key = itemgetter(node.right.schema.index_of(node.right_attr))
     inserts: list[tuple] = []
     deletes: list[tuple] = []
     if not left_delta.empty():
-        right_new = evaluate(node.right, state.new_rows)
-        inserts.extend(_run_sorted(node, left_delta.inserts, right_new))
-        deletes.extend(_run_sorted(node, left_delta.deletes, right_new))
+        keys = set(map(left_key, left_delta.inserts + left_delta.deletes))
+        right_new = _having(evaluate(node.right, state.new_rows), right_key, keys)
+        right_new = _sorted_input(node, 1, right_new)
+        inserts += _run(node, _sorted_input(node, 0, left_delta.inserts), right_new)
+        deletes += _run(node, _sorted_input(node, 0, left_delta.deletes), right_new)
     if not right_delta.empty():
+        keys = set(map(right_key, right_delta.inserts + right_delta.deletes))
+        # Rewound whole, cut down after: every pending insert is checked
+        # against the current state, not only those the delta can join.
         left_old = _rewind(evaluate(node.left, state.new_rows), left_delta)
-        inserts.extend(_run_sorted(node, left_old, right_delta.inserts))
-        deletes.extend(_run_sorted(node, left_old, right_delta.deletes))
-    netted_inserts, netted_deletes = net_delta(inserts, deletes)
-    return Delta(netted_inserts, netted_deletes)
+        left_old = _sorted_input(node, 0, _having(left_old, left_key, keys))
+        inserts += _run(node, left_old, _sorted_input(node, 1, right_delta.inserts))
+        deletes += _run(node, left_old, _sorted_input(node, 1, right_delta.deletes))
+    return Delta(*net_delta(inserts, deletes))
 
 
 def _group_recompute_delta(
     node: TemporalAggregate | Coalesce, state: DeltaState
 ) -> Delta:
-    """Affected-group recompute for TAGGR and Coalesce.
-
-    The groups whose key appears in the input delta are re-evaluated on
-    both states; everything the old state produced for them is deleted
-    and everything the new state produces is inserted.  With no grouping
-    key every row is one group: recompute the whole node in memory.
-    """
+    """Old results out, new results in, for the groups the input delta
+    touches: of a ``TemporalAggregate`` only what lies in each group's
+    window (:func:`_windows`), of a ``Coalesce`` the whole groups (the
+    module docstring says why)."""
+    schema = node.input.schema
+    if isinstance(node, TemporalAggregate):
+        # Clipping a row to the window keeps when it is valid, not what its
+        # T1 and T2 say: no aggregate may read them as values.  (A group key
+        # cannot be one of them: the output schema would name it twice.)
+        period = set(map(schema.index_of, node.period))
+        for spec in node.aggregates:
+            if spec.attribute and schema.index_of(spec.attribute) in period:
+                raise DeltaUnsupported(
+                    f"{spec.to_sql()} reads a period column as a value; the "
+                    "window rule clips periods"
+                )
     input_delta = compute_delta(node.input, state)
     if input_delta.empty():
         return Delta()
@@ -289,34 +338,66 @@ def _group_recompute_delta(
     # A group is what the algorithm's needed order makes contiguous: all of
     # it (grouping or value attributes) but the trailing T1.
     (needed,) = needed_orders(node.located(Location.MIDDLEWARE))
-    key_positions = [node.input.schema.index_of(name) for name in needed[:-1]]
-    if key_positions:
-        affected = {
-            tuple(row[p] for p in key_positions)
-            for row in input_delta.inserts + input_delta.deletes
-        }
+    positions = [schema.index_of(name) for name in needed[:-1]]
+    # Of a one-column key the bare value: no tuple per row.
+    key_of = itemgetter(*positions) if positions else (lambda row: ())
+    changed: dict[object, Delta] = {}
+    for row in input_delta.inserts:
+        changed.setdefault(key_of(row), Delta()).inserts.append(row)
+    for row in input_delta.deletes:
+        changed.setdefault(key_of(row), Delta()).deletes.append(row)
 
-        def restrict(rows: list[tuple]) -> list[tuple]:
-            return [
-                row
-                for row in rows
-                if tuple(row[p] for p in key_positions) in affected
-            ]
-
+    current = _having(evaluate(node.input, state.new_rows), key_of, changed)
+    if isinstance(node, Coalesce):
+        old, new = _rewind(current, input_delta), current
     else:
+        t1, t2 = (schema.index_of(name) for name in node.period)
+        old, new = _windows(current, changed, key_of, t1, t2)
+    return Delta(*net_delta(_run_sorted(node, new), _run_sorted(node, old)))
 
-        def restrict(rows: list[tuple]) -> list[tuple]:
-            return rows
 
-    new_restricted = restrict(evaluate(node.input, state.new_rows))
-    old_restricted = _rewind(
-        new_restricted,
-        Delta(restrict(input_delta.inserts), restrict(input_delta.deletes)),
-    )
-    old_output = _run_sorted(node, old_restricted)
-    new_output = _run_sorted(node, new_restricted)
-    inserts, deletes = net_delta(new_output, old_output)
-    return Delta(inserts, deletes)
+def _windows(
+    current: list[tuple], changed: dict[object, Delta], key_of: Callable, t1: int, t2: int
+) -> tuple[list[tuple], list[tuple]]:
+    """The old and the new ``TAGGR^M`` input, cut down to each group's window.
+
+    *current* holds the new state's rows of the groups in *changed*.  Per
+    group the window is the hull of the changed rows' periods, each end
+    widened to the nearest instant (a ``T1`` or a ``T2``) of an unchanged
+    row at or beyond it — where there is none, no unchanged row is valid
+    beyond that end.  Both states get the unchanged rows that overlap the
+    window, clipped to it; the old one the group's deletes beside them, the
+    new one its inserts.
+    """
+    groups: dict[object, list[tuple]] = {key: [] for key in changed}
+    for row in current:
+        groups[key_of(row)].append(row)
+    old: list[tuple] = []
+    new: list[tuple] = []
+    for key, delta in changed.items():
+        unchanged = _subtract(groups[key], delta.inserts, "current state")
+        moved = delta.inserts + delta.deletes
+        for row in chain(moved, unchanged):
+            if row[t1] > row[t2]:
+                # What follows takes a period to end no earlier than it starts.
+                raise DeltaUnsupported(f"the period of {row!r} ends before it starts")
+        lo = min(row[t1] for row in moved)
+        hi = max(row[t2] for row in moved)
+        instants = [row[t1] for row in unchanged] + [row[t2] for row in unchanged]
+        start = max((instant for instant in instants if instant <= lo), default=lo)
+        end = min((instant for instant in instants if instant >= hi), default=hi)
+        for row in unchanged:
+            begins, ends = row[t1], row[t2]
+            if begins < end and ends > start:
+                if begins < start or ends > end:
+                    clipped = list(row)
+                    clipped[t1], clipped[t2] = max(begins, start), min(ends, end)
+                    row = tuple(clipped)
+                old.append(row)
+                new.append(row)
+        old += delta.deletes
+        new += delta.inserts
+    return old, new
 
 
 # -- applying a delta to the stored (canonical) view contents --------------------------
@@ -331,52 +412,37 @@ def apply_delta_rows(
     :func:`~repro.algebra.rows.canonical_rows` form (the storage
     invariant every write path maintains), so only the delta — which
     comes fresh from the cursors and may say ``2.0`` where the store
-    says ``2`` — is canonicalized; the merge itself is a sorted splice,
-    O(stored + delta·log(stored)) rather than a whole-view re-sort.
+    says ``2`` — is normalized, and only its inserts are sorted.  The
+    deletes leave in one pass over the stored rows; each insert is then
+    placed by galloping on from where the previous one went, so a run of
+    neighbouring inserts costs a probe or two apiece and the sort key is
+    never computed for the bulk of the view.
     Raises :class:`DeltaMismatch` when a delete has no matching stored
     row — the signal to fall back to a full recompute.
     """
-    insert_counts = Counter(tuple(row) for row in canonical_rows(delta.inserts))
-    delete_counts = Counter(tuple(row) for row in canonical_rows(delta.deletes))
-    common = insert_counts & delete_counts
-    insert_counts -= common
-    delete_counts -= common
-
-    kept: list[tuple] = []
-    for row in stored:
-        row = tuple(row)
-        if delete_counts.get(row, 0) > 0:
-            delete_counts[row] -= 1
-        else:
-            kept.append(row)
-    unmatched = +delete_counts
-    if unmatched:
-        row, needed = next(iter(unmatched.items()))
-        raise DeltaMismatch(
-            f"delta deletes {needed} more of {row!r} than the view holds"
-        )
-
-    inserts = sorted(_expand(insert_counts), key=canonical_sort_key)
+    inserts, deletes = net_delta(
+        normalize_rows(delta.inserts), normalize_rows(delta.deletes)
+    )
+    kept = _subtract(stored, deletes, "view")
     if not inserts:
         return kept
-    # Splice each (sorted) insert into the (sorted) survivors; binary
-    # search keeps key computations to O(inserts · log(stored)).
-    positions: list[int] = []
-    for row in inserts:
-        row_key = canonical_sort_key(row)
-        low, high = positions[-1] if positions else 0, len(kept)
-        while low < high:
-            mid = (low + high) // 2
-            if canonical_sort_key(kept[mid]) < row_key:
-                low = mid + 1
-            else:
-                high = mid
-        positions.append(low)
+    size = len(kept)
     merged: list[tuple] = []
-    previous = 0
-    for position, row in zip(positions, inserts):
-        merged.extend(kept[previous:position])
+    position = 0
+    for row_key, row in sorted(zip(map(canonical_sort_key, inserts), inserts)):
+        # Everything before `low` sorts before the row; `high` doubles its
+        # distance until it reaches a row that does not.
+        low = high = position
+        step = 1
+        while high < size and canonical_sort_key(kept[high]) < row_key:
+            low = high + 1
+            high += step
+            step *= 2
+        target = bisect_left(
+            kept, row_key, low, min(high, size), key=canonical_sort_key
+        )
+        merged += kept[position:target]
         merged.append(row)
-        previous = position
-    merged.extend(kept[previous:])
+        position = target
+    merged += kept[position:]
     return merged

@@ -33,7 +33,6 @@ carries the decision.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.algebra.operators import Operator, Scan
@@ -51,9 +50,9 @@ from repro.views.delta import (
     DeltaMismatch,
     DeltaState,
     DeltaUnsupported,
-    _expand,
-    compute_delta,
     apply_delta_rows,
+    compute_delta,
+    net_delta,
 )
 
 #: Fixed per-refresh overhead of the incremental path, microseconds —
@@ -133,23 +132,8 @@ class MaterializedView:
         pending_inserts, pending_deletes = self.pending.get(
             table.lower(), ([], [])
         )
-        insert_counts = Counter(tuple(row) for row in pending_inserts)
-        delete_counts = Counter(tuple(row) for row in pending_deletes)
-        for row in deletes:
-            row = tuple(row)
-            if insert_counts[row] > 0:
-                insert_counts[row] -= 1
-            else:
-                delete_counts[row] += 1
-        for row in inserts:
-            row = tuple(row)
-            if delete_counts[row] > 0:
-                delete_counts[row] -= 1
-            else:
-                insert_counts[row] += 1
-        self.pending[table.lower()] = (
-            _expand(+insert_counts),
-            _expand(+delete_counts),
+        self.pending[table.lower()] = net_delta(
+            [*pending_inserts, *inserts], [*pending_deletes, *deletes]
         )
 
 

@@ -13,8 +13,10 @@ from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.dbms.loader import DirectPathLoader
 from repro.errors import CatalogError, DatabaseError, ViewError
+from repro.views import delta as delta_module
 from repro.views.delta import (
     Delta,
+    DeltaMismatch,
     DeltaState,
     DeltaUnsupported,
     apply_delta_rows,
@@ -26,7 +28,7 @@ from repro.workloads.generator import (
     RandomRelationSpec,
     generate_relation_rows,
 )
-from repro.algebra.schema import AttrType
+from repro.algebra.schema import Attribute, AttrType, Schema
 
 
 def uis_relation(name: str = "BASE", cardinality: int = 400) -> RandomRelationSpec:
@@ -271,6 +273,171 @@ class TestDeltaAlgebra:
         stored = [(1, 5), (2, 7)]
         updated = apply_delta_rows(stored, Delta([(3, 9)], [(1, 5)]))
         assert updated == [(2, 7), (3, 9)]
+
+
+EVENT_SCHEMA = Schema(
+    [
+        Attribute("K", AttrType.INT),
+        Attribute("V", AttrType.INT),
+        Attribute("T1", AttrType.DATE),
+        Attribute("T2", AttrType.DATE),
+    ]
+)
+
+#: A second group no case touches: its rows must come through untouched.
+BYSTANDERS = [(9, 1, 0, 50), (9, 2, 20, 30)]
+
+#: name → (rows of group 1 before, inserts, deletes): the edges the window
+#: rule's exactness argument rests on.
+WINDOW_EDGES = {
+    # [0,5) [5,10) [10,12) → [0,10): two result rows merge across instant 5,
+    # so the window must reach back to 0, an instant of the unchanged row.
+    "delete_removes_unshared_breakpoint": (
+        [(1, 7, 0, 10), (1, 8, 5, 12)], [], [(1, 8, 5, 12)],
+    ),
+    # Instant 5 survives in (1, 9, 5, 8): the window starts there.
+    "delete_leaves_shared_breakpoint": (
+        [(1, 7, 0, 10), (1, 8, 5, 12), (1, 9, 5, 8)], [], [(1, 8, 5, 12)],
+    ),
+    # TAGGR does not coalesce: [0,5) and [5,9) stay two rows.
+    "insert_meets_a_neighbours_end": (
+        [(1, 7, 0, 5), (1, 6, 20, 25)], [(1, 8, 5, 9)], [],
+    ),
+    "change_at_first_and_last_instant": (
+        [(1, 7, 0, 5), (1, 8, 3, 9), (1, 9, 8, 14)],
+        [(1, 5, 14, 16), (1, 4, 0, 2)],
+        [(1, 7, 0, 5), (1, 9, 8, 14)],
+    ),
+    "whole_group_deleted": (
+        [(1, 7, 0, 5), (1, 8, 3, 9)], [], [(1, 7, 0, 5), (1, 8, 3, 9)],
+    ),
+    "new_group_inserted": ([], [(1, 7, 0, 5), (1, 8, 3, 9)], []),
+    "duplicate_rows_one_deleted": (
+        [(1, 7, 0, 5), (1, 7, 0, 5), (1, 8, 3, 9)], [(1, 7, 0, 5)], [(1, 7, 0, 5)] * 2,
+    ),
+    # Changes at both ends of a long group: one hull, hence one wide window.
+    "changes_far_apart": (
+        [(1, v, 10 * v, 10 * v + 15) for v in range(12)],
+        [(1, 3, 1, 4)],
+        [(1, 11, 110, 125)],
+    ),
+}
+
+
+def event_tango(
+    rows,
+    aggregates=tuple(AggregateSpec(func, "V") for func in ("COUNT", "SUM", "MIN", "MAX")),
+) -> Tango:
+    """A Tango over an EVENT table holding *rows*, with two views: a grouped
+    and an ungrouped TAGGR, by default with every aggregate function."""
+    db = MiniDB()
+    DirectPathLoader(db).load("EVENT", EVENT_SCHEMA, rows, temporary=False)
+    db.analyze("EVENT")
+    tango = Tango(db)
+    for name, group_by in (("GROUPED", ("K",)), ("UNGROUPED", ())):
+        tango.create_view(
+            name,
+            builder.scan(db, "EVENT")
+            .taggr(group_by=group_by, aggregates=aggregates)
+            .to_middleware()
+            .build(),
+        )
+    return tango
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize("case", sorted(WINDOW_EDGES))
+    def test_edge_case_matches_a_forced_full_twin(self, case):
+        before, inserts, deletes = WINDOW_EDGES[case]
+        rows = before + BYSTANDERS
+        with event_tango(rows) as incremental, event_tango(rows) as full:
+            for tango in (incremental, full):
+                tango.apply_updates("EVENT", inserts, deletes)
+            for view in ("GROUPED", "UNGROUPED"):
+                assert incremental.refresh_view(view, "incremental").strategy == "incremental"
+                assert full.refresh_view(view, "full").strategy == "full"
+                assert list(incremental.db.table(view).rows) == list(
+                    full.db.table(view).rows
+                )
+            assert incremental.metrics.counter("view_refresh_fallbacks").value == 0
+
+    def test_merge_across_a_removed_breakpoint_is_in_the_delta(self):
+        """The first case, as the delta itself: the old rows on both sides of
+        the removed instant go, the one merged row comes."""
+        before, inserts, deletes = WINDOW_EDGES["delete_removes_unshared_breakpoint"]
+        with event_tango(before + BYSTANDERS) as tango:
+            tango.apply_updates("EVENT", inserts, deletes)
+            view = tango.views.get("GROUPED")
+            delta = compute_delta(view.plan, DeltaState(tango.db, view.pending))
+        assert sorted(delta.deletes) == [
+            (1, 0, 5, 1, 7, 7, 7), (1, 5, 10, 2, 15, 7, 8), (1, 10, 12, 1, 8, 8, 8),
+        ]
+        assert delta.inserts == [(1, 0, 10, 1, 7, 7, 7)]
+
+    def test_refresh_work_follows_the_delta_not_the_group(self, monkeypatch):
+        """One changed row in a 500-row group: TAGGR^M is handed the few rows
+        around it.  A silent fallback, or a return to whole-group recompute,
+        fails here rather than in the benchmark."""
+        rows = [(1, index % 10, 7 * index, 7 * index + 20) for index in range(500)]
+        handed = []
+        run_sorted = delta_module._run_sorted
+
+        def counting(node, *inputs):
+            handed.extend(len(rows) for rows in inputs)
+            return run_sorted(node, *inputs)
+
+        with event_tango(rows) as tango:
+            tango.apply_updates("EVENT", [(1, 3, 1751, 1760)], [rows[250]])
+            monkeypatch.setattr(delta_module, "_run_sorted", counting)
+            for view in ("GROUPED", "UNGROUPED"):
+                handed.clear()
+                outcome = tango.refresh_view(view, strategy="incremental")
+                assert outcome.strategy == "incremental"
+                assert len(handed) == 2 and 0 < max(handed) < 0.2 * len(rows)
+            assert tango.metrics.counter("view_refresh_fallbacks").value == 0
+
+    @pytest.mark.parametrize("func, column", [("MAX", "T1"), ("MIN", "T2"), ("SUM", "T1")])
+    def test_aggregate_over_a_period_column_falls_back_to_full(self, func, column):
+        """Deleting [20, 50) leaves the window [20, 50) holding the long row
+        clipped to it: MAX(T1) would read 20 there and net to an empty delta
+        where a recompute says 0.  No rule, so the view is recomputed."""
+        rows = [(1, 0, 0, 100), (1, 0, 10, 20), (1, 0, 50, 60), (1, 0, 20, 50)]
+        aggregates = (AggregateSpec(func, column),)
+        with event_tango(rows, aggregates) as refreshed, event_tango(rows, aggregates) as full:
+            for tango in (refreshed, full):
+                tango.apply_updates("EVENT", deletes=[rows[3]])
+            view = refreshed.views.get("GROUPED")
+            with pytest.raises(DeltaUnsupported):
+                compute_delta(view.plan, DeltaState(refreshed.db, view.pending))
+            for name in ("GROUPED", "UNGROUPED"):
+                assert refreshed.refresh_view(name, "incremental").strategy == "full"
+                full.refresh_view(name, "full")
+                assert list(refreshed.db.table(name).rows) == list(full.db.table(name).rows)
+            assert (1, 20, 50, 0 if column == "T1" else 100) in refreshed.db.table("GROUPED").rows
+            assert refreshed.metrics.counter("view_refresh_fallbacks").value == 2
+
+    def test_pending_insert_gone_from_the_table_falls_back_to_full(self, tango):
+        """The window rule rebuilds a group's old state as its current rows
+        minus the pending inserts; an insert the table no longer holds is
+        drift, whatever group it is in."""
+        tango.create_view("V", taggr_plan(tango.db))
+        ghost = (1, 10, 20)
+        tango.apply_updates("BASE", inserts=[ghost])
+        tango.db.table("BASE").rows.remove(ghost)
+        view = tango.views.get("V")
+        with pytest.raises(DeltaMismatch):
+            compute_delta(view.plan, DeltaState(tango.db, view.pending))
+        assert tango.refresh_view("V", "incremental").strategy == "full"
+        assert tango.metrics.counter("view_refresh_fallbacks").value == 1
+
+    def test_backwards_period_falls_back_to_full(self, tango):
+        """The rule's argument needs T1 <= T2; a group holding a row that
+        breaks it is recomputed instead."""
+        tango.apply_updates("BASE", inserts=[(1, 40, 30)])
+        tango.create_view("V", taggr_plan(tango.db))
+        tango.apply_updates("BASE", inserts=[(1, 10, 20)])
+        assert tango.refresh_view("V", "incremental").strategy == "full"
+        assert tango.metrics.counter("view_refresh_fallbacks").value == 1
 
 
 class TestFeedbackInvalidation:
