@@ -234,18 +234,27 @@ class Tango:
     def apply_updates(self, table: str, inserts=(), deletes=()) -> dict:
         """Apply one update batch (the UIS churn path) to a base table.
 
-        Deletes are removed first (multiset-exact; a missing row aborts the
-        whole batch), then inserts are appended.  The batch flows into every
-        dependent view's pending delta log; learned cardinalities that read
-        the table are forgotten and the table is re-ANALYZEd, which moves
-        the planning epoch — plans cached over the old contents (by this
-        instance or its service's workers) stop matching.  Returns the
-        applied counts.
+        Deletes are removed first (multiset-exact), then inserts are
+        appended; a missing delete row or an insert row of the wrong arity
+        aborts the whole batch before anything is applied.  The batch flows
+        into every dependent view's pending delta log; learned
+        cardinalities that read the table are forgotten and the table is
+        re-ANALYZEd (from the delta when every change since the last
+        ANALYZE came through ``insert_rows`` / ``delete_rows``, DESIGN.md
+        §20), which moves the planning epoch — plans cached over the old
+        contents (by this instance or its service's workers) stop matching.
+        Returns the applied counts.
         """
         self._check_open()
         target = self.db.table(table)  # unknown table → CatalogError
         insert_rows = [tuple(row) for row in inserts]
         delete_rows = [tuple(row) for row in deletes]
+        for row in insert_rows:
+            if len(row) != len(target.schema):
+                raise DatabaseError(
+                    f"insert row {row!r} does not match {target.name}'s "
+                    f"{len(target.schema)} columns; nothing was applied"
+                )
         with self.tracer.span(
             "apply_updates",
             kind="update",

@@ -29,7 +29,12 @@ from repro.dbms.sql.ast import (
 from repro.dbms.sql.executor import ResultSet
 from repro.dbms.sql.parser import parse_statement
 from repro.dbms.sql.planner import plan_select
-from repro.dbms.statistics import TableStatistics, analyze_table
+from repro.dbms.statistics import (
+    DmlTracker,
+    TableStatistics,
+    analyze_table,
+    scan_charge,
+)
 from repro.dbms.table import BLOCK_SIZE, Table
 from repro.errors import CatalogError, DatabaseError
 
@@ -43,6 +48,10 @@ class MiniDB:
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, Index] = {}
         self._statistics: dict[str, TableStatistics] = {}
+        #: One tracker per table that ever took ``insert_rows`` /
+        #: ``delete_rows`` (DESIGN.md §20); every other table is ANALYZEd
+        #: from a scan and keeps nothing.
+        self._dml: dict[str, DmlTracker] = {}
 
     # -- catalog -----------------------------------------------------------------
 
@@ -97,6 +106,7 @@ class MiniDB:
             raise CatalogError(f"no such table {name!r}")
         table = self._tables.pop(key)
         self._statistics.pop(key, None)
+        self._dml.pop(key, None)
         for index_name in [
             index_name
             for index_name, index in self._indexes.items()
@@ -107,11 +117,14 @@ class MiniDB:
     def insert_rows(self, name: str, rows: Iterable[Sequence[object]]) -> int:
         """Conventional-path insert; rebuilds indexes; returns rows inserted."""
         table = self.table(name)
-        inserted = 0
+        first = table.cardinality
         for row in rows:
             table.append(row)
-            inserted += 1
             self.meter.charge_cpu(5)
+        # Logged only once every row is in: a failed insert leaves
+        # ``pending_delta`` ahead of the log, so the next ANALYZE scans.
+        self._tracker(table).inserted.extend(table.rows[first:])
+        inserted = table.cardinality - first
         self.meter.charge_io(max(1, inserted // table.rows_per_block()))
         self.rebuild_indexes(table)
         return inserted
@@ -145,13 +158,15 @@ class MiniDB:
                 f"DELETE of {len(missing)} distinct row(s) absent from "
                 f"{table.name!r} (e.g. {row!r})"
             )
-        table.rows[:] = kept
-        table.clustered_order = ()
-        table.pending_delta += len(removed)
+        table.replace_rows(kept, changed=len(removed))
+        self._tracker(table).deleted.extend(removed)
         self.meter.charge_io(table.blocks)
         self.meter.charge_cpu(table.cardinality + len(removed))
         self.rebuild_indexes(table)
         return removed
+
+    def _tracker(self, table: Table) -> DmlTracker:
+        return self._dml.setdefault(table.name.lower(), DmlTracker())
 
     def stats_delta_of(self, name: str) -> int:
         """Rows changed in *name* since its last ANALYZE."""
@@ -163,17 +178,31 @@ class MiniDB:
         histogram_columns: tuple[str, ...] | str = "auto",
         histogram_buckets: int = 10,
     ) -> TableStatistics:
-        """Oracle's ``ANALYZE TABLE ... COMPUTE STATISTICS``."""
+        """Oracle's ``ANALYZE TABLE ... COMPUTE STATISTICS``.
+
+        A table that takes row-level DML is analyzed from its delta when
+        every change since the last ANALYZE came through ``insert_rows`` /
+        ``delete_rows`` and that is the cheaper way (DESIGN.md §20) — the
+        statistics are ``==`` a scan's either way, and the meter is charged
+        for the work done (``scan_charge`` / ``fold_charge``).
+        """
         table = self.table(name)
-        statistics = analyze_table(table, histogram_columns, histogram_buckets)
+        tracker = self._dml.get(name.lower())
+        if tracker is None:
+            statistics = analyze_table(table, histogram_columns, histogram_buckets)
+            charge = scan_charge(table)
+        else:
+            statistics, charge = tracker.analyze(
+                table, histogram_columns, histogram_buckets
+            )
+        table.pending_delta = 0
         for index in self.indexes_on(name):
             column = statistics.column(index.column)
             column.has_index = True
             column.index_clustered = index.clustered
         self._statistics[name.lower()] = statistics
-        table.pending_delta = 0
-        self.meter.charge_io(table.blocks)
-        self.meter.charge_cpu(table.cardinality * len(table.schema))
+        self.meter.charge_io(charge.io)
+        self.meter.charge_cpu(charge.cpu)
         return statistics
 
     def create_index(
@@ -242,9 +271,7 @@ class MiniDB:
                 predicate = statement.where.compile(table.schema)
                 kept = [row for row in table.rows if not predicate(row)]
                 removed = table.cardinality - len(kept)
-                table.rows[:] = kept
-                table.clustered_order = ()
-                table.pending_delta += removed
+                table.replace_rows(kept, changed=removed)
             self.meter.charge_io(table.blocks)
             self.meter.charge_cpu(table.cardinality + removed)
             self.rebuild_indexes(table)

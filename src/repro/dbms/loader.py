@@ -83,7 +83,9 @@ class DirectPathLoader:
         try:
             loaded = table.bulk_load(rows, order)
         except BaseException:
-            del table.rows[rows_before:]
+            table.replace_rows(
+                table.rows[:rows_before], changed=table.cardinality - rows_before
+            )
             raise
         self._db.meter.charge_io(max(0, table.blocks - blocks_before))
         self._db.meter.charge_cpu(loaded)

@@ -110,9 +110,19 @@ class Table:
         return iter(self.rows)
 
     def truncate(self) -> None:
-        self.pending_delta += self.cardinality
-        self.rows.clear()
+        self.replace_rows([], changed=self.cardinality)
+
+    def replace_rows(self, rows: list[tuple], changed: int) -> None:
+        """Swap in *rows* as the whole contents — the one door for a writer
+        that computed the new contents itself (a delete, a view's splice, a
+        loader's rollback).  *changed* is how many rows the swap inserted,
+        deleted or reloaded, positive whenever the contents differ: it
+        advances ``pending_delta``, which is how ANALYZE learns that its
+        sorted copy no longer covers the table (DESIGN.md §20).
+        """
+        self.rows[:] = rows
         self.clustered_order = ()
+        self.pending_delta += changed
 
     def column_values(self, name: str) -> list:
         """All values of one column (used by ANALYZE)."""

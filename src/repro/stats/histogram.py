@@ -102,15 +102,21 @@ class Histogram:
         return self.values_below(value) / self.total
 
 
-def build_height_balanced(values: Sequence[float], num_buckets: int = 10) -> Histogram:
+def build_height_balanced(
+    values: Sequence[float], num_buckets: int = 10, presorted: bool = False
+) -> Histogram:
     """Build a height-balanced histogram (equal tuple count per bucket).
 
     This is what Oracle's ``ANALYZE ... COMPUTE STATISTICS`` produces and
-    hence what the Statistics Collector finds in the catalog.
+    hence what the Statistics Collector finds in the catalog.  A bucket
+    boundary is a *position* in the ascending values, so only the at most
+    ``num_buckets + 1`` values that become bounds are converted to float;
+    ``presorted`` declares that *values* already ascend (the catalog's
+    sorted columns, DESIGN.md §20) and skips the sort.
     """
     if not values:
         raise StatisticsError("cannot build a histogram over no values")
-    ordered = sorted(values)
+    ordered = values if presorted else sorted(values)
     count = len(ordered)
     buckets = max(1, min(num_buckets, count))
     bounds: list[float] = [float(ordered[0])]

@@ -401,8 +401,6 @@ class ViewManager:
         die just as they do on a full store.
         """
         table = self.db.table(view.name)
-        table.rows[:] = rows
-        table.clustered_order = ()
-        table.pending_delta += delta_rows
+        table.replace_rows(rows, changed=delta_rows)
         self.db.rebuild_indexes(table)
         self.planner.refresh([], analyze=False)

@@ -108,6 +108,24 @@ def figure3_connection(figure3_db) -> Connection:
     return Connection(figure3_db)
 
 
+@pytest.fixture
+def scans(monkeypatch) -> list:
+    """The table of every ``Table.column_values`` call — ANALYZE's one way
+    of reading a table, so a table absent from the list after ``analyze``
+    had its statistics folded from the delta (DESIGN.md §20)."""
+    from repro.dbms.table import Table
+
+    calls: list[Table] = []
+    original = Table.column_values
+
+    def counting(self, name):
+        calls.append(self)
+        return original(self, name)
+
+    monkeypatch.setattr(Table, "column_values", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def uis_db() -> MiniDB:
     """A small UIS instance (scale 0.01).  Treat as read-only."""

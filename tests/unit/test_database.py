@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.dbms.costmodel import MeterWindow
 from repro.dbms.database import MiniDB
-from repro.errors import CatalogError, DatabaseError, SQLSyntaxError
+from repro.dbms.loader import DirectPathLoader
+from repro.dbms.statistics import analyze_table
+from repro.errors import CatalogError, DatabaseError, SQLSyntaxError, StatisticsError
 
 
 @pytest.fixture
@@ -207,3 +210,158 @@ class TestQueries:
             "WHERE A.K = B.K AND B.K = C.K AND A.K = 3"
         )
         assert rows == [(3,)]
+
+
+def _sql_delete(db):
+    db.execute("DELETE FROM T WHERE K = 2")
+
+
+def _bulk_load(db):
+    db.table("T").bulk_load([(7, 70, "g")])
+
+
+def _truncate(db):
+    db.table("T").truncate()
+
+
+def _splice(db):
+    table = db.table("T")
+    table.replace_rows(table.rows[1:] + [(8, 80, "h")], changed=2)
+
+
+def _append(db):
+    db.table("T").append((9, 90, "i"))
+
+
+def _failed_insert(db):
+    with pytest.raises(DatabaseError):
+        db.insert_rows("T", [(5, 50, "e"), (6, 60)])
+
+
+def _loader_rollback(db):
+    def poisoned():
+        yield (5, 50, "e")
+        raise RuntimeError("source died mid-chunk")
+
+    with pytest.raises(RuntimeError):
+        DirectPathLoader(db).append("T", db.schema_of("T"), poisoned())
+
+
+@pytest.fixture
+def grown(db):
+    """``db`` with T at 64 rows — a fold of a few rows is priced under a
+    scan from there — and analyzed, so the catalog holds its sorted copy."""
+    db.insert_rows("T", [(10 + i, i, f"n{i % 5}") for i in range(60)])
+    db.analyze("T")
+    return db
+
+
+UNTRACKED_WRITERS = [
+    _sql_delete, _bulk_load, _truncate, _splice, _append, _failed_insert,
+    _loader_rollback,
+]
+
+
+class TestAnalyzeFromTheDelta:
+    """DESIGN.md §20: after ``insert_rows`` / ``delete_rows`` ANALYZE folds
+    the changed rows into the catalog's sorted columns; after any other
+    writer it scans.  Either way the statistics equal a scratch scan's."""
+
+    def test_tracked_dml_is_folded_not_scanned(self, db, scans):
+        # T is tracked since the fixture's INSERT; its first ANALYZE scans
+        # and keeps the sorted copy.
+        db.insert_rows("T", [(10 + i, i, f"n{i % 5}") for i in range(60)])
+        db.analyze("T")
+        assert scans == [db.table("T")] * 3
+        del scans[:]
+        db.insert_rows("T", [(5, 50, "e"), (2, None, "f")])
+        db.delete_rows("T", [(2, 20, "b"), (3, 30, "c")])
+        db.execute("INSERT INTO T VALUES (6, 60, 'g')")
+        assert db.stats_delta_of("T") == 5
+        folded = db.analyze("T")
+        assert scans == []
+        assert folded == analyze_table(db.table("T"))
+        assert db.statistics_of("T") is folded
+        assert db.stats_delta_of("T") == 0
+
+    def test_a_fold_charges_for_the_delta_only(self, db):
+        db.insert_rows("T", [(i, i, "x") for i in range(996)])  # 1,000 rows
+        table = db.table("T")
+        with MeterWindow(db.meter) as scan:
+            db.analyze("T")
+        assert (scan.delta.io, scan.delta.cpu) == (table.blocks, 1000 * 3)
+        db.insert_rows("T", [(5, 5, "y"), (6, 6, "y")])
+        db.delete_rows("T", [(5, 5, "y")])
+        with MeterWindow(db.meter) as fold:
+            db.analyze("T")
+        # 3 changed rows x 3 columns x ceil(log2(1,001)) + the catalog block
+        assert (fold.delta.io, fold.delta.cpu) == (1, 3 * 3 * 10)
+
+    def test_a_delta_that_rivals_the_table_is_scanned(self, grown, scans):
+        grown.insert_rows("T", [(i, i, "x") for i in range(64)])
+        with MeterWindow(grown.meter) as window:
+            scanned = grown.analyze("T")
+        assert scans == [grown.table("T")] * 3
+        assert (window.delta.io, window.delta.cpu) == (1, 128 * 3)
+        assert scanned == analyze_table(grown.table("T"))
+
+    def test_an_unchanged_table_folds_nothing(self, db, scans):
+        first = db.analyze("T")
+        del scans[:]
+        again = db.analyze("T", histogram_columns="none", histogram_buckets=3)
+        assert scans == []
+        assert again == analyze_table(db.table("T"), "none", 3)
+        assert first == analyze_table(db.table("T"))  # a fresh object each time
+
+    @pytest.mark.parametrize("writer", UNTRACKED_WRITERS, ids=lambda w: w.__name__)
+    def test_any_other_writer_forces_a_scan(self, grown, scans, writer):
+        db = grown
+        db.insert_rows("T", [(5, 50, "e")])  # logged, then overtaken
+        writer(db)
+        scanned = db.analyze("T")
+        assert scans == [db.table("T")] * 3
+        assert scanned == analyze_table(db.table("T"))
+        # ... and the rebuilt copy serves the next tracked change.
+        db.insert_rows("T", [(100 + i, i, "t") for i in range(64)])
+        db.analyze("T")
+        db.insert_rows("T", [(4, 40, "d")])
+        del scans[:]
+        folded = db.analyze("T")
+        assert scans == []
+        assert folded == analyze_table(db.table("T"))
+
+    def test_a_fold_that_raises_leaves_the_catalog_and_rebuilds_next(self, grown, scans):
+        db = grown
+        before = db.statistics_of("T")
+        db.insert_rows("T", [("x", 1, "e")])  # K holds ints: the fold cannot place it
+        with pytest.raises(StatisticsError, match=r"T\.K\b"):
+            db.analyze("T")  # ... and neither can the scan it falls back to
+        assert db.statistics_of("T") is before
+        assert db.stats_delta_of("T") == 1
+        db.delete_rows("T", [("x", 1, "e")])
+        del scans[:]
+        rebuilt = db.analyze("T")
+        assert scans == [db.table("T")] * 3
+        assert rebuilt == analyze_table(db.table("T"))
+
+    def test_index_flags_survive_a_fold(self, grown, scans):
+        db = grown
+        db.execute("CREATE INDEX IX ON T (K)")
+        db.analyze("T")
+        db.insert_rows("T", [(5, 50, "e")])
+        del scans[:]
+        column = db.analyze("T").column("K")
+        assert scans == [] and column.has_index and not column.index_clustered
+
+    def test_only_tables_that_took_row_dml_keep_a_sorted_copy(self, db):
+        db.execute("CREATE TABLE LOADED (K INT)")
+        db.table("LOADED").bulk_load([(1,), (2,)])
+        db.analyze("LOADED")
+        db.execute("DELETE FROM LOADED WHERE K = 1")
+        db.analyze("LOADED")
+        assert set(db._dml) == {"t"}
+
+    def test_drop_table_frees_the_sorted_copy(self, db):
+        db.analyze("T")
+        db.drop_table("T")
+        assert db._dml == {}

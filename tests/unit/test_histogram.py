@@ -96,6 +96,15 @@ class TestHeightBalanced:
         histogram = build_height_balanced(values, num_buckets=10)
         assert histogram.values_below(250) == pytest.approx(250, rel=0.05)
 
+    @pytest.mark.parametrize("buckets", [1, 3, 10])
+    def test_presorted_raw_values_equal_floats_sorted(self, buckets):
+        # ANALYZE hands over the raw ascending column (ints beside equal
+        # floats, heavy duplicates) and only the bounds are converted.
+        raw = [7, 2, 2.0, 9, 2, 1.5, 2**53 + 1, 7, 7, 3]
+        assert build_height_balanced(
+            sorted(raw), buckets, presorted=True
+        ) == build_height_balanced([float(v) for v in raw], buckets)
+
 
 class TestWidthBalanced:
     def test_equal_widths(self):

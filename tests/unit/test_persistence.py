@@ -101,3 +101,15 @@ class TestRoundTrip:
             "GROUP BY PosID ORDER BY PosID"
         )
         assert len(result.rows) > 0
+
+    def test_no_sorted_copy_is_carried_and_the_first_analyze_scans(
+        self, db, tmp_path, scans
+    ):
+        db.analyze("POSITION")  # the fixture's INSERT made it tracked
+        assert db._dml["position"].columns is not None
+        save_database(db, tmp_path / "snap")
+        restored = load_database(tmp_path / "snap")
+        assert restored._dml == {}
+        del scans[:]
+        assert restored.analyze("POSITION") == db.statistics_of("POSITION")
+        assert scans == [restored.table("POSITION")] * 5

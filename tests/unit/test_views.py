@@ -231,6 +231,22 @@ class TestUpdatePath:
             )
         assert tango.db.table("BASE").rows == before
 
+    def test_bad_insert_row_aborts_before_anything_is_applied(self, tango):
+        # Was: the delete and the first insert applied, the batch never
+        # reached the view log, no ANALYZE ran, and an "incremental"
+        # refresh then reported success over a stale view.
+        tango.create_view("V", taggr_plan(tango.db))
+        before = list(tango.db.table("BASE").rows)
+        statistics = tango.db.statistics_of("BASE")
+        with pytest.raises(DatabaseError):
+            tango.apply_updates(
+                "BASE", inserts=[(9, 0, 1), (7, 0)], deletes=[before[0]]
+            )
+        assert tango.db.table("BASE").rows == before
+        assert tango.views.get("V").pending_rows == 0
+        assert tango.db.statistics_of("BASE") is statistics
+        assert tango.db.stats_delta_of("BASE") == 0
+
     def test_updates_move_the_stats_delta_until_analyze(self, tango):
         assert tango.db.stats_delta_of("BASE") == 0
         tango.apply_updates("BASE", deletes=sample_rows(tango.db, 2))
