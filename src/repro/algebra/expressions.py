@@ -5,9 +5,12 @@ Expressions are immutable trees.  They can be
 * *evaluated* — :meth:`Expression.compile` and :func:`compile_row` generate
   the source of one ``row -> value`` (or ``row -> tuple``) function for a
   given schema and evaluate it once, so a whole tree costs one Python call
-  per row.  No text from a query reaches that source: columns become integer
-  positions, and every literal that is not a plain ``int`` and every scalar
-  function is bound to a generated name in the function's globals;
+  per row; :func:`compile_block` generates a SELECT block's filters, join
+  and select list as one list comprehension, over rows or over pairs of
+  rows (:func:`compile_pair` is one test over a pair).  No text from a
+  query reaches that source: columns become integer positions, and every
+  literal that is not a plain ``int`` and every scalar function is bound to
+  a generated name in the function's globals;
 * *rendered* — :meth:`Expression.to_sql` produces the SQL text the
   Translator-To-SQL emits for DBMS-resident plan parts;
 * *inspected* — :func:`attributes_of` (the paper's ``attr(P)``) and
@@ -53,10 +56,16 @@ _BINDS = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 class _Codegen:
     """The schema one function is generated against, and the globals it
-    will run in: no builtins, only the constants and functions bound here."""
+    will run in: no builtins, only the constants and functions bound here.
 
-    def __init__(self, schema: Schema):
+    With a *right* schema it renders a pair: a column of *schema* becomes
+    ``l[i]`` and any other column ``r[j]``, so a join tests and builds its
+    output from the two input rows without concatenating them.
+    """
+
+    def __init__(self, schema: Schema, right: Schema | None = None):
         self.schema = schema
+        self.right = right
         self.globals: dict[str, object] = {"__builtins__": {}}
 
     def bind(self, prefix: str, value: object) -> str:
@@ -64,15 +73,27 @@ class _Codegen:
         self.globals[name] = value
         return name
 
+    def column(self, name: str) -> str:
+        if self.right is None:
+            return f"row[{self.schema.index_of(name)}]"
+        if self.schema.has(name):
+            return f"l[{self.schema.index_of(name)}]"
+        return f"r[{self.right.index_of(name)}]"
 
-def _generate(expressions: Sequence["Expression"], schema: Schema, as_tuple: bool):
-    """Evaluate ``lambda row: <rendered expressions>`` in fresh globals."""
-    gen = _Codegen(schema)
+
+def _tuple_display(terms: Sequence[str]) -> str:
+    # "(a, b, )", "(a, )" and "()" are all tuple displays.
+    return f"({''.join(f'{term}, ' for term in terms)})"
+
+
+def _generate(
+    expressions: Sequence["Expression"],
+    gen: _Codegen,
+    template: Callable[[list[str]], str],
+):
+    """Evaluate ``template(rendered expressions)`` in *gen*'s globals."""
     try:
-        terms = [expression._render(gen) for expression in expressions]
-        # "(a, b, )", "(a, )" and "()" are all tuple displays.
-        body = f"({''.join(f'{term}, ' for term in terms)})" if as_tuple else terms[0]
-        return eval(f"lambda row: {body}", gen.globals)
+        return eval(template([e._render(gen) for e in expressions]), gen.globals)
     except (SyntaxError, RecursionError, MemoryError) as exc:
         try:
             text = ", ".join(expression.to_sql() for expression in expressions)
@@ -95,7 +116,7 @@ class Expression:
         than that — not a long ``AND``/``OR`` list or ``a + b + …`` chain,
         which render flat — raises :class:`ExpressionError`.
         """
-        return _generate((self,), schema, as_tuple=False)
+        return _generate((self,), _Codegen(schema), lambda t: f"lambda row: {t[0]}")
 
     def _render(self, gen: _Codegen) -> str:
         """Python source of this node over ``row``: an atom or parenthesized."""
@@ -155,7 +176,7 @@ class ColumnRef(Expression):
     name: str
 
     def _render(self, gen: _Codegen) -> str:
-        return f"row[{gen.schema.index_of(self.name)}]"
+        return gen.column(self.name)
 
     def to_sql(self) -> str:
         return self.name
@@ -446,7 +467,58 @@ def compile_row(expressions: Sequence[Expression], schema: Schema) -> Callable[[
     """One ``row -> tuple`` function computing every expression at once."""
     if len(expressions) > 1 and all(isinstance(e, ColumnRef) for e in expressions):
         return operator.itemgetter(*(schema.index_of(e.name) for e in expressions))
-    return _generate(expressions, schema, as_tuple=True)
+    return _generate(
+        expressions, _Codegen(schema), lambda t: f"lambda row: {_tuple_display(t)}"
+    )
+
+
+def compile_pair(predicate: Expression, left: Schema, right: Schema) -> Callable:
+    """An ``(l, r) -> value`` evaluator of *predicate* over a pair of rows."""
+    return _generate(
+        (predicate,), _Codegen(left, right), lambda t: f"lambda l, r: {t[0]}"
+    )
+
+
+#: The parameters and ``for`` clauses of a block kernel, by shape: one input
+#: (``row``), or a pair (``l``, ``r``): a left row beside the right rows
+#: matching it, a nested loop, or an index probe per outer row.
+_BLOCK_LOOPS = {
+    "rows": ("rows", "for row in rows"),
+    "merge": ("matched", "for l, rs in matched for r in rs"),
+    "loop": ("outer, inner", "for l in outer for r in inner"),
+    "probe": ("outer, probe", "for l in outer for r in probe(l)"),
+}
+
+
+def compile_block(
+    shape: str,
+    output: Sequence[Expression] | None,
+    conditions: Sequence[Expression],
+    schema: Schema,
+    right: Schema | None = None,
+    not_null: Sequence[str] = (),
+) -> Callable[..., list[tuple]]:
+    """One list comprehension doing a SELECT block's per-row work.
+
+    The rows (or pairs, for the three pair shapes of ``_BLOCK_LOOPS``) that
+    pass every condition — and whose *not_null* columns are not NULL, tested
+    first — become the tuple of *output*, or stay the input row itself for
+    ``output=None`` on the ``rows`` shape.  The source is assembled from
+    rendered expressions and those fixed clauses only, so no query text
+    reaches it either.
+    """
+    params, loops = _BLOCK_LOOPS[shape]
+    gen = _Codegen(schema, right)
+    guards = "".join(f" if {gen.column(name)} is not None" for name in not_null)
+    heads = list(output) if output is not None else []
+    split = len(heads)
+
+    def template(terms: list[str]) -> str:
+        head = _tuple_display(terms[:split]) if output is not None else "row"
+        tests = "".join(f" if {term}" for term in terms[split:])
+        return f"lambda {params}: [{head} {loops}{guards}{tests}]"
+
+    return _generate([*heads, *conditions], gen, template)
 
 
 # -- convenience constructors -------------------------------------------------

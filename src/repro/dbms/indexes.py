@@ -56,21 +56,30 @@ class Index:
 
     # -- probes ------------------------------------------------------------------
 
-    def lookup(self, key: object, meter: CostMeter | None = None) -> Iterator[tuple]:
-        """Yield rows with ``column == key``."""
+    def matches(self, key: object) -> list[tuple]:
+        """Rows with ``column == key``."""
         left = bisect.bisect_left(self._keys, key)
         right = bisect.bisect_right(self._keys, key)
-        if meter is not None:
-            meter.charge_io(self.height)
-            matched = right - left
-            if not self.clustered:
-                meter.charge_io(matched)  # one block fetch per matched row
-            else:
-                meter.charge_io(max(1, matched // self.table.rows_per_block()))
-            meter.charge_cpu(matched)
         rows = self.table.rows
-        for i in range(left, right):
-            yield rows[self._row_ids[i]]
+        return [rows[row_id] for row_id in self._row_ids[left:right]]
+
+    def probe_charge(self, matched: int) -> tuple[int, int]:
+        """``(io, cpu)`` of a probe finding *matched* rows: the descent, then
+        one block fetch per row (per block of rows, clustered)."""
+        if self.clustered:
+            fetches = max(1, matched // self.table.rows_per_block())
+        else:
+            fetches = matched
+        return self.height + fetches, matched
+
+    def lookup(self, key: object, meter: CostMeter | None = None) -> Iterator[tuple]:
+        """Yield rows with ``column == key``, charging the probe at the first pull."""
+        rows = self.matches(key)
+        if meter is not None:
+            io, cpu = self.probe_charge(len(rows))
+            meter.charge_io(io)
+            meter.charge_cpu(cpu)
+        yield from rows
 
     def range_scan(
         self,

@@ -15,7 +15,6 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from itertools import islice
 from typing import Iterator, Sequence
 
 from repro.algebra.schema import Schema
@@ -23,7 +22,7 @@ from repro.dbms.database import MiniDB
 from repro.dbms.loader import DirectPathLoader
 from repro.dbms.sql.executor import ResultSet
 from repro.errors import DatabaseError, PoolTimeoutError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.resilience.faults import FaultInjector
 
 #: Default JDBC row-prefetch (Oracle's historical default is 10).
@@ -43,7 +42,6 @@ class Cursor:
         self._connection = connection
         self.prefetch = max(1, prefetch)
         self._result: ResultSet | None = None
-        self._iterator: Iterator[tuple] | None = None
         self._buffer: list[tuple] = []
         self._buffer_pos = 0
         self._exhausted = False
@@ -84,7 +82,6 @@ class Cursor:
         outcome = db.execute(sql)
         if isinstance(outcome, ResultSet):
             self._result = outcome
-            self._iterator = iter(outcome)
             self._buffer = []
             self._buffer_pos = 0
             self._exhausted = False
@@ -92,7 +89,6 @@ class Cursor:
             self.rowcount = -1
         else:
             self._result = None
-            self._iterator = None
             self.rowcount = outcome
         return self
 
@@ -120,21 +116,22 @@ class Cursor:
         be for a real driver that piggybacks the end-of-data marker on the
         last full batch.
         """
-        assert self._iterator is not None
+        assert self._result is not None
         self._connection._inject("round_trip")
         self._connection._simulate_wire()
-        batch = list(islice(self._iterator, self.prefetch))
+        batch = self._result.fetchmany(self.prefetch)
         row_width = self.schema.row_width
         if batch or self._round_trips == 0:
             self._round_trips += 1
             meter = self._connection.db.meter
             meter.charge_cpu(ROUND_TRIP_COST)
             meter.charge_cpu(int(len(batch) * row_width * PER_BYTE_COST))
-            metrics = self._connection.metrics
-            if metrics is not None:
-                metrics.counter("dbms_round_trips").inc()
-                metrics.counter("dbms_rows_fetched").inc(len(batch))
-                metrics.counter("dbms_bytes_fetched").inc(len(batch) * row_width)
+            traffic = self._connection.traffic_counters()
+            if traffic is not None:
+                round_trips, rows_fetched, bytes_fetched = traffic
+                round_trips.inc()
+                rows_fetched.inc(len(batch))
+                bytes_fetched.inc(len(batch) * row_width)
         if len(batch) < self.prefetch:
             self._exhausted = True
         self._buffer = batch
@@ -206,7 +203,6 @@ class Cursor:
         ``execute``/fetch raises instead of resurrecting buffer state."""
         self._closed = True
         self._result = None
-        self._iterator = None
         self._buffer = []
 
 
@@ -242,6 +238,21 @@ class Connection:
         self.latency_seconds = latency_seconds
         self._loader = DirectPathLoader(db)
         self._closed = False
+        self._traffic: tuple[Counter, Counter, Counter] | None = None
+
+    def traffic_counters(self) -> tuple[Counter, Counter, Counter] | None:
+        """The round-trip, rows-fetched and bytes-fetched counters, looked up
+        in the registry at the first round trip and kept: a fetch runs once
+        per prefetch batch, and each lookup takes the registry's lock on a
+        miss.  ``None`` without a registry."""
+        if self._traffic is None and self.metrics is not None:
+            counter = self.metrics.counter
+            self._traffic = (
+                counter("dbms_round_trips"),
+                counter("dbms_rows_fetched"),
+                counter("dbms_bytes_fetched"),
+            )
+        return self._traffic
 
     def _inject(self, op: str) -> None:
         if self.injector is not None:

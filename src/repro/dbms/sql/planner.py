@@ -1,4 +1,4 @@
-"""SQL planner: turns a parsed :class:`SelectStmt` into a row pipeline.
+"""SQL planner: turns a parsed :class:`SelectStmt` into a chain of stages.
 
 MiniDB keeps planning deliberately simple and deterministic — the middleware
 treats the DBMS as a black box, and reproducibility matters more than clever
@@ -10,25 +10,36 @@ join ordering:
   Oracle hints exactly this way in Query 4);
 * single-table conjuncts are pushed down to the scans, with equality
   predicates served by an index when one exists;
-* grouping is hash-based; ``ORDER BY`` is a stable multi-pass sort.
+* grouping is hash-based; ``ORDER BY`` is a stable sort.
+
+A block's per-row work — its pushed-down filters, each join's pairing and
+residual, and its select list — is generated as list comprehensions by
+:func:`~repro.algebra.expressions.compile_block` (DESIGN.md §21): a join
+tests its residual on the pair of input rows and builds the row that is read
+later — the output row itself when it is the block's last — instead of
+concatenating the two.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.algebra.expressions import (
     ColumnRef,
     Comparison,
     Expression,
     Literal,
+    attributes_of,
+    compile_block,
+    compile_pair,
     compile_row,
     conjoin,
     conjuncts,
 )
 from repro.algebra.rewrite import collect, substitute, transform
-from repro.algebra.schema import Attribute, AttrType, Schema
+from repro.algebra.schema import Attribute, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.sql.ast import (
     AggregateCall,
@@ -39,15 +50,19 @@ from repro.dbms.sql.ast import (
     TableRef,
 )
 from repro.dbms.sql.executor import (
+    Concatenated,
+    Distinct,
+    Filtered,
+    Grouped,
+    IndexJoined,
+    Limited,
+    Listed,
+    MergeJoined,
+    NestedLooped,
+    Probed,
     ResultSet,
-    concat_rows,
-    distinct_rows,
-    filter_rows,
-    hash_group,
-    limit_rows,
-    merge_join,
-    nested_loop_join,
-    project_rows,
+    Stage,
+    sort_charge,
     sort_rows,
 )
 from repro.errors import CatalogError, ExecutionError, SQLSyntaxError
@@ -139,13 +154,26 @@ class _Scope:
 
 
 def plan_select(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
-    """Plan and lazily execute a SELECT, returning a :class:`ResultSet`."""
+    """Plan a SELECT and return its :class:`ResultSet`.
+
+    Planning charges *meter* for what is paid before the first row: the
+    scans, and every input that a sort, a merge join or a nested loop's
+    inner side materializes.  The rest is computed at the first fetch and
+    charged as rows are fetched (DESIGN.md §21).
+    """
+    schema, stage = _plan(db, stmt, meter)
+    return ResultSet(schema, stage, meter)
+
+
+def _plan(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> tuple[Schema, Stage]:
     if stmt.unions:
         return _plan_union(db, stmt, meter)
     return _plan_core(db, stmt, meter)
 
 
-def _plan_union(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
+def _plan_union(
+    db: "MiniDB", stmt: SelectStmt, meter: CostMeter
+) -> tuple[Schema, Stage]:
     base = SelectStmt(
         items=stmt.items,
         from_items=stmt.from_items,
@@ -160,81 +188,129 @@ def _plan_union(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
     for keep_all, arm in stmt.unions:
         keep_duplicates = keep_duplicates and keep_all
         parts.append(_plan_core(db, arm, meter))
-    schema = parts[0].schema
-    for part in parts[1:]:
-        if len(part.schema) != len(schema):
+    schema = parts[0][0]
+    for part_schema, _ in parts[1:]:
+        if len(part_schema) != len(schema):
             raise ExecutionError("UNION arms have different arities")
-    rows: Iterable[tuple] = concat_rows(parts)
+    stage: Stage = Concatenated([part for _, part in parts])
     if not keep_duplicates:
-        rows = distinct_rows(rows, meter)
+        stage = Distinct(stage)
     if stmt.order_by:
-        rows = _apply_order(list(rows), stmt.order_by, schema, meter)
+        stage = Listed(_apply_order(stage.drain(meter), stmt.order_by, schema, meter))
     if stmt.limit is not None:
-        rows = limit_rows(rows, stmt.limit)
-    return ResultSet(schema, rows)
+        stage = Limited(stage, stmt.limit)
+    return schema, stage
 
 
-def _plan_core(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
+def _plan_core(
+    db: "MiniDB", stmt: SelectStmt, meter: CostMeter
+) -> tuple[Schema, Stage]:
     sources = [_make_source(db, item, meter) for item in stmt.from_items]
     scope = _Scope(sources)
-
-    where_conjuncts = [scope.resolve(term) for term in conjuncts(stmt.where)]
-    pending = list(where_conjuncts)
-
-    rows, current_bindings, pending = _join_sources(
-        db, sources, scope, pending, stmt.hints, meter
-    )
-    if pending:
-        predicate = conjoin(pending)
-        assert predicate is not None
-        rows = filter_rows(rows, predicate.compile(scope.combined), meter)
+    pending = [scope.resolve(term) for term in conjuncts(stmt.where)]
 
     output_items = _expand_stars(stmt.items, scope)
-    row_schema = scope.combined
-
     group_exprs = [scope.resolve(term) for term in stmt.group_by]
     having = scope.resolve(stmt.having) if stmt.having is not None else None
     aggregate_calls = _collect_aggregates(output_items, having)
-    if group_exprs or aggregate_calls:
-        rows, row_schema, mapping = _apply_grouping(
-            rows, row_schema, group_exprs, aggregate_calls, meter
+    grouped = bool(group_exprs or aggregate_calls)
+    if having is not None and not grouped:
+        raise SQLSyntaxError("HAVING requires GROUP BY or aggregates")
+
+    outputs = [expression for _, expression in output_items]
+    presort = None
+    if not grouped:
+        output_schema = _output_schema(output_items, scope.combined)
+        presort = _presort_items(stmt.order_by, output_schema, scope, group_exprs)
+    reads = attributes_of(
+        *outputs, *group_exprs, having, *(item.expression for item in presort or ())
+    )
+    # The last kernel of an ungrouped, unpresorted block builds its output rows.
+    fused = outputs if not grouped and presort is None else None
+    stage, row_schema = _join_sources(
+        db, sources, scope, pending, stmt.hints, reads, fused, meter
+    )
+
+    if grouped:
+        stage, row_schema, mapping = _apply_grouping(
+            stage, row_schema, group_exprs, aggregate_calls
         )
         output_items = [
             (name, substitute(expression, mapping))
             for name, expression in output_items
         ]
+        outputs = [expression for _, expression in output_items]
         if having is not None:
             having = substitute(having, mapping)
-            rows = filter_rows(rows, having.compile(row_schema), meter)
-    elif having is not None:
-        raise SQLSyntaxError("HAVING requires GROUP BY or aggregates")
+        output_schema = _output_schema(output_items, row_schema)
+        presort = _presort_items(stmt.order_by, output_schema, scope, group_exprs)
+    if fused is None:
+        filters = [having] if having is not None else []
+        if presort is not None:
+            unsorted = _kernel(stage, [filters], None, row_schema)
+            rows = _apply_order(unsorted.drain(meter), presort, row_schema, meter)
+            stage, filters = Listed(rows), []
+        stage = _kernel(stage, [filters], outputs, row_schema)
 
-    output_schema = Schema(
-        Attribute(name, expression.result_type(row_schema))
-        for name, expression in output_items
-    )
-    output_func = compile_row(
-        [expression for _, expression in output_items], row_schema
-    )
-
-    order_by = stmt.order_by
-    presort = _presort_items(order_by, output_schema, scope, group_exprs)
-    if presort is not None:
-        rows = _apply_order(list(rows), presort, row_schema, meter)
-        order_by = ()
-
-    rows = project_rows(rows, output_func, meter)
     if stmt.distinct:
-        rows = distinct_rows(rows, meter)
-    if order_by:
+        stage = Distinct(stage)
+    if stmt.order_by and presort is None:
         resolved = tuple(
             OrderItem(_resolve_output(item.expression, output_schema), item.ascending)
-            for item in order_by
+            for item in stmt.order_by
         )
-        rows = _apply_order(list(rows), resolved, output_schema, meter)
+        stage = Listed(_apply_order(stage.drain(meter), resolved, output_schema, meter))
     if stmt.limit is not None:
-        rows = limit_rows(rows, stmt.limit)
-    return ResultSet(output_schema, rows)
+        stage = Limited(stage, stmt.limit)
+    return output_schema, stage
+
+
+def _output_schema(
+    output_items: list[tuple[str, Expression]], schema: Schema
+) -> Schema:
+    return Schema(
+        Attribute(name, expression.result_type(schema))
+        for name, expression in output_items
+    )
+
+
+def _kernel(
+    upstream: Stage,
+    levels: list[list[Expression]],
+    outputs: list[Expression] | None,
+    schema: Schema,
+) -> Stage:
+    """The generated kernel over one input: each level a list of conjuncts
+    billed as one filter, then the select list *outputs* (``None``: the rows
+    as they are)."""
+    levels = [level for level in levels if level]
+    if not levels and outputs is None:
+        return upstream
+    kernel = compile_block(
+        "rows", outputs, [term for level in levels for term in level], schema
+    )
+    tests = [partial(Expression.compile, conjoin(level), schema) for level in levels]
+    return Filtered(upstream, kernel, tests, projects=outputs is not None)
+
+
+def _pair_test(
+    terms: list[Expression], left: Schema, right: Schema, not_null: str | None = None
+) -> Callable[[], Callable[[tuple, tuple], object]] | None:
+    """What a join stage replays to place a partial pull: a thunk compiling
+    the conjunction of *terms* over a pair (``None`` without terms)."""
+    if not terms:
+        return None
+
+    def compiled() -> Callable[[tuple, tuple], object]:
+        predicate = conjoin(terms)
+        assert predicate is not None
+        test = compile_pair(predicate, left, right)
+        if not_null is None:
+            return test
+        position = left.index_of(not_null)
+        return lambda l, r: l[position] is not None and test(l, r)
+
+    return compiled
 
 
 # -- FROM / joins ------------------------------------------------------------------
@@ -244,13 +320,11 @@ def _make_source(db: "MiniDB", item: TableRef | DerivedTable, meter: CostMeter) 
     if isinstance(item, TableRef):
         table = db.table(item.table)
         return _Source(item.binding, table.schema, table.name)
-    result = plan_select(db, item.select, meter)
-    source = _Source(item.binding, result.schema, None)
-    source.materialized = result.fetchall()
+    schema, stage = _plan(db, item.select, meter)
+    source = _Source(item.binding, schema, None)
+    source.materialized = stage.drain(meter)
     # Materializing a derived table costs a write+read pass over its blocks.
-    blocks = max(
-        1, len(source.materialized) * result.schema.row_width // 8192
-    )
+    blocks = max(1, len(source.materialized) * schema.row_width // 8192)
     meter.charge_io(2 * blocks)
     return source
 
@@ -261,25 +335,35 @@ def _join_sources(
     scope: _Scope,
     pending: list[Expression],
     hints: tuple[str, ...],
+    reads: frozenset[str],
+    outputs: list[Expression] | None,
     meter: CostMeter,
-) -> tuple[Iterable[tuple], frozenset[str], list[Expression]]:
-    """Left-deep join of all sources; returns (rows, bindings, leftover)."""
+) -> tuple[Stage, Schema]:
+    """Left-deep join of all sources, every WHERE conjunct applied on the way.
+
+    With *outputs* the last kernel builds the block's output rows; without,
+    the rows carry the columns named in *reads* (lower-cased), and the
+    returned schema says where (it means nothing with *outputs*).  Every
+    join emits only the columns read after it.
+    """
     first = sources[0]
-    rows, pending = _source_rows(db, first, scope, pending, meter)
+    stage, filters, pending = _access(db, first, scope, pending, meter)
+    layout = scope.local[first.binding]
+    if len(sources) == 1:
+        # What is left are constant conjuncts: a second filter over the rows
+        # that passed the scan's.
+        return _kernel(stage, [filters, pending], outputs, layout), layout
+    stage = _kernel(stage, [filters], None, layout)
     bindings = frozenset((first.binding,))
+    method = "nl" if "USE_NL" in hints else "merge"
 
-    method = "merge"
-    if "USE_NL" in hints:
-        method = "nl"
-    elif "USE_MERGE" in hints:
-        method = "merge"
-
-    for source in sources[1:]:
+    for position, source in enumerate(sources[1:], start=2):
         new_bindings = bindings | {source.binding}
+        right = scope.local[source.binding]
 
         # Index nested loop (Oracle's USE_NL over an indexed inner): decided
         # before any pushdown so the inner table is never scanned.  All
-        # inner-local conjuncts become residual filters on the joined rows.
+        # inner-local conjuncts become residual filters on the joined pairs.
         index_join = None
         if method == "nl" and source.materialized is None:
             evaluable = [
@@ -290,71 +374,69 @@ def _join_sources(
                 bare = equi[1].split(".", 1)[1]
                 index = db.find_index(source.table_name or source.binding, bare)
                 if index is not None:
-                    index_join = (equi, evaluable, index)
+                    index_join = (equi, index)
+        if index_join is None:
+            inner, inner_filters, pending = _access(db, source, scope, pending, meter)
+            evaluable = [
+                term for term in pending if scope.bindings_of(term) <= new_bindings
+            ]
+            equi = _find_equi_join(evaluable, scope, bindings, source.binding)
+        pending = [term for term in pending if term not in evaluable]
+        residual = [term for term in evaluable if term is not (equi and equi[2])]
+
+        projects = position == len(sources) and outputs is not None
+        if projects:
+            emit, narrowed = outputs, layout
+        else:
+            later = reads | attributes_of(*pending)
+            kept = [a for a in (*layout, *right) if a.name.lower() in later]
+            emit, narrowed = [ColumnRef(a.name) for a in kept], Schema(kept)
 
         if index_join is not None:
-            equi, evaluable, index = index_join
-            pending = [term for term in pending if term not in evaluable]
-            residual = conjoin([term for term in evaluable if term is not equi[2]])
-            residual_func = (
-                residual.compile(scope.combined) if residual is not None else None
+            (left_name, _, _), index = index_join
+            stage = IndexJoined(
+                stage,
+                index,
+                layout.index_of(left_name),
+                compile_block("probe", emit, residual, layout, right),
+                _pair_test(residual, layout, right),
+                projects,
             )
-            left_pos = scope.combined.index_of(equi[0])
-            rows = _index_nl_join(rows, index, left_pos, residual_func, meter)
-            bindings = new_bindings
-            continue
-
-        inner_rows, pending = _source_rows(db, source, scope, pending, meter)
-        evaluable = [
-            term for term in pending if scope.bindings_of(term) <= new_bindings
-        ]
-        pending = [term for term in pending if term not in evaluable]
-
-        equi = _find_equi_join(evaluable, scope, bindings, source.binding)
-        residual_terms = [term for term in evaluable if term is not (equi and equi[2])]
-        residual = conjoin(residual_terms)
-        residual_func = (
-            residual.compile(scope.combined) if residual is not None else None
-        )
-
-        if equi is not None and method == "merge":
+        elif equi is not None and method == "merge":
             left_name, right_name, _ = equi
-            left_key = itemgetter(scope.combined.index_of(left_name))
-            right_key = itemgetter(scope.local[source.binding].index_of(right_name))
-            left_sorted = sort_rows(
-                rows, left_key, meter, row_width=scope.combined.row_width
-            )
-            right_sorted = sort_rows(
-                inner_rows, right_key, meter, row_width=source.schema.row_width
-            )
-            rows = merge_join(
-                left_sorted, right_sorted, left_key, right_key, residual_func, meter
+            left_rows = stage.drain(meter)
+            _charge(meter, sort_charge(len(left_rows), scope.combined.row_width))
+            right_rows = _kernel(inner, [inner_filters], None, right).drain(meter)
+            _charge(meter, sort_charge(len(right_rows), source.schema.row_width))
+            stage = MergeJoined(
+                left_rows,
+                right_rows,
+                layout.index_of(left_name),
+                right.index_of(right_name),
+                compile_block("merge", emit, residual, layout, right),
+                _pair_test(residual, layout, right),
+                projects,
             )
         else:
-            condition = conjoin(evaluable)
-            condition_func = (
-                condition.compile(scope.combined) if condition is not None else None
+            # A NULL key joins nothing, as in the merge join.
+            guard = equi[0] if equi is not None else None
+            inner_rows = _kernel(inner, [inner_filters], None, right).drain(meter)
+            not_null = () if guard is None else (guard,)
+            stage = NestedLooped(
+                stage,
+                inner_rows,
+                compile_block("loop", emit, evaluable, layout, right, not_null),
+                _pair_test(evaluable, layout, right, guard),
+                projects,
             )
-            inner_list = list(inner_rows)
-            rows = nested_loop_join(rows, inner_list, condition_func, meter)
-
+        layout = narrowed
         bindings = new_bindings
-    return rows, bindings, pending
+    return stage, layout
 
 
-def _index_nl_join(
-    outer: Iterable[tuple],
-    index,
-    outer_key_position: int,
-    residual,
-    meter: CostMeter,
-) -> Iterable[tuple]:
-    """Index nested-loop join: probe the inner index per outer row."""
-    for outer_row in outer:
-        for inner_row in index.lookup(outer_row[outer_key_position], meter):
-            combined = outer_row + inner_row
-            if residual is None or residual(combined):
-                yield combined
+def _charge(meter: CostMeter, charge: tuple[int, int]) -> None:
+    meter.charge_io(charge[0])
+    meter.charge_cpu(charge[1])
 
 
 def _find_equi_join(
@@ -379,18 +461,18 @@ def _find_equi_join(
     return None
 
 
-def _source_rows(
+def _access(
     db: "MiniDB",
     source: _Source,
     scope: _Scope,
     pending: list[Expression],
     meter: CostMeter,
-) -> tuple[Iterable[tuple], list[Expression]]:
-    """Rows of one source with its single-table conjuncts pushed down.
+) -> tuple[Stage, list[Expression], list[Expression]]:
+    """How one source's rows are reached, its single-table conjuncts still to
+    filter them, and the conjuncts left pending.
 
-    Local conjuncts are compiled against the source's slice of the combined
-    schema; an equality conjunct may be answered by an index when the source
-    is a base table.
+    An equality conjunct may be answered by an index probe when the source
+    is a base table; a scan is charged now, a probe at the first pull.
     """
     local = [
         term
@@ -399,37 +481,23 @@ def _source_rows(
     ]
     remaining = [term for term in pending if term not in local]
 
-    rows: Iterable[tuple]
-    used_index_terms: list[Expression] = []
+    used: Expression | None = None
     if source.materialized is not None:
-        rows = iter(source.materialized)
         meter.charge_cpu(len(source.materialized))
+        return Listed(source.materialized), local, remaining
+    table = db.table(source.table_name or source.binding)
+    for term in local:
+        probe = _index_equality_probe(term, source)
+        if probe is None:
+            continue
+        index = db.find_index(table.name, probe[0])
+        if index is not None:
+            used = term
+            stage: Stage = Probed(index, probe[1])
+            break
     else:
-        table = db.table(source.table_name or source.binding)
-        index_access = None
-        for term in local:
-            probe = _index_equality_probe(term, source)
-            if probe is None:
-                continue
-            index = db.find_index(table.name, probe[0])
-            if index is not None:
-                index_access = (index, probe[1])
-                used_index_terms.append(term)
-                break
-        if index_access is not None:
-            index, key = index_access
-            rows = index.lookup(key, meter)
-        else:
-            rows = table.scan(meter)
-
-    filters = [term for term in local if term not in used_index_terms]
-    if filters:
-        predicate = conjoin(filters)
-        assert predicate is not None
-        rows = filter_rows(
-            rows, predicate.compile(scope.local[source.binding]), meter
-        )
-    return rows, remaining
+        stage = Listed(table.scan(meter))
+    return stage, [term for term in local if term != used], remaining
 
 
 def _index_equality_probe(
@@ -509,12 +577,11 @@ def _collect_aggregates(
 
 
 def _apply_grouping(
-    rows: Iterable[tuple],
+    stage: Stage,
     schema: Schema,
     group_exprs: list[Expression],
     aggregate_calls: list[AggregateCall],
-    meter: CostMeter,
-) -> tuple[Iterable[tuple], Schema, dict[Expression, Expression]]:
+) -> tuple[Stage, Schema, dict[Expression, Expression]]:
     key_func = compile_row(group_exprs, schema) if group_exprs else None
     spec_list: list[tuple[str, Callable | None, bool]] = []
     for call in aggregate_calls:
@@ -533,9 +600,7 @@ def _apply_grouping(
         name = f"#a{position}"
         attributes.append(Attribute(name, call.result_type(schema)))
         mapping[call] = ColumnRef(name)
-    grouped_schema = Schema(attributes)
-    grouped = hash_group(rows, key_func, spec_list, meter)
-    return grouped, grouped_schema, mapping
+    return Grouped(stage, key_func, spec_list), Schema(attributes), mapping
 
 
 # -- ordering -----------------------------------------------------------------------
@@ -547,14 +612,17 @@ def _apply_order(
     schema: Schema,
     meter: CostMeter,
 ) -> list[tuple]:
-    """Stable multi-key sort honouring per-key direction."""
+    """Stable multi-pass sort honouring per-key direction, last key first;
+    a bare column sorts by ``itemgetter`` (one pass per key beats one pass
+    on a composite key: Python compares ints faster than tuples)."""
     for item in reversed(order_by):
+        expression = item.expression
+        if isinstance(expression, ColumnRef):
+            key = itemgetter(schema.index_of(expression.name))
+        else:
+            key = expression.compile(schema)
         rows = sort_rows(
-            rows,
-            item.expression.compile(schema),
-            meter,
-            reverse=not item.ascending,
-            row_width=schema.row_width,
+            rows, key, meter, reverse=not item.ascending, row_width=schema.row_width
         )
     return rows
 

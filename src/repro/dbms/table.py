@@ -10,7 +10,7 @@ paper's cost formulas.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.algebra.schema import Schema
 from repro.dbms.costmodel import CostMeter
@@ -102,12 +102,13 @@ class Table:
         self.pending_delta += loaded
         return loaded
 
-    def scan(self, meter: CostMeter | None = None) -> Iterator[tuple]:
-        """Full scan, charging one I/O per block and one CPU step per row."""
+    def scan(self, meter: CostMeter | None = None) -> list[tuple]:
+        """Full scan, charging one I/O per block and one CPU step per row;
+        returns the row list itself."""
         if meter is not None:
             meter.charge_io(self.blocks)
             meter.charge_cpu(self.cardinality)
-        return iter(self.rows)
+        return self.rows
 
     def truncate(self) -> None:
         self.replace_rows([], changed=self.cardinality)

@@ -45,6 +45,7 @@ import pytest
 
 from repro.algebra.operators import Location, Sort
 from repro.core.tango import Tango
+from repro.core.translator import SQLTranslator
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
 from repro.resilience import FaultInjector, FaultPolicy
@@ -136,3 +137,21 @@ def test_abandoned_cursor_is_metered_lazily(golden_db):
     cursor.close()
     assert (db.meter.io, db.meter.cpu) == (16, 1677 + 230)
 
+
+
+def test_abandoned_join_cursor_is_metered_lazily(golden_db):
+    """Query 4's statement, 10 rows fetched, then closed.  Planning bills the
+    two scans (16 + 36 blocks, 1,677 + 999 rows) and the merge join's two
+    sorts (17,963 + 9,954); the fetch bills 200 for the round trip, 35 for
+    its 560 bytes, and for the 10 rows that crossed the wire the work that
+    produced them: 3 walk steps, 10 pairs and 10 projections.  The other
+    1,667 rows are never paid for."""
+    db = golden_db
+    sql = SQLTranslator().translate(queries.query4_initial_plan(db).input)
+    cursor = Connection(db, prefetch=10).cursor()
+    db.meter.reset()
+    cursor.execute(sql)
+    assert (db.meter.io, db.meter.cpu) == (52, 30593)
+    assert len(cursor.fetchmany(10)) == 10
+    cursor.close()
+    assert (db.meter.io, db.meter.cpu) == (52, 30593 + 258)

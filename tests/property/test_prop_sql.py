@@ -79,28 +79,41 @@ class TestGroupBy:
         assert result == sorted({(row[0],) for row in rows})
 
 
+nullable_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+        st.integers(min_value=-100, max_value=100),
+    ),
+    max_size=30,
+)
+
+
+def sql_values(rows):
+    return ", ".join(f"({'NULL' if k is None else k}, {v})" for k, v in rows)
+
+
 class TestJoinMethodsAgree:
     @settings(max_examples=40, deadline=None)
-    @given(rows_strategy, rows_strategy)
+    @given(nullable_rows, nullable_rows)
     def test_nl_and_merge_produce_identical_multisets(self, left_rows, right_rows):
+        """Both join methods follow SQL: a NULL key joins nothing (the merge
+        join used to raise from its sort, the nested loop matched NULL to
+        NULL)."""
         db = MiniDB()
         db.execute("CREATE TABLE L (K INT, V INT)")
         db.execute("CREATE TABLE R (K INT, V INT)")
         if left_rows:
-            db.execute(
-                "INSERT INTO L VALUES "
-                + ", ".join(f"({k}, {v})" for k, v in left_rows)
-            )
+            db.execute("INSERT INTO L VALUES " + sql_values(left_rows))
         if right_rows:
-            db.execute(
-                "INSERT INTO R VALUES "
-                + ", ".join(f"({k}, {v})" for k, v in right_rows)
-            )
+            db.execute("INSERT INTO R VALUES " + sql_values(right_rows))
         query = "SELECT {hint} L.V, R.V FROM L, R WHERE L.K = R.K"
         nested = sorted(db.query(query.format(hint="/*+ USE_NL */")))
         merged = sorted(db.query(query.format(hint="/*+ USE_MERGE */")))
         reference = sorted(
-            (lv, rv) for lk, lv in left_rows for rk, rv in right_rows if lk == rk
+            (lv, rv)
+            for lk, lv in left_rows
+            for rk, rv in right_rows
+            if lk is not None and lk == rk
         )
         assert nested == merged == reference
 

@@ -13,6 +13,8 @@ from repro.algebra.expressions import (
     Or,
     attributes_of,
     col,
+    compile_block,
+    compile_pair,
     compile_row,
     conjoin,
     conjuncts,
@@ -169,6 +171,53 @@ class TestGeneratedSource:
         func = FuncCall("GREATEST", [col("A"), lit("x")]).compile(SCHEMA)
         assert func.__globals__["__builtins__"] == {}
         assert sorted(func.__globals__) == ["__builtins__", "_f1", "_k2"]
+
+    def test_block_kernels_bind_literals_and_render_columns_as_positions(self):
+        left = Schema([Attribute("L.K"), Attribute("row[0]")])
+        right = Schema([Attribute("R.K"), Attribute(self.HOSTILE)])
+        kernel = compile_block(
+            "merge",
+            [col("row[0]"), lit(self.HOSTILE), col(self.HOSTILE)],
+            [Comparison("<>", col(self.HOSTILE), lit(self.HOSTILE))],
+            left,
+            right,
+        )
+        assert kernel.__globals__["__builtins__"] == {}
+        bound = [v for k, v in kernel.__globals__.items() if k != "__builtins__"]
+        assert bound == [self.HOSTILE, self.HOSTILE]
+        matched = [((1, "x"), [(1, "y"), (1, self.HOSTILE)])]
+        assert kernel(matched) == [("x", self.HOSTILE, "y")]
+
+    @pytest.mark.parametrize("shape", ["rows", "loop", "probe"])
+    def test_every_block_shape_sees_no_builtins(self, shape):
+        right = None if shape == "rows" else Schema([Attribute("S")])
+        kernel = compile_block(shape, [col("A")], [Comparison("=", col("Name"), lit("tango"))], SCHEMA, right)
+        assert kernel.__globals__["__builtins__"] == {}
+        inputs = {
+            "rows": ([ROW],),
+            "loop": ([ROW], [("s",)]),
+            "probe": ([ROW], lambda l: [("s",)]),
+        }[shape]
+        assert kernel(*inputs) == [(10,)]
+
+    def test_pair_functions_see_no_builtins(self):
+        test = compile_pair(Comparison("<", col("A"), col("S")), SCHEMA, Schema([Attribute("S")]))
+        assert test.__globals__["__builtins__"] == {}
+        assert test(ROW, (11,)) is True
+
+    def test_hostile_literals_cross_a_join_as_values(self):
+        from repro.dbms.database import MiniDB
+
+        db = MiniDB()
+        db.execute("CREATE TABLE A (K INT, V INT)")
+        db.execute("CREATE TABLE B (K INT, S VARCHAR(40))")
+        db.execute("INSERT INTO A VALUES (1, 7)")
+        quoted = self.HOSTILE.replace("'", "''")
+        db.execute(f"INSERT INTO B VALUES (1, '{quoted}'), (1, 'plain')")
+        rows = db.query(
+            f"SELECT A.V, B.S, '{quoted}' FROM A, B WHERE A.K = B.K AND B.S <> 'plain'"
+        )
+        assert rows == [(7, self.HOSTILE, self.HOSTILE)]
 
     def test_aggregate_calls_do_not_compile(self):
         from repro.dbms.sql.ast import AggregateCall

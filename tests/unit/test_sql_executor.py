@@ -1,27 +1,44 @@
-"""Unit tests for MiniDB's physical row-stream primitives."""
+"""Unit tests for MiniDB's physical stages and their bills."""
 
 import pytest
 
+from repro.algebra.expressions import Comparison, col, compile_block, compile_pair, lit
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.sql.executor import (
+    Concatenated,
+    Distinct,
+    Filtered,
+    Limited,
+    Listed,
+    MergeJoined,
+    NestedLooped,
     ResultSet,
-    concat_rows,
-    distinct_rows,
-    filter_rows,
     hash_group,
-    limit_rows,
-    merge_join,
-    nested_loop_join,
-    project_rows,
     sort_rows,
 )
 from repro.errors import ExecutionError
+
+ONE = Schema([Attribute("X")])
+PAIR = Schema([Attribute("K"), Attribute("V", AttrType.STR)])
+OTHER = Schema([Attribute("K2"), Attribute("W", AttrType.STR)])
 
 
 @pytest.fixture
 def meter():
     return CostMeter()
+
+
+def drained(stage, meter):
+    return ResultSet(ONE, stage, meter).fetchall()
+
+
+def merge(left, right, residual=None, output=None):
+    output = output or [col("K"), col("V"), col("K2"), col("W")]
+    conditions = [] if residual is None else [residual]
+    test = None if residual is None else (lambda: compile_pair(residual, PAIR, OTHER))
+    kernel = compile_block("merge", output, conditions, PAIR, OTHER)
+    return MergeJoined(left, right, 0, 0, kernel, test, projects=False)
 
 
 class TestResultSet:
@@ -40,27 +57,44 @@ class TestResultSet:
         schema = Schema([Attribute("A"), Attribute("B")])
         assert ResultSet(schema, []).column_names == ("A", "B")
 
+    def test_the_rest_is_billed_when_a_fetch_finds_the_end(self, meter):
+        rows = [(1,), (5,), (2,), (3,)]
+        kernel = compile_block("rows", None, [Comparison(">", col("X"), lit(1))], ONE)
+        test = Comparison(">", col("X"), lit(1)).compile
+        result = ResultSet(ONE, Filtered(Listed(rows), kernel, [lambda: test(ONE)], False), meter)
+        assert result.fetchmany(1) == [(5,)]
+        assert meter.cpu == 2  # (1,) and (5,) were offered to the filter
+        assert result.fetchmany(2) == [(2,), (3,)]
+        assert meter.cpu == 4
+        assert result.fetchmany(1) == []
+        assert meter.cpu == 4
+
 
 class TestScalarPrimitives:
     def test_filter(self, meter):
         rows = [(1,), (2,), (3,)]
-        assert list(filter_rows(rows, lambda r: r[0] > 1, meter)) == [(2,), (3,)]
+        predicate = Comparison(">", col("X"), lit(1))
+        kernel = compile_block("rows", None, [predicate], ONE)
+        stage = Filtered(Listed(rows), kernel, [lambda: predicate.compile(ONE)], False)
+        assert drained(stage, meter) == [(2,), (3,)]
         assert meter.cpu == 3
 
     def test_project(self, meter):
-        rows = [(1, 2)]
-        out = list(project_rows(rows, lambda r: (r[1], r[0] * 10), meter))
-        assert out == [(2, 10)]
+        rows = [(1, "a")]
+        kernel = compile_block("rows", [col("V"), col("K")], [], PAIR)
+        assert drained(Filtered(Listed(rows), kernel, [], True), meter) == [("a", 1)]
+        assert meter.cpu == 1
 
     def test_limit(self):
-        assert list(limit_rows(iter([(1,), (2,), (3,)]), 2)) == [(1,), (2,)]
+        assert Limited(Listed([(1,), (2,), (3,)]), 2).rows() == [(1,), (2,)]
 
     def test_distinct_preserves_first_occurrence_order(self, meter):
         rows = [(2,), (1,), (2,), (3,), (1,)]
-        assert list(distinct_rows(rows, meter)) == [(2,), (1,), (3,)]
+        assert drained(Distinct(Listed(rows)), meter) == [(2,), (1,), (3,)]
+        assert meter.cpu == 5
 
     def test_concat(self):
-        assert list(concat_rows([[(1,)], [(2,)]])) == [(1,), (2,)]
+        assert Concatenated([Listed([(1,)]), Listed([(2,)])]).rows() == [(1,), (2,)]
 
 
 class TestSort:
@@ -84,58 +118,59 @@ class TestSort:
 
 class TestJoins:
     def test_nested_loop(self, meter):
-        left = [(1,), (2,)]
-        right = [(2, "a"), (1, "b")]
-        out = list(
-            nested_loop_join(left, right, lambda row: row[0] == row[1], meter)
-        )
-        assert sorted(out) == [(1, 1, "b"), (2, 2, "a")]
+        left, right = [(1,), (2,)], [(2, "a"), (1, "b")]
+        condition = Comparison("=", col("X"), col("K"))
+        kernel = compile_block("loop", [col("X"), col("K"), col("V")], [condition], ONE, PAIR)
+        stage = NestedLooped(Listed(left), right, kernel, lambda: compile_pair(condition, ONE, PAIR), False)
+        assert sorted(drained(stage, meter)) == [(1, 1, "b"), (2, 2, "a")]
         assert meter.cpu == 4  # every pair considered
 
     def test_nested_loop_cross_product(self, meter):
-        out = list(nested_loop_join([(1,), (2,)], [(3,)], None, meter))
-        assert out == [(1, 3), (2, 3)]
+        kernel = compile_block("loop", [col("X"), col("K")], [], ONE, Schema([Attribute("K")]))
+        stage = NestedLooped(Listed([(1,), (2,)]), [(3,)], kernel, None, False)
+        assert drained(stage, meter) == [(1, 3), (2, 3)]
 
     def test_merge_join_basic(self, meter):
-        left = [(1, "l1"), (2, "l2"), (4, "l4")]
+        left = [(4, "l4"), (1, "l1"), (2, "l2")]
         right = [(2, "r2"), (3, "r3"), (4, "r4")]
-        out = list(
-            merge_join(left, right, lambda r: r[0], lambda r: r[0], None, meter)
-        )
-        assert out == [(2, "l2", 2, "r2"), (4, "l4", 4, "r4")]
+        assert drained(merge(left, right), meter) == [(2, "l2", 2, "r2"), (4, "l4", 4, "r4")]
+        # Walk: 1 < 2 steps past l1, key 2 matches, 3 < 4 steps past r3, key
+        # 4 matches; one pair each.
+        assert meter.cpu == 4 + 2
 
     def test_merge_join_duplicate_keys_cross(self, meter):
         left = [(1, "a"), (1, "b")]
         right = [(1, "x"), (1, "y")]
-        out = list(
-            merge_join(left, right, lambda r: r[0], lambda r: r[0], None, meter)
-        )
-        assert len(out) == 4
+        assert drained(merge(left, right), meter) == [
+            (1, "a", 1, "x"), (1, "a", 1, "y"), (1, "b", 1, "x"), (1, "b", 1, "y"),
+        ]
+        assert meter.cpu == 1 + 4
 
     def test_merge_join_residual(self, meter):
-        left = [(1, 5)]
-        right = [(1, 3), (1, 9)]
-        out = list(
-            merge_join(
-                left, right,
-                lambda r: r[0], lambda r: r[0],
-                lambda row: row[1] < row[3],
-                meter,
-            )
-        )
-        assert out == [(1, 5, 1, 9)]
+        left = [(1, "m")]
+        right = [(1, "c"), (1, "z")]
+        residual = Comparison("<", col("V"), col("W"))
+        assert drained(merge(left, right, residual), meter) == [(1, "m", 1, "z")]
+        assert meter.cpu == 1 + 2  # the residual's pairs are billed before it
 
     def test_merge_join_empty_side(self, meter):
-        assert list(merge_join([], [(1,)], lambda r: r[0], lambda r: r[0], None, meter)) == []
+        assert drained(merge([], [(1, "r")]), meter) == []
+        assert meter.cpu == 0
+
+    def test_merge_join_null_keys_join_nothing(self, meter):
+        left = [(None, "a"), (1, "b")]
+        right = [(None, "x"), (1, "y")]
+        assert drained(merge(left, right), meter) == [(1, "b", 1, "y")]
+        assert meter.cpu == 1 + 1
 
 
 class TestHashGroup:
-    def test_count_star(self, meter):
+    def test_count_star(self):
         rows = [(1,), (1,), (2,)]
-        out = sorted(hash_group(rows, lambda r: (r[0],), [("COUNT", None, False)], meter))
+        out = sorted(hash_group(rows, lambda r: (r[0],), [("COUNT", None, False)]))
         assert out == [(1, 2), (2, 1)]
 
-    def test_sum_min_max_avg(self, meter):
+    def test_sum_min_max_avg(self):
         rows = [(1, 10), (1, 30)]
         specs = [
             ("SUM", lambda r: r[1], False),
@@ -143,27 +178,21 @@ class TestHashGroup:
             ("MAX", lambda r: r[1], False),
             ("AVG", lambda r: r[1], False),
         ]
-        out = list(hash_group(rows, lambda r: (r[0],), specs, meter))
+        out = hash_group(rows, lambda r: (r[0],), specs)
         assert out == [(1, 40.0, 10, 30, 20.0)]
 
-    def test_scalar_aggregate_over_empty_input(self, meter):
-        out = list(hash_group([], None, [("COUNT", None, False)], meter))
-        assert out == [(0,)]
+    def test_scalar_aggregate_over_empty_input(self):
+        assert hash_group([], None, [("COUNT", None, False)]) == [(0,)]
 
-    def test_grouped_aggregate_over_empty_input(self, meter):
-        out = list(hash_group([], lambda r: (r[0],), [("COUNT", None, False)], meter))
-        assert out == []
+    def test_grouped_aggregate_over_empty_input(self):
+        assert hash_group([], lambda r: (r[0],), [("COUNT", None, False)]) == []
 
-    def test_distinct_aggregate(self, meter):
+    def test_distinct_aggregate(self):
         rows = [(1, 5), (1, 5), (1, 7)]
-        out = list(
-            hash_group(rows, lambda r: (r[0],), [("COUNT", lambda r: r[1], True)], meter)
-        )
+        out = hash_group(rows, lambda r: (r[0],), [("COUNT", lambda r: r[1], True)])
         assert out == [(1, 2)]
 
-    def test_nulls_ignored(self, meter):
+    def test_nulls_ignored(self):
         rows = [(1, None), (1, 4)]
-        out = list(
-            hash_group(rows, lambda r: (r[0],), [("SUM", lambda r: r[1], False)], meter)
-        )
+        out = hash_group(rows, lambda r: (r[0],), [("SUM", lambda r: r[1], False)])
         assert out == [(1, 4.0)]
