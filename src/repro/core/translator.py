@@ -271,7 +271,9 @@ class _Context:
            interval.
 
         Intervals covered by no tuple vanish via the inner join, so the
-        result matches ``TAGGR^M`` exactly (Figure 3(c)).
+        result matches ``TAGGR^M`` (Figure 3(c)), NULL arguments included:
+        ``COUNT(A)`` counts the non-NULL ones.  Not NULL groups: a NULL
+        grouping value joins nothing, so its group is dropped here.
         """
         source = self._from_item(node.input)
         t1, t2 = node.period
@@ -310,12 +312,8 @@ class _Context:
         final_outputs.append(f"{iv}.TS AS {t1}")
         final_outputs.append(f"{iv}.TE AS {t2}")
         for spec in node.aggregates:
-            if spec.func == "COUNT":
-                final_outputs.append(f"COUNT(*) AS {spec.output_name}")
-            else:
-                final_outputs.append(
-                    f"{spec.func}({p}.{spec.attribute}) AS {spec.output_name}"
-                )
+            argument = "*" if spec.attribute is None else f"{p}.{spec.attribute}"
+            final_outputs.append(f"{spec.func}({argument}) AS {spec.output_name}")
         match_groups = " AND ".join(f"{p}.{g} = {iv}.{g}" for g in group)
         final_group_by = ", ".join(
             [f"{iv}.{g}" for g in group] + [f"{iv}.TS", f"{iv}.TE"]

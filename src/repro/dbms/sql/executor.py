@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.algebra.schema import Schema
 from repro.dbms.costmodel import CostMeter
-from repro.dbms.sql.functions import Accumulator
+from repro.dbms.sql.functions import Accumulator, nulls_last
 from repro.errors import ExecutionError
 
 RowFunc = Callable[[tuple], object]
@@ -584,13 +584,20 @@ def sort_rows(
     reverse: bool = False,
     row_width: int = 64,
 ) -> list[tuple]:
-    """Materializing stable sort, charged :func:`sort_charge`."""
-    materialized = list(rows)
+    """Materializing stable sort, charged :func:`sort_charge`.
+
+    A NULL key sorts last ascending and first descending (Oracle's
+    default).  Only a sort that meets one pays for the wrapped key: it is
+    redone from the input order, which a failed sort would have lost.
+    """
+    materialized = rows if isinstance(rows, list) else list(rows)
     io, cpu = sort_charge(len(materialized), row_width)
     meter.charge_io(io)
     meter.charge_cpu(cpu)
-    materialized.sort(key=key, reverse=reverse)
-    return materialized
+    try:
+        return sorted(materialized, key=key, reverse=reverse)
+    except TypeError:
+        return sorted(materialized, key=lambda row: nulls_last(key(row)), reverse=reverse)
 
 
 class ResultSet:

@@ -16,6 +16,16 @@ from collections import Counter
 from repro.errors import ExecutionError
 
 
+def nulls_last(value: object) -> tuple[bool, object]:
+    """A sort key placing NULL after every value, as Oracle orders an
+    ascending sort (a descending one then puts NULL first).
+
+    Wherever the plain values compare, this key orders them the same way,
+    so a sort may retry with it after a ``TypeError`` from a NULL.
+    """
+    return (value is None, value)
+
+
 class Accumulator:
     """Add-only accumulator for one aggregate over one group."""
 

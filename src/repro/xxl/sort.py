@@ -10,9 +10,10 @@ preserves existing order on equal keys (relevant for rule T12).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.dbms.costmodel import CostMeter
+from repro.dbms.sql.functions import nulls_last
 from repro.xxl.cursor import GeneratorCursor, Cursor
 
 #: Rows per in-memory run before the sort goes external.
@@ -45,12 +46,23 @@ class SortCursor(GeneratorCursor):
         self.schema = self._input.schema
         super()._open()
 
-    def _key_func(self) -> Callable[[tuple], tuple]:
-        positions = [self.schema.index_of(key) for key in self.keys]
-        return lambda row: tuple(row[p] for p in positions)
-
     def _generate(self) -> Iterator[tuple]:
-        key = self._key_func()
+        positions = [self.schema.index_of(key) for key in self.keys]
+
+        def key(row: tuple) -> tuple:
+            return tuple(row[p] for p in positions)
+
+        def null_safe_key(row: tuple) -> tuple:
+            return tuple(nulls_last(row[p]) for p in positions)
+
+        def sort_run(run: list[tuple]) -> list[tuple]:
+            # MiniDB's ORDER BY: NULLs last, and only a run that meets one
+            # is sorted again, from its input order, on the wrapped key.
+            try:
+                return sorted(run, key=key)
+            except TypeError:
+                return sorted(run, key=null_safe_key)
+
         runs: list[list[tuple]] = []
         current: list[tuple] = []
         count = 0
@@ -63,12 +75,10 @@ class SortCursor(GeneratorCursor):
             current.extend(batch)
             count += len(batch)
             if len(current) >= self._run_size:
-                current.sort(key=key)
-                runs.append(current)
+                runs.append(sort_run(current))
                 current = []
         if current:
-            current.sort(key=key)
-            runs.append(current)
+            runs.append(sort_run(current))
         if self._meter is not None and count > 1:
             self._meter.charge_cpu(int(count * max(1, count.bit_length())))
         if not runs:
@@ -76,7 +86,8 @@ class SortCursor(GeneratorCursor):
         if len(runs) == 1:
             yield from runs[0]
             return
-        yield from heapq.merge(*runs, key=key)
+        # Each run's order agrees with the wrapped key, NULLs or not.
+        yield from heapq.merge(*runs, key=null_safe_key)
 
     def _close(self) -> None:
         super()._close()

@@ -3,31 +3,97 @@
 Section 3.4: the argument must arrive sorted on the grouping attributes and
 ``T1``; the algorithm internally keeps a second copy of each group sorted on
 ``T2`` and traverses both "similarly to sort-merge join", computing the
-aggregate values group by group.  Per group this is a sweep over the start
-and end instants: between two consecutive instants the set of valid tuples
-is constant, so one result tuple per non-empty constant interval is emitted
-(Figure 3(c)).
+aggregate values group by group.  Between two consecutive instants the set
+of valid tuples is constant, so one result tuple is emitted per constant
+interval in which at least one tuple is valid (Figure 3(c)).
 
-COUNT/SUM/AVG slide in O(1); MIN/MAX use a lazy-deletion heap
-(:class:`~repro.dbms.sql.functions.SlidingAggregate`), which is exactly why
-the algorithm wants the T2-sorted copy rather than the in-memory aggregation
-trees of Kline & Snodgrass [13].
+Here the two copies are one list per group: an ``(instant, ±1, row)`` event
+per ``T1`` and per ``T2``, all starts listed before all ends, put in order
+by a stable sort on the instant alone.  That is the merge of the T1-sorted
+copy with the T2-sorted one, starts before ends at one instant, and it
+never compares rows (they may hold NULLs).  One walk over the events serves
+every aggregate: COUNT slides an integer (``COUNT(A)`` skips NULL
+arguments, ``COUNT(*)`` is the number of valid tuples), SUM/AVG/MIN/MAX
+slide a :class:`~repro.dbms.sql.functions.SlidingAggregate` and are NULL
+while every valid value is.  The MIN/MAX lazy-deletion heap is exactly why
+the algorithm wants the T2-sorted copy rather than the in-memory
+aggregation trees of Kline & Snodgrass [13].  The walk's source is rendered
+once per aggregate list, so an event costs straight-line code rather than a
+loop over the aggregates.
+
+The cursor works a batch of groups at a time: it splits each input batch
+into groups, sweeps every complete group into the output list and keeps the
+trailing group until the next batch (or the end) shows it complete.  Per
+group of *n* rows the meter is charged what a row-at-a-time sweep charges:
+``n·max(1, n.bit_length())`` for the T2-sorted copy, plus one per start and
+end consumed — ``2n`` when every period is valid.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.algebra.operators import AggregateSpec
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.sql.functions import SlidingAggregate
 from repro.errors import ExecutionError
-from repro.xxl.cursor import Cursor, GeneratorCursor
+from repro.xxl.cursor import Cursor
+
+_INSTANT = itemgetter(0)
+
+#: One group's walk over its sorted events.  ``live`` counts the valid
+#: tuples; the rendered parts hold a ``cI`` integer per ``COUNT(A)`` and an
+#: ``aI`` :class:`SlidingAggregate` per other aggregate.
+_WALK = """\
+def walk(key, events, append, sliding):
+    {unpack}live = {counters}0
+    previous = events[0][0]
+    for instant, sign, row in events:
+        if instant != previous:
+            if live:
+                append(key + (previous, instant, {values}))
+            previous = instant
+        live += sign
+{steps}"""
 
 
-class TemporalAggregateCursor(GeneratorCursor):
+@lru_cache(maxsize=256)
+def _compile_walk(arguments: tuple[tuple[str, int | None], ...]) -> Callable:
+    """The walk for aggregates given as (function, argument position), the
+    position ``None`` for ``COUNT(*)``; *sliding* holds the non-COUNT
+    aggregates' fresh states, in order."""
+    unpack, counters, values, steps = [], [], [], []
+    for index, (func, position) in enumerate(arguments):
+        if position is None:
+            values.append("live")
+        elif func == "COUNT":
+            counters.append(f"c{index} = ")
+            values.append(f"c{index}")
+            steps.append(f"if row[{position}] is not None: c{index} += sign")
+        else:
+            unpack.append(f"a{index}, ")
+            values.append(f"a{index}.result()")
+            steps.append(f"(a{index}.add if sign > 0 else a{index}.remove)(row[{position}])")
+    source = _WALK.format(
+        unpack="".join(unpack) + "= sliding\n    " if unpack else "",
+        counters="".join(counters),
+        values=", ".join(values),
+        steps="".join(f"        {step}\n" for step in steps),
+    )
+    namespace: dict = {}
+    exec(compile(source, "<TAGGR^M walk>", "exec"), namespace)
+    return namespace["walk"]
+
+
+def _no_key(row: tuple) -> tuple:
+    return ()
+
+
+class TemporalAggregateCursor(Cursor):
     """Temporal aggregation over an input sorted on (group attrs, T1).
 
     Output: group attributes, ``T1``, ``T2``, one value per aggregate —
@@ -68,202 +134,79 @@ class TemporalAggregateCursor(GeneratorCursor):
         for spec in self.aggregates:
             attributes.append(Attribute(spec.output_name, spec.output_type(source)))
         self.schema = Schema(attributes)
-        super()._open()
 
-    def _generate(self) -> Iterator[tuple]:
-        source = self._input.schema
-        group_positions = [source.index_of(name) for name in self.group_by]
-        t1_pos = source.index_of(self.period[0])
-        t2_pos = source.index_of(self.period[1])
-        argument_positions = [
-            source.index_of(spec.attribute) if spec.attribute is not None else None
-            for spec in self.aggregates
-        ]
-
-        single_group = group_positions[0] if len(group_positions) == 1 else None
-
-        current_key: tuple | None = None
-        group_rows: list[tuple] = []
-        # Batch loop outside, row loop inside: no per-row generator resume.
-        while batch := self._input.next_batch(self.batch_size):
-            for row in batch:
-                if single_group is not None:
-                    key = (row[single_group],)
-                else:
-                    key = tuple(row[p] for p in group_positions)
-                if current_key is None:
-                    current_key = key
-                if key != current_key:
-                    try:
-                        out_of_order = key < current_key  # type: ignore[operator]
-                    except TypeError:
-                        out_of_order = False
-                    if out_of_order:
-                        raise ExecutionError(
-                            "TAGGR^M input is not sorted on the grouping attributes"
-                        )
-                    yield from self._sweep_group(
-                        current_key, group_rows, t1_pos, t2_pos, argument_positions
-                    )
-                    current_key = key
-                    group_rows = []
-                group_rows.append(row)
-        if current_key is not None:
-            yield from self._sweep_group(
-                current_key, group_rows, t1_pos, t2_pos, argument_positions
+        positions = [source.index_of(name) for name in self.group_by]
+        self._key_of = itemgetter(*positions) if positions else _no_key
+        self._single = len(positions) == 1
+        self._t1 = source.index_of(t1)
+        self._t2 = source.index_of(t2)
+        self._walk = _compile_walk(
+            tuple(
+                (spec.func, None if spec.attribute is None else source.index_of(spec.attribute))
+                for spec in self.aggregates
             )
-
-    def _sweep_group(
-        self,
-        key: tuple,
-        rows: list[tuple],
-        t1_pos: int,
-        t2_pos: int,
-        argument_positions: list[int | None],
-    ) -> Iterator[tuple]:
-        """Sweep one group's constant intervals.
-
-        *rows* arrive sorted on T1 (the external sort); the internal second
-        copy sorted on T2 drives the removals.  Not itself a generator —
-        it hands back the sweep's iterator directly, saving one generator
-        frame per emitted tuple.
-        """
-        meter = self._meter
-        by_end = sorted(rows, key=itemgetter(t2_pos))
-        if meter is not None:
-            count = len(rows)
-            meter.charge_cpu(count * max(1, count.bit_length()))
-
-        if all(spec.func == "COUNT" for spec in self.aggregates):
-            return self._sweep_counts(
-                key, rows, by_end, t1_pos, t2_pos, argument_positions, meter
-            )
-        return self._sweep_general(
-            key, rows, by_end, t1_pos, t2_pos, argument_positions, meter
         )
+        self._sliding = [spec.func for spec in self.aggregates if spec.func != "COUNT"]
+        #: The last group read: swept once a later key (or the end) arrives.
+        self._key: object = None
+        self._group: list[tuple] = []
+        self._drained = False
+        #: An ordering error, raised once the groups before it are handed out.
+        self._failure: ExecutionError | None = None
 
-    def _sweep_general(
-        self,
-        key: tuple,
-        rows: list[tuple],
-        by_end: list[tuple],
-        t1_pos: int,
-        t2_pos: int,
-        argument_positions: list[int | None],
-        meter: CostMeter | None,
-    ) -> Iterator[tuple]:
-        sliding = [SlidingAggregate(spec.func) for spec in self.aggregates]
-        start_index = 0
-        end_index = 0
-        total = len(rows)
-        previous: int | None = None
-        infinity = float("inf")
+    def _next_batch(self, n: int) -> list[tuple]:
+        out: list[tuple] = []
+        while len(out) < n and not self._drained and self._failure is None:
+            self._sweep(self._complete_groups(self._input.next_batch(self.batch_size)), out)
+        if not out and self._failure is not None:
+            raise self._failure
+        return self._park_surplus(out, n)
 
-        while end_index < total:
-            next_start = rows[start_index][t1_pos] if start_index < total else infinity
-            next_end = by_end[end_index][t2_pos]
-            instant = next_start if next_start < next_end else next_end
+    def _complete_groups(self, batch: list[tuple]) -> list[tuple[object, list[tuple]]]:
+        """The groups *batch* completes, in order, as (key, rows)."""
+        if not batch:
+            self._drained = True
+            return [(self._key, self._group)] if self._group else []
+        complete = []
+        for key, rows in groupby(batch, self._key_of):
+            if self._group:
+                if key == self._key:
+                    self._group.extend(rows)
+                    continue
+                try:
+                    out_of_order = key < self._key  # type: ignore[operator]
+                except TypeError:
+                    out_of_order = False
+                if out_of_order:
+                    self._failure = ExecutionError(
+                        "TAGGR^M input is not sorted on the grouping attributes"
+                    )
+                    break
+                complete.append((self._key, self._group))
+            self._key = key
+            self._group = list(rows)
+        return complete
 
-            if (
-                previous is not None
-                and previous < instant
-                and any(not agg.empty for agg in sliding)
-            ):
-                yield key + (previous, instant) + tuple(
-                    agg.result() for agg in sliding
-                )
-            # Meter checks are hoisted out of the advance loops: indices
-            # before/after give the exact tuple count to charge at once.
-            s0, e0 = start_index, end_index
-            while start_index < total and rows[start_index][t1_pos] == instant:
-                row = rows[start_index]
-                for agg, position in zip(sliding, argument_positions):
-                    agg.add(1 if position is None else row[position])
-                start_index += 1
-            while end_index < total and by_end[end_index][t2_pos] == instant:
-                row = by_end[end_index]
-                for agg, position in zip(sliding, argument_positions):
-                    agg.remove(1 if position is None else row[position])
-                end_index += 1
-            if meter is not None:
-                meter.charge_cpu((start_index - s0) + (end_index - e0))
-            previous = instant
-
-    @staticmethod
-    def _sweep_counts(
-        key: tuple,
-        rows: list[tuple],
-        by_end: list[tuple],
-        t1_pos: int,
-        t2_pos: int,
-        argument_positions: list[int | None],
-        meter: CostMeter | None,
-    ) -> Iterator[tuple]:
-        """The sweep specialized to all-COUNT aggregates (Queries 1 and 2).
-
-        COUNT slides with a plain integer per aggregate — no
-        :class:`SlidingAggregate` objects, no per-instant generator
-        expressions — which roughly halves the per-tuple cost of the
-        paper's flagship aggregation.  ``COUNT(A)`` still skips NULLs.
-        """
-        start_index = 0
-        end_index = 0
-        total = len(rows)
-        previous: int | None = None
-        infinity = float("inf")
-
-        if len(argument_positions) == 1:
-            # One COUNT (the Query 1 / Query 2 shape): slide a scalar.
-            position = argument_positions[0]
-            count = 0
-            while end_index < total:
-                next_start = (
-                    rows[start_index][t1_pos] if start_index < total else infinity
-                )
-                next_end = by_end[end_index][t2_pos]
-                instant = next_start if next_start < next_end else next_end
-
-                if previous is not None and previous < instant and count:
-                    yield key + (previous, instant, count)
-                s0, e0 = start_index, end_index
-                while start_index < total and rows[start_index][t1_pos] == instant:
-                    if position is None or rows[start_index][position] is not None:
-                        count += 1
-                    start_index += 1
-                while end_index < total and by_end[end_index][t2_pos] == instant:
-                    if position is None or by_end[end_index][position] is not None:
-                        count -= 1
-                    end_index += 1
-                if meter is not None:
-                    meter.charge_cpu((start_index - s0) + (end_index - e0))
-                previous = instant
-            return
-
-        counts = [0] * len(argument_positions)
-        while end_index < total:
-            next_start = rows[start_index][t1_pos] if start_index < total else infinity
-            next_end = by_end[end_index][t2_pos]
-            instant = next_start if next_start < next_end else next_end
-
-            if previous is not None and previous < instant and any(counts):
-                yield key + (previous, instant) + tuple(counts)
-            s0, e0 = start_index, end_index
-            while start_index < total and rows[start_index][t1_pos] == instant:
-                row = rows[start_index]
-                for index, position in enumerate(argument_positions):
-                    if position is None or row[position] is not None:
-                        counts[index] += 1
-                start_index += 1
-            while end_index < total and by_end[end_index][t2_pos] == instant:
-                row = by_end[end_index]
-                for index, position in enumerate(argument_positions):
-                    if position is None or row[position] is not None:
-                        counts[index] -= 1
-                end_index += 1
-            if meter is not None:
-                meter.charge_cpu((start_index - s0) + (end_index - e0))
-            previous = instant
+    def _sweep(self, groups: list[tuple[object, list[tuple]]], out: list[tuple]) -> None:
+        """One walk per group over its events, appended to *out*."""
+        t1, t2 = self._t1, self._t2
+        walk, single, sliding, append = self._walk, self._single, self._sliding, out.append
+        ticks = 0
+        for key, rows in groups:
+            events = [(row[t1], 1, row) for row in rows]
+            events += [(row[t2], -1, row) for row in rows]
+            events.sort(key=_INSTANT)
+            # A start after the group's last end (a period ending before it
+            # begins) opens nothing the sweep would ever close: never consumed.
+            while events[-1][1] > 0:
+                events.pop()
+            count = len(rows)
+            ticks += count * max(1, count.bit_length()) + len(events)
+            states = [SlidingAggregate(func) for func in sliding] if sliding else ()
+            walk((key,) if single else key, events, append, states)
+        if self._meter is not None:
+            self._meter.charge_cpu(ticks)
 
     def _close(self) -> None:
-        super()._close()
+        self._group = []
         self._input.close()

@@ -142,3 +142,57 @@ class TestExtensionOperators:
         assert sorted(row[0] for row in rows) == [
             "Ada", "Barbara", "Edsger", "Grace",
         ]
+
+
+class TestNullArguments:
+    """``TAGGR^D``, ``TAGGR^M`` and MiniDB's ``GROUP BY`` agree on NULL
+    aggregate arguments: every constant interval with a valid tuple is a
+    row, ``COUNT(V)`` counts the non-NULL values and ``SUM(V)`` is NULL
+    when all of them are."""
+
+    ROWS = [(1, 5, 0, 10), (1, None, 2, 12), (2, None, 1, 4), (1, 7, 3, 6)]
+    EXPECTED = [
+        (1, 0, 2, 1, 5.0),
+        (1, 2, 3, 1, 5.0),
+        (1, 3, 6, 2, 12.0),
+        (1, 6, 10, 1, 5.0),
+        (1, 10, 12, 0, None),
+        (2, 1, 4, 0, None),
+    ]
+
+    @pytest.fixture
+    def nullable(self):
+        db = MiniDB()
+        db.execute("CREATE TABLE R (G INT, V INT, T1 DATE, T2 DATE)")
+        db.insert_rows("R", self.ROWS)
+        with Tango(db) as tango:
+            yield tango
+
+    @staticmethod
+    def plans(db):
+        from repro.algebra.builder import scan
+        from repro.algebra.operators import AggregateSpec
+
+        specs = [AggregateSpec("COUNT", "V"), AggregateSpec("SUM", "V")]
+        in_dbms = scan(db, "R").taggr(["G"], aggregates=specs).sort("G", "T1")
+        in_middleware = scan(db, "R").sort("G", "T1").to_middleware()
+        return (
+            in_dbms.to_middleware().build(),
+            in_middleware.taggr(["G"], aggregates=specs).build(),
+        )
+
+    def test_both_locations_agree_with_sql(self, nullable):
+        dbms, middleware = self.plans(nullable.db)
+        assert nullable.execute_plan(dbms).rows == self.EXPECTED
+        assert nullable.execute_plan(middleware).rows == self.EXPECTED
+        assert nullable.db.query(
+            "SELECT G, COUNT(V), SUM(V) FROM R WHERE G = 2 GROUP BY G"
+        ) == [(2, 0, None)]
+
+    def test_a_null_group_sorts_last_and_only_the_dbms_drops_it(self, nullable):
+        # The middleware plan's Sort^D used to raise on the NULL key.  The
+        # instant self-join of TAGGR^D still joins a NULL group to nothing.
+        nullable.db.insert_rows("R", [(None, 3, 0, 5)])
+        dbms, middleware = self.plans(nullable.db)
+        assert nullable.execute_plan(middleware).rows == self.EXPECTED + [(None, 0, 5, 1, 3.0)]
+        assert nullable.execute_plan(dbms).rows == self.EXPECTED

@@ -2,7 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.database import MiniDB
+from repro.xxl import RelationCursor, SortCursor, materialize
 
 rows_strategy = st.lists(
     st.tuples(
@@ -116,6 +118,38 @@ class TestJoinMethodsAgree:
             if lk is not None and lk == rk
         )
         assert nested == merged == reference
+
+
+class TestOrderByNulls:
+    """A NULL sort key is ordered as Oracle orders it — last ascending,
+    first descending — by MiniDB's ``ORDER BY`` and by ``SORT^M`` alike
+    (rule T6 moves a sort between them), stably from the input order."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(nullable_rows)
+    def test_ascending_puts_nulls_last(self, rows):
+        db = MiniDB()
+        db.execute("CREATE TABLE T (K INT, V INT)")
+        if rows:
+            db.execute("INSERT INTO T VALUES " + sql_values(rows))
+        nulls = sorted(row for row in rows if row[0] is None)
+        values = sorted(row for row in rows if row[0] is not None)
+        assert db.query("SELECT K, V FROM T ORDER BY K, V") == values + nulls
+        assert db.query("SELECT K, V FROM T ORDER BY K DESC, V") == nulls + sorted(
+            values, key=lambda row: (-row[0], row[1])
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(nullable_rows, st.sampled_from([1, 7, 100_000]))
+    def test_middleware_sort_is_the_same_list(self, rows, run_size):
+        db = MiniDB()
+        db.execute("CREATE TABLE T (K INT, V INT)")
+        if rows:
+            db.execute("INSERT INTO T VALUES " + sql_values(rows))
+        schema = Schema([Attribute("K", AttrType.INT), Attribute("V", AttrType.INT)])
+        for keys in (["K"], ["K", "V"]):
+            sort = SortCursor(RelationCursor(schema, rows), keys, run_size=run_size)
+            assert materialize(sort) == db.query(f"SELECT K, V FROM T ORDER BY {', '.join(keys)}")
 
 
 class TestUnion:

@@ -22,7 +22,7 @@ SCHEMA = Schema(
 rows_strategy = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=4),      # K
-        st.integers(min_value=-50, max_value=50),   # V
+        st.one_of(st.none(), st.integers(min_value=-50, max_value=50)),  # V
         st.integers(min_value=0, max_value=60),     # T1
         st.integers(min_value=1, max_value=30),     # duration
     ).map(lambda t: (t[0], t[1], t[2], t[2] + t[3])),
@@ -40,52 +40,52 @@ def run_taggr(rows, func="COUNT", attribute="K"):
     return materialize(cursor)
 
 
+#: A day on which no tuple of the group is valid (distinct from a NULL value).
+EMPTY = object()
+
+
 def brute_force_by_day(rows, func):
     """Day-by-day evaluation: for each group and day, aggregate the tuples
-    valid that day; then merge runs of equal aggregate values."""
+    valid that day as SQL does — ``COUNT(V)`` counts the non-NULL values,
+    the others are NULL when all of them are — then merge runs of equal
+    aggregate values.  A run of days on which tuples are valid but every
+    value is NULL is kept; a run with no valid tuple is not."""
     per_group = defaultdict(list)
     for row in rows:
         per_group[row[0]].append(row)
     results = []
     for key in sorted(per_group):
         group = per_group[key]
-        days = sorted(
-            {d for row in group for d in (row[2], row[3])}
-        )
-        if not days:
-            continue
-        day_values = []
+        days = [d for row in group for d in (row[2], row[3])]
+        merged = []  # [first day, day after the last, value]
         for day in range(min(days), max(days)):
             valid = [row[1] for row in group if row[2] <= day < row[3]]
+            values = [value for value in valid if value is not None]
             if not valid:
-                day_values.append((day, None))
-                continue
-            if func == "COUNT":
-                value = len(valid)
+                value = EMPTY
+            elif func == "COUNT":
+                value = len(values)
+            elif not values:
+                value = None
             elif func == "SUM":
-                value = float(sum(valid))
+                value = float(sum(values))
             elif func == "MIN":
-                value = min(valid)
+                value = min(values)
             else:
-                value = max(valid)
-            day_values.append((day, value))
-        run_start = None
-        run_value = None
-        for day, value in day_values + [(max(days), object())]:
-            if value != run_value:
-                if run_value is not None and run_start is not None:
-                    results.append((key, run_start, day, run_value))
-                run_start = day
-                run_value = value
-        # Drop the "no tuples valid" runs.
-    return [row for row in results if row[3] is not None]
+                value = max(values)
+            if merged and merged[-1][2] == value:
+                merged[-1][1] = day + 1
+            else:
+                merged.append([day, day + 1, value])
+        results.extend((key, start, end, value) for start, end, value in merged if value is not EMPTY)
+    return results
 
 
 class TestAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(rows_strategy)
     def test_count_matches_day_by_day(self, rows):
-        result = run_taggr(rows, "COUNT")
+        result = run_taggr(rows, "COUNT", "V")
         merged = _merge_equal_adjacent(result)
         assert merged == brute_force_by_day(rows, "COUNT")
 

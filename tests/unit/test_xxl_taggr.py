@@ -87,13 +87,30 @@ class TestAggregateFunctions:
         ]
 
     def test_count_of_attribute_skips_null_arguments(self):
-        # COUNT(A) ignores NULLs; a NULL-argument row still contributes its
-        # instants, and an interval with only NULLs counted emits nothing.
+        # COUNT(A) ignores NULLs, but a NULL-argument row is still a valid
+        # tuple: its interval is emitted, with a count of 0 (SQL's COUNT
+        # over a group whose every value is NULL).
         rows = [(1, None, 0, 10), (1, 7, 5, 15)]
         spec = [AggregateSpec("COUNT", "Pay", "N")]
         assert materialize(taggr(rows, aggregates=spec)) == [
+            (1, 0, 5, 0),
             (1, 5, 10, 1),
             (1, 10, 15, 1),
+        ]
+
+    def test_null_arguments_follow_sql(self):
+        # Every constant interval with a valid tuple is a row; COUNT(A)
+        # counts the non-NULL values, the other aggregates are NULL when
+        # all of them are NULL — group 2 included.
+        rows = [(1, 5, 0, 10), (1, None, 2, 12), (1, 7, 3, 6), (2, None, 1, 4)]
+        specs = [AggregateSpec("COUNT", "Pay", "N"), AggregateSpec("SUM", "Pay", "S")]
+        assert materialize(taggr(rows, aggregates=specs)) == [
+            (1, 0, 2, 1, 5.0),
+            (1, 2, 3, 1, 5.0),
+            (1, 3, 6, 2, 12.0),
+            (1, 6, 10, 1, 5.0),
+            (1, 10, 12, 0, None),
+            (2, 1, 4, 0, None),
         ]
 
     def test_null_arguments_with_several_counts(self):
@@ -127,8 +144,10 @@ class TestEdgeCases:
         assert rows == [(1, 0, 3, 1), (1, 7, 9, 1)]
 
     def test_zero_duration_tuple_contributes_nothing(self):
-        rows = materialize(taggr([(1, 0, 5, 5), (1, 0, 0, 10)]))
-        assert rows == [(1, 0, 10, 1)]
+        # [5, 5) is valid at no instant, so the counts are unchanged; its
+        # instant still splits [0, 10), as it does in TAGGR^D.
+        rows = materialize(taggr([(1, 0, 0, 10), (1, 0, 5, 5)]))
+        assert rows == [(1, 0, 5, 1), (1, 5, 10, 1)]
 
     def test_identical_periods_merge(self):
         rows = materialize(taggr([(1, 0, 0, 10), (1, 0, 0, 10)]))
