@@ -79,6 +79,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.properties import needed_orders
 from repro.algebra.rows import canonical_sort_key, normalize_rows
+from repro.dbms.sql.functions import nulls_last
 from repro.errors import ViewError
 from repro.optimizer.algorithms import algorithm_for
 from repro.xxl.cursor import materialize
@@ -208,13 +209,17 @@ def _output_func(node: Project):
 
 def _sorted_input(node: Operator, index: int, rows: list[tuple]) -> list[tuple]:
     """*rows* in the order the middleware algorithm of *node* needs on its
-    input number *index*; NULLs last, per column."""
+    input number *index*; NULLs last, per column, as MiniDB's ``ORDER BY``
+    and ``SORT^M`` put them — the NULL-safe key only after a ``TypeError``."""
     schema = node.inputs[index].schema
     needed = needed_orders(node.located(Location.MIDDLEWARE))[index]
     positions = [schema.index_of(name) for name in needed]
     if not positions:
         return rows
-    return sorted(rows, key=lambda row: tuple((row[p] is None, row[p]) for p in positions))
+    try:
+        return sorted(rows, key=itemgetter(*positions))
+    except TypeError:
+        return sorted(rows, key=lambda row: tuple(nulls_last(row[p]) for p in positions))
 
 
 def _run(node: Operator, *inputs: list[tuple]) -> list[tuple]:
@@ -377,10 +382,13 @@ def _windows(
     for key, delta in changed.items():
         unchanged = _subtract(groups[key], delta.inserts, "current state")
         moved = delta.inserts + delta.deletes
-        for row in chain(moved, unchanged):
-            if row[t1] > row[t2]:
-                # What follows takes a period to end no earlier than it starts.
-                raise DeltaUnsupported(f"the period of {row!r} ends before it starts")
+        try:
+            for row in chain(moved, unchanged):
+                if row[t1] > row[t2]:
+                    # What follows takes a period to end no earlier than it starts.
+                    raise DeltaUnsupported(f"the period of {row!r} ends before it starts")
+        except TypeError:
+            raise DeltaUnsupported(f"the period of {row!r} has a NULL instant") from None
         lo = min(row[t1] for row in moved)
         hi = max(row[t2] for row in moved)
         instants = [row[t1] for row in unchanged] + [row[t2] for row in unchanged]
@@ -412,17 +420,63 @@ def apply_delta_rows(
     :func:`~repro.algebra.rows.canonical_rows` form (the storage
     invariant every write path maintains), so only the delta — which
     comes fresh from the cursors and may say ``2.0`` where the store
-    says ``2`` — is normalized, and only its inserts are sorted.  The
-    deletes leave in one pass over the stored rows; each insert is then
-    placed by galloping on from where the previous one went, so a run of
-    neighbouring inserts costs a probe or two apiece and the sort key is
-    never computed for the bulk of the view.
+    says ``2`` — is normalized and sorted.  Canonical order is tuple
+    order wherever the values compare (:mod:`repro.algebra.rows`), so
+    each delete and each insert is placed by a C-level bisection over
+    the stored rows as plain tuples, on from where the previous one
+    went.  Only a ``TypeError`` — a NULL, or a string beside a number,
+    met by a comparison — sends the splice to :func:`_keyed_splice`.
     Raises :class:`DeltaMismatch` when a delete has no matching stored
     row — the signal to fall back to a full recompute.
     """
     inserts, deletes = net_delta(
         normalize_rows(delta.inserts), normalize_rows(delta.deletes)
     )
+    try:
+        return _splice(stored, inserts, deletes)
+    except TypeError:
+        return _keyed_splice(stored, inserts, deletes)
+
+
+def _splice(
+    stored: Sequence[tuple], inserts: list[tuple], deletes: list[tuple]
+) -> list[tuple]:
+    """*stored* minus *deletes* plus *inserts*, found and placed by bisection
+    on the plain tuples; raises ``TypeError`` where two do not compare."""
+    deletes.sort()
+    inserts.sort()
+    size = len(stored)
+    kept: list[tuple] = []
+    position = 0
+    for row in deletes:
+        index = bisect_left(stored, row, position)
+        if index == size or stored[index] != row:
+            raise DeltaMismatch(
+                f"the delta removes more of {row!r} than the view holds; the "
+                "two have drifted apart"
+            )
+        kept += stored[position:index]
+        position = index + 1
+    kept += stored[position:]
+    merged: list[tuple] = []
+    position = 0
+    for row in inserts:
+        index = bisect_left(kept, row, position)
+        merged += kept[position:index]
+        merged.append(row)
+        position = index
+    merged += kept[position:]
+    return merged
+
+
+def _keyed_splice(
+    stored: Sequence[tuple], inserts: list[tuple], deletes: list[tuple]
+) -> list[tuple]:
+    """The splice for rows tuple order cannot compare: the deletes leave in
+    one hashed pass over the stored rows; each insert, sorted by
+    :func:`~repro.algebra.rows.canonical_sort_key`, is then placed by
+    galloping on from where the previous one went, so the key is computed
+    for a few stored rows per insert and never for the bulk of the view."""
     kept = _subtract(stored, deletes, "view")
     if not inserts:
         return kept

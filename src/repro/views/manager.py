@@ -332,7 +332,7 @@ class ViewManager:
                     stored = list(self.db.table(view.name).rows)
                     rows = apply_delta_rows(stored, delta)
                     delta_applied = delta.rows
-                except (DeltaUnsupported, DeltaMismatch, ExecutionError, TypeError) as error:
+                except (DeltaUnsupported, DeltaMismatch, ExecutionError) as error:
                     self.metrics.counter("view_refresh_fallbacks").inc()
                     span.set(fallback=f"{type(error).__name__}: {error}")
                     rows = None

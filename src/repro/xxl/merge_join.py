@@ -2,9 +2,10 @@
 
 "Temporal join and join are implemented as sort-merge joins" (Section 4.1):
 both inputs must arrive sorted on their join attributes (the optimizer's
-rules T2/T3 insert the sorts).  Output order: sorted on the left join
-attribute — and the algorithm is order preserving within value packs, as all
-middleware algorithms are.
+rules T2/T3 insert the sorts), NULLs last as MiniDB's ``ORDER BY`` and
+``SORT^M`` put them; a NULL key joins nothing.  Output order: sorted on the
+left join attribute — and the algorithm is order preserving within value
+packs, as all middleware algorithms are.
 """
 
 from __future__ import annotations
@@ -78,25 +79,31 @@ class MergeJoinCursor(GeneratorCursor):
         right_reader = BatchReader(self._right, self.batch_size)
         left_row = left_reader.read()
         right_row = right_reader.read()
-        while left_row is not None and right_row is not None:
-            if meter is not None:
-                meter.charge_cpu(1)
-            left_value = left_row[left_pos]
-            right_value = right_row[right_pos]
-            if left_value < right_value:
-                left_row = left_reader.read()
-            elif left_value > right_value:
-                right_row = right_reader.read()
-            else:
-                left_group, left_row = read_group(left_reader, left_pos, left_row)
-                right_group, right_row = read_group(right_reader, right_pos, right_row)
-                for l_row in left_group:
-                    for r_row in right_group:
-                        if meter is not None:
-                            meter.charge_cpu(1)
-                        combined = l_row + r_row
-                        if residual is None or residual(combined):
-                            yield combined
+        try:
+            while left_row is not None and right_row is not None:
+                if meter is not None:
+                    meter.charge_cpu(1)
+                left_value = left_row[left_pos]
+                right_value = right_row[right_pos]
+                if left_value < right_value:
+                    left_row = left_reader.read()
+                elif left_value > right_value:
+                    right_row = right_reader.read()
+                else:
+                    left_group, left_row = read_group(left_reader, left_pos, left_row)
+                    right_group, right_row = read_group(right_reader, right_pos, right_row)
+                    for l_row in left_group:
+                        for r_row in right_group:
+                            if meter is not None:
+                                meter.charge_cpu(1)
+                            combined = l_row + r_row
+                            if residual is None or residual(combined):
+                                yield combined
+        except TypeError:
+            # The inputs arrive NULLs last: from the first NULL key on either
+            # side nothing is left that can join.  Anything else re-raises.
+            if left_value is not None and right_value is not None:
+                raise
 
     def _close(self) -> None:
         super()._close()

@@ -5,7 +5,8 @@ producing the intersection period (the DBMS translation of the same
 operator is a regular join plus ``A.T1 < B.T2 AND A.T2 > B.T1`` and
 ``GREATEST``/``LEAST`` projections — Figure 5).
 
-Both inputs must be sorted on their join attributes.  Output schema: left
+Both inputs must be sorted on their join attributes, NULLs last; a NULL key
+joins nothing, as in :mod:`repro.xxl.merge_join`.  Output schema: left
 non-temporal attributes, right non-temporal attributes (disambiguated),
 then ``T1``/``T2`` with the intersection.
 """
@@ -83,40 +84,46 @@ class TemporalJoinCursor(GeneratorCursor):
         right_reader = BatchReader(self._right, self.batch_size)
         left_row = left_reader.read()
         right_row = right_reader.read()
-        while left_row is not None and right_row is not None:
-            if meter is not None:
-                meter.charge_cpu(1)
-            left_value = left_row[left_pos]
-            right_value = right_row[right_pos]
-            if left_value < right_value:
-                left_row = left_reader.read()
-            elif left_value > right_value:
-                right_row = right_reader.read()
-            else:
-                left_group, left_row = read_group(left_reader, left_pos, left_row)
-                right_group, right_row = read_group(right_reader, right_pos, right_row)
-                # Within a value pack, check every period pair; packs are
-                # small for realistic keys, and sorting the pack by start
-                # time lets us stop early.  What a pair needs of a right row
-                # is built once per pack, not once per pair.
-                right_group.sort(key=right_start)
-                rights = [(r[right_t1], r[right_t2], right_values(r)) for r in right_group]
-                for l_row in left_group:
-                    l_start = l_row[left_t1]
-                    l_end = l_row[left_t2]
-                    l_values = left_values(l_row)
-                    considered = 0
-                    for r_start, r_end, r_values in rights:
-                        if r_start >= l_end:
-                            break  # sorted by start: nothing later overlaps
-                        considered += 1
-                        if l_start < r_end:  # overlap; the break settled r_start < l_end
-                            yield l_values + r_values + (
-                                l_start if l_start > r_start else r_start,
-                                l_end if l_end < r_end else r_end,
-                            )
-                    if meter is not None:
-                        meter.charge_cpu(considered)
+        try:
+            while left_row is not None and right_row is not None:
+                if meter is not None:
+                    meter.charge_cpu(1)
+                left_value = left_row[left_pos]
+                right_value = right_row[right_pos]
+                if left_value < right_value:
+                    left_row = left_reader.read()
+                elif left_value > right_value:
+                    right_row = right_reader.read()
+                else:
+                    left_group, left_row = read_group(left_reader, left_pos, left_row)
+                    right_group, right_row = read_group(right_reader, right_pos, right_row)
+                    # Within a value pack, check every period pair; packs are
+                    # small for realistic keys, and sorting the pack by start
+                    # time lets us stop early.  What a pair needs of a right
+                    # row is built once per pack, not once per pair.
+                    right_group.sort(key=right_start)
+                    rights = [(r[right_t1], r[right_t2], right_values(r)) for r in right_group]
+                    for l_row in left_group:
+                        l_start = l_row[left_t1]
+                        l_end = l_row[left_t2]
+                        l_values = left_values(l_row)
+                        considered = 0
+                        for r_start, r_end, r_values in rights:
+                            if r_start >= l_end:
+                                break  # sorted by start: nothing later overlaps
+                            considered += 1
+                            if l_start < r_end:  # overlap; the break settled r_start < l_end
+                                yield l_values + r_values + (
+                                    l_start if l_start > r_start else r_start,
+                                    l_end if l_end < r_end else r_end,
+                                )
+                        if meter is not None:
+                            meter.charge_cpu(considered)
+        except TypeError:
+            # The inputs arrive NULLs last: from the first NULL key on either
+            # side nothing is left that can join.  Anything else re-raises.
+            if left_value is not None and right_value is not None:
+                raise
 
     def _close(self) -> None:
         super()._close()

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from repro.algebra.rows import canonical_sort_key, normalize_rows
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.fuzz.compare import (
     canonical_rows,
@@ -41,6 +46,53 @@ def test_float_rounding_absorbs_summation_order():
 def test_mixed_type_columns_do_not_raise():
     rows = [(None, 1), ("x", 2), (3, 3)]
     assert canonical_rows(rows) == canonical_rows(list(reversed(rows)))
+
+
+def test_mixed_number_columns_sort_numerically():
+    # AVG beside COUNT: one tag for every number, so 2.5 sits between 2 and 3.
+    assert canonical_rows([(3,), (2.5,), (True,), (2.0,)]) == [(1,), (2,), (2.5,), (3,)]
+    assert canonical_rows([(3,), (None,), (2.5,)]) == [(None,), (2.5,), (3,)]
+
+
+def test_non_finite_floats_are_kept_as_they_are():
+    inf = math.inf
+    assert canonical_rows([(inf, 1), (1.5, 2), (-inf, 3)]) == [(-inf, 3), (1.5, 2), (inf, 1)]
+    nan = math.nan
+    assert canonical_rows([(nan,)])[0][0] is nan
+
+
+# Values of every type a row holds: numbers that do and do not collide after
+# normalization (non-finite ones included), strings, and NULL.
+VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from([0.5, 2.0, 2.5]),
+    st.booleans(),
+    st.sampled_from(["", "a", "b"]),
+    st.none(),
+)
+ROWS = st.lists(st.tuples(VALUES, VALUES), max_size=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS)
+def test_plain_order_is_canonical_order_wherever_it_compares(rows):
+    rows = normalize_rows(rows)
+    keys = list(map(canonical_sort_key, rows))
+    for a, key_a in zip(rows, keys):
+        for b, key_b in zip(rows, keys):
+            assert (a == b) == (key_a == key_b)
+            try:
+                less = a < b
+            except TypeError:
+                continue
+            assert less == (key_a < key_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ROWS, st.lists(st.tuples(st.integers(0, 3), st.floats(0, 4)), max_size=16)))
+def test_canonical_rows_is_the_keyed_sort(rows):
+    assert canonical_rows(rows) == sorted(normalize_rows(rows), key=canonical_sort_key)
 
 
 def test_describe_mismatch_reports_both_sides():

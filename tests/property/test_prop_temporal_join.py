@@ -1,9 +1,11 @@
 """Property tests: the middleware temporal join against a nested-loop
-reference, and against its DBMS SQL translation."""
+reference, and against its DBMS SQL translation.  Join keys may be NULL,
+which joins nothing."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.schema import Attribute, AttrType, Schema
+from repro.dbms.sql.functions import nulls_last
 from repro.temporal.period import intersect, overlaps
 from repro.xxl.cursor import materialize
 from repro.xxl.sources import RelationCursor
@@ -20,7 +22,7 @@ SCHEMA = Schema(
 
 rows_strategy = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=3),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
         st.integers(min_value=0, max_value=99),
         st.integers(min_value=0, max_value=40),
         st.integers(min_value=1, max_value=20),
@@ -30,8 +32,9 @@ rows_strategy = st.lists(
 
 
 def middleware_join(left_rows, right_rows):
-    left = RelationCursor(SCHEMA, sorted(left_rows, key=lambda r: r[0]))
-    right = RelationCursor(SCHEMA, sorted(right_rows, key=lambda r: r[0]))
+    # Sorted as the DBMS and SORT^M deliver them: NULLs last.
+    left = RelationCursor(SCHEMA, sorted(left_rows, key=lambda r: nulls_last(r[0])))
+    right = RelationCursor(SCHEMA, sorted(right_rows, key=lambda r: nulls_last(r[0])))
     return materialize(TemporalJoinCursor(left, right, "K", "K"))
 
 
@@ -39,7 +42,7 @@ def reference_join(left_rows, right_rows):
     results = []
     for l in left_rows:
         for r in right_rows:
-            if l[0] != r[0]:
+            if l[0] is None or l[0] != r[0]:
                 continue
             if not overlaps(l[2], l[3], r[2], r[3]):
                 continue
@@ -62,7 +65,8 @@ class TestAgainstReference:
         joined = middleware_join(rows, rows)
         keys = {(row[0], row[4], row[5]) for row in joined}
         for row in rows:
-            assert (row[0], row[2], row[3]) in keys
+            # A NULL key equals nothing, itself included.
+            assert ((row[0], row[2], row[3]) in keys) == (row[0] is not None)
 
 
 class TestAgainstSQLTranslation:
@@ -82,3 +86,4 @@ class TestAgainstSQLTranslation:
         sql = SQLTranslator().translate(plan)
         dbms_rows = sorted(db.query(sql))
         assert dbms_rows == reference_join(left_rows, right_rows)
+        assert sorted(middleware_join(left_rows, right_rows)) == dbms_rows

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,7 @@ from repro.dbms.database import MiniDB
 from repro.dbms.loader import DirectPathLoader
 from repro.algebra.rows import canonical_rows, normalize_rows
 from repro.algebra.schema import AttrType
+from repro.views import delta as delta_module
 from repro.views.delta import Delta, DeltaMismatch, apply_delta_rows
 from repro.workloads.generator import (
     ColumnSpec,
@@ -40,21 +43,52 @@ from repro.workloads.generator import (
 
 SEEDS = (0, 1, 2, 5)
 
-# Delta-ruled view shapes.  Aggregates stay COUNT/SUM/MIN/MAX over INT
-# columns and every cursor-relevant sort key is INT, so neither float
-# summation order nor mixed-type ordering can differ between the two
-# refresh paths.  The ungrouped shapes have one window over everything,
-# ``taggr_hot`` windows that are strict subsets of long-lived groups.
+# Delta-ruled view shapes.  Aggregates stay over INT columns and every
+# cursor-relevant sort key is INT or NULL, so float summation order cannot
+# differ between the two refresh paths.  The ungrouped shapes have one window
+# over everything, the ``HOT`` shapes windows that are strict subsets of
+# long-lived groups.  ``taggr_avg`` stores a column of ints beside floats;
+# the ``NULLED`` shapes store NULLs, so their splices take the keyed path.
 SHAPES = (
     "select_project",
     "taggr",
     "taggr_ungrouped",
     "taggr_minmax",
     "taggr_hot",
+    "taggr_avg",
+    "taggr_null_key",
+    "taggr_null_arg",
     "temporal_join",
+    "temporal_join_null_key",
     "coalesce",
     "taggr_join",
 )
+
+#: Shapes over :func:`hot_spec`'s relation, refreshed batch by batch.  Its
+#: groups are large enough that the optimizer keeps a full recompute's
+#: ``TAGGR`` in the middleware, which a NULL group needs: ``TAGGR^D``'s
+#: instant self-join drops one (DESIGN.md section 22).
+HOT = ("taggr_hot", "taggr_avg", "taggr_null_key", "taggr_null_arg")
+
+#: Shape → (column, the values of it that are stored as NULL instead).
+NULLED = {
+    "taggr_null_key": (0, {0}),
+    "temporal_join_null_key": (0, {0}),
+    "taggr_null_arg": (1, {0, 3, 6, 9}),
+}
+
+
+def nulled(shape: str, rows) -> list[tuple]:
+    """*rows* as *shape* stores them: for a ``NULLED`` shape, the values its
+    column must not hold replaced by NULL — deterministically per row, so the
+    deletes of an update stream still name live rows."""
+    if shape not in NULLED:
+        return list(rows)
+    column, values = NULLED[shape]
+    return [
+        row[:column] + (None,) + row[column + 1 :] if row[column] in values else row
+        for row in rows
+    ]
 
 
 def hot_spec(rng: random.Random) -> RandomRelationSpec:
@@ -81,13 +115,21 @@ def build_db(rng: random.Random, shape: str = ""):
     specs = []
     db = MiniDB()
     for name in ("R0", "R1"):
-        if shape == "taggr_hot" and name == "R0":
+        if shape in HOT and name == "R0":
             spec = hot_spec(rng)
         else:
             spec = random_relation_spec(rng, name, max_rows=30)
+        if name == "R1":
+            # In R0's window, or the join shapes would join nothing.
+            spec = replace(
+                spec,
+                window_start=specs[0].window_start,
+                window_end=specs[0].window_end,
+                max_duration=specs[0].max_duration,
+            )
         specs.append(spec)
         DirectPathLoader(db).load(
-            name, spec.schema, generate_relation_rows(spec), temporary=False
+            name, spec.schema, nulled(shape, generate_relation_rows(spec)), temporary=False
         )
         db.analyze(name)
     return db, specs
@@ -126,19 +168,18 @@ def view_plan(db, shape: str):
             .to_middleware()
             .build()
         )
-    if shape == "taggr_hot":
+    if shape in HOT:
+        functions = ("COUNT", "AVG") if shape == "taggr_avg" else ("COUNT", "SUM", "MIN", "MAX")
         return (
             builder.scan(db, "R0")
             .taggr(
                 group_by=("K0",),
-                aggregates=tuple(
-                    AggregateSpec(func, "V0") for func in ("COUNT", "SUM", "MIN", "MAX")
-                ),
+                aggregates=tuple(AggregateSpec(func, "V0") for func in functions),
             )
             .to_middleware()
             .build()
         )
-    if shape == "temporal_join":
+    if shape in ("temporal_join", "temporal_join_null_key"):
         return (
             builder.scan(db, "R0")
             .temporal_join(builder.scan(db, "R1"), "K0", "K0")
@@ -168,10 +209,15 @@ def view_plan(db, shape: str):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_incremental_matches_full_recompute(shape, seed, workers):
+    if shape == "taggr_null_key" and workers > 1:
+        pytest.skip(
+            "a range partition on a NULL-bearing key reaches MiniDB as `K0 < cut`, "
+            "which raises on NULL instead of being unknown"
+        )
     config = TangoConfig(workers=workers)
     db_inc, specs = build_db(random.Random(f"prop-views:{seed}"), shape)
     db_full, _ = build_db(random.Random(f"prop-views:{seed}"), shape)
-    churn = 0.02 if shape == "taggr_hot" else 0.3
+    churn = 0.02 if shape in HOT else 0.3
 
     with Tango(db_inc, config) as t_inc, Tango(db_full, config) as t_full:
         t_inc.create_view("V", view_plan(db_inc, shape))
@@ -184,6 +230,7 @@ def test_incremental_matches_full_recompute(shape, seed, workers):
             # a silent fallback would make this test vacuous.
             assert outcome_inc.strategy == "incremental"
             assert outcome_full.strategy == "full"
+            assert t_inc.metrics.counter("view_refresh_fallbacks").value == 0
             assert list(db_inc.table("V").rows) == list(db_full.table("V").rows)
 
         for spec in specs:
@@ -191,13 +238,17 @@ def test_incremental_matches_full_recompute(shape, seed, workers):
                 spec, UpdateStreamSpec(batches=3, churn=churn, seed=seed)
             )
             for batch in stream:
-                t_inc.apply_updates(spec.name, batch.inserts, batch.deletes)
-                t_full.apply_updates(spec.name, batch.inserts, batch.deletes)
-                if shape == "taggr_hot":
+                inserts, deletes = nulled(shape, batch.inserts), nulled(shape, batch.deletes)
+                t_inc.apply_updates(spec.name, inserts, deletes)
+                t_full.apply_updates(spec.name, inserts, deletes)
+                if shape in HOT:
                     # Batch by batch: the hull of one batch's few rows, not
                     # of three batches', is what stays well inside a group.
                     refresh_both()
         refresh_both()
+        if shape in ("taggr_null_key", "taggr_null_arg"):
+            # The NULLs reach the stored rows, and with them the splice.
+            assert any(None in row for row in db_inc.table("V").rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -222,8 +273,9 @@ def test_stream_of_refreshes_stays_equivalent(seed):
 # -- the splice against its definition ---------------------------------------------------
 
 # Values that collide after normalization (2.0 and 2, True and 1), that sort
-# only under the type-tagged key (None, a string, a float beside ints), and
-# few enough of them that duplicates and hits are common.
+# as plain tuples (a float beside ints) or only under the type-tagged key
+# (None, a string beside a number), and few enough of them that duplicates
+# and hits are common.
 VALUES = st.sampled_from([0, 1, 2, 3, 2.0, 2.5, True, None, "a"])
 ROWS = st.lists(st.tuples(VALUES, VALUES), max_size=12)
 
@@ -242,6 +294,7 @@ def spliced_by_definition(stored, inserts, deletes):
 @settings(max_examples=300, deadline=None)
 @given(stored=ROWS, inserts=ROWS, deletes=ROWS, picked=st.lists(st.integers(0, 40), max_size=8))
 @example(stored=[(1, 1)], inserts=[], deletes=[(3, 3)], picked=[])  # delete absent
+@example(stored=[(0, 0), (3, 3)], inserts=[], deletes=[(1, 1)], picked=[])  # absent, inside
 @example(stored=[(1, 1), (1, 1)], inserts=[], deletes=[(1, 1)], picked=[])  # one of two
 @example(stored=[(2, 0)], inserts=[(2.0, 0), (True, 2.5)], deletes=[(2.0, False)], picked=[])
 def test_apply_delta_rows_is_the_multiset_sum_in_canonical_order(
@@ -259,3 +312,17 @@ def test_apply_delta_rows_is_the_multiset_sum_in_canonical_order(
     else:
         assert apply_delta_rows(stored, Delta(inserts, deletes)) == expected
     assert stored == before
+
+
+def test_the_splice_wall_takes_both_regimes():
+    """The wall above exercises both orders: a share of its examples splice
+    as plain tuples throughout, and a share meet a comparison that raises
+    ``TypeError`` and are spliced again under the key."""
+    with mock.patch.object(
+        delta_module, "_splice", wraps=delta_module._splice
+    ) as plain, mock.patch.object(
+        delta_module, "_keyed_splice", wraps=delta_module._keyed_splice
+    ) as keyed:
+        test_apply_delta_rows_is_the_multiset_sum_in_canonical_order()
+    assert keyed.call_count >= 0.1 * plain.call_count
+    assert plain.call_count - keyed.call_count >= 0.1 * plain.call_count

@@ -3,6 +3,8 @@ boundary, the delta algebra's edges, and the update-path plumbing."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.algebra import builder
@@ -184,6 +186,48 @@ class TestRefreshExecution:
         # The fallback healed the drift.
         oracle = tango.execute_plan(tango.optimize(plan).plan)
         assert tango.db.table("V").cardinality == len(oracle.rows)
+
+    def test_a_type_error_in_the_splice_is_not_a_fallback(self, tango, monkeypatch):
+        """Only the three named errors mean "recompute"; a ``TypeError`` is a
+        defect and propagates, uncounted."""
+        tango.create_view("V", taggr_plan(tango.db))
+        tango.apply_updates("BASE", deletes=sample_rows(tango.db, 2))
+
+        def broken(stored, delta):
+            raise TypeError("a bug in the splice")
+
+        monkeypatch.setattr("repro.views.manager.apply_delta_rows", broken)
+        with pytest.raises(TypeError, match="a bug in the splice"):
+            tango.refresh_view("V", strategy="incremental")
+        assert tango.metrics.counter("view_refresh_fallbacks").value == 0
+
+    def test_non_finite_sums_refresh(self):
+        """``inf`` is not an integral float: normalizing it must not call
+        ``int()`` on it."""
+        schema = Schema(
+            [
+                Attribute("K", AttrType.INT),
+                Attribute("X", AttrType.FLOAT),
+                Attribute("T1", AttrType.DATE),
+                Attribute("T2", AttrType.DATE),
+            ]
+        )
+        sql = "VALIDTIME SELECT K, SUM(X) FROM F GROUP BY K ORDER BY K"
+        twins = []
+        for strategy in ("incremental", "full"):
+            db = MiniDB()
+            DirectPathLoader(db).load(
+                "F", schema, [(1, 0.5, 0, 10), (2, 1.25, 2, 5)], temporary=False
+            )
+            db.analyze("F")
+            with Tango(db) as tango:
+                tango.create_view("V", sql)
+                tango.apply_updates("F", inserts=[(3, math.inf, 1, 3), (4, -math.inf, 0, 2)])
+                assert tango.refresh_view("V", strategy).strategy == strategy
+                assert tango.metrics.counter("view_refresh_fallbacks").value == 0
+            twins.append(list(db.table("V").rows))
+        assert twins[0] == twins[1]
+        assert (3, 1, 3, math.inf) in twins[0] and (4, 0, 2, -math.inf) in twins[0]
 
     def test_explain_banner_records_the_decision(self, tango):
         tango.create_view("V", taggr_plan(tango.db))
@@ -445,6 +489,16 @@ class TestWindowRule:
             compute_delta(view.plan, DeltaState(tango.db, view.pending))
         assert tango.refresh_view("V", "incremental").strategy == "full"
         assert tango.metrics.counter("view_refresh_fallbacks").value == 1
+
+    def test_null_period_has_no_rule(self, tango):
+        """A NULL instant is no more a period the window rule can clip than
+        one that ends before it starts: ``DeltaUnsupported``, not a bare
+        ``TypeError``."""
+        tango.create_view("V", taggr_plan(tango.db))
+        tango.apply_updates("BASE", inserts=[(1, None, 20)])
+        view = tango.views.get("V")
+        with pytest.raises(DeltaUnsupported, match="NULL"):
+            compute_delta(view.plan, DeltaState(tango.db, view.pending))
 
     def test_backwards_period_falls_back_to_full(self, tango):
         """The rule's argument needs T1 <= T2; a group holding a row that

@@ -1,10 +1,16 @@
 """Unit tests for the middleware sort-merge joins (regular and temporal)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.algebra.builder import scan
 from repro.algebra.expressions import Comparison, col, lit
+from repro.algebra.operators import Location
+from repro.algebra.rows import canonical_rows
 from repro.algebra.schema import Attribute, AttrType, Schema
+from repro.core.tango import Tango
 from repro.dbms.costmodel import CostMeter
+from repro.dbms.database import MiniDB
 from repro.xxl.cursor import BatchReader, materialize
 from repro.xxl.merge_join import MergeJoinCursor, read_group
 from repro.xxl.sources import RelationCursor
@@ -185,3 +191,110 @@ class TestTemporalJoin:
         meter = CostMeter()
         materialize(self.make([(1, "A", 0, 10)], [(1, "B", 2, 4)], meter))
         assert meter.cpu > 0
+
+
+class TestNullKeys:
+    """Both inputs arrive NULLs last; a NULL key joins nothing, so the walk
+    ends at the first one on either side."""
+
+    @pytest.mark.parametrize(
+        "left_rows, right_rows, expected",
+        [
+            (
+                [(1, "a"), (2, "b"), (None, "c")],
+                [(1, "p"), (2, "q"), (None, "r")],
+                [(1, "a", 1, "p"), (2, "b", 2, "q")],
+            ),
+            ([(1, "a"), (None, "b"), (None, "c")], [(1, "p"), (2, "q")], [(1, "a", 1, "p")]),
+            ([(1, "a"), (2, "b")], [(None, "p")], []),
+            ([(None, "a")], [(None, "p")], []),
+        ],
+    )
+    def test_merge_join_stops_at_the_first_null_key(self, left_rows, right_rows, expected):
+        cursor = MergeJoinCursor(left(left_rows), right(right_rows), "K", "K2")
+        assert materialize(cursor) == expected
+
+    def test_temporal_join_stops_at_the_first_null_key(self):
+        cursor = TemporalJoinCursor(
+            RelationCursor(TEMPORAL_SCHEMA, [(1, "Tom", 2, 20), (None, "Ann", 0, 30)]),
+            RelationCursor(TEMPORAL_SCHEMA, [(1, "Jane", 5, 25), (None, "Bob", 0, 30)]),
+            "PosID",
+            "PosID",
+        )
+        assert materialize(cursor) == [(1, "Tom", 1, "Jane", 5, 20)]
+
+    def test_an_incomparable_key_that_is_not_null_still_raises(self):
+        cursor = TemporalJoinCursor(
+            RelationCursor(TEMPORAL_SCHEMA, [("x", "Tom", 2, 20)]),
+            RelationCursor(TEMPORAL_SCHEMA, [(1, "Jane", 5, 25)]),
+            "PosID",
+            "PosID",
+        )
+        with pytest.raises(TypeError):
+            materialize(cursor)
+
+
+def null_key_db(a_rows, b_rows) -> MiniDB:
+    db = MiniDB()
+    db.execute("CREATE TABLE A (K INT, V INT, T1 DATE, T2 DATE)")
+    db.execute("CREATE TABLE B (K INT, W INT, T1 DATE, T2 DATE)")
+    db.table("A").bulk_load(a_rows)
+    db.table("B").bulk_load(b_rows)
+    return db
+
+
+def middleware_and_dbms_plans(db, operator: str):
+    """``JOIN^M`` / ``TJOIN^M`` over NULLs-last sorted transfers, and the
+    same join as the all-DBMS plan."""
+    def sorted_transfer(table):
+        return scan(db, table).sort("K").to_middleware()
+
+    join = getattr(sorted_transfer("A"), operator)
+    in_middleware = join(sorted_transfer("B"), "K", "K", loc=Location.MIDDLEWARE).build()
+    all_dbms = getattr(scan(db, "A"), operator)(scan(db, "B"), "K", "K").to_middleware().build()
+    return in_middleware, all_dbms
+
+
+A_ROWS = [(1, 5, 0, 10), (2, 7, 3, 6), (None, 4, 2, 9)]
+B_ROWS = [(1, 1, 0, 20), (2, 2, 0, 20), (None, 3, 0, 20)]
+
+
+@pytest.mark.parametrize("operator", ["join", "temporal_join"])
+def test_null_keys_join_nothing_in_the_middleware_as_in_the_dbms(operator):
+    db = null_key_db(A_ROWS, B_ROWS)
+    in_middleware, all_dbms = middleware_and_dbms_plans(db, operator)
+    with Tango(db) as tango:
+        expected = tango.execute_plan(all_dbms).rows
+        assert len(expected) == 2
+        assert canonical_rows(tango.execute_plan(in_middleware).rows) == canonical_rows(expected)
+        assert canonical_rows(tango.run(all_dbms).rows) == canonical_rows(expected)
+
+
+def test_null_keys_through_sql():
+    db = null_key_db(A_ROWS, B_ROWS)
+    with Tango(db) as tango:
+        result = tango.query(
+            "VALIDTIME SELECT P.K, Q.W FROM A P, B Q WHERE P.K = Q.K ORDER BY P.K"
+        )
+    assert result.rows == [(1, 1, 0, 10), (2, 2, 3, 6)]
+
+
+ROWS = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.integers(0, 9),
+        st.integers(0, 30),
+        st.integers(1, 15),
+    ).map(lambda t: (t[0], t[1], t[2], t[2] + t[3])),
+    max_size=12,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a_rows=ROWS, b_rows=ROWS, operator=st.sampled_from(["join", "temporal_join"]))
+def test_null_keys_against_the_all_dbms_plan(a_rows, b_rows, operator):
+    db = null_key_db(a_rows, b_rows)
+    in_middleware, all_dbms = middleware_and_dbms_plans(db, operator)
+    with Tango(db) as tango:
+        expected = canonical_rows(tango.execute_plan(all_dbms).rows)
+        assert canonical_rows(tango.execute_plan(in_middleware).rows) == expected
