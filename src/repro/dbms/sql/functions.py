@@ -11,6 +11,7 @@ instead of maintaining aggregation trees).
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 
 from repro.errors import ExecutionError
@@ -72,11 +73,14 @@ class Accumulator:
 class SlidingAggregate:
     """An aggregate supporting add *and* remove, for interval sweeps.
 
-    COUNT/SUM/AVG maintain running totals.  MIN/MAX maintain a lazy-deletion
-    heap plus a multiset of live values, giving amortized O(log n) updates.
+    COUNT/SUM/AVG maintain running totals: SUM/AVG a finite total beside
+    counts of the live ``+inf``, ``-inf`` and NaN values, so that an infinity
+    that leaves takes nothing with it (``inf - inf`` would leave NaN).
+    MIN/MAX maintain a lazy-deletion heap plus a multiset of live values,
+    giving amortized O(log n) updates.
     """
 
-    __slots__ = ("func", "count", "total", "_heap", "_live")
+    __slots__ = ("func", "count", "total", "_odd", "_heap", "_live")
 
     def __init__(self, func: str):
         func = func.upper()
@@ -85,6 +89,8 @@ class SlidingAggregate:
         self.func = func
         self.count = 0
         self.total = 0.0
+        #: Live ``+inf``, ``-inf`` and NaN values, counted in that order.
+        self._odd = [0, 0, 0]
         self._heap: list = []
         self._live: Counter = Counter()
 
@@ -94,7 +100,10 @@ class SlidingAggregate:
         self.count += 1
         func = self.func
         if func in ("SUM", "AVG"):
-            self.total += value  # type: ignore[operator]
+            if math.isfinite(value):  # type: ignore[arg-type]
+                self.total += value  # type: ignore[operator]
+            else:
+                self._odd[_odd_slot(value)] += 1
         elif func == "MIN":
             heapq.heappush(self._heap, value)
             self._live[value] += 1
@@ -108,7 +117,10 @@ class SlidingAggregate:
         self.count -= 1
         func = self.func
         if func in ("SUM", "AVG"):
-            self.total -= value  # type: ignore[operator]
+            if math.isfinite(value):  # type: ignore[arg-type]
+                self.total -= value  # type: ignore[operator]
+            else:
+                self._odd[_odd_slot(value)] -= 1
         elif func in ("MIN", "MAX"):
             if self._live[value] <= 0:
                 raise ExecutionError(f"removing {value!r} that was never added")
@@ -121,9 +133,9 @@ class SlidingAggregate:
         if self.count == 0:
             return None
         if func == "SUM":
-            return self.total
+            return self._sum()
         if func == "AVG":
-            return self.total / self.count
+            return self._sum() / self.count
         # MIN / MAX: pop dead heap entries lazily.
         while self._heap:
             top = self._heap[0]
@@ -133,9 +145,24 @@ class SlidingAggregate:
             heapq.heappop(self._heap)
         return None
 
+    def _sum(self) -> float:
+        """The sum of the live values: NaN if a NaN or both infinities are
+        live, else the live infinity, else the finite total."""
+        up, down, nan = self._odd
+        if nan or (up and down):
+            return math.nan
+        if up or down:
+            return math.inf if up else -math.inf
+        return self.total
+
     @property
     def empty(self) -> bool:
         return self.count == 0
+
+
+def _odd_slot(value: float) -> int:
+    """Where a non-finite *value* is counted: ``+inf`` 0, ``-inf`` 1, NaN 2."""
+    return 0 if value > 0 else 1 if value < 0 else 2
 
 
 class _Reversed:

@@ -33,7 +33,6 @@ from repro.algebra.expressions import (
     Literal,
     attributes_of,
     compile_block,
-    compile_pair,
     compile_row,
     conjoin,
     conjuncts,
@@ -62,6 +61,7 @@ from repro.dbms.sql.executor import (
     Probed,
     ResultSet,
     Stage,
+    pay,
     sort_charge,
     sort_rows,
 )
@@ -159,7 +159,7 @@ def plan_select(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
     Planning charges *meter* for what is paid before the first row: the
     scans, and every input that a sort, a merge join or a nested loop's
     inner side materializes.  The rest is computed at the first fetch and
-    charged as rows are fetched (DESIGN.md §21).
+    charged then, in full (DESIGN.md §21).
     """
     schema, stage = _plan(db, stmt, meter)
     return ResultSet(schema, stage, meter)
@@ -293,26 +293,6 @@ def _kernel(
     return Filtered(upstream, kernel, tests, projects=outputs is not None)
 
 
-def _pair_test(
-    terms: list[Expression], left: Schema, right: Schema, not_null: str | None = None
-) -> Callable[[], Callable[[tuple, tuple], object]] | None:
-    """What a join stage replays to place a partial pull: a thunk compiling
-    the conjunction of *terms* over a pair (``None`` without terms)."""
-    if not terms:
-        return None
-
-    def compiled() -> Callable[[tuple, tuple], object]:
-        predicate = conjoin(terms)
-        assert predicate is not None
-        test = compile_pair(predicate, left, right)
-        if not_null is None:
-            return test
-        position = left.index_of(not_null)
-        return lambda l, r: l[position] is not None and test(l, r)
-
-    return compiled
-
-
 # -- FROM / joins ------------------------------------------------------------------
 
 
@@ -399,44 +379,35 @@ def _join_sources(
                 index,
                 layout.index_of(left_name),
                 compile_block("probe", emit, residual, layout, right),
-                _pair_test(residual, layout, right),
                 projects,
             )
         elif equi is not None and method == "merge":
             left_name, right_name, _ = equi
             left_rows = stage.drain(meter)
-            _charge(meter, sort_charge(len(left_rows), scope.combined.row_width))
+            pay(meter, sort_charge(len(left_rows), scope.combined.row_width))
             right_rows = _kernel(inner, [inner_filters], None, right).drain(meter)
-            _charge(meter, sort_charge(len(right_rows), source.schema.row_width))
+            pay(meter, sort_charge(len(right_rows), source.schema.row_width))
             stage = MergeJoined(
                 left_rows,
                 right_rows,
                 layout.index_of(left_name),
                 right.index_of(right_name),
                 compile_block("merge", emit, residual, layout, right),
-                _pair_test(residual, layout, right),
                 projects,
             )
         else:
             # A NULL key joins nothing, as in the merge join.
-            guard = equi[0] if equi is not None else None
+            not_null = () if equi is None else (equi[0],)
             inner_rows = _kernel(inner, [inner_filters], None, right).drain(meter)
-            not_null = () if guard is None else (guard,)
             stage = NestedLooped(
                 stage,
                 inner_rows,
                 compile_block("loop", emit, evaluable, layout, right, not_null),
-                _pair_test(evaluable, layout, right, guard),
                 projects,
             )
         layout = narrowed
         bindings = new_bindings
     return stage, layout
-
-
-def _charge(meter: CostMeter, charge: tuple[int, int]) -> None:
-    meter.charge_io(charge[0])
-    meter.charge_cpu(charge[1])
 
 
 def _find_equi_join(
@@ -472,7 +443,7 @@ def _access(
     filter them, and the conjuncts left pending.
 
     An equality conjunct may be answered by an index probe when the source
-    is a base table; a scan is charged now, a probe at the first pull.
+    is a base table; a scan is charged now, a probe at the first fetch.
     """
     local = [
         term

@@ -37,6 +37,15 @@ before the optimizer sees it, so the chosen plan is Figure 7's Plan 1 and its
 ``T^M`` ships 24 of 96 bytes per row: 1,677 rows x 72 bytes at 1/16 tick per
 byte, truncated per round trip, is the whole difference.  The other four are
 hand-built with their projections already and did not move.
+
+Billing a MiniDB result set for the stage it computed, at its first fetch
+(DESIGN.md §21), moved none of the five: each drains its statements, and a
+drained statement bills what it did before.  What moved is the bill of an
+*abandoned* result set, which now pays for every row of the stage its first
+fetch computed rather than for the rows taken: the two
+``test_abandoned_*_pays_for_its_statement`` tests, formerly
+``…_is_metered_lazily``, read (16, 5,241) and (52, 35,181) after 10 rows
+and close where they read (16, 1,907) and (52, 30,851).
 """
 
 from __future__ import annotations
@@ -122,12 +131,12 @@ def test_q2_lost_only_a_redundant_sort(golden_db):
         tango.close()
 
 
-def test_abandoned_cursor_is_metered_lazily(golden_db):
+def test_abandoned_cursor_pays_for_its_statement(golden_db):
     """Fetch 10 rows of an un-ordered SELECT and close: the scan bills its
-    16 blocks and 1,677 rows when the statement is planned, and after that
-    only the 10 rows that crossed the wire are filtered, projected and
-    charged — 200 for the round trip, 10 for its 160 bytes, 10 + 10 for
-    ``filter_rows`` and ``project_rows``."""
+    16 blocks and 1,677 rows when the statement is planned, and the first
+    fetch bills the rest of the statement however little of it is taken —
+    1,677 + 1,677 for the filter and the projection over every row — beside
+    200 for the round trip and 10 for its 160 bytes."""
     db = golden_db
     cursor = Connection(db, prefetch=10).cursor()
     db.meter.reset()
@@ -135,17 +144,15 @@ def test_abandoned_cursor_is_metered_lazily(golden_db):
     assert (db.meter.io, db.meter.cpu) == (16, 1677)
     assert len(cursor.fetchmany(10)) == 10
     cursor.close()
-    assert (db.meter.io, db.meter.cpu) == (16, 1677 + 230)
+    assert (db.meter.io, db.meter.cpu) == (16, 1677 + 3354 + 210) == (16, 5241)
 
 
-
-def test_abandoned_join_cursor_is_metered_lazily(golden_db):
+def test_abandoned_join_cursor_pays_for_its_statement(golden_db):
     """Query 4's statement, 10 rows fetched, then closed.  Planning bills the
     two scans (16 + 36 blocks, 1,677 + 999 rows) and the merge join's two
     sorts (17,963 + 9,954); the fetch bills 200 for the round trip, 35 for
-    its 560 bytes, and for the 10 rows that crossed the wire the work that
-    produced them: 3 walk steps, 10 pairs and 10 projections.  The other
-    1,667 rows are never paid for."""
+    its 560 bytes, and the whole join the statement computed at that fetch:
+    999 walk steps, 1,677 pairs and 1,677 projections."""
     db = golden_db
     sql = SQLTranslator().translate(queries.query4_initial_plan(db).input)
     cursor = Connection(db, prefetch=10).cursor()
@@ -154,4 +161,4 @@ def test_abandoned_join_cursor_is_metered_lazily(golden_db):
     assert (db.meter.io, db.meter.cpu) == (52, 30593)
     assert len(cursor.fetchmany(10)) == 10
     cursor.close()
-    assert (db.meter.io, db.meter.cpu) == (52, 30593 + 258)
+    assert (db.meter.io, db.meter.cpu) == (52, 30593 + 4353 + 235) == (52, 35181)

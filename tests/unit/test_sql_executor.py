@@ -1,8 +1,10 @@
 """Unit tests for MiniDB's physical stages and their bills."""
 
+from functools import partial
+
 import pytest
 
-from repro.algebra.expressions import Comparison, col, compile_block, compile_pair, lit
+from repro.algebra.expressions import Comparison, col, compile_block, lit
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.sql.executor import (
@@ -36,9 +38,8 @@ def drained(stage, meter):
 def merge(left, right, residual=None, output=None):
     output = output or [col("K"), col("V"), col("K2"), col("W")]
     conditions = [] if residual is None else [residual]
-    test = None if residual is None else (lambda: compile_pair(residual, PAIR, OTHER))
     kernel = compile_block("merge", output, conditions, PAIR, OTHER)
-    return MergeJoined(left, right, 0, 0, kernel, test, projects=False)
+    return MergeJoined(left, right, 0, 0, kernel, projects=False)
 
 
 class TestResultSet:
@@ -57,17 +58,75 @@ class TestResultSet:
         schema = Schema([Attribute("A"), Attribute("B")])
         assert ResultSet(schema, []).column_names == ("A", "B")
 
-    def test_the_rest_is_billed_when_a_fetch_finds_the_end(self, meter):
+    def test_the_whole_stage_is_billed_at_the_first_fetch(self, meter):
         rows = [(1,), (5,), (2,), (3,)]
         kernel = compile_block("rows", None, [Comparison(">", col("X"), lit(1))], ONE)
         test = Comparison(">", col("X"), lit(1)).compile
         result = ResultSet(ONE, Filtered(Listed(rows), kernel, [lambda: test(ONE)], False), meter)
         assert result.fetchmany(1) == [(5,)]
-        assert meter.cpu == 2  # (1,) and (5,) were offered to the filter
+        assert meter.cpu == 4  # every row was offered to the filter
         assert result.fetchmany(2) == [(2,), (3,)]
         assert meter.cpu == 4
         assert result.fetchmany(1) == []
         assert meter.cpu == 4
+
+
+def filtered(rows, kernel=None):
+    """``SELECT X FROM rows WHERE X > 1``, projected: 1 per row offered to
+    the filter and 1 per row made."""
+    predicate = Comparison(">", col("X"), lit(1))
+    kernel = kernel or compile_block("rows", [col("X")], [predicate], ONE)
+    return Filtered(Listed(rows), kernel, [lambda: predicate.compile(ONE)], True)
+
+
+#: Each a generator of the batches a fetch sequence returns, one fetch per
+#: batch pulled, so the meter can be read between fetches.
+FETCH_SEQUENCES = {
+    "fetchmany(0) first": lambda r: (r.fetchmany(n) for n in (0, 1, 9)),
+    "fetchall after a partial fetchmany": lambda r: (
+        fetch() for fetch in (partial(r.fetchmany, 2), r.fetchall)
+    ),
+    "a fetch after the end": lambda r: (
+        fetch() for fetch in (r.fetchall, partial(r.fetchmany, 1), r.fetchall)
+    ),
+    "iteration": lambda r: ([row] for row in r),
+}
+
+
+class TestBilledOnce:
+    """A statement is billed exactly once, at its first fetch, whatever
+    fetches follow."""
+
+    ROWS = [(1,), (5,), (2,), (3,)]
+
+    @pytest.mark.parametrize("sequence", sorted(FETCH_SEQUENCES))
+    def test_every_fetch_sequence_pays_the_stage_once(self, meter, sequence):
+        meters = []
+
+        def fetched(batch):
+            meters.append((meter.io, meter.cpu))
+            return batch
+
+        result = ResultSet(ONE, filtered(self.ROWS), meter)
+        batches = [fetched(batch) for batch in FETCH_SEQUENCES[sequence](result)]
+        assert [row for batch in batches for row in batch] == [(5,), (2,), (3,)]
+        assert meters == [(0, 4 + 3)] * len(meters)
+
+    def test_without_a_meter_the_stage_is_never_asked_its_charge(self):
+        stage = filtered(self.ROWS)
+        stage.charge = None  # calling it would raise
+        result = ResultSet(ONE, stage)
+        assert result.fetchmany(1) + result.fetchall() == [(5,), (2,), (3,)]
+
+    def test_a_failed_first_fetch_bills_nothing_and_fails_again(self, meter):
+        def failing(rows):
+            raise ExecutionError("the kernel failed")
+
+        result = ResultSet(ONE, filtered(self.ROWS, failing), meter)
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="kernel failed"):
+                result.fetchmany(1)
+            assert (meter.io, meter.cpu) == (0, 0)
 
 
 class TestScalarPrimitives:
@@ -121,13 +180,13 @@ class TestJoins:
         left, right = [(1,), (2,)], [(2, "a"), (1, "b")]
         condition = Comparison("=", col("X"), col("K"))
         kernel = compile_block("loop", [col("X"), col("K"), col("V")], [condition], ONE, PAIR)
-        stage = NestedLooped(Listed(left), right, kernel, lambda: compile_pair(condition, ONE, PAIR), False)
+        stage = NestedLooped(Listed(left), right, kernel, False)
         assert sorted(drained(stage, meter)) == [(1, 1, "b"), (2, 2, "a")]
         assert meter.cpu == 4  # every pair considered
 
     def test_nested_loop_cross_product(self, meter):
         kernel = compile_block("loop", [col("X"), col("K")], [], ONE, Schema([Attribute("K")]))
-        stage = NestedLooped(Listed([(1,), (2,)]), [(3,)], kernel, None, False)
+        stage = NestedLooped(Listed([(1,), (2,)]), [(3,)], kernel, False)
         assert drained(stage, meter) == [(1, 3), (2, 3)]
 
     def test_merge_join_basic(self, meter):

@@ -1,6 +1,8 @@
 """Unit tests for aggregate accumulators, including the sliding variants
 used by the temporal-aggregation sweep."""
 
+import math
+
 import pytest
 
 from repro.dbms.sql.functions import Accumulator, SlidingAggregate
@@ -125,3 +127,33 @@ class TestSlidingAggregate:
         agg.add(4)
         agg.remove(4)
         assert agg.result() is None
+
+    def test_sum_forgets_an_infinity_that_leaves(self):
+        agg = SlidingAggregate("SUM")
+        agg.add(1.0)
+        agg.add(math.inf)
+        assert agg.result() == math.inf
+        agg.remove(math.inf)
+        assert agg.result() == 1.0
+
+    def test_avg_forgets_a_negative_infinity_that_leaves(self):
+        agg = SlidingAggregate("AVG")
+        for value in (1.0, 3.0, -math.inf):
+            agg.add(value)
+        assert agg.result() == -math.inf
+        agg.remove(-math.inf)
+        assert agg.result() == 2.0
+
+    @pytest.mark.parametrize("func", ["SUM", "AVG"])
+    @pytest.mark.parametrize(
+        "odd", [(math.inf, -math.inf), (math.nan,), (math.nan, math.inf), (-math.inf, math.nan)]
+    )
+    def test_nan_while_a_nan_or_both_infinities_are_live(self, func, odd):
+        agg = SlidingAggregate(func)
+        agg.add(2.0)
+        for value in odd:
+            agg.add(value)
+        assert math.isnan(agg.result())
+        for value in odd:
+            agg.remove(value)
+        assert agg.result() == 2.0
