@@ -22,7 +22,7 @@ operator via ``period`` but defaulted throughout).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -32,6 +32,10 @@ from repro.errors import PlanError
 
 #: Default names of the period-delimiting attributes.
 DEFAULT_PERIOD = ("T1", "T2")
+
+#: What a node caches of its own fields: a copy with other fields derives
+#: them again.
+_CACHED = ("schema", "cache_key", "passthrough")
 
 
 class Location(enum.Enum):
@@ -121,7 +125,22 @@ class Operator:
         """Copy of this node assigned to *location*."""
         if self.location is location:
             return self
-        return replace(self, loc=location)  # type: ignore[arg-type]
+        return self.replaced(loc=location)
+
+    def replaced(self, **changes: object) -> "Operator":
+        """Copy of this node with *changes* to its fields.
+
+        Not ``dataclasses.replace``, which costs twice a constructor call:
+        the other fields are copied as they are, not validated again, and
+        what the node cached of its old fields is left behind.
+        """
+        copy = object.__new__(type(self))
+        state = copy.__dict__
+        state.update(self.__dict__)
+        for name in _CACHED:
+            state.pop(name, None)
+        state.update(changes)
+        return copy
 
     def signature(self) -> tuple:
         """Structural identity *excluding* children (used by the memo)."""
@@ -223,7 +242,7 @@ class _Unary(Operator):
 
     def with_inputs(self, *inputs: Operator) -> Operator:
         (child,) = inputs
-        return replace(self, input=child)
+        return self.replaced(input=child)
 
 
 @dataclass(frozen=True)
@@ -244,7 +263,7 @@ class _Binary(Operator):
 
     def with_inputs(self, *inputs: Operator) -> Operator:
         left, right = inputs
-        return replace(self, left=left, right=right)
+        return self.replaced(left=left, right=right)
 
 
 @dataclass(frozen=True)
@@ -559,6 +578,9 @@ class TransferM(_Unary):
     def __post_init__(self) -> None:
         object.__setattr__(self, "loc", Location.MIDDLEWARE)
 
+    def located(self, location: Location) -> Operator:
+        return self  # a transfer runs where it delivers
+
     def _derive_schema(self) -> Schema:
         return self.input.schema
 
@@ -575,6 +597,9 @@ class TransferD(_Unary):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "loc", Location.DBMS)
+
+    def located(self, location: Location) -> Operator:
+        return self  # a transfer runs where it delivers
 
     def _derive_schema(self) -> Schema:
         return self.input.schema

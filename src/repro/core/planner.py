@@ -12,7 +12,9 @@ it — :meth:`Planner.refresh`, :meth:`Planner.set_factors`,
 :meth:`Planner.learned` — each ending in the one private ``_advance()``.
 The cache key is ``(fingerprint(query), epoch)``: a stale plan is a key
 that no longer matches, aged out by the LRU; nothing is ever scanned,
-cleared or reset from outside.
+cleared or reset from outside.  The explored memos kept per query shape
+(:attr:`Planner.shapes`) have no epoch in their key: exploration reads
+nothing an epoch changes.
 
 One planner serves every thread of a middleware instance (the facade's own
 executor and its service's workers), so its public methods are
@@ -67,6 +69,11 @@ class Planner:
             use_histograms=config.use_histograms
         )
         self.cache = PlanCache(config.plan_cache_size)
+        #: Explored memos by query shape (DESIGN.md §12).  Exploration reads
+        #: no statistic, factor or learned cardinality, so unlike
+        #: :attr:`cache` these are not keyed by the epoch: every epoch's
+        #: optimizer shares them.
+        self.shapes = PlanCache(config.plan_cache_size)
         self.factors = factors or CostFactors()
         self.epoch = -1
         self._feedback = None  # the Learner's store (use_feedback)
@@ -87,7 +94,10 @@ class Planner:
                 feedback=self._feedback,
             )
             self.optimizer = Optimizer(
-                self.estimator, self.factors, parallel_degree=self.config.workers
+                self.estimator,
+                self.factors,
+                parallel_degree=self.config.workers,
+                shapes=self.shapes if self.shapes.max_size > 0 else None,
             )
 
     # -- what moves the epoch -----------------------------------------------------------
@@ -163,6 +173,9 @@ class Planner:
             self.cache.put(key, result)
         self.metrics.histogram("memo_classes").observe(result.class_count)
         self.metrics.histogram("memo_elements").observe(result.element_count)
+        self.metrics.counter(
+            "optimizer_shape_hits" if result.shape_hit else "optimizer_shape_misses"
+        ).inc()
         return result
 
     def replan(
@@ -176,7 +189,7 @@ class Planner:
         remainder scans temp tables that die with the query."""
         with self._lock:
             result = self.optimizer.optimize(
-                remainder, required_order=required_order, tracer=tracer
+                remainder, required_order=required_order, tracer=tracer, share_shape=False
             )
         validate_plan(result.plan)
         return result

@@ -15,6 +15,8 @@ An extended Volcano-style optimizer (Section 4):
 * :mod:`repro.optimizer.physical` — plan validity (transfer structure,
   sorted-input prerequisites);
 * :mod:`repro.optimizer.search` — the two-phase optimization driver;
+* :mod:`repro.optimizer.shapes` — a query's shape, its plan with the
+  literals taken out: the unit Phase 1 is run and kept for;
 * :mod:`repro.optimizer.calibration` — Du-et-al-style cost-factor
   calibration from sample queries.
 """

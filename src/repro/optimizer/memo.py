@@ -298,7 +298,9 @@ class Memo:
         )
         return template.with_inputs(*child_reps)
 
-    def concrete_element(self, element: Element) -> Operator:
-        """Concrete one-level tree: the element over its children's
-        representatives (used for costing)."""
-        return self._concrete(element.template, element.children)
+    def compress(self) -> None:
+        """Point every class id straight at its class.  After this
+        :meth:`find` only reads, so a memo no rule changes any more can be
+        shared between threads: the optimizer's kept shapes."""
+        for class_id in range(len(self._parent)):
+            self.find(class_id)

@@ -59,7 +59,7 @@ Rule-to-implementation notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.algebra.expressions import (
@@ -187,7 +187,7 @@ def _pull_over_transfer(m: Match) -> Operator | None:
     if m.inner.location is not _D:
         return None
     (r,) = m.r
-    return replace(m.inner, input=TransferM(r), loc=_M)
+    return m.inner.replaced(input=TransferM(r), loc=_M)
 
 
 def _swap_unaries(condition: Callable[[Operator, Operator], bool]):
@@ -308,8 +308,8 @@ def _commute(m: Match) -> Operator:
     if isinstance(op, Product):
         swapped: Operator = Product(right, left, op.location)
     else:
-        swapped = replace(
-            op, left=right, right=left, left_attr=op.right_attr, right_attr=op.left_attr
+        swapped = op.replaced(
+            left=right, right=left, left_attr=op.right_attr, right_attr=op.left_attr
         )
     # ⋈^T emits each side without its period, then the intersection period.
     tail = len(op.period) if isinstance(op, TemporalJoin) else 0

@@ -5,13 +5,17 @@ means of the optimizer's transformation rules and heuristics"): the initial
 plan is inserted into a :class:`~repro.optimizer.memo.Memo` and the rules are
 applied to a fixpoint — incrementally: the elements the memo marks dirty,
 first in first out, each offered the rules that match its operator type.
+The rules read no literal's value and no statistic, so what Phase 1 builds
+is a function of the query's *shape* (:mod:`repro.optimizer.shapes`): an
+optimizer given a shape cache explores each shape once and keeps its memo.
 
 Phase 2 ("the optimizer considers in more detail each of these plans ...
 one best physical query execution plan is found"): a dynamic program over
 (class, location, required order) picks, per class, the cheapest element
 whose algorithm prerequisites are met, using the Figure 6 cost formulas and
-the statistics derived per class; only the winner's plan tree is ever
-built.  What order an element needs of its inputs and delivers is read from
+the statistics derived per class — with the query's own literals bound back
+into everything it costs — and builds only the winner's plan tree.  What
+order an element needs of its inputs and delivers is read from
 :mod:`repro.algebra.properties` — the tables ``guaranteed_order`` and
 ``validate_plan`` read — which realizes the paper's list-vs-multiset
 discipline: a ``→_L`` rewrite is trusted only where the plan actually
@@ -38,6 +42,7 @@ from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.memo import Element, Memo
 from repro.optimizer.physical import validate_plan
 from repro.optimizer.rules import Rule, default_rules
+from repro.optimizer.shapes import Binding, abstract, key_of
 from repro.stats.cardinality import CardinalityEstimator
 
 Order = tuple[str, ...]
@@ -85,6 +90,20 @@ class _Choice:
         return self._plan
 
 
+class _Explored:
+    """What Phase 1 leaves: the explored memo, its root class and the rule
+    counts that built it.  Once kept under its shape's key it is never
+    changed again: every later query of the shape extracts from it."""
+
+    __slots__ = ("memo", "root", "attempts", "firings")
+
+    def __init__(self, memo: Memo, root: int, attempts: int, firings: int):
+        self.memo = memo
+        self.root = root
+        self.attempts = attempts
+        self.firings = firings
+
+
 @dataclass
 class OptimizationResult:
     """Outcome of one optimizer run."""
@@ -98,7 +117,11 @@ class OptimizationResult:
     #: changed the memo.
     rule_attempts: int = 0
     rule_firings: int = 0
+    #: The explored memo: on a shape hit the kept one, slots and all.
     memo: Memo = field(repr=False, default=None)  # type: ignore[assignment]
+    #: True when an earlier query of the same shape had been explored, so
+    #: this run only costed (DESIGN.md §12).
+    shape_hit: bool = False
 
     def explain(self) -> str:
         return (
@@ -120,12 +143,19 @@ class Optimizer:
         max_elements: int = 40_000,
         tracer: Tracer | None = None,
         parallel_degree: int = 1,
+        shapes=None,
     ):
         self.estimator = estimator
         self.coster = PlanCoster(estimator, factors, parallel_degree=parallel_degree)
         self.rules = rules if rules is not None else default_rules()
         self.max_elements = max_elements
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Explored memos by query shape — a
+        #: :class:`~repro.core.plan_cache.PlanCache`, or anything with its
+        #: ``get``/``put`` — or None to explore every query afresh.  Only
+        #: optimizers with the same rules and budget may share one, as the
+        #: Planner's do across its epochs.
+        self.shapes = shapes
 
     # -- public API --------------------------------------------------------------------
 
@@ -134,6 +164,7 @@ class Optimizer:
         initial_plan: Operator,
         required_order: Order | None = None,
         tracer: Tracer | None = None,
+        share_shape: bool = True,
     ) -> OptimizationResult:
         """Optimize *initial_plan* and return the chosen plan.
 
@@ -141,20 +172,23 @@ class Optimizer:
         guarantees (the query's ORDER BY); the chosen plan is constrained to
         deliver the same order — the list-equivalence contract.  *tracer*
         overrides the constructor's for this run (one optimizer serves
-        callers on several threads, each with its own tracer).
+        callers on several threads, each with its own tracer).  With
+        ``share_shape=False`` the shape is neither looked up nor kept: a
+        re-plan's remainder scans temp tables no later query will.
         """
         tracer = tracer if tracer is not None else self.tracer
         with tracer.span("optimize", kind="phase") as span:
-            memo, root, extraction, required_order, attempts, firings = self._search(
-                initial_plan, required_order, tracer
+            explored, hit, extraction, required_order = self._search(
+                initial_plan, required_order, tracer, share_shape
             )
+            memo = explored.memo
             with tracer.span("extract", kind="phase"):
                 location = initial_plan.location
-                choice = extraction.best(root, location, required_order)
+                choice = extraction.best(explored.root, location, required_order)
                 if choice is None and required_order:
                     # The initial plan itself guarantees the order, so this is
                     # unreachable unless statistics are degenerate; fall back.
-                    choice = extraction.best(root, location, ())
+                    choice = extraction.best(explored.root, location, ())
                 if choice is None:
                     raise OptimizerError("no valid plan found in the memo")
                 plan = choice.plan
@@ -168,31 +202,56 @@ class Optimizer:
             cost=choice.cost,
             class_count=memo.class_count,
             element_count=memo.element_count,
-            rule_attempts=attempts,
-            rule_firings=firings,
+            rule_attempts=explored.attempts,
+            rule_firings=explored.firings,
             memo=memo,
+            shape_hit=hit,
         )
 
     def _search(
-        self, initial_plan: Operator, required_order: Order | None, tracer: Tracer
-    ) -> tuple[Memo, int, "_Extraction", Order, int, int]:
+        self,
+        initial_plan: Operator,
+        required_order: Order | None,
+        tracer: Tracer,
+        share_shape: bool = True,
+    ) -> tuple[_Explored, bool, "_Extraction", Order]:
         """Phase 1 for :meth:`optimize` and :meth:`top_plans`: the explored
-        memo, its root class, an extraction over it, the order contract
-        (lower-cased once for the whole extraction) and the rule counts."""
+        memo of *initial_plan*'s shape, whether it was kept from an earlier
+        query, an extraction that binds this query's literals back, and the
+        order contract (lower-cased once for the whole extraction)."""
         if required_order is None:
             required_order = guaranteed_order(initial_plan)
-        memo = Memo()
-        root = memo.insert_tree(initial_plan)
+        shapes = self.shapes if share_shape else None
+        binding: Binding | None = None
+        hit = False
         with tracer.span("explore", kind="phase") as span:
-            attempts, firings = self._explore(memo)
+            if shapes is None:
+                explored = self._closure(initial_plan)
+            else:
+                shape, binding = abstract(initial_plan)
+                key = key_of(shape)
+                explored = shapes.get(key)
+                hit = explored is not None
+                if not hit:
+                    explored = self._closure(shape)
+                    shapes.put(key, explored)
             span.set(
-                rule_attempts=attempts,
-                rule_firings=firings,
-                classes=memo.class_count,
-                elements=memo.element_count,
+                shape="hit" if hit else "miss",
+                rule_attempts=explored.attempts,
+                rule_firings=explored.firings,
+                classes=explored.memo.class_count,
+                elements=explored.memo.element_count,
             )
-        extraction = _Extraction(memo, self.coster)
-        return memo, memo.find(root), extraction, _lower(required_order), attempts, firings
+        extraction = _Extraction(explored.memo, self.coster, binding)
+        return explored, hit, extraction, _lower(required_order)
+
+    def _closure(self, plan: Operator) -> _Explored:
+        """*plan*'s memo, closed under the rules (:meth:`_explore`)."""
+        memo = Memo()
+        root = memo.insert_tree(plan)
+        attempts, firings = self._explore(memo)
+        memo.compress()
+        return _Explored(memo, memo.find(root), attempts, firings)
 
     def top_plans(
         self,
@@ -208,11 +267,11 @@ class Optimizer:
         plan-space sample the differential fuzzer (:mod:`repro.fuzz`)
         executes against the initial plan.
         """
-        _, root, extraction, required_order, _, _ = self._search(
+        explored, _, extraction, required_order = self._search(
             initial_plan, required_order, NULL_TRACER
         )
         choices: list[_Choice] = []
-        for element in extraction.candidates(root, initial_plan.location):
+        for element in extraction.candidates(explored.root, initial_plan.location):
             choice = extraction.element_choice(element, required_order)
             if choice is None and required_order:
                 choice = extraction.element_choice(element, ())
@@ -268,14 +327,18 @@ class Optimizer:
 
 class _Extraction:
     """Phase 2 over one explored memo: a dynamic program over (class,
-    location, required order) cells.  Orders are lower-case throughout."""
+    location, required order) cells.  Orders are lower-case throughout.
+    With a *binding* the memo is a shape's, and the query's literals are
+    bound back into every tree the extraction costs or returns."""
 
-    def __init__(self, memo: Memo, coster: PlanCoster):
+    def __init__(self, memo: Memo, coster: PlanCoster, binding: Binding | None = None):
         self.memo = memo
         self.coster = coster
+        self.binding = binding
         self._cells: dict[tuple, _Choice | None | object] = {}
         self._candidates: dict[tuple[int, Location], list[Element]] = {}
-        self._node_costs: dict[Element, float] = {}
+        #: Element -> its node cost, and the template its plans are built from.
+        self._costed: dict[Element, tuple[float, Operator]] = {}
         self._asks: dict[Element, tuple[Location, tuple[Order, ...]] | None] = {}
 
     def candidates(self, class_id: int, location: Location) -> list[Element]:
@@ -335,13 +398,25 @@ class _Extraction:
         )
         if required and delivered[: len(required)] != required:
             return None
-        node_cost = self._node_costs.get(element)
-        if node_cost is None:
-            node_cost = self._node_costs[element] = self.coster.node_cost(
-                self.memo.concrete_element(element)
-            )
+        costed = self._costed.get(element)
+        if costed is None:
+            costed = self._costed[element] = self._cost(element)
+        node_cost, bound = costed
         total = node_cost + sum(choice.cost for choice in child_choices)
-        return _Choice(total, template, child_choices, delivered)
+        return _Choice(total, bound, child_choices, delivered)
+
+    def _cost(self, element: Element) -> tuple[float, Operator]:
+        """*element*'s own cost, over its child classes' representatives,
+        and the template its plans are built from — both with the query's
+        literals in."""
+        template = element.template
+        inputs = [self.memo.class_of(child).representative for child in element.children]
+        binding = self.binding
+        if binding is not None:
+            template = binding.template(template)
+            inputs = [binding.tree(node) for node in inputs]
+        concrete = template.with_inputs(*inputs) if inputs else template
+        return self.coster.node_cost(concrete), template
 
 
 def _asks(template: Operator) -> tuple[Location, tuple[Order, ...]] | None:

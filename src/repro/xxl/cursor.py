@@ -29,7 +29,6 @@ instead of guessing: its :attr:`~Cursor.inputs`, its Figure 5
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import islice
 from time import perf_counter
 from typing import Iterable, Iterator
@@ -81,7 +80,7 @@ class Cursor:
         #: row here; a ``_next_batch`` that overshoots parks its surplus
         #: here.  Every consuming method drains it first, so a buffered
         #: row is never dropped whichever faces the caller mixes.
-        self._lookahead: deque[tuple] = deque()
+        self._lookahead: list[tuple] = []
         #: Rows handed out so far (handy for tests and accounting).
         self.rows_produced = 0
         #: Non-empty batches handed out via :meth:`next_batch`.
@@ -114,13 +113,12 @@ class Cursor:
         if n <= 0:
             return []
         begin = perf_counter() if self.timed else None
-        if self._lookahead:
-            buffered = list(islice(self._lookahead, n))
-            for _ in buffered:
-                self._lookahead.popleft()
-            if len(buffered) < n:
-                buffered.extend(self._next_batch(n - len(buffered)))
-            batch = buffered
+        lookahead = self._lookahead
+        if lookahead:
+            batch = lookahead[:n]
+            del lookahead[:n]
+            if len(batch) < n:
+                batch.extend(self._next_batch(n - len(batch)))
         else:
             batch = self._next_batch(n)
         if batch:
@@ -162,7 +160,7 @@ class Cursor:
         self.init()
         if not self._lookahead:
             # In front: a hook that overshot has parked its surplus behind.
-            self._lookahead.extendleft(self._next_batch(1))
+            self._lookahead[:0] = self._next_batch(1)
         return bool(self._lookahead)
 
     def next(self) -> tuple:
@@ -170,7 +168,7 @@ class Cursor:
         if not self.has_next():
             raise ExecutionError(f"{type(self).__name__} has no more rows")
         self.rows_produced += 1
-        return self._lookahead.popleft()
+        return self._lookahead.pop(0)
 
     def __iter__(self) -> Iterator[tuple]:
         while self.has_next():

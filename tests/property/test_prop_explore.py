@@ -91,12 +91,12 @@ def assert_orders_agree(optimizer: Optimizer, plan) -> int:
     # computed while another is in progress is cached without the plans
     # through that one, so what a shared extraction finds depends on who
     # asked first.
-    _, root, extraction, required, _, _ = optimizer._search(plan, None, NULL_TRACER)
-    winner = extraction.best(root, plan.location, required)
-    _, root, extraction, required, _, _ = optimizer._search(plan, None, NULL_TRACER)
+    explored, _, extraction, required = optimizer._search(plan, None, NULL_TRACER)
+    winner = extraction.best(explored.root, plan.location, required)
+    explored, _, extraction, required = optimizer._search(plan, None, NULL_TRACER)
     ranked = [
         choice
-        for element in extraction.candidates(root, plan.location)
+        for element in extraction.candidates(explored.root, plan.location)
         for choice in [
             extraction.element_choice(element, required)
             or extraction.element_choice(element, ())
