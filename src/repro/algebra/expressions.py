@@ -9,8 +9,10 @@ Expressions are immutable trees.  They can be
   and select list as one list comprehension, over rows or over pairs of
   rows (:func:`compile_pair` is one test over a pair).  No text from a
   query reaches that source: columns become integer positions, and every
-  literal that is not a plain ``int`` and every scalar function is bound to
-  a generated name in the function's globals;
+  literal and every scalar function is bound to a generated name in the
+  function's globals.  The source therefore depends only on the tree's
+  shape, and each distinct source is compiled once (:data:`KERNEL_CACHE_SIZE`
+  code objects are kept) and evaluated in each call's own globals;
 * *rendered* — :meth:`Expression.to_sql` produces the SQL text the
   Translator-To-SQL emits for DBMS-resident plan parts;
 * *inspected* — :func:`attributes_of` (the paper's ``attr(P)``) and
@@ -20,6 +22,8 @@ Expressions are immutable trees.  They can be
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -86,14 +90,40 @@ def _tuple_display(terms: Sequence[str]) -> str:
     return f"({''.join(f'{term}, ' for term in terms)})"
 
 
+#: Distinct generated sources whose code object is kept (DESIGN.md §11).
+KERNEL_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel_code(source: str):
+    return compile(source, "<kernel>", "eval")
+
+
+def kernel_cache_stats() -> dict:
+    """Hits, misses and size of the source → code-object cache, process-wide."""
+    info = _kernel_code.cache_info()
+    return {
+        "size": info.currsize,
+        "max_size": info.maxsize,
+        "hits": info.hits,
+        "misses": info.misses,
+    }
+
+
 def _generate(
     expressions: Sequence["Expression"],
     gen: _Codegen,
     template: Callable[[list[str]], str],
 ):
-    """Evaluate ``template(rendered expressions)`` in *gen*'s globals."""
+    """Evaluate ``template(rendered expressions)`` in *gen*'s globals.
+
+    Only the code object is shared between calls: each evaluation makes a
+    new function over this call's globals, so no literal of one tree is
+    ever seen by another of the same shape.
+    """
     try:
-        return eval(template([e._render(gen) for e in expressions]), gen.globals)
+        source = template([e._render(gen) for e in expressions])
+        return eval(_kernel_code(source), gen.globals)
     except (SyntaxError, RecursionError, MemoryError) as exc:
         try:
             text = ", ".join(expression.to_sql() for expression in expressions)
@@ -199,12 +229,20 @@ class Literal(Expression):
     type: AttrType | None = None
 
     def _render(self, gen: _Codegen) -> str:
+        return gen.bind("k", self.value)
+
+    @property
+    def spelled(self) -> bool:
+        """True when :meth:`to_sql` reads back as this value: not for a
+        non-finite float (``inf`` would lex as a column) nor a ``bool``."""
         value = self.value
-        if type(value) is int and value.bit_length() < 64:
-            return f"({value})"
-        return gen.bind("k", value)
+        if type(value) is float:
+            return math.isfinite(value)
+        return value is None or type(value) in (int, str)
 
     def to_sql(self) -> str:
+        if self.value is None:
+            return "NULL"
         if isinstance(self.value, str):
             escaped = self.value.replace("'", "''")
             return f"'{escaped}'"
@@ -286,7 +324,14 @@ class Comparison(Expression):
         return f"({self.left._render(gen)} {op} {self.right._render(gen)})"
 
     def to_sql(self) -> str:
+        if self.is_null_test():
+            return f"{_operand_sql(self.left)} IS NULL"
         return f"{_operand_sql(self.left)} {self.op} {_operand_sql(self.right)}"
+
+    def is_null_test(self) -> bool:
+        """``x = NULL``: what the parser reads ``x IS NULL`` as."""
+        right = self.right
+        return self.op == "=" and isinstance(right, Literal) and right.value is None
 
     def attributes(self) -> frozenset[str]:
         return self.left.attributes() | self.right.attributes()
@@ -392,7 +437,10 @@ class Not(Expression):
         return f"(not {self.term._render(gen)})"
 
     def to_sql(self) -> str:
-        return f"NOT ({self.term.to_sql()})"
+        term = self.term
+        if isinstance(term, Comparison) and term.is_null_test():
+            return f"{_operand_sql(term.left)} IS NOT NULL"
+        return f"NOT ({term.to_sql()})"
 
     def attributes(self) -> frozenset[str]:
         return self.term.attributes()

@@ -33,9 +33,10 @@ from repro.errors import PlanError
 #: Default names of the period-delimiting attributes.
 DEFAULT_PERIOD = ("T1", "T2")
 
-#: What a node caches of its own fields: a copy with other fields derives
+#: What a node caches of its own fields (``sql`` is the Translator-To-SQL's
+#: text for a DBMS region rooted here): a copy with other fields derives
 #: them again.
-_CACHED = ("schema", "cache_key", "passthrough")
+_CACHED = ("schema", "cache_key", "passthrough", "sql")
 
 
 class Location(enum.Enum):

@@ -24,7 +24,8 @@ engine).  Meta-commands:
     \\calibrate           fit cost factors on this machine
     \\timing on|off       toggle per-statement timing
     \\trace on|off        toggle per-statement span trees
-    \\metrics             dump the middleware metrics registry
+    \\metrics             dump the middleware metrics registry and the
+                         process-wide statement and kernel code caches
     \\quit                leave
 """
 
@@ -33,8 +34,9 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.algebra.expressions import kernel_cache_stats
 from repro.core.tango import Tango, TangoConfig
-from repro.dbms.database import MiniDB
+from repro.dbms.database import STATEMENTS, MiniDB
 from repro.errors import ReproError
 
 PROMPT = "tango> "
@@ -174,6 +176,14 @@ class Shell:
             return True
         if word == "\\metrics":
             self.echo(self.tango.metrics.render())
+            for name, stats in (
+                ("statement_cache", STATEMENTS.to_dict()),
+                ("kernel_code_cache", kernel_cache_stats()),
+            ):
+                self.echo(
+                    f"  {name + ' (process)':<32} hits={stats['hits']}  "
+                    f"misses={stats['misses']}  size={stats['size']}/{stats['max_size']}"
+                )
             return True
         if word == "\\help":
             self.echo(__doc__ or "")

@@ -22,6 +22,12 @@ rules close a block early; DESIGN.md §16 says what each protects.
 Interior sorts are dropped (a DBMS provides no order guarantees below the
 top level — Section 4); only the top-most sort becomes the final
 ``ORDER BY``.
+
+A region with no ``T^D`` in it translates to the same text every time, so
+its SQL is kept on the region's root node (next to the node's cached
+``schema`` and ``cache_key``, and dropped with them by ``replaced``): a
+cached plan is translated once.  A region that reads a ``T^D`` is
+translated per execution, because its temp table's name is fresh each time.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.algebra.expressions import (
     Comparison,
     Expression,
     FuncCall,
+    Literal,
     conjoin,
     conjuncts,
 )
@@ -65,14 +72,34 @@ class SQLTranslator:
         *temp_tables* maps ``id(transfer_d_node)`` to the table each ``T^D``
         loaded.
         """
+        sql = plan.__dict__.get(_SQL)
+        if sql is not None:
+            return sql
         if plan.location is not Location.DBMS:
             raise PlanError(
                 f"cannot translate {plan.name} at {plan.location.value} to SQL"
             )
         context = _Context(temp_tables or {})
         if isinstance(plan, Sort):
-            return context.statement(plan.input) + "\nORDER BY " + ", ".join(plan.keys)
-        return context.statement(plan)
+            sql = context.statement(plan.input) + "\nORDER BY " + ", ".join(plan.keys)
+        else:
+            sql = context.statement(plan)
+        if not context.reads_temp_table:
+            plan.__dict__[_SQL] = sql
+        return sql
+
+
+#: Where a region's root keeps its SQL; one of the names ``replaced`` drops.
+_SQL = "sql"
+
+
+def _sql(expression: Expression) -> str:
+    """*expression* as SQL, refused when a literal in it has no spelling
+    the DBMS would read back as that value."""
+    for literal in collect(expression, Literal):
+        if not literal.spelled:
+            raise PlanError(f"literal {literal.value!r} has no SQL spelling")
+    return expression.to_sql()
 
 
 class _Block:
@@ -115,11 +142,11 @@ class _Block:
 
     def render(self, distinct: bool = False) -> str:
         columns = ", ".join(
-            f"{expression.to_sql()} AS {name}" for name, expression in self.outputs.values()
+            f"{_sql(expression)} AS {name}" for name, expression in self.outputs.values()
         )
         sql = f"SELECT {'DISTINCT ' if distinct else ''}{columns}\nFROM {', '.join(self.items)}"
         if self.where:
-            sql += f"\nWHERE {conjoin(self.where).to_sql()}"
+            sql += f"\nWHERE {_sql(conjoin(self.where))}"
         return sql
 
 
@@ -127,6 +154,8 @@ class _Context:
     def __init__(self, temp_tables: dict[int, str]):
         self._temp_tables = temp_tables
         self._alias_counter = 0
+        #: True once a ``T^D``'s per-execution table name is in the text.
+        self.reads_temp_table = False
 
     def _alias(self) -> str:
         self._alias_counter += 1
@@ -149,6 +178,7 @@ class _Context:
         if isinstance(node, Scan):
             return node.table
         if isinstance(node, TransferD):
+            self.reads_temp_table = True
             try:
                 return self._temp_tables[id(node)]
             except KeyError:

@@ -9,7 +9,8 @@ but tests and workload generators use it freely.
 
 from __future__ import annotations
 
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from typing import Iterable, Sequence
 
 from repro.algebra.expressions import Literal, compile_row
@@ -25,6 +26,7 @@ from repro.dbms.sql.ast import (
     InsertSelectStmt,
     InsertValuesStmt,
     SelectStmt,
+    Statement,
 )
 from repro.dbms.sql.executor import ResultSet
 from repro.dbms.sql.parser import parse_statement
@@ -37,6 +39,59 @@ from repro.dbms.statistics import (
 )
 from repro.dbms.table import BLOCK_SIZE, Table
 from repro.errors import CatalogError, DatabaseError
+
+
+#: Parsed statements kept by exact SQL text, shared by every MiniDB in the
+#: process — a shared pool, as Oracle's ``session_cached_cursors`` (default
+#: 50) keeps one per session.
+STATEMENT_CACHE_SIZE = 64
+
+
+class StatementCache:
+    """A bounded LRU of parsed statements by SQL text (DESIGN.md §23).
+
+    Parsing reads nothing but the text, and a statement is frozen, so one
+    parse serves every later execution of the same text on any database;
+    planning, which reads the catalog, stays per execution.  Thread-safe:
+    the query service's workers execute on one database.
+    """
+
+    def __init__(self, max_size: int):
+        self.max_size = max_size
+        self._entries: OrderedDict[str, Statement] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def parse(self, sql: str) -> tuple[Statement, bool]:
+        """The statement *sql* says, and whether it was already parsed."""
+        with self._lock:
+            statement = self._entries.get(sql)
+            if statement is not None:
+                self._entries.move_to_end(sql)
+                self.hits += 1
+                return statement, True
+            self.misses += 1
+            statement = self._entries[sql] = parse_statement(sql)
+            if len(self._entries) > self.max_size:
+                self._entries.popitem(last=False)
+        return statement, False
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def to_dict(self) -> dict:
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "max_size": self.max_size,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+
+STATEMENTS = StatementCache(STATEMENT_CACHE_SIZE)
 
 
 class MiniDB:
@@ -223,13 +278,14 @@ class MiniDB:
 
     # -- statement execution ----------------------------------------------------------
 
-    def execute(self, sql: str) -> ResultSet | int:
-        """Execute one SQL statement.
+    def execute(self, sql: str | Statement) -> ResultSet | int:
+        """Execute one SQL statement, given as text or as parsed.
 
-        SELECTs return a :class:`ResultSet`; everything else returns an
-        affected-row count (0 for DDL).
+        Text is looked up in :data:`STATEMENTS`; parsing charges no tick,
+        hit or miss.  SELECTs return a :class:`ResultSet`; everything else
+        returns an affected-row count (0 for DDL).
         """
-        statement = parse_statement(sql)
+        statement = STATEMENTS.parse(sql)[0] if isinstance(sql, str) else sql
         if isinstance(statement, SelectStmt):
             return plan_select(self, statement, self.meter)
         if isinstance(statement, CreateTableStmt):

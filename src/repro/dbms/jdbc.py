@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro.algebra.schema import Schema
-from repro.dbms.database import MiniDB
+from repro.dbms.database import STATEMENTS, MiniDB
 from repro.dbms.loader import DirectPathLoader
 from repro.dbms.sql.executor import ResultSet
 from repro.errors import DatabaseError, PoolTimeoutError
@@ -48,6 +48,9 @@ class Cursor:
         self._round_trips = 0
         self._closed = False
         self.rowcount = -1
+        #: Whether the last statement came parsed from MiniDB's statement
+        #: cache (None before the first).
+        self.statement_hit: bool | None = None
 
     def _check_usable(self) -> None:
         """Fetches and statements require an open cursor *and* connection.
@@ -78,8 +81,15 @@ class Cursor:
         self._check_usable()
         self._connection._inject("execute")
         self._connection._simulate_wire()
-        db = self._connection.db
-        outcome = db.execute(sql)
+        statement, self.statement_hit = STATEMENTS.parse(sql)
+        metrics = self._connection.metrics
+        if metrics is not None:
+            metrics.counter(
+                "dbms_statement_cache_hits"
+                if self.statement_hit
+                else "dbms_statement_cache_misses"
+            ).inc()
+        outcome = self._connection.db.execute(statement)
         if isinstance(outcome, ResultSet):
             self._result = outcome
             self._buffer = []

@@ -21,7 +21,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<hint>/\*\+.*?\*/)
   | (?P<comment>--[^\n]*)
-  | (?P<number>\d+\.\d+|\d+)
+  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z_0-9$#]*)
   | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|\(|\)|,|\.)

@@ -88,6 +88,13 @@ class _Parser:
             )
         return token
 
+    def _count(self) -> int:
+        """A whole-number literal: a width or a LIMIT."""
+        token = self._expect("NUMBER")
+        if not token.value.isdigit():
+            raise SQLSyntaxError(f"expected a whole number, found {token.text}", token.position)
+        return int(token.value)
+
     def _accept_keyword(self, *words: str) -> bool:
         """Consume a fixed keyword sequence if present."""
         for offset, word in enumerate(words):
@@ -147,8 +154,7 @@ class _Parser:
                 self._advance()
                 width = None
                 if self._accept("OP", "("):
-                    width_token = self._expect("NUMBER")
-                    width = int(width_token.value)
+                    width = self._count()
                     self._expect("OP", ")")
                 columns.append(ColumnDef(name, _TYPES[type_name], width))
                 if not self._accept("OP", ","):
@@ -303,7 +309,7 @@ class _Parser:
             order_by = self._order_items()
         limit = None
         if self._accept("KEYWORD", "LIMIT"):
-            limit = int(self._expect("NUMBER").value)
+            limit = self._count()
         return SelectStmt(
             items=tuple(items),
             from_items=tuple(from_items),
@@ -455,7 +461,7 @@ class _Parser:
         token = self._peek()
         if token.kind == "NUMBER":
             self._advance()
-            if "." in token.value:
+            if not token.value.isdigit():  # a fraction or an exponent
                 return Literal(float(token.value))
             return Literal(int(token.value))
         if token.kind == "STRING":

@@ -68,6 +68,8 @@ class SQLCursor(TransferMixin, Cursor):
         #: performance-feedback signal (Section 7) for TRANSFER^M.
         self.fetch_seconds = 0.0
         self._final_round_trips = 0
+        #: "hit" or "miss": whether MiniDB found the statement parsed.
+        self.statement: str | None = None
         # The schema is only known after execution; initialize lazily with a
         # placeholder and fix it up in _open().
         super().__init__(Schema([]))
@@ -93,8 +95,11 @@ class SQLCursor(TransferMixin, Cursor):
         return f"Query: {sql[:97] + '...' if len(sql) > 100 else sql}"
 
     def measurements(self) -> dict:
+        where = {"sql": self._sql}
+        if self.statement is not None:
+            where["statement"] = self.statement
         return self._transfer_measurements(
-            "up", self.rows_produced, self.fetch_seconds, sql=self._sql
+            "up", self.rows_produced, self.fetch_seconds, **where
         )
 
     def _open(self) -> None:
@@ -104,6 +109,7 @@ class SQLCursor(TransferMixin, Cursor):
             "transfer_m.execute",
         )
         self.fetch_seconds += time.perf_counter() - begin
+        self.statement = "hit" if self._cursor.statement_hit else "miss"
         self.schema = self._cursor.schema
 
     def _next_batch(self, n: int) -> list[tuple]:

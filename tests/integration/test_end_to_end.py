@@ -196,3 +196,48 @@ class TestNullArguments:
         dbms, middleware = self.plans(nullable.db)
         assert nullable.execute_plan(middleware).rows == self.EXPECTED + [(None, 0, 5, 1, 3.0)]
         assert nullable.execute_plan(dbms).rows == self.EXPECTED
+
+
+class TestLiteralsRoundTripThroughSQL:
+    """A literal the optimizer keeps in the DBMS reaches MiniDB as SQL text
+    and must read back as itself: a float Python spells with an exponent,
+    and a NULL test, which the parser reads as ``= NULL``."""
+
+    ROWS = [(1, "Tom", 0.5, 2, 20), (1, "Jane", 0.00000001, 5, 25), (2, None, 3.0, 5, 10)]
+    CASES = {
+        "PayRate > 0.00001": [(1, 2, 20, 1), (2, 5, 10, 1)],
+        "PayRate < 1e+16": [(1, 2, 5, 1), (1, 5, 20, 2), (1, 20, 25, 1), (2, 5, 10, 1)],
+        "EmpName IS NOT NULL": [(1, 2, 5, 1), (1, 5, 20, 2), (1, 20, 25, 1)],
+        "EmpName IS NULL": [(2, 5, 10, 1)],
+    }
+
+    @pytest.fixture
+    def positions(self):
+        db = MiniDB()
+        db.execute(
+            "CREATE TABLE POSITION (PosID INT, EmpName VARCHAR(16), "
+            "PayRate FLOAT, T1 DATE, T2 DATE)"
+        )
+        db.insert_rows("POSITION", self.ROWS)
+        with Tango(db) as tango:
+            yield tango
+
+    @staticmethod
+    def sql(where: str) -> str:
+        return (
+            "VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION "
+            f"WHERE {where} GROUP BY PosID"
+        )
+
+    @pytest.mark.parametrize("where", list(CASES))
+    def test_the_all_dbms_initial_plan_and_the_chosen_plan_agree(self, positions, where):
+        initial = positions.parse(self.sql(where))
+        assert sorted(positions.execute_plan(initial).rows) == self.CASES[where]
+        assert sorted(positions.query(self.sql(where)).rows) == self.CASES[where]
+
+    def test_a_non_finite_literal_is_refused_by_name(self, positions):
+        from repro.errors import PlanError
+
+        initial = positions.parse(self.sql("PayRate < 1e999"))
+        with pytest.raises(PlanError, match="literal inf has no SQL spelling"):
+            positions.execute_plan(initial)

@@ -17,7 +17,7 @@ names, same rows, no transfer wider than it was.
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.builder import scan
-from repro.algebra.expressions import BinOp, Comparison, col, lit
+from repro.algebra.expressions import BinOp, Comparison, Expression, Not, col, lit
 from repro.algebra.operators import (
     Dedup,
     Join,
@@ -74,10 +74,29 @@ rows_strategy = st.lists(
 index = st.integers(min_value=0, max_value=7)
 comparison = st.sampled_from(["<", "<=", ">", "=", "<>"])
 
+#: What a ``select`` recipe compares a column with: small ints, floats of
+#: every magnitude (``1e-05`` and ``1e+16`` are how Python spells some of
+#: them), quoted strings (equality only: an INT column does not order
+#: against text), and NULL tests.
+test = st.one_of(
+    st.tuples(comparison, st.integers(0, 20)),
+    st.tuples(comparison, st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.sampled_from(["=", "<>"]), st.text(max_size=8)),
+    st.tuples(st.sampled_from(["IS NULL", "IS NOT NULL"]), st.none()),
+)
+
+
+def restriction(column: str, op: str, value) -> Expression:
+    if op == "IS NULL":
+        return Comparison("=", col(column), lit(None))
+    if op == "IS NOT NULL":
+        return Not(Comparison("=", col(column), lit(None)))
+    return Comparison(op, col(column), lit(value))
+
 
 def extend(children):
     return st.one_of(
-        st.tuples(st.just("select"), index, comparison, st.integers(0, 20), children),
+        st.tuples(st.just("select"), index, test, children),
         st.tuples(
             st.just("project"),
             st.lists(
@@ -122,8 +141,8 @@ def build(db, recipe) -> Operator:
     plan = build(db, arguments[-1])
     names = plan.schema.names
     if kind == "select":
-        position, op, value = arguments[:3]
-        return Select(plan, DB, Comparison(op, col(pick(names, position)), lit(value)))
+        position, (op, value) = arguments[:2]
+        return Select(plan, DB, restriction(pick(names, position), op, value))
     if kind == "dedup":
         return Dedup(plan, DB)
     if kind == "sort":

@@ -115,6 +115,19 @@ class TestShell:
         assert "analyzed" in out.getvalue()
         assert sh.tango.db.statistics_of("T") is not None
 
+    def test_metrics_meta_reports_the_statement_and_kernel_caches(self, shell):
+        sh, out = shell
+        # Counted at the JDBC boundary, which a temporal query's T^M crosses.
+        sh.run_line("CREATE TABLE P (K INT, T1 DATE, T2 DATE);")
+        sh.run_line("INSERT INTO P VALUES (1, 2, 20);")
+        for _ in range(2):
+            sh.run_line("VALIDTIME SELECT K, COUNT(K) FROM P GROUP BY K;")
+        sh.run_line("\\metrics")
+        text = out.getvalue()
+        assert "dbms_statement_cache_hits" in text  # the second run at least
+        assert "statement_cache (process)" in text and "/64" in text
+        assert "kernel_code_cache (process)" in text
+
     def test_empty_line_is_noop(self, shell):
         sh, out = shell
         assert sh.run_line("   ;") is True

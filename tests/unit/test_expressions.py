@@ -157,15 +157,18 @@ class TestGeneratedSource:
         assert evaluate(col(self.HOSTILE), (1, 2, 3), schema) == 3
 
     @pytest.mark.parametrize(
-        "value", ["text", 1.5, float("nan"), float("inf"), True, None, 2**70]
+        "value", [7, 0, -3, 2**70, "text", 1.5, float("nan"), float("inf"), True, None]
     )
-    def test_only_plain_ints_are_inlined(self, value):
+    def test_every_literal_is_a_bound_name(self, value):
         func = Comparison("=", col("A"), lit(value)).compile(SCHEMA)
-        # The constant lives in the globals, under a generated name.
-        assert all(name.startswith("_k") for name in func.__code__.co_names)
+        # The constant lives in the globals, under a generated name — ints too.
+        assert func.__code__.co_names == ("_k1",)
         (bound,) = [v for k, v in func.__globals__.items() if k.startswith("_k")]
         assert bound is value
-        assert Comparison("=", col("A"), lit(7)).compile(SCHEMA).__code__.co_names == ()
+        # No literal text reaches the source: every value compiles to the
+        # code object of the same shape with another value.
+        other = Comparison("=", col("A"), lit("another")).compile(SCHEMA)
+        assert func.__code__ is other.__code__
 
     def test_generated_functions_see_no_builtins(self):
         func = FuncCall("GREATEST", [col("A"), lit("x")]).compile(SCHEMA)

@@ -29,6 +29,28 @@ class TestBasics:
         assert tokens[0].kind == "NUMBER" and tokens[0].value == "42"
         assert tokens[1].value == "3.14"
 
+    @pytest.mark.parametrize("text", ["1e-05", "1e+16", "2.5E3", "7e2"])
+    def test_exponent_numerals_are_one_number(self, text):
+        assert values(text) == [text] and kinds(text) == ["NUMBER", "EOF"]
+
+    def test_an_e_without_digits_is_not_an_exponent(self):
+        assert values("5EMP 2e") == ["5", "EMP", "2", "E"]
+
+    def test_exponent_numerals_parse_as_floats(self):
+        from repro.dbms.sql.parser import parse_expression
+
+        assert parse_expression("1e-05").value == 0.00001
+        assert parse_expression("7e2").value == 700.0
+        assert parse_expression("42").value == 42
+
+    def test_a_width_or_limit_must_be_a_whole_number(self):
+        from repro.dbms.sql.parser import parse_statement
+
+        with pytest.raises(SQLSyntaxError, match="whole number"):
+            parse_statement("CREATE TABLE T (A VARCHAR(1e3))")
+        with pytest.raises(SQLSyntaxError, match="whole number"):
+            parse_statement("SELECT A FROM T LIMIT 2.5")
+
     def test_strings_unescape_quotes(self):
         token = tokenize("'O''Brien'")[0]
         assert token.kind == "STRING"

@@ -11,7 +11,7 @@ import pytest
 
 from repro.algebra.builder import scan
 from repro.algebra.expressions import BinOp, Comparison, col, lit
-from repro.algebra.operators import Location, TemporalAggregate, TransferD, TransferM
+from repro.algebra.operators import Location, Sort, TemporalAggregate, TransferD, TransferM
 from repro.core.tango import Tango
 from repro.core.translator import SQLTranslator
 from repro.dbms.database import MiniDB
@@ -171,6 +171,50 @@ class TestTransferDReferences:
         transfer_down = TransferD(scan(db, "POSITION").to_middleware().build())
         with pytest.raises(PlanError):
             translator.translate(transfer_down, {})
+
+
+class TestTranslatedOnce:
+    """A region's SQL is kept on its root unless a ``T^D`` names a table
+    that is fresh per execution."""
+
+    def test_a_region_without_transfer_d_is_translated_once(self, db, translator):
+        plan = scan(db, "POSITION").select(Comparison("<", col("T1"), lit(6))).build()
+        sql = translator.translate(plan)
+        assert SQLTranslator().translate(plan) is sql
+        # A copy with other fields derives its own text.
+        moved = plan.replaced(predicate=Comparison("<", col("T1"), lit(7)))
+        assert "< 7" in translator.translate(moved) and "< 6" in sql
+
+    def test_a_region_reading_a_temp_table_is_translated_per_execution(self, db, translator):
+        transfer_down = TransferD(scan(db, "POSITION").to_middleware().build())
+        plan = Sort(transfer_down, Location.DBMS, ("PosID",))
+        one = translator.translate(plan, {id(transfer_down): "T_1"})
+        two = translator.translate(plan, {id(transfer_down): "T_2"})
+        assert "T_1" in one and "T_2" in two
+
+
+class TestLiteralSpelling:
+    def test_floats_of_every_magnitude_read_back(self, db, translator):
+        for value in (0.00001, 1e16, 1.5e-300, 123456.789):
+            plan = scan(db, "POSITION").select(Comparison("<", col("PosID"), lit(value))).build()
+            assert sorted(run(db, translator.translate(plan))) == sorted(
+                row for row in db.table("POSITION").rows if row[0] < value
+            )
+
+    def test_null_tests_render_as_is_null(self, db, translator):
+        null = Comparison("=", col("EmpName"), lit(None))
+        plan = scan(db, "POSITION").select(null).build()
+        assert "EmpName IS NULL" in translator.translate(plan)
+        assert run(db, translator.translate(plan)) == []
+        plan = scan(db, "POSITION").select(~null).build()
+        assert "EmpName IS NOT NULL" in translator.translate(plan)
+        assert len(run(db, translator.translate(plan))) == db.table("POSITION").cardinality
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), True])
+    def test_a_literal_with_no_sql_spelling_is_refused_by_name(self, db, translator, value):
+        plan = scan(db, "POSITION").select(Comparison("<", col("PosID"), lit(value))).build()
+        with pytest.raises(PlanError, match=re.escape(repr(value))):
+            translator.translate(plan)
 
 
 class TestDedup:
