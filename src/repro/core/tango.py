@@ -53,6 +53,7 @@ to per-cursor cardinalities and transfer timings) attached to the returned
 from __future__ import annotations
 
 from repro.algebra.operators import Operator
+from repro.core import gcpolicy
 from repro.core.config import TangoConfig
 from repro.core.executor import Executor, QueryResult
 from repro.core.learner import Learner
@@ -104,6 +105,7 @@ class Tango:
         #: Otherwise the connection is private, and a pool for partition
         #: fan-out exists only when ``workers > 1``.
         self._owns_pool = pool is None
+        self.pool: ConnectionPool | None = pool
         if pool is not None:
             self.connection = pool.acquire()
         else:
@@ -111,22 +113,26 @@ class Tango:
                 prefetch=config.prefetch, metrics=self.metrics, injector=fault_injector
             )
             self.connection = Connection(db, **settings)
-            if config.workers > 1:
-                pool = ConnectionPool(db, size=config.workers, **settings)
-        self.pool: ConnectionPool | None = pool
-        # The pipeline (DESIGN.md §13): what is shared by every thread ...
-        self.planner = Planner(db, config, factors=factors, metrics=self.metrics)
-        self.learner = Learner(self.planner, config, metrics=self.metrics)
-        # ... and what this thread executes with.
-        self.executor = Executor(
-            self.planner,
-            self.learner,
-            self.connection,
-            config,
-            pool=pool,
-            metrics=self.metrics,
-            middleware_meter=middleware_meter,
-        )
+        # A construction that fails from here on gives back what it took.
+        try:
+            if self._owns_pool and config.workers > 1:
+                self.pool = ConnectionPool(db, size=config.workers, **settings)
+            # The pipeline (DESIGN.md §13): what is shared by every thread ...
+            self.planner = Planner(db, config, factors=factors, metrics=self.metrics)
+            self.learner = Learner(self.planner, config, metrics=self.metrics)
+            # ... and what this thread executes with.
+            self.executor = Executor(
+                self.planner,
+                self.learner,
+                self.connection,
+                config,
+                pool=self.pool,
+                metrics=self.metrics,
+                middleware_meter=middleware_meter,
+            )
+        except BaseException:
+            self._disconnect()
+            raise
         #: The calling thread's tracer and middleware cost meter.
         self.tracer = self.executor.tracer
         self.middleware_meter = self.executor.middleware_meter
@@ -134,6 +140,8 @@ class Tango:
         #: The owned QueryService (config.service), built on first submit.
         self.service: QueryService | None = None
         self._closed = False
+        # Released by close(); a failed construction never takes it.
+        gcpolicy.hold()
 
     # -- configuration and lifecycle --------------------------------------------------
 
@@ -166,15 +174,23 @@ class Tango:
         connection is returned to its pool, not closed; a borrowed pool
         is left open for its owner.  The final metrics snapshot remains
         available as :attr:`final_metrics` (and ``self.metrics`` stays
-        readable).
+        readable).  The collector's hold (:mod:`repro.core.gcpolicy`) is
+        given back even when one of these steps raises.
         """
         if self._closed:
             return
         self._closed = True
-        if self.service is not None:
-            self.service.close()
-        self.learner.close()
-        self.final_metrics = self.metrics.flush()
+        try:
+            if self.service is not None:
+                self.service.close()
+            self.learner.close()
+            self.final_metrics = self.metrics.flush()
+            self._disconnect()
+        finally:
+            gcpolicy.release()
+
+    def _disconnect(self) -> None:
+        """Close what this instance owns, and return a leased connection."""
         if self._owns_pool:
             if self.pool is not None:
                 self.pool.close()

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.core import gcpolicy
 from repro.core.config import TangoConfig
 from repro.core.executor import Executor, QueryResult
 from repro.core.learner import Learner
@@ -96,6 +97,8 @@ class QueryService:
         ]
         for worker in self._workers:
             worker.start()
+        # Released by close(); see repro.core.gcpolicy.
+        gcpolicy.hold()
 
     # -- the client surface ---------------------------------------------------------
 
@@ -261,13 +264,16 @@ class QueryService:
             if self._closed:
                 return
             self._closed = True
-        self.scheduler.close(cancel_queued=not drain)
-        for worker in self._workers:
-            worker.join(timeout)
-        if self._owns_stages:
-            self.learner.close()
-        if self._owns_pool:
-            self.pool.close()
+        try:
+            self.scheduler.close(cancel_queued=not drain)
+            for worker in self._workers:
+                worker.join(timeout)
+            if self._owns_stages:
+                self.learner.close()
+            if self._owns_pool:
+                self.pool.close()
+        finally:
+            gcpolicy.release()
 
     def __enter__(self) -> "QueryService":
         return self

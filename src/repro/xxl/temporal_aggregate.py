@@ -11,7 +11,9 @@ Here the two copies are one list per group: an ``(instant, ±1, row)`` event
 per ``T1`` and per ``T2``, all starts listed before all ends, put in order
 by a stable sort on the instant alone.  That is the merge of the T1-sorted
 copy with the T2-sorted one, starts before ends at one instant, and it
-never compares rows (they may hold NULLs).  One walk over the events serves
+never compares rows (they may hold NULLs).  A row with a NULL ``T1`` or
+``T2`` is valid at no instant; the sort trips on it, and only then is the
+group's event list rebuilt without such rows.  One walk over the events serves
 every aggregate: COUNT slides an integer (``COUNT(A)`` skips NULL
 arguments, ``COUNT(*)`` is the number of valid tuples), SUM/AVG/MIN/MAX
 slide a :class:`~repro.dbms.sql.functions.SlidingAggregate` and are NULL
@@ -91,6 +93,13 @@ def _compile_walk(arguments: tuple[tuple[str, int | None], ...]) -> Callable:
 
 def _no_key(row: tuple) -> tuple:
     return ()
+
+
+def _events(rows: list[tuple], t1: int, t2: int) -> list[tuple]:
+    """A start per row, then an end per row, each ``(instant, ±1, row)``."""
+    events = [(row[t1], 1, row) for row in rows]
+    events += [(row[t2], -1, row) for row in rows]
+    return events
 
 
 class TemporalAggregateCursor(Cursor):
@@ -193,9 +202,17 @@ class TemporalAggregateCursor(Cursor):
         walk, single, sliding, append = self._walk, self._single, self._sliding, out.append
         ticks = 0
         for key, rows in groups:
-            events = [(row[t1], 1, row) for row in rows]
-            events += [(row[t2], -1, row) for row in rows]
-            events.sort(key=_INSTANT)
+            events = _events(rows, t1, t2)
+            try:
+                events.sort(key=_INSTANT)
+            except TypeError:
+                # A NULL T1 or T2 leaves its row valid at no instant (SQL's
+                # ``T1 <= t AND t < T2`` is unknown): the group loses it.
+                rows = [row for row in rows if row[t1] is not None and row[t2] is not None]
+                if not rows:
+                    continue
+                events = _events(rows, t1, t2)
+                events.sort(key=_INSTANT)
             # A start after the group's last end (a period ending before it
             # begins) opens nothing the sweep would ever close: never consumed.
             while events[-1][1] > 0:

@@ -19,19 +19,30 @@ SCHEMA = Schema(
     ]
 )
 
+def _with_endpoints(drawn):
+    """(K, V, T1, T2) from (K, V, T1, duration, nulls): *nulls* 13 makes
+    T1 NULL, 14 makes T2 NULL, 15 makes both NULL; anything lower, neither."""
+    key, value, start, duration, nulls = drawn
+    t1 = None if nulls in (13, 15) else start
+    t2 = None if nulls in (14, 15) else start + duration
+    return key, value, t1, t2
+
+
 rows_strategy = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=4),      # K
         st.one_of(st.none(), st.integers(min_value=-50, max_value=50)),  # V
         st.integers(min_value=0, max_value=60),     # T1
         st.integers(min_value=1, max_value=30),     # duration
-    ).map(lambda t: (t[0], t[1], t[2], t[2] + t[3])),
+        st.integers(min_value=0, max_value=15),     # NULL endpoints
+    ).map(_with_endpoints),
     max_size=40,
 )
 
 
 def run_taggr(rows, func="COUNT", attribute="K"):
-    ordered = sorted(rows, key=lambda row: (row[0], row[2]))
+    # Sorted on (K, T1) as MiniDB's ORDER BY sorts: a NULL T1 last.
+    ordered = sorted(rows, key=lambda row: (row[0], row[2] is None, row[2] or 0))
     cursor = TemporalAggregateCursor(
         RelationCursor(SCHEMA, ordered),
         ("K",),
@@ -49,10 +60,13 @@ def brute_force_by_day(rows, func):
     valid that day as SQL does — ``COUNT(V)`` counts the non-NULL values,
     the others are NULL when all of them are — then merge runs of equal
     aggregate values.  A run of days on which tuples are valid but every
-    value is NULL is kept; a run with no valid tuple is not."""
+    value is NULL is kept; a run with no valid tuple is not.  A tuple with
+    a NULL T1 or T2 is valid on no day (``T1 <= day AND day < T2`` is
+    unknown), so a group of only such tuples yields nothing."""
     per_group = defaultdict(list)
     for row in rows:
-        per_group[row[0]].append(row)
+        if row[2] is not None and row[3] is not None:
+            per_group[row[0]].append(row)
     results = []
     for key in sorted(per_group):
         group = per_group[key]
@@ -79,6 +93,17 @@ def brute_force_by_day(rows, func):
                 merged.append([day, day + 1, value])
         results.extend((key, start, end, value) for start, end, value in merged if value is not EMPTY)
     return results
+
+
+def test_null_endpoints_are_valid_at_no_instant():
+    rows = [
+        (1, 5, None, 10),
+        (1, 6, 2, None),
+        (2, 7, None, None),
+        (3, 1, 4, 8),
+        (3, 2, None, 6),
+    ]
+    assert run_taggr(rows, "COUNT", "V") == [(3, 4, 8, 1)]
 
 
 class TestAgainstBruteForce:
