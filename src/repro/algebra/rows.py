@@ -24,6 +24,7 @@ agreed with the key, so what it produced is what the key would have.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isfinite
 from typing import Iterable
 
@@ -65,9 +66,19 @@ def canonical_sort_key(row: tuple) -> tuple:
     return tuple(zip(map(_TAGS.__getitem__, map(type, row)), row))
 
 
+#: The value types normalization leaves as they are, ``bool`` (an ``int``
+#: subclass) not among them.
+_PLAIN = frozenset({int, str, type(None)})
+
+
 def normalize_rows(rows: Iterable[tuple]) -> list[tuple]:
     """*rows* with every value normalized, in the order given — all a caller
-    needs who will hash the rows (a ``Counter``) and not compare two lists."""
+    needs who will hash the rows (a ``Counter``) and not compare two lists.
+    A list of tuples of plain values (:data:`_PLAIN`) is returned as it is,
+    after two C-level passes over it."""
+    rows = rows if isinstance(rows, list) else list(rows)
+    if set(map(type, rows)) <= {tuple} and set(map(type, chain.from_iterable(rows))) <= _PLAIN:
+        return rows
     return [tuple(map(_normalize_value, row)) for row in rows]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from repro.algebra.expressions import Literal, compile_row
@@ -195,17 +196,18 @@ class MiniDB:
         statistics delta.
         """
         table = self.table(name)
-        wanted = Counter(tuple(row) for row in rows)
+        wanted = Counter(map(tuple, rows))
         if not wanted:
             return []
-        kept: list[tuple] = []
-        removed: list[tuple] = []
-        for row in table.rows:
-            if wanted.get(row, 0) > 0:
+        # The rows nothing deletes — nearly all of them — cost one C-level
+        # membership test each.
+        stored = table.rows
+        found: list[int] = []
+        for index in compress(count(), map(wanted.__contains__, stored)):
+            row = stored[index]
+            if wanted[row]:
                 wanted[row] -= 1
-                removed.append(row)
-            else:
-                kept.append(row)
+                found.append(index)
         missing = +wanted
         if missing:
             row, _count = next(iter(missing.items()))
@@ -213,6 +215,13 @@ class MiniDB:
                 f"DELETE of {len(missing)} distinct row(s) absent from "
                 f"{table.name!r} (e.g. {row!r})"
             )
+        removed = [stored[index] for index in found]
+        kept: list[tuple] = []
+        previous = 0
+        for index in found:
+            kept += stored[previous:index]
+            previous = index + 1
+        kept += stored[previous:]
         table.replace_rows(kept, changed=len(removed))
         self._tracker(table).deleted.extend(removed)
         self.meter.charge_io(table.blocks)

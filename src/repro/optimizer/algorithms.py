@@ -247,7 +247,7 @@ def _tjoin_d(p, node: TemporalJoin, stats) -> float:
     output = stats.estimate(node)
     # A generic DBMS plan evaluates the overlap predicate only after forming
     # every key-matching pair, so the join is billed for the pre-overlap
-    # pair count.
+    # pair count (derived with `output`, memoized by the estimator).
     pairs = stats.equi_join_cardinality(left, right, node.left_attr, node.right_attr)
     billed = output.with_cardinality(max(pairs, output.cardinality))
     return _generic_join_d(p, left, right, billed)

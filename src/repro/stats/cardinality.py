@@ -60,6 +60,12 @@ class CardinalityEstimator:
         self._predicates = predicate_estimator or PredicateEstimator()
         self._taggr_max_fraction = taggr_max_fraction
         self._cache: dict[tuple, RelationStats] = {}
+        #: Equi-join pair counts by the identity of their two input estimates
+        #: (and the key attributes), each stored beside the estimates it was
+        #: derived from so that neither identity can be reused: the
+        #: ``TJOIN^D`` cost asks again for the count its node's estimate
+        #: already derived.
+        self._pairs: dict[tuple, tuple[RelationStats, RelationStats, float]] = {}
         #: Cache-traffic counters of an optional
         #: repro.obs.metrics.MetricsRegistry, looked up once: ``estimate``
         #: runs thousands of times per optimization.  (A registry
@@ -194,7 +200,23 @@ class CardinalityEstimator:
     ) -> float:
         """Equi-join cardinality: histogram-based (skew aware) when both
         sides carry histograms and histograms are enabled; otherwise the
-        classic uniform ``|L|·|R| / max(d_l, d_r)``."""
+        classic uniform ``|L|·|R| / max(d_l, d_r)``.  Memoized per pair of
+        input estimates."""
+        key = (id(left), id(right), left_attr, right_attr)
+        known = self._pairs.get(key)
+        if known is not None:
+            return known[2]
+        pairs = self._equi_join_pairs(left, right, left_attr, right_attr)
+        self._pairs[key] = (left, right, pairs)
+        return pairs
+
+    def _equi_join_pairs(
+        self,
+        left: RelationStats,
+        right: RelationStats,
+        left_attr: str,
+        right_attr: str,
+    ) -> float:
         if self._predicates.use_histograms:
             from repro.stats.selectivity import histogram_join_cardinality
 

@@ -35,6 +35,10 @@ follows the delta, not the base:
   ``SUM``/``AVG`` slide in a different order than a recompute would, and
   stay equal to it after the :data:`~repro.algebra.rows.FLOAT_DIGITS`
   rounding of the stored form — the contract between any two plans.)
+  At the root of a view the old side is not computed at all:
+  :func:`refresh_window` reads each old window's result from the stored
+  rows and runs ``TAGGR^M`` once, over the new windows — for exact
+  aggregates only, since nothing there would catch a float residue.
 * ``Coalesce`` recomputes its *affected groups* whole, on the old and the
   new state.  Its output boundaries depend on periods that *meet* — a row
   clipped at a window edge would stop meeting its neighbour outside — so
@@ -79,6 +83,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.properties import needed_orders
 from repro.algebra.rows import canonical_sort_key, normalize_rows
+from repro.algebra.schema import AttrType, Schema
 from repro.dbms.sql.functions import nulls_last
 from repro.errors import ViewError
 from repro.optimizer.algorithms import algorithm_for
@@ -94,8 +99,9 @@ class DeltaMismatch(ViewError):
     """A computed delta does not reconcile with the stored view contents.
 
     The safety net of the incremental path: a delete that is absent from
-    the stored multiset means the delta and the materialization drifted
-    apart, and the only correct answer is a full recompute.
+    the stored multiset, or a stored row that straddles a window edge,
+    means the delta and the materialization drifted apart, and the only
+    correct answer is a full recompute.
     """
 
 
@@ -323,61 +329,85 @@ def _group_recompute_delta(
     """Old results out, new results in, for the groups the input delta
     touches: of a ``TemporalAggregate`` only what lies in each group's
     window (:func:`_windows`), of a ``Coalesce`` the whole groups (the
-    module docstring says why)."""
-    schema = node.input.schema
+    module docstring says why).  Either way the old input is the new one
+    rewound."""
     if isinstance(node, TemporalAggregate):
-        # Clipping a row to the window keeps when it is valid, not what its
-        # T1 and T2 say: no aggregate may read them as values.  (A group key
-        # cannot be one of them: the output schema would name it twice.)
-        period = set(map(schema.index_of, node.period))
-        for spec in node.aggregates:
-            if spec.attribute and schema.index_of(spec.attribute) in period:
-                raise DeltaUnsupported(
-                    f"{spec.to_sql()} reads a period column as a value; the "
-                    "window rule clips periods"
-                )
-    input_delta = compute_delta(node.input, state)
-    if input_delta.empty():
-        return Delta()
+        windows = _aggregate_windows(node, state)
+        if windows is None:
+            return Delta()
+        input_delta, _, new = windows
+    else:
+        input_delta = compute_delta(node.input, state)
+        if input_delta.empty():
+            return Delta()
+        key_of = _group_key(node)
+        keys = set(map(key_of, chain(input_delta.inserts, input_delta.deletes)))
+        new = _having(evaluate(node.input, state.new_rows), key_of, keys)
+    old = _rewind(new, input_delta)
+    return Delta(*net_delta(_run_sorted(node, new), _run_sorted(node, old)))
 
-    # A group is what the algorithm's needed order makes contiguous: all of
-    # it (grouping or value attributes) but the trailing T1.
+
+def _group_key(node: TemporalAggregate | Coalesce) -> Callable:
+    """``input row -> its group``.  A group is what the algorithm's needed
+    order makes contiguous: all of it (grouping or value attributes) but the
+    trailing T1; of a one-column key the bare value, no tuple per row."""
+    schema = node.input.schema
     (needed,) = needed_orders(node.located(Location.MIDDLEWARE))
     positions = [schema.index_of(name) for name in needed[:-1]]
-    # Of a one-column key the bare value: no tuple per row.
-    key_of = itemgetter(*positions) if positions else (lambda row: ())
+    return itemgetter(*positions) if positions else (lambda row: ())
+
+
+def _aggregate_windows(
+    node: TemporalAggregate, state: DeltaState
+) -> tuple[Delta, dict[object, tuple], list[tuple]] | None:
+    """What both ``TAGGR`` rules start from: the input delta, each changed
+    group's window (group → ``(start, end)``) and the new state's input cut
+    down to the windows (:func:`_windows`); ``None`` when the input did not
+    change."""
+    schema = node.input.schema
+    # Clipping a row to the window keeps when it is valid, not what its T1
+    # and T2 say: no aggregate may read them as values.  (A group key cannot
+    # be one of them: the output schema would name it twice.)
+    period = set(map(schema.index_of, node.period))
+    for spec in node.aggregates:
+        if spec.attribute and schema.index_of(spec.attribute) in period:
+            raise DeltaUnsupported(
+                f"{spec.to_sql()} reads a period column as a value; the "
+                "window rule clips periods"
+            )
+    input_delta = compute_delta(node.input, state)
+    if input_delta.empty():
+        return None
+    key_of = _group_key(node)
     changed: dict[object, Delta] = {}
     for row in input_delta.inserts:
         changed.setdefault(key_of(row), Delta()).inserts.append(row)
     for row in input_delta.deletes:
         changed.setdefault(key_of(row), Delta()).deletes.append(row)
-
     current = _having(evaluate(node.input, state.new_rows), key_of, changed)
-    if isinstance(node, Coalesce):
-        old, new = _rewind(current, input_delta), current
-    else:
-        t1, t2 = (schema.index_of(name) for name in node.period)
-        old, new = _windows(current, changed, key_of, t1, t2)
-    return Delta(*net_delta(_run_sorted(node, new), _run_sorted(node, old)))
+    t1, t2 = (schema.index_of(name) for name in node.period)
+    return (input_delta, *_windows(current, changed, key_of, t1, t2))
 
 
 def _windows(
     current: list[tuple], changed: dict[object, Delta], key_of: Callable, t1: int, t2: int
-) -> tuple[list[tuple], list[tuple]]:
-    """The old and the new ``TAGGR^M`` input, cut down to each group's window.
+) -> tuple[dict[object, tuple], list[tuple]]:
+    """Each changed group's window, and the new ``TAGGR^M`` input cut down
+    to the windows.
 
     *current* holds the new state's rows of the groups in *changed*.  Per
-    group the window is the hull of the changed rows' periods, each end
-    widened to the nearest instant (a ``T1`` or a ``T2``) of an unchanged
-    row at or beyond it — where there is none, no unchanged row is valid
-    beyond that end.  Both states get the unchanged rows that overlap the
-    window, clipped to it; the old one the group's deletes beside them, the
-    new one its inserts.
+    group the window ``(start, end)`` is the hull of the changed rows'
+    periods, each end widened to the nearest instant (a ``T1`` or a ``T2``)
+    of an unchanged row at or beyond it — where there is none, no unchanged
+    row is valid beyond that end.  The new input is the unchanged rows that
+    overlap a window, clipped to it, and each group's inserts; the old one
+    is the same with the deletes in place of the inserts, which only the
+    netted rule builds.
     """
     groups: dict[object, list[tuple]] = {key: [] for key in changed}
     for row in current:
         groups[key_of(row)].append(row)
-    old: list[tuple] = []
+    edges: dict[object, tuple] = {}
     new: list[tuple] = []
     for key, delta in changed.items():
         unchanged = _subtract(groups[key], delta.inserts, "current state")
@@ -394,6 +424,7 @@ def _windows(
         instants = [row[t1] for row in unchanged] + [row[t2] for row in unchanged]
         start = max((instant for instant in instants if instant <= lo), default=lo)
         end = min((instant for instant in instants if instant >= hi), default=hi)
+        edges[key] = (start, end)
         for row in unchanged:
             begins, ends = row[t1], row[t2]
             if begins < end and ends > start:
@@ -401,11 +432,102 @@ def _windows(
                     clipped = list(row)
                     clipped[t1], clipped[t2] = max(begins, start), min(ends, end)
                     row = tuple(clipped)
-                old.append(row)
                 new.append(row)
-        old += delta.deletes
         new += delta.inserts
-    return old, new
+    return edges, new
+
+
+# -- the window rule at the root: the old side is the stored view -----------------------
+
+#: The group-key values the window rule bisects the stored rows by: those
+#: the stored form keeps as they are.  A float key may round onto another
+#: group's, and a NULL is left to the netted rule.
+_EXACT_KEYS = frozenset({int, str})
+
+
+def window_root(plan: Operator, schema: Schema) -> TemporalAggregate | None:
+    """The ``TemporalAggregate`` whose stored rows :func:`refresh_window`
+    may rewrite window by window, or ``None``.
+
+    That is *plan* below any ``Sort``/``T^M``/``T^D``, with no other
+    ``TemporalAggregate`` beneath it and only exact aggregates — ``COUNT``,
+    ``MIN``, ``MAX``, and ``SUM``/``AVG`` over an ``INT`` column — when the
+    stored *schema* leads with its grouping columns, then ``T1``, ``T2``.
+    """
+    while isinstance(plan, (Sort, TransferM, TransferD)):
+        plan = plan.input
+    if not isinstance(plan, TemporalAggregate):
+        return None
+    if any(isinstance(node, TemporalAggregate) for node in plan.input.walk()):
+        return None
+    source = plan.input.schema
+    for spec in plan.aggregates:
+        if spec.func in ("SUM", "AVG") and source[spec.attribute].type is not AttrType.INT:
+            return None
+    leading = [name.lower() for name in (*plan.group_by, *plan.period)]
+    if [name.lower() for name in schema.names[: len(leading)]] != leading:
+        return None
+    return plan
+
+
+def refresh_window(
+    node: TemporalAggregate, state: DeltaState, stored: list[tuple]
+) -> tuple[list[tuple], int] | None:
+    """The stored rows of a :func:`window_root` view brought up to date, and
+    how many rows changed (``|old ⊖ new|``, what the netted rule records);
+    ``None`` hands the refresh to the netted rule, as :func:`_splice` hands
+    a splice to :func:`_keyed_splice`: a group key outside
+    :data:`_EXACT_KEYS`, or a comparison that raised ``TypeError``.
+
+    The window rule with the old side read from the view: per changed
+    group, the stored rows from ``(key, start)`` up to ``(key, end)`` are
+    the old window's result, so ``TAGGR^M`` runs once, over the new
+    windows, and the stored list is rebuilt in one forward pass.  No stored
+    row straddles an edge: each is an instant of an unchanged row, or lies
+    beyond every instant of the old state.  A row that does is drift,
+    :class:`DeltaMismatch`; so is what :func:`_windows` raises.
+    """
+    try:
+        return _window_splice(node, state, stored)
+    except TypeError:
+        return None
+
+
+def _window_splice(
+    node: TemporalAggregate, state: DeltaState, stored: list[tuple]
+) -> tuple[list[tuple], int] | None:
+    windows = _aggregate_windows(node, state)
+    if windows is None:
+        return stored, 0
+    _, edges, new = windows
+    width = len(node.group_by)
+    keys = list(edges) if width != 1 else [(key,) for key in edges]
+    if not set(map(type, chain.from_iterable(keys))) <= _EXACT_KEYS:
+        return None
+    fresh = sorted(normalize_rows(_run_sorted(node, new)))
+    ends = itemgetter(width + 1)
+    merged: list[tuple] = []
+    position = taken = changed = 0
+    for key, (start, end) in sorted(zip(keys, edges.values())):
+        low = bisect_left(stored, (*key, start), position)
+        high = bisect_left(stored, (*key, end), low)
+        old = stored[low:high]
+        if (old and max(map(ends, old)) > end) or (
+            low and ends(stored[low - 1]) > start and stored[low - 1][:width] == key
+        ):
+            raise DeltaMismatch(
+                f"a stored row of group {key!r} straddles its window "
+                f"[{start}, {end}); the view and the delta have drifted apart"
+            )
+        stop = bisect_left(fresh, (*key, end), taken)
+        rows = fresh[taken:stop]
+        merged += stored[position:low]
+        merged += rows
+        # A group's rows have distinct (key, T1): sets are its multisets.
+        changed += len(old) + len(rows) - 2 * len(set(old).intersection(rows))
+        position, taken = high, stop
+    merged += stored[position:]
+    return merged, changed
 
 
 # -- applying a delta to the stored (canonical) view contents --------------------------

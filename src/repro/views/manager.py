@@ -24,7 +24,8 @@ feedback entry visibly flips the decision (the Chang-style decision-
 timing hazard the unit tests pin down), while an *honest* feedback loop
 sharpens it.
 
-Every refresh records its decision in a ``refresh`` span and in the
+Every refresh records its decision in a ``refresh`` span (an incremental
+one also the ``rule`` that ran: ``"window"`` or ``"delta"``) and in the
 ``view_refreshes`` / ``view_refresh_incremental`` / ``view_delta_rows``
 metrics; ``explain=True`` returns an EXPLAIN ANALYZE report whose banner
 carries the decision.
@@ -46,13 +47,14 @@ from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import RelationStats
 from repro.stats.fingerprint import plan_fingerprint
 from repro.views.delta import (
-    Delta,
     DeltaMismatch,
     DeltaState,
     DeltaUnsupported,
     apply_delta_rows,
     compute_delta,
     net_delta,
+    refresh_window,
+    window_root,
 )
 
 #: Fixed per-refresh overhead of the incremental path, microseconds —
@@ -328,10 +330,9 @@ class ViewManager:
             if decision.strategy == "incremental":
                 try:
                     state = DeltaState(self.db, view.pending)
-                    delta = compute_delta(view.plan, state)
                     stored = list(self.db.table(view.name).rows)
-                    rows = apply_delta_rows(stored, delta)
-                    delta_applied = delta.rows
+                    rows, delta_applied, rule = self._incremental(view, state, stored)
+                    span.set(rule=rule)
                 except (DeltaUnsupported, DeltaMismatch, ExecutionError) as error:
                     self.metrics.counter("view_refresh_fallbacks").inc()
                     span.set(fallback=f"{type(error).__name__}: {error}")
@@ -371,6 +372,22 @@ class ViewManager:
             elapsed_seconds=elapsed,
             report=report,
         )
+
+    @staticmethod
+    def _incremental(
+        view: MaterializedView, state: DeltaState, stored: list[tuple]
+    ) -> tuple[list[tuple], int, str]:
+        """The stored rows brought up to date, how many changed, and the rule
+        that did it: ``"window"`` reads a root ``TAGGR`` view's old windows
+        from the view itself (``views.delta.refresh_window``), ``"delta"``
+        computes the signed delta and splices it in."""
+        root = window_root(view.plan, view.schema)
+        if root is not None:
+            refreshed = refresh_window(root, state, stored)
+            if refreshed is not None:
+                return (*refreshed, "window")
+        delta = compute_delta(view.plan, state)
+        return apply_delta_rows(stored, delta), delta.rows, "delta"
 
     def _recompute(
         self, view: MaterializedView, explain: bool = False

@@ -6,7 +6,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.rows import canonical_sort_key, normalize_rows
+from repro.algebra.rows import _normalize_value, canonical_sort_key, normalize_rows
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.fuzz.compare import (
     canonical_rows,
@@ -93,6 +93,33 @@ def test_plain_order_is_canonical_order_wherever_it_compares(rows):
 @given(st.one_of(ROWS, st.lists(st.tuples(st.integers(0, 3), st.floats(0, 4)), max_size=16)))
 def test_canonical_rows_is_the_keyed_sort(rows):
     assert canonical_rows(rows) == sorted(normalize_rows(rows), key=canonical_sort_key)
+
+
+class Flag(int):
+    """An ``int`` subclass: not exactly ``int``, so never plain."""
+
+
+PLAIN = st.one_of(st.integers(-3, 3), st.sampled_from(["", "a"]), st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(PLAIN, PLAIN), max_size=16),
+        st.lists(st.tuples(st.one_of(VALUES, st.integers(-3, 3).map(Flag)), PLAIN), max_size=16),
+    )
+)
+def test_normalize_rows_is_the_per_value_path(rows):
+    """Plain rows come back as they are; any others value by value — the
+    same rows either way, down to each value's type."""
+    expected = [tuple(map(_normalize_value, row)) for row in rows]
+    normalized = normalize_rows(rows)
+    assert normalized == expected
+    assert [list(map(type, row)) for row in normalized] == [
+        list(map(type, row)) for row in expected
+    ]
+    plain = all(type(value) in (int, str, type(None)) for row in rows for value in row)
+    assert (normalized is rows) == plain
 
 
 def test_describe_mismatch_reports_both_sides():

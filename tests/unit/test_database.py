@@ -77,6 +77,23 @@ class TestDML:
     def test_delete_all(self, db):
         assert db.execute("DELETE FROM T") == 4
 
+    def test_delete_rows_takes_copies_as_requested_and_returns_them_as_stored(self, db):
+        db.insert_rows("T", [(2, 20, "b"), (2, 20, "b")])  # three copies now
+        pending = db.stats_delta_of("T")
+        removed = db.delete_rows("T", [(2, 20.0, "b"), (1, 10, "a"), (2, 20, "b")])
+        assert removed == [(1, 10, "a"), (2, 20, "b"), (2, 20, "b")]
+        assert [type(row[1]) for row in removed] == [int, int, int]
+        assert list(db.table("T").rows) == [(3, 30, "c"), (2, 25, "d"), (2, 20, "b")]
+        assert db.stats_delta_of("T") == pending + 3
+
+    def test_a_delete_rows_that_misses_a_copy_changes_nothing(self, db):
+        db.insert_rows("T", [(2, 20, "b")])
+        rows, pending = list(db.table("T").rows), db.stats_delta_of("T")
+        with pytest.raises(DatabaseError, match="absent"):
+            db.delete_rows("T", [(1, 10, "a")] + [(2, 20, "b")] * 3)
+        assert list(db.table("T").rows) == rows
+        assert db.stats_delta_of("T") == pending
+
     def test_delete_rebuilds_indexes(self, db):
         db.execute("CREATE INDEX IX ON T (K)")
         db.execute("DELETE FROM T WHERE K = 2")
