@@ -12,7 +12,9 @@ Expressions are immutable trees.  They can be
   literal and every scalar function is bound to a generated name in the
   function's globals.  The source therefore depends only on the tree's
   shape, and each distinct source is compiled once (:data:`KERNEL_CACHE_SIZE`
-  code objects are kept) and evaluated in each call's own globals;
+  code objects are kept) and evaluated in each call's own globals.  A
+  :class:`Parameter` (a ``?`` bind marker) is a named slot left out of the
+  globals: :func:`bind` gives such a function its values;
 * *rendered* — :meth:`Expression.to_sql` produces the SQL text the
   Translator-To-SQL emits for DBMS-resident plan parts;
 * *inspected* — :func:`attributes_of` (the paper's ``attr(P)``) and
@@ -26,6 +28,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.algebra.schema import AttrType, Schema
@@ -71,11 +74,17 @@ class _Codegen:
         self.schema = schema
         self.right = right
         self.globals: dict[str, object] = {"__builtins__": {}}
+        #: The parameter slots rendered, each a global :func:`bind` fills.
+        self.slots: set[int] = set()
 
     def bind(self, prefix: str, value: object) -> str:
         name = f"_{prefix}{len(self.globals)}"
         self.globals[name] = value
         return name
+
+    def slot(self, index: int) -> str:
+        self.slots.add(index)
+        return f"_p{index}"
 
     def column(self, name: str) -> str:
         if self.right is None:
@@ -123,7 +132,7 @@ def _generate(
     """
     try:
         source = template([e._render(gen) for e in expressions])
-        return eval(_kernel_code(source), gen.globals)
+        function = eval(_kernel_code(source), gen.globals)
     except (SyntaxError, RecursionError, MemoryError) as exc:
         try:
             text = ", ".join(expression.to_sql() for expression in expressions)
@@ -132,6 +141,23 @@ def _generate(
         raise ExpressionError(
             f"cannot compile {text[:200]}: {type(exc).__name__}: {exc}"
         ) from exc
+    if gen.slots:
+        function.slots = tuple(sorted(gen.slots))
+    return function
+
+
+def bind(function: Callable, values: Sequence[object]) -> Callable:
+    """*function* with its parameter slots filled from *values* (by
+    position), as a new function over its own copy of the globals: one
+    compiled function serves every execution, each with its own binds.  A
+    function without slots comes back as it is."""
+    slots = getattr(function, "slots", None)
+    if slots is None:
+        return function
+    scope = dict(function.__globals__)
+    for index in slots:
+        scope[f"_p{index}"] = values[index]
+    return FunctionType(function.__code__, scope)
 
 
 class Expression:
@@ -254,16 +280,59 @@ class Literal(Expression):
     def result_type(self, schema: Schema) -> AttrType:
         if self.type is not None:
             return self.type
-        if isinstance(self.value, bool):
-            return AttrType.INT
-        if isinstance(self.value, int):
-            return AttrType.INT
-        if isinstance(self.value, float):
-            return AttrType.FLOAT
-        return AttrType.STR
+        return value_type(self.value)
 
     def _key(self) -> tuple:
         return (self.value, self.type)
+
+
+def value_type(value: object) -> AttrType:
+    """The type of a constant: what lexing its SQL spelling gives."""
+    if isinstance(value, int):  # bool included
+        return AttrType.INT
+    if isinstance(value, float):
+        return AttrType.FLOAT
+    return AttrType.STR
+
+
+@dataclass(frozen=True, eq=False)
+class Parameter(Expression):
+    """A ``?`` bind marker: the *index*-th value bound to the statement,
+    typed as that value (:func:`value_type`) once the planner knows it."""
+
+    index: int
+    type: AttrType | None = None
+
+    def _render(self, gen: _Codegen) -> str:
+        return gen.slot(self.index)
+
+    def to_sql(self) -> str:
+        return "?"
+
+    def attributes(self) -> frozenset[str]:
+        return frozenset()
+
+    def result_type(self, schema: Schema) -> AttrType:
+        if self.type is None:
+            raise ExpressionError(f"bind marker {self.index + 1} has no type before binding")
+        return self.type
+
+    def _key(self) -> tuple:
+        return (self.index, self.type)
+
+
+def inline(sql: str, binds: Sequence[object]) -> str:
+    """*sql* with each ``?`` marker spelled as the literal its bind is, in
+    text order: the statement a client would have sent without binds."""
+    if not binds:
+        return sql
+    parts = sql.split("?")
+    if len(parts) != len(binds) + 1:
+        raise ExpressionError(
+            f"{len(parts) - 1} bind markers in the text, {len(binds)} values"
+        )
+    spelled = [Literal(value).to_sql() for value in binds]
+    return "".join(part + value for part, value in zip(parts, spelled)) + parts[-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -177,11 +177,12 @@ class Shell:
         if word == "\\metrics":
             self.echo(self.tango.metrics.render())
             for name, stats in (
-                ("statement_cache", STATEMENTS.to_dict()),
-                ("kernel_code_cache", kernel_cache_stats()),
+                ("statement_cache (process)", STATEMENTS.to_dict()),
+                ("prepared_plans (database)", self.tango.db.prepared.to_dict()),
+                ("kernel_code_cache (process)", kernel_cache_stats()),
             ):
                 self.echo(
-                    f"  {name + ' (process)':<32} hits={stats['hits']}  "
+                    f"  {name:<32} hits={stats['hits']}  "
                     f"misses={stats['misses']}  size={stats['size']}/{stats['max_size']}"
                 )
             return True

@@ -68,6 +68,8 @@ def parse_temporal_query(sql: str, catalog) -> Operator:
         raise SQLSyntaxError("VALIDTIME applies to SELECT statements")
     if statement.unions:
         raise SQLSyntaxError("UNION is not supported in temporal queries")
+    if statement.parameters:
+        raise SQLSyntaxError("bind markers (?) are not supported in temporal queries")
     return _Builder(statement, catalog, coalesce=coalesced is not None).build()
 
 

@@ -24,7 +24,7 @@ from repro.algebra.operators import (
     TransferM,
 )
 from repro.algebra.properties import guaranteed_order
-from repro.core.translator import SQLTranslator
+from repro.core.translator import BoundSQL, SQLTranslator
 from repro.dbms.costmodel import CostMeter
 from repro.errors import PlanError
 from repro.optimizer.algorithms import algorithm_for
@@ -165,10 +165,12 @@ class _Compiler:
         self._prepare_transfers_down(transfer.input)
         leaves = [
             self._register(
-                PooledSQLCursor(self._parallel.pool, sql, retry=self._retry),
+                PooledSQLCursor(
+                    self._parallel.pool, bound.sql, retry=self._retry, binds=bound.binds
+                ),
                 transfer,
             )
-            for sql in self._partition_sqls(transfer, spec)
+            for bound in self._partition_sqls(transfer, spec)
         ]
         pipelines = [
             self._build_partition_pipeline(root, transfer, leaf) for leaf in leaves
@@ -211,13 +213,14 @@ class _Compiler:
         names are substituted into the SQL.
         """
         self._prepare_transfers_down(node.input)
-        sql = self._translator.translate(node.input, self._temp_names)
-        return SQLCursor(self._connection, sql, retry=self._retry)
+        bound = self._translator.translate_bound(node.input, self._temp_names)
+        return SQLCursor(self._connection, bound.sql, retry=self._retry, binds=bound.binds)
 
-    def _partition_sqls(self, transfer: TransferM, spec) -> list[str]:
+    def _partition_sqls(self, transfer: TransferM, spec) -> list[BoundSQL]:
         """Per-partition SQL for a fanned-out ``TRANSFER^M``: each range is
         selected *under* the top-most sort, so every partition arrives in
-        delivered order and concatenation reproduces the global order."""
+        delivered order and concatenation reproduces the global order.  The
+        range bounds are binds, like every other literal."""
         region = transfer.input
         body = region.input if isinstance(region, Sort) else region
         sqls = []
@@ -225,7 +228,7 @@ class _Compiler:
             part = body if predicate is None else Select(body, Location.DBMS, predicate)
             if body is not region:
                 part = region.with_inputs(part)
-            sqls.append(self._translator.translate(part, self._temp_names))
+            sqls.append(self._translator.translate_bound(part, self._temp_names))
         return sqls
 
     def _prepare_transfers_down(self, node: Operator) -> None:

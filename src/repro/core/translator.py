@@ -23,17 +23,28 @@ Interior sorts are dropped (a DBMS provides no order guarantees below the
 top level — Section 4); only the top-most sort becomes the final
 ``ORDER BY``.
 
-A region with no ``T^D`` in it translates to the same text every time, so
-its SQL is kept on the region's root node (next to the node's cached
-``schema`` and ``cache_key``, and dropped with them by ``replaced``): a
-cached plan is translated once.  A region that reads a ``T^D`` is
-translated per execution, because its temp table's name is fresh each time.
+Every literal but NULL travels as a bind (DESIGN.md §23): the statement
+says ``?`` where the literal stood, and its binds are the values in text
+order, so statements that differ only in their literals are one text, which
+the DBMS parses and plans once.  A negative number is sent as ``-?`` over
+its magnitude, which the DBMS reads as the same ``0 - n`` its spelling
+would give.  :meth:`SQLTranslator.translate` spells each bind back into its
+marker: the text a region was sent as before binds, which explain output
+and the goldens show.
+
+A region with no ``T^D`` in it translates to the same statement every
+time, so its :class:`BoundSQL` is kept on the region's root node (next to
+the node's cached ``schema`` and ``cache_key``, and dropped with them by
+``replaced``): a cached plan is translated once.  A region that reads a
+``T^D`` is translated per execution, because its temp table is named per
+execution.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.algebra.expressions import (
     ColumnRef,
@@ -43,6 +54,7 @@ from repro.algebra.expressions import (
     Literal,
     conjoin,
     conjuncts,
+    inline,
 )
 from repro.algebra.operators import (
     Dedup,
@@ -67,14 +79,21 @@ class SQLTranslator:
     per call (they are assigned when the execution plan is linearized)."""
 
     def translate(self, plan: Operator, temp_tables: dict[int, str] | None = None) -> str:
-        """SQL for a DBMS-located plan subtree.
+        """SQL text for a DBMS-located plan subtree, every literal spelled
+        in place.
 
         *temp_tables* maps ``id(transfer_d_node)`` to the table each ``T^D``
         loaded.
         """
-        sql = plan.__dict__.get(_SQL)
-        if sql is not None:
-            return sql
+        return self.translate_bound(plan, temp_tables).text
+
+    def translate_bound(
+        self, plan: Operator, temp_tables: dict[int, str] | None = None
+    ) -> BoundSQL:
+        """The statement for a DBMS-located plan subtree, with its binds."""
+        bound = plan.__dict__.get(_SQL)
+        if bound is not None:
+            return bound
         if plan.location is not Location.DBMS:
             raise PlanError(
                 f"cannot translate {plan.name} at {plan.location.value} to SQL"
@@ -84,22 +103,61 @@ class SQLTranslator:
             sql = context.statement(plan.input) + "\nORDER BY " + ", ".join(plan.keys)
         else:
             sql = context.statement(plan)
+        bound = context.bound(sql)
         if not context.reads_temp_table:
-            plan.__dict__[_SQL] = sql
-        return sql
+            plan.__dict__[_SQL] = bound
+        return bound
 
 
-#: Where a region's root keeps its SQL; one of the names ``replaced`` drops.
+class BoundSQL:
+    """A statement with ``?`` markers, and the values they stand for in
+    text order."""
+
+    __slots__ = ("sql", "binds", "_text")
+
+    def __init__(self, sql: str, binds: tuple[object, ...]):
+        self.sql = sql
+        self.binds = binds
+        self._text: str | None = None
+
+    @property
+    def text(self) -> str:
+        """The statement with every bind spelled back into its marker."""
+        if self._text is None:
+            self._text = inline(self.sql, self.binds)
+        return self._text
+
+
+#: Where a region's root keeps its statement; one of the names ``replaced`` drops.
 _SQL = "sql"
 
+#: Delimits a bind's place in the text while a statement is assembled:
+#: never part of an SQL token, and every literal it could clash with is a
+#: bind by then.
+_MARK = "\x00"
 
-def _sql(expression: Expression) -> str:
-    """*expression* as SQL, refused when a literal in it has no spelling
-    the DBMS would read back as that value."""
-    for literal in collect(expression, Literal):
-        if not literal.spelled:
-            raise PlanError(f"literal {literal.value!r} has no SQL spelling")
-    return expression.to_sql()
+
+class _Marker(Expression):
+    """A literal's place in the text being assembled: the number of its
+    value, between two marks.  A negative number is marked as its magnitude
+    after a minus, the ``0 - n`` its spelling is lexed as."""
+
+    def __init__(self, number: int, negative: bool):
+        self.number = number
+        self.negative = negative
+
+    def to_sql(self) -> str:
+        return f"{'-' if self.negative else ''}{_MARK}{self.number}{_MARK}"
+
+    def _key(self) -> tuple:
+        return (self.number, self.negative)
+
+
+def _negative(value: object) -> bool:
+    """A number spelled with a leading minus (``-0.0`` included)."""
+    if type(value) is float:
+        return math.copysign(1.0, value) < 0
+    return type(value) is int and value < 0
 
 
 class _Block:
@@ -140,14 +198,15 @@ class _Block:
             if term not in self.where:
                 self.where.append(term)
 
-    def render(self, distinct: bool = False) -> str:
+    def render(self, sql: Callable[[Expression], str], distinct: bool = False) -> str:
+        """The SELECT, each expression rendered by *sql*."""
         columns = ", ".join(
-            f"{_sql(expression)} AS {name}" for name, expression in self.outputs.values()
+            f"{sql(expression)} AS {name}" for name, expression in self.outputs.values()
         )
-        sql = f"SELECT {'DISTINCT ' if distinct else ''}{columns}\nFROM {', '.join(self.items)}"
+        text = f"SELECT {'DISTINCT ' if distinct else ''}{columns}\nFROM {', '.join(self.items)}"
         if self.where:
-            sql += f"\nWHERE {_sql(conjoin(self.where))}"
-        return sql
+            text += f"\nWHERE {sql(conjoin(self.where))}"
+        return text
 
 
 class _Context:
@@ -156,6 +215,31 @@ class _Context:
         self._alias_counter = 0
         #: True once a ``T^D``'s per-execution table name is in the text.
         self.reads_temp_table = False
+        #: The bound values, by marker number.
+        self._values: list[object] = []
+
+    def sql(self, expression: Expression) -> str:
+        """*expression* as SQL with a marker for every literal but NULL,
+        refused when a literal has no spelling the DBMS would read back as
+        that value."""
+        for literal in collect(expression, Literal):
+            if not literal.spelled:
+                raise PlanError(f"literal {literal.value!r} has no SQL spelling")
+        return transform(expression, self._mark).to_sql()
+
+    def _mark(self, node: Expression) -> Expression | None:
+        if not isinstance(node, Literal) or node.value is None:
+            return None
+        negative = _negative(node.value)
+        self._values.append(-node.value if negative else node.value)
+        return _Marker(len(self._values) - 1, negative)
+
+    def bound(self, sql: str) -> BoundSQL:
+        """The assembled *sql* with each marker a ``?``, and its binds in
+        text order (a block copied twice into the text binds twice)."""
+        parts = sql.split(_MARK)
+        binds = tuple(self._values[int(number)] for number in parts[1::2])
+        return BoundSQL("?".join(parts[::2]), binds)
 
     def _alias(self) -> str:
         self._alias_counter += 1
@@ -168,10 +252,10 @@ class _Context:
             # the sort is translated away (multiset equivalence).
             return self.statement(node.input)
         if isinstance(node, Dedup):
-            return self._block(node.input).render(distinct=True)
+            return self._block(node.input).render(self.sql, distinct=True)
         if isinstance(node, TemporalAggregate):
             return self._render_taggr(node)
-        return self._block(node).render()
+        return self._block(node).render(self.sql)
 
     def _source(self, node: Operator) -> str:
         """What *node* is called in a FROM clause: a table, or its statement."""
@@ -200,7 +284,8 @@ class _Context:
 
     def _close(self, block: _Block) -> _Block:
         """*block* as a derived table: every output a bare column again."""
-        return self._open(f"({block.render()})", [name for name, _ in block.outputs.values()])
+        names = [name for name, _ in block.outputs.values()]
+        return self._open(f"({block.render(self.sql)})", names)
 
     # -- per-operator blocks ------------------------------------------------------------
 

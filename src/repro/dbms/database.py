@@ -1,7 +1,8 @@
 """The MiniDB facade: catalog, DDL/DML dispatch, and query entry point.
 
-A :class:`MiniDB` owns tables, indexes, per-table statistics, and one
-:class:`~repro.dbms.costmodel.CostMeter` that accumulates all simulated work.
+A :class:`MiniDB` owns tables, indexes, per-table statistics, the SELECTs
+it has prepared, and one :class:`~repro.dbms.costmodel.CostMeter` that
+accumulates all simulated work.
 The middleware never touches this class directly — it goes through
 :class:`repro.dbms.jdbc.Connection`, mirroring the paper's JDBC boundary —
 but tests and workload generators use it freely.
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
+from functools import partial
 from itertools import compress, count
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.algebra.expressions import Literal, compile_row
 from repro.algebra.schema import Attribute, Schema
@@ -31,7 +33,7 @@ from repro.dbms.sql.ast import (
 )
 from repro.dbms.sql.executor import ResultSet
 from repro.dbms.sql.parser import parse_statement
-from repro.dbms.sql.planner import plan_select
+from repro.dbms.sql.planner import PreparedSelect, bind_types, plan_select, prepare_select
 from repro.dbms.statistics import (
     DmlTracker,
     TableStatistics,
@@ -44,39 +46,52 @@ from repro.errors import CatalogError, DatabaseError
 
 #: Parsed statements kept by exact SQL text, shared by every MiniDB in the
 #: process — a shared pool, as Oracle's ``session_cached_cursors`` (default
-#: 50) keeps one per session.
+#: 50) keeps one per session; and each MiniDB's prepared plans.
 STATEMENT_CACHE_SIZE = 64
 
 
 class StatementCache:
-    """A bounded LRU of parsed statements by SQL text (DESIGN.md §23).
+    """A bounded, thread-safe LRU (DESIGN.md §23): of parsed statements by
+    SQL text (:data:`STATEMENTS`), and of each database's prepared plans.
 
     Parsing reads nothing but the text, and a statement is frozen, so one
-    parse serves every later execution of the same text on any database;
-    planning, which reads the catalog, stays per execution.  Thread-safe:
-    the query service's workers execute on one database.
+    parse serves every later execution of the same text on any database.
+    A miss is built under the lock, so the query service's workers, which
+    execute on one database, never build one entry twice.
     """
 
     def __init__(self, max_size: int):
         self.max_size = max_size
-        self._entries: OrderedDict[str, Statement] = OrderedDict()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def parse(self, sql: str) -> tuple[Statement, bool]:
-        """The statement *sql* says, and whether it was already parsed."""
+    def get(
+        self,
+        key: Hashable,
+        build: Callable[[], object],
+        valid: Callable[[object], bool] | None = None,
+    ) -> tuple[object, bool]:
+        """The entry kept under *key*, and whether it was; a missing entry,
+        or one that is no longer *valid*, is built and kept instead."""
         with self._lock:
-            statement = self._entries.get(sql)
-            if statement is not None:
-                self._entries.move_to_end(sql)
-                self.hits += 1
-                return statement, True
+            entry = self._entries.get(key)
+            if entry is not None:
+                if valid is None or valid(entry):
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return entry, True
+                del self._entries[key]
             self.misses += 1
-            statement = self._entries[sql] = parse_statement(sql)
+            entry = self._entries[key] = build()
             if len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
-        return statement, False
+        return entry, False
+
+    def parse(self, sql: str) -> tuple[Statement, bool]:
+        """The statement *sql* says, and whether it was already parsed."""
+        return self.get(sql, partial(parse_statement, sql))  # type: ignore[return-value]
 
     def clear(self) -> None:
         with self._lock:
@@ -108,6 +123,9 @@ class MiniDB:
         #: ``delete_rows`` (DESIGN.md §20); every other table is ANALYZEd
         #: from a scan and keeps nothing.
         self._dml: dict[str, DmlTracker] = {}
+        #: SELECTs prepared against this catalog, by SQL text and the types
+        #: of the values bound (DESIGN.md §23).
+        self.prepared = StatementCache(STATEMENT_CACHE_SIZE)
 
     # -- catalog -----------------------------------------------------------------
 
@@ -287,16 +305,45 @@ class MiniDB:
 
     # -- statement execution ----------------------------------------------------------
 
-    def execute(self, sql: str | Statement) -> ResultSet | int:
-        """Execute one SQL statement, given as text or as parsed.
+    def select(
+        self, statement: SelectStmt, binds: Sequence[object] = (), sql: str | None = None
+    ) -> tuple[ResultSet, bool]:
+        """*statement*'s result set with its markers bound to *binds*, and
+        whether its plan came prepared.
+
+        Given its *sql* text, the plan is kept in :attr:`prepared` under the
+        text and the binds' types, and taken from there while every table it
+        reads has the schema and indexes it was prepared against.  Neither
+        preparing nor finding a plan charges a tick.
+        """
+        if sql is None:
+            return plan_select(self, statement, self.meter, binds), False
+        plan, hit = self.prepared.get(
+            (sql, tuple(map(type, binds))),
+            lambda: prepare_select(self, statement, bind_types(binds)),
+            partial(PreparedSelect.valid, db=self),
+        )
+        return plan.execute(self, self.meter, binds), hit  # type: ignore[union-attr]
+
+    def execute(
+        self, sql: str | Statement, binds: Sequence[object] = ()
+    ) -> ResultSet | int:
+        """Execute one SQL statement, given as text or as parsed, its ``?``
+        markers bound to *binds* in text order.
 
         Text is looked up in :data:`STATEMENTS`; parsing charges no tick,
         hit or miss.  SELECTs return a :class:`ResultSet`; everything else
         returns an affected-row count (0 for DDL).
         """
-        statement = STATEMENTS.parse(sql)[0] if isinstance(sql, str) else sql
+        if isinstance(sql, str):
+            statement = STATEMENTS.parse(sql)[0]
+            text: str | None = sql
+        else:
+            statement, text = sql, None
         if isinstance(statement, SelectStmt):
-            return plan_select(self, statement, self.meter)
+            return self.select(statement, binds, text)[0]
+        if binds:
+            raise DatabaseError("only a SELECT takes bind values")
         if isinstance(statement, CreateTableStmt):
             schema = Schema(
                 Attribute(column.name, column.type, column.width)

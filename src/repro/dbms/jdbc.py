@@ -6,7 +6,9 @@ cursor models *row prefetch*: rows travel from the engine to the client in
 batches of ``prefetch`` rows, and every round trip costs a fixed overhead on
 top of the per-row transfer cost.  Section 3.2 notes that the Oracle
 row-prefetch setting visibly affects ``TRANSFER^M`` — the ablation benchmark
-``bench_ablation_prefetch`` reproduces that effect against this model.
+``bench_ablation_prefetch`` reproduces that effect against this model.  A
+statement's ``?`` markers travel with their bind values, as JDBC's
+``PreparedStatement`` parameters do.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterator, Sequence
 from repro.algebra.schema import Schema
 from repro.dbms.database import STATEMENTS, MiniDB
 from repro.dbms.loader import DirectPathLoader
+from repro.dbms.sql.ast import SelectStmt
 from repro.dbms.sql.executor import ResultSet
 from repro.errors import DatabaseError, PoolTimeoutError
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -51,6 +54,9 @@ class Cursor:
         #: Whether the last statement came parsed from MiniDB's statement
         #: cache (None before the first).
         self.statement_hit: bool | None = None
+        #: Whether the last SELECT came planned from the database's
+        #: prepared plans (None before the first, and for other statements).
+        self.plan_hit: bool | None = None
 
     def _check_usable(self) -> None:
         """Fetches and statements require an open cursor *and* connection.
@@ -77,7 +83,10 @@ class Cursor:
         """
         return self._round_trips
 
-    def execute(self, sql: str) -> "Cursor":
+    def execute(self, sql: str, binds: Sequence[object] = ()) -> "Cursor":
+        """Send *sql*, its ``?`` markers bound to *binds* in text order: a
+        statement that differs from another only in its binds is the same
+        text, parsed and planned once."""
         self._check_usable()
         self._connection._inject("execute")
         self._connection._simulate_wire()
@@ -89,7 +98,15 @@ class Cursor:
                 if self.statement_hit
                 else "dbms_statement_cache_misses"
             ).inc()
-        outcome = self._connection.db.execute(statement)
+        db = self._connection.db
+        if isinstance(statement, SelectStmt):
+            outcome, self.plan_hit = db.select(statement, binds, sql)
+            if metrics is not None:
+                metrics.counter(
+                    "dbms_prepared_hits" if self.plan_hit else "dbms_prepared_misses"
+                ).inc()
+        else:
+            outcome, self.plan_hit = db.execute(statement, binds), None
         if isinstance(outcome, ResultSet):
             self._result = outcome
             self._buffer = []
@@ -285,9 +302,9 @@ class Connection:
             raise DatabaseError("connection is closed")
         return Cursor(self, prefetch if prefetch is not None else self.prefetch)
 
-    def execute(self, sql: str) -> Cursor:
+    def execute(self, sql: str, binds: Sequence[object] = ()) -> Cursor:
         """Shorthand: new cursor, execute, return it."""
-        return self.cursor().execute(sql)
+        return self.cursor().execute(sql, binds)
 
     def bulk_load(
         self,

@@ -110,6 +110,8 @@ class SelectStmt:
     #: ``(all?, stmt)`` pairs appended with UNION / UNION ALL.
     unions: tuple[tuple[bool, "SelectStmt"], ...] = ()
     limit: int | None = None
+    #: ``?`` bind markers in the whole statement (set on the outermost).
+    parameters: int = 0
 
 
 @dataclass(frozen=True)

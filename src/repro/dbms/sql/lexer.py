@@ -24,7 +24,7 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z_0-9$#]*)
-  | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|\(|\)|,|\.)
+  | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|\(|\)|,|\.|\?)
     """,
     re.VERBOSE | re.DOTALL,
 )

@@ -1,7 +1,12 @@
-"""Recursive-descent parser for the MiniDB SQL dialect."""
+"""Recursive-descent parser for the MiniDB SQL dialect.
+
+A ``?`` is a bind marker: the *n*-th one in the text reads as
+``Parameter(n - 1)``, and only a SELECT may carry them.
+"""
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from repro.algebra.expressions import (
     And,
@@ -13,6 +18,7 @@ from repro.algebra.expressions import (
     Literal,
     Not,
     Or,
+    Parameter,
 )
 from repro.algebra.schema import AttrType
 from repro.dbms.sql.ast import (
@@ -56,6 +62,8 @@ class _Parser:
     def __init__(self, sql: str):
         self._tokens = tokenize(sql)
         self._pos = 0
+        #: Bind markers read so far.
+        self.parameters = 0
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -481,6 +489,10 @@ class _Parser:
         if token.kind == "KEYWORD" and token.value == "NULL":
             self._advance()
             return Literal(None)
+        if token.kind == "OP" and token.value == "?":
+            self._advance()
+            self.parameters += 1
+            return Parameter(self.parameters - 1)
         if token.kind == "OP" and token.value == "(":
             self._advance()
             inner = self.expression()
@@ -529,6 +541,10 @@ def parse_statement(sql: str) -> Statement:
     if not parser.at_end():
         token = parser._peek()
         raise SQLSyntaxError(f"unexpected trailing input {token.text!r}", token.position)
+    if parser.parameters:
+        if not isinstance(statement, SelectStmt):
+            raise SQLSyntaxError("bind markers (?) are allowed in SELECT statements only")
+        statement = replace(statement, parameters=parser.parameters)
     return statement
 
 

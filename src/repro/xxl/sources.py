@@ -13,6 +13,7 @@ import time
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
+from repro.algebra.expressions import inline
 from repro.algebra.schema import Schema
 from repro.dbms.costmodel import CostMeter
 from repro.xxl.cursor import Cursor
@@ -48,6 +49,9 @@ class SQLCursor(TransferMixin, Cursor):
     prefetch batching — one ``fetchmany`` per middleware batch.  The output
     schema is taken from the DBMS result-set metadata.
 
+    *binds* are the values of the statement's ``?`` markers, sent with it;
+    the span and :meth:`detail` show the text with each spelled in place.
+
     With a :class:`~repro.resilience.retry.RetryState` attached (the
     per-query retry budget ``compile_plan`` threads through), statement
     dispatch and every fetch are retried under the policy on
@@ -58,9 +62,18 @@ class SQLCursor(TransferMixin, Cursor):
 
     algorithm = "TRANSFER^M"
 
-    def __init__(self, connection, sql: str, prefetch: int | None = None, retry=None):
+    def __init__(
+        self,
+        connection,
+        sql: str,
+        prefetch: int | None = None,
+        retry=None,
+        binds: Sequence[object] = (),
+    ):
         self._connection = connection
         self._sql = sql
+        self._binds = binds
+        self._text: str | None = None
         self._prefetch = prefetch
         self._retry = retry
         self._cursor = None
@@ -70,13 +83,18 @@ class SQLCursor(TransferMixin, Cursor):
         self._final_round_trips = 0
         #: "hit" or "miss": whether MiniDB found the statement parsed.
         self.statement: str | None = None
+        #: "hit" or "miss": whether MiniDB found the SELECT planned.
+        self.plan: str | None = None
         # The schema is only known after execution; initialize lazily with a
         # placeholder and fix it up in _open().
         super().__init__(Schema([]))
 
     @property
     def sql(self) -> str:
-        return self._sql
+        """The statement as text, every bind spelled in place."""
+        if self._text is None:
+            self._text = inline(self._sql, self._binds)
+        return self._text
 
     @property
     def round_trips(self) -> int:
@@ -91,13 +109,15 @@ class SQLCursor(TransferMixin, Cursor):
         return self._final_round_trips
 
     def detail(self) -> str:
-        sql = " ".join(self._sql.split())
+        sql = " ".join(self.sql.split())
         return f"Query: {sql[:97] + '...' if len(sql) > 100 else sql}"
 
     def measurements(self) -> dict:
-        where = {"sql": self._sql}
+        where = {"sql": self.sql}
         if self.statement is not None:
             where["statement"] = self.statement
+        if self.plan is not None:
+            where["plan"] = self.plan
         return self._transfer_measurements(
             "up", self.rows_produced, self.fetch_seconds, **where
         )
@@ -105,11 +125,13 @@ class SQLCursor(TransferMixin, Cursor):
     def _open(self) -> None:
         begin = time.perf_counter()
         self._cursor = self._call_dbms(
-            lambda: self._connection.cursor(self._prefetch).execute(self._sql),
+            lambda: self._connection.cursor(self._prefetch).execute(self._sql, self._binds),
             "transfer_m.execute",
         )
         self.fetch_seconds += time.perf_counter() - begin
         self.statement = "hit" if self._cursor.statement_hit else "miss"
+        if self._cursor.plan_hit is not None:
+            self.plan = "hit" if self._cursor.plan_hit else "miss"
         self.schema = self._cursor.schema
 
     def _next_batch(self, n: int) -> list[tuple]:
@@ -138,8 +160,15 @@ class PooledSQLCursor(SQLCursor):
     ``close()`` (or immediately if acquisition's first statement fails).
     """
 
-    def __init__(self, pool, sql: str, prefetch: int | None = None, retry=None):
-        super().__init__(None, sql, prefetch=prefetch, retry=retry)
+    def __init__(
+        self,
+        pool,
+        sql: str,
+        prefetch: int | None = None,
+        retry=None,
+        binds: Sequence[object] = (),
+    ):
+        super().__init__(None, sql, prefetch=prefetch, retry=retry, binds=binds)
         self._pool = pool
 
     def _open(self) -> None:

@@ -18,6 +18,7 @@ once and pays one call per chunk rather than per row.
 
 from __future__ import annotations
 
+import heapq
 import os
 import queue
 import threading
@@ -26,8 +27,10 @@ import time
 from repro.algebra.schema import Schema
 from repro.xxl.cursor import Cursor
 
-_SEQUENCE = 0
 _SEQUENCE_LOCK = threading.Lock()
+#: Per prefix: the highest slot ever issued, and the slots given back below it.
+_ISSUED: dict[str, int] = {}
+_FREE: dict[str, list[int]] = {}
 
 #: Rows per executemany chunk when the plan does not say otherwise.
 DEFAULT_LOAD_CHUNK = 1024
@@ -76,18 +79,35 @@ class TransferMixin:
 
 
 def unique_temp_name(prefix: str = "TANGO_TMP") -> str:
-    """A fresh temp-table name: ``prefix_pid_n``.
+    """A temp-table name no live table has: ``prefix_pid_n``.
 
-    The pid plus a lock-protected monotonic counter makes names unique
-    across concurrent queries in one process *and* across processes
-    sharing one DBMS — two parallel workers can never collide on a
-    ``CREATE TABLE``.
+    *n* is the lowest slot of *prefix* not in use, taken under a lock: a
+    name comes back only once :func:`release_temp_name` says its table was
+    dropped, so names live at one time never collide, and the pid keeps
+    processes sharing one DBMS apart.  A query run again gets the names it
+    had, so the statements that read its temp tables recur verbatim and the
+    DBMS parses and plans them once (DESIGN.md §23).
     """
-    global _SEQUENCE
     with _SEQUENCE_LOCK:
-        _SEQUENCE += 1
-        n = _SEQUENCE
+        free = _FREE.setdefault(prefix, [])
+        if free:
+            n = heapq.heappop(free)
+        else:
+            n = _ISSUED[prefix] = _ISSUED.get(prefix, 0) + 1
     return f"{prefix}_{os.getpid()}_{n}"
+
+
+def release_temp_name(name: str) -> None:
+    """Give back a name of :func:`unique_temp_name` whose table was dropped;
+    any other name is ignored."""
+    prefix, pid, n = (name.rsplit("_", 2) + ["", ""])[:3]
+    if pid != str(os.getpid()) or not n.isdigit():
+        return
+    with _SEQUENCE_LOCK:
+        free = _FREE.get(prefix)
+        slot = int(n)
+        if free is not None and slot <= _ISSUED[prefix] and slot not in free:
+            heapq.heappush(free, slot)
 
 
 class TransferDCursor(TransferMixin, Cursor):
@@ -226,9 +246,10 @@ class TransferDCursor(TransferMixin, Cursor):
         return []
 
     def drop(self) -> None:
-        """End-of-query cleanup: drop the loaded temp table; idempotent
-        and race-tolerant — a drop may arrive from the engine's
-        finally-teardown concurrently with an exchange thread's cleanup.
+        """End-of-query cleanup: drop the loaded temp table and give its
+        name back; idempotent and race-tolerant — a drop may arrive from the
+        engine's finally-teardown concurrently with an exchange thread's
+        cleanup.  A name whose drop failed is not given back.
         """
         with self._drop_lock:
             if self._dropped:
@@ -240,3 +261,4 @@ class TransferDCursor(TransferMixin, Cursor):
             with self._drop_lock:
                 self._dropped = False
             raise
+        release_temp_name(self.table_name)

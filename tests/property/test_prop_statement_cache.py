@@ -1,8 +1,9 @@
 """A recurring statement is paid for once, and nobody can tell (DESIGN.md §23).
 
-Three caches sit on the way from a plan to MiniDB's rows: the SQL a DBMS
-region translates to (kept on the region's root node), MiniDB's statement
-cache (SQL text → parsed statement), and the kernel code cache (generated
+Four caches sit on the way from a plan to MiniDB's rows: the statement a
+DBMS region translates to (kept on the region's root node), MiniDB's
+statement cache (SQL text → parsed statement), each database's prepared
+plans (SQL text and bind types → plan), and the kernel code cache (generated
 source → code object).  Each memoizes a function that is already pure, so
 rows, ticks and round trips must be the same with every cache cleared as
 with every cache warm; a kernel shared by two queries of one shape must
@@ -17,7 +18,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.algebra import expressions
 from repro.algebra.expressions import Comparison, Literal, col, compile_block
-from repro.algebra.operators import TransferD, TransferM
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.core.tango import Tango
 from repro.dbms.database import STATEMENTS, MiniDB
@@ -31,10 +31,11 @@ from repro.workloads.uis import load_uis
 FUZZ_CASES = 30
 
 
-def clear_caches(plan) -> None:
-    """Every cache cold: no statement parsed, no kernel compiled, and no
-    node of *plan* holding its translated SQL."""
+def clear_caches(db: MiniDB, plan) -> None:
+    """Every cache cold: no statement parsed or prepared, no kernel
+    compiled, and no node of *plan* holding its translated SQL."""
     STATEMENTS.clear()
+    db.prepared.clear()
     expressions._kernel_code.cache_clear()
     for node in plan.walk():
         node.__dict__.pop("sql", None)
@@ -53,35 +54,26 @@ def run(db: MiniDB, plan) -> dict:
             "middleware_ticks": tango.middleware_meter.ticks,
             "round_trips": tango.metrics.value("dbms_round_trips"),
             "statement_misses": tango.metrics.value("dbms_statement_cache_misses"),
+            "prepared_misses": tango.metrics.value("dbms_prepared_misses"),
             "kernel_misses": expressions.kernel_cache_stats()["misses"] - kernels,
         }
     finally:
         tango.close()
 
 
-def assert_cold_equals_warm(db: MiniDB, plan, fresh_statements: int = 0) -> None:
+def assert_cold_equals_warm(db: MiniDB, plan) -> None:
     """*plan* run cold, then warm: the same answer at the same price, and
-    the warm run parsed only the *fresh_statements* that name a temp table
-    and compiled nothing."""
-    clear_caches(plan)
+    the warm run parsed, prepared and compiled nothing — a statement that
+    reads a temp table included, since the rerun gets the names it had."""
+    clear_caches(db, plan)
     cold = run(db, plan)
     warm = run(db, plan)
-    assert cold["statement_misses"] > 0
-    assert warm["statement_misses"] == fresh_statements
+    assert cold["statement_misses"] > 0 and cold["prepared_misses"] > 0
+    assert warm["statement_misses"] == warm["prepared_misses"] == 0
     assert warm["kernel_misses"] == 0
-    for key in ("statement_misses", "kernel_misses"):
+    for key in ("statement_misses", "prepared_misses", "kernel_misses"):
         del cold[key], warm[key]
     assert warm == cold
-
-
-def temp_statements(plan) -> int:
-    """The ``T^M`` regions of *plan* that read a ``T^D``: each names a
-    fresh temp table, so its statement is new text every execution."""
-    return sum(
-        any(isinstance(node, TransferD) for node in transfer.input.walk())
-        for transfer in plan.walk()
-        if isinstance(transfer, TransferM)
-    )
 
 
 class TestCacheTransparency:
@@ -91,7 +83,7 @@ class TestCacheTransparency:
         case = QueryGenerator(seed=0, updates=False).case(index)
         db = case.build_db()
         plan = derive_alternative(db, case.plan, ("baseline",))
-        assert_cold_equals_warm(db, plan, temp_statements(plan))
+        assert_cold_equals_warm(db, plan)
 
     @pytest.mark.parametrize("index", range(0, FUZZ_CASES, 3))
     def test_fuzz_case_chosen_plan(self, index):
@@ -99,7 +91,7 @@ class TestCacheTransparency:
         db = case.build_db()
         with Tango(db, fault_injector=FaultInjector(FaultPolicy(), seed=0)) as tango:
             plan = tango.optimize(case.plan).plan
-        assert_cold_equals_warm(db, plan, temp_statements(plan))
+        assert_cold_equals_warm(db, plan)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +130,7 @@ def paper_plans(db: MiniDB) -> dict:
 def test_paper_queries(uis):
     for name, plan in paper_plans(uis).items():
         try:
-            assert_cold_equals_warm(uis, plan, temp_statements(plan))
+            assert_cold_equals_warm(uis, plan)
         except AssertionError as error:
             raise AssertionError(f"{name}: {error}") from None
 

@@ -128,6 +128,18 @@ class TestShell:
         assert "statement_cache (process)" in text and "/64" in text
         assert "kernel_code_cache (process)" in text
 
+    def test_metrics_meta_reports_the_prepared_plans(self, shell):
+        sh, out = shell
+        sh.run_line("CREATE TABLE P (K INT, T1 DATE, T2 DATE);")
+        sh.run_line("INSERT INTO P VALUES (1, 2, 20);")
+        for _ in range(2):
+            sh.run_line("VALIDTIME SELECT K, COUNT(K) FROM P GROUP BY K;")
+        sh.run_line("\\metrics")
+        text = out.getvalue()
+        assert "dbms_prepared_hits" in text and "dbms_prepared_misses" in text
+        line = next(row for row in text.splitlines() if "prepared_plans (database)" in row)
+        assert "hits=1" in line and "misses=1" in line and "/64" in line
+
     def test_empty_line_is_noop(self, shell):
         sh, out = shell
         assert sh.run_line("   ;") is True

@@ -285,6 +285,35 @@ class TestUniqueTempName:
         assert len(names) == len(set(names))
 
 
+class TestTempNameReuse:
+    """A dropped temp table's name is issued again, so a rerun query sends
+    the statements it sent before; a name whose drop failed never is."""
+
+    def load(self, connection, prefix):
+        source = RelationCursor(SCHEMA, rows_for(range(3)))
+        return TransferDCursor(source, connection, unique_temp_name(prefix)).init()
+
+    def test_a_dropped_name_is_issued_again(self):
+        connection = Connection(MiniDB())
+        first, second = self.load(connection, "REUSE"), self.load(connection, "REUSE")
+        assert first.table_name != second.table_name  # both live: no collision
+        first.drop()
+        assert unique_temp_name("REUSE") == first.table_name  # the lowest free slot
+        assert unique_temp_name("REUSE") not in (first.table_name, second.table_name)
+
+    def test_a_name_whose_drop_failed_is_not_issued_again(self):
+        class FailingDrop(Connection):
+            def drop_temp(self, table_name):
+                raise RuntimeError("lost connection")
+
+        transfer = self.load(FailingDrop(MiniDB()), "FAILED_DROP")
+        with pytest.raises(RuntimeError):
+            transfer.drop()
+        later = [unique_temp_name("FAILED_DROP") for _ in range(3)]
+        assert transfer.table_name not in later
+        assert len(set(later)) == 3
+
+
 class TestDropRace:
     def make_transfer(self, connection):
         source = RelationCursor(SCHEMA, rows_for(range(10)))

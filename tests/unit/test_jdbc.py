@@ -51,6 +51,43 @@ class TestStatementCache:
         assert seen == ["miss", "hit"]
 
 
+class TestPreparedPlans:
+    def test_a_select_is_planned_once_per_text_and_counted(self):
+        db = MiniDB()
+        db.execute("CREATE TABLE T (K INT, V INT)")
+        db.execute("INSERT INTO T VALUES (1, 10), (2, 20), (3, 30)")
+        metrics = MetricsRegistry()
+        connection = Connection(db, metrics=metrics)
+        sql = "SELECT V FROM T WHERE K >= ? AND V < ? ORDER BY V"
+        first = connection.execute(sql, (2, 31))
+        second = connection.execute(sql, (1, 20))
+        assert first.fetchall() == [(20,), (30,)] and first.plan_hit is False
+        assert second.fetchall() == [(10,)] and second.plan_hit is True
+        assert metrics.value("dbms_prepared_misses") == 1
+        assert metrics.value("dbms_prepared_hits") == 1
+        # Not a SELECT: neither a hit nor a miss.
+        assert connection.execute("ANALYZE TABLE T COMPUTE STATISTICS").plan_hit is None
+
+    def test_the_transfer_span_says_whether_the_plan_was_prepared(self):
+        from repro.xxl.sources import SQLCursor
+
+        db = MiniDB()
+        db.execute("CREATE TABLE T (K INT, V VARCHAR(4))")
+        db.execute("INSERT INTO T VALUES (1, 'x'), (2, 'it''s')")
+        connection = Connection(db)
+        seen = []
+        for value, spelled in (("it's", "'it''s'"), ("x", "'x'")):
+            cursor = SQLCursor(connection, "SELECT K FROM T WHERE V = ?", binds=(value,))
+            cursor.init()
+            measured = cursor.measurements()
+            seen.append((measured["plan"], cursor.next_batch(5)))
+            # The span and the Figure 5 line show the text, bind spelled in place.
+            assert measured["sql"] == f"SELECT K FROM T WHERE V = {spelled}"
+            assert cursor.detail() == f"Query: {measured['sql']}"
+            cursor.close()
+        assert seen == [("miss", [(2,)]), ("hit", [(1,)])]
+
+
 class TestCursor:
     def test_fetchone_sequence(self, connection):
         cursor = connection.execute("SELECT K FROM T ORDER BY K LIMIT 3")

@@ -11,6 +11,7 @@ from repro.algebra.expressions import (
     Literal,
     Not,
     Or,
+    Parameter,
 )
 from repro.algebra.schema import AttrType
 from repro.dbms.sql.ast import (
@@ -221,3 +222,39 @@ class TestDDLAndDML:
     def test_unparseable_statement(self):
         with pytest.raises(SQLSyntaxError):
             parse_statement("EXPLAIN PLAN FOR SELECT 1")
+
+
+class TestBindMarkers:
+    def test_markers_are_numbered_in_text_order(self):
+        statement = parse_statement(
+            "SELECT A + ? FROM (SELECT A FROM T WHERE B = ?) Q WHERE A < -? ORDER BY A"
+        )
+        assert statement.parameters == 3
+        assert statement.items[0].expression == BinOp("+", ColumnRef("A"), Parameter(0))
+        assert statement.from_items[0].select.where == Comparison(
+            "=", ColumnRef("B"), Parameter(1)
+        )
+        # ``-?`` reads as ``0 - ?``, as ``-5`` reads as ``0 - 5``.
+        assert statement.where == Comparison(
+            "<", ColumnRef("A"), BinOp("-", Literal(0), Parameter(2))
+        )
+
+    def test_a_statement_without_markers_has_none(self):
+        assert parse_statement("SELECT A FROM T").parameters == 0
+
+    @pytest.mark.parametrize(
+        "sql",
+        ["INSERT INTO T VALUES (?)", "DELETE FROM T WHERE A = ?", "INSERT INTO T SELECT ? FROM U"],
+    )
+    def test_markers_are_for_select_only(self, sql):
+        with pytest.raises(SQLSyntaxError, match="SELECT statements only"):
+            parse_statement(sql)
+
+    def test_temporal_queries_take_no_markers(self):
+        from repro.core.parser import parse_temporal_query
+        from repro.dbms.database import MiniDB
+
+        db = MiniDB()
+        db.execute("CREATE TABLE P (K INT, T1 DATE, T2 DATE)")
+        with pytest.raises(SQLSyntaxError, match="temporal"):
+            parse_temporal_query("VALIDTIME SELECT K FROM P WHERE K = ?", db)

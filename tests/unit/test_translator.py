@@ -217,6 +217,48 @@ class TestLiteralSpelling:
             translator.translate(plan)
 
 
+class TestBinds:
+    """Every literal but NULL is a bind; the text spells each back in place."""
+
+    def test_literals_travel_as_binds_in_text_order(self, db, translator):
+        predicate = Comparison("<", col("PosID"), lit(6)) & Comparison(
+            "<>", col("EmpName"), lit("O'Neil")
+        )
+        plan = scan(db, "POSITION").select(predicate).project("EmpName").build()
+        bound = translator.translate_bound(plan)
+        assert bound.binds == (6, "O'Neil")
+        assert "?" in bound.sql and "6" not in bound.sql and "Neil" not in bound.sql
+        assert bound.text == translator.translate(plan)
+        assert "Q1.PosID < 6 AND Q1.EmpName <> 'O''Neil'" in bound.text
+        assert sorted(db.query(bound.text)) == sorted(
+            db.execute(bound.sql, bound.binds).fetchall()
+        )
+
+    def test_a_negative_number_is_a_minus_before_its_magnitude(self, db, translator):
+        for value, magnitude in ((-3, 3), (-2.5, 2.5), (-0.0, 0.0)):
+            plan = scan(db, "POSITION").select(Comparison(">", col("PosID"), lit(value))).build()
+            bound = translator.translate_bound(plan)
+            assert bound.binds == (magnitude,) and "> -?" in bound.sql
+            assert f"> {value!r}" in bound.text
+            assert sorted(db.query(bound.text)) == sorted(
+                db.execute(bound.sql, bound.binds).fetchall()
+            )
+
+    def test_null_stays_in_the_text(self, db, translator):
+        null = Comparison("=", col("EmpName"), lit(None))
+        bound = translator.translate_bound(scan(db, "POSITION").select(~null).build())
+        assert bound.binds == () and "EmpName IS NOT NULL" in bound.sql
+
+    def test_statements_differing_in_literals_are_one_text(self, db, translator):
+        texts = {
+            translator.translate_bound(
+                scan(db, "POSITION").select(Comparison("<", col("T1"), lit(day))).build()
+            ).sql
+            for day in (3, 6, 9)
+        }
+        assert len(texts) == 1
+
+
 class TestDedup:
     def test_distinct(self, db, translator):
         plan = scan(db, "POSITION").project("EmpName").dedup().build()
