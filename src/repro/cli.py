@@ -24,8 +24,9 @@ engine).  Meta-commands:
     \\calibrate           fit cost factors on this machine
     \\timing on|off       toggle per-statement timing
     \\trace on|off        toggle per-statement span trees
-    \\metrics             dump the middleware metrics registry and the
-                         process-wide statement and kernel code caches
+    \\metrics             dump the middleware metrics registry, the plan,
+                         shape and prepared-plan caches and the kernel
+                         code cache
     \\quit                leave
 """
 
@@ -36,7 +37,7 @@ import time
 
 from repro.algebra.expressions import kernel_cache_stats
 from repro.core.tango import Tango, TangoConfig
-from repro.dbms.database import STATEMENTS, MiniDB
+from repro.dbms.database import MiniDB
 from repro.errors import ReproError
 
 PROMPT = "tango> "
@@ -177,7 +178,8 @@ class Shell:
         if word == "\\metrics":
             self.echo(self.tango.metrics.render())
             for name, stats in (
-                ("statement_cache (process)", STATEMENTS.to_dict()),
+                ("plan_cache (planner)", self.tango.planner.cache.to_dict()),
+                ("shape_cache (planner)", self.tango.planner.shapes.to_dict()),
                 ("prepared_plans (database)", self.tango.db.prepared.to_dict()),
                 ("kernel_code_cache (process)", kernel_cache_stats()),
             ):

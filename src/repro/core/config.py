@@ -40,9 +40,6 @@ class TangoConfig:
     #: (TRANSFER^M fetchmany size, TRANSFER^D executemany chunk, engine
     #: drain).  1 degenerates to the paper's row-at-a-time protocol.
     batch_size: int = 256
-    #: Plans kept in the planning-epoch plan cache (LRU); 0 disables
-    #: caching.
-    plan_cache_size: int = 64
     #: How transient DBMS failures inside the transfer operators are
     #: retried (capped exponential backoff, per-query budget).
     retry: RetryPolicy = RetryPolicy()

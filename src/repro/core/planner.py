@@ -5,16 +5,17 @@ Estimator; the Section 7 arrow feeds learned cardinalities and adapted
 cost factors back into it.  The question "what was this plan priced with,
 and is that still true?" has one owner here: the statistics, both
 estimators, the cost factors, the learned-cardinality source, the
-:class:`~repro.optimizer.search.Optimizer` and the
-:class:`~repro.core.plan_cache.PlanCache` all belong to the
-:class:`Planner`, and whatever a plan is priced with changes only through
-it — :meth:`Planner.refresh`, :meth:`Planner.set_factors`,
-:meth:`Planner.learned` — each ending in the one private ``_advance()``.
-The cache key is ``(fingerprint(query), epoch)``: a stale plan is a key
-that no longer matches, aged out by the LRU; nothing is ever scanned,
-cleared or reset from outside.  The explored memos kept per query shape
-(:attr:`Planner.shapes`) have no epoch in their key: exploration reads
-nothing an epoch changes.
+:class:`~repro.optimizer.search.Optimizer` and the plan cache
+(:attr:`Planner.cache`) all belong to the :class:`Planner`, and whatever a
+plan is priced with changes only through it — :meth:`Planner.refresh`,
+:meth:`Planner.set_factors`, :meth:`Planner.learned` — each ending in the
+one private ``_advance()``.  The cache key is ``(fingerprint(query),
+epoch)``: a stale plan is a key that no longer matches, aged out by the
+LRU; nothing is ever scanned, cleared or reset from outside.  Plans are
+safe to share across executions: compilation builds fresh cursors (and
+fresh ``TANGO_TMP`` names) per run and never mutates the operator tree.
+The explored memos kept per query shape (:attr:`Planner.shapes`) have no
+epoch in their key: exploration reads nothing an epoch changes.
 
 One planner serves every thread of a middleware instance (the facade's own
 executor and its service's workers), so its public methods are
@@ -25,28 +26,58 @@ re-plan and every advance serialize on the planner's.
 from __future__ import annotations
 
 import threading
+from typing import Hashable
 
 from repro.algebra.operators import Operator
 from repro.algebra.pruning import prune_columns
 from repro.core.parser import parse_temporal_query
-from repro.core.plan_cache import PlanCache, fingerprint
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
+from repro.lru import LRUCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.physical import validate_plan
 from repro.optimizer.search import OptimizationResult, Optimizer
+from repro.optimizer.shapes import literals, spelling
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import StatisticsCollector
 from repro.stats.selectivity import PredicateEstimator
+
+#: Finished plans, and explored memos, each planner keeps (LRU).
+PLAN_CACHE_SIZE = 64
+
+
+def fingerprint(query: str | Operator) -> Hashable:
+    """*query*'s identity in the plan cache.
+
+    SQL text is case-folded and whitespace-collapsed *outside* single-quoted
+    string literals, so ``SELECT …`` and ``select   …`` share a plan while
+    ``WHERE Name = 'Alice'`` and ``… = 'alice'`` do not.  An operator tree
+    is its :attr:`~repro.algebra.operators.Operator.cache_key`: every field
+    of every node, a temporal operator's period and a literal's declared
+    type included — and the :func:`~repro.optimizer.shapes.spelling` of
+    each literal, which that key, comparing literals as Python values,
+    leaves out (``5`` is ``5.0`` there).  Like every name in the algebra,
+    the period is compared case-insensitively, so a tree whose period is
+    spelled ``t1``/``t2`` shares the plan of one spelled ``T1``/``T2`` and
+    its output columns are named as in that plan.
+    """
+    if isinstance(query, str):
+        parts = query.strip().rstrip(";").split("'")
+        normalized = [
+            " ".join(part.split()).lower() if index % 2 == 0 else part
+            for index, part in enumerate(parts)
+        ]
+        return "'".join(normalized)
+    return query.cache_key, tuple(map(spelling, literals(query)))
 
 
 class Planner:
     """Everything a plan is priced with, and the plans priced with it.
 
-    *config* supplies ``use_histograms``, ``workers`` (the parallel degree
-    plans are costed at) and ``plan_cache_size``.  Read :attr:`epoch`,
+    *config* supplies ``use_histograms`` and ``workers`` (the parallel
+    degree plans are costed at).  Read :attr:`epoch`,
     :attr:`factors`, :attr:`estimator` and :attr:`optimizer` freely; they
     are replaced, never mutated, and only by this class.
     """
@@ -68,12 +99,12 @@ class Planner:
         self.predicate_estimator = PredicateEstimator(
             use_histograms=config.use_histograms
         )
-        self.cache = PlanCache(config.plan_cache_size)
+        self.cache = LRUCache(PLAN_CACHE_SIZE)
         #: Explored memos by query shape (DESIGN.md §12).  Exploration reads
         #: no statistic, factor or learned cardinality, so unlike
         #: :attr:`cache` these are not keyed by the epoch: every epoch's
         #: optimizer shares them.
-        self.shapes = PlanCache(config.plan_cache_size)
+        self.shapes = LRUCache(PLAN_CACHE_SIZE)
         self.factors = factors or CostFactors()
         self.epoch = -1
         self._feedback = None  # the Learner's store (use_feedback)
@@ -97,7 +128,7 @@ class Planner:
                 self.estimator,
                 self.factors,
                 parallel_degree=self.config.workers,
-                shapes=self.shapes if self.shapes.max_size > 0 else None,
+                shapes=self.shapes,
             )
 
     # -- what moves the epoch -----------------------------------------------------------
@@ -140,7 +171,7 @@ class Planner:
         """Temporal SQL → initial plan (all processing in the DBMS)."""
         return parse_temporal_query(sql, self.db)
 
-    def cache_key(self, query: str | Operator) -> tuple[str, int]:
+    def cache_key(self, query: str | Operator) -> tuple[Hashable, int]:
         """Where *query*'s plan is cached during the current epoch."""
         return fingerprint(query), self.epoch
 
@@ -158,8 +189,9 @@ class Planner:
         with self._lock:
             # Keyed under the lock: the epoch cannot move while we plan.
             key = (identity, self.epoch)
-            if key in self.cache:  # planned by another thread while we waited
-                return self.cache.get(key)
+            cached = self.cache.get(key)
+            if cached is not None:  # planned by another thread while we waited
+                return cached
             if isinstance(query, str):
                 with tracer.span("parse", kind="phase"):
                     initial = self.parse(query)

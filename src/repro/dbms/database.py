@@ -10,11 +10,10 @@ but tests and workload generators use it freely.
 
 from __future__ import annotations
 
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from functools import partial
 from itertools import compress, count
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.algebra.expressions import Literal, compile_row
 from repro.algebra.schema import Attribute, Schema
@@ -29,7 +28,6 @@ from repro.dbms.sql.ast import (
     InsertSelectStmt,
     InsertValuesStmt,
     SelectStmt,
-    Statement,
 )
 from repro.dbms.sql.executor import ResultSet
 from repro.dbms.sql.parser import parse_statement
@@ -42,72 +40,12 @@ from repro.dbms.statistics import (
 )
 from repro.dbms.table import BLOCK_SIZE, Table
 from repro.errors import CatalogError, DatabaseError
+from repro.lru import LRUCache
 
 
-#: Parsed statements kept by exact SQL text, shared by every MiniDB in the
-#: process — a shared pool, as Oracle's ``session_cached_cursors`` (default
-#: 50) keeps one per session; and each MiniDB's prepared plans.
+#: Prepared SELECTs each MiniDB keeps, as Oracle's ``session_cached_cursors``
+#: (default 50) keeps per session.
 STATEMENT_CACHE_SIZE = 64
-
-
-class StatementCache:
-    """A bounded, thread-safe LRU (DESIGN.md §23): of parsed statements by
-    SQL text (:data:`STATEMENTS`), and of each database's prepared plans.
-
-    Parsing reads nothing but the text, and a statement is frozen, so one
-    parse serves every later execution of the same text on any database.
-    A miss is built under the lock, so the query service's workers, which
-    execute on one database, never build one entry twice.
-    """
-
-    def __init__(self, max_size: int):
-        self.max_size = max_size
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(
-        self,
-        key: Hashable,
-        build: Callable[[], object],
-        valid: Callable[[object], bool] | None = None,
-    ) -> tuple[object, bool]:
-        """The entry kept under *key*, and whether it was; a missing entry,
-        or one that is no longer *valid*, is built and kept instead."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                if valid is None or valid(entry):
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return entry, True
-                del self._entries[key]
-            self.misses += 1
-            entry = self._entries[key] = build()
-            if len(self._entries) > self.max_size:
-                self._entries.popitem(last=False)
-        return entry, False
-
-    def parse(self, sql: str) -> tuple[Statement, bool]:
-        """The statement *sql* says, and whether it was already parsed."""
-        return self.get(sql, partial(parse_statement, sql))  # type: ignore[return-value]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "max_size": self.max_size,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
-STATEMENTS = StatementCache(STATEMENT_CACHE_SIZE)
 
 
 class MiniDB:
@@ -125,7 +63,7 @@ class MiniDB:
         self._dml: dict[str, DmlTracker] = {}
         #: SELECTs prepared against this catalog, by SQL text and the types
         #: of the values bound (DESIGN.md §23).
-        self.prepared = StatementCache(STATEMENT_CACHE_SIZE)
+        self.prepared = LRUCache(STATEMENT_CACHE_SIZE)
 
     # -- catalog -----------------------------------------------------------------
 
@@ -305,43 +243,29 @@ class MiniDB:
 
     # -- statement execution ----------------------------------------------------------
 
-    def select(
-        self, statement: SelectStmt, binds: Sequence[object] = (), sql: str | None = None
-    ) -> tuple[ResultSet, bool]:
-        """*statement*'s result set with its markers bound to *binds*, and
-        whether its plan came prepared.
+    def execute(self, sql: str, binds: Sequence[object] = ()) -> ResultSet | int:
+        """Execute one SQL statement, its ``?`` markers bound to *binds* in
+        text order.
 
-        Given its *sql* text, the plan is kept in :attr:`prepared` under the
-        text and the binds' types, and taken from there while every table it
-        reads has the schema and indexes it was prepared against.  Neither
-        preparing nor finding a plan charges a tick.
+        A SELECT's plan is kept in :attr:`prepared` under the text and the
+        binds' types, and taken from there, unparsed, while every table it
+        reads has the schema and indexes it was prepared against; its
+        :class:`ResultSet` says whether it was (``prepared``).  Any other
+        statement is parsed and run once.  Neither parsing, preparing nor
+        finding a plan charges a tick.  SELECTs return a result set;
+        everything else returns an affected-row count (0 for DDL).
         """
-        if sql is None:
-            return plan_select(self, statement, self.meter, binds), False
-        plan, hit = self.prepared.get(
-            (sql, tuple(map(type, binds))),
-            lambda: prepare_select(self, statement, bind_types(binds)),
-            partial(PreparedSelect.valid, db=self),
-        )
-        return plan.execute(self, self.meter, binds), hit  # type: ignore[union-attr]
-
-    def execute(
-        self, sql: str | Statement, binds: Sequence[object] = ()
-    ) -> ResultSet | int:
-        """Execute one SQL statement, given as text or as parsed, its ``?``
-        markers bound to *binds* in text order.
-
-        Text is looked up in :data:`STATEMENTS`; parsing charges no tick,
-        hit or miss.  SELECTs return a :class:`ResultSet`; everything else
-        returns an affected-row count (0 for DDL).
-        """
-        if isinstance(sql, str):
-            statement = STATEMENTS.parse(sql)[0]
-            text: str | None = sql
-        else:
-            statement, text = sql, None
+        key = (sql, tuple(map(type, binds)))
+        plan = self.prepared.get(key, partial(PreparedSelect.valid, db=self))
+        if plan is not None:
+            result = plan.execute(self, self.meter, binds)  # type: ignore[attr-defined]
+            result.prepared = True
+            return result
+        statement = parse_statement(sql)
         if isinstance(statement, SelectStmt):
-            return self.select(statement, binds, text)[0]
+            plan = prepare_select(self, statement, bind_types(binds))
+            self.prepared.put(key, plan)
+            return plan.execute(self, self.meter, binds)
         if binds:
             raise DatabaseError("only a SELECT takes bind values")
         if isinstance(statement, CreateTableStmt):

@@ -20,9 +20,8 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro.algebra.schema import Schema
-from repro.dbms.database import STATEMENTS, MiniDB
+from repro.dbms.database import MiniDB
 from repro.dbms.loader import DirectPathLoader
-from repro.dbms.sql.ast import SelectStmt
 from repro.dbms.sql.executor import ResultSet
 from repro.errors import DatabaseError, PoolTimeoutError
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -51,9 +50,6 @@ class Cursor:
         self._round_trips = 0
         self._closed = False
         self.rowcount = -1
-        #: Whether the last statement came parsed from MiniDB's statement
-        #: cache (None before the first).
-        self.statement_hit: bool | None = None
         #: Whether the last SELECT came planned from the database's
         #: prepared plans (None before the first, and for other statements).
         self.plan_hit: bool | None = None
@@ -90,24 +86,14 @@ class Cursor:
         self._check_usable()
         self._connection._inject("execute")
         self._connection._simulate_wire()
-        statement, self.statement_hit = STATEMENTS.parse(sql)
-        metrics = self._connection.metrics
-        if metrics is not None:
-            metrics.counter(
-                "dbms_statement_cache_hits"
-                if self.statement_hit
-                else "dbms_statement_cache_misses"
-            ).inc()
-        db = self._connection.db
-        if isinstance(statement, SelectStmt):
-            outcome, self.plan_hit = db.select(statement, binds, sql)
+        outcome = self._connection.db.execute(sql, binds)
+        if isinstance(outcome, ResultSet):
+            self.plan_hit = outcome.prepared
+            metrics = self._connection.metrics
             if metrics is not None:
                 metrics.counter(
                     "dbms_prepared_hits" if self.plan_hit else "dbms_prepared_misses"
                 ).inc()
-        else:
-            outcome, self.plan_hit = db.execute(statement, binds), None
-        if isinstance(outcome, ResultSet):
             self._result = outcome
             self._buffer = []
             self._buffer_pos = 0
@@ -115,6 +101,7 @@ class Cursor:
             self._round_trips = 0
             self.rowcount = -1
         else:
+            self.plan_hit = None
             self._result = None
             self.rowcount = outcome
         return self

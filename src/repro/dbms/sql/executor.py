@@ -428,6 +428,9 @@ class ResultSet:
     for.
     """
 
+    #: Whether the plan came from the database's prepared plans.
+    prepared = False
+
     def __init__(
         self,
         schema: Schema,

@@ -150,9 +150,9 @@ class Optimizer:
         self.rules = rules if rules is not None else default_rules()
         self.max_elements = max_elements
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Explored memos by query shape — a
-        #: :class:`~repro.core.plan_cache.PlanCache`, or anything with its
-        #: ``get``/``put`` — or None to explore every query afresh.  Only
+        #: Explored memos by query shape — a :class:`~repro.lru.LRUCache`,
+        #: or anything with its ``get``/``put`` — or None to explore every
+        #: query afresh.  Only
         #: optimizers with the same rules and budget may share one, as the
         #: Planner's do across its epochs.
         self.shapes = shapes

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_not
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.algebra.expressions import ColumnRef, Expression, Literal
 from repro.algebra.operators import Join, Operator, Project, Scan, Select
@@ -129,15 +129,26 @@ class Binding:
         return filled
 
 
+def literals(plan: Operator) -> Iterator[Literal]:
+    """Every literal in *plan*'s expressions, in walk order."""
+    for node in plan.walk():
+        for expression in _expressions(node):
+            yield from collect(expression, Literal)
+
+
+def spelling(literal: Literal) -> tuple[type, str]:
+    """What tells *literal* from an equal one: ``Literal(10)``,
+    ``Literal(10.0)`` and ``Literal(True)`` are equal expressions, as are
+    ``0.0`` and ``-0.0``, yet each is another constant."""
+    return type(literal.value), repr(literal.value)
+
+
 def abstract(plan: Operator) -> tuple[Operator, Binding | None]:
     """*plan*'s shape, and the binding that gives *plan* back — None when
     there is no literal to take out and the shape is *plan* itself."""
     spellings: dict[Expression, set[tuple[type, str]]] = {}
-    for node in plan.walk():
-        for expression in _expressions(node):
-            for literal in collect(expression, Literal):
-                value = literal.value  # type: ignore[attr-defined]
-                spellings.setdefault(literal, set()).add((type(value), repr(value)))
+    for literal in literals(plan):
+        spellings.setdefault(literal, set()).add(spelling(literal))
     slots: dict[Expression, Expression] = {}
     for literal, spelled in spellings.items():
         if len(spelled) == 1:

@@ -81,8 +81,6 @@ class SQLCursor(TransferMixin, Cursor):
         #: performance-feedback signal (Section 7) for TRANSFER^M.
         self.fetch_seconds = 0.0
         self._final_round_trips = 0
-        #: "hit" or "miss": whether MiniDB found the statement parsed.
-        self.statement: str | None = None
         #: "hit" or "miss": whether MiniDB found the SELECT planned.
         self.plan: str | None = None
         # The schema is only known after execution; initialize lazily with a
@@ -114,8 +112,6 @@ class SQLCursor(TransferMixin, Cursor):
 
     def measurements(self) -> dict:
         where = {"sql": self.sql}
-        if self.statement is not None:
-            where["statement"] = self.statement
         if self.plan is not None:
             where["plan"] = self.plan
         return self._transfer_measurements(
@@ -129,7 +125,6 @@ class SQLCursor(TransferMixin, Cursor):
             "transfer_m.execute",
         )
         self.fetch_seconds += time.perf_counter() - begin
-        self.statement = "hit" if self._cursor.statement_hit else "miss"
         if self._cursor.plan_hit is not None:
             self.plan = "hit" if self._cursor.plan_hit else "miss"
         self.schema = self._cursor.schema

@@ -284,6 +284,10 @@ class TestAdaptiveFeedbackFromSpans:
 # ``T^M`` now sends ``SELECT PosID, T1, T2`` (bytes 160,992 -> 40,248, the
 # estimates of ``T^M`` and ``TAGGR^M`` lower with it); span names, kinds,
 # keys, rows and batches did not move.
+#
+# The ``statement`` key left the forty ``TRANSFER^M`` lines when MiniDB's
+# parse pool was folded into its prepared plans (``plan`` says hit or miss);
+# nothing else moved.
 
 GOLDEN_SPANS = Path(__file__).with_name("golden_spans.json")
 DROPPED_KEYS = {"cursor_id", "next_calls", "batch_calls", "init_seconds"}

@@ -9,6 +9,7 @@ through a service's workers alike, while immaterial drift leaves cached
 plans alone (the staleness matrix below).
 """
 
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -53,21 +54,24 @@ class TestCacheHits:
         assert second.rows == first.rows
         assert tango.metrics.value("plan_cache_hits") == 1
 
+    def test_a_hit_never_waits_for_another_threads_optimization(self, tango):
+        first = tango.optimize(queries.query1_sql())
+        served = []
+        with tango.planner._lock:  # as held by a thread optimizing a miss
+            reader = threading.Thread(
+                target=lambda: served.append(tango.optimize(queries.query1_sql()))
+            )
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+        assert served == [first]
+
     def test_whitespace_variant_hits(self, tango):
         tango.optimize(queries.query1_sql())
         variant = "  " + queries.query1_sql().replace(" FROM ", "\n  from ")
         tango.optimize(variant)
         assert tango.metrics.value("plan_cache_hits") == 1
         assert tango.metrics.value("optimizer_runs") == 1
-
-
-class TestCacheInvalidation:
-    def test_cache_disabled_by_config(self, uis_db):
-        tango = Tango(uis_db, config=TangoConfig(plan_cache_size=0))
-        tango.optimize(queries.query1_sql())
-        tango.optimize(queries.query1_sql())
-        assert tango.metrics.value("optimizer_runs") == 2
-        assert tango.metrics.value("plan_cache_hits") == 0
 
 
 class TestUpdateInvalidation:

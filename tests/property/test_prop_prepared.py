@@ -315,7 +315,7 @@ def test_a_bind_of_another_type_is_another_plan():
         assert result.fetchall() == [(value,)]
         assert result.schema["V"].type.value == type_name
     assert db.prepared.to_dict() | {"max_size": 0} == {
-        "size": 3, "max_size": 0, "hits": 1, "misses": 3
+        "size": 3, "max_size": 0, "hits": 1, "misses": 3, "evictions": 0
     }
 
 

@@ -17,12 +17,12 @@ from repro.algebra.expressions import Literal
 from repro.algebra.operators import Join, Project, Select
 from repro.algebra.pruning import prune_columns
 from repro.algebra.rewrite import collect, transform
-from repro.core.plan_cache import PlanCache
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
 from repro.errors import OptimizerError
 from repro.fuzz.generator import QueryGenerator
 from repro.fuzz.oracle import build_estimator
+from repro.lru import LRUCache
 from repro.optimizer.search import Optimizer
 from repro.optimizer.shapes import abstract
 from repro.stats.cardinality import CardinalityEstimator
@@ -61,7 +61,7 @@ def outcome(optimizer: Optimizer, plan) -> tuple[tuple, bool | None]:
 def served_as_fresh(estimator, *plans) -> list[bool | None]:
     """Optimize *plans* in turn on one optimizer with a shape cache, each
     as a cache-less optimizer would; whether a kept shape served each."""
-    sharing = Optimizer(estimator, shapes=PlanCache(8))
+    sharing = Optimizer(estimator, shapes=LRUCache(8))
     hits = []
     for plan in plans:
         seen, hit = outcome(sharing, plan)
@@ -201,19 +201,6 @@ def test_a_kept_shape_is_costed_under_the_statistics_of_the_day():
         )
         plan = prune_columns(tango.parse(sql))
         assert outcome(planner.optimizer, plan) == (outcome(fresh, plan)[0], True)
-
-
-def test_plan_cache_size_zero_keeps_no_shape(uis):
-    with Tango(uis, TangoConfig(plan_cache_size=0, tracing=True)) as tango:
-        for rate in (12, 13, 12):
-            trace = tango.query(SQL.format(f"PayRate > {rate}")).trace
-            assert trace.find(name="explore").attributes["shape"] == "miss"
-        assert tango.planner.optimizer.shapes is None and len(tango.planner.shapes) == 0
-        assert tango.metrics.value("optimizer_shape_misses") == 3
-        assert tango.metrics.value("optimizer_shape_hits") == 0
-        plan = searched(tango, "PayRate > 13")
-        fresh = Optimizer(tango.planner.estimator, tango.planner.factors)
-        assert outcome(tango.planner.optimizer, plan) == (outcome(fresh, plan)[0], False)
 
 
 def test_the_explore_span_says_whether_a_kept_shape_served(uis):

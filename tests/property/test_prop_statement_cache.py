@@ -1,10 +1,9 @@
 """A recurring statement is paid for once, and nobody can tell (DESIGN.md §23).
 
-Four caches sit on the way from a plan to MiniDB's rows: the statement a
-DBMS region translates to (kept on the region's root node), MiniDB's
-statement cache (SQL text → parsed statement), each database's prepared
-plans (SQL text and bind types → plan), and the kernel code cache (generated
-source → code object).  Each memoizes a function that is already pure, so
+Three caches sit on the way from a plan to MiniDB's rows: the statement a
+DBMS region translates to (kept on the region's root node), each database's
+prepared plans (SQL text and bind types → plan, parsed once), and the kernel
+code cache (generated source → code object).  Each memoizes a function that is already pure, so
 rows, ticks and round trips must be the same with every cache cleared as
 with every cache warm; a kernel shared by two queries of one shape must
 answer each with its own literals; and a cached statement must be planned
@@ -20,7 +19,7 @@ from repro.algebra import expressions
 from repro.algebra.expressions import Comparison, Literal, col, compile_block
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.core.tango import Tango
-from repro.dbms.database import STATEMENTS, MiniDB
+from repro.dbms.database import MiniDB
 from repro.fuzz.generator import QueryGenerator
 from repro.fuzz.oracle import derive_alternative
 from repro.resilience import FaultInjector, FaultPolicy
@@ -32,9 +31,8 @@ FUZZ_CASES = 30
 
 
 def clear_caches(db: MiniDB, plan) -> None:
-    """Every cache cold: no statement parsed or prepared, no kernel
-    compiled, and no node of *plan* holding its translated SQL."""
-    STATEMENTS.clear()
+    """Every cache cold: no statement prepared, no kernel compiled, and no
+    node of *plan* holding its translated SQL."""
     db.prepared.clear()
     expressions._kernel_code.cache_clear()
     for node in plan.walk():
@@ -53,7 +51,6 @@ def run(db: MiniDB, plan) -> dict:
             "dbms": db.meter.snapshot() - before,
             "middleware_ticks": tango.middleware_meter.ticks,
             "round_trips": tango.metrics.value("dbms_round_trips"),
-            "statement_misses": tango.metrics.value("dbms_statement_cache_misses"),
             "prepared_misses": tango.metrics.value("dbms_prepared_misses"),
             "kernel_misses": expressions.kernel_cache_stats()["misses"] - kernels,
         }
@@ -63,15 +60,15 @@ def run(db: MiniDB, plan) -> dict:
 
 def assert_cold_equals_warm(db: MiniDB, plan) -> None:
     """*plan* run cold, then warm: the same answer at the same price, and
-    the warm run parsed, prepared and compiled nothing — a statement that
-    reads a temp table included, since the rerun gets the names it had."""
+    the warm run prepared and compiled nothing — a statement that reads a
+    temp table included, since the rerun gets the names it had."""
     clear_caches(db, plan)
     cold = run(db, plan)
     warm = run(db, plan)
-    assert cold["statement_misses"] > 0 and cold["prepared_misses"] > 0
-    assert warm["statement_misses"] == warm["prepared_misses"] == 0
+    assert cold["prepared_misses"] > 0
+    assert warm["prepared_misses"] == 0
     assert warm["kernel_misses"] == 0
-    for key in ("statement_misses", "prepared_misses", "kernel_misses"):
+    for key in ("prepared_misses", "kernel_misses"):
         del cold[key], warm[key]
     assert warm == cold
 
@@ -204,12 +201,14 @@ def test_a_recreated_table_is_planned_against_its_new_schema():
     db.execute("DROP TABLE RECREATED")
     db.execute("CREATE TABLE RECREATED (B VARCHAR(8), C FLOAT, A INT)")
     db.execute("INSERT INTO RECREATED VALUES ('x', 0.5, 3), ('y', 1.5, 1)")
-    assert STATEMENTS.parse(sql)[1]  # the statement comes from the cache ...
+    prepared = db.prepared.to_dict()["misses"]
     result = db.execute(sql)
-    # ... and the plan reads the new positions and types.
+    # The kept plan read the old table: the statement is prepared again,
+    # and the plan reads the new positions and types.
+    assert db.prepared.to_dict()["misses"] == prepared + 1
     assert result.schema.names == ("A", "B")
     assert result.fetchall() == [(3, "x")]
 
-    other = MiniDB()  # the pool is shared: another catalog, another plan
+    other = MiniDB()  # another catalog, another plan
     other.execute("CREATE TABLE RECREATED (A INT, B INT)")
     assert other.query(sql) == []

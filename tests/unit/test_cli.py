@@ -117,16 +117,20 @@ class TestShell:
 
     def test_metrics_meta_reports_the_statement_and_kernel_caches(self, shell):
         sh, out = shell
-        # Counted at the JDBC boundary, which a temporal query's T^M crosses.
+        # The second run is the plan cache's hit; its T^M's SELECT, the
+        # prepared plans'.
         sh.run_line("CREATE TABLE P (K INT, T1 DATE, T2 DATE);")
         sh.run_line("INSERT INTO P VALUES (1, 2, 20);")
         for _ in range(2):
             sh.run_line("VALIDTIME SELECT K, COUNT(K) FROM P GROUP BY K;")
         sh.run_line("\\metrics")
         text = out.getvalue()
-        assert "dbms_statement_cache_hits" in text  # the second run at least
-        assert "statement_cache (process)" in text and "/64" in text
-        assert "kernel_code_cache (process)" in text
+        # One line per cache, the statement cache being the prepared plans.
+        caches = [row.split()[0] for row in text.splitlines() if "size=" in row]
+        assert caches == ["plan_cache", "shape_cache", "prepared_plans", "kernel_code_cache"]
+        line = next(row for row in text.splitlines() if "plan_cache (planner)" in row)
+        assert "hits=1" in line and "misses=1" in line and "size=1/64" in line
+        assert "statement_cache" not in text
 
     def test_metrics_meta_reports_the_prepared_plans(self, shell):
         sh, out = shell

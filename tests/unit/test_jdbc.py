@@ -17,40 +17,6 @@ def connection():
     return Connection(db, prefetch=10)
 
 
-class TestStatementCache:
-    def test_a_repeated_statement_is_parsed_once_and_counted(self):
-        db = MiniDB()
-        db.execute("CREATE TABLE T (K INT, V INT)")
-        db.execute("INSERT INTO T VALUES (1, 10), (2, 20)")
-        metrics = MetricsRegistry()
-        connection = Connection(db, prefetch=10, metrics=metrics)
-        sql = "SELECT V FROM T WHERE K = 2 AND V > 1e-05"  # text no other test sends
-        before = db.meter.snapshot()
-        first = connection.execute(sql)
-        assert first.fetchall() == [(20,)] and first.statement_hit is False
-        cold = db.meter.snapshot() - before
-        second = connection.execute(sql)
-        assert second.fetchall() == [(20,)] and second.statement_hit is True
-        # Parsing is free either way: both executions bill the same.
-        assert db.meter.snapshot() - before - cold == cold
-        assert metrics.value("dbms_statement_cache_misses") == 1
-        assert metrics.value("dbms_statement_cache_hits") == 1
-
-    def test_the_transfer_span_says_whether_the_statement_was_cached(self):
-        from repro.xxl.sources import SQLCursor
-
-        db = MiniDB()
-        db.execute("CREATE TABLE T (K INT, V INT)")
-        connection = Connection(db)
-        seen = []
-        for _ in range(2):
-            cursor = SQLCursor(connection, "SELECT K FROM T WHERE V < 7e2")
-            cursor.init()
-            seen.append(cursor.measurements()["statement"])
-            cursor.close()
-        assert seen == ["miss", "hit"]
-
-
 class TestPreparedPlans:
     def test_a_select_is_planned_once_per_text_and_counted(self):
         db = MiniDB()
@@ -67,6 +33,33 @@ class TestPreparedPlans:
         assert metrics.value("dbms_prepared_hits") == 1
         # Not a SELECT: neither a hit nor a miss.
         assert connection.execute("ANALYZE TABLE T COMPUTE STATISTICS").plan_hit is None
+
+    def test_a_repeated_select_is_parsed_once_and_bills_the_same(self, monkeypatch):
+        from repro.dbms import database
+
+        db = MiniDB()
+        db.execute("CREATE TABLE T (K INT, V INT)")
+        db.execute("INSERT INTO T VALUES (1, 10), (2, 20)")
+        parsed = []
+        parse = database.parse_statement
+        monkeypatch.setattr(
+            database, "parse_statement", lambda sql: parsed.append(sql) or parse(sql)
+        )
+        connection = Connection(db, prefetch=10)
+        sql = "SELECT V FROM T WHERE K = 2 AND V > 1e-05"
+        before = db.meter.snapshot()
+        first = connection.execute(sql)
+        assert first.fetchall() == [(20,)] and first.plan_hit is False
+        cold = db.meter.snapshot() - before
+        second = connection.execute(sql)
+        assert second.fetchall() == [(20,)] and second.plan_hit is True
+        # Parsing and preparing are free: both executions bill the same.
+        assert db.meter.snapshot() - before - cold == cold
+        # Not a SELECT: parsed each time it is sent, and never kept.
+        for _ in range(2):
+            connection.execute("ANALYZE TABLE T COMPUTE STATISTICS")
+        assert parsed == [sql] + ["ANALYZE TABLE T COMPUTE STATISTICS"] * 2
+        assert len(db.prepared) == 1
 
     def test_the_transfer_span_says_whether_the_plan_was_prepared(self):
         from repro.xxl.sources import SQLCursor
