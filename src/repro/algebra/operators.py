@@ -459,8 +459,11 @@ class TemporalJoin(_Binary):
         combined = concat_attributes(
             self._nontemporal(self.left.schema), self._nontemporal(self.right.schema)
         )
+        # Named as the left input names them, however ``period`` is spelled.
+        left = self.left.schema
         return Schema(
-            combined + [Attribute(t1, AttrType.DATE), Attribute(t2, AttrType.DATE)]
+            combined
+            + [Attribute(left[t1].name, AttrType.DATE), Attribute(left[t2].name, AttrType.DATE)]
         )
 
     def signature(self) -> tuple:
@@ -502,8 +505,9 @@ class TemporalAggregate(_Unary):
         if not (source.has(t1) and source.has(t2)):
             raise PlanError(f"temporal aggregation requires {t1}/{t2} in the input")
         attributes = [source[name] for name in self.group_by]
-        attributes.append(Attribute(t1, AttrType.DATE))
-        attributes.append(Attribute(t2, AttrType.DATE))
+        # Named as the input names them, however ``period`` is spelled.
+        attributes.append(Attribute(source[t1].name, AttrType.DATE))
+        attributes.append(Attribute(source[t2].name, AttrType.DATE))
         for aggregate in self.aggregates:
             if aggregate.attribute is not None and not source.has(aggregate.attribute):
                 raise PlanError(

@@ -180,6 +180,7 @@ class Shell:
             for name, stats in (
                 ("plan_cache (planner)", self.tango.planner.cache.to_dict()),
                 ("shape_cache (planner)", self.tango.planner.shapes.to_dict()),
+                ("text_cache (planner)", self.tango.planner.texts.to_dict()),
                 ("prepared_plans (database)", self.tango.db.prepared.to_dict()),
                 ("kernel_code_cache (process)", kernel_cache_stats()),
             ):

@@ -56,13 +56,7 @@ def parse_temporal_query(sql: str, catalog) -> Operator:
     *catalog* is duck-typed: anything with ``schema_of(table)`` works — a
     :class:`~repro.dbms.database.MiniDB` does.
     """
-    match = _VALIDTIME_RE.match(sql)
-    if match is None:
-        raise SQLSyntaxError("temporal queries must start with VALIDTIME")
-    rest = sql[match.end():]
-    coalesced = _COALESCED_RE.match(rest)
-    if coalesced is not None:
-        rest = rest[coalesced.end():]
+    rest, coalesced = split_prefix(sql)
     statement = parse_statement(rest)
     if not isinstance(statement, SelectStmt):
         raise SQLSyntaxError("VALIDTIME applies to SELECT statements")
@@ -70,7 +64,20 @@ def parse_temporal_query(sql: str, catalog) -> Operator:
         raise SQLSyntaxError("UNION is not supported in temporal queries")
     if statement.parameters:
         raise SQLSyntaxError("bind markers (?) are not supported in temporal queries")
-    return _Builder(statement, catalog, coalesce=coalesced is not None).build()
+    return _Builder(statement, catalog, coalesce=coalesced).build()
+
+
+def split_prefix(sql: str) -> tuple[str, bool]:
+    """*sql* past its ``VALIDTIME [COALESCED]`` prefix, and whether it
+    says ``COALESCED``."""
+    match = _VALIDTIME_RE.match(sql)
+    if match is None:
+        raise SQLSyntaxError("temporal queries must start with VALIDTIME")
+    rest = sql[match.end():]
+    coalesced = _COALESCED_RE.match(rest)
+    if coalesced is not None:
+        rest = rest[coalesced.end():]
+    return rest, coalesced is not None
 
 
 class _Binding:

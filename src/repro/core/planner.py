@@ -31,6 +31,7 @@ from typing import Hashable
 from repro.algebra.operators import Operator
 from repro.algebra.pruning import prune_columns
 from repro.core.parser import parse_temporal_query
+from repro.core.texts import Lexed, Text, lex, remember
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
 from repro.lru import LRUCache
@@ -39,7 +40,7 @@ from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.physical import validate_plan
 from repro.optimizer.search import OptimizationResult, Optimizer
-from repro.optimizer.shapes import literals, spelling
+from repro.optimizer.shapes import literals, shaped, spelling
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import StatisticsCollector
 from repro.stats.selectivity import PredicateEstimator
@@ -51,25 +52,21 @@ PLAN_CACHE_SIZE = 64
 def fingerprint(query: str | Operator) -> Hashable:
     """*query*'s identity in the plan cache.
 
-    SQL text is case-folded and whitespace-collapsed *outside* single-quoted
-    string literals, so ``SELECT …`` and ``select   …`` share a plan while
-    ``WHERE Name = 'Alice'`` and ``… = 'alice'`` do not.  An operator tree
-    is its :attr:`~repro.algebra.operators.Operator.cache_key`: every field
-    of every node, a temporal operator's period and a literal's declared
-    type included — and the :func:`~repro.optimizer.shapes.spelling` of
-    each literal, which that key, comparing literals as Python values,
-    leaves out (``5`` is ``5.0`` there).  Like every name in the algebra,
-    the period is compared case-insensitively, so a tree whose period is
-    spelled ``t1``/``t2`` shares the plan of one spelled ``T1``/``T2`` and
-    its output columns are named as in that plan.
+    SQL text is whitespace-collapsed *outside* single-quoted string
+    literals, so ``SELECT  a`` and ``SELECT a`` share a plan while
+    ``WHERE Name = 'Alice'`` and ``… = 'Alice '`` do not.  Spellings are
+    kept: an alias names a result column as it is written.  An operator
+    tree is its :attr:`~repro.algebra.operators.Operator.cache_key`: every
+    field of every node, a temporal operator's period and a literal's
+    declared type included — and the
+    :func:`~repro.optimizer.shapes.spelling` of each literal, which that
+    key, comparing literals as Python values, leaves out (``5`` is ``5.0``
+    there).
     """
     if isinstance(query, str):
         parts = query.strip().rstrip(";").split("'")
-        normalized = [
-            " ".join(part.split()).lower() if index % 2 == 0 else part
-            for index, part in enumerate(parts)
-        ]
-        return "'".join(normalized)
+        parts[::2] = [" ".join(part.split()) for part in parts[::2]]
+        return "'".join(parts)
     return query.cache_key, tuple(map(spelling, literals(query)))
 
 
@@ -105,6 +102,10 @@ class Planner:
         #: :attr:`cache` these are not keyed by the epoch: every epoch's
         #: optimizer shares them.
         self.shapes = LRUCache(PLAN_CACHE_SIZE)
+        #: Temporal texts by their literal-blind tokens (DESIGN.md §12): a
+        #: text of a kept key is lexed and bound, not parsed.  Parsing reads
+        #: schemas only, so an entry lives while its tables' schemas do.
+        self.texts = LRUCache(PLAN_CACHE_SIZE)
         self.factors = factors or CostFactors()
         self.epoch = -1
         self._feedback = None  # the Learner's store (use_feedback)
@@ -169,7 +170,17 @@ class Planner:
 
     def parse(self, sql: str) -> Operator:
         """Temporal SQL → initial plan (all processing in the DBMS)."""
+        lexed, text = self._recall(sql)
+        if text is not None:
+            return text.parsed(lexed)
         return parse_temporal_query(sql, self.db)
+
+    def _recall(self, sql: str) -> tuple[Lexed | None, Text | None]:
+        """*sql* lexed, and what is kept of its literal-blind text."""
+        lexed = lex(sql)
+        if lexed is None:
+            return None, None
+        return lexed, self.texts.get(lexed.key, valid=lambda text: text.current(self.db))
 
     def cache_key(self, query: str | Operator) -> tuple[Hashable, int]:
         """Where *query*'s plan is cached during the current epoch."""
@@ -192,15 +203,26 @@ class Planner:
             cached = self.cache.get(key)
             if cached is not None:  # planned by another thread while we waited
                 return cached
+            lexed = text = None
+            initial = query
             if isinstance(query, str):
                 with tracer.span("parse", kind="phase"):
-                    initial = self.parse(query)
+                    lexed, text = self._recall(query)
+                    if text is None:
+                        initial = parse_temporal_query(query, self.db)
+            if text is not None:
+                searched = text.query(lexed)
             else:
-                initial = query
+                # What the optimizer searches from ships only the columns
+                # that are read; the unpruned plan stays the oracle
+                # (DESIGN.md §18).
+                searched = shaped(prune_columns(initial))
+                if lexed is not None:
+                    text = remember(lexed, initial, searched, self.db)
+                    if text is not None:
+                        self.texts.put(lexed.key, text)
             self.metrics.counter("optimizer_runs").inc()
-            # What the optimizer searches from ships only the columns that
-            # are read; the unpruned plan stays the oracle (DESIGN.md §18).
-            result = self.optimizer.optimize(prune_columns(initial), tracer=tracer)
+            result = self.optimizer.optimize(searched, tracer=tracer)
             validate_plan(result.plan)
             self.cache.put(key, result)
         self.metrics.histogram("memo_classes").observe(result.class_count)

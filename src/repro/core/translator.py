@@ -423,9 +423,11 @@ class _Context:
         iv = self._alias()
         arg = self._from_item(node.input)
         p = arg.rsplit(" ", 1)[1]
-        final_outputs = [f"{iv}.{g} AS {g}" for g in group]
-        final_outputs.append(f"{iv}.TS AS {t1}")
-        final_outputs.append(f"{iv}.TE AS {t2}")
+        # Named as the node's schema names them: its inputs' spellings.
+        names = node.schema.names
+        final_outputs = [f"{iv}.{g} AS {name}" for g, name in zip(group, names)]
+        final_outputs.append(f"{iv}.TS AS {names[len(group)]}")
+        final_outputs.append(f"{iv}.TE AS {names[len(group) + 1]}")
         for spec in node.aggregates:
             argument = "*" if spec.attribute is None else f"{p}.{spec.attribute}"
             final_outputs.append(f"{spec.func}({argument}) AS {spec.output_name}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -30,8 +30,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token.
 
     ``kind`` is one of ``KEYWORD``, ``IDENT``, ``NUMBER``, ``STRING``,
@@ -49,27 +48,27 @@ def tokenize(sql: str) -> list[Token]:
     """Tokenize *sql*, raising :class:`SQLSyntaxError` on junk."""
     tokens: list[Token] = []
     position = 0
-    length = len(sql)
-    while position < length:
-        match = _TOKEN_RE.match(sql, position)
-        if match is None:
-            raise SQLSyntaxError(f"unexpected character {sql[position]!r}", position)
+    for match in _TOKEN_RE.finditer(sql):
+        start = match.start()
+        if start != position:  # junk the pattern skipped to get here
+            break
         position = match.end()
         kind = match.lastgroup
-        text = match.group()
-        if kind in ("ws", "comment"):
+        if kind == "ws" or kind == "comment":
             continue
-        if kind == "hint":
-            tokens.append(Token("HINT", text[3:-2].strip().upper(), text, match.start()))
-        elif kind == "number":
-            tokens.append(Token("NUMBER", text, text, match.start()))
-        elif kind == "string":
-            tokens.append(Token("STRING", text[1:-1].replace("''", "'"), text, match.start()))
-        elif kind == "ident":
+        text = match.group()
+        if kind == "ident":
             upper = text.upper()
-            token_kind = "KEYWORD" if upper in KEYWORDS else "IDENT"
-            tokens.append(Token(token_kind, upper, text, match.start()))
+            tokens.append(Token("KEYWORD" if upper in KEYWORDS else "IDENT", upper, text, start))
+        elif kind == "op":
+            tokens.append(Token("OP", text, text, start))
+        elif kind == "number":
+            tokens.append(Token("NUMBER", text, text, start))
+        elif kind == "string":
+            tokens.append(Token("STRING", text[1:-1].replace("''", "'"), text, start))
         else:
-            tokens.append(Token("OP", text, text, match.start()))
-    tokens.append(Token("EOF", "", "", length))
+            tokens.append(Token("HINT", text[3:-2].strip().upper(), text, start))
+    if position != len(sql):
+        raise SQLSyntaxError(f"unexpected character {sql[position]!r}", position)
+    tokens.append(Token("EOF", "", "", position))
     return tokens

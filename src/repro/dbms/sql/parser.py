@@ -58,6 +58,25 @@ _TYPES = {
 }
 
 
+def number_literal(token: Token) -> Literal:
+    """A NUMBER token's literal: an int, or a float when it is spelled with
+    a fraction or an exponent."""
+    if not token.value.isdigit():
+        return Literal(float(token.value))
+    return Literal(int(token.value))
+
+
+def date_literal(token: Token) -> Literal:
+    """The literal ``DATE`` *token* spells: a day number typed DATE."""
+    try:
+        day = day_of(token.value)
+    except ValueError as error:
+        raise SQLSyntaxError(
+            f"bad date literal {token.value!r}: {error}", token.position
+        ) from None
+    return Literal(day, AttrType.DATE)
+
+
 class _Parser:
     def __init__(self, sql: str):
         self._tokens = tokenize(sql)
@@ -469,23 +488,13 @@ class _Parser:
         token = self._peek()
         if token.kind == "NUMBER":
             self._advance()
-            if not token.value.isdigit():  # a fraction or an exponent
-                return Literal(float(token.value))
-            return Literal(int(token.value))
+            return number_literal(token)
         if token.kind == "STRING":
             self._advance()
             return Literal(token.value)
         if token.kind == "KEYWORD" and token.value == "DATE":
             self._advance()
-            date_token = self._expect("STRING")
-            try:
-                day = day_of(date_token.value)
-            except ValueError as error:
-                raise SQLSyntaxError(
-                    f"bad date literal {date_token.value!r}: {error}",
-                    date_token.position,
-                ) from None
-            return Literal(day, AttrType.DATE)
+            return date_literal(self._expect("STRING"))
         if token.kind == "KEYWORD" and token.value == "NULL":
             self._advance()
             return Literal(None)

@@ -42,7 +42,7 @@ from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.memo import Element, Memo
 from repro.optimizer.physical import validate_plan
 from repro.optimizer.rules import Rule, default_rules
-from repro.optimizer.shapes import Binding, abstract, key_of
+from repro.optimizer.shapes import Binding, Shaped, holds_slot, shaped
 from repro.stats.cardinality import CardinalityEstimator
 
 Order = tuple[str, ...]
@@ -92,16 +92,31 @@ class _Choice:
 
 class _Explored:
     """What Phase 1 leaves: the explored memo, its root class and the rule
-    counts that built it.  Once kept under its shape's key it is never
-    changed again: every later query of the shape extracts from it."""
+    counts that built it — and the literal-blind half of Phase 2, filled in
+    by whichever query of the shape first asks: each class's elements per
+    location, what an element asks of its inputs under a required order,
+    and the order it delivers over its inputs' orders.  None of it reads a
+    literal or a statistic, so every later query of the shape reuses it;
+    the memo itself is never changed again."""
 
-    __slots__ = ("memo", "root", "attempts", "firings")
+    __slots__ = (
+        "memo", "root", "attempts", "firings", "candidates", "asked", "delivered", "slotted"
+    )
 
     def __init__(self, memo: Memo, root: int, attempts: int, firings: int):
         self.memo = memo
         self.root = root
         self.attempts = attempts
         self.firings = firings
+        self.candidates: dict[tuple[int, Location], list[Element]] = {}
+        #: (element, required order) -> where its inputs run and the order
+        #: asked of each, or None when it cannot deliver the order.
+        self.asked: dict[tuple[Element, Order], tuple[Location, tuple[Order, ...]] | None] = {}
+        #: (element, its inputs' delivered orders) -> its own.
+        self.delivered: dict[tuple[Element, tuple[Order, ...]], Order] = {}
+        #: Element -> whether its template holds a slot, and whether each of
+        #: its child classes' representatives does: what a binding must fill.
+        self.slotted: dict[Element, tuple[bool, tuple[bool, ...]]] = {}
 
 
 @dataclass
@@ -161,7 +176,7 @@ class Optimizer:
 
     def optimize(
         self,
-        initial_plan: Operator,
+        initial_plan: Operator | Shaped,
         required_order: Order | None = None,
         tracer: Tracer | None = None,
         share_shape: bool = True,
@@ -174,7 +189,9 @@ class Optimizer:
         overrides the constructor's for this run (one optimizer serves
         callers on several threads, each with its own tracer).  With
         ``share_shape=False`` the shape is neither looked up nor kept: a
-        re-plan's remainder scans temp tables no later query will.
+        re-plan's remainder scans temp tables no later query will.  A
+        :class:`~repro.optimizer.shapes.Shaped` query arrives taken apart
+        already (the planner's), for an optimizer with a shape cache.
         """
         tracer = tracer if tracer is not None else self.tracer
         with tracer.span("optimize", kind="phase") as span:
@@ -210,31 +227,31 @@ class Optimizer:
 
     def _search(
         self,
-        initial_plan: Operator,
+        query: Operator | Shaped,
         required_order: Order | None,
         tracer: Tracer,
         share_shape: bool = True,
     ) -> tuple[_Explored, bool, "_Extraction", Order]:
         """Phase 1 for :meth:`optimize` and :meth:`top_plans`: the explored
-        memo of *initial_plan*'s shape, whether it was kept from an earlier
-        query, an extraction that binds this query's literals back, and the
-        order contract (lower-cased once for the whole extraction)."""
-        if required_order is None:
-            required_order = guaranteed_order(initial_plan)
+        memo of *query*'s shape, whether it was kept from an earlier query,
+        an extraction that binds this query's literals back, and the order
+        contract (lower-cased once for the whole extraction)."""
         shapes = self.shapes if share_shape else None
         binding: Binding | None = None
         hit = False
         with tracer.span("explore", kind="phase") as span:
             if shapes is None:
-                explored = self._closure(initial_plan)
+                order = guaranteed_order(query) if required_order is None else required_order
+                explored = self._closure(query)
             else:
-                shape, binding = abstract(initial_plan)
-                key = key_of(shape)
-                explored = shapes.get(key)
+                if not isinstance(query, Shaped):
+                    query = shaped(query)
+                order, binding = query.order, query.binding
+                explored = shapes.get(query.key)
                 hit = explored is not None
                 if not hit:
-                    explored = self._closure(shape)
-                    shapes.put(key, explored)
+                    explored = self._closure(query.shape)
+                    shapes.put(query.key, explored)
             span.set(
                 shape="hit" if hit else "miss",
                 rule_attempts=explored.attempts,
@@ -242,7 +259,9 @@ class Optimizer:
                 classes=explored.memo.class_count,
                 elements=explored.memo.element_count,
             )
-        extraction = _Extraction(explored.memo, self.coster, binding)
+        extraction = _Extraction(explored, self.coster, binding)
+        if required_order is None:
+            required_order = order
         return explored, hit, extraction, _lower(required_order)
 
     def _closure(self, plan: Operator) -> _Explored:
@@ -329,17 +348,23 @@ class _Extraction:
     """Phase 2 over one explored memo: a dynamic program over (class,
     location, required order) cells.  Orders are lower-case throughout.
     With a *binding* the memo is a shape's, and the query's literals are
-    bound back into every tree the extraction costs or returns."""
+    bound back into every tree the extraction costs or returns.  The cells
+    and the node costs are this query's; what an element asks and delivers
+    is the shape's (:class:`_Explored`)."""
 
-    def __init__(self, memo: Memo, coster: PlanCoster, binding: Binding | None = None):
-        self.memo = memo
+    def __init__(
+        self, explored: _Explored, coster: PlanCoster, binding: Binding | None = None
+    ):
+        self.memo = explored.memo
         self.coster = coster
         self.binding = binding
         self._cells: dict[tuple, _Choice | None | object] = {}
-        self._candidates: dict[tuple[int, Location], list[Element]] = {}
         #: Element -> its node cost, and the template its plans are built from.
         self._costed: dict[Element, tuple[float, Operator]] = {}
-        self._asks: dict[Element, tuple[Location, tuple[Order, ...]] | None] = {}
+        self._candidates = explored.candidates
+        self._asked = explored.asked
+        self._delivered = explored.delivered
+        self._slotted = explored.slotted
 
     def candidates(self, class_id: int, location: Location) -> list[Element]:
         """The class's elements at *location*, in insertion order."""
@@ -376,16 +401,15 @@ class _Extraction:
 
     def element_choice(self, element: Element, required: Order) -> _Choice | None:
         template = element.template
-        asks = self._asks.get(element, _UNSEEN)
+        if (type(template), template.location) not in ALGORITHMS:
+            return None  # read per query: the table is the one place a row lives
+        key = (element, required)
+        asks = self._asked.get(key, _UNSEEN)
         if asks is _UNSEEN:
-            asks = self._asks[element] = _asks(template)
+            asks = self._asked[key] = _asks(template, required)
         if asks is None:
             return None
         location, asked = asks
-        if required:
-            asked = _asked_under(template, asked, required)
-            if asked is None:
-                return None
         child_choices: list[_Choice] = []
         for child_id, order in zip(element.children, asked):
             choice = self.best(child_id, location, order)
@@ -393,9 +417,10 @@ class _Extraction:
                 return None
             child_choices.append(choice)
 
-        delivered = _lower(
-            delivered_order(template, [choice.delivered for choice in child_choices])
-        )
+        key = (element, tuple([choice.delivered for choice in child_choices]))
+        delivered = self._delivered.get(key)
+        if delivered is None:
+            delivered = self._delivered[key] = _lower(delivered_order(template, key[1]))
         if required and delivered[: len(required)] != required:
             return None
         costed = self._costed.get(element)
@@ -413,33 +438,37 @@ class _Extraction:
         inputs = [self.memo.class_of(child).representative for child in element.children]
         binding = self.binding
         if binding is not None:
-            template = binding.template(template)
-            inputs = [binding.tree(node) for node in inputs]
+            slotted = self._slotted.get(element)
+            if slotted is None:
+                slotted = self._slotted[element] = (
+                    holds_slot(template, subtree=False),
+                    tuple(map(holds_slot, inputs)),
+                )
+            if slotted[0]:
+                template = binding.template(template)
+            inputs = [
+                binding.tree(node) if below else node for node, below in zip(inputs, slotted[1])
+            ]
         concrete = template.with_inputs(*inputs) if inputs else template
         return self.coster.node_cost(concrete), template
 
 
-def _asks(template: Operator) -> tuple[Location, tuple[Order, ...]] | None:
-    """What *template*'s algorithm asks of its inputs, whoever consumes its
-    output: where they run and the order it needs of each — or None when
-    there is no such algorithm."""
-    if (type(template), template.location) not in ALGORITHMS:
-        return None
+def _asks(
+    template: Operator, required: Order
+) -> tuple[Location, tuple[Order, ...]] | None:
+    """What *template*'s algorithm asks of its inputs when its consumer
+    requires the order *required*: where they run and the order it needs
+    of each — or None when it can never deliver *required*."""
     location = _ACROSS.get(type(template)) or template.location
-    return location, tuple(map(_lower, needed_orders(template)))
-
-
-def _asked_under(
-    template: Operator, asked: tuple[Order, ...], required: Order
-) -> tuple[Order, ...] | None:
-    """*asked* when the consumer requires the order *required*, or None if
-    *template* can never deliver it."""
+    asked = tuple(map(_lower, needed_orders(template)))
+    if not required:
+        return location, asked
     if isinstance(template, PASSES_ORDER_ON):
         pushed = _lower(source_order(template, required))
         if len(pushed) < len(required):
             return None  # a projection that computes a required column
-        return (pushed, *asked[1:])
+        return location, (pushed, *asked[1:])
     own = _lower(delivered_order(template, asked))
     if own and own[: len(required)] != required:
         return None  # sorts, groups or joins on something else
-    return asked
+    return location, asked

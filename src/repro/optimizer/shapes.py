@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_not
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.algebra.expressions import ColumnRef, Expression, Literal
-from repro.algebra.operators import Join, Operator, Project, Scan, Select
+from repro.algebra.operators import Join, Location, Operator, Project, Scan, Select
+from repro.algebra.properties import guaranteed_order
 from repro.algebra.rewrite import collect, substitute
 from repro.algebra.schema import Schema
 
@@ -122,6 +123,12 @@ class Binding:
             bound = self._trees[id(node)] = _rebuilt(node, inputs, self._fill)
         return bound
 
+    def shape(self, plan: Operator) -> Operator:
+        """*plan* with this binding's literals taken back out: the shape
+        :meth:`tree` gives *plan* back from."""
+        slots = {literal: slot for slot, literal in self.literals.items()}
+        return _substituted(plan, lambda expression: substitute(expression, slots))
+
     def _fill(self, expression: Expression) -> Expression:
         filled = self._filled.get(id(expression))
         if filled is None:
@@ -134,6 +141,18 @@ def literals(plan: Operator) -> Iterator[Literal]:
     for node in plan.walk():
         for expression in _expressions(node):
             yield from collect(expression, Literal)
+
+
+def holds_slot(plan: Operator, subtree: bool = True) -> bool:
+    """Whether *plan* (with ``subtree=False``, its node alone) holds a slot:
+    a binding gives back anything else as it is."""
+    nodes = plan.walk() if subtree else (plan,)
+    return any(
+        isinstance(literal.value, Slot)
+        for node in nodes
+        for expression in _expressions(node)
+        for literal in collect(expression, Literal)
+    )
 
 
 def spelling(literal: Literal) -> tuple[type, str]:
@@ -156,7 +175,28 @@ def abstract(plan: Operator) -> tuple[Operator, Binding | None]:
     if not slots:
         return plan, None
     binding = Binding({slot: literal for literal, slot in slots.items()})
-    return _substituted(plan, lambda expression: substitute(expression, slots)), binding
+    return binding.shape(plan), binding
+
+
+class Shaped(NamedTuple):
+    """A query as the shape cache takes it: its shape, the binding that
+    gives the query back, the shape's :func:`key_of`, and the order the
+    query guarantees (its ORDER BY)."""
+
+    shape: Operator
+    binding: Binding | None
+    key: tuple
+    order: tuple[str, ...]
+
+    @property
+    def location(self) -> Location:
+        return self.shape.location
+
+
+def shaped(plan: Operator) -> Shaped:
+    """*plan* taken apart for the shape cache."""
+    shape, binding = abstract(plan)
+    return Shaped(shape, binding, key_of(shape), guaranteed_order(plan))
 
 
 def key_of(shape: Operator) -> tuple:

@@ -138,8 +138,8 @@ class TemporalAggregateCursor(Cursor):
         source = self._input.schema
         t1, t2 = self.period
         attributes = [source[name] for name in self.group_by]
-        attributes.append(Attribute(t1, AttrType.DATE))
-        attributes.append(Attribute(t2, AttrType.DATE))
+        attributes.append(Attribute(source[t1].name, AttrType.DATE))
+        attributes.append(Attribute(source[t2].name, AttrType.DATE))
         for spec in self.aggregates:
             attributes.append(Attribute(spec.output_name, spec.output_type(source)))
         self.schema = Schema(attributes)

@@ -56,9 +56,10 @@ class TemporalJoinCursor(GeneratorCursor):
         left_keep = [a for a in self._left.schema if a.name.lower() not in skip]
         right_keep = [a for a in self._right.schema if a.name.lower() not in skip]
         combined = Schema(left_keep).concat(Schema(right_keep))
+        left = self._left.schema
         self.schema = Schema(
             list(combined)
-            + [Attribute(t1, AttrType.DATE), Attribute(t2, AttrType.DATE)]
+            + [Attribute(left[t1].name, AttrType.DATE), Attribute(left[t2].name, AttrType.DATE)]
         )
         # ``row -> tuple`` of what each side contributes to an output row.
         self._left_values = compile_row([col(a.name) for a in left_keep], self._left.schema)

@@ -68,7 +68,9 @@ class TestCacheHits:
 
     def test_whitespace_variant_hits(self, tango):
         tango.optimize(queries.query1_sql())
-        variant = "  " + queries.query1_sql().replace(" FROM ", "\n  from ")
+        # Whitespace only: a spelling names what it names (an alias, a
+        # result column), so a text spelled otherwise is planned apart.
+        variant = "  " + queries.query1_sql().replace(" FROM ", "\n  FROM ")
         tango.optimize(variant)
         assert tango.metrics.value("plan_cache_hits") == 1
         assert tango.metrics.value("optimizer_runs") == 1

@@ -11,20 +11,25 @@ counts, rule attempts and firings, and the ``top_plans`` list.
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.algebra.expressions import Literal
 from repro.algebra.operators import Join, Project, Select
 from repro.algebra.pruning import prune_columns
 from repro.algebra.rewrite import collect, transform
+from repro.core.parser import parse_temporal_query
+from repro.core.planner import Planner
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, ReproError
 from repro.fuzz.generator import QueryGenerator
 from repro.fuzz.oracle import build_estimator
 from repro.lru import LRUCache
 from repro.optimizer.search import Optimizer
-from repro.optimizer.shapes import abstract
+from repro.optimizer.shapes import abstract, literals, spelling
 from repro.stats.cardinality import CardinalityEstimator
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
@@ -227,3 +232,131 @@ def test_a_table_created_again_with_other_columns_is_another_shape():
         result = tango.query(sql.format(0))
         assert result.schema.names == ("K", "W", "T1", "T2")
         assert result.rows == [(1, "x", 2, 20)]
+
+
+# -- the text cache: a lexed text against a parsed one -----------------------------------
+
+#: The literal spellings a text draws from, by class: a hole keeps its class
+#: across a skeleton's texts, so most of them share a literal-blind key.
+#: The pools are small, so equal literals recur and ``5`` meets ``5.0``.
+CLASSES = {
+    "n": [
+        ["0", "1", "2", "5", "007"],
+        ["5.0", "2.0", "1.0", "0.5"],
+        ["1e3", "2.5E-1", "5e0", "2E0"],
+        ["-5", "-0", "-2.5"],  # a unary minus: parsed every time
+    ],
+    "s": [["'a'", "'A'", "'it''s'", "''", "'a b'"]],
+    "d": [["DATE '1996-01-01'", "DATE '1995-06-15'", "DATE '1996-1-1'"]],
+}
+HOLE = re.compile(r"\{([nsd])\}")
+#: Names a text may spell in another case: aliases name result columns as
+#: written, columns resolve whatever the case.  (The table is spelled once
+#: per skeleton: the shape cache, like the memo, compares a scan's table
+#: case-insensitively, so a plan names it as the first text of its shape did.)
+NAMES = re.compile(r"\b(Num|Lbl|Name|Top|y|K)\b")
+
+CONDITIONS = [
+    "K > {n}", "V <= {n}", "{n} < K", "K = {n}", "S = {s}", "s <> {s}", "T1 < {d}",
+    "K IN ({n}, {n})", "V BETWEEN {n} AND {n}", "S IS NULL", "S IS NOT NULL",
+    "K + {n} > V", "{s} = {s}",
+]
+ITEMS = ["K", "V", "S", "K + {n} AS X", "{s} AS Lbl", "S AS Name", "V * {n} AS y"]
+AGGREGATES = ["K, COUNT(K) AS Num", "K, COUNT(V) AS Num", "K, SUM(V)", "K, MAX(v) AS Top"]
+
+
+@st.composite
+def texts(draw) -> list[str]:
+    """Three texts of one skeleton, each hole filled afresh and each name
+    spelled in a case of its own."""
+    coalesced = draw(st.sampled_from(["", "COALESCED "]))
+    conditions = draw(st.lists(st.sampled_from(CONDITIONS), max_size=3))
+    where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
+    if draw(st.booleans()):
+        items = draw(st.sampled_from(AGGREGATES))
+        tail = " GROUP BY K" + draw(st.sampled_from(["", " ORDER BY K"]))
+    else:
+        items = ", ".join(draw(st.lists(st.sampled_from(ITEMS), min_size=1, max_size=3)))
+        tail = draw(st.sampled_from(["", " ORDER BY K"]))
+    table = draw(st.sampled_from(["R", "r"]))
+    skeleton = f"VALIDTIME {coalesced}SELECT {items} FROM {table}{where}{tail}"
+    pools = [draw(st.sampled_from(CLASSES[hole])) for hole in HOLE.findall(skeleton)]
+    names = sorted(set(NAMES.findall(skeleton)))
+    filled = []
+    for _ in range(3):
+        spelled = iter([draw(st.sampled_from(pool)) for pool in pools])
+        text = skeleton
+        if draw(st.sampled_from([False, False, True])):
+            cases = {name: draw(st.sampled_from([name.upper(), name.lower()])) for name in names}
+            text = NAMES.sub(lambda match: cases[match.group()], text)
+        filled.append(HOLE.sub(lambda match: next(spelled), text))
+    return filled
+
+
+@pytest.fixture(scope="module")
+def text_db() -> MiniDB:
+    db = MiniDB()
+    db.execute("CREATE TABLE R (K INT, V FLOAT, S VARCHAR(8), T1 DATE, T2 DATE)")
+    db.execute("INSERT INTO R VALUES (1, 2.5, 'a', 2, 20), (2, 5.0, 'b', 5, 25), (3, 1.0, 'A', 1, 9)")
+    db.analyze("R")
+    return db
+
+
+def parsed(parse, text: str) -> tuple:
+    """All a caller reads of *text*'s initial plan, or the error."""
+    try:
+        plan = parse(text)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return plan.pretty(), repr(plan.cache_key), [spelling(lit) for lit in literals(plan)]
+
+
+def planned(planner: Planner, text: str) -> tuple:
+    """All a caller reads of planning *text*, or the error.  The algebra
+    compares names case-insensitively, and a kept shape spells a table or a
+    column in a predicate as the first query of the shape did: the plan's
+    text is compared so, its result columns exactly."""
+    try:
+        result = planner.plan(text)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    plan = result.plan
+    return (
+        plan.pretty().lower(),
+        plan.cache_key,
+        [spelling(lit) for lit in literals(plan)],
+        plan.schema.names,
+        repr(result.cost),
+        result.class_count,
+        result.element_count,
+        result.rule_attempts,
+        result.rule_firings,
+    )
+
+
+MIXED = "VALIDTIME SELECT K FROM R WHERE K > {} AND V < {}"
+ALIASED = "VALIDTIME SELECT S AS {} FROM R WHERE S = {} AND T1 < DATE {}"
+LISTED = "VALIDTIME COALESCED SELECT K FROM R WHERE K IN ({}, {}) AND V BETWEEN {} AND {}"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=texts())
+@example(data=[MIXED.format(5, "5.0"), MIXED.format(2, "2.0"), MIXED.format(2, "5.0")])
+@example(data=[
+    ALIASED.format("Name", "'it''s'", "'1996-01-01'"),
+    ALIASED.format("NAME", "'a'", "'1995-06-15'"),
+    ALIASED.format("Name", "''", "'1995-06-15'"),
+])
+@example(data=[
+    LISTED.format(1, 2, "0.5", "2.0"),
+    LISTED.format(2, 2, "2.0", "2.0"),
+    LISTED.format(3, 4, "1e3", "5e0"),
+])
+def test_a_lexed_text_is_what_parsing_it_gives(text_db, data):
+    config = TangoConfig()
+    planner = Planner(text_db, config)
+    for text in data:
+        assert planned(planner, text) == planned(Planner(text_db, config), text), text
+        assert parsed(planner.parse, text) == parsed(
+            lambda sql: parse_temporal_query(sql, text_db), text
+        ), text

@@ -127,9 +127,14 @@ class TestShell:
         text = out.getvalue()
         # One line per cache, the statement cache being the prepared plans.
         caches = [row.split()[0] for row in text.splitlines() if "size=" in row]
-        assert caches == ["plan_cache", "shape_cache", "prepared_plans", "kernel_code_cache"]
+        assert caches == [
+            "plan_cache", "shape_cache", "text_cache", "prepared_plans", "kernel_code_cache"
+        ]
         line = next(row for row in text.splitlines() if "plan_cache (planner)" in row)
         assert "hits=1" in line and "misses=1" in line and "size=1/64" in line
+        # The text was lexed and kept once; the plan cache served the rerun.
+        line = next(row for row in text.splitlines() if "text_cache (planner)" in row)
+        assert "hits=0" in line and "misses=1" in line and "size=1/64" in line
         assert "statement_cache" not in text
 
     def test_metrics_meta_reports_the_prepared_plans(self, shell):

@@ -11,10 +11,12 @@ from tests.conftest import make_figure3_db
 
 
 class TestFingerprint:
-    def test_whitespace_and_case_insensitive(self):
+    def test_whitespace_insensitive_spelling_kept(self):
         assert fingerprint("SELECT  *\n FROM   POSITION") == fingerprint(
-            "select * from position"
+            "SELECT * FROM POSITION"
         )
+        # An alias names a result column as it is spelled.
+        assert fingerprint("SELECT A AS Num FROM T") != fingerprint("SELECT A AS NUM FROM T")
 
     def test_trailing_semicolon_ignored(self):
         assert fingerprint("SELECT 1;") == fingerprint("SELECT 1")

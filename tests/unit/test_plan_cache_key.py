@@ -6,6 +6,11 @@ type: a second tree differing from a cached one only there was answered
 with the first tree's plan.  The key is the tree's ``cache_key`` now, and
 that key must also tell apart literals Python calls equal (``5`` and
 ``5.0``, ``0.0`` and ``-0.0``).
+
+A text is keyed as it is spelled, whitespace aside: the key once folded
+case, and an alias names its result column as written.  A period is still
+compared case-insensitively, and may be: a temporal operator names its
+output period after its input's columns, however ``period`` is spelled.
 """
 
 import pytest
@@ -86,3 +91,24 @@ def test_the_period_moves_the_answer(periods_db):
         assert tango.submit(taggr(periods_db)).result().rows[0] == (1, 0, 3, 1)
         moved = tango.submit(taggr(periods_db, period=("S1", "S2"))).result()
         assert moved.rows[0] == (1, 100, 101, 1)
+
+
+def test_an_alias_is_answered_as_it_is_spelled(figure3_db):
+    sql = "VALIDTIME SELECT PosID, COUNT(PosID) AS {} FROM POSITION GROUP BY PosID"
+    with Tango(figure3_db) as fresh:
+        expected = answer(fresh.query(sql.format("NUM")))
+    with Tango(figure3_db) as tango:
+        assert tango.query(sql.format("Num")).schema.names[-1] == "Num"
+        assert answer(tango.query(sql.format("NUM"))) == expected
+
+
+@pytest.mark.parametrize("build", [taggr, tjoin], ids=["TAGGR", "TJOIN"])
+def test_a_period_spelled_otherwise_is_answered_as_by_a_fresh_tango(periods_db, build):
+    first, second = build(periods_db, period=("S1", "S2")), build(periods_db, period=("s1", "s2"))
+    with Tango(periods_db) as fresh:
+        expected = answer(fresh.submit(second).result())
+    with Tango(periods_db) as tango:
+        tango.submit(first).result()
+        assert answer(tango.submit(second).result()) == expected
+        assert tango.metrics.value("plan_cache_hits") == 1
+    assert "'S1'" in expected and "'s1'" not in expected
