@@ -36,10 +36,6 @@ class TangoConfig:
     #: translate → execute, with per-cursor cardinalities and transfer
     #: timings; per-call wall times are the EXPLAIN ANALYZE path).
     tracing: bool = False
-    #: Rows per ``next_batch`` through the whole execution pipeline
-    #: (TRANSFER^M fetchmany size, TRANSFER^D executemany chunk, engine
-    #: drain).  1 degenerates to the paper's row-at-a-time protocol.
-    batch_size: int = 256
     #: How transient DBMS failures inside the transfer operators are
     #: retried (capped exponential backoff, per-query budget).
     retry: RetryPolicy = RetryPolicy()

@@ -5,8 +5,9 @@ plan, call ``init()`` on each in sequence, then drain the last one —
 pipelined execution where earlier ``TRANSFER^D`` steps have materialized
 their temp tables by the time later ``TRANSFER^M`` SQL references them.
 The drain is *batched*: the output cursor is pulled through
-``next_batch(batch_size)`` so the engine pays one dispatch per batch, not
-per row (row-at-a-time degenerates out of ``batch_size=1``).
+``next_batch(batch_size)`` — :data:`~repro.xxl.cursor.BATCH_SIZE` rows
+unless a test shrank the output cursor's — so the engine pays one dispatch
+per batch, not per row.
 
 Cleanup is unconditional: whatever a step raises — during ``init``, the
 drain, or ``close`` — every step is closed and every ``TRANSFER^D`` temp
@@ -142,8 +143,8 @@ class ExecutionEngine:
     ) -> ExecutionOutcome:
         """Figure 2's ExecuteQuery: init every result set, drain the last.
 
-        The drain pulls the output cursor's own (plan-compiled) batch size
-        per ``next_batch``.  *metrics*, when given, receives the
+        The drain pulls the output cursor's ``batch_size`` rows per
+        ``next_batch``.  *metrics*, when given, receives the
         ``batches_produced`` counter, the ``rows_per_batch`` histogram and
         the exchange bookkeeping.  *deadline_seconds*
         bounds the execution's wall time, checked at batch boundaries (step
@@ -218,7 +219,7 @@ class ExecutionEngine:
                                 decision, tuple(completed)
                             )
             output = plan.output
-            size = max(1, output.batch_size)
+            size = output.batch_size
             fill = metrics.histogram("rows_per_batch") if metrics is not None else None
             while True:
                 check_interrupts()

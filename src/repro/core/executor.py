@@ -99,7 +99,7 @@ class QueryResult:
 class Executor:
     """Runs queries on one thread, over one connection.
 
-    *config* supplies ``tracing``, ``batch_size``, ``retry``,
+    *config* supplies ``tracing``, ``retry``,
     ``deadline_seconds``, ``fallback``, ``workers`` and
     ``reoptimize_threshold``.  *pool* is where partition fan-out draws its
     extra connections (``workers > 1``); the caller owns *connection* and
@@ -320,7 +320,6 @@ class Executor:
             self.connection,
             self.middleware_meter,
             self.translator,
-            batch_size=self.config.batch_size,
             retry=retry,
             parallel=context,
         )

@@ -60,8 +60,14 @@ def parse_temporal_query(sql: str, catalog) -> Operator:
     statement = parse_statement(rest)
     if not isinstance(statement, SelectStmt):
         raise SQLSyntaxError("VALIDTIME applies to SELECT statements")
-    if statement.unions:
-        raise SQLSyntaxError("UNION is not supported in temporal queries")
+    for clause, present in (
+        ("UNION", statement.unions),
+        ("SELECT DISTINCT", statement.distinct),
+        ("HAVING", statement.having is not None),
+        ("LIMIT", statement.limit is not None),
+    ):
+        if present:
+            raise SQLSyntaxError(f"{clause} is not supported in temporal queries")
     if statement.parameters:
         raise SQLSyntaxError("bind markers (?) are not supported in temporal queries")
     return _Builder(statement, catalog, coalesce=coalesced).build()
@@ -351,6 +357,10 @@ class _Builder:
                     "temporal aggregates cannot be nested in expressions"
                 )
             call = calls[0]
+            if call.distinct:
+                raise SQLSyntaxError(
+                    "DISTINCT inside a temporal aggregate is not supported"
+                )
             argument = None
             if call.argument is not None:
                 resolved = self._resolve(call.argument, self._bindings)

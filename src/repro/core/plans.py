@@ -30,7 +30,7 @@ from repro.errors import PlanError
 from repro.optimizer.algorithms import algorithm_for
 from repro.xxl import Cursor, ExchangeCursor, SQLCursor, TransferDCursor
 from repro.xxl.sources import PooledSQLCursor
-from repro.xxl.transfer import DEFAULT_LOAD_CHUNK, unique_temp_name
+from repro.xxl.transfer import unique_temp_name
 
 
 @dataclass
@@ -62,7 +62,6 @@ def compile_plan(
     connection,
     meter: CostMeter | None = None,
     translator: SQLTranslator | None = None,
-    batch_size: int | None = None,
     retry=None,
     parallel=None,
 ) -> ExecutionPlan:
@@ -72,10 +71,7 @@ def compile_plan(
     the result in the middleware).  Every created cursor is stamped with
     the plan node it implements (a ``T^M``'s SQL cursor with the
     ``TransferM`` node covering its DBMS region) — what EXPLAIN ANALYZE, the
-    feedback loops and the re-plan probe lay actuals against — and with
-    *batch_size* (``TangoConfig.batch_size``), so the whole pipeline —
-    including ``TRANSFER^D`` load chunking — moves rows in batches of that
-    size.  *retry* (a
+    feedback loops and the re-plan probe lay actuals against.  *retry* (a
     :class:`~repro.resilience.retry.RetryState`, the per-query retry
     budget) is handed to every transfer cursor so DBMS calls are retried
     under the configured policy.  *parallel* (a
@@ -93,7 +89,6 @@ def compile_plan(
         connection,
         meter,
         translator or SQLTranslator(),
-        batch_size,
         retry,
         parallel,
     )
@@ -110,14 +105,12 @@ class _Compiler:
         connection,
         meter: CostMeter | None,
         translator: SQLTranslator,
-        batch_size: int | None = None,
         retry=None,
         parallel=None,
     ):
         self._connection = connection
         self._meter = meter
         self._translator = translator
-        self._batch_size = max(1, batch_size) if batch_size is not None else None
         self._retry = retry
         self._parallel = parallel
         #: Steps that must be initialized before the output cursor, in order.
@@ -128,8 +121,6 @@ class _Compiler:
 
     def _register(self, cursor: Cursor, node: Operator) -> Cursor:
         cursor.node = node
-        if self._batch_size is not None:
-            cursor.batch_size = self._batch_size
         return cursor
 
     def build_root(self, node: Operator) -> Cursor:
@@ -242,9 +233,6 @@ class _Compiler:
                     self._connection,
                     table_name,
                     order=tuple(guaranteed_order(node.input)),
-                    chunk_size=self._batch_size
-                    if self._batch_size is not None
-                    else DEFAULT_LOAD_CHUNK,
                     retry=self._retry,
                     # Overlap executemany of chunk k with production of
                     # chunk k+1 whenever the session opted into parallelism.

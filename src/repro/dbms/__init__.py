@@ -24,7 +24,6 @@ from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection, Cursor
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.loader import DirectPathLoader
-from repro.dbms.persistence import load_database, save_database
 
 __all__ = [
     "MiniDB",
@@ -32,6 +31,4 @@ __all__ = [
     "Cursor",
     "CostMeter",
     "DirectPathLoader",
-    "save_database",
-    "load_database",
 ]

@@ -329,7 +329,7 @@ class Connection:
         analogue, riding the direct-path loader.
 
         ``TRANSFER^D`` calls this once per chunk so a load of N rows costs
-        N/chunk_size round trips instead of N.  Creates the table on first
+        N/batch_size round trips instead of N.  Creates the table on first
         use when :meth:`create_temp` was not called explicitly.
         """
         if self._closed:

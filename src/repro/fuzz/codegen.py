@@ -167,7 +167,7 @@ def rows_to_code(rows: list[tuple]) -> str:
 
 def config_to_code(config) -> str:
     text = (
-        f"ExecConfig(workers={config.workers}, batch_size={config.batch_size}, "
+        f"ExecConfig(workers={config.workers}, "
         f"chaos={config.chaos}, chaos_p={config.chaos_p}, "
         f"chaos_seed={config.chaos_seed}"
     )

@@ -13,7 +13,7 @@ under the default configuration, then executes *alternatives* against it:
 * the cheapest plan found from the initial plan as ``Planner.plan`` prunes
   it (:func:`~repro.algebra.pruning.prune_columns`) — held, like every
   alternative, to the rows of the plan the pass never saw;
-* the baseline plan itself re-run across a worker/batch-size/chaos
+* the baseline plan itself re-run across a worker/chaos/adaptive
   configuration matrix.
 
 Every execution is checked three ways:
@@ -55,6 +55,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.collector import StatisticsCollector
 from repro.stats.selectivity import PredicateEstimator
+from repro.xxl.transfer import TEMP_TABLE_PREFIX
 
 #: Retry policy for chaos executions: generous attempts, no sleeping —
 #: chaos runs prove equivalence under faults, not backoff behavior.
@@ -64,7 +65,6 @@ CHAOS_RETRY = RetryPolicy(
 
 #: The configuration matrix the oracle samples (Section 6's knobs).
 WORKER_CHOICES = (1, 2, 4)
-BATCH_CHOICES = (1, 7, 256)
 #: Adaptive execution crossed into the matrix: cardinality learning plus
 #: mid-query re-optimization at materialization points — re-optimized
 #: plans must stay plan-equivalent and leak no temp tables across the
@@ -82,7 +82,6 @@ class ExecConfig:
     """One execution configuration an alternative runs under."""
 
     workers: int = 1
-    batch_size: int = 256
     chaos: bool = False
     chaos_p: float = 0.1
     chaos_seed: int = 0
@@ -93,7 +92,6 @@ class ExecConfig:
         retry = CHAOS_RETRY if self.chaos else RetryPolicy()
         return TangoConfig(
             workers=self.workers,
-            batch_size=self.batch_size,
             retry=retry,
             tracing=self.tracing,
             fallback=False,
@@ -396,18 +394,16 @@ class Oracle:
         matrix = [
             ExecConfig(
                 workers=workers,
-                batch_size=batch,
                 chaos=chaos,
                 chaos_seed=rng.randrange(2**31) if chaos else 0,
                 adaptive=adaptive,
             )
-            for workers, batch, chaos, adaptive in itertools.product(
+            for workers, chaos, adaptive in itertools.product(
                 WORKER_CHOICES,
-                BATCH_CHOICES,
                 (False, True),
                 adaptive_choices,
             )
-            if (workers, batch, chaos, adaptive) != (1, 256, False, False)
+            if (workers, chaos, adaptive) != (1, False, False)
         ]
         for config in rng.sample(matrix, k=min(self.config_samples, len(matrix))):
             yield ("baseline",), baseline_plan, config
@@ -457,7 +453,7 @@ class Oracle:
         leaked = [
             name
             for name in db.list_tables()
-            if name.upper().startswith("TANGO_TMP")
+            if name.upper().startswith(TEMP_TABLE_PREFIX)
         ]
         return _ExecutionOutcome(
             result=result,

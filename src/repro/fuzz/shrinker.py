@@ -197,7 +197,6 @@ class Shrinker:
         for single_knob in (
             replace(config, chaos=False, chaos_seed=0),
             replace(config, workers=1),
-            replace(config, batch_size=256),
             replace(config, adaptive=False),
         ):
             if single_knob != config and single_knob not in candidates:

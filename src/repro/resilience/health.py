@@ -52,14 +52,18 @@ class HealthPolicy:
     the backend on anecdote.  ``sick_ratio``/``degraded_ratio`` are
     thresholds on the *bad fraction* of the window, where hard failures
     (retry exhaustion, connection drop, deadline) count fully and
-    fallback-rescued queries count ``fallback_weight``.
+    fallback-rescued queries count :data:`FALLBACK_WEIGHT`.
     """
 
     window_seconds: float = 30.0
     min_samples: int = 5
     sick_ratio: float = 0.5
     degraded_ratio: float = 0.2
-    fallback_weight: float = 0.5
+
+
+#: The badness of a query rescued by the all-DBMS fallback plan: half a
+#: hard failure.
+FALLBACK_WEIGHT = 0.5
 
 
 #: Error types the resilience layer treats as "the backend is struggling".
@@ -88,7 +92,7 @@ class HealthMonitor:
 
     def record_degraded(self) -> None:
         """A query succeeded, but only through the fallback plan."""
-        self._record(self.policy.fallback_weight)
+        self._record(FALLBACK_WEIGHT)
 
     def record_failure(self) -> None:
         """A query failed with a backend-sickness error."""

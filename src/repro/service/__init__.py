@@ -4,7 +4,7 @@ The paper positions TANGO as *middleware* between many clients and a
 DBMS; this package is the serving layer that makes that literal.  A
 :class:`QueryService` admits up to N concurrent queries over a shared
 :class:`~repro.dbms.jdbc.ConnectionPool`, schedules them fair-share
-across weighted tenants (per-tenant quotas, bounded admission queue),
+across weighted tenants (bounded admission queue, per-tenant queue limits),
 and sheds load when the resilience layer's health classification
 (:class:`~repro.resilience.health.HealthMonitor`) says the backend is
 sick.

@@ -59,14 +59,8 @@ class _TenantState:
         self.dispatched = 0
         self.sheds = 0
 
-    @property
-    def quota(self) -> int | None:
-        return self.spec.max_in_flight
-
     def runnable(self) -> bool:
-        return self.queued > 0 and (
-            self.quota is None or self.in_flight < self.quota
-        )
+        return self.queued > 0
 
 
 class FairShareScheduler:
@@ -182,7 +176,7 @@ class FairShareScheduler:
             self._queued_total -= 1
 
     def task_done(self, tenant_name: str) -> None:
-        """Return the dispatch slot and the tenant's quota unit."""
+        """Return the dispatch slot and the tenant's in-flight unit."""
         with self._wakeup:
             tenant = self._tenants.get(tenant_name)
             if tenant is not None and tenant.in_flight > 0:

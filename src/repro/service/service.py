@@ -23,7 +23,7 @@ Workers record every outcome into the health monitor — that is the
 cross-layer loop: retry exhaustion and deadline classification computed
 by the resilience layer during execution become the admission-control
 signal for the *next* submission.  While DEGRADED, dispatch concurrency
-shrinks (``degraded_concurrency_factor``); while SICK, new load is shed
+shrinks (by :data:`DEGRADED_CONCURRENCY_FACTOR`); while SICK, new load is shed
 and the backlog drains one query at a time.
 """
 
@@ -45,6 +45,11 @@ from repro.resilience.health import BackendState, HealthMonitor
 from repro.service.config import ServiceConfig
 from repro.service.handle import HandleState, QueryHandle
 from repro.service.scheduler import FairShareScheduler
+
+#: Concurrency multiplier while the backend classifies DEGRADED —
+#: deferring load instead of piling it onto a struggling DBMS.  SICK
+#: drains one query at a time.
+DEGRADED_CONCURRENCY_FACTOR = 0.5
 
 
 class QueryService:
@@ -118,10 +123,7 @@ class QueryService:
         if self._closed:
             raise DatabaseError("this QueryService is closed")
         self.metrics.counter("service_submitted_total").inc()
-        if (
-            self.config.shed_when_sick
-            and self.health.classify() is BackendState.SICK
-        ):
+        if self.health.classify() is BackendState.SICK:
             self._count_shed(tenant, "service_shed_sick_total")
             raise BackendSickError(
                 "admission control is shedding load: the backend's recent "
@@ -166,11 +168,7 @@ class QueryService:
             return 1
         if state is BackendState.DEGRADED:
             return max(
-                1,
-                int(
-                    self.config.max_concurrency
-                    * self.config.degraded_concurrency_factor
-                ),
+                1, int(self.config.max_concurrency * DEGRADED_CONCURRENCY_FACTOR)
             )
         return self.config.max_concurrency
 

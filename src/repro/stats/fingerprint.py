@@ -28,11 +28,7 @@ from repro.algebra.operators import (
     TransferD,
     TransferM,
 )
-
-#: Temp tables (TRANSFER^D materializations) are execution artifacts; their
-#: subtrees never get a fingerprint — a learned cardinality keyed on a
-#: throwaway table name could never be recalled.
-TEMP_TABLE_PREFIX = "tango_tmp"
+from repro.xxl.transfer import TEMP_TABLE_PREFIX
 
 
 def qerror(estimated: float, actual: float) -> float:
@@ -54,15 +50,16 @@ def plan_fingerprint(plan: Operator) -> str | None:
     conjuncts are sorted on their SQL text, and join sides are ordered
     canonically — so predicate reordering, commuted joins, and every
     location assignment of the same logical subtree share one entry.
-    Subtrees that scan a ``TANGO_TMP`` materialization return None.
+    Subtrees that scan a ``TANGO_TMP`` materialization return None: temp
+    tables are execution artifacts, and a learned cardinality keyed on a
+    throwaway table name could never be recalled.
     """
     if isinstance(plan, (Sort, Project, TransferM, TransferD)):
         return plan_fingerprint(plan.inputs[0])
     if isinstance(plan, Scan):
-        table = plan.table.lower()
-        if table.startswith(TEMP_TABLE_PREFIX):
+        if plan.table.upper().startswith(TEMP_TABLE_PREFIX):
             return None
-        return f"scan:{table}"
+        return f"scan:{plan.table.lower()}"
     inputs = [plan_fingerprint(child) for child in plan.inputs]
     if any(child is None for child in inputs):
         return None

@@ -19,7 +19,7 @@ All middleware algorithms are order preserving (Section 4) — a fact the
 optimizer's list-equivalence rules rely on.
 """
 
-from repro.xxl.cursor import BatchReader, Cursor, DEFAULT_BATCH_SIZE, materialize, walk
+from repro.xxl.cursor import BATCH_SIZE, BatchReader, Cursor, materialize, walk
 from repro.xxl.exchange import ExchangeCursor, PartitionSpec
 from repro.xxl.sources import PooledSQLCursor, RelationCursor, SQLCursor
 from repro.xxl.filter import FilterCursor
@@ -36,7 +36,7 @@ from repro.xxl.difference import DifferenceCursor
 __all__ = [
     "BatchReader",
     "Cursor",
-    "DEFAULT_BATCH_SIZE",
+    "BATCH_SIZE",
     "materialize",
     "walk",
     "ExchangeCursor",

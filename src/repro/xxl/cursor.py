@@ -15,7 +15,7 @@ Everything a consumer sees is layered on that one hook by the base class:
 ``has_next()``/``next()`` and ``for row in cursor`` are a small adapter that
 pulls ``_next_batch(1)`` into the shared look-ahead buffer.  All faces drain
 that buffer first, so they may be mixed freely on one cursor without
-dropping or reordering a row, and ``batch_size=1`` degenerates to the
+dropping or reordering a row, and a batch size of 1 degenerates to the
 paper's row-at-a-time execution.
 
 A cursor also *describes itself* — four facts every consumer (span tree,
@@ -36,8 +36,9 @@ from typing import Iterable, Iterator
 from repro.algebra.schema import Schema
 from repro.errors import ExecutionError
 
-#: Default rows per batch (TangoConfig.batch_size overrides per query).
-DEFAULT_BATCH_SIZE = 256
+#: Rows per batch: every pull, the engine drain and every ``TRANSFER^D``
+#: load chunk.
+BATCH_SIZE = 256
 
 
 class Cursor:
@@ -49,9 +50,10 @@ class Cursor:
     generator.
     """
 
-    #: Rows pulled per internal batch; plan compilation overrides this
-    #: per instance from ``TangoConfig.batch_size``.
-    batch_size: int = DEFAULT_BATCH_SIZE
+    #: Rows pulled per internal batch.  Nothing in the middleware assigns
+    #: it; a test may shrink it on one instance (1 is the paper's
+    #: row-at-a-time protocol).
+    batch_size: int = BATCH_SIZE
     #: The Figure 5 label of the algorithm; every concrete class sets it.
     algorithm: str = ""
     #: The span kind this cursor reports under.

@@ -66,7 +66,6 @@ class SQLCursor(TransferMixin, Cursor):
         self,
         connection,
         sql: str,
-        prefetch: int | None = None,
         retry=None,
         binds: Sequence[object] = (),
     ):
@@ -74,7 +73,6 @@ class SQLCursor(TransferMixin, Cursor):
         self._sql = sql
         self._binds = binds
         self._text: str | None = None
-        self._prefetch = prefetch
         self._retry = retry
         self._cursor = None
         #: Wall-clock seconds spent fetching rows from the DBMS — the
@@ -121,7 +119,7 @@ class SQLCursor(TransferMixin, Cursor):
     def _open(self) -> None:
         begin = time.perf_counter()
         self._cursor = self._call_dbms(
-            lambda: self._connection.cursor(self._prefetch).execute(self._sql, self._binds),
+            lambda: self._connection.cursor().execute(self._sql, self._binds),
             "transfer_m.execute",
         )
         self.fetch_seconds += time.perf_counter() - begin
@@ -159,11 +157,10 @@ class PooledSQLCursor(SQLCursor):
         self,
         pool,
         sql: str,
-        prefetch: int | None = None,
         retry=None,
         binds: Sequence[object] = (),
     ):
-        super().__init__(None, sql, prefetch=prefetch, retry=retry, binds=binds)
+        super().__init__(None, sql, retry=retry, binds=binds)
         self._pool = pool
 
     def _open(self) -> None:

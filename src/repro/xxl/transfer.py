@@ -9,7 +9,7 @@ gates the algorithms that follow it in the execution-ready plan.
 The load is *chunked*: the input is drained through ``next_batch`` and each
 chunk goes down through the connection's ``executemany`` (the JDBC
 addBatch/executeBatch analogue riding the direct-path loader), so the
-middleware never materializes more than ``chunk_size`` rows of the input at
+middleware never materializes more than ``batch_size`` rows of the input at
 once and pays one call per chunk rather than per row.
 
 (The companion ``TRANSFER^M`` algorithm is
@@ -32,8 +32,9 @@ _SEQUENCE_LOCK = threading.Lock()
 _ISSUED: dict[str, int] = {}
 _FREE: dict[str, list[int]] = {}
 
-#: Rows per executemany chunk when the plan does not say otherwise.
-DEFAULT_LOAD_CHUNK = 1024
+#: The name prefix of every ``TRANSFER^D`` temp table (matched
+#: case-insensitively wherever a table name is tested for it).
+TEMP_TABLE_PREFIX = "TANGO_TMP"
 
 #: Chunks buffered between producer and loader in a pipelined load.
 _PIPELINE_DEPTH = 2
@@ -78,7 +79,7 @@ class TransferMixin:
         return measured
 
 
-def unique_temp_name(prefix: str = "TANGO_TMP") -> str:
+def unique_temp_name(prefix: str = TEMP_TABLE_PREFIX) -> str:
     """A temp-table name no live table has: ``prefix_pid_n``.
 
     *n* is the lowest slot of *prefix* not in use, taken under a lock: a
@@ -114,7 +115,7 @@ class TransferDCursor(TransferMixin, Cursor):
     """Drains its input into a new DBMS table on ``init()``.
 
     ``order`` declares the sort order the input is known to arrive in, which
-    is recorded as the new table's clustered order.  ``chunk_size`` bounds
+    is recorded as the new table's clustered order.  ``batch_size`` bounds
     the rows per ``executemany`` round trip (and the middleware-side
     buffering).
     """
@@ -127,7 +128,6 @@ class TransferDCursor(TransferMixin, Cursor):
         connection,
         table_name: str | None = None,
         order: tuple[str, ...] = (),
-        chunk_size: int = DEFAULT_LOAD_CHUNK,
         retry=None,
         pipelined: bool = False,
     ):
@@ -136,7 +136,6 @@ class TransferDCursor(TransferMixin, Cursor):
         self._connection = connection
         self.table_name = table_name or unique_temp_name()
         self._order = order
-        self.chunk_size = max(1, chunk_size)
         self._retry = retry
         #: Double-buffered load: ``executemany`` of chunk *k* on a loader
         #: thread overlaps production of chunk *k+1* on this one.
@@ -190,7 +189,7 @@ class TransferDCursor(TransferMixin, Cursor):
         while True:
             # Input production is middleware work and stays outside
             # load_seconds — the Section 7 signal times only the DBMS side.
-            chunk = self._input.next_batch(self.chunk_size)
+            chunk = self._input.next_batch(self.batch_size)
             if not chunk:
                 break
             self._load_chunk(chunk)
@@ -221,7 +220,7 @@ class TransferDCursor(TransferMixin, Cursor):
         loader.start()
         try:
             while not failed:
-                chunk = self._input.next_batch(self.chunk_size)
+                chunk = self._input.next_batch(self.batch_size)
                 if not chunk:
                     break
                 while not failed:

@@ -31,6 +31,8 @@ from repro.workloads.generator import (
     generate_relation_rows,
 )
 from repro.algebra.schema import AttrType
+from repro.core.tango import Tango
+from repro.xxl.cursor import walk
 
 
 def _simple_case() -> FuzzCase:
@@ -87,10 +89,16 @@ def test_chaos_execution_matches_clean_execution():
 def test_batch_size_one_matches_default():
     case = _simple_case()
     default = execute_with_config(case.build_db(), case.plan, DEFAULT_CONFIG)
-    row_at_a_time = execute_with_config(
-        case.build_db(), case.plan, ExecConfig(batch_size=1)
-    )
-    assert rows_equal(default, row_at_a_time)
+    tango = Tango(case.build_db())
+    try:
+        execution = tango.executor.compile(case.plan)
+        for cursor in walk(execution.steps):
+            cursor.batch_size = 1
+        outcome = tango.executor.engine.execute(execution)
+    finally:
+        tango.close()
+    assert rows_equal(default.rows, outcome.rows)
+    assert outcome.batches == len(outcome.rows) > 0
 
 
 def test_probe_returns_none_on_a_passing_point():

@@ -19,6 +19,7 @@ from repro.optimizer.costs import CostFactors
 from repro.resilience import FaultInjector, FaultPolicy
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
+from repro.xxl.cursor import BATCH_SIZE
 
 
 @pytest.fixture
@@ -272,8 +273,8 @@ class TestAdaptiveFeedbackFromSpans:
 #
 # ``golden_spans.json`` was recorded on the commit *before* the cursor tree
 # learned to describe itself (``PYTHONPATH=<that commit>/src python
-# tests/integration/test_observability.py --record``): per plan x workers x
-# batch size, the Figure 5 text and the execution span tree reduced to what
+# tests/integration/test_observability.py --record``): per plan x workers,
+# the Figure 5 text and the execution span tree reduced to what
 # consumers read; per query, the EXPLAIN ANALYZE rows of the serial run.  The
 # reduction drops what that PR removed on purpose (``cursor_id``,
 # ``next_calls``) and the two timing keys, which the parent could not put on
@@ -288,6 +289,10 @@ class TestAdaptiveFeedbackFromSpans:
 # The ``statement`` key left the forty ``TRANSFER^M`` lines when MiniDB's
 # parse pool was folded into its prepared plans (``plan`` says hit or miss);
 # nothing else moved.
+#
+# The ten ``batch=1`` cases left with ``TangoConfig.batch_size``; every plan
+# now runs at ``BATCH_SIZE``, which the ``batches`` values depend on, so the
+# case names keep it.
 
 GOLDEN_SPANS = Path(__file__).with_name("golden_spans.json")
 DROPPED_KEYS = {"cursor_id", "next_calls", "batch_calls", "init_seconds"}
@@ -299,10 +304,9 @@ QUERIES = {
     "Q4": lambda db: queries.query4_initial_plan(db),
 }
 PIN_CASES = [
-    f"{name} workers={workers} batch={batch_size}"
+    f"{name} workers={workers} batch={BATCH_SIZE}"
     for name in (*QUERIES, "Q2-P1 forced")
     for workers in (1, 4)
-    for batch_size in (1, 256)
 ]
 
 
@@ -312,12 +316,12 @@ def pin_db() -> MiniDB:
     return db
 
 
-def pin_tango(db, workers=1, batch_size=256) -> Tango:
+def pin_tango(db, workers=1) -> Tango:
     # The explicit zero-probability injector keeps the run fault-free under
     # the TANGO_CHAOS_P profile (a retry adds a ``retries`` key).
     return Tango(
         db,
-        config=TangoConfig(tracing=True, workers=workers, batch_size=batch_size),
+        config=TangoConfig(tracing=True, workers=workers),
         fault_injector=FaultInjector(FaultPolicy(), seed=0),
     )
 
@@ -354,8 +358,8 @@ def figure5_text(execution) -> str:
 def observe_case(db, case: str):
     """``(Figure 5 text, plain trace, timed trace)`` of one pin case: plain
     through the executor's loop, timed straight through the engine."""
-    name, workers, batch_size = re.fullmatch(r"(.+) workers=(\d) batch=(\d+)", case).groups()
-    with pin_tango(db, int(workers), int(batch_size)) as tango:
+    name, workers = re.fullmatch(r"(.+) workers=(\d) batch=\d+", case).groups()
+    with pin_tango(db, int(workers)) as tango:
         if name in QUERIES:
             plan = tango.optimize(QUERIES[name](db)).plan
         else:

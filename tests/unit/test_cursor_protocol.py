@@ -5,8 +5,10 @@ of the pull protocol; ``has_next``/``next``/``next_batch``/``iter_batched``
 all live on :class:`~repro.xxl.cursor.Cursor`.  So instead of checking that
 parallel implementations agree, these tests check that (a) no operator
 grows a second implementation, (b) every operator yields the same row
-sequence under any interleaving of the faces, and (c) ``batch_size=1`` —
-the paper's row-at-a-time engine — does the same metered work as 256.
+sequence under any interleaving of the faces, and (c) a compiled plan
+whose every cursor is shrunk to batches of 1 — the paper's row-at-a-time
+engine — returns the same rows and does the same metered work as at
+:data:`~repro.xxl.cursor.BATCH_SIZE`.
 
 (d) is the wall behind the cursor tree describing itself: the inputs a
 cursor *declares* are the only way anything finds its children, so a class
@@ -260,7 +262,7 @@ def test_operator_fixtures_are_not_vacuous(name):
     assert len(expected_rows(name)) >= 3
 
 
-# -- (c) batch_size=1 is the same program as batch_size=256 ---------------------------
+# -- (c) a batch size of 1 is the same program as 256 --------------------------------
 
 
 #: Queries 1-4 as the client sends them (SQL, or an initial plan over *db*).
@@ -272,31 +274,35 @@ QUERIES = {
 }
 
 
-def _measure(db: MiniDB, name: str, batch_size: int):
+def _measure(db: MiniDB, name: str, row_at_a_time: bool):
+    """Rows, DBMS io/cpu, middleware ticks and drained batches of one
+    compiled run; *row_at_a_time* shrinks every cursor of the compiled plan
+    (pulls, ``TRANSFER^D`` load chunks, the engine drain) to batches of 1."""
     # The explicit zero-probability injector keeps the run fault-free under
     # the TANGO_CHAOS_P profile (a retried round trip is charged twice).
-    tango = Tango(
-        db,
-        config=TangoConfig(batch_size=batch_size),
-        fault_injector=FaultInjector(FaultPolicy(), seed=0),
-    )
+    tango = Tango(db, fault_injector=FaultInjector(FaultPolicy(), seed=0))
     try:
-        query = QUERIES[name](db)
+        execution = tango.executor.compile(tango.optimize(QUERIES[name](db)).plan)
+        if row_at_a_time:
+            for cursor in walk(execution.steps):
+                cursor.batch_size = 1
         db.meter.reset()
         tango.middleware_meter.reset()
-        result = tango.run(query)
-        return result.rows, db.meter.io, db.meter.cpu, tango.middleware_meter.ticks
+        outcome = tango.executor.engine.execute(execution)
+        work = (db.meter.io, db.meter.cpu, tango.middleware_meter.ticks)
+        return outcome.rows, work, outcome.batches
     finally:
         tango.close()
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4"])
 def test_row_at_a_time_does_the_same_metered_work(uis_db, name):
-    row_at_a_time = _measure(uis_db, name, 1)
-    batched = _measure(uis_db, name, 256)
-    assert row_at_a_time[0] == batched[0]
-    assert row_at_a_time[1:] == batched[1:]
-    assert len(batched[0]) > 0
+    rows, work, batches = _measure(uis_db, name, row_at_a_time=True)
+    batched_rows, batched_work, batched_batches = _measure(uis_db, name, row_at_a_time=False)
+    assert rows == batched_rows
+    assert work == batched_work
+    assert len(rows) > 0
+    assert batches == len(rows) > batched_batches
 
 
 # -- (d) the declared inputs reach every cursor the compiler creates ------------------

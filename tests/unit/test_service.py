@@ -611,7 +611,7 @@ class TestRunningCancellation:
                 return "client cancelled"
             return None
 
-        with Tango(db, config=TangoConfig(batch_size=1)) as tango:
+        with Tango(db) as tango:
             with pytest.raises(QueryCancelledError, match="client cancelled"):
                 tango.run(TEMPORAL, abort=probe)
             counters = tango.metrics.to_dict()["counters"]
@@ -630,9 +630,7 @@ class TestRunningCancellation:
         """A handle cancelled the instant it starts running aborts with
         QueryCancelledError, and the worker survives to serve more."""
         config = ServiceConfig(max_concurrency=1)
-        service = QueryService(
-            db, config, tango_config=TangoConfig(batch_size=1)
-        )
+        service = QueryService(db, config)
         try:
             original_mark = QueryHandle.mark_running
 

@@ -186,6 +186,29 @@ class TestRestrictions:
                 figure3_db,
             )
 
+    @pytest.mark.parametrize(
+        "sql, clause",
+        [
+            (
+                "VALIDTIME SELECT PosID, COUNT(*) AS N FROM POSITION GROUP BY PosID "
+                "HAVING COUNT(*) > 1",
+                "HAVING",
+            ),
+            ("VALIDTIME SELECT DISTINCT PosID FROM POSITION", "SELECT DISTINCT"),
+            ("VALIDTIME SELECT PosID FROM POSITION LIMIT 3", "LIMIT"),
+            (
+                "VALIDTIME SELECT PosID, COUNT(DISTINCT EmpName) FROM POSITION "
+                "GROUP BY PosID",
+                "DISTINCT inside a temporal aggregate",
+            ),
+        ],
+    )
+    def test_clauses_the_front_end_cannot_honour_are_refused(self, figure3_db, sql, clause):
+        # Each was once parsed and silently dropped: the plan answered the
+        # query without it.
+        with pytest.raises(SQLSyntaxError, match=clause):
+            parse_temporal_query(sql, figure3_db)
+
     def test_group_by_expression_rejected(self, figure3_db):
         with pytest.raises(SQLSyntaxError):
             parse_temporal_query(

@@ -30,14 +30,11 @@ def db():
     return MiniDB()
 
 
-def make_transfer(db, data, injector=None, retry=None, chunk_size=4):
+def make_transfer(db, data, injector=None, retry=None, batch_size=4):
     connection = Connection(db, injector=injector)
-    return TransferDCursor(
-        IterableCursor(SCHEMA, data),
-        connection,
-        chunk_size=chunk_size,
-        retry=retry,
-    )
+    transfer = TransferDCursor(IterableCursor(SCHEMA, data), connection, retry=retry)
+    transfer.batch_size = batch_size  # rows per load chunk
+    return transfer
 
 
 class TestEmptyInput:
@@ -100,7 +97,7 @@ class TestRetriedChunks:
         retry = RetryState(RetryPolicy(max_attempts=3, budget=32), sleep=no_sleep)
         data = rows(10)
         transfer = make_transfer(
-            db, data, injector=FaultEveryOther(), retry=retry, chunk_size=4
+            db, data, injector=FaultEveryOther(), retry=retry, batch_size=4
         )
         transfer.init()
         assert transfer.rows_loaded == 10

@@ -13,7 +13,7 @@ from repro.algebra.schema import Attribute, Schema
 from repro.xxl.cursor import (
     BatchReader,
     Cursor,
-    DEFAULT_BATCH_SIZE,
+    BATCH_SIZE,
     GeneratorCursor,
     materialize,
 )
@@ -80,7 +80,7 @@ class TestNextBatch:
         assert cursor.batches_produced == 4
 
     def test_default_batch_size_is_class_attribute(self):
-        assert Cursor.batch_size == DEFAULT_BATCH_SIZE == 256
+        assert Cursor.batch_size == BATCH_SIZE == 256
 
 
 class TestProtocolMixing:
