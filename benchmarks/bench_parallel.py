@@ -2,9 +2,11 @@
 
 The exchange layer's speedup comes from overlapping DBMS wire latency
 across partitions, so this benchmark runs in the paper's remote-DBMS
-regime: every connection of the caller-supplied pool sleeps
-``BENCH_PARALLEL_LATENCY`` seconds per round trip (default 10 ms; the
-sleep releases the GIL, exactly like a socket read).  With latency at zero
+regime: the caller-supplied pool's fault injector, with
+``FaultPolicy(latency_p=1.0, latency_seconds=BENCH_PARALLEL_LATENCY)``, has
+every connection sleep that long per DBMS call (default 10 ms; the sleep
+happens outside the injector's lock and releases the GIL, exactly like a
+socket read).  With latency at zero
 — the in-process default — partition parallelism buys nothing: under the
 GIL the partitions' CPU work serializes, and Query 1 at ``workers=4`` is
 5.5x *slower* than serial (137.9 vs 24.9 ms on ``load_uis(scale=0.1)``).
@@ -34,6 +36,7 @@ from harness import fmt, print_series
 
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.jdbc import ConnectionPool
+from repro.resilience import FaultInjector, FaultPolicy
 from repro.workloads.queries import query1_sql
 
 ROUNDS = 3
@@ -57,14 +60,16 @@ def record(section: str, payload: dict) -> None:
 def test_query1_parallel_speedup(bench_db):
     sql = query1_sql()
     # Wire latency is a property of the deployment's connections, so it
-    # rides on the pool the caller supplies: one primary connection plus
-    # one per partition.
+    # rides on the pool the caller supplies (one primary connection plus
+    # one per partition), as a latency spike on every DBMS call.
     pools = {
         workers: ConnectionPool(
             bench_db,
             size=workers + 1,
             prefetch=TangoConfig().prefetch,
-            latency_seconds=LATENCY,
+            injector=FaultInjector(
+                FaultPolicy(latency_p=1.0, latency_seconds=LATENCY)
+            ),
         )
         for workers in WORKER_COUNTS
     }

@@ -154,8 +154,3 @@ def scan(database: "object", table: str) -> PlanBuilder:
     so the algebra layer does not import the DBMS package.
     """
     return PlanBuilder(Scan(table, database.schema_of(table)))  # type: ignore[attr-defined]
-
-
-def from_operator(plan: Operator) -> PlanBuilder:
-    """Wrap an existing operator tree."""
-    return PlanBuilder(plan)

@@ -11,7 +11,6 @@ from typing import Callable, Mapping
 from repro.algebra.expressions import (
     And,
     BinOp,
-    ColumnRef,
     Comparison,
     Expression,
     FuncCall,
@@ -76,19 +75,6 @@ def substitute(expression: Expression, mapping: Mapping[Expression, Expression])
     if new_children == children:
         return expression
     return rebuild(expression, new_children)
-
-
-def rename_columns(expression: Expression, mapping: Mapping[str, str]) -> Expression:
-    """Rewrite column references per *mapping* (lower-cased old -> new)."""
-
-    def visit(node: Expression) -> Expression | None:
-        if isinstance(node, ColumnRef):
-            replacement = mapping.get(node.name.lower())
-            if replacement is not None:
-                return ColumnRef(replacement)
-        return None
-
-    return transform(expression, visit)
 
 
 def contains(expression: Expression, needle_type: type) -> bool:

@@ -27,14 +27,6 @@ class AttrType(enum.Enum):
     DATE = "date"
 
     @property
-    def python_type(self) -> type:
-        if self in (AttrType.INT, AttrType.DATE):
-            return int
-        if self is AttrType.FLOAT:
-            return float
-        return str
-
-    @property
     def is_numeric(self) -> bool:
         return self in (AttrType.INT, AttrType.FLOAT, AttrType.DATE)
 

@@ -94,9 +94,7 @@ class Shell:
     def _statement(self, sql: str) -> None:
         begin = time.perf_counter()
         try:
-            # The submit-first API: every statement is a handle whose
-            # result() is the one QueryResult type.
-            result = self.tango.submit(sql).result()
+            result = self.tango.query(sql)
         except ReproError as error:
             self.echo(f"error: {error}")
             return

@@ -1,20 +1,16 @@
 """The frozen :class:`TangoConfig` — every behavioural knob of the middleware.
 
-Its own module so that the pipeline stages' other composition root, the
-:class:`~repro.service.QueryService`, can default one without importing the
-:class:`~repro.core.tango.Tango` facade (which imports the service).
-``repro.core.tango`` re-exports it; that is the path clients use.
+Its own module so that the pipeline stages (planner, learner, executor) and
+the query service, which composes them without the facade, read it without
+importing the :class:`~repro.core.tango.Tango` facade.  ``repro.core.tango``
+re-exports it; that is the path clients use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.resilience.retry import RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.service.config import ServiceConfig
 
 
 @dataclass(frozen=True)
@@ -53,11 +49,6 @@ class TangoConfig:
     #: engine — plans, traces, and results are byte-for-byte what they
     #: were without the exchange layer.
     workers: int = 1
-    #: When set, :meth:`Tango.submit` routes through an owned
-    #: :class:`~repro.service.QueryService` (concurrent workers, weighted
-    #: fair-share scheduling, health-driven admission control) instead of
-    #: executing inline on the caller's thread.
-    service: ServiceConfig | None = None
     #: Learn per-subtree cardinalities from execution actuals into the
     #: :class:`~repro.core.learner.CardinalityFeedbackStore`, and let
     #: the estimator prefer a learned cardinality over its derivation —

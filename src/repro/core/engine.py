@@ -19,7 +19,7 @@ at batch boundaries (before each step ``init`` and each drain pull).  A
 deadline violation raises :class:`~repro.errors.QueryTimeoutError`; an
 abort probe returning a reason raises
 :class:`~repro.errors.QueryCancelledError` — this is how a cancelled
-:class:`~repro.service.QueryHandle` stops a query that is already
+query handle of the query service stops a query that is already
 running.  Either way the partial execution trace rides on the error,
 after the same unconditional teardown.
 
@@ -155,8 +155,8 @@ class ExecutionEngine:
         zero-argument callable probed at the same boundaries; returning a
         non-None reason string raises
         :class:`~repro.errors.QueryCancelledError` (same teardown, same
-        partial trace) — this is how a :class:`~repro.service.QueryHandle`
-        cancels a query that is already running.
+        partial trace) — this is how the query service's handle cancels a
+        query that is already running.
 
         *on_materialize*, when given, is the mid-query re-optimization
         probe (see :mod:`repro.core.reoptimize`): called right after each

@@ -171,19 +171,17 @@ class Executor:
         plan: Operator,
         *,
         fallback: str | Operator | None = None,
-        retry: RetryState | None = None,
-        parallel: bool = True,
         abort=None,
     ) -> QueryResult:
-        """Execute a complete (validated) plan tree.
+        """Execute a complete (validated) plan tree under a fresh retry
+        budget.
 
         *fallback* is the query (SQL or initial plan) to fall back to when
-        the retry budget runs out; None surfaces the error.  *retry* is
-        the per-query budget (a fresh one by default).  *parallel* False
-        forces serial compilation even when ``config.workers > 1``.
+        the retry budget runs out; None surfaces the error.  *abort* is the
+        engine's cooperative cancellation probe.
         """
         outcome, executed, degraded = self._drive(
-            plan, fallback=fallback, retry=retry, parallel=parallel, abort=abort
+            plan, fallback=fallback, abort=abort
         )
         return QueryResult(
             schema=outcome.schema,
@@ -221,8 +219,6 @@ class Executor:
         plan: Operator,
         *,
         fallback: str | Operator | None = None,
-        retry: RetryState | None = None,
-        parallel: bool = True,
         abort=None,
         instrument: bool = False,
     ) -> tuple[ExecutionOutcome, Operator, bool]:
@@ -231,7 +227,8 @@ class Executor:
         Returns ``(outcome, executed plan, degraded)``.
         """
         validate_plan(plan)
-        retry = retry if retry is not None else self._retry_state()
+        # The fallback round swaps both: a fresh budget, serial compilation.
+        retry, parallel = self._retry_state(), True
         current, rounds = plan, 0
         failure: RetryExhaustedError | None = None  # what sent us to FALLBACK
         kept: list = []  # completed TransferDCursors surviving splices

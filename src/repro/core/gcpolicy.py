@@ -5,7 +5,7 @@ allocations, and each pass re-reads every young object still alive: on
 TANGO's hot paths that is the row tuples of a batch being drained, and no
 pass over them has ever found a cycle (``tests/integration/
 test_no_cycles.py``).  While at least one :class:`~repro.core.tango.Tango`
-or :class:`~repro.service.QueryService` is open, generation 0 waits for
+or query service (``QueryService``) is open, generation 0 waits for
 :data:`YOUNG_LIMIT` young objects instead.  The collector counts *net*
 allocations, and a query's transient rows die well before that many
 accumulate, so no pass sees them; a cycle made on an error path

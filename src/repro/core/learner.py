@@ -301,9 +301,10 @@ def trusted_nodes(root: Operator, restore_blocking: bool = True) -> set[int]:
 class Learner:
     """Both feedback loops behind one interface, reporting to one planner.
 
-    Shared by every executor of a :class:`~repro.core.tango.Tango` (its
-    own and its service's workers'), so there is one running set of cost
-    factors and one store however many threads execute.  *config* supplies
+    Shared by every executor of its composition root (a
+    :class:`~repro.core.tango.Tango`'s one, or each worker's of a query
+    service), so there is one running set of cost factors and one store
+    however many threads execute.  *config* supplies
     ``adaptive``, ``learn_cardinalities`` and ``feedback_path``; the store
     is loaded from that path here and saved back by :meth:`close`.
     """

@@ -17,8 +17,8 @@ fresh ``TANGO_TMP`` names) per run and never mutates the operator tree.
 The explored memos kept per query shape (:attr:`Planner.shapes`) have no
 epoch in their key: exploration reads nothing an epoch changes.
 
-One planner serves every thread of a middleware instance (the facade's own
-executor and its service's workers), so its public methods are
+One planner serves every thread of a middleware instance (a query
+service's workers all plan with one), so its public methods are
 thread-safe: a cache hit takes only the cache's own lock; a miss, a
 re-plan and every advance serialize on the planner's.
 """

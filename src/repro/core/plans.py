@@ -234,9 +234,6 @@ class _Compiler:
                     table_name,
                     order=tuple(guaranteed_order(node.input)),
                     retry=self._retry,
-                    # Overlap executemany of chunk k with production of
-                    # chunk k+1 whenever the session opted into parallelism.
-                    pipelined=self._parallel is not None,
                 )
                 self._register(transfer, node)
                 self.steps.append(transfer)

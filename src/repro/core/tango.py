@@ -22,14 +22,11 @@ Regular (non-``VALIDTIME``) SQL is passed straight through to the DBMS —
 TANGO "captures the functionality of previously proposed stratum
 approaches" while adding shared query processing for temporal constructs.
 
-The public query surface is *submit-first*: :meth:`Tango.submit` returns
-a :class:`~repro.service.QueryHandle` with ``status()``, ``result(timeout)``
-and ``cancel()``, and :meth:`Tango.query` is sugar for
-``submit(sql).result()``.  A plain ``Tango`` executes submissions inline
-on the caller's thread (the handle comes back already terminal); setting
-:attr:`TangoConfig.service` routes them through an owned
-:class:`~repro.service.QueryService` — N concurrent workers, weighted
-per-tenant fair-share scheduling, and health-driven admission control.
+A ``Tango`` is the paper's single-client middleware: :meth:`Tango.query`
+(and :meth:`Tango.run`, which also takes an initial plan) executes on the
+caller's thread and returns the :class:`QueryResult`.  Serving many
+clients at once is the query service's job: its ``QueryService`` composes
+the same pipeline stages as this facade, without it.
 
 The facade is a composition root over the query pipeline (DESIGN.md §13):
 one :class:`~repro.core.planner.Planner` (statistics, estimators, cost
@@ -37,8 +34,7 @@ factors, optimizer, plan cache — and the one planning epoch), one
 :class:`~repro.core.learner.Learner` (both Section 7 feedback loops), and
 one :class:`~repro.core.executor.Executor` for the calling thread (the
 connection, engine, tracer and the run / re-plan / fallback loop).  The
-public verbs below delegate to them; an owned service's workers share the
-planner and the learner and bring an executor each.
+public verbs below delegate to them.
 
 Behavioral knobs live in the frozen :class:`TangoConfig`.  Every instance
 carries a :class:`~repro.obs.metrics.MetricsRegistry` and a
@@ -68,8 +64,6 @@ from repro.optimizer.calibration import Calibrator
 from repro.optimizer.costs import CostFactors
 from repro.optimizer.search import OptimizationResult
 from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryState
-from repro.service import QueryHandle, QueryService
 from repro.views import ViewManager
 
 __all__ = ["QueryResult", "Tango", "TangoConfig"]
@@ -99,9 +93,10 @@ class Tango:
         self.fault_injector = fault_injector
         if fault_injector is not None and fault_injector.metrics is None:
             fault_injector.metrics = self.metrics
-        #: A caller-supplied pool is a deployment setting (its size, wire
-        #: latency, injector are the caller's): the primary connection is
-        #: leased from it and returned on close, and the pool stays open.
+        #: A caller-supplied pool is a deployment setting (its size and its
+        #: injector, wire latency included, are the caller's): the primary
+        #: connection is leased from it and returned on close, and the pool
+        #: stays open.
         #: Otherwise the connection is private, and a pool for partition
         #: fan-out exists only when ``workers > 1``.
         self._owns_pool = pool is None
@@ -137,8 +132,6 @@ class Tango:
         self.tracer = self.executor.tracer
         self.middleware_meter = self.executor.middleware_meter
         self._views = None  # built on first use (see views)
-        #: The owned QueryService (config.service), built on first submit.
-        self.service: QueryService | None = None
         self._closed = False
         # Released by close(); a failed construction never takes it.
         gcpolicy.hold()
@@ -168,9 +161,7 @@ class Tango:
     def close(self) -> None:
         """Release the DBMS connection and flush metrics; idempotent.
 
-        The owned :class:`~repro.service.QueryService` (if any) drains
-        first, so queued queries finish before the connections go away;
-        then the learner persists its store.  A pool-leased primary
+        The learner persists its store first.  A pool-leased primary
         connection is returned to its pool, not closed; a borrowed pool
         is left open for its owner.  The final metrics snapshot remains
         available as :attr:`final_metrics` (and ``self.metrics`` stays
@@ -181,8 +172,6 @@ class Tango:
             return
         self._closed = True
         try:
-            if self.service is not None:
-                self.service.close()
             self.learner.close()
             self.final_metrics = self.metrics.flush()
             self._disconnect()
@@ -258,7 +247,7 @@ class Tango:
         re-ANALYZEd (from the delta when every change since the last
         ANALYZE came through ``insert_rows`` / ``delete_rows``, DESIGN.md
         §20), which moves the planning epoch — plans cached over the old
-        contents (by this instance or its service's workers) stop matching.
+        contents stop matching.
         Returns the applied counts.
         """
         self._check_open()
@@ -306,82 +295,29 @@ class Tango:
         :meth:`Planner.plan`)."""
         return self.planner.plan(query, self.tracer)
 
-    def execute_plan(
-        self,
-        plan: Operator,
-        retry: RetryState | None = None,
-        parallel: bool = True,
-        abort=None,
-    ) -> QueryResult:
+    def execute_plan(self, plan: Operator) -> QueryResult:
         """Execute a complete (validated) plan tree.
 
-        *retry* is the per-query retry budget (a fresh one by default);
-        *parallel* False forces serial compilation even when
-        ``config.workers > 1``; *abort* is the engine's cooperative
-        cancellation probe.  Transient DBMS failures inside the transfer
-        operators are retried under ``config.retry``;
-        ``config.deadline_seconds`` bounds the execution's wall time; with
-        ``config.reoptimize_threshold`` set the plan may be re-optimized
-        mid-query at ``TRANSFER^D`` materialization points (see
-        :mod:`repro.core.executor`).
+        Transient DBMS failures inside the transfer operators are retried
+        under ``config.retry``; ``config.deadline_seconds`` bounds the
+        execution's wall time; with ``config.reoptimize_threshold`` set the
+        plan may be re-optimized mid-query at ``TRANSFER^D`` materialization
+        points (see :mod:`repro.core.executor`).
         """
         self._check_open()
-        return self.executor.execute(plan, retry=retry, parallel=parallel, abort=abort)
+        return self.executor.execute(plan)
 
     def run(self, query: str | Operator, abort=None) -> QueryResult:
         """The full TANGO path, synchronously on the calling thread: plan,
         execute, fall back to the all-DBMS plan if the retry budget runs
-        out (see :meth:`Executor.run`)."""
+        out (see :meth:`Executor.run`).  *abort* is the engine's cooperative
+        cancellation probe."""
         self._check_open()
         return self.executor.run(query, abort=abort)
 
-    def submit(
-        self,
-        query: str | Operator,
-        *,
-        tenant: str = "default",
-        priority: int = 0,
-    ) -> QueryHandle:
-        """Submit a query; returns its :class:`~repro.service.QueryHandle`.
-
-        With :attr:`TangoConfig.service` set, the query is admitted into
-        this instance's owned :class:`~repro.service.QueryService` —
-        subject to the tenant's fair share and to admission control — and
-        the handle comes back live (``queued``/``running``).  Without it,
-        the query executes inline on the calling thread and the handle
-        comes back already terminal; ``tenant`` and ``priority`` are then
-        only labels.  Either way, ``handle.result(timeout)`` is the
-        outcome and ``handle.cancel()`` the escape hatch.
-        """
-        self._check_open()
-        if self.config.service is not None:
-            if self.service is None:
-                # The workers plan with this instance's planner and report
-                # to its learner: whatever moves the epoch here reaches them.
-                self.service = QueryService(
-                    self.db,
-                    self.config.service,
-                    tango_config=self.config,
-                    fault_injector=self.fault_injector,
-                    metrics=self.metrics,
-                    stages=(self.planner, self.learner),
-                )
-            return self.service.submit(query, tenant=tenant, priority=priority)
-        handle = QueryHandle(query, tenant=tenant, priority=priority)
-        handle.mark_running()
-        try:
-            handle.complete(self.run(query, abort=handle.abort_reason))
-        except BaseException as error:  # noqa: BLE001 - the handle carries it
-            handle.fail(error)
-        return handle
-
     def query(self, sql: str) -> QueryResult:
-        """Sugar for ``submit(sql).result()`` — parse, optimize, execute.
-
-        Blocks for the outcome and re-raises the query's own error, which
-        makes it exactly the pre-service synchronous API.
-        """
-        return self.submit(sql).result()
+        """Parse, optimize and execute *sql* (see :meth:`run`)."""
+        return self.run(sql)
 
     def explain(self, sql: str) -> str:
         """The chosen plan and its cost breakdown, without executing."""

@@ -80,30 +80,3 @@ class Index:
             meter.charge_io(io)
             meter.charge_cpu(cpu)
         yield from rows
-
-    def range_scan(
-        self,
-        low: object | None,
-        high: object | None,
-        meter: CostMeter | None = None,
-        include_high: bool = False,
-    ) -> Iterator[tuple]:
-        """Yield rows with ``low <= column < high`` (or ``<= high``)."""
-        left = 0 if low is None else bisect.bisect_left(self._keys, low)
-        if high is None:
-            right = len(self._keys)
-        elif include_high:
-            right = bisect.bisect_right(self._keys, high)
-        else:
-            right = bisect.bisect_left(self._keys, high)
-        matched = max(0, right - left)
-        if meter is not None:
-            meter.charge_io(self.height)
-            if self.clustered:
-                meter.charge_io(max(1, matched // self.table.rows_per_block()))
-            else:
-                meter.charge_io(matched)
-            meter.charge_cpu(matched)
-        rows = self.table.rows
-        for i in range(left, right):
-            yield rows[self._row_ids[i]]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -85,7 +84,6 @@ class Cursor:
         text, parsed and planned once."""
         self._check_usable()
         self._connection._inject("execute")
-        self._connection._simulate_wire()
         outcome = self._connection.db.execute(sql, binds)
         if isinstance(outcome, ResultSet):
             self.plan_hit = outcome.prepared
@@ -132,7 +130,6 @@ class Cursor:
         """
         assert self._result is not None
         self._connection._inject("round_trip")
-        self._connection._simulate_wire()
         batch = self._result.fetchmany(self.prefetch)
         row_width = self.schema.row_width
         if batch or self._round_trips == 0:
@@ -229,7 +226,11 @@ class Connection:
     :class:`~repro.resilience.faults.FaultInjector`, every DBMS touchpoint
     (statement execution, prefetch round trips, load chunks) first passes
     through the injector — the chaos harness the resilience tests and
-    benchmarks run the paper's queries under.
+    benchmarks run the paper's queries under.  Its latency spikes are also
+    how a remote DBMS's wire latency is modelled:
+    ``FaultPolicy(latency_p=1.0, latency_seconds=L)`` sleeps *L* — releasing
+    the GIL — before every one of those calls, outside the injector's lock,
+    so pooled connections overlap their waits.
     """
 
     def __init__(
@@ -238,18 +239,11 @@ class Connection:
         prefetch: int = DEFAULT_PREFETCH,
         metrics: MetricsRegistry | None = None,
         injector: FaultInjector | None = None,
-        latency_seconds: float = 0.0,
     ):
         self.db = db
         self.prefetch = prefetch
         self.metrics = metrics
         self.injector = injector
-        #: Simulated wire latency per DBMS round trip.  0.0 (the default)
-        #: changes nothing; a positive value sleeps — i.e. releases the
-        #: GIL — on every statement/refill/load, modelling the remote-DBMS
-        #: setting of the paper where concurrent connections actually
-        #: overlap.  The parallel benchmark runs with this enabled.
-        self.latency_seconds = latency_seconds
         self._loader = DirectPathLoader(db)
         self._closed = False
         self._traffic: tuple[Counter, Counter, Counter] | None = None
@@ -272,10 +266,6 @@ class Connection:
         if self.injector is not None:
             self.injector.before(op)
 
-    def _simulate_wire(self) -> None:
-        if self.latency_seconds > 0.0:
-            time.sleep(self.latency_seconds)
-
     @property
     def closed(self) -> bool:
         return self._closed
@@ -293,29 +283,11 @@ class Connection:
         """Shorthand: new cursor, execute, return it."""
         return self.cursor().execute(sql, binds)
 
-    def bulk_load(
-        self,
-        table_name: str,
-        schema: Schema,
-        rows: "Sequence[tuple] | list[tuple]",
-        order: Sequence[str] = (),
-    ) -> int:
-        """Direct-path load (the ``TRANSFER^D`` fast path)."""
-        if self._closed:
-            raise DatabaseError("connection is closed")
-        self._inject("load_chunk")
-        self._simulate_wire()
-        loaded = self._loader.load(table_name, schema, rows, order)
-        if self.metrics is not None:
-            self.metrics.counter("dbms_rows_loaded").inc(loaded)
-        return loaded
-
     def create_temp(self, table_name: str, schema: Schema) -> None:
         """Create an empty direct-path load target (``TRANSFER^D`` setup)."""
         if self._closed:
             raise DatabaseError("connection is closed")
         self._inject("execute")
-        self._simulate_wire()
         self._loader.create(table_name, schema)
 
     def executemany(
@@ -335,7 +307,6 @@ class Connection:
         if self._closed:
             raise DatabaseError("connection is closed")
         self._inject("load_chunk")
-        self._simulate_wire()
         loaded = self._loader.append(table_name, schema, rows, order)
         if self.metrics is not None:
             self.metrics.counter("dbms_rows_loaded").inc(loaded)
@@ -382,7 +353,6 @@ class ConnectionPool:
         prefetch: int = DEFAULT_PREFETCH,
         metrics: MetricsRegistry | None = None,
         injector: FaultInjector | None = None,
-        latency_seconds: float = 0.0,
         strict: bool = False,
     ):
         self.db = db
@@ -390,7 +360,6 @@ class ConnectionPool:
         self.prefetch = prefetch
         self.metrics = metrics
         self.injector = injector
-        self.latency_seconds = latency_seconds
         self.strict = strict
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
@@ -407,7 +376,6 @@ class ConnectionPool:
             prefetch=self.prefetch,
             metrics=self.metrics,
             injector=self.injector,
-            latency_seconds=self.latency_seconds,
         )
 
     def acquire(self, timeout: float | None = None) -> Connection:

@@ -175,7 +175,8 @@ class Calibrator:
         rows = _sample_rows(count)
         if wide:
             rows = [row + (_PAD,) for row in rows]
-        self._connection.bulk_load(name, schema, rows)
+        # One chunk through the path every TRANSFER^D takes.
+        self._connection.executemany(name, schema, rows)
         try:
             return func(name)
         finally:

@@ -10,7 +10,7 @@ operation        raised from
                  and :meth:`Connection.create_temp` (DDL for ``TRANSFER^D``)
 ``round_trip``   :meth:`repro.dbms.jdbc.Cursor._refill` (one prefetch batch
                  of a ``TRANSFER^M`` fetch)
-``load_chunk``   :meth:`Connection.executemany` / :meth:`Connection.bulk_load`
+``load_chunk``   :meth:`Connection.executemany`
                  (one ``TRANSFER^D`` direct-path chunk)
 ===============  ==============================================================
 
@@ -41,7 +41,8 @@ class FaultPolicy:
     ``transient_p`` is the default per-call probability of a
     :class:`~repro.errors.TransientError`; the per-operation fields
     override it for one operation kind.  ``latency_p``/``latency_seconds``
-    inject a latency spike (a sleep, not an error).  ``drop_after``
+    inject a latency spike (a sleep, not an error); ``latency_p=1.0`` is a
+    remote DBMS's wire latency, paid once per DBMS call.  ``drop_after``
     hard-drops the connection after that many DBMS calls — every later
     call raises :class:`~repro.errors.ConnectionDroppedError`, which no
     retry can cure.

@@ -49,21 +49,24 @@ class HealthPolicy:
 
     A verdict other than ``HEALTHY`` needs at least ``min_samples``
     outcomes in the window; below that the monitor refuses to condemn
-    the backend on anecdote.  ``sick_ratio``/``degraded_ratio`` are
-    thresholds on the *bad fraction* of the window, where hard failures
-    (retry exhaustion, connection drop, deadline) count fully and
-    fallback-rescued queries count :data:`FALLBACK_WEIGHT`.
+    the backend on anecdote.  The verdict compares the window's *bad
+    fraction* with :data:`SICK_RATIO` and :data:`DEGRADED_RATIO`, where
+    hard failures (retry exhaustion, connection drop, deadline) count
+    fully and fallback-rescued queries count :data:`FALLBACK_WEIGHT`.
     """
 
     window_seconds: float = 30.0
     min_samples: int = 5
-    sick_ratio: float = 0.5
-    degraded_ratio: float = 0.2
 
 
 #: The badness of a query rescued by the all-DBMS fallback plan: half a
 #: hard failure.
 FALLBACK_WEIGHT = 0.5
+
+#: A bad fraction at or above this classifies the backend SICK ...
+SICK_RATIO = 0.5
+#: ... and at or above this (below :data:`SICK_RATIO`), DEGRADED.
+DEGRADED_RATIO = 0.2
 
 
 #: Error types the resilience layer treats as "the backend is struggling".
@@ -132,9 +135,9 @@ class HealthMonitor:
                 return BackendState.HEALTHY
             bad = sum(badness for _, badness in self._events)
         ratio = bad / samples
-        if ratio >= self.policy.sick_ratio:
+        if ratio >= SICK_RATIO:
             return BackendState.SICK
-        if ratio >= self.policy.degraded_ratio:
+        if ratio >= DEGRADED_RATIO:
             return BackendState.DEGRADED
         return BackendState.HEALTHY
 

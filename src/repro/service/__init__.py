@@ -4,8 +4,8 @@ The paper positions TANGO as *middleware* between many clients and a
 DBMS; this package is the serving layer that makes that literal.  A
 :class:`QueryService` admits up to N concurrent queries over a shared
 :class:`~repro.dbms.jdbc.ConnectionPool`, schedules them fair-share
-across weighted tenants (bounded admission queue, per-tenant queue limits),
-and sheds load when the resilience layer's health classification
+across weighted tenants over one bounded admission queue, and sheds
+load when the resilience layer's health classification
 (:class:`~repro.resilience.health.HealthMonitor`) says the backend is
 sick.
 
@@ -17,10 +17,10 @@ The public surface is the session/handle API:
     result = handle.result(timeout=5.0)   # a QueryResult
     handle.cancel()          # dequeue, or abort at the next batch boundary
 
-:meth:`Tango.submit` exposes the same handle surface on a standalone
-instance (executing inline), and routes here when
-``TangoConfig.service`` is set — one API for the scheduler, the CLI,
-and the tests.
+This is the middleware's one concurrent path.  A
+:class:`~repro.core.tango.Tango` is the paper's single-client middleware
+and runs each query on its caller's thread (``Tango.query``); a service
+builds its own planner and learner, which its workers share.
 """
 
 from repro.service.config import ServiceConfig, TenantSpec

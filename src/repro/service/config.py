@@ -1,8 +1,9 @@
 """Frozen configuration for the query service.
 
-Both dataclasses are frozen: :class:`ServiceConfig` rides inside the
-frozen :class:`~repro.core.tango.TangoConfig`, so nothing here may be
-mutable.
+Both dataclasses are frozen, like :class:`~repro.core.config.TangoConfig`
+(which a :class:`~repro.service.QueryService` takes beside its
+:class:`ServiceConfig`): a service never mutates its configuration
+mid-flight.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ class TenantSpec:
     #: weight-8 tenant gets ~8 dispatch slots for every slot a weight-1
     #: tenant gets while both have queued work.
     weight: int = 1
-    #: This tenant's share of the admission queue.  None = bounded only
-    #: by the global ``queue_limit``.
-    queue_limit: int | None = None
 
     def __post_init__(self):
         if self.weight < 1:

@@ -10,9 +10,9 @@ time, so sitting out does not bank credit it could later use to starve
 everyone else (the classic stride join rule).
 
 Within a tenant, queries order by ``priority`` (higher first), then
-submission order.  Admission is bounded twice — a global queue limit and
-optional per-tenant limits — and both bounds reject with
-:class:`~repro.errors.QueueFullError` rather than queueing unboundedly.
+submission order.  Admission is bounded by one global queue limit, which
+rejects with :class:`~repro.errors.QueueFullError` rather than queueing
+unboundedly.
 
 The scheduler is the synchronization point of the service: ``enqueue``
 is the admission door, ``next_task`` blocks worker threads until work
@@ -89,13 +89,6 @@ class FairShareScheduler:
                 raise QueueFullError(
                     f"admission queue is full ({self._queued_total} queued, "
                     f"limit {self.config.queue_limit})"
-                )
-            limit = tenant.spec.queue_limit
-            if limit is not None and tenant.queued >= limit:
-                tenant.sheds += 1
-                raise QueueFullError(
-                    f"tenant {handle.tenant!r} queue is full "
-                    f"({tenant.queued} queued, limit {limit})"
                 )
             if tenant.queued == 0:
                 # Re-joining the virtual timeline: no banked credit.

@@ -8,10 +8,11 @@ threads, each with an :class:`~repro.core.executor.Executor` of its own
 B's cache hit, and one statistics refresh reaches every worker), all
 reporting to one :class:`~repro.core.learner.Learner`, and sharing one
 :class:`~repro.obs.metrics.MetricsRegistry` and one
-:class:`~repro.resilience.health.HealthMonitor`.  The planner and learner
-are the owning :class:`~repro.core.tango.Tango`'s when there is one —
-its ``apply_updates``, ``refresh_statistics``, ``calibrate`` and view DDL
-reach the workers by construction — else the service's own.
+:class:`~repro.resilience.health.HealthMonitor`.  The service builds its
+planner and learner itself, as the :class:`~repro.core.tango.Tango` facade
+builds its own: the two are separate composition roots over the same
+stages, and what a facade's ``apply_updates``, ``refresh_statistics``,
+``calibrate`` or view DDL does moves that facade's planning epoch only.
 
 The admission pipeline per submit::
 
@@ -64,7 +65,6 @@ class QueryService:
         fault_injector: FaultInjector | None = None,
         metrics: MetricsRegistry | None = None,
         pool: ConnectionPool | None = None,
-        stages: tuple[Planner, Learner] | None = None,
     ):
         self.db = db
         self.config = config or ServiceConfig()
@@ -83,13 +83,9 @@ class QueryService:
         )
         self.health = HealthMonitor(self.config.health)
         self.scheduler = FairShareScheduler(self.config)
-        #: One planner and one learner for all workers — *stages* when an
-        #: owning Tango lends its own, else built (and closed) here.
-        self._owns_stages = stages is None
-        if stages is None:
-            planner = Planner(db, base, metrics=self.metrics)
-            stages = planner, Learner(planner, base, metrics=self.metrics)
-        self.planner, self.learner = stages
+        #: One planner and one learner for all workers.
+        self.planner = Planner(db, base, metrics=self.metrics)
+        self.learner = Learner(self.planner, base, metrics=self.metrics)
         self._closed = False
         self._lock = threading.Lock()
         self._workers = [
@@ -116,9 +112,8 @@ class QueryService:
         :class:`~repro.errors.BackendSickError` when admission control is
         shedding (backend classified SICK) and
         :class:`~repro.errors.QueueFullError` when the bounded admission
-        queue — global or per-tenant — is full.  Both are *sheds*: the
-        query never entered the system, and ``service_shed_total``
-        counts it.
+        queue is full.  Both are *sheds*: the query never entered the
+        system, and ``service_shed_total`` counts it.
         """
         if self._closed:
             raise DatabaseError("this QueryService is closed")
@@ -266,8 +261,7 @@ class QueryService:
             self.scheduler.close(cancel_queued=not drain)
             for worker in self._workers:
                 worker.join(timeout)
-            if self._owns_stages:
-                self.learner.close()
+            self.learner.close()
             if self._owns_pool:
                 self.pool.close()
         finally:

@@ -30,12 +30,6 @@ class AttributeStats:
     has_index: bool = False
     index_clustered: bool = False
 
-    @property
-    def value_range(self) -> float | None:
-        if self.min_value is None or self.max_value is None:
-            return None
-        return float(self.max_value) - float(self.min_value)
-
     def scaled_to(self, cardinality: float) -> "AttributeStats":
         """Clamp the distinct count to a (reduced) relation cardinality."""
         distinct = min(self.distinct, int(cardinality)) if self.distinct else 0
@@ -69,11 +63,6 @@ class RelationStats:
         return AttributeStats(
             name=name, distinct=max(1, int(self.cardinality))
         )
-
-    def has_histogram(self, name: str) -> bool:
-        """The paper's ``hasHistogram(A, r)``."""
-        stats = self.attributes.get(name.lower())
-        return stats is not None and stats.histogram is not None
 
     def with_cardinality(self, cardinality: float) -> "RelationStats":
         """A copy scaled to a new cardinality (same attribute shapes)."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import queue
 import threading
 import time
 
@@ -35,12 +34,6 @@ _FREE: dict[str, list[int]] = {}
 #: The name prefix of every ``TRANSFER^D`` temp table (matched
 #: case-insensitively wherever a table name is tested for it).
 TEMP_TABLE_PREFIX = "TANGO_TMP"
-
-#: Chunks buffered between producer and loader in a pipelined load.
-_PIPELINE_DEPTH = 2
-
-#: Seconds between cancellation checks on pipelined queue operations.
-_POLL_SECONDS = 0.05
 
 
 class TransferMixin:
@@ -129,7 +122,6 @@ class TransferDCursor(TransferMixin, Cursor):
         table_name: str | None = None,
         order: tuple[str, ...] = (),
         retry=None,
-        pipelined: bool = False,
     ):
         super().__init__(Schema([]), (input,))
         self._input = input
@@ -137,9 +129,6 @@ class TransferDCursor(TransferMixin, Cursor):
         self.table_name = table_name or unique_temp_name()
         self._order = order
         self._retry = retry
-        #: Double-buffered load: ``executemany`` of chunk *k* on a loader
-        #: thread overlaps production of chunk *k+1* on this one.
-        self.pipelined = pipelined
         self.rows_loaded = 0
         self._dropped = False
         self._drop_lock = threading.Lock()
@@ -166,80 +155,24 @@ class TransferDCursor(TransferMixin, Cursor):
             "transfer_d.create",
         )
         self.load_seconds += time.perf_counter() - begin
-        if self.pipelined:
-            self._drain_pipelined()
-        else:
-            self._drain_serial()
-        self._input.close()
-
-    def _load_chunk(self, chunk: list[tuple]) -> None:
-        begin = time.perf_counter()
-        # Retrying re-sends the *same* chunk: the input was drained
-        # exactly once, and the loader rolls back a chunk that failed
-        # mid-append, so a retry can never double-load rows.
-        self.rows_loaded += self._call_dbms(
-            lambda: self._connection.executemany(
-                self.table_name, self.schema, chunk, self._order
-            ),
-            "transfer_d.load",
-        )
-        self.load_seconds += time.perf_counter() - begin
-
-    def _drain_serial(self) -> None:
         while True:
             # Input production is middleware work and stays outside
             # load_seconds — the Section 7 signal times only the DBMS side.
             chunk = self._input.next_batch(self.batch_size)
             if not chunk:
                 break
-            self._load_chunk(chunk)
-
-    def _drain_pipelined(self) -> None:
-        """Double-buffered load: a loader thread runs ``executemany`` of
-        chunk *k* while this thread produces chunk *k+1*.
-
-        ``load_seconds`` is accumulated inside :meth:`_load_chunk` on the
-        loader thread, so it still times only DBMS work — production time
-        that the load overlaps is simply *hidden*, which is the point.
-        """
-        chunks: queue.Queue = queue.Queue(maxsize=_PIPELINE_DEPTH)
-        failed: list[BaseException] = []
-
-        def load() -> None:
-            while True:
-                chunk = chunks.get()
-                if chunk is None:
-                    return
-                try:
-                    self._load_chunk(chunk)
-                except BaseException as error:  # noqa: BLE001 - crosses threads
-                    failed.append(error)
-                    return
-
-        loader = threading.Thread(target=load, name="tango-transfer-d", daemon=True)
-        loader.start()
-        try:
-            while not failed:
-                chunk = self._input.next_batch(self.batch_size)
-                if not chunk:
-                    break
-                while not failed:
-                    try:
-                        chunks.put(chunk, timeout=_POLL_SECONDS)
-                        break
-                    except queue.Full:
-                        continue
-        finally:
-            while True:
-                try:
-                    chunks.put(None, timeout=_POLL_SECONDS)
-                    break
-                except queue.Full:
-                    if failed:
-                        break  # loader died; nothing is draining the queue
-            loader.join()
-        if failed:
-            raise failed[0]
+            begin = time.perf_counter()
+            # Retrying re-sends the *same* chunk: the input was drained
+            # exactly once, and the loader rolls back a chunk that failed
+            # mid-append, so a retry can never double-load rows.
+            self.rows_loaded += self._call_dbms(
+                lambda: self._connection.executemany(
+                    self.table_name, self.schema, chunk, self._order
+                ),
+                "transfer_d.load",
+            )
+            self.load_seconds += time.perf_counter() - begin
+        self._input.close()
 
     def _next_batch(self, n: int) -> list[tuple]:
         return []

@@ -4,9 +4,8 @@ Correctness contract: an identical re-run is a cache hit that skips the
 optimizer; cached plans return the same answers as fresh ones; and
 *everything* a plan is priced with — statistics, cost factors, learned
 cardinalities, the catalog of views — moves the one planning epoch
-(``planner.epoch``) exactly once when it materially changes, inline and
-through a service's workers alike, while immaterial drift leaves cached
-plans alone (the staleness matrix below).
+(``planner.epoch``) exactly once when it materially changes, while
+immaterial drift leaves cached plans alone (the staleness matrix below).
 """
 
 import threading
@@ -16,7 +15,6 @@ import pytest
 
 from repro.core.engine import TransferObservation
 from repro.core.tango import Tango, TangoConfig
-from repro.service import ServiceConfig
 from repro.workloads import queries
 
 
@@ -134,10 +132,7 @@ def with_learned(tango):
     tango.learner.learn("fp", 100)
 
 
-#: event → (setup, the event, whether it is material).  The service cases
-#: run on POSITION's three rows: a transfer that small is below the
-#: adapter's ``min_tuples``, so executing queries never drifts the factors
-#: by itself, and nothing is learned unless the event does it.
+#: event → (setup, the event, whether it is material).
 EVENTS = {
     "refresh_statistics": (None, lambda t: t.refresh_statistics(["POSITION"]), True),
     "deferred_analyze": (None, lambda t: t.refresh_statistics([], analyze=False), True),
@@ -160,21 +155,17 @@ EVENTS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["inline", "service"])
+@pytest.mark.parametrize("mode", ["inline"])
 @pytest.mark.parametrize("event", EVENTS)
 def test_staleness_matrix(figure3_db, event, mode):
     setup, happen, material = EVENTS[event]
-    service = ServiceConfig(max_concurrency=2) if mode == "service" else None
-    with Tango(figure3_db, TangoConfig(adaptive=True, service=service)) as tango:
-        # Inline, planning is the facade's optimize(); in service mode it is
-        # whatever a worker does for a submitted query.
-        plan = tango.optimize if mode == "inline" else tango.query
+    with Tango(figure3_db, TangoConfig(adaptive=True)) as tango:
 
         def planned() -> tuple[int, int]:
             before = tango.metrics.value("plan_cache_misses"), tango.metrics.value(
                 "plan_cache_hits"
             )
-            plan(SQL)
+            tango.optimize(SQL)
             return (
                 tango.metrics.value("plan_cache_misses") - before[0],
                 tango.metrics.value("plan_cache_hits") - before[1],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra.builder import PlanBuilder, from_operator, scan
+from repro.algebra.builder import PlanBuilder, scan
 from repro.algebra.expressions import Comparison, col, lit
 from repro.algebra.operators import (
     Join,
@@ -91,7 +91,3 @@ class TestChaining:
         sorted_builder = base.sort("PosID")
         assert base.build() is not sorted_builder.build()
         assert base.build().name == "Scan"
-
-    def test_from_operator_wraps(self, db):
-        plan = scan(db, "POSITION").build()
-        assert from_operator(plan).build() is plan

@@ -45,17 +45,8 @@ class TestRelationStats:
     def test_with_cardinality_never_negative(self):
         assert self.make().with_cardinality(-3).cardinality == 0
 
-    def test_has_histogram(self):
-        assert not self.make().has_histogram("K")
-
 
 class TestAttributeStats:
-    def test_value_range(self):
-        assert AttributeStats("X", 10, 30, 5).value_range == 20
-
-    def test_value_range_none_when_unknown(self):
-        assert AttributeStats("X").value_range is None
-
     def test_scaled_to_floor_of_one(self):
         scaled = AttributeStats("X", 0, 9, 10).scaled_to(3)
         assert scaled.distinct == 3
@@ -99,4 +90,4 @@ class TestCollector:
     def test_histogram_carried(self, connection):
         connection.db.analyze("T")
         stats = StatisticsCollector(connection).collect("T")
-        assert stats.has_histogram("T1")
+        assert stats.attribute("T1").histogram is not None

@@ -58,28 +58,6 @@ class TestLookup:
         assert clustered_meter.io < unclustered_meter.io
 
 
-class TestRangeScan:
-    def make(self) -> Index:
-        return make_index([(i, i * 10) for i in range(10)])
-
-    def test_closed_open(self):
-        assert [row[0] for row in self.make().range_scan(3, 6)] == [3, 4, 5]
-
-    def test_include_high(self):
-        assert [row[0] for row in self.make().range_scan(3, 6, include_high=True)] == [
-            3, 4, 5, 6,
-        ]
-
-    def test_open_low(self):
-        assert [row[0] for row in self.make().range_scan(None, 2)] == [0, 1]
-
-    def test_open_high(self):
-        assert [row[0] for row in self.make().range_scan(8, None)] == [8, 9]
-
-    def test_empty_range(self):
-        assert list(self.make().range_scan(6, 3)) == []
-
-
 class TestRebuild:
     def test_rebuild_after_mutation(self):
         table = Table("T", SCHEMA)
@@ -87,4 +65,4 @@ class TestRebuild:
         index = Index("IX", table, "K")
         table.append((0, 0))
         index.rebuild()
-        assert [row[0] for row in index.range_scan(None, None)] == [0, 1]
+        assert [list(index.lookup(key)) for key in (0, 1)] == [[(0, 0)], [(1, 10)]]

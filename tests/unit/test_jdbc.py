@@ -253,7 +253,7 @@ class TestConnectionHelpers:
         from repro.algebra.schema import Attribute, Schema
 
         schema = Schema([Attribute("X")])
-        loaded = connection.bulk_load("TMP", schema, [(1,), (2,)])
+        loaded = connection.executemany("TMP", schema, [(1,), (2,)])
         assert loaded == 2
         assert connection.db.table("TMP").cardinality == 2
         connection.drop_temp("TMP")

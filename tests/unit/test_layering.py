@@ -6,7 +6,7 @@ anybody's private parts.
 Walks the two packages' sources with :mod:`ast`; fails on
 
 * any import of ``repro.core.tango``, at module or function level (the
-  facade imports the service, so the reverse edge is a cycle — the parent
+  facade imports the views, so the reverse edge is a cycle — the parent
   dodged it with three function-level imports and a ``TYPE_CHECKING``
   block);
 * any ``<name>._<private>`` attribute access where ``<name>`` is a stage
@@ -14,7 +14,9 @@ Walks the two packages' sources with :mod:`ast`; fails on
   ``tango.collector.refresh()`` behind the facade's back were the
   parent's).
 
-Further down: order is declared in one module; and the cursor tree
+Further down: nothing in ``repro.core`` imports the service, which
+composes the core's stages (a ``Tango`` runs inline; the service is the
+one concurrent path); order is declared in one module; and the cursor tree
 describes itself — the cursor library knows nothing of who observes or
 compiles it, the observers know the cursor *protocol* and no concrete
 cursor, nobody finds a cursor's children by probing ``_input``/``_left``/
@@ -92,6 +94,39 @@ def test_the_walk_is_not_vacuous():
         "    self._planner.refresh()\n"
     )
     assert len(violations(ast.parse(parent_style))) == 3
+
+
+# -- the core does not know the service ----------------------------------------------
+
+
+def service_imports(root: Path = SRC) -> list[str]:
+    """``file:line`` of every import of :mod:`repro.service` under ``core/``,
+    at module or function level, ``TYPE_CHECKING`` blocks included."""
+    return sorted(
+        {
+            f"{path.relative_to(root)}:{line}"
+            for path in root.glob("core/*.py")
+            for line, module in imported_modules(ast.parse(path.read_text(), filename=str(path)))
+            if under(module, "repro.service")
+        }
+    )
+
+
+def test_the_core_never_imports_the_service(tmp_path):
+    """The parent's facade owned a service (``TangoConfig.service``) and
+    imported it, while the service composed the core's stages: a cycle."""
+    assert service_imports() == []
+    parent_style = {
+        "core/tango.py": "from repro.service import QueryHandle, QueryService\n",
+        "core/config.py": "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from repro.service.config import ServiceConfig\n",
+        "core/planner.py": "def f():\n    import repro.service\n",
+        "service/service.py": "from repro.core.planner import Planner\n",
+    }
+    for name, source in parent_style.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source)
+    assert service_imports(tmp_path) == ["core/config.py:3", "core/planner.py:2", "core/tango.py:1"]
 
 
 # -- one order discipline -------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Unit tests for the parallel transport pieces at the DBMS boundary: the
 connection pool, pooled transfer cursors, per-cursor round-trip
-accounting, and the simulated wire latency."""
+accounting, and wire latency as the pool's fault injector sleeps it."""
 
 import math
 import threading
@@ -12,6 +12,7 @@ from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection, ConnectionPool
 from repro.errors import DatabaseError
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience import FaultInjector, FaultPolicy
 from repro.xxl.sources import PooledSQLCursor, SQLCursor
 
 ROWS = 25
@@ -113,38 +114,39 @@ class TestRoundTripAccounting:
         assert len(pool._idle) == 1  # back in the pool despite the failure
 
 
+def wire(latency: float, sleep=time.sleep) -> FaultInjector:
+    """A remote DBMS's wire: every DBMS call sleeps *latency* first."""
+    return FaultInjector(FaultPolicy(latency_p=1.0, latency_seconds=latency), sleep=sleep)
+
+
 class TestWireLatency:
-    def test_latency_defaults_to_zero_and_never_sleeps(self, db, monkeypatch):
+    def test_latency_defaults_to_zero_and_never_sleeps(self, db):
         def forbidden(_seconds):
             raise AssertionError("latency sleep fired with latency disabled")
 
-        monkeypatch.setattr(time, "sleep", forbidden)
-        connection = Connection(db)
-        assert connection.latency_seconds == 0.0
+        connection = Connection(db, injector=FaultInjector(FaultPolicy(), sleep=forbidden))
         rows = connection.cursor().execute("SELECT N FROM NUMS").fetchall()
         assert len(rows) == ROWS
 
     def test_latency_is_paid_per_round_trip(self, db):
-        connection = Connection(db, prefetch=10, latency_seconds=0.005)
-        cursor = SQLCursor(connection, "SELECT N FROM NUMS")
-        begin = time.perf_counter()
-        rows = [row for row in cursor.init()]
-        elapsed = time.perf_counter() - begin
+        slept: list[float] = []
+        connection = Connection(db, prefetch=10, injector=wire(0.005, slept.append))
+        rows = [row for row in SQLCursor(connection, "SELECT N FROM NUMS").init()]
         assert len(rows) == ROWS
-        # execute + ceil(25/10) fetch refills, 5ms each (scheduler slack
-        # only ever adds time).
-        assert elapsed >= 0.005 * (1 + math.ceil(ROWS / 10)) * 0.9
+        # execute + ceil(25/10) fetch refills, one latency each.
+        assert slept == [0.005] * (1 + math.ceil(ROWS / 10))
 
     def test_pool_stamps_latency_onto_connections(self, db):
-        pool = ConnectionPool(db, size=1, latency_seconds=0.25)
-        assert pool.acquire().latency_seconds == 0.25
+        injector = wire(0.25)
+        pool = ConnectionPool(db, size=1, injector=injector)
+        assert pool.acquire().injector is injector
 
     def test_concurrent_latency_sleeps_overlap(self, db):
-        # The sleep releases the GIL: two connections waiting on the wire
-        # in parallel take ~one latency, not two.  This is the property
-        # the exchange's speedup rests on.
-        latency = 0.05
-        pool = ConnectionPool(db, size=2, latency_seconds=latency)
+        # The injector sleeps outside its lock, and the sleep releases the
+        # GIL: two pooled connections sharing one injector, waiting on the
+        # wire in parallel, take ~one latency, not two.  This is the
+        # property the exchange's speedup rests on.
+        pool = ConnectionPool(db, size=2, injector=wire(0.05))
         connections = [pool.acquire(), pool.acquire()]
 
         def pull(connection):

@@ -79,17 +79,17 @@ def test_twin_trees_are_planned_apart(periods_db, name):
     build, one, other = TWINS[name]
     first, second = build(periods_db, **one), build(periods_db, **other)
     with Tango(periods_db) as fresh:
-        expected = answer(fresh.submit(second).result())
+        expected = answer(fresh.run(second))
     with Tango(periods_db) as tango:
-        tango.submit(first).result()
-        assert answer(tango.submit(second).result()) == expected
+        tango.run(first)
+        assert answer(tango.run(second)) == expected
         assert tango.metrics.value("plan_cache_hits") == 0
 
 
 def test_the_period_moves_the_answer(periods_db):
     with Tango(periods_db) as tango:
-        assert tango.submit(taggr(periods_db)).result().rows[0] == (1, 0, 3, 1)
-        moved = tango.submit(taggr(periods_db, period=("S1", "S2"))).result()
+        assert tango.run(taggr(periods_db)).rows[0] == (1, 0, 3, 1)
+        moved = tango.run(taggr(periods_db, period=("S1", "S2")))
         assert moved.rows[0] == (1, 100, 101, 1)
 
 
@@ -106,9 +106,9 @@ def test_an_alias_is_answered_as_it_is_spelled(figure3_db):
 def test_a_period_spelled_otherwise_is_answered_as_by_a_fresh_tango(periods_db, build):
     first, second = build(periods_db, period=("S1", "S2")), build(periods_db, period=("s1", "s2"))
     with Tango(periods_db) as fresh:
-        expected = answer(fresh.submit(second).result())
+        expected = answer(fresh.run(second))
     with Tango(periods_db) as tango:
-        tango.submit(first).result()
-        assert answer(tango.submit(second).result()) == expected
+        tango.run(first)
+        assert answer(tango.run(second)) == expected
         assert tango.metrics.value("plan_cache_hits") == 1
     assert "'S1'" in expected and "'s1'" not in expected

@@ -18,7 +18,6 @@ from repro.algebra.rewrite import (
     collect,
     contains,
     rebuild,
-    rename_columns,
     substitute,
     transform,
 )
@@ -104,19 +103,6 @@ class TestSubstitute:
         expr = BinOp("*", call, lit(2))
         result = substitute(expr, {call: col("#a0")})
         assert result == BinOp("*", col("#a0"), lit(2))
-
-
-class TestRenameColumns:
-    def test_simple(self):
-        expr = Comparison("<", col("T1"), lit(10))
-        assert rename_columns(expr, {"t1": "Start"}) == Comparison(
-            "<", col("Start"), lit(10)
-        )
-
-    def test_unmapped_columns_kept(self):
-        expr = Comparison("<", col("T1"), col("T2"))
-        renamed = rename_columns(expr, {"t1": "Start"})
-        assert renamed == Comparison("<", col("Start"), col("T2"))
 
 
 class TestSearchHelpers:

@@ -18,12 +18,6 @@ def sample_schema() -> Schema:
 
 
 class TestAttrType:
-    def test_python_types(self):
-        assert AttrType.INT.python_type is int
-        assert AttrType.DATE.python_type is int
-        assert AttrType.FLOAT.python_type is float
-        assert AttrType.STR.python_type is str
-
     def test_numeric_flags(self):
         assert AttrType.INT.is_numeric
         assert AttrType.DATE.is_numeric

@@ -111,9 +111,7 @@ class TestHealthMonitor:
         assert monitor.classify() is BackendState.SICK
 
     def test_degraded_band(self):
-        monitor = HealthMonitor(
-            HealthPolicy(min_samples=4, degraded_ratio=0.2, sick_ratio=0.6)
-        )
+        monitor = HealthMonitor(HealthPolicy(min_samples=4))
         for _ in range(7):
             monitor.record_ok()
         for _ in range(3):
@@ -122,6 +120,11 @@ class TestHealthMonitor:
         for _ in range(3):
             monitor.record_failure()  # badness 4.5/13 ≈ 0.35
         assert monitor.classify() is BackendState.DEGRADED
+        for _ in range(3):
+            monitor.record_failure()  # badness 7.5/16 ≈ 0.47
+        assert monitor.classify() is BackendState.DEGRADED
+        monitor.record_failure()  # badness 8.5/17 = SICK_RATIO
+        assert monitor.classify() is BackendState.SICK
 
     def test_window_decay_recovers(self):
         clock = [0.0]
@@ -175,15 +178,6 @@ class TestFairShareScheduler:
         scheduler.enqueue(QueryHandle("b"))
         with pytest.raises(QueueFullError, match="admission queue is full"):
             scheduler.enqueue(QueryHandle("c"))
-
-    def test_tenant_queue_limit_rejects(self):
-        scheduler = FairShareScheduler(
-            self.config(tenants=(TenantSpec("t", queue_limit=1),))
-        )
-        scheduler.enqueue(QueryHandle("a", tenant="t"))
-        with pytest.raises(QueueFullError, match="tenant 't'"):
-            scheduler.enqueue(QueryHandle("b", tenant="t"))
-        scheduler.enqueue(QueryHandle("c", tenant="other"))  # unaffected
 
     def test_cancelled_entries_are_skipped_and_accounted(self):
         scheduler = FairShareScheduler(self.config())
@@ -462,13 +456,6 @@ class TestWorkersShareLearning:
             assert worker.planner is service.planner
             assert worker.learner is service.learner
 
-    def test_an_owned_service_plans_with_the_facades_stages(self, db):
-        config = TangoConfig(service=ServiceConfig(max_concurrency=2))
-        with Tango(db, config=config) as tango:
-            tango.query(TEMPORAL)
-            assert tango.service.planner is tango.planner
-            assert tango.service.learner is tango.learner
-
     def test_adaptive_service_holds_one_set_of_factors(self, db, workers, monkeypatch):
         """Two adaptive workers fold their observations into one running
         average, and the epoch advances on material drift only — a
@@ -512,91 +499,6 @@ class TestWorkersShareLearning:
             assert service.planner.epoch == epoch
             assert counters["optimizer_runs"] == runs
             assert len(service.planner.cache) >= 1
-
-
-class TestServiceSeesTheFacadesWorld:
-    """What the facade does to statistics, data and views reaches the
-    workers: they plan with its planner (parent: a private collector per
-    worker, frozen at the statistics it first read)."""
-
-    @pytest.fixture
-    def uis(self):
-        from repro.workloads.uis import load_uis
-
-        instance = MiniDB()
-        load_uis(instance, scale=0.02, with_variants=False)
-        return instance
-
-    def test_workers_replan_after_the_facade_changes_what_plans_are_priced_with(
-        self, uis
-    ):
-        from repro.workloads import queries
-
-        sql = queries.query1_sql()
-        config = TangoConfig(service=ServiceConfig(max_concurrency=1))
-        with Tango(uis, config=config) as tango:
-
-            def served() -> tuple[int, int, float]:
-                before = tango.metrics.value("plan_cache_misses"), tango.metrics.value(
-                    "plan_cache_hits"
-                )
-                result = tango.submit(sql).result(timeout=60)
-                return (
-                    tango.metrics.value("plan_cache_misses") - before[0],
-                    tango.metrics.value("plan_cache_hits") - before[1],
-                    result.estimated_cost,
-                )
-
-            def fresh_cost() -> float:
-                with Tango(uis) as fresh:
-                    return fresh.optimize(sql).cost
-
-            assert served()[:2] == (1, 0)
-            stale_cost = served()[2]
-            position = list(uis.table("POSITION").rows)
-            changes = [
-                lambda: tango.apply_updates("POSITION", inserts=position * 4),
-                lambda: tango.refresh_statistics(),
-                lambda: tango.create_view("PV", "VALIDTIME SELECT PosID FROM POSITION"),
-                lambda: tango.drop_view("PV"),
-            ]
-            for change in changes:
-                change()
-                assert served() == (1, 0, pytest.approx(fresh_cost()))
-                assert served()[:2] == (0, 1)
-            # Five times the rows: the re-planned query is priced accordingly.
-            assert served()[2] > 3 * stale_cost
-
-
-class TestTangoServiceIntegration:
-    def test_tango_submit_routes_through_service(self, db):
-        config = TangoConfig(service=ServiceConfig(max_concurrency=2))
-        with Tango(db, config=config) as tango:
-            handles = [tango.submit(TEMPORAL, tenant="t") for _ in range(4)]
-            results = [handle.result(timeout=60) for handle in handles]
-            assert tango.service is not None
-            assert all(r.rows for r in results)
-        assert tango.service.closed
-
-    def test_tango_query_sugar_in_service_mode(self, db):
-        config = TangoConfig(service=ServiceConfig(max_concurrency=2))
-        with Tango(db, config=config) as tango:
-            result = tango.query(TEMPORAL)
-            assert result.rows
-
-    def test_inline_submit_returns_terminal_handle(self, db):
-        with Tango(db) as tango:
-            handle = tango.submit(TEMPORAL)
-            assert handle.done
-            assert handle.status() is HandleState.DONE
-            assert handle.result().rows
-
-    def test_inline_submit_failure_lands_on_handle(self, db):
-        with Tango(db) as tango:
-            handle = tango.submit("VALIDTIME SELECT NOPE FROM MISSING")
-            assert handle.status() is HandleState.FAILED
-            with pytest.raises(Exception):
-                handle.result()
 
 
 class TestRunningCancellation:
