@@ -11,8 +11,8 @@ Components per Figure 1:
 * :mod:`repro.core.engine` — the Execution Engine (Figure 2);
 * :mod:`repro.core.planner`, :mod:`repro.core.executor`,
   :mod:`repro.core.learner` — the query pipeline's three stages: what a
-  plan is priced with (one planning epoch), the per-thread run / re-plan /
-  fallback loop, and the Section 7 feedback loops;
+  plan is priced with (one planning epoch), the per-thread run /
+  fallback policy, and the Section 7 feedback loops;
 * :mod:`repro.core.tango` — the :class:`~repro.core.tango.Tango` facade a
   client application talks to, a composition root over the three.
 """

@@ -59,10 +59,3 @@ class TangoConfig:
     #: on close — learned cardinalities survive middleware restarts.  None
     #: keeps the store in-memory only.
     feedback_path: str | None = None
-    #: Mid-query re-optimization trigger: when the q-error observed at a
-    #: ``TRANSFER^D`` materialization point exceeds this factor, the
-    #: remainder of the plan is re-optimized with the now-known
-    #: cardinalities and spliced onto the completed work (see
-    #: :mod:`repro.core.reoptimize`).  0.0 (default) disables; 2.0 is a
-    #: reasonable production setting (re-plan when off by more than 2x).
-    reoptimize_threshold: float = 0.0

@@ -44,13 +44,11 @@ from dataclasses import dataclass, field
 
 from repro.algebra.schema import Schema
 from repro.core.plans import ExecutionPlan
-from repro.core.reoptimize import ReoptimizationSignal
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.obs.instrument import execution_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.xxl.cursor import walk
-from repro.xxl.transfer import TransferDCursor
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,6 @@ class ExecutionEngine:
         metrics: MetricsRegistry | None = None,
         deadline_seconds: float | None = None,
         abort=None,
-        on_materialize=None,
     ) -> ExecutionOutcome:
         """Figure 2's ExecuteQuery: init every result set, drain the last.
 
@@ -157,16 +154,6 @@ class ExecutionEngine:
         :class:`~repro.errors.QueryCancelledError` (same teardown, same
         partial trace) — this is how the query service's handle cancels a
         query that is already running.
-
-        *on_materialize*, when given, is the mid-query re-optimization
-        probe (see :mod:`repro.core.reoptimize`): called right after each
-        ``TRANSFER^D`` step's ``init`` with the cursor — its temp
-        table is fully loaded, nothing downstream has started.  A non-None
-        return is a :class:`~repro.core.reoptimize.ReoptimizationDecision`
-        and makes the engine unwind with
-        :class:`~repro.core.reoptimize.ReoptimizationSignal`; the usual
-        teardown runs, except the *completed* transfers' temp tables stay
-        alive (the re-planning caller owns dropping them).
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         if instrument:
@@ -201,23 +188,10 @@ class ExecutionEngine:
 
         rows: list[tuple] = []
         batches = 0
-        completed: list[TransferDCursor] = []
-        keep: frozenset[str] = frozenset()
         try:
             for step in plan.steps:
                 check_interrupts()
                 step.init()
-                if isinstance(step, TransferDCursor):
-                    completed.append(step)
-                    if on_materialize is not None:
-                        decision = on_materialize(step)
-                        if decision is not None:
-                            keep = frozenset(
-                                cursor.table_name for cursor in completed
-                            )
-                            raise ReoptimizationSignal(
-                                decision, tuple(completed)
-                            )
             output = plan.output
             size = output.batch_size
             fill = metrics.histogram("rows_per_batch") if metrics is not None else None
@@ -233,11 +207,9 @@ class ExecutionEngine:
             schema = output.schema
         finally:
             # Close every step and drop every temp table, whatever raised.
-            # Tables named in *keep* survive: they feed the re-optimized
-            # remainder plan, whose executor owns dropping them.
             attempt_all(
                 [step.close for step in plan.steps]
-                + [t.drop for t in plan.transfers_down if t.table_name not in keep]
+                + [t.drop for t in plan.transfers_down]
             )
         elapsed = time.perf_counter() - begin
         trace = execution_trace(plan, elapsed)

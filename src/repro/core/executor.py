@@ -8,35 +8,23 @@ query.  Shared with every other thread of the middleware: the
 :class:`~repro.core.learner.Learner` executions report to.
 
 The execution policy is one loop, :meth:`Executor._drive` (state diagram
-in DESIGN.md §13): RUN compiles and executes the current plan; a q-error
-above the threshold at a ``TRANSFER^D`` sends it through REPLAN (completed
-materializations spliced, the remainder re-optimized; at most
-``MAX_REOPTIMIZATIONS`` times); an exhausted retry budget sends it, once,
-to FALLBACK (the initial all-DBMS plan, serial, fresh budget); DONE feeds
-the learner; anything else is FAIL.  Temp tables kept alive across a splice
-are dropped in the loop's single ``finally``, whichever way it is left.
+in DESIGN.md §13): RUN compiles and executes the plan; an exhausted retry
+budget sends it, once, to FALLBACK (the initial all-DBMS plan, serial, fresh
+budget); DONE feeds the learner, whose store corrects the *next* plan of
+the same shape; anything else is FAIL.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.algebra.operators import Operator
-from repro.algebra.properties import guaranteed_order
 from repro.algebra.schema import Schema
-from repro.core.engine import ExecutionEngine, ExecutionOutcome, attempt_all
+from repro.core.engine import ExecutionEngine, ExecutionOutcome
 from repro.core.parser import is_temporal_query
 from repro.core.partition import ParallelContext
 from repro.core.plans import ExecutionPlan, compile_plan
-from repro.core.reoptimize import (
-    MAX_REOPTIMIZATIONS,
-    ReoptimizationDecision,
-    ReoptimizationSignal,
-    splice_completed,
-    temp_scan,
-)
 from repro.core.translator import SQLTranslator
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.jdbc import Connection, ConnectionPool
@@ -100,8 +88,7 @@ class Executor:
     """Runs queries on one thread, over one connection.
 
     *config* supplies ``tracing``, ``retry``,
-    ``deadline_seconds``, ``fallback``, ``workers`` and
-    ``reoptimize_threshold``.  *pool* is where partition fan-out draws its
+    ``deadline_seconds``, ``fallback`` and ``workers``.  *pool* is where partition fan-out draws its
     extra connections (``workers > 1``); the caller owns *connection* and
     *pool* and releases them.
     """
@@ -200,19 +187,17 @@ class Executor:
         whatever ``config.tracing`` says), and lay actuals against
         estimates.  Returns the report and the rows the run produced."""
         optimization = self.planner.plan(query, self.tracer)
-        outcome, executed, _ = self._drive(optimization.plan, instrument=True)
+        outcome, _, _ = self._drive(optimization.plan, instrument=True)
         report = build_report(
             outcome.trace,
             self.planner.estimator,
             self.planner.coster(),
             estimated_total_us=optimization.cost,
             result_rows=len(outcome.rows),
-            reoptimize_threshold=self.config.reoptimize_threshold,
-            reoptimized=executed is not optimization.plan,
         )
         return report, outcome.rows
 
-    # -- the loop -----------------------------------------------------------------------
+    # -- the policy ---------------------------------------------------------------------
 
     def _drive(
         self,
@@ -222,76 +207,46 @@ class Executor:
         abort=None,
         instrument: bool = False,
     ) -> tuple[ExecutionOutcome, Operator, bool]:
-        """RUN → REPLAN → FALLBACK → DONE/FAIL (see the module docstring).
+        """RUN → FALLBACK → DONE/FAIL (see the module docstring).
 
         Returns ``(outcome, executed plan, degraded)``.
         """
         validate_plan(plan)
-        # The fallback round swaps both: a fresh budget, serial compilation.
-        retry, parallel = self._retry_state(), True
-        current, rounds = plan, 0
-        failure: RetryExhaustedError | None = None  # what sent us to FALLBACK
-        kept: list = []  # completed TransferDCursors surviving splices
-        with ExitStack() as spans:
+        try:
+            outcome = self._round(plan, self._retry_state(), True, abort, instrument)
+        except RetryExhaustedError as error:  # → FALLBACK, or FAIL
+            if fallback is None or not self.config.fallback:
+                raise
+            initial = (
+                self.planner.parse(fallback) if isinstance(fallback, str) else fallback
+            )
+            if any(
+                (type(node), node.location) not in ALGORITHMS for node in initial.walk()
+            ):
+                # A ``Coalesce^D`` in the Section 3.1 plan: there is no
+                # all-DBMS plan to fall back to.
+                raise
+            failure = error
+        else:
+            self._record(outcome, plan)  # → DONE
+            return outcome, plan, False
+        self.metrics.counter("fallbacks").inc()
+        # The all-DBMS shape is the most failure-resistant plan there is: no
+        # TRANSFER^D round trips, one TRANSFER^M — compiled serially (a
+        # fan-out would multiply the connections that just proved flaky) and
+        # given a fresh budget of its own.
+        with self.tracer.span(
+            "fallback", kind="fallback", error=str(failure), retries=failure.retries
+        ):
+            validate_plan(initial)
             try:
-                while True:
-                    try:
-                        outcome = self._round(
-                            current,
-                            retry,
-                            parallel,
-                            abort,
-                            instrument,
-                            probing=failure is None and rounds < MAX_REOPTIMIZATIONS,
-                        )
-                    except ReoptimizationSignal as signal:  # → REPLAN
-                        rounds += 1
-                        kept.extend(signal.completed)
-                        current = self._replan(current, signal)
-                        continue
-                    except RetryExhaustedError as error:  # → FALLBACK, or FAIL
-                        if failure is not None:
-                            raise error from failure
-                        if fallback is None or not self.config.fallback:
-                            raise
-                        initial = (
-                            self.planner.parse(fallback)
-                            if isinstance(fallback, str)
-                            else fallback
-                        )
-                        if any(
-                            (type(node), node.location) not in ALGORITHMS
-                            for node in initial.walk()
-                        ):
-                            # A ``Coalesce^D`` in the Section 3.1 plan: there
-                            # is no all-DBMS plan to fall back to.
-                            raise
-                        failure = error
-                        self.metrics.counter("fallbacks").inc()
-                        spans.enter_context(
-                            self.tracer.span(
-                                "fallback",
-                                kind="fallback",
-                                error=str(error),
-                                retries=error.retries,
-                            )
-                        )
-                        # The all-DBMS shape is the most failure-resistant
-                        # plan there is: no TRANSFER^D round trips, one
-                        # TRANSFER^M — compiled serially (a fan-out would
-                        # multiply the connections that just proved flaky)
-                        # and given a fresh budget of its own.
-                        current = initial
-                        validate_plan(current)
-                        retry, parallel = self._retry_state(), False
-                        continue
-                    self._record(outcome, current)  # → DONE
-                    if rounds and failure is None and outcome.trace is not None:
-                        outcome.trace.set(reoptimizations=rounds)
-                    return outcome, current, failure is not None
-            finally:
-                # Temp tables kept alive across splices go now.
-                attempt_all(cursor.drop for cursor in kept)
+                outcome = self._round(
+                    initial, self._retry_state(), False, abort, instrument
+                )
+            except RetryExhaustedError as error:  # → FAIL
+                raise error from failure
+            self._record(outcome, initial)  # → DONE, degraded
+        return outcome, initial, True
 
     def compile(
         self,
@@ -321,16 +276,11 @@ class Executor:
             parallel=context,
         )
 
-    def _round(
-        self, plan, retry, parallel, abort, instrument, probing
-    ) -> ExecutionOutcome:
+    def _round(self, plan, retry, parallel, abort, instrument) -> ExecutionOutcome:
         """One RUN: compile *plan* and hand it to the engine."""
         with self.tracer.span("translate", kind="phase") as span:
             execution_plan = self.compile(plan, retry=retry, parallel=parallel)
             span.set(steps=len(execution_plan.steps))
-        probe = None
-        if probing and self.config.reoptimize_threshold > 0:
-            probe = self._materialization_probe
         return self.engine.execute(
             execution_plan,
             tracer=Tracer() if instrument else self.tracer,
@@ -338,53 +288,7 @@ class Executor:
             metrics=self.metrics,
             deadline_seconds=self.config.deadline_seconds,
             abort=abort,
-            on_materialize=probe,
         )
-
-    def _materialization_probe(self, cursor) -> ReoptimizationDecision | None:
-        """The engine's ``on_materialize`` callback: the learner lays the
-        row count a ``TRANSFER^D`` loaded against its node's estimate, and
-        a q-error above the threshold answers with a decision — which
-        makes the engine unwind for a re-plan."""
-        node = cursor.node
-        if node is None:
-            return None
-        actual = float(cursor.rows_loaded)
-        estimated, error = self.learner.observe_materialization(node, actual)
-        if error <= self.config.reoptimize_threshold:
-            return None
-        return ReoptimizationDecision(
-            node=node, estimated=estimated, actual=actual, qerror=error
-        )
-
-    def _replan(self, plan: Operator, signal: ReoptimizationSignal) -> Operator:
-        """Splice completed materializations out of *plan* and re-enter
-        the planner for the remainder, under the original order contract.
-        The collector auto-ANALYZEs the temp tables, so the re-entered
-        search runs on exact cardinalities for everything already
-        computed."""
-        self.metrics.counter("reoptimizations").inc()
-        decision = signal.decision
-        replacements = {
-            id(cursor.node): temp_scan(cursor.node, cursor.table_name)
-            for cursor in signal.completed
-            if cursor.node is not None
-        }
-        with self.tracer.span(
-            "reoptimize",
-            kind="reoptimize",
-            qerror=decision.qerror,
-            estimated=decision.estimated,
-            actual=decision.actual,
-            at=decision.node.describe(),
-        ) as span:
-            result = self.planner.replan(
-                splice_completed(plan, replacements),
-                tuple(guaranteed_order(plan)),
-                self.tracer,
-            )
-            span.set(cost=result.cost)
-        return result.plan
 
     def _record(self, outcome: ExecutionOutcome, plan: Operator) -> None:
         """Metrics for one completed engine execution; then the learner."""

@@ -14,8 +14,8 @@ its partitioning of subsequent queries".  Two loops, both here:
   :func:`~repro.stats.fingerprint.plan_fingerprint`, EMA-smoothed and
   JSON-persistable, fed from the row counts a finished execution
   observed per plan node (believing only cursors that provably ran to
-  exhaustion — :func:`trusted_nodes`) and from ``TRANSFER^D``
-  materialization points mid-query.
+  exhaustion — :func:`trusted_nodes`).  What a run learns corrects the
+  *next* plan of the same shape, never the running one.
 
 :class:`Learner` is the one interface to both.  It reports to the
 :class:`~repro.core.planner.Planner` under one materiality rule
@@ -333,19 +333,6 @@ class Learner:
         if self.config.learn_cardinalities and outcome.trace is not None:
             self._harvest(outcome.trace, plan)
 
-    def observe_materialization(self, node: Operator, rows: int) -> tuple[float, float]:
-        """A ``TRANSFER^D`` below *node* loaded *rows*: record the q-error
-        against the estimate it was planned with (and learn the truth, when
-        learning).  Returns ``(estimated rows, q-error)``."""
-        estimated = float(self.planner.estimator.estimate(node).cardinality)
-        error = qerror(estimated, rows)
-        self.metrics.histogram("qerror").observe(error)
-        if self.config.learn_cardinalities:
-            fingerprint = plan_fingerprint(node)
-            if fingerprint is not None and self.learn(fingerprint, rows):
-                self.metrics.counter("cardinality_feedback_updates").inc()
-        return estimated, error
-
     def learn(self, fingerprint: str, rows: float) -> bool:
         """Record one cardinality; True (and the planner hears) when the
         change was material."""
@@ -362,9 +349,10 @@ class Learner:
         return dropped
 
     def close(self) -> None:
-        """Persist the store (``config.feedback_path``), when it holds
-        anything."""
-        if self.config.feedback_path and len(self.store):
+        """Persist the store to ``config.feedback_path`` — empty too: an
+        invalidation that emptied it must not leave the last session's
+        entries on disk for the next one to load."""
+        if self.config.feedback_path:
             try:
                 self.store.save(self.config.feedback_path)
             except OSError:

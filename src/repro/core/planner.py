@@ -19,8 +19,8 @@ epoch in their key: exploration reads nothing an epoch changes.
 
 One planner serves every thread of a middleware instance (a query
 service's workers all plan with one), so its public methods are
-thread-safe: a cache hit takes only the cache's own lock; a miss, a
-re-plan and every advance serialize on the planner's.
+thread-safe: a cache hit takes only the cache's own lock; a miss and
+every advance serialize on the planner's.
 """
 
 from __future__ import annotations
@@ -230,22 +230,6 @@ class Planner:
         self.metrics.counter(
             "optimizer_shape_hits" if result.shape_hit else "optimizer_shape_misses"
         ).inc()
-        return result
-
-    def replan(
-        self,
-        remainder: Operator,
-        required_order: tuple[str, ...],
-        tracer: Tracer = NULL_TRACER,
-    ) -> OptimizationResult:
-        """Mid-query re-entry: optimize the *remainder* of a running plan
-        under the original plan's order contract.  Never cached — the
-        remainder scans temp tables that die with the query."""
-        with self._lock:
-            result = self.optimizer.optimize(
-                remainder, required_order=required_order, tracer=tracer, share_shape=False
-            )
-        validate_plan(result.plan)
         return result
 
     def coster(self, estimator: CardinalityEstimator | None = None) -> PlanCoster:

@@ -70,8 +70,8 @@ def compile_plan(
     *plan* must be middleware-rooted (every complete TANGO plan ends with
     the result in the middleware).  Every created cursor is stamped with
     the plan node it implements (a ``T^M``'s SQL cursor with the
-    ``TransferM`` node covering its DBMS region) — what EXPLAIN ANALYZE, the
-    feedback loops and the re-plan probe lay actuals against.  *retry* (a
+    ``TransferM`` node covering its DBMS region) — what EXPLAIN ANALYZE and
+    the feedback loops lay actuals against.  *retry* (a
     :class:`~repro.resilience.retry.RetryState`, the per-query retry
     budget) is handed to every transfer cursor so DBMS calls are retried
     under the configured policy.  *parallel* (a

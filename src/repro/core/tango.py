@@ -33,7 +33,7 @@ one :class:`~repro.core.planner.Planner` (statistics, estimators, cost
 factors, optimizer, plan cache — and the one planning epoch), one
 :class:`~repro.core.learner.Learner` (both Section 7 feedback loops), and
 one :class:`~repro.core.executor.Executor` for the calling thread (the
-connection, engine, tracer and the run / re-plan / fallback loop).  The
+connection, engine, tracer and the run / fallback policy).  The
 public verbs below delegate to them.
 
 Behavioral knobs live in the frozen :class:`TangoConfig`.  Every instance
@@ -63,7 +63,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.calibration import Calibrator
 from repro.optimizer.costs import CostFactors
 from repro.optimizer.search import OptimizationResult
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import FaultInjector, root_injector
 from repro.views import ViewManager
 
 __all__ = ["QueryResult", "Tango", "TangoConfig"]
@@ -88,11 +88,11 @@ class Tango:
         self.db = db
         #: Shared when supplied; otherwise private to this instance.
         self.metrics = metrics or MetricsRegistry()
-        #: Chaos harness, when supplied: every DBMS touchpoint of this
-        #: instance's connections first passes through the injector.
-        self.fault_injector = fault_injector
-        if fault_injector is not None and fault_injector.metrics is None:
-            fault_injector.metrics = self.metrics
+        #: Chaos harness, when supplied (or *pool*'s): every DBMS touchpoint
+        #: of this instance's connections first passes through the injector.
+        self.fault_injector = fault_injector = root_injector(
+            fault_injector, pool, self.metrics
+        )
         #: A caller-supplied pool is a deployment setting (its size and its
         #: injector, wire latency included, are the caller's): the primary
         #: connection is leased from it and returned on close, and the pool
@@ -300,9 +300,7 @@ class Tango:
 
         Transient DBMS failures inside the transfer operators are retried
         under ``config.retry``; ``config.deadline_seconds`` bounds the
-        execution's wall time; with ``config.reoptimize_threshold`` set the
-        plan may be re-optimized mid-query at ``TRANSFER^D`` materialization
-        points (see :mod:`repro.core.executor`).
+        execution's wall time (see :mod:`repro.core.executor`).
         """
         self._check_open()
         return self.executor.execute(plan)

@@ -45,8 +45,8 @@ def main(argv: list[str] | None = None) -> int:
         "--no-adaptive",
         action="store_true",
         help=(
-            "drop adaptive execution (cardinality learning + mid-query "
-            "re-optimization) from the configuration matrix"
+            "drop adaptive execution (cardinality learning) from the "
+            "configuration matrix"
         ),
     )
     parser.add_argument(

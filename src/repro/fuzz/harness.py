@@ -60,8 +60,8 @@ class FuzzHarness:
     #: Stop early after this many distinct failures.
     max_failures: int = 5
     shrink: bool = True
-    #: Cross adaptive execution (cardinality learning + mid-query
-    #: re-optimization) into the oracle's configuration matrix.
+    #: Cross adaptive execution (cardinality learning) into the oracle's
+    #: configuration matrix.
     adaptive_axis: bool = True
     #: Generate mutate-then-refresh cases and check materialized-view
     #: incremental refresh against a scratch recomputation.

@@ -65,16 +65,10 @@ CHAOS_RETRY = RetryPolicy(
 
 #: The configuration matrix the oracle samples (Section 6's knobs).
 WORKER_CHOICES = (1, 2, 4)
-#: Adaptive execution crossed into the matrix: cardinality learning plus
-#: mid-query re-optimization at materialization points — re-optimized
-#: plans must stay plan-equivalent and leak no temp tables across the
-#: splice, under chaos and partitioning too.
+#: Adaptive execution crossed into the matrix: cardinality learning —
+#: plans chosen from learned cardinalities must stay plan-equivalent and
+#: leak no temp tables, under chaos and partitioning too.
 ADAPTIVE_CHOICES = (False, True)
-
-#: The re-optimization threshold adaptive matrix points run under —
-#: deliberately low, so generated workloads (whose estimates are often
-#: rough) actually exercise the splice path.
-ADAPTIVE_REOPTIMIZE_THRESHOLD = 2.0
 
 
 @dataclass(frozen=True)
@@ -96,9 +90,6 @@ class ExecConfig:
             tracing=self.tracing,
             fallback=False,
             learn_cardinalities=self.adaptive,
-            reoptimize_threshold=(
-                ADAPTIVE_REOPTIMIZE_THRESHOLD if self.adaptive else 0.0
-            ),
         )
 
     def fault_injector(self) -> FaultInjector | None:
@@ -225,9 +216,9 @@ class Oracle:
     rule_samples: int = 3
     #: Configuration-matrix points sampled per case.
     config_samples: int = 2
-    #: Cross adaptive execution (cardinality learning + mid-query
-    #: re-optimization) into the matrix: spliced plans must stay
-    #: plan-equivalent and leak no temp tables.
+    #: Cross adaptive execution (cardinality learning) into the matrix:
+    #: plans chosen from learned cardinalities must stay plan-equivalent
+    #: and leak no temp tables.
     adaptive_axis: bool = True
     #: Run each case's mutate-then-refresh check: materialize the query as
     #: a view, apply the case's update batches, refresh incrementally, and

@@ -55,9 +55,6 @@ class OperatorMeasurement:
     #: q-error of the row estimate, ``max(est/act, act/est)`` (None when
     #: no estimate exists for this span).
     qerror: float | None = None
-    #: True when the q-error exceeds the re-optimization threshold — the
-    #: operators that would trigger (or did trigger) a mid-query re-plan.
-    flagged: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +70,6 @@ class OperatorMeasurement:
             "retries": self.retries,
             "workers": self.workers,
             "qerror": self.qerror,
-            "flagged": self.flagged,
         }
 
 
@@ -86,10 +82,6 @@ class ExplainAnalyzeReport:
     actual_seconds: float
     result_rows: int
     trace: Span
-    #: The threshold q-errors were flagged against (0.0 = flagging off).
-    reoptimize_threshold: float = 0.0
-    #: True when the executed plan was re-optimized mid-query.
-    reoptimized: bool = False
     #: Optional headline above the table — e.g. a view refresh decision.
     banner: str | None = None
 
@@ -105,8 +97,6 @@ class ExplainAnalyzeReport:
             "estimated_total_us": self.estimated_total_us,
             "actual_seconds": self.actual_seconds,
             "result_rows": self.result_rows,
-            "reoptimize_threshold": self.reoptimize_threshold,
-            "reoptimized": self.reoptimized,
             "banner": self.banner,
             "trace": self.trace.to_dict(),
         }
@@ -138,11 +128,7 @@ class ExplainAnalyzeReport:
             )
             actual = f"{m.actual_self_us:.1f}" if m.actual_self_us is not None else "-"
             batches = str(m.batches) if m.batches is not None else "-"
-            # The "!" marks operators whose estimate is off beyond the
-            # re-optimization threshold.
-            qerr = "-"
-            if m.qerror is not None:
-                qerr = f"{m.qerror:.1f}" + ("!" if m.flagged else "")
+            qerr = f"{m.qerror:.1f}" if m.qerror is not None else "-"
             lines.append(
                 f"{label:<44} {est_rows:>10} {m.actual_rows:>10} "
                 f"{qerr:>8} {batches:>8} {est_cost:>12} {actual:>12}"
@@ -152,8 +138,6 @@ class ExplainAnalyzeReport:
             f"actual: {self.actual_seconds * 1e6:.1f}us   "
             f"rows: {self.result_rows}"
         )
-        if self.reoptimized:
-            summary += "   [reoptimized]"
         lines.append(summary)
         return "\n".join(lines)
 
@@ -164,15 +148,11 @@ def build_report(
     coster,
     estimated_total_us: float,
     result_rows: int,
-    reoptimize_threshold: float = 0.0,
-    reoptimized: bool = False,
 ) -> ExplainAnalyzeReport:
     """Assemble the report from an ``execute`` span tree.
 
     *estimator* and *coster* supply the estimates against which the actuals
-    of the node-bearing cursor spans are laid.  Rows whose q-error
-    exceeds *reoptimize_threshold* (when > 0) come back flagged;
-    *reoptimized* marks a plan that was re-planned mid-query.
+    of the node-bearing cursor spans are laid.
     """
     measurements: list[OperatorMeasurement] = []
     node_rows = {id(node): rows for node, rows in cardinality_observations(trace)}
@@ -215,11 +195,6 @@ def build_report(
                 retries=span.attributes.get("retries"),
                 workers=span.attributes.get("workers"),
                 qerror=error,
-                flagged=(
-                    error is not None
-                    and reoptimize_threshold > 0
-                    and error > reoptimize_threshold
-                ),
             )
         )
         for child in span.children:
@@ -232,8 +207,6 @@ def build_report(
         actual_seconds=trace.elapsed_seconds,
         result_rows=result_rows,
         trace=trace,
-        reoptimize_threshold=reoptimize_threshold,
-        reoptimized=reoptimized,
     )
 
 

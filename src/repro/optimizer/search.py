@@ -177,26 +177,22 @@ class Optimizer:
     def optimize(
         self,
         initial_plan: Operator | Shaped,
-        required_order: Order | None = None,
         tracer: Tracer | None = None,
-        share_shape: bool = True,
     ) -> OptimizationResult:
         """Optimize *initial_plan* and return the chosen plan.
 
-        *required_order* defaults to whatever order the initial plan
-        guarantees (the query's ORDER BY); the chosen plan is constrained to
-        deliver the same order — the list-equivalence contract.  *tracer*
-        overrides the constructor's for this run (one optimizer serves
-        callers on several threads, each with its own tracer).  With
-        ``share_shape=False`` the shape is neither looked up nor kept: a
-        re-plan's remainder scans temp tables no later query will.  A
-        :class:`~repro.optimizer.shapes.Shaped` query arrives taken apart
-        already (the planner's), for an optimizer with a shape cache.
+        The chosen plan is constrained to deliver whatever order the initial
+        plan guarantees (the query's ORDER BY) — the list-equivalence
+        contract.  *tracer* overrides the constructor's for this run (one
+        optimizer serves callers on several threads, each with its own
+        tracer).  A :class:`~repro.optimizer.shapes.Shaped` query arrives
+        taken apart already (the planner's), for an optimizer with a shape
+        cache.
         """
         tracer = tracer if tracer is not None else self.tracer
         with tracer.span("optimize", kind="phase") as span:
             explored, hit, extraction, required_order = self._search(
-                initial_plan, required_order, tracer, share_shape
+                initial_plan, tracer
             )
             memo = explored.memo
             with tracer.span("extract", kind="phase"):
@@ -226,22 +222,19 @@ class Optimizer:
         )
 
     def _search(
-        self,
-        query: Operator | Shaped,
-        required_order: Order | None,
-        tracer: Tracer,
-        share_shape: bool = True,
+        self, query: Operator | Shaped, tracer: Tracer
     ) -> tuple[_Explored, bool, "_Extraction", Order]:
         """Phase 1 for :meth:`optimize` and :meth:`top_plans`: the explored
         memo of *query*'s shape, whether it was kept from an earlier query,
         an extraction that binds this query's literals back, and the order
-        contract (lower-cased once for the whole extraction)."""
-        shapes = self.shapes if share_shape else None
+        contract *query* guarantees (lower-cased once for the whole
+        extraction)."""
+        shapes = self.shapes
         binding: Binding | None = None
         hit = False
         with tracer.span("explore", kind="phase") as span:
             if shapes is None:
-                order = guaranteed_order(query) if required_order is None else required_order
+                order = guaranteed_order(query)
                 explored = self._closure(query)
             else:
                 if not isinstance(query, Shaped):
@@ -260,9 +253,7 @@ class Optimizer:
                 elements=explored.memo.element_count,
             )
         extraction = _Extraction(explored, self.coster, binding)
-        if required_order is None:
-            required_order = order
-        return explored, hit, extraction, _lower(required_order)
+        return explored, hit, extraction, _lower(order)
 
     def _closure(self, plan: Operator) -> _Explored:
         """*plan*'s memo, closed under the rules (:meth:`_explore`)."""
@@ -276,7 +267,6 @@ class Optimizer:
         self,
         initial_plan: Operator,
         k: int = 3,
-        required_order: Order | None = None,
     ) -> list[tuple[Operator, float]]:
         """The *k* cheapest structurally distinct plans in the explored memo.
 
@@ -287,7 +277,7 @@ class Optimizer:
         executes against the initial plan.
         """
         explored, _, extraction, required_order = self._search(
-            initial_plan, required_order, NULL_TRACER
+            initial_plan, NULL_TRACER
         )
         choices: list[_Choice] = []
         for element in extraction.candidates(explored.root, initial_plan.location):

@@ -71,7 +71,7 @@ class FaultInjector:
     Counts what it does (:attr:`faults_injected`, :attr:`latency_spikes`,
     :attr:`calls`) and mirrors the counts into a
     :class:`~repro.obs.metrics.MetricsRegistry` when one is attached
-    (``Tango`` attaches its own registry when handed an injector).
+    (:func:`root_injector` attaches a composition root's registry).
     """
 
     def __init__(self, policy: FaultPolicy, seed: int = 0, metrics=None, sleep=time.sleep):
@@ -153,3 +153,23 @@ class FaultInjector:
             if self.metrics is not None:
                 self.metrics.counter("faults_injected").inc()
             raise TransientError(f"injected transient fault on {op} (call {calls})")
+
+
+def root_injector(injector: FaultInjector | None, pool, metrics) -> FaultInjector | None:
+    """The injector a composition root (``Tango``, ``QueryService``) runs
+    under, with *metrics* attached when it mirrors into no registry yet.
+
+    A caller-supplied *pool* brings its own injector — the one every leased
+    connection passes through — so it is the root's; a second one beside
+    it would be silently ignored, and is refused instead.
+    """
+    if pool is not None:
+        if injector is not None:
+            raise ValueError(
+                "pass fault_injector= or pool=, not both: the pool's own "
+                "injector is the one its connections run under"
+            )
+        injector = pool.injector
+    if injector is not None and injector.metrics is None:
+        injector.metrics = metrics
+    return injector

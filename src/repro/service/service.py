@@ -41,7 +41,7 @@ from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import ConnectionPool
 from repro.errors import BackendSickError, DatabaseError, QueueFullError
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import FaultInjector, root_injector
 from repro.resilience.health import BackendState, HealthMonitor
 from repro.service.config import ServiceConfig
 from repro.service.handle import HandleState, QueryHandle
@@ -70,9 +70,9 @@ class QueryService:
         self.config = config or ServiceConfig()
         base = self.tango_config = tango_config or TangoConfig()
         self.metrics = metrics or MetricsRegistry()
-        self.fault_injector = fault_injector
-        if fault_injector is not None and fault_injector.metrics is None:
-            fault_injector.metrics = self.metrics
+        self.fault_injector = fault_injector = root_injector(
+            fault_injector, pool, self.metrics
+        )
         self._owns_pool = pool is None
         self.pool = pool or ConnectionPool(
             db,

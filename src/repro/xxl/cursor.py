@@ -19,7 +19,7 @@ dropping or reordering a row, and a batch size of 1 degenerates to the
 paper's row-at-a-time execution.
 
 A cursor also *describes itself* — four facts every consumer (span tree,
-feedback loops, EXPLAIN ANALYZE, re-plan probe, Figure 5 text) reads here
+feedback loops, EXPLAIN ANALYZE, Figure 5 text) reads here
 instead of guessing: its :attr:`~Cursor.inputs`, its Figure 5
 :attr:`~Cursor.algorithm` label and :meth:`~Cursor.detail`, the plan
 :attr:`~Cursor.node` it was compiled from, and its

@@ -1,45 +1,25 @@
-"""The executor's loop, where its transitions compose.
+"""The executor's policy, where its transitions compose.
 
-RUN → REPLAN, RUN → FALLBACK and FALLBACK → FAIL are each under test
-elsewhere (``test_reoptimization.py``, ``test_chaos.py``,
-``test_parallel.py``); these drive the two sequences no test reaches
-there: a retry budget that runs out in the round *after* a re-plan splice
-(temp tables are being kept alive across rounds at that moment), and a
-fallback that itself fails.  Either way nothing may be left behind.
+RUN → FALLBACK is under test elsewhere (``test_chaos.py``,
+``test_parallel.py``); this drives the sequence no test reaches there: a
+fallback that itself fails (FALLBACK → FAIL).  Nothing may be left
+behind.
 """
 
 import threading
 
 import pytest
 
-from repro.algebra.builder import scan
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
-from repro.errors import RetryExhaustedError, TransientError
+from repro.errors import RetryExhaustedError
 from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
-from tests.integration.test_reoptimization import corrupt_stats, make_db
 
 IMPATIENT = RetryPolicy(
     max_attempts=3, budget=8, base_delay_seconds=0.0, max_delay_seconds=0.0
 )
-
-
-def initial_plan(db):
-    """TAGGR over BIGPOS joined to EMP, everything in the DBMS — a shape
-    the fallback can run as is.  Told BIGPOS has ten rows, the optimizer
-    aggregates in the middleware and ships the "tiny" result back down
-    (``TAGGR^M → T^D → TJOIN^D``), which is where the re-plan fires."""
-    return (
-        scan(db, "BIGPOS")
-        .project("PosID", "T1", "T2")
-        .taggr(group_by=["PosID"], count="PosID")
-        .temporal_join(scan(db, "EMP").build(), "PosID", "PosID")
-        .sort("PosID")
-        .to_middleware()
-        .build()
-    )
 
 
 def leaked_temp_tables(db) -> list[str]:
@@ -52,44 +32,6 @@ def exchange_threads() -> list[str]:
         for thread in threading.enumerate()
         if thread.name.startswith("tango-exchange")
     ]
-
-
-class AfterReplanInjector(FaultInjector):
-    """Faults the next *burst* DBMS calls once a re-optimization happened —
-    enough to exhaust one call site's attempts in the re-planned round,
-    and spent by the time the fallback runs."""
-
-    def __init__(self, burst: int):
-        super().__init__(FaultPolicy(), seed=0)
-        self.burst = burst
-
-    def before(self, op: str) -> None:
-        if self.burst and self.metrics.value("reoptimizations") >= 1:
-            self.burst -= 1
-            self.faults_injected += 1
-            raise TransientError(f"injected fault on {op} after the re-plan")
-
-
-def test_budget_exhausted_after_a_replan_splice_falls_back_clean():
-    db = make_db()
-    with Tango(db) as honest:
-        expected = sorted(honest.run(initial_plan(db)).rows)
-    injector = AfterReplanInjector(burst=IMPATIENT.max_attempts)
-    config = TangoConfig(reoptimize_threshold=2.0, retry=IMPATIENT, tracing=True)
-    with Tango(db, config, fault_injector=injector) as tango:
-        corrupt_stats(tango)
-        result = tango.run(initial_plan(db))
-
-        assert injector.burst == 0
-        assert tango.metrics.value("reoptimizations") == 1
-        assert tango.metrics.value("fallbacks") == 1
-        assert result.degraded
-        assert sorted(result.rows) == expected
-        # The splice's temp table was alive when the budget ran out.
-        assert leaked_temp_tables(db) == []
-        names = [span.name for span in result.trace.iter()]
-        assert names.index("reoptimize") < names.index("fallback")
-    assert leaked_temp_tables(db) == []
 
 
 def test_failed_fallback_surfaces_its_own_error_chained_from_the_original():

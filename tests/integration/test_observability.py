@@ -191,11 +191,11 @@ class TestExplainAnalyze:
     def test_partitioned_run_times_every_row_and_sums_per_node(self):
         """An estimate belongs to a plan node; four partition cursors
         implement it.  Before PR 18 each partition row was laid against
-        the whole node's estimate (q-error 3.8-4.1, flagged) and none of
-        them had a time."""
+        the whole node's estimate (q-error 3.8-4.1) and none of them had a
+        time."""
         db = MiniDB()
         load_uis(db, scale=0.05, with_variants=False, seed=1)
-        config = TangoConfig(workers=4, reoptimize_threshold=2.0)
+        config = TangoConfig(workers=4)
         with Tango(db, config, fault_injector=FaultInjector(FaultPolicy(), seed=0)) as tango:
             report = tango.explain_analyze(queries.query1_sql())
         exchange, *partitioned = report.operators
@@ -218,7 +218,6 @@ class TestExplainAnalyze:
         assert sum(m.actual_rows for m in taggr) == exchange.actual_rows == 7180
         assert all(m.qerror == pytest.approx(7180 / 4721, abs=1e-3) for m in taggr)
         assert exchange.qerror == taggr[0].qerror
-        assert not any(m.flagged for m in report)
 
 
 class TestTracerRetention:

@@ -91,9 +91,9 @@ def assert_orders_agree(optimizer: Optimizer, plan) -> int:
     # computed while another is in progress is cached without the plans
     # through that one, so what a shared extraction finds depends on who
     # asked first.
-    explored, _, extraction, required = optimizer._search(plan, None, NULL_TRACER)
+    explored, _, extraction, required = optimizer._search(plan, NULL_TRACER)
     winner = extraction.best(explored.root, plan.location, required)
-    explored, _, extraction, required = optimizer._search(plan, None, NULL_TRACER)
+    explored, _, extraction, required = optimizer._search(plan, NULL_TRACER)
     ranked = [
         choice
         for element in extraction.candidates(explored.root, plan.location)

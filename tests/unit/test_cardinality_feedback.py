@@ -207,6 +207,25 @@ class TestPersistence:
             assert len(second.learner.store) > 0
             assert second.query(sql).rows == baseline
 
+    def test_invalidated_entries_stay_gone_across_sessions(self, tmp_path):
+        """An update that empties the store must reach the file too, or
+        the next session loads the stale entries back."""
+        config = TangoConfig(
+            learn_cardinalities=True, feedback_path=str(tmp_path / "feedback.json")
+        )
+        from tests.conftest import make_figure3_db
+
+        db = make_figure3_db()
+        with Tango(db, config=config) as first:
+            first.query("VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION GROUP BY PosID")
+            assert len(first.learner.store) > 0
+        with Tango(db, config=config) as second:
+            assert len(second.learner.store) > 0
+            second.apply_updates("POSITION", inserts=[(3, "Ann", 1, 4)])
+            assert len(second.learner.store) == 0
+        with Tango(db, config=config) as third:
+            assert len(third.learner.store) == 0
+
     def test_missing_feedback_file_is_fine(self, tmp_path):
         config = TangoConfig(
             learn_cardinalities=True,

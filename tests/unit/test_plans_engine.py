@@ -113,14 +113,16 @@ class TestExecutionEngine:
             step for step in execution.steps if isinstance(step, TransferDCursor)
         )
         assert transfer is transfer_step
-        # The probe runs when the temp table is loaded, before its drop.
+        # Read the loaded temp table's order at teardown, just before its drop.
         orders = []
-        ExecutionEngine().execute(
-            execution,
-            on_materialize=lambda cursor: orders.append(
-                connection.db.table(cursor.table_name).clustered_order
-            ),
-        )
+        drop = transfer.drop
+
+        def recording_drop():
+            orders.append(connection.db.table(transfer.table_name).clustered_order)
+            drop()
+
+        transfer.drop = recording_drop
+        ExecutionEngine().execute(execution)
         assert orders == [("PosID", "T1")]
 
 

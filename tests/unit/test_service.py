@@ -398,6 +398,23 @@ class TestQueryService:
             assert service.pool.in_use == 0
             assert service.submit(TEMPORAL).result(timeout=10).rows
 
+    def test_a_second_injector_beside_the_pool_is_refused(self, db):
+        pool = ConnectionPool(db, size=2)
+        with pytest.raises(ValueError, match="not both"):
+            QueryService(
+                db, fault_injector=FaultInjector(FaultPolicy(), seed=0), pool=pool
+            )
+        pool.close()
+
+    def test_the_pools_injector_reports_to_the_services_metrics(self, db):
+        policy = FaultPolicy(latency_p=1.0, latency_seconds=0.0)
+        pool = ConnectionPool(db, size=2, injector=FaultInjector(policy, seed=0))
+        with QueryService(db, ServiceConfig(max_concurrency=2), pool=pool) as service:
+            assert service.submit(TEMPORAL).result(timeout=10).rows
+            assert service.fault_injector is pool.injector
+            assert service.metrics.value("latency_spikes") > 0
+        pool.close()
+
 
 def lease_executor(service: QueryService) -> Executor:
     """An executor built exactly as a worker thread builds its own."""

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.tango import QueryResult, Tango, TangoConfig
 from repro.dbms.database import MiniDB
+from repro.dbms.jdbc import ConnectionPool
 from repro.errors import DatabaseError, PlanError
+from repro.resilience import FaultInjector, FaultPolicy
 
 
 @pytest.fixture
@@ -171,6 +173,32 @@ class TestLifecycle:
         tango.close()
         tango.close()
         assert tango.final_metrics["counters"]["queries_total"] == 1
+
+
+class TestSuppliedPool:
+    """A caller's pool brings its own injector: every leased connection
+    runs under it, so it is the instance's."""
+
+    @staticmethod
+    def spiking_pool(db) -> ConnectionPool:
+        policy = FaultPolicy(latency_p=1.0, latency_seconds=0.0)
+        return ConnectionPool(db, size=2, injector=FaultInjector(policy, seed=0))
+
+    def test_a_second_injector_beside_the_pool_is_refused(self, figure3_db):
+        pool = self.spiking_pool(figure3_db)
+        injector = FaultInjector(FaultPolicy(), seed=0)
+        with pytest.raises(ValueError, match="not both"):
+            Tango(figure3_db, fault_injector=injector, pool=pool)
+        assert pool.in_use == 0
+        pool.close()
+
+    def test_the_pools_injector_reports_to_the_instances_metrics(self, figure3_db):
+        pool = self.spiking_pool(figure3_db)
+        with Tango(figure3_db, pool=pool) as tango:
+            tango.query("VALIDTIME SELECT PosID FROM POSITION")
+            assert tango.fault_injector is pool.injector
+            assert tango.metrics.value("latency_spikes") > 0
+        pool.close()
 
 
 class TestTimingFields:
