@@ -35,7 +35,7 @@ import time
 from harness import fmt, print_series
 
 from repro.core.tango import Tango, TangoConfig
-from repro.dbms.jdbc import ConnectionPool
+from repro.dbms.jdbc import DEFAULT_PREFETCH, ConnectionPool
 from repro.resilience import FaultInjector, FaultPolicy
 from repro.workloads.queries import query1_sql
 
@@ -66,7 +66,7 @@ def test_query1_parallel_speedup(bench_db):
         workers: ConnectionPool(
             bench_db,
             size=workers + 1,
-            prefetch=TangoConfig().prefetch,
+            prefetch=DEFAULT_PREFETCH,
             injector=FaultInjector(
                 FaultPolicy(latency_p=1.0, latency_seconds=LATENCY)
             ),

@@ -23,8 +23,6 @@ class TangoConfig:
 
     #: Use equi-width histograms for predicate selectivity estimation.
     use_histograms: bool = True
-    #: JDBC row-prefetch for TRANSFER^M fetches (Section 3.2).
-    prefetch: int = 50
     #: Feed observed transfer timings back into the cost factors
     #: (the Section 7 adaptive loop).
     adaptive: bool = False

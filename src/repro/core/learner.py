@@ -341,11 +341,11 @@ class Learner:
         return material
 
     def table_changed(self, table: str) -> int:
-        """*table*'s contents changed: drop what was learned over it and
-        have the planner re-read its statistics — one epoch advance covers
-        both.  Returns how many learned entries went."""
+        """*table*'s contents changed: drop what was learned over it, and
+        have the planner hear when anything went.  Returns how many learned
+        entries went."""
         dropped = self.store.invalidate_table(table)
-        self.planner.refresh([table])
+        self.planner.learned(dropped > 0)
         return dropped
 
     def close(self) -> None:

@@ -6,12 +6,13 @@ cost factors back into it.  The question "what was this plan priced with,
 and is that still true?" has one owner here: the statistics, both
 estimators, the cost factors, the learned-cardinality source, the
 :class:`~repro.optimizer.search.Optimizer` and the plan cache
-(:attr:`Planner.cache`) all belong to the :class:`Planner`, and whatever a
-plan is priced with changes only through it — :meth:`Planner.refresh`,
-:meth:`Planner.set_factors`, :meth:`Planner.learned` — each ending in the
-one private ``_advance()``.  The cache key is ``(fingerprint(query),
-epoch)``: a stale plan is a key that no longer matches, aged out by the
-LRU; nothing is ever scanned, cleared or reset from outside.  Plans are
+(:attr:`Planner.cache`) all belong to the :class:`Planner`.  Factors and
+learned cardinalities change through it (:meth:`Planner.set_factors`,
+:meth:`Planner.learned`), statistics in the catalog, which moves
+``MiniDB.statistics_version`` — each ending in the one private
+``_advance()``.  The cache key is ``(fingerprint(query), epoch)``: a stale
+plan is a key that no longer matches, aged out by the LRU; nothing is ever
+scanned, cleared or reset from outside.  Plans are
 safe to share across executions: compilation builds fresh cursors (and
 fresh ``TANGO_TMP`` names) per run and never mutates the operator tree.
 The explored memos kept per query shape (:attr:`Planner.shapes`) have no
@@ -76,7 +77,9 @@ class Planner:
     *config* supplies ``use_histograms`` and ``workers`` (the parallel
     degree plans are costed at).  Read :attr:`epoch`,
     :attr:`factors`, :attr:`estimator` and :attr:`optimizer` freely; they
-    are replaced, never mutated, and only by this class.
+    are replaced, never mutated, and only by this class — after a
+    re-ANALYZE, at the next :meth:`plan`, :meth:`coster` or
+    :attr:`estimator` read.
     """
 
     def __init__(
@@ -118,35 +121,36 @@ class Planner:
         on it are replaced by ones that see the current statistics, learned
         cardinalities and factors."""
         with self._lock:
+            self._version = self.db.statistics_version
             self.epoch += 1
-            self.estimator = CardinalityEstimator(
+            self._estimator = CardinalityEstimator(
                 self.collector,
                 self.predicate_estimator,
                 metrics=self.metrics,
                 feedback=self._feedback,
             )
             self.optimizer = Optimizer(
-                self.estimator,
+                self._estimator,
                 self.factors,
                 parallel_degree=self.config.workers,
                 shapes=self.shapes,
             )
 
+    @property
+    def estimator(self) -> CardinalityEstimator:
+        """The current epoch's cardinality estimator."""
+        self._catch_up()
+        return self._estimator
+
     # -- what moves the epoch -----------------------------------------------------------
 
-    def refresh(self, tables: list[str] | None = None, analyze: bool = True) -> None:
-        """Re-ANALYZE *tables* (default: all) and re-read their statistics.
-
-        With ``analyze=False`` only the cached statistics are dropped —
-        for callers that changed data by a tracked delta (``pending_delta``)
-        and defer the histogram rebuild.
-        """
-        if analyze:
-            for table in tables if tables is not None else self.db.list_tables():
-                self.db.analyze(table)
-        with self._lock:
-            self.collector.refresh()
-            self._advance()
+    def _catch_up(self) -> None:
+        """Advance iff the catalog replaced statistics since the last
+        advance (re-checked under the lock: one advance per move)."""
+        if self._version != self.db.statistics_version:
+            with self._lock:
+                if self._version != self.db.statistics_version:
+                    self._advance()
 
     def set_factors(self, factors: CostFactors) -> None:
         """Price every later plan with *factors* (calibration, or the
@@ -184,6 +188,7 @@ class Planner:
 
     def cache_key(self, query: str | Operator) -> tuple[Hashable, int]:
         """Where *query*'s plan is cached during the current epoch."""
+        self._catch_up()
         return fingerprint(query), self.epoch
 
     def plan(self, query: str | Operator, tracer: Tracer = NULL_TRACER) -> OptimizationResult:
@@ -191,6 +196,7 @@ class Planner:
         plan): from the cache when the current epoch has planned it — a
         hit skips parsing and the optimizer entirely — else freshly
         optimized and cached."""
+        self._catch_up()
         identity = fingerprint(query)
         cached = self.cache.get((identity, self.epoch))
         if cached is not None:

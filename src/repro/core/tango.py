@@ -104,9 +104,7 @@ class Tango:
         if pool is not None:
             self.connection = pool.acquire()
         else:
-            settings = dict(
-                prefetch=config.prefetch, metrics=self.metrics, injector=fault_injector
-            )
+            settings = dict(metrics=self.metrics, injector=fault_injector)
             self.connection = Connection(db, **settings)
         # A construction that fails from here on gives back what it took.
         try:
@@ -195,12 +193,11 @@ class Tango:
 
     # -- statistics, calibration, updates, views --------------------------------------
 
-    def refresh_statistics(
-        self, tables: list[str] | None = None, analyze: bool = True
-    ) -> None:
-        """Re-ANALYZE base relations and drop cached statistics (see
-        :meth:`Planner.refresh`); moves the planning epoch."""
-        self.planner.refresh(tables, analyze)
+    def refresh_statistics(self, tables: list[str] | None = None) -> None:
+        """Re-ANALYZE *tables* (default: all): every planner on the
+        database re-plans over what was replaced."""
+        for table in tables if tables is not None else self.db.list_tables():
+            self.db.analyze(table)
 
     def calibrate(
         self, sizes: tuple[int, ...] = (500, 2000), repeats: int = 3
@@ -212,7 +209,7 @@ class Tango:
         (or their retries) would otherwise be fitted into the cost factors
         as if they were real DBMS costs.
         """
-        probe = Connection(self.db, prefetch=self.config.prefetch)
+        probe = Connection(self.db)
         factors = Calibrator(probe, sizes, repeats).calibrate(self.planner.factors)
         self.planner.set_factors(factors)
         return factors
@@ -242,12 +239,12 @@ class Tango:
         Deletes are removed first (multiset-exact), then inserts are
         appended; a missing delete row or an insert row of the wrong arity
         aborts the whole batch before anything is applied.  The batch flows
-        into every dependent view's pending delta log; learned
-        cardinalities that read the table are forgotten and the table is
+        into every dependent view's pending delta log; the table is
         re-ANALYZEd (from the delta when every change since the last
         ANALYZE came through ``insert_rows`` / ``delete_rows``, DESIGN.md
-        §20), which moves the planning epoch — plans cached over the old
-        contents stop matching.
+        §20) and learned cardinalities that read it are forgotten, which
+        moves the planning epoch of every planner on the database — plans
+        cached over the old contents stop matching.
         Returns the applied counts.
         """
         self._check_open()
@@ -272,6 +269,7 @@ class Tango:
                 self.db.insert_rows(target.name, insert_rows)
             if self._views is not None:
                 self.views.record_update(target.name, insert_rows, removed)
+            self.db.analyze(target.name)
             invalidated = self.learner.table_changed(target.name)
             span.set(feedback_invalidated=invalidated)
         self.metrics.counter("update_batches").inc()

@@ -57,6 +57,12 @@ class MiniDB:
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, Index] = {}
         self._statistics: dict[str, TableStatistics] = {}
+        #: Moves, to a number never used before (``next`` on a ``count`` is
+        #: atomic, so racing writers cannot undo a move), when statistics a
+        #: plan may have been priced with are replaced or dropped, not at a
+        #: first ANALYZE; every planner's epoch folds it in (DESIGN.md §13).
+        self.statistics_version = 0
+        self._versions = count(1)
         #: One tracker per table that ever took ``insert_rows`` /
         #: ``delete_rows`` (DESIGN.md §20); every other table is ANALYZEd
         #: from a scan and keeps nothing.
@@ -117,7 +123,8 @@ class MiniDB:
                 return
             raise CatalogError(f"no such table {name!r}")
         table = self._tables.pop(key)
-        self._statistics.pop(key, None)
+        if self._statistics.pop(key, None) is not None:
+            self.statistics_version = next(self._versions)
         self._dml.pop(key, None)
         for index_name in [
             index_name
@@ -220,7 +227,11 @@ class MiniDB:
             column = statistics.column(index.column)
             column.has_index = True
             column.index_clustered = index.clustered
+        # Stored first: a planner that sees the new version reads them.
+        replaced = name.lower() in self._statistics
         self._statistics[name.lower()] = statistics
+        if replaced:
+            self.statistics_version = next(self._versions)
         self.meter.charge_io(charge.io)
         self.meter.charge_cpu(charge.cpu)
         return statistics

@@ -26,8 +26,9 @@ from repro.errors import DatabaseError, PoolTimeoutError
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.resilience.faults import FaultInjector
 
-#: Default JDBC row-prefetch (Oracle's historical default is 10).
-DEFAULT_PREFETCH = 10
+#: JDBC row-prefetch of every connection and pool not told otherwise
+#: (Section 3.2; Oracle's historical default is 10, ablation A3 sweeps it).
+DEFAULT_PREFETCH = 50
 
 #: Simulated CPU cost of one client-server round trip.
 ROUND_TRIP_COST = 200

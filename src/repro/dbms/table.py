@@ -46,6 +46,9 @@ class Table:
         #: ANALYZE — the statistics delta the view refresh chooser and the
         #: collector read to decide how stale the table's statistics are.
         self.pending_delta = 0
+        #: ``pending_delta`` never reset: whoever remembers it can tell
+        #: whether anyone wrote since (DESIGN.md §10).
+        self.changes = 0
 
     # -- size accounting -------------------------------------------------------
 
@@ -81,6 +84,7 @@ class Table:
         self.rows.append(tuple(row))
         self.clustered_order = ()
         self.pending_delta += 1
+        self.changes += 1
 
     def bulk_load(self, rows: Iterable[Sequence[object]], order: Sequence[str] = ()) -> int:
         """Append many rows (direct-path load); returns the count loaded.
@@ -100,6 +104,7 @@ class Table:
             loaded += 1
         self.clustered_order = tuple(order)
         self.pending_delta += loaded
+        self.changes += loaded
         return loaded
 
     def scan(self, meter: CostMeter | None = None) -> list[tuple]:
@@ -124,6 +129,7 @@ class Table:
         self.rows[:] = rows
         self.clustered_order = ()
         self.pending_delta += changed
+        self.changes += changed
 
     def column_values(self, name: str) -> list:
         """All values of one column (used by ANALYZE)."""

@@ -11,8 +11,7 @@ reporting to one :class:`~repro.core.learner.Learner`, and sharing one
 :class:`~repro.resilience.health.HealthMonitor`.  The service builds its
 planner and learner itself, as the :class:`~repro.core.tango.Tango` facade
 builds its own: the two are separate composition roots over the same
-stages, and what a facade's ``apply_updates``, ``refresh_statistics``,
-``calibrate`` or view DDL does moves that facade's planning epoch only.
+stages.
 
 The admission pipeline per submit::
 
@@ -77,7 +76,6 @@ class QueryService:
         self.pool = pool or ConnectionPool(
             db,
             size=self.config.max_concurrency,
-            prefetch=base.prefetch,
             metrics=self.metrics,
             injector=fault_injector,
         )

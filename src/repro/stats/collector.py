@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.errors import StatisticsError
 from repro.stats.histogram import Histogram
 
 
@@ -79,33 +78,22 @@ class StatisticsCollector:
     """Pulls base-relation statistics out of the DBMS catalog.
 
     *connection* is a :class:`repro.dbms.jdbc.Connection`.  Results are
-    cached per table name; call :meth:`refresh` after data changes.
+    cached per table name beside the catalog entry they were read from,
+    until a re-ANALYZE replaces it; a never-analyzed table is analyzed first.
     """
 
-    def __init__(self, connection, auto_analyze: bool = True):
+    def __init__(self, connection):
         self._connection = connection
-        self._auto_analyze = auto_analyze
-        self._cache: dict[str, RelationStats] = {}
-
-    def refresh(self) -> None:
-        """Drop all cached statistics (the planner, which owns the one
-        planning epoch, calls this and then advances it)."""
-        self._cache.clear()
+        self._cache: dict[str, tuple[object, RelationStats]] = {}
 
     def collect(self, table_name: str) -> RelationStats:
         """Statistics for a base relation, from cache or the catalog."""
+        db = self._connection.db
+        catalog = db.statistics_of(table_name) or db.analyze(table_name)
         key = table_name.lower()
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        db = self._connection.db
-        catalog = db.statistics_of(table_name)
-        if catalog is None:
-            if not self._auto_analyze:
-                raise StatisticsError(
-                    f"no statistics for {table_name!r}; run ANALYZE first"
-                )
-            catalog = db.analyze(table_name)
+        if cached is not None and cached[0] is catalog:
+            return cached[1]
         attributes: dict[str, AttributeStats] = {}
         for column_key, column in catalog.columns.items():
             attributes[column_key] = AttributeStats(
@@ -123,7 +111,7 @@ class StatisticsCollector:
             blocks=catalog.blocks,
             attributes=attributes,
         )
-        self._cache[key] = stats
+        self._cache[key] = catalog, stats
         return stats
 
 

@@ -119,6 +119,9 @@ class MaterializedView:
     pending: dict[str, tuple[list[tuple], list[tuple]]] = field(
         default_factory=dict
     )
+    #: Per base table, the ``Table.changes`` the stored contents and
+    #: :attr:`pending` account for; beyond that, only a recompute is right.
+    logged: dict[str, int] = field(default_factory=dict)
     refreshes: int = 0
 
     @property
@@ -137,15 +140,22 @@ class MaterializedView:
         self.pending[table.lower()] = net_delta(
             [*pending_inserts, *inserts], [*pending_deletes, *deletes]
         )
+        self.logged[table.lower()] += len(inserts) + len(deletes)
+
+    def sync(self, db) -> None:
+        """The stored contents are up to date with the base tables."""
+        self.pending.clear()
+        self.logged = {table: db.table(table).changes for table in self.base_tables}
 
 
 class ViewManager:
     """The registry and refresh machinery behind ``Tango.create_view``.
 
     Built over the pipeline stages it uses: the *planner* (plans, prices,
-    statistics — every store below ends in ``planner.refresh``, so plans
-    cached over a view die with its old contents), the *learner* (the
-    learned view cardinality) and the calling thread's *executor*.
+    statistics), the *learner* (the learned view cardinality) and the
+    calling thread's *executor*.  A store that rewrites a view ANALYZEs it,
+    which re-plans every planner on the database; an incremental store
+    defers the ANALYZE, and plans cached over the view keep their prices.
     """
 
     def __init__(self, planner, learner, executor):
@@ -187,10 +197,10 @@ class ViewManager:
         view = MaterializedView(
             name=name, plan=plan, schema=result.schema, base_tables=base_tables
         )
+        view.sync(self.db)
         self._views[name.lower()] = view
-        # The view is a queryable table: give the collector its statistics
-        # and move the epoch so cached plans see the new catalog.
-        self.planner.refresh([name])
+        # The view is a queryable table: give the collector its statistics.
+        self.db.analyze(name)
         self.metrics.counter("views_created").inc()
         return view
 
@@ -203,17 +213,13 @@ class ViewManager:
         view = self.get(name)
         del self._views[name.lower()]
         self.db.drop_table(view.name, if_exists=True)
-        self.planner.refresh([], analyze=False)
 
-    def record_update(self, table: str, inserts, deletes) -> int:
+    def record_update(self, table: str, inserts, deletes) -> None:
         """Feed one applied update batch into every dependent view's
-        pending delta log; returns how many views it touched."""
-        touched = 0
+        pending delta log."""
         for view in self._views.values():
             if table.lower() in view.base_tables:
                 view.record(table, inserts, deletes)
-                touched += 1
-        return touched
 
     # -- the cost-based chooser --------------------------------------------------------
 
@@ -299,9 +305,9 @@ class ViewManager:
         *strategy* forces ``"incremental"`` or ``"full"`` past the cost
         model (the equivalence tests drive both paths explicitly); the
         incremental path still falls back to a full recompute for shapes
-        without a delta rule or on a delta/contents mismatch.  With
-        *explain*, the outcome carries an EXPLAIN ANALYZE report whose
-        banner records the decision.
+        without a delta rule, on a delta/contents mismatch, or after base
+        writes the log did not see.  With *explain*, the outcome carries
+        an EXPLAIN ANALYZE report whose banner records the decision.
         """
         view = self.get(name)
         decision = self.choose(view)
@@ -326,11 +332,15 @@ class ViewManager:
             estimated_incremental_us=decision.estimated_incremental_us,
             estimated_full_us=decision.estimated_full_us,
         ) as span:
+            table = self.db.table(view.name)
             rows: list[tuple] | None = None
             if decision.strategy == "incremental":
                 try:
+                    for base, logged in sorted(view.logged.items()):
+                        if self.db.table(base).changes != logged:
+                            raise DeltaMismatch(f"{base} written outside the log")
                     state = DeltaState(self.db, view.pending)
-                    stored = list(self.db.table(view.name).rows)
+                    stored = list(table.rows)
                     rows, delta_applied, rule = self._incremental(view, state, stored)
                     span.set(rule=rule)
                 except (DeltaUnsupported, DeltaMismatch, ExecutionError) as error:
@@ -340,10 +350,16 @@ class ViewManager:
             if rows is None:
                 executed = "full"
                 rows, report = self._recompute(view, explain=explain)
-                self._store(view, rows)
+                table.truncate()
+                table.bulk_load(rows)
+                self.db.analyze(view.name)
             else:
-                self._store_incremental(view, rows, delta_applied)
-            view.pending.clear()
+                # Already canonical, so the store is one assignment; the
+                # ANALYZE is deferred (``pending_delta`` records the
+                # staleness), so no statistics change and no plan is re-priced.
+                table.replace_rows(rows, changed=delta_applied)
+                self.db.rebuild_indexes(table)
+            view.sync(self.db)
             view.refreshes += 1
             span.set(rows=len(rows), executed=executed)
         elapsed = time.perf_counter() - began
@@ -397,27 +413,3 @@ class ViewManager:
             return canonical_rows(self._execute(view.plan).rows), None
         report, rows = self.executor.explain_analyze(view.plan)
         return canonical_rows(rows), report
-
-    def _store(self, view: MaterializedView, rows: list[tuple]) -> None:
-        """Replace the stored contents (already canonical) and re-ANALYZE,
-        moving the statistics epoch so cached plans over the view die."""
-        table = self.db.table(view.name)
-        table.truncate()
-        table.bulk_load(rows)
-        self.planner.refresh([view.name])
-
-    def _store_incremental(
-        self, view: MaterializedView, rows: list[tuple], delta_rows: int
-    ) -> None:
-        """Swap the merged contents in without rewriting the whole table.
-
-        The merged list is already canonical, so the store is a single
-        assignment; the ANALYZE is deferred (``pending_delta`` records
-        the staleness, exactly as for a base table between updates) while
-        the statistics epoch still moves, so cached plans over the view
-        die just as they do on a full store.
-        """
-        table = self.db.table(view.name)
-        table.replace_rows(rows, changed=delta_rows)
-        self.db.rebuild_indexes(table)
-        self.planner.refresh([], analyze=False)

@@ -58,9 +58,12 @@ def initial_plan(db):
 
 
 def corrupt_stats(tango: Tango, table: str = "BIGPOS", cardinality=10.0):
-    """Replace the collector's cached statistics with a wildly low count."""
-    stats = tango.planner.collector.collect(table)
-    tango.planner.collector._cache[table.lower()] = stats.with_cardinality(cardinality)
+    """Replace the collector's cached statistics with a wildly low count
+    (kept against the catalog entry they were read from, so they serve)."""
+    collector = tango.planner.collector
+    stats = collector.collect(table)
+    catalog, _ = collector._cache[table.lower()]
+    collector._cache[table.lower()] = catalog, stats.with_cardinality(cardinality)
 
 
 def has_transfer_d(plan) -> bool:

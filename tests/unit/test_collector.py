@@ -4,7 +4,6 @@ import pytest
 
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
-from repro.errors import StatisticsError
 from repro.stats.collector import AttributeStats, RelationStats, StatisticsCollector
 
 
@@ -64,23 +63,17 @@ class TestCollector:
         stats = StatisticsCollector(connection).collect("T")
         assert stats.cardinality == 3
 
-    def test_no_auto_analyze_raises(self, connection):
-        collector = StatisticsCollector(connection, auto_analyze=False)
-        with pytest.raises(StatisticsError):
-            collector.collect("T")
-
     def test_caching(self, connection):
         collector = StatisticsCollector(connection)
         first = collector.collect("T")
         connection.db.execute("INSERT INTO T VALUES (9, 'z', 900)")
         assert collector.collect("T") is first  # stale by design
 
-    def test_refresh_drops_cache(self, connection):
+    def test_a_reanalyze_is_seen_without_a_refresh(self, connection):
         collector = StatisticsCollector(connection)
         collector.collect("T")
         connection.db.execute("INSERT INTO T VALUES (9, 'z', 900)")
         connection.db.analyze("T")
-        collector.refresh()
         assert collector.collect("T").cardinality == 4
 
     def test_string_minmax_not_numeric(self, connection):

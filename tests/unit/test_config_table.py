@@ -43,4 +43,4 @@ def test_every_row_names_who_sets_it():
 
 
 def test_the_field_counts():
-    assert [len(fields(config)) for config in CONFIGS] == [10, 4, 2, 2]
+    assert [len(fields(config)) for config in CONFIGS] == [9, 4, 2, 2]

@@ -122,7 +122,6 @@ class TestTangoConfig:
     def test_defaults(self):
         config = TangoConfig()
         assert config.use_histograms is True
-        assert config.prefetch == 50
         assert config.adaptive is False
         assert config.tracing is False
 
@@ -133,9 +132,8 @@ class TestTangoConfig:
     def test_config_kwargs_carry_through(self, figure3_db):
         tango = Tango(
             figure3_db,
-            config=TangoConfig(use_histograms=False, prefetch=7, adaptive=True),
+            config=TangoConfig(use_histograms=False, adaptive=True),
         )
-        assert tango.connection.prefetch == 7
         assert tango.config.adaptive is True
         assert not tango.planner.predicate_estimator.use_histograms
 

@@ -10,6 +10,7 @@ import pytest
 from repro.algebra import builder
 from repro.algebra.expressions import Comparison, col, lit
 from repro.algebra.operators import AggregateSpec
+from repro.algebra.rows import canonical_rows
 from repro.core.learner import CardinalityFeedbackStore, plan_fingerprint
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.database import MiniDB
@@ -186,6 +187,35 @@ class TestRefreshExecution:
         # The fallback healed the drift.
         oracle = tango.execute_plan(tango.optimize(plan).plan)
         assert tango.db.table("V").cardinality == len(oracle.rows)
+
+    def fresh_rows(self, tango, plan):
+        return canonical_rows(tango.execute_plan(tango.optimize(plan).plan).rows)
+
+    def test_another_tangos_updates_force_a_recompute(self, tango):
+        """Only this Tango's ``apply_updates`` feeds its views' delta logs;
+        a write by another composition root over the same database must
+        not leave an "incremental" refresh answering from stale rows."""
+        plan = taggr_plan(tango.db)
+        tango.create_view("V", plan)
+        with Tango(tango.db) as other:
+            other.apply_updates("BASE", deletes=sample_rows(tango.db, 50))
+        outcome = tango.refresh_view("V")
+        assert outcome.decision.strategy == "incremental"  # the log is empty
+        assert outcome.strategy == "full"
+        assert tango.db.table("V").rows == self.fresh_rows(tango, plan)
+        # Up to date again: the next logged batch refreshes incrementally.
+        tango.apply_updates("BASE", deletes=sample_rows(tango.db, 1))
+        assert tango.refresh_view("V").strategy == "incremental"
+        assert tango.db.table("V").rows == self.fresh_rows(tango, plan)
+
+    def test_writes_straight_on_the_database_force_a_recompute(self, tango):
+        plan = taggr_plan(tango.db)
+        tango.create_view("V", plan)
+        tango.db.insert_rows("BASE", sample_rows(tango.db, 50))
+        outcome = tango.refresh_view("V", strategy="incremental")
+        assert outcome.strategy == "full"
+        assert tango.metrics.counter("view_refresh_fallbacks").value == 1
+        assert tango.db.table("V").rows == self.fresh_rows(tango, plan)
 
     def test_a_type_error_in_the_splice_is_not_a_fallback(self, tango, monkeypatch):
         """Only the three named errors mean "recompute"; a ``TypeError`` is a
