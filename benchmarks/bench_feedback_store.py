@@ -101,10 +101,12 @@ def initial_plan(db):
 
 
 def corrupt_stats(tango: Tango) -> None:
-    stats = tango.planner.collector.collect("BIGPOS")
-    tango.planner.collector._cache["bigpos"] = stats.with_cardinality(
-        CORRUPTED_CARDINALITY
-    )
+    """Replace the collector's cached BIGPOS statistics with a wildly low
+    count, kept beside the catalog entry they were read from so they serve."""
+    collector = tango.planner.collector
+    stats = collector.collect("BIGPOS")
+    catalog, _ = collector._cache["bigpos"]
+    collector._cache["bigpos"] = catalog, stats.with_cardinality(CORRUPTED_CARDINALITY)
 
 
 def best_of(tango: Tango, plan) -> tuple[float, int, list]:

@@ -12,7 +12,8 @@ its partitioning of subsequent queries".  Two loops, both here:
 * **cardinalities** — the dominant cause of bad plans:
   :class:`CardinalityFeedbackStore` keeps learned cardinalities keyed by
   :func:`~repro.stats.fingerprint.plan_fingerprint`, EMA-smoothed and
-  JSON-persistable, fed from the row counts a finished execution
+  JSON-persistable, trusted while the tables each entry reads are
+  unwritten, fed from the row counts a finished execution
   observed per plan node (believing only cursors that provably ran to
   exhaustion — :func:`trusted_nodes`).  What a run learns corrects the
   *next* plan of the same shape, never the running one.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 from dataclasses import dataclass, replace
 
@@ -50,7 +50,7 @@ from repro.obs.tracing import Span
 from repro.optimizer.algorithms import transfer_d, transfer_m
 from repro.optimizer.costs import CostFactors
 from repro.stats.collector import RelationStats
-from repro.stats.fingerprint import plan_fingerprint, qerror
+from repro.stats.fingerprint import plan_fingerprint, qerror, tables_read
 
 
 def shifted(new: float, old: float, tolerance: float, floor: float = 0.0) -> bool:
@@ -144,84 +144,86 @@ def _transfer_price(factors: CostFactors, observation: TransferObservation) -> f
 
 @dataclass(frozen=True)
 class LearnedCardinality:
-    """One feedback-store entry: the running estimate and its support."""
+    """One feedback-store entry: the running estimate, its support, and
+    the ``Table.changes`` of each table it reads when it was learned."""
 
     cardinality: float
     observations: int
+    versions: dict[str, int | None]
 
 
 class CardinalityFeedbackStore:
-    """Learned cardinalities by fingerprint; thread-safe; persistable.
+    """Learned cardinalities by fingerprint over *db*; thread-safe; persistable.
 
     ``smoothing`` is the EMA weight of each new observation (the first
     observation seeds the average); ``tolerance`` is the relative change
     below which an update is *immaterial* — the entry still moves, but the
     mutators answer False and the :class:`Learner` leaves the planning
     epoch alone, so converged workloads keep their plan-cache hits.
+
+    An entry is trusted while the tables its fingerprint scans
+    (:func:`~repro.stats.fingerprint.tables_read`) hold the contents it was
+    learned over (``MiniDB.changes_of``): after anyone's write it reads as
+    unknown, and its next observation starts a new average.
     """
 
-    def __init__(self, smoothing: float = 0.3, tolerance: float = 0.05):
+    def __init__(self, db, smoothing: float = 0.3, tolerance: float = 0.05):
+        self.db = db
         self.smoothing = smoothing
         self.tolerance = tolerance
         self._entries: dict[str, LearnedCardinality] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
+        """Entries kept, stale ones included: an empty store is one that
+        never learned anything."""
         with self._lock:
             return len(self._entries)
+
+    def _fresh(self, fingerprint: str) -> LearnedCardinality | None:
+        """*fingerprint*'s entry while its tables are unwritten since."""
+        entry = self._entries.get(fingerprint)
+        if entry is None or self.db.changes_of(entry.versions) != entry.versions:
+            return None
+        return entry
 
     def learned_cardinality(self, fingerprint: str) -> float | None:
         """The current learned cardinality for *fingerprint*, if any."""
         with self._lock:
-            entry = self._entries.get(fingerprint)
+            entry = self._fresh(fingerprint)
             return entry.cardinality if entry is not None else None
 
     def observations(self, fingerprint: str) -> int:
         with self._lock:
-            entry = self._entries.get(fingerprint)
+            entry = self._fresh(fingerprint)
             return entry.observations if entry is not None else 0
 
     def observe(self, fingerprint: str, actual_rows: float) -> bool:
         """Record one observed cardinality; True when the change was
-        material (a new entry, or a shift beyond the tolerance)."""
+        material (a new or stale entry, or a shift beyond the tolerance)."""
         actual = max(0.0, float(actual_rows))
         with self._lock:
-            entry = self._entries.get(fingerprint)
+            entry = self._fresh(fingerprint)
             if entry is None:
-                self._entries[fingerprint] = LearnedCardinality(actual, 1)
+                self._adopt(fingerprint, actual, 1)
                 return True
             updated = entry.cardinality + self.smoothing * (
                 actual - entry.cardinality
             )
-            self._entries[fingerprint] = LearnedCardinality(
-                updated, entry.observations + 1
-            )
+            observed = entry.observations + 1
+            self._entries[fingerprint] = replace(entry, cardinality=updated, observations=observed)
             # Cardinalities compare clamped to one row, as q-errors do.
             return shifted(updated, entry.cardinality, self.tolerance, floor=1.0)
 
-    def invalidate_table(self, table: str) -> int:
-        """Drop every learned cardinality whose fingerprint reads *table*.
-
-        Called when a base table's contents change (``Tango.apply_updates``):
-        selectivities learned against the old contents are stale, and an
-        update-heavy workload must not keep planning against them.  The
-        match is ``scan:<table>`` as a whole token, anywhere in the
-        fingerprint: a join over *table* goes, ``POSITION_8000``'s entries
-        stay when ``POSITION`` changes.  Returns how many entries were
-        dropped (material iff any were).
-        """
-        reads_table = re.compile(rf"scan:{re.escape(table.lower())}(?!\w)").search
-        with self._lock:
-            stale = [
-                fingerprint for fingerprint in self._entries if reads_table(fingerprint)
-            ]
-            for fingerprint in stale:
-                del self._entries[fingerprint]
-            return len(stale)
+    def _adopt(self, fingerprint: str, cardinality: float, observations: int) -> None:
+        """Start *fingerprint*'s entry over the tables' current contents."""
+        versions = self.db.changes_of(tables_read(fingerprint))
+        self._entries[fingerprint] = LearnedCardinality(cardinality, observations, versions)
 
     # -- persistence ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The trusted entries: a stale one would be loaded back as fresh."""
         with self._lock:
             return {
                 "version": 1,
@@ -230,7 +232,8 @@ class CardinalityFeedbackStore:
                         "cardinality": entry.cardinality,
                         "observations": entry.observations,
                     }
-                    for fingerprint, entry in self._entries.items()
+                    for fingerprint in self._entries
+                    if (entry := self._fresh(fingerprint)) is not None
                 },
             }
 
@@ -243,18 +246,17 @@ class CardinalityFeedbackStore:
         os.replace(scratch, path)
 
     def load(self, path: str) -> int:
-        """Merge entries from *path*; returns how many were adopted
-        (material iff any were).  Loaded entries overwrite in-memory ones
-        — the file is a snapshot of a longer history."""
+        """Merge entries from *path*, learned over the tables as they are
+        now; returns how many were adopted (material iff any were).
+        Loaded entries overwrite in-memory ones — the file is a snapshot
+        of a longer history."""
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         entries = payload.get("entries", {})
         with self._lock:
             for fingerprint, fields in entries.items():
-                self._entries[fingerprint] = LearnedCardinality(
-                    float(fields["cardinality"]),
-                    int(fields.get("observations", 1)),
-                )
+                cardinality = float(fields["cardinality"])
+                self._adopt(fingerprint, cardinality, int(fields.get("observations", 1)))
         return len(entries)
 
 
@@ -314,7 +316,7 @@ class Learner:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.adapter = FeedbackAdapter()
-        self.store = CardinalityFeedbackStore()
+        self.store = CardinalityFeedbackStore(planner.db)
         if config.feedback_path:
             try:
                 self.store.load(config.feedback_path)
@@ -333,25 +335,10 @@ class Learner:
         if self.config.learn_cardinalities and outcome.trace is not None:
             self._harvest(outcome.trace, plan)
 
-    def learn(self, fingerprint: str, rows: float) -> bool:
-        """Record one cardinality; True (and the planner hears) when the
-        change was material."""
-        material = self.store.observe(fingerprint, rows)
-        self.planner.learned(material)
-        return material
-
-    def table_changed(self, table: str) -> int:
-        """*table*'s contents changed: drop what was learned over it, and
-        have the planner hear when anything went.  Returns how many learned
-        entries went."""
-        dropped = self.store.invalidate_table(table)
-        self.planner.learned(dropped > 0)
-        return dropped
-
     def close(self) -> None:
-        """Persist the store to ``config.feedback_path`` — empty too: an
-        invalidation that emptied it must not leave the last session's
-        entries on disk for the next one to load."""
+        """Persist the store's trusted entries to ``config.feedback_path``
+        — none too: a write that made every entry stale must not leave the
+        last session's entries on disk for the next one to load."""
         if self.config.feedback_path:
             try:
                 self.store.save(self.config.feedback_path)

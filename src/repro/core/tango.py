@@ -242,9 +242,9 @@ class Tango:
         into every dependent view's pending delta log; the table is
         re-ANALYZEd (from the delta when every change since the last
         ANALYZE came through ``insert_rows`` / ``delete_rows``, DESIGN.md
-        §20) and learned cardinalities that read it are forgotten, which
-        moves the planning epoch of every planner on the database — plans
-        cached over the old contents stop matching.
+        §20), which moves the planning epoch of every planner on the
+        database: plans cached over the old contents stop matching, and no
+        re-plan trusts a cardinality learned over them (DESIGN.md §13).
         Returns the applied counts.
         """
         self._check_open()
@@ -263,22 +263,19 @@ class Tango:
             table=target.name,
             inserts=len(insert_rows),
             deletes=len(delete_rows),
-        ) as span:
+        ):
             removed = self.db.delete_rows(target.name, delete_rows)
             if insert_rows:
                 self.db.insert_rows(target.name, insert_rows)
             if self._views is not None:
                 self.views.record_update(target.name, insert_rows, removed)
             self.db.analyze(target.name)
-            invalidated = self.learner.table_changed(target.name)
-            span.set(feedback_invalidated=invalidated)
         self.metrics.counter("update_batches").inc()
         self.metrics.counter("update_rows").inc(len(insert_rows) + len(removed))
         return {
             "table": target.name,
             "inserted": len(insert_rows),
             "deleted": len(removed),
-            "feedback_invalidated": invalidated,
         }
 
     # -- the query path -----------------------------------------------------------------

@@ -88,8 +88,11 @@ class MiniDB:
     def schema_of(self, name: str) -> Schema:
         return self.table(name).schema
 
-    def clustered_order_of(self, name: str) -> tuple[str, ...]:
-        return self.table(name).clustered_order
+    def changes_of(self, tables: Iterable[str]) -> dict[str, int | None]:
+        """Each of *tables*' ``Table.changes`` — the one version of its
+        contents (DESIGN.md §13) — or ``None`` for a table that no longer
+        exists."""
+        return {name: getattr(self._tables.get(name.lower()), "changes", None) for name in tables}
 
     def statistics_of(self, name: str) -> TableStatistics | None:
         """Catalog statistics for *name*, or ``None`` before ANALYZE."""
@@ -194,10 +197,6 @@ class MiniDB:
 
     def _tracker(self, table: Table) -> DmlTracker:
         return self._dml.setdefault(table.name.lower(), DmlTracker())
-
-    def stats_delta_of(self, name: str) -> int:
-        """Rows changed in *name* since its last ANALYZE."""
-        return self.table(name).pending_delta
 
     def analyze(
         self,

@@ -46,8 +46,8 @@ class Table:
         #: ANALYZE — the statistics delta the view refresh chooser and the
         #: collector read to decide how stale the table's statistics are.
         self.pending_delta = 0
-        #: ``pending_delta`` never reset: whoever remembers it can tell
-        #: whether anyone wrote since (DESIGN.md §10).
+        #: ``pending_delta`` never reset, the contents version: whoever
+        #: remembers ``MiniDB.changes_of`` can tell whether anyone wrote since.
         self.changes = 0
 
     # -- size accounting -------------------------------------------------------

@@ -12,9 +12,12 @@ all share:
   projections, and top-level conjunct order all normalize away, so the
   selectivity learned while executing one physical shape transfers to
   every equivalent shape the optimizer may consider later.
+  :func:`tables_read` reads back the base tables a fingerprint scans.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.algebra.expressions import conjuncts
 from repro.algebra.operators import (
@@ -83,3 +86,14 @@ def plan_fingerprint(plan: Operator) -> str | None:
     # their memo signatures are pure string/tuple payloads, stable across
     # sessions.
     return f"{plan.signature()!r}({','.join(inputs)})"
+
+
+#: A fingerprint's ``scan:<table>`` tokens, as :func:`plan_fingerprint`
+#: writes them (a table is named as SQL spells an identifier).
+_SCAN = re.compile(r"scan:([\w$#]+)")
+
+
+def tables_read(fingerprint: str) -> frozenset[str]:
+    """The lower-cased base tables *fingerprint* scans: what a learned
+    cardinality under it must be re-learned after a write to."""
+    return frozenset(_SCAN.findall(fingerprint))

@@ -119,9 +119,10 @@ class MaterializedView:
     pending: dict[str, tuple[list[tuple], list[tuple]]] = field(
         default_factory=dict
     )
-    #: Per base table, the ``Table.changes`` the stored contents and
-    #: :attr:`pending` account for; beyond that, only a recompute is right.
-    logged: dict[str, int] = field(default_factory=dict)
+    #: Per base table, the contents version (``MiniDB.changes_of``) the
+    #: stored contents and :attr:`pending` account for; beyond that, only a
+    #: recompute is right.
+    logged: dict[str, int | None] = field(default_factory=dict)
     refreshes: int = 0
 
     @property
@@ -145,7 +146,7 @@ class MaterializedView:
     def sync(self, db) -> None:
         """The stored contents are up to date with the base tables."""
         self.pending.clear()
-        self.logged = {table: db.table(table).changes for table in self.base_tables}
+        self.logged = db.changes_of(self.base_tables)
 
 
 class ViewManager:
@@ -336,9 +337,8 @@ class ViewManager:
             rows: list[tuple] | None = None
             if decision.strategy == "incremental":
                 try:
-                    for base, logged in sorted(view.logged.items()):
-                        if self.db.table(base).changes != logged:
-                            raise DeltaMismatch(f"{base} written outside the log")
+                    if self.db.changes_of(view.logged) != view.logged:
+                        raise DeltaMismatch("a base table was written outside the log")
                     state = DeltaState(self.db, view.pending)
                     stored = list(table.rows)
                     rows, delta_applied, rule = self._incremental(view, state, stored)

@@ -98,6 +98,14 @@ def make_figure3_db() -> MiniDB:
     return db
 
 
+def learn(root, fingerprint: str, rows: float) -> bool:
+    """Record one learned cardinality in *root*'s store by hand, as a run
+    would, and have its planner hear; True when the change was material."""
+    material = root.learner.store.observe(fingerprint, rows)
+    root.planner.learned(material)
+    return material
+
+
 @pytest.fixture
 def figure3_db() -> MiniDB:
     return make_figure3_db()

@@ -21,6 +21,7 @@ from repro.dbms.database import MiniDB
 from repro.service import QueryService, ServiceConfig
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
+from tests.conftest import learn
 
 
 @pytest.fixture
@@ -118,14 +119,35 @@ class TestUpdateInvalidation:
         # Execute once so the feedback store learns cardinalities that
         # read POSITION.
         tango.query(queries.query1_sql())
-        assert len(tango.learner.store) > 0
+        learned = tango.learner.store.to_dict()["entries"]
+        assert learned
 
         doomed = tango.db.table("POSITION").rows[0]
-        result = tango.apply_updates("POSITION", deletes=[doomed])
+        tango.apply_updates("POSITION", deletes=[doomed])
 
-        assert result["feedback_invalidated"] > 0
-        # Every learned entry read POSITION; all must be gone.
-        assert len(tango.learner.store) == 0
+        # Every learned entry read POSITION; none is trusted any more.
+        for fingerprint in learned:
+            assert tango.learner.store.learned_cardinality(fingerprint) is None
+        assert tango.learner.store.to_dict()["entries"] == {}
+
+    def test_every_root_forgets_what_another_roots_write_staled(self):
+        """A service learned Query 1 over POSITION, and the Tango beside it
+        wrote POSITION: the service must price Query 1 as the Tango does,
+        not at the cardinalities it learned before the write."""
+        db = MiniDB()
+        load_uis(db, scale=0.01, with_variants=False)
+        sql = queries.query1_sql()
+        config = TangoConfig(learn_cardinalities=True)
+        with Tango(db, config) as tango, QueryService(
+            db, ServiceConfig(max_concurrency=1), tango_config=config
+        ) as service:
+            tango.query(sql)
+            service.query(sql, timeout=60)
+            assert service.learner.store.learned_cardinality("scan:position") == 838
+            rows = list(db.table("POSITION").rows)
+            tango.apply_updates("POSITION", inserts=rows * 4)
+            assert service.learner.store.learned_cardinality("scan:position") is None
+            assert service.planner.plan(sql).cost == tango.optimize(sql).cost
 
 
 # -- the staleness matrix ---------------------------------------------------------------
@@ -150,7 +172,7 @@ def with_stale_view(tango):
 
 
 def with_learned(tango):
-    tango.learner.learn("fp", 100)
+    learn(tango, "fp", 100)
 
 
 def refresh_view(forced, ran):
@@ -176,10 +198,10 @@ EVENTS = {
     "factor_drift_within_tolerance": (
         None, lambda t: t.learner.observe(transfers(1.01), None), False, False
     ),
-    "learned_new_fingerprint": (None, lambda t: t.learner.learn("fp", 100), True, False),
-    "learned_shift": (with_learned, lambda t: t.learner.learn("fp", 1000), True, False),
+    "learned_new_fingerprint": (None, lambda t: learn(t, "fp", 100), True, False),
+    "learned_shift": (with_learned, lambda t: learn(t, "fp", 1000), True, False),
     "learned_shift_within_tolerance": (
-        with_learned, lambda t: t.learner.learn("fp", 101), False, False
+        with_learned, lambda t: learn(t, "fp", 101), False, False
     ),
     # A new table's first ANALYZE replaces nothing a plan was priced with,
     # and an incremental refresh (the chooser's pick for a one-row batch)

@@ -112,11 +112,11 @@ class Walk:
         scratch.execute(INDEX)
         scratch.table("T").bulk_load(list(self.table.rows))
         expected = scratch.analyze("T", histogram_columns, buckets)
-        changed = self.db.stats_delta_of("T")
+        changed = self.db.table("T").pending_delta
         with MeterWindow(self.db.meter) as window:
             assert self.db.analyze("T", histogram_columns, buckets) == expected
         assert self.db.statistics_of("T") == expected
-        assert self.db.stats_delta_of("T") == 0
+        assert self.db.table("T").pending_delta == 0
         if window.delta == scan_charge(self.table):
             self.scans += 1
         elif changed:

@@ -79,20 +79,20 @@ class TestDML:
 
     def test_delete_rows_takes_copies_as_requested_and_returns_them_as_stored(self, db):
         db.insert_rows("T", [(2, 20, "b"), (2, 20, "b")])  # three copies now
-        pending = db.stats_delta_of("T")
+        pending = db.table("T").pending_delta
         removed = db.delete_rows("T", [(2, 20.0, "b"), (1, 10, "a"), (2, 20, "b")])
         assert removed == [(1, 10, "a"), (2, 20, "b"), (2, 20, "b")]
         assert [type(row[1]) for row in removed] == [int, int, int]
         assert list(db.table("T").rows) == [(3, 30, "c"), (2, 25, "d"), (2, 20, "b")]
-        assert db.stats_delta_of("T") == pending + 3
+        assert db.table("T").pending_delta == pending + 3
 
     def test_a_delete_rows_that_misses_a_copy_changes_nothing(self, db):
         db.insert_rows("T", [(2, 20, "b")])
-        rows, pending = list(db.table("T").rows), db.stats_delta_of("T")
+        rows, pending = list(db.table("T").rows), db.table("T").pending_delta
         with pytest.raises(DatabaseError, match="absent"):
             db.delete_rows("T", [(1, 10, "a")] + [(2, 20, "b")] * 3)
         assert list(db.table("T").rows) == rows
-        assert db.stats_delta_of("T") == pending
+        assert db.table("T").pending_delta == pending
 
     def test_delete_rebuilds_indexes(self, db):
         db.execute("CREATE INDEX IX ON T (K)")
@@ -294,12 +294,12 @@ class TestAnalyzeFromTheDelta:
         db.insert_rows("T", [(5, 50, "e"), (2, None, "f")])
         db.delete_rows("T", [(2, 20, "b"), (3, 30, "c")])
         db.execute("INSERT INTO T VALUES (6, 60, 'g')")
-        assert db.stats_delta_of("T") == 5
+        assert db.table("T").pending_delta == 5
         folded = db.analyze("T")
         assert scans == []
         assert folded == analyze_table(db.table("T"))
         assert db.statistics_of("T") is folded
-        assert db.stats_delta_of("T") == 0
+        assert db.table("T").pending_delta == 0
 
     def test_a_fold_charges_for_the_delta_only(self, db):
         db.insert_rows("T", [(i, i, "x") for i in range(996)])  # 1,000 rows
@@ -354,7 +354,7 @@ class TestAnalyzeFromTheDelta:
         with pytest.raises(StatisticsError, match=r"T\.K\b"):
             db.analyze("T")  # ... and neither can the scan it falls back to
         assert db.statistics_of("T") is before
-        assert db.stats_delta_of("T") == 1
+        assert db.table("T").pending_delta == 1
         db.delete_rows("T", [("x", 1, "e")])
         del scans[:]
         rebuilt = db.analyze("T")

@@ -25,7 +25,8 @@ fuzzer is imported by nothing it tests; ``optimizer/rules.py`` has one
 ``apply``, the only place a rule touches the memo; the initial plan is
 pruned in one place; and the cursor class for a plan node is named in the
 algorithm table and nowhere else, an operator wired in the ten modules of
-DESIGN.md §19's checklist.
+DESIGN.md §19's checklist; and outside the DBMS a table's contents version
+is asked of ``MiniDB.changes_of``, never read off ``Table.changes``.
 """
 
 import ast
@@ -507,3 +508,34 @@ def test_an_operator_is_wired_in_the_ten_places_of_the_checklist():
     # had a branch of their own for it.
     assert importing == NAMES_COALESCE - {"algebra/operators.py"}
     assert len(importing) == 10
+
+
+# -- one contents version -----------------------------------------------------------------
+
+
+def contents_reads(trees: dict[str, ast.AST]) -> list[str]:
+    """``file:line: expr`` for every ``.changes`` read outside ``dbms/``: a
+    table's contents version is asked of ``MiniDB.changes_of``, the one
+    helper that also answers for a dropped table (DESIGN.md §13)."""
+    return sorted(
+        f"{where}:{node.lineno}: {ast.unparse(node)}"
+        for where, tree in trees.items()
+        if not where.startswith("dbms/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "changes"
+    )
+
+
+def test_contents_versions_are_read_through_changes_of():
+    assert contents_reads(parsed_sources()) == []
+    parent_style = {
+        "views/manager.py": ast.parse(
+            "logged = {t: db.table(t).changes for t in base_tables}\n"
+            "if self.db.table(base).changes != logged: pass\n"
+        ),
+        "dbms/table.py": ast.parse("self.changes += 1\n"),
+    }
+    assert contents_reads(parent_style) == [
+        "views/manager.py:1: db.table(t).changes",
+        "views/manager.py:2: self.db.table(base).changes",
+    ]

@@ -82,7 +82,7 @@ class TestScan:
         # over it is the scan of any other table, and delivers no order.
         db = MiniDB()
         db.create_table("POSITION", POSITION).bulk_load([(1, "Tom", 2, 20)], order=("PosID",))
-        assert db.clustered_order_of("POSITION") == ("PosID",)
+        assert db.table("POSITION").clustered_order == ("PosID",)
         assert scan(db, "POSITION").build() == position_scan()
         assert guaranteed_order(position_scan()) == ()
 

@@ -16,6 +16,7 @@ import threading
 from repro.core.executor import Executor
 from repro.core.tango import Tango, TangoConfig
 from repro.dbms.jdbc import Connection
+from tests.conftest import learn
 
 SQL = "VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION GROUP BY PosID ORDER BY PosID"
 ADVANCERS = 4
@@ -68,21 +69,21 @@ def race(tango, writers) -> None:
 
 def test_concurrent_advances_and_plans_lose_nothing(figure3_db):
     with Tango(figure3_db, TangoConfig()) as tango:
-        planner, learner = tango.planner, tango.learner
+        planner = tango.planner
         start = planner.epoch
 
         def advancer(worker: int):
             def advance() -> None:
                 for round_number in range(ROUNDS):
                     planner.set_factors(planner.factors)
-                    assert learner.learn(f"fp-{worker}-{round_number}", round_number)
+                    assert learn(tango, f"fp-{worker}-{round_number}", round_number)
 
             return advance
 
         race(tango, [advancer(index) for index in range(ADVANCERS)])
         # Every new factor set and every new fingerprint advanced the epoch once.
         assert planner.epoch == start + ADVANCERS * ROUNDS * 2
-        assert len(learner.store) == ADVANCERS * ROUNDS
+        assert len(tango.learner.store) == ADVANCERS * ROUNDS
         # The cache only ever answers for the current epoch.
         assert tango.optimize(SQL) is tango.optimize(SQL)
 

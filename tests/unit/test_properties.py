@@ -75,7 +75,7 @@ class TestGuaranteedOrder:
         for name, order in (("CLUSTERED", ("a", "T1")), ("HEAP", ())):
             db.execute(f"CREATE TABLE {name} (a INT, x INT, T1 DATE, T2 DATE)")
             db.table(name).bulk_load(rows if order else rows[::-1], order=order)
-        assert db.clustered_order_of("CLUSTERED") == ("a", "T1")
+        assert db.table("CLUSTERED").clustered_order == ("a", "T1")
         query = "VALIDTIME SELECT a, COUNT(x) FROM {} GROUP BY a ORDER BY a"
         with Tango(db) as tango:
             clustered = tango.query(query.format("CLUSTERED"))

@@ -170,7 +170,7 @@ class TestLoaderChunkAtomicity:
             connection.executemany("TMP_ATOMIC", SCHEMA, poisoned())
         assert db.table("TMP_ATOMIC").cardinality == 0
         # The rollback is a counted write like any other (DESIGN.md §20).
-        assert db.stats_delta_of("TMP_ATOMIC") == 2
+        assert db.table("TMP_ATOMIC").pending_delta == 2
         connection.executemany("TMP_ATOMIC", SCHEMA, rows(2))
         assert db.table("TMP_ATOMIC").cardinality == 2
         connection.drop_temp("TMP_ATOMIC")

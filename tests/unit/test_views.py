@@ -3,6 +3,7 @@ boundary, the delta algebra's edges, and the update-path plumbing."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -326,17 +327,17 @@ class TestUpdatePath:
         assert tango.db.table("BASE").rows == before
         assert tango.views.get("V").pending_rows == 0
         assert tango.db.statistics_of("BASE") is statistics
-        assert tango.db.stats_delta_of("BASE") == 0
+        assert tango.db.table("BASE").pending_delta == 0
 
     def test_updates_move_the_stats_delta_until_analyze(self, tango):
-        assert tango.db.stats_delta_of("BASE") == 0
+        assert tango.db.table("BASE").pending_delta == 0
         tango.apply_updates("BASE", deletes=sample_rows(tango.db, 2))
         # apply_updates re-ANALYZEs, so the delta is consumed already.
-        assert tango.db.stats_delta_of("BASE") == 0
+        assert tango.db.table("BASE").pending_delta == 0
         tango.db.table("BASE").append((1, 0, 5))
-        assert tango.db.stats_delta_of("BASE") == 1
+        assert tango.db.table("BASE").pending_delta == 1
         tango.db.analyze("BASE")
-        assert tango.db.stats_delta_of("BASE") == 0
+        assert tango.db.table("BASE").pending_delta == 0
 
 
 class TestDeltaAlgebra:
@@ -548,37 +549,84 @@ class TestWindowRule:
         assert tango.metrics.counter("view_refresh_fallbacks").value == 1
 
 
+def store_over(*tables: str) -> tuple[MiniDB, CardinalityFeedbackStore]:
+    """A feedback store over a database of one-column *tables*."""
+    db = MiniDB()
+    for table in tables:
+        db.execute(f"CREATE TABLE {table} (K INT)")
+        db.insert_rows(table, [(1,)])
+    return db, CardinalityFeedbackStore(db)
+
+
 class TestFeedbackInvalidation:
-    def test_invalidate_table_drops_matching_entries(self):
-        store = CardinalityFeedbackStore()
+    """A learned cardinality is trusted while every table it reads holds
+    the contents it was learned over, whoever writes them."""
+
+    def test_a_write_stales_the_entries_that_read_the_table(self):
+        db, store = store_over("BASE", "OTHER")
         store.observe("scan:base", 10)
         store.observe("select[K0 <= 1](scan:base)", 4)
         store.observe("scan:other", 9)
-        assert store.invalidate_table("BASE") == 2
+        db.insert_rows("BASE", [(2,)])
         assert store.learned_cardinality("scan:other") == 9
         assert store.learned_cardinality("scan:base") is None
+        assert store.learned_cardinality("select[K0 <= 1](scan:base)") is None
 
-    def test_invalidate_table_matches_whole_table_names(self):
-        """The UIS names collide by prefix; a substring match dropped the
+    def test_whole_table_names_are_matched(self):
+        """The UIS names collide by prefix; a substring match staled the
         variants' entries on every POSITION update."""
-        store = CardinalityFeedbackStore()
+        db, store = store_over("POSITION", "POSITION_8000", "POSITION_17000", "EMPLOYEE")
         store.observe("select[PayRate > 9](scan:position_17000)", 3)
+        store.observe("scan:position_8000", 8)
         store.observe("scan:position", 10)
         store.observe("scan:employee", 7)
-        assert store.invalidate_table("POSITION") == 1
-        assert store.learned_cardinality("select[PayRate > 9](scan:position_17000)") == 3
-        assert store.learned_cardinality("scan:employee") == 7
-        # Never too few: the table anywhere in a join still goes.
         joined = "join[](empid=scan:employee;empid=select[T1 < 5](scan:position))"
         store.observe(joined, 4)
-        store.observe("temporaljoin[t1,t2](posid=scan:position_8000;posid=scan:position)", 5)
-        assert store.invalidate_table("position") == 2
-        assert store.invalidate_table("POSITION_8000") == 0
-        assert store.invalidate_table("EMPLOYEE") == 1
+        mixed = "temporaljoin[t1,t2](posid=scan:position_8000;posid=scan:position)"
+        store.observe(mixed, 5)
+        db.insert_rows("POSITION", [(2,)])
+        assert store.learned_cardinality("select[PayRate > 9](scan:position_17000)") == 3
+        assert store.learned_cardinality("scan:position_8000") == 8
+        assert store.learned_cardinality("scan:employee") == 7
+        # Never too few: the table anywhere in a join still goes.
+        assert store.learned_cardinality("scan:position") is None
         assert store.learned_cardinality(joined) is None
+        assert store.learned_cardinality(mixed) is None
+        db.insert_rows("EMPLOYEE", [(2,)])
+        assert store.learned_cardinality("scan:employee") is None
+        assert store.learned_cardinality("scan:position_8000") == 8
 
-    def test_invalidate_table_without_matches_keeps_epoch(self):
-        store = CardinalityFeedbackStore()
+    def test_a_write_elsewhere_keeps_entries_and_epoch(self):
+        db, store = store_over("BASE", "OTHER")
         store.observe("scan:other", 9)
-        assert store.invalidate_table("BASE") == 0
+        db.insert_rows("BASE", [(2,)])
         assert store.learned_cardinality("scan:other") == 9
+        assert store.observe("scan:other", 9) is False  # immaterial
+
+    def test_an_observation_of_a_stale_entry_starts_a_new_average(self):
+        db, store = store_over("BASE")
+        for _ in range(3):
+            store.observe("scan:base", 10)
+        db.insert_rows("BASE", [(2,)])
+        assert store.observations("scan:base") == 0
+        assert store.observe("scan:base", 1000) is True  # material, as a new entry
+        assert store.learned_cardinality("scan:base") == 1000
+        assert store.observations("scan:base") == 1
+
+    def test_a_dropped_tables_entries_read_as_unknown(self):
+        db, store = store_over("BASE", "OTHER")
+        store.observe("scan:base", 10)
+        store.observe("join[](k=scan:base;k=scan:other)", 5)
+        db.drop_table("BASE")
+        assert store.learned_cardinality("scan:base") is None
+        assert store.learned_cardinality("join[](k=scan:base;k=scan:other)") is None
+
+    def test_close_after_a_write_persists_no_stale_entry(self, tango, tmp_path):
+        path = tmp_path / "feedback.json"
+        config = TangoConfig(learn_cardinalities=True, feedback_path=str(path))
+        with Tango(tango.db, config) as learning:
+            learning.query(taggr_plan(learning.db))
+            learning.learner.store.observe("fp", 5)  # reads no table
+            assert len(learning.learner.store) > 1
+            learning.apply_updates("BASE", deletes=sample_rows(learning.db, 1))
+        assert list(json.loads(path.read_text())["entries"]) == ["fp"]
