@@ -8,74 +8,3 @@ The transfer operators ``T^M`` and ``T^D`` are ordinary nodes, which lets the
 paper's transformation rules (T1-T12, E1-E5) be expressed as plain tree
 rewrites.
 """
-
-from repro.algebra.schema import Attribute, AttrType, Schema
-from repro.algebra.expressions import (
-    And,
-    BinOp,
-    ColumnRef,
-    Comparison,
-    Expression,
-    FuncCall,
-    Literal,
-    Not,
-    Or,
-    col,
-    lit,
-)
-from repro.algebra.operators import (
-    Location,
-    Operator,
-    Scan,
-    Select,
-    Project,
-    Sort,
-    Join,
-    TemporalJoin,
-    TemporalAggregate,
-    Product,
-    Dedup,
-    Coalesce,
-    Difference,
-    TransferM,
-    TransferD,
-    AggregateSpec,
-)
-from repro.algebra.properties import is_prefix_of, guaranteed_order
-from repro.algebra import builder
-
-__all__ = [
-    "Attribute",
-    "AttrType",
-    "Schema",
-    "Expression",
-    "ColumnRef",
-    "Literal",
-    "BinOp",
-    "Comparison",
-    "And",
-    "Or",
-    "Not",
-    "FuncCall",
-    "col",
-    "lit",
-    "Location",
-    "Operator",
-    "Scan",
-    "Select",
-    "Project",
-    "Sort",
-    "Join",
-    "TemporalJoin",
-    "TemporalAggregate",
-    "Product",
-    "Dedup",
-    "Coalesce",
-    "Difference",
-    "TransferM",
-    "TransferD",
-    "AggregateSpec",
-    "is_prefix_of",
-    "guaranteed_order",
-    "builder",
-]

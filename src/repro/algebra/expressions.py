@@ -7,12 +7,12 @@ Expressions are immutable trees.  They can be
   given schema and evaluate it once, so a whole tree costs one Python call
   per row; :func:`compile_block` generates a SELECT block's filters, join
   and select list as one list comprehension, over rows or over pairs of
-  rows (:func:`compile_pair` is one test over a pair).  No text from a
-  query reaches that source: columns become integer positions, and every
-  literal and every scalar function is bound to a generated name in the
-  function's globals.  The source therefore depends only on the tree's
-  shape, and each distinct source is compiled once (:data:`KERNEL_CACHE_SIZE`
-  code objects are kept) and evaluated in each call's own globals.  A
+  rows.  No text from a query reaches that source: columns become integer
+  positions, and every literal and every scalar function is bound to a
+  generated name in the function's globals.  The source therefore depends
+  only on the tree's shape, and each distinct source is compiled once
+  (:data:`KERNEL_CACHE_SIZE` code objects are kept) and evaluated in each
+  call's own globals.  A
   :class:`Parameter` (a ``?`` bind marker) is a named slot left out of the
   globals: :func:`bind` gives such a function its values;
 * *rendered* — :meth:`Expression.to_sql` produces the SQL text the
@@ -586,13 +586,6 @@ def compile_row(expressions: Sequence[Expression], schema: Schema) -> Callable[[
         return operator.itemgetter(*(schema.index_of(e.name) for e in expressions))
     return _generate(
         expressions, _Codegen(schema), lambda t: f"lambda row: {_tuple_display(t)}"
-    )
-
-
-def compile_pair(predicate: Expression, left: Schema, right: Schema) -> Callable:
-    """An ``(l, r) -> value`` evaluator of *predicate* over a pair of rows."""
-    return _generate(
-        (predicate,), _Codegen(left, right), lambda t: f"lambda l, r: {t[0]}"
     )
 
 

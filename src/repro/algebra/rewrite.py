@@ -77,13 +77,6 @@ def substitute(expression: Expression, mapping: Mapping[Expression, Expression])
     return rebuild(expression, new_children)
 
 
-def contains(expression: Expression, needle_type: type) -> bool:
-    """True when a node of *needle_type* occurs anywhere in the tree."""
-    if isinstance(expression, needle_type):
-        return True
-    return any(contains(child, needle_type) for child in expression.children())
-
-
 def collect(expression: Expression, needle_type: type) -> list[Expression]:
     """All nodes of *needle_type* in pre-order."""
     found: list[Expression] = []

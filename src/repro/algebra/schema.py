@@ -142,14 +142,6 @@ class Schema:
         """
         return Schema(concat_attributes(self._attributes, other, disambiguate))
 
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """Schema with attributes renamed per *mapping* (old -> new)."""
-        lowered = {old.lower(): new for old, new in mapping.items()}
-        return Schema(
-            attribute.renamed(lowered.get(attribute.name.lower(), attribute.name))
-            for attribute in self._attributes
-        )
-
 
 def concat_attributes(
     left: Iterable[Attribute], right: Iterable[Attribute], disambiguate: bool = True

@@ -18,26 +18,5 @@ Components per Figure 1:
 """
 
 from repro.core.tango import Tango, TangoConfig, QueryResult
-from repro.core.parser import parse_temporal_query
-from repro.core.translator import SQLTranslator
-from repro.core.plans import compile_plan, ExecutionPlan
-from repro.core.engine import (
-    ExecutionEngine,
-    TransferObservation,
-    observations_from_trace,
-)
-from repro.core.learner import FeedbackAdapter
 
-__all__ = [
-    "Tango",
-    "TangoConfig",
-    "QueryResult",
-    "parse_temporal_query",
-    "SQLTranslator",
-    "compile_plan",
-    "ExecutionPlan",
-    "ExecutionEngine",
-    "FeedbackAdapter",
-    "TransferObservation",
-    "observations_from_trace",
-]
+__all__ = ["Tango", "TangoConfig", "QueryResult"]

@@ -226,13 +226,6 @@ class Tango:
         self._check_open()
         return self.views.refresh(name, strategy=strategy, explain=explain)
 
-    def drop_view(self, name: str) -> None:
-        self._check_open()
-        self.views.drop(name)
-
-    def list_views(self) -> list[str]:
-        return self.views.names() if self._views is not None else []
-
     def apply_updates(self, table: str, inserts=(), deletes=()) -> dict:
         """Apply one update batch (the UIS churn path) to a base table.
 

@@ -21,14 +21,6 @@ The middleware treats this package as a black box reachable only through
 """
 
 from repro.dbms.database import MiniDB
-from repro.dbms.jdbc import Connection, Cursor
-from repro.dbms.costmodel import CostMeter
-from repro.dbms.loader import DirectPathLoader
+from repro.dbms.jdbc import Connection
 
-__all__ = [
-    "MiniDB",
-    "Connection",
-    "Cursor",
-    "CostMeter",
-    "DirectPathLoader",
-]
+__all__ = ["MiniDB", "Connection"]

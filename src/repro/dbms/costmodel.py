@@ -60,27 +60,3 @@ class CostMeter:
     def reset(self) -> None:
         self.io = 0
         self.cpu = 0
-
-
-class MeterWindow:
-    """Context manager measuring the work charged during a block.
-
-    >>> meter = CostMeter()
-    >>> with MeterWindow(meter) as window:
-    ...     meter.charge_cpu(5)
-    >>> window.delta.cpu
-    5
-    """
-
-    def __init__(self, meter: CostMeter):
-        self._meter = meter
-        self._before: CostSnapshot | None = None
-        self.delta: CostSnapshot = CostSnapshot(0, 0)
-
-    def __enter__(self) -> "MeterWindow":
-        self._before = self._meter.snapshot()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._before is not None
-        self.delta = self._meter.snapshot() - self._before

@@ -55,6 +55,10 @@ class MiniDB:
         self.block_size = block_size
         self.meter = CostMeter()
         self._tables: dict[str, Table] = {}
+        #: Per dropped name, where its next table's ``changes`` starts: past
+        #: every contents version the dropped ones reached, so a version a
+        #: learned cardinality or a view remembers never reads as fresh.
+        self._dropped_changes: dict[str, int] = {}
         self._indexes: dict[str, Index] = {}
         self._statistics: dict[str, TableStatistics] = {}
         #: Moves, to a number never used before (``next`` on a ``count`` is
@@ -116,6 +120,7 @@ class MiniDB:
         if self.has_table(name):
             raise CatalogError(f"table {name!r} already exists")
         table = Table(name, schema, self.block_size, temporary)
+        table.changes = self._dropped_changes.pop(name.lower(), 0)
         self._tables[name.lower()] = table
         return table
 
@@ -126,6 +131,7 @@ class MiniDB:
                 return
             raise CatalogError(f"no such table {name!r}")
         table = self._tables.pop(key)
+        self._dropped_changes[key] = table.changes + 1
         if self._statistics.pop(key, None) is not None:
             self.statistics_version = next(self._versions)
         self._dml.pop(key, None)
@@ -144,7 +150,7 @@ class MiniDB:
             table.append(row)
             self.meter.charge_cpu(5)
         # Logged only once every row is in: a failed insert leaves
-        # ``pending_delta`` ahead of the log, so the next ANALYZE scans.
+        # ``changes`` ahead of the log, so the next ANALYZE scans.
         self._tracker(table).inserted.extend(table.rows[first:])
         inserted = table.cardinality - first
         self.meter.charge_io(max(1, inserted // table.rows_per_block()))
@@ -221,7 +227,6 @@ class MiniDB:
             statistics, charge = tracker.analyze(
                 table, histogram_columns, histogram_buckets
             )
-        table.pending_delta = 0
         for index in self.indexes_on(name):
             column = statistics.column(index.column)
             column.has_index = True

@@ -9,9 +9,7 @@ which is all the middleware optimizer reads (Section 3).
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
 
-from repro.dbms.costmodel import CostMeter
 from repro.dbms.table import Table
 from repro.errors import DatabaseError
 
@@ -71,12 +69,3 @@ class Index:
         else:
             fetches = matched
         return self.height + fetches, matched
-
-    def lookup(self, key: object, meter: CostMeter | None = None) -> Iterator[tuple]:
-        """Yield rows with ``column == key``, charging the probe at the first pull."""
-        rows = self.matches(key)
-        if meter is not None:
-            io, cpu = self.probe_charge(len(rows))
-            meter.charge_io(io)
-            meter.charge_cpu(cpu)
-        yield from rows

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro.algebra.schema import Schema
@@ -429,15 +428,6 @@ class ConnectionPool:
             retire = True
         if retire:
             connection.close()
-
-    @contextmanager
-    def lease(self, timeout: float | None = None):
-        """``with pool.lease() as connection:`` — release guaranteed."""
-        connection = self.acquire(timeout)
-        try:
-            yield connection
-        finally:
-            self.release(connection)
 
     @property
     def in_use(self) -> int:

@@ -15,9 +15,3 @@ benchmark queries need:
   ``SELECT`` forms), ``DELETE``, ``DROP TABLE``, and
   ``ANALYZE TABLE ... COMPUTE STATISTICS``.
 """
-
-from repro.dbms.sql.parser import parse_statement, parse_expression
-from repro.dbms.sql.planner import plan_select
-from repro.dbms.sql.executor import ResultSet
-
-__all__ = ["parse_statement", "parse_expression", "plan_select", "ResultSet"]

@@ -555,13 +555,3 @@ def parse_statement(sql: str) -> Statement:
             raise SQLSyntaxError("bind markers (?) are allowed in SELECT statements only")
         statement = replace(statement, parameters=parser.parameters)
     return statement
-
-
-def parse_expression(sql: str) -> Expression:
-    """Parse a standalone scalar expression (useful in tests)."""
-    parser = _Parser(sql)
-    expression = parser.expression()
-    if not parser.at_end():
-        token = parser._peek()
-        raise SQLSyntaxError(f"unexpected trailing input {token.text!r}", token.position)
-    return expression

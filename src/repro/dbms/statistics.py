@@ -64,9 +64,6 @@ class TableStatistics:
                 f"no statistics for column {name!r} of {self.table}; run ANALYZE"
             ) from None
 
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self.columns
-
 
 class SortedColumns:
     """A table's columns in the form statistics are read off: per column
@@ -227,20 +224,24 @@ class DmlTracker:
     :class:`SortedColumns` as of the last ANALYZE, and the rows
     ``insert_rows`` / ``delete_rows`` changed since.
 
-    The log covers the table's changes exactly when it is as long as
-    ``Table.pending_delta``: every writer advances that counter, only those
-    two log.  :meth:`analyze` folds only then; any disagreement (a bulk
-    load, a truncate, SQL ``DELETE``, a view splice, an insert that failed
-    half-way) means a rebuild from a scan, as does a fold that raises.  Of
-    the two exact paths it takes the one the meter prices lower, so a delta
-    that rivals the table in size (each folded value shifts the list it
-    lands in) is scanned as well.
+    The log covers the table's changes exactly when it is as long as the
+    rows ``Table.changes`` advanced by since the last ANALYZE (``since``):
+    every writer advances that counter, only those two log.  :meth:`analyze`
+    folds only then; any disagreement (a bulk load, a truncate, SQL
+    ``DELETE``, a view splice, an insert that failed half-way) means a
+    rebuild from a scan, as does a fold that raises.  Of the two exact paths
+    it takes the one the meter prices lower, so a delta that rivals the
+    table in size (each folded value shifts the list it lands in) is
+    scanned as well.
     """
 
     def __init__(self) -> None:
         self.columns: SortedColumns | None = None
         self.inserted: list[tuple] = []
         self.deleted: list[tuple] = []
+        #: ``Table.changes`` as of the last ANALYZE (meaningless while
+        #: ``columns`` is None: the next ANALYZE scans anyway).
+        self.since = 0
 
     def analyze(
         self,
@@ -249,10 +250,9 @@ class DmlTracker:
         histogram_buckets: int,
     ) -> tuple[TableStatistics, CostSnapshot]:
         """*table*'s statistics and what the meter owes for them.  On
-        return the sorted columns match the table and the log is empty, so
-        the caller resets ``pending_delta``; if this raises it must not, and
-        the next call scans (the log then trails the counter, or the copy
-        is gone).
+        return the sorted columns match the table, the log is empty and
+        ``since`` is the table's ``changes``; if this raises, the next call
+        scans (the log then trails the counter, or the copy is gone).
         """
         wanted = _histogram_selection(table, histogram_columns)
         logged = len(self.inserted) + len(self.deleted)
@@ -260,7 +260,7 @@ class DmlTracker:
         folded = False
         if (
             self.columns is not None
-            and logged == table.pending_delta
+            and logged == table.changes - self.since
             and charge.ticks < scan_charge(table).ticks
         ):
             try:
@@ -273,4 +273,6 @@ class DmlTracker:
             charge = scan_charge(table)
         self.inserted.clear()
         self.deleted.clear()
-        return self.columns.statistics(table, wanted, histogram_buckets), charge
+        statistics = self.columns.statistics(table, wanted, histogram_buckets)
+        self.since = table.changes
+        return statistics, charge

@@ -42,12 +42,9 @@ class Table:
         self.block_size = block_size
         self.temporary = temporary
         self.clustered_order: tuple[str, ...] = ()
-        #: Rows changed (inserted, deleted, or reloaded) since the last
-        #: ANALYZE — the statistics delta the view refresh chooser and the
-        #: collector read to decide how stale the table's statistics are.
-        self.pending_delta = 0
-        #: ``pending_delta`` never reset, the contents version: whoever
-        #: remembers ``MiniDB.changes_of`` can tell whether anyone wrote since.
+        #: Rows changed (inserted, deleted, or reloaded), the contents
+        #: version: whoever remembers ``MiniDB.changes_of`` can tell whether
+        #: anyone wrote since, and ANALYZE how many rows changed since it ran.
         self.changes = 0
 
     # -- size accounting -------------------------------------------------------
@@ -83,7 +80,6 @@ class Table:
             )
         self.rows.append(tuple(row))
         self.clustered_order = ()
-        self.pending_delta += 1
         self.changes += 1
 
     def bulk_load(self, rows: Iterable[Sequence[object]], order: Sequence[str] = ()) -> int:
@@ -103,7 +99,6 @@ class Table:
             self.rows.append(tuple(row))
             loaded += 1
         self.clustered_order = tuple(order)
-        self.pending_delta += loaded
         self.changes += loaded
         return loaded
 
@@ -123,12 +118,11 @@ class Table:
         that computed the new contents itself (a delete, a view's splice, a
         loader's rollback).  *changed* is how many rows the swap inserted,
         deleted or reloaded, positive whenever the contents differ: it
-        advances ``pending_delta``, which is how ANALYZE learns that its
-        sorted copy no longer covers the table (DESIGN.md §20).
+        advances ``changes``, which is how ANALYZE learns that its sorted
+        copy no longer covers the table (DESIGN.md §20).
         """
         self.rows[:] = rows
         self.clustered_order = ()
-        self.pending_delta += changed
         self.changes += changed
 
     def column_values(self, name: str) -> list:

@@ -22,41 +22,3 @@ seeded differential-testing subsystem:
 * :mod:`repro.fuzz.harness` — the budgeted driver behind
   ``python -m repro.fuzz --seed S --budget N``.
 """
-
-from repro.fuzz.compare import (
-    canonical_rows,
-    describe_mismatch,
-    is_sorted_on,
-    rows_equal,
-)
-from repro.fuzz.generator import FuzzCase, QueryGenerator
-from repro.fuzz.harness import FuzzHarness, FuzzReport
-from repro.fuzz.oracle import (
-    DEFAULT_CONFIG,
-    ExecConfig,
-    FailureReport,
-    Oracle,
-    derive_alternative,
-    execute_with_config,
-)
-from repro.fuzz.shrinker import Shrinker, ShrunkCase, TableData
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "ExecConfig",
-    "FailureReport",
-    "FuzzCase",
-    "FuzzHarness",
-    "FuzzReport",
-    "Oracle",
-    "QueryGenerator",
-    "Shrinker",
-    "ShrunkCase",
-    "TableData",
-    "canonical_rows",
-    "derive_alternative",
-    "describe_mismatch",
-    "execute_with_config",
-    "is_sorted_on",
-    "rows_equal",
-]

@@ -14,17 +14,10 @@ Rows are compared in their canonical form (:mod:`repro.algebra.rows`).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
-from repro.algebra.rows import canonical_rows, normalize_rows
+from repro.algebra.rows import canonical_rows
 from repro.algebra.schema import Schema
-
-
-def rows_equal(left: Sequence[tuple], right: Sequence[tuple]) -> bool:
-    """Multiset equality of two row sequences (normalized; counted, not
-    sorted — order is what a multiset does not have)."""
-    return Counter(normalize_rows(left)) == Counter(normalize_rows(right))
 
 
 def describe_mismatch(

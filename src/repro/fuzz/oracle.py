@@ -19,7 +19,7 @@ under the default configuration, then executes *alternatives* against it:
 Every execution is checked three ways:
 
 1. **multiset**: canonicalized rows must equal the baseline's
-   (:func:`repro.fuzz.compare.rows_equal` semantics);
+   (:func:`repro.fuzz.compare.canonical_rows`);
 2. **list**: the rows must satisfy the plan's *declared* order
    (:func:`repro.algebra.properties.guaranteed_order` +
    :func:`repro.fuzz.compare.is_sorted_on`) — ties may reorder, prefixes

@@ -67,10 +67,6 @@ class ShrunkCase:
         """Nodes in the shrunk initial plan, excluding the root transfer."""
         return self.initial_plan.size() - 1
 
-    @property
-    def row_count(self) -> int:
-        return sum(len(table.rows) for table in self.tables)
-
     def describe(self) -> str:
         tables = ", ".join(
             f"{table.name}({len(table.rows)} rows)" for table in self.tables

@@ -16,30 +16,8 @@ performance claim needs a measurement substrate.  This package provides it:
   estimates with executed actuals per operator.
 """
 
-from repro.obs.tracing import NULL_TRACER, Span, Tracer
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.obs.instrument import (
-    cardinality_observations,
-    cursor_span,
-    execution_trace,
-)
-from repro.obs.explain import (
-    ExplainAnalyzeReport,
-    OperatorMeasurement,
-    build_report,
-)
+from repro.obs.tracing import Span, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.explain import ExplainAnalyzeReport
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NULL_TRACER",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
-    "cardinality_observations",
-    "cursor_span",
-    "execution_trace",
-    "ExplainAnalyzeReport",
-    "OperatorMeasurement",
-    "build_report",
-]
+__all__ = ["Span", "Tracer", "MetricsRegistry", "ExplainAnalyzeReport"]

@@ -15,7 +15,6 @@ observations_from_trace` turns into :class:`TransferObservation` values.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -93,9 +92,6 @@ class Span:
             "attributes": dict(self.attributes),
             "children": [child.to_dict() for child in self.children],
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=str)
 
     def render(self, indent: int = 0) -> str:
         """Indented text tree: name, duration, and key attributes."""

@@ -22,18 +22,6 @@ An extended Volcano-style optimizer (Section 4):
 """
 
 from repro.optimizer.costs import CostFactors, PlanCoster
-from repro.optimizer.memo import Memo
-from repro.optimizer.search import Optimizer, OptimizationResult
-from repro.optimizer.physical import validate_plan, PlanValidityError
-from repro.optimizer.calibration import Calibrator
+from repro.optimizer.search import Optimizer
 
-__all__ = [
-    "CostFactors",
-    "PlanCoster",
-    "Memo",
-    "Optimizer",
-    "OptimizationResult",
-    "validate_plan",
-    "PlanValidityError",
-    "Calibrator",
-]
+__all__ = ["CostFactors", "PlanCoster", "Optimizer"]

@@ -27,15 +27,6 @@ operators ride:
 """
 
 from repro.resilience.faults import FaultInjector, FaultPolicy
-from repro.resilience.health import BackendState, HealthMonitor, HealthPolicy
-from repro.resilience.retry import RetryPolicy, RetryState
+from repro.resilience.retry import RetryPolicy
 
-__all__ = [
-    "BackendState",
-    "FaultInjector",
-    "FaultPolicy",
-    "HealthMonitor",
-    "HealthPolicy",
-    "RetryPolicy",
-    "RetryState",
-]
+__all__ = ["FaultInjector", "FaultPolicy", "RetryPolicy"]

@@ -103,15 +103,6 @@ class FaultInjector:
         self.latency_spikes = 0
         self._dropped = False
 
-    def restore_connection(self) -> None:
-        """Undo a ``drop_after`` drop (reconnect).
-
-        Restarts the drop window: the connection survives another
-        ``drop_after`` calls.  Fault counters are kept.
-        """
-        self._dropped = False
-        self.calls = 0
-
     def before(self, op: str) -> None:
         """Possibly fault one DBMS call; called before the real work.
 

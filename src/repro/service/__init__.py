@@ -24,15 +24,6 @@ builds its own planner and learner, which its workers share.
 """
 
 from repro.service.config import ServiceConfig, TenantSpec
-from repro.service.handle import HandleState, QueryHandle
-from repro.service.scheduler import FairShareScheduler
 from repro.service.service import QueryService
 
-__all__ = [
-    "FairShareScheduler",
-    "HandleState",
-    "QueryHandle",
-    "QueryService",
-    "ServiceConfig",
-    "TenantSpec",
-]
+__all__ = ["QueryService", "ServiceConfig", "TenantSpec"]

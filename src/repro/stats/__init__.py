@@ -1,7 +1,7 @@
 """Statistics collection and selectivity estimation.
 
-* :mod:`repro.stats.histogram` — height- and width-balanced histograms in the
-  shapes maintained by conventional DBMSs.
+* :mod:`repro.stats.histogram` — height-balanced histograms, the shape
+  conventional DBMSs maintain.
 * :mod:`repro.stats.collector` — the paper's Statistics Collector component:
   pulls base-relation and attribute statistics out of the DBMS catalog.
 * :mod:`repro.stats.selectivity` — Section 3.3: ``StartBefore``/``EndBefore``
@@ -11,28 +11,7 @@
   algebra operator, including the temporal-aggregation bounds of Section 3.4.
 """
 
-from repro.stats.histogram import Histogram, build_height_balanced, build_width_balanced
-from repro.stats.collector import StatisticsCollector, RelationStats, AttributeStats
-from repro.stats.selectivity import (
-    start_before,
-    end_before,
-    overlaps_selectivity,
-    timeslice_selectivity,
-    naive_overlaps_selectivity,
-)
+from repro.stats.collector import StatisticsCollector
 from repro.stats.cardinality import CardinalityEstimator
 
-__all__ = [
-    "Histogram",
-    "build_height_balanced",
-    "build_width_balanced",
-    "StatisticsCollector",
-    "RelationStats",
-    "AttributeStats",
-    "start_before",
-    "end_before",
-    "overlaps_selectivity",
-    "timeslice_selectivity",
-    "naive_overlaps_selectivity",
-    "CardinalityEstimator",
-]
+__all__ = ["StatisticsCollector", "CardinalityEstimator"]

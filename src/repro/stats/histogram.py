@@ -7,10 +7,9 @@ through four accessor functions:
 * ``bVal(i, H)`` — number of attribute values in bucket *i*;
 * ``bNo(A, H)`` — the bucket that value ``A`` falls into.
 
-Both *height-balanced* histograms (equal tuple counts per bucket — Oracle's
-default) and *width-balanced* histograms (equal value ranges per bucket) are
-provided behind the same interface, exactly as the paper notes the formulas
-work for either.
+The histograms are *height-balanced* (equal tuple counts per bucket —
+Oracle's default); the paper notes the formulas work for width-balanced
+ones too.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class Histogram:
 
     bounds: tuple[float, ...]
     counts: tuple[int, ...]
-    kind: str = "height-balanced"
 
     def __post_init__(self) -> None:
         if len(self.bounds) != len(self.counts) + 1:
@@ -136,24 +134,4 @@ def build_height_balanced(
         previous_index = boundary_index
         if previous_index >= count:
             break
-    return Histogram(tuple(bounds), tuple(counts), "height-balanced")
-
-
-def build_width_balanced(values: Sequence[float], num_buckets: int = 10) -> Histogram:
-    """Build a width-balanced histogram (equal value range per bucket)."""
-    if not values:
-        raise StatisticsError("cannot build a histogram over no values")
-    low = float(min(values))
-    high = float(max(values))
-    buckets = max(1, num_buckets)
-    if high == low:
-        return Histogram((low, high), (len(values),), "width-balanced")
-    width = (high - low) / buckets
-    counts = [0] * buckets
-    for value in values:
-        index = int((value - low) / width)
-        if index >= buckets:
-            index = buckets - 1
-        counts[index] += 1
-    bounds = tuple(low + i * width for i in range(buckets)) + (high,)
-    return Histogram(bounds, tuple(counts), "width-balanced")
+    return Histogram(tuple(bounds), tuple(counts))

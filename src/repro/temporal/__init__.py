@@ -6,26 +6,7 @@ integer day numbers and the closed-open period arithmetic used by every
 temporal operator.
 """
 
-from repro.temporal.timestamps import (
-    DAY_ORIGIN,
-    day_of,
-    date_of,
-    days_between,
-)
-from repro.temporal.period import (
-    Period,
-    overlaps,
-    intersect,
-    constant_intervals,
-)
+from repro.temporal.timestamps import day_of, date_of
+from repro.temporal.period import Period
 
-__all__ = [
-    "DAY_ORIGIN",
-    "day_of",
-    "date_of",
-    "days_between",
-    "Period",
-    "overlaps",
-    "intersect",
-    "constant_intervals",
-]
+__all__ = ["day_of", "date_of", "Period"]

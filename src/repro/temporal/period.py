@@ -31,10 +31,6 @@ class Period:
         """True when the period covers no day."""
         return self.start >= self.end
 
-    def contains(self, instant: int) -> bool:
-        """True when *instant* lies in ``[start, end)`` (a timeslice test)."""
-        return self.start <= instant < self.end
-
     def overlaps(self, other: "Period") -> bool:
         """True when the two periods share at least one day.
 

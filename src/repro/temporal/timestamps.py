@@ -49,11 +49,6 @@ def iso_of(day: int) -> str:
     return date_of(day).isoformat()
 
 
-def days_between(start: str | datetime.date, end: str | datetime.date) -> int:
-    """Number of days from *start* (inclusive) to *end* (exclusive)."""
-    return day_of(end) - day_of(start)
-
-
 def year_start(year: int) -> int:
     """Day number of January 1 of *year* — handy for the paper's sweeps.
 

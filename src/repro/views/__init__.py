@@ -6,34 +6,6 @@ are ``Tango.create_view`` / ``Tango.apply_updates`` /
 ``Tango.refresh_view``.
 """
 
-from repro.views.delta import (
-    Delta,
-    DeltaMismatch,
-    DeltaState,
-    DeltaUnsupported,
-    apply_delta_rows,
-    compute_delta,
-    net_delta,
-)
-from repro.views.manager import (
-    REFRESH_OVERHEAD_US,
-    MaterializedView,
-    RefreshDecision,
-    RefreshOutcome,
-    ViewManager,
-)
+from repro.views.manager import ViewManager
 
-__all__ = [
-    "Delta",
-    "DeltaMismatch",
-    "DeltaState",
-    "DeltaUnsupported",
-    "MaterializedView",
-    "REFRESH_OVERHEAD_US",
-    "RefreshDecision",
-    "RefreshOutcome",
-    "ViewManager",
-    "apply_delta_rows",
-    "compute_delta",
-    "net_delta",
-]
+__all__ = ["ViewManager"]

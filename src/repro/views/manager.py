@@ -355,8 +355,8 @@ class ViewManager:
                 self.db.analyze(view.name)
             else:
                 # Already canonical, so the store is one assignment; the
-                # ANALYZE is deferred (``pending_delta`` records the
-                # staleness), so no statistics change and no plan is re-priced.
+                # ANALYZE is deferred (``changes`` records the staleness),
+                # so no statistics change and no plan is re-priced.
                 table.replace_rows(rows, changed=delta_applied)
                 self.db.rebuild_indexes(table)
             view.sync(self.db)

@@ -8,15 +8,3 @@
 * :mod:`repro.workloads.queries` — Query 1-4 as temporal SQL plus the
   enumerated plans of Figures 7 and 9.
 """
-
-from repro.workloads.generator import TemporalRelationSpec, generate_rows
-from repro.workloads.uis import UISDataset, load_uis
-from repro.workloads import queries
-
-__all__ = [
-    "TemporalRelationSpec",
-    "generate_rows",
-    "UISDataset",
-    "load_uis",
-    "queries",
-]

@@ -161,10 +161,6 @@ class UISDataset:
     employee_cardinality: int
     variant_names: dict[int, str] = field(default_factory=dict)
 
-    def variant_table(self, nominal_size: int) -> str:
-        """Table name of the POSITION variant for a paper-nominal size."""
-        return self.variant_names[nominal_size]
-
 
 def load_uis(
     db: MiniDB,

@@ -19,9 +19,9 @@ All middleware algorithms are order preserving (Section 4) — a fact the
 optimizer's list-equivalence rules rely on.
 """
 
-from repro.xxl.cursor import BATCH_SIZE, BatchReader, Cursor, materialize, walk
-from repro.xxl.exchange import ExchangeCursor, PartitionSpec
-from repro.xxl.sources import PooledSQLCursor, RelationCursor, SQLCursor
+from repro.xxl.cursor import Cursor
+from repro.xxl.exchange import ExchangeCursor
+from repro.xxl.sources import SQLCursor
 from repro.xxl.filter import FilterCursor
 from repro.xxl.project import ProjectCursor
 from repro.xxl.sort import SortCursor
@@ -34,15 +34,8 @@ from repro.xxl.coalesce import CoalesceCursor
 from repro.xxl.difference import DifferenceCursor
 
 __all__ = [
-    "BatchReader",
     "Cursor",
-    "BATCH_SIZE",
-    "materialize",
-    "walk",
     "ExchangeCursor",
-    "PartitionSpec",
-    "PooledSQLCursor",
-    "RelationCursor",
     "SQLCursor",
     "FilterCursor",
     "ProjectCursor",

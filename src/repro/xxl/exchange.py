@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from queue import Empty, Full, Queue
@@ -70,10 +69,6 @@ class PartitionSpec:
             raise ExecutionError("range partitioning needs degree-1 cut points")
         if any(b <= a for a, b in zip(self.cut_points, self.cut_points[1:])):
             raise ExecutionError("cut points must be strictly increasing")
-
-    def assign(self, value) -> int:
-        """Partition index for one attribute value."""
-        return bisect_right(self.cut_points, value)
 
     def bounds(self, index: int) -> tuple[float | None, float | None]:
         """Half-open ``[lo, hi)`` range of partition *index* (None = open)."""

@@ -10,8 +10,7 @@ the connection's row prefetch compose instead of fighting.
 from __future__ import annotations
 
 import time
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from repro.algebra.expressions import inline
 from repro.algebra.schema import Schema
@@ -180,21 +179,3 @@ class PooledSQLCursor(SQLCursor):
             if self._connection is not None:
                 self._pool.release(self._connection)
                 self._connection = None
-
-
-class IterableCursor(Cursor):
-    """Adapts any row iterable to the cursor protocol (testing helper)."""
-
-    algorithm = "ITERABLE^M"
-
-    def __init__(self, schema: Schema, rows: Iterable[tuple]):
-        super().__init__(schema)
-        self._rows = rows
-        self._iterator: Iterator[tuple] | None = None
-
-    def _open(self) -> None:
-        self._iterator = iter(self._rows)
-
-    def _next_batch(self, n: int) -> list[tuple]:
-        assert self._iterator is not None
-        return list(islice(self._iterator, n))

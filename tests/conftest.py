@@ -14,12 +14,16 @@ prove the resilience layer keeps every test green under p=0.2.
 from __future__ import annotations
 
 import os
+from itertools import islice
+from typing import Iterable, Iterator
 
 import pytest
 
+from repro.algebra.schema import Schema
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
 from repro.workloads.uis import load_uis
+from repro.xxl.cursor import Cursor
 
 
 @pytest.fixture(autouse=True)
@@ -98,12 +102,39 @@ def make_figure3_db() -> MiniDB:
     return db
 
 
+def pending_delta(db: MiniDB, name: str) -> int | None:
+    """Rows *name* changed since its last ANALYZE, as its DML tracker counts
+    them; None for a table that never took ``insert_rows`` / ``delete_rows``
+    (the catalog keeps nothing for it)."""
+    tracker = db._dml.get(name.lower())
+    return None if tracker is None else db.table(name).changes - tracker.since
+
+
 def learn(root, fingerprint: str, rows: float) -> bool:
     """Record one learned cardinality in *root*'s store by hand, as a run
     would, and have its planner hear; True when the change was material."""
     material = root.learner.store.observe(fingerprint, rows)
     root.planner.learned(material)
     return material
+
+
+class IterableCursor(Cursor):
+    """Adapts any row iterable (a generator, an endless one) to the cursor
+    protocol: the test source for what a relation cannot be."""
+
+    algorithm = "ITERABLE^M"
+
+    def __init__(self, schema: Schema, rows: Iterable[tuple]):
+        super().__init__(schema)
+        self._rows = rows
+        self._iterator: Iterator[tuple] | None = None
+
+    def _open(self) -> None:
+        self._iterator = iter(self._rows)
+
+    def _next_batch(self, n: int) -> list[tuple]:
+        assert self._iterator is not None
+        return list(islice(self._iterator, n))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repro.algebra.operators import (
     TemporalAggregate,
     TransferM,
 )
-from repro.fuzz.compare import rows_equal
+from repro.fuzz.compare import canonical_rows
 from repro.fuzz.generator import FuzzCase, QueryGenerator
 from repro.fuzz.oracle import (
     DEFAULT_CONFIG,
@@ -82,7 +82,7 @@ def test_chaos_execution_matches_clean_execution():
         case.plan,
         ExecConfig(chaos=True, chaos_p=0.2, chaos_seed=13),
     )
-    assert rows_equal(clean, chaotic)
+    assert canonical_rows(clean) == canonical_rows(chaotic)
     assert len(clean) > 0
 
 
@@ -97,7 +97,7 @@ def test_batch_size_one_matches_default():
         outcome = tango.executor.engine.execute(execution)
     finally:
         tango.close()
-    assert rows_equal(default.rows, outcome.rows)
+    assert canonical_rows(default.rows) == canonical_rows(outcome.rows)
     assert outcome.batches == len(outcome.rows) > 0
 
 
@@ -115,7 +115,7 @@ def test_derive_alternative_baseline_is_executable():
     assert baseline is not None
     rows = execute_with_config(db, baseline, DEFAULT_CONFIG)
     filtered = execute_with_config(db, case.plan, DEFAULT_CONFIG)
-    assert rows_equal(rows, filtered)
+    assert canonical_rows(rows) == canonical_rows(filtered)
 
 
 def test_derive_alternative_unknown_strategy_raises():
@@ -130,9 +130,8 @@ def test_rule_strategy_derivation_round_trips():
     plan = derive_alternative(db, case.plan, ("rule", "T4"))
     if plan is None:
         pytest.skip("T4 produced no distinct plan for this shape")
-    assert rows_equal(
-        execute_with_config(db, plan, DEFAULT_CONFIG),
-        execute_with_config(db, case.plan, DEFAULT_CONFIG),
+    assert canonical_rows(execute_with_config(db, plan, DEFAULT_CONFIG)) == canonical_rows(
+        execute_with_config(db, case.plan, DEFAULT_CONFIG)
     )
 
 
@@ -163,9 +162,9 @@ def test_pruned_strategy_ships_fewer_columns_and_the_same_rows():
     pruned = derive_alternative(db, case.plan, ("pruned",))
     (transfer,) = [node for node in pruned.walk() if isinstance(node, TransferM)]
     assert transfer.schema.names == ("K0", "T1", "T2")
-    assert rows_equal(
-        execute_with_config(db, pruned, DEFAULT_CONFIG).rows,
-        execute_with_config(db, derive_alternative(db, case.plan, ("baseline",)), DEFAULT_CONFIG).rows,
+    baseline = derive_alternative(db, case.plan, ("baseline",))
+    assert canonical_rows(execute_with_config(db, pruned, DEFAULT_CONFIG).rows) == canonical_rows(
+        execute_with_config(db, baseline, DEFAULT_CONFIG).rows
     )
     assert Oracle().probe(db, case.plan, ("pruned",), DEFAULT_CONFIG) is None
 

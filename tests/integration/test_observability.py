@@ -88,7 +88,7 @@ class TestSpanTreeShape:
         import json
 
         result = tango.query(queries.query1_sql())
-        restored = json.loads(result.trace.to_json())
+        restored = json.loads(json.dumps(result.trace.to_dict()))
         assert restored["name"] == "query"
         assert [c["name"] for c in restored["children"]] == [
             c.name for c in result.trace.children

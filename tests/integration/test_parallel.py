@@ -17,7 +17,8 @@ from repro.fuzz.compare import canonical_rows
 from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
 from repro.workloads import queries
 from repro.workloads.uis import load_uis
-from repro.xxl import SQLCursor, walk
+from repro.xxl import SQLCursor
+from repro.xxl.cursor import walk
 
 Q1_SQL = queries.query1_sql()
 CHAOS_SEED = 20010521

@@ -207,7 +207,7 @@ EVENTS = {
     # and an incremental refresh (the chooser's pick for a one-row batch)
     # defers the view's ANALYZE.
     "create_view": (None, with_view, False, False),
-    "drop_view": (with_view, lambda t: t.drop_view("V"), True, True),
+    "drop_view": (with_view, lambda t: t.views.drop("V"), True, True),
     "refresh_view": (with_stale_view, refresh_view(None, "incremental"), False, False),
     "refresh_view_full": (with_stale_view, refresh_view("full", "full"), True, True),
 }

@@ -168,6 +168,15 @@ def nested_loop(db, m, c):
     return project_rows(pairs(), lambda r: (r[1], r[3]), m)
 
 
+def probe_index(index, key, m):
+    """The rows with ``column == key``, the probe charged to *m*."""
+    rows = index.matches(key)
+    io, cpu = index.probe_charge(len(rows))
+    m.charge_io(io)
+    m.charge_cpu(cpu)
+    return rows
+
+
 def index_nested_loop(db, m, c):
     outer = filter_rows(scan(db, "A"), lambda r: r[1] > c, m)
     index = db.find_index("D", "K")
@@ -176,7 +185,7 @@ def index_nested_loop(db, m, c):
         for left in outer:
             if left[0] is None:
                 continue
-            for right in index.lookup(left[0], m):
+            for right in probe_index(index, left[0], m):
                 row = left + right
                 if row[1] < row[3]:
                     yield row
@@ -185,7 +194,7 @@ def index_nested_loop(db, m, c):
 
 
 def probe(db, m, c):
-    rows = filter_rows(db.find_index("D", "K").lookup(2, m), lambda r: r[1] > c, m)
+    rows = filter_rows(probe_index(db.find_index("D", "K"), 2, m), lambda r: r[1] > c, m)
     return project_rows(rows, lambda r: (r[1],), m)
 
 

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.database import MiniDB
-from repro.xxl import RelationCursor, SortCursor, materialize
+from repro.xxl.sources import RelationCursor
+from repro.xxl import SortCursor
+from repro.xxl.cursor import materialize
 
 rows_strategy = st.lists(
     st.tuples(

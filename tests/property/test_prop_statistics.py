@@ -3,7 +3,7 @@
 One MiniDB table is written through every public write path, in any
 order — the two that log their rows (``insert_rows`` / ``delete_rows``,
 SQL ``INSERT … VALUES`` among them) and the ones that only advance
-``pending_delta`` (``bulk_load``, ``truncate``, SQL ``DELETE``, an insert
+``Table.changes`` (``bulk_load``, ``truncate``, SQL ``DELETE``, an insert
 that fails half-way) — and ANALYZEd in between with every histogram
 selection and bucket count.  Whatever mix of folds and rebuilds that
 produced, the catalog's statistics must equal those of a database built
@@ -25,10 +25,10 @@ import random
 
 import pytest
 
-from repro.dbms.costmodel import MeterWindow
 from repro.dbms.database import MiniDB
 from repro.dbms.statistics import scan_charge
 from repro.errors import DatabaseError
+from tests.conftest import pending_delta
 
 DDL = "CREATE TABLE T (K INT, F FLOAT, S VARCHAR(4), N INT, T1 DATE)"
 INDEX = "CREATE INDEX T_T1 ON T (T1)"  # T1 is never NULL: indexes need that
@@ -112,12 +112,13 @@ class Walk:
         scratch.execute(INDEX)
         scratch.table("T").bulk_load(list(self.table.rows))
         expected = scratch.analyze("T", histogram_columns, buckets)
-        changed = self.db.table("T").pending_delta
-        with MeterWindow(self.db.meter) as window:
-            assert self.db.analyze("T", histogram_columns, buckets) == expected
+        changed = pending_delta(self.db, "T")
+        before = self.db.meter.snapshot()
+        assert self.db.analyze("T", histogram_columns, buckets) == expected
+        charged = self.db.meter.snapshot() - before
         assert self.db.statistics_of("T") == expected
-        assert self.db.table("T").pending_delta == 0
-        if window.delta == scan_charge(self.table):
+        assert not pending_delta(self.db, "T")
+        if charged == scan_charge(self.table):
             self.scans += 1
         elif changed:
             self.folds += 1

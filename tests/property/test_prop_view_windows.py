@@ -8,7 +8,7 @@ ungrouped, with ``COUNT``/``SUM``/``AVG``/``MIN``/``MAX`` over an ``INT``
 column and ``MIN``/``MAX`` over a ``FLOAT`` one — on two identical
 instances: one refreshed incrementally, the other by forced recompute.
 After every refresh the stored rows are equal, no refresh fell back, the
-window rule ran, and the view table's ``pending_delta`` moved by what the
+window rule ran, and the view table's ``changes`` moved by what the
 netted rule (:func:`compute_delta`) would have recorded.
 
 The routing: a float ``SUM`` and a NULL group key take the netted rule, as
@@ -133,13 +133,13 @@ def test_window_refresh_matches_a_forced_full_twin(rows, batches):
             for name in GROUPINGS:
                 view = incremental.views.get(name)
                 netted = compute_delta(view.plan, DeltaState(incremental.db, view.pending))
-                before = incremental.db.table(name).pending_delta
+                before = incremental.db.table(name).changes
                 outcome, rule = refreshed(incremental, name)
                 full.refresh_view(name, strategy="full")
                 assert (outcome.strategy, rule) == ("incremental", "window")
                 assert incremental.metrics.counter("view_refresh_fallbacks").value == 0
                 assert list(incremental.db.table(name).rows) == list(full.db.table(name).rows)
-                assert incremental.db.table(name).pending_delta - before == netted.rows
+                assert incremental.db.table(name).changes - before == netted.rows
                 assert outcome.delta_rows_applied == netted.rows
 
 

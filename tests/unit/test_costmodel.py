@@ -1,6 +1,6 @@
 """Unit tests for the simulated cost meter."""
 
-from repro.dbms.costmodel import IO_WEIGHT, CostMeter, CostSnapshot, MeterWindow
+from repro.dbms.costmodel import IO_WEIGHT, CostMeter, CostSnapshot
 
 
 class TestCostMeter:
@@ -40,20 +40,23 @@ class TestSnapshotArithmetic:
 
 
 class TestMeterWindow:
+    """The work charged during a block is the difference of two snapshots."""
+
     def test_measures_delta_only(self):
         meter = CostMeter()
         meter.charge_cpu(100)
-        with MeterWindow(meter) as window:
-            meter.charge_cpu(5)
-            meter.charge_io(1)
-        assert window.delta.cpu == 5
-        assert window.delta.io == 1
+        before = meter.snapshot()
+        meter.charge_cpu(5)
+        meter.charge_io(1)
+        delta = meter.snapshot() - before
+        assert delta.cpu == 5
+        assert delta.io == 1
 
     def test_nested_windows(self):
         meter = CostMeter()
-        with MeterWindow(meter) as outer:
-            meter.charge_cpu(1)
-            with MeterWindow(meter) as inner:
-                meter.charge_cpu(2)
-        assert inner.delta.cpu == 2
-        assert outer.delta.cpu == 3
+        outer = meter.snapshot()
+        meter.charge_cpu(1)
+        inner = meter.snapshot()
+        meter.charge_cpu(2)
+        assert (meter.snapshot() - inner).cpu == 2
+        assert (meter.snapshot() - outer).cpu == 3

@@ -49,16 +49,14 @@ from repro.xxl import (
     FilterCursor,
     MergeJoinCursor,
     ProjectCursor,
-    RelationCursor,
     SortCursor,
     SQLCursor,
     TemporalAggregateCursor,
     TemporalJoinCursor,
-    materialize,
-    walk,
 )
-from repro.xxl.cursor import GeneratorCursor
-from repro.xxl.sources import IterableCursor
+from repro.xxl.cursor import GeneratorCursor, materialize, walk
+from repro.xxl.sources import RelationCursor
+from tests.conftest import IterableCursor
 
 # -- (a) no operator re-implements the protocol ---------------------------------------
 
@@ -83,7 +81,6 @@ def test_every_operator_is_found():
         "RelationCursor",
         "SQLCursor",
         "PooledSQLCursor",
-        "IterableCursor",
         "FilterCursor",
         "ProjectCursor",
         "DedupCursor",
@@ -98,7 +95,12 @@ def test_every_operator_is_found():
     } <= names
 
 
-@pytest.mark.parametrize("cls", xxl_cursor_classes(), ids=lambda cls: cls.__name__)
+#: The library's cursors and the tests' own source, which holds to the same
+#: protocol it is used to drive.
+PROTOCOL_CLASSES = [*xxl_cursor_classes(), IterableCursor]
+
+
+@pytest.mark.parametrize("cls", PROTOCOL_CLASSES, ids=lambda cls: cls.__name__)
 def test_only_the_base_class_implements_the_faces(cls):
     # ``_next_batch`` is the one pull hook; any other ``next*``/``_next*``
     # method (a row twin, a third batch currency) is a second protocol.
@@ -111,7 +113,7 @@ def test_only_the_base_class_implements_the_faces(cls):
     assert not forbidden, f"{cls.__name__} re-implements {forbidden}"
 
 
-@pytest.mark.parametrize("cls", xxl_cursor_classes(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", PROTOCOL_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_operator_supplies_the_pull_hook(cls):
     if issubclass(cls, GeneratorCursor):
         assert cls is GeneratorCursor or cls._generate is not GeneratorCursor._generate
@@ -370,7 +372,7 @@ def test_the_wall_covers_every_compiled_algorithm(uis_db):
         }
     compiled = {
         cls.algorithm for cls in xxl_cursor_classes() if cls.algorithm
-    } - {"RELATION^M", "ITERABLE^M"}
+    } - {"RELATION^M"}
     assert seen == compiled
 
 

@@ -8,14 +8,8 @@ from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import ConnectionPool
 from repro.errors import ExecutionError
-from repro.xxl import (
-    DedupCursor,
-    DifferenceCursor,
-    MergeJoinCursor,
-    PooledSQLCursor,
-    RelationCursor,
-    TemporalJoinCursor,
-)
+from repro.xxl import DedupCursor, DifferenceCursor, MergeJoinCursor, TemporalJoinCursor
+from repro.xxl.sources import PooledSQLCursor, RelationCursor
 
 SCHEMA = Schema(
     [

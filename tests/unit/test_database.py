@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.dbms.costmodel import MeterWindow
 from repro.dbms.database import MiniDB
 from repro.dbms.loader import DirectPathLoader
 from repro.dbms.statistics import analyze_table
 from repro.errors import CatalogError, DatabaseError, SQLSyntaxError, StatisticsError
+from tests.conftest import pending_delta
 
 
 @pytest.fixture
@@ -79,25 +79,25 @@ class TestDML:
 
     def test_delete_rows_takes_copies_as_requested_and_returns_them_as_stored(self, db):
         db.insert_rows("T", [(2, 20, "b"), (2, 20, "b")])  # three copies now
-        pending = db.table("T").pending_delta
+        pending = pending_delta(db, "T")
         removed = db.delete_rows("T", [(2, 20.0, "b"), (1, 10, "a"), (2, 20, "b")])
         assert removed == [(1, 10, "a"), (2, 20, "b"), (2, 20, "b")]
         assert [type(row[1]) for row in removed] == [int, int, int]
         assert list(db.table("T").rows) == [(3, 30, "c"), (2, 25, "d"), (2, 20, "b")]
-        assert db.table("T").pending_delta == pending + 3
+        assert pending_delta(db, "T") == pending + 3
 
     def test_a_delete_rows_that_misses_a_copy_changes_nothing(self, db):
         db.insert_rows("T", [(2, 20, "b")])
-        rows, pending = list(db.table("T").rows), db.table("T").pending_delta
+        rows, pending = list(db.table("T").rows), pending_delta(db, "T")
         with pytest.raises(DatabaseError, match="absent"):
             db.delete_rows("T", [(1, 10, "a")] + [(2, 20, "b")] * 3)
         assert list(db.table("T").rows) == rows
-        assert db.table("T").pending_delta == pending
+        assert pending_delta(db, "T") == pending
 
     def test_delete_rebuilds_indexes(self, db):
         db.execute("CREATE INDEX IX ON T (K)")
         db.execute("DELETE FROM T WHERE K = 2")
-        assert list(db.find_index("T", "K").lookup(2)) == []
+        assert db.find_index("T", "K").matches(2) == []
 
 
 class TestQueries:
@@ -294,32 +294,35 @@ class TestAnalyzeFromTheDelta:
         db.insert_rows("T", [(5, 50, "e"), (2, None, "f")])
         db.delete_rows("T", [(2, 20, "b"), (3, 30, "c")])
         db.execute("INSERT INTO T VALUES (6, 60, 'g')")
-        assert db.table("T").pending_delta == 5
+        assert pending_delta(db, "T") == 5
         folded = db.analyze("T")
         assert scans == []
         assert folded == analyze_table(db.table("T"))
         assert db.statistics_of("T") is folded
-        assert db.table("T").pending_delta == 0
+        assert pending_delta(db, "T") == 0
 
     def test_a_fold_charges_for_the_delta_only(self, db):
         db.insert_rows("T", [(i, i, "x") for i in range(996)])  # 1,000 rows
         table = db.table("T")
-        with MeterWindow(db.meter) as scan:
-            db.analyze("T")
-        assert (scan.delta.io, scan.delta.cpu) == (table.blocks, 1000 * 3)
+        before = db.meter.snapshot()
+        db.analyze("T")
+        scan = db.meter.snapshot() - before
+        assert (scan.io, scan.cpu) == (table.blocks, 1000 * 3)
         db.insert_rows("T", [(5, 5, "y"), (6, 6, "y")])
         db.delete_rows("T", [(5, 5, "y")])
-        with MeterWindow(db.meter) as fold:
-            db.analyze("T")
+        before = db.meter.snapshot()
+        db.analyze("T")
+        fold = db.meter.snapshot() - before
         # 3 changed rows x 3 columns x ceil(log2(1,001)) + the catalog block
-        assert (fold.delta.io, fold.delta.cpu) == (1, 3 * 3 * 10)
+        assert (fold.io, fold.cpu) == (1, 3 * 3 * 10)
 
     def test_a_delta_that_rivals_the_table_is_scanned(self, grown, scans):
         grown.insert_rows("T", [(i, i, "x") for i in range(64)])
-        with MeterWindow(grown.meter) as window:
-            scanned = grown.analyze("T")
+        before = grown.meter.snapshot()
+        scanned = grown.analyze("T")
+        window = grown.meter.snapshot() - before
         assert scans == [grown.table("T")] * 3
-        assert (window.delta.io, window.delta.cpu) == (1, 128 * 3)
+        assert (window.io, window.cpu) == (1, 128 * 3)
         assert scanned == analyze_table(grown.table("T"))
 
     def test_an_unchanged_table_folds_nothing(self, db, scans):
@@ -354,7 +357,7 @@ class TestAnalyzeFromTheDelta:
         with pytest.raises(StatisticsError, match=r"T\.K\b"):
             db.analyze("T")  # ... and neither can the scan it falls back to
         assert db.statistics_of("T") is before
-        assert db.table("T").pending_delta == 1
+        assert pending_delta(db, "T") == 1
         db.delete_rows("T", [("x", 1, "e")])
         del scans[:]
         rebuilt = db.analyze("T")

@@ -14,7 +14,6 @@ from repro.algebra.expressions import (
     attributes_of,
     col,
     compile_block,
-    compile_pair,
     compile_row,
     conjoin,
     conjuncts,
@@ -204,9 +203,11 @@ class TestGeneratedSource:
         assert kernel(*inputs) == [(10,)]
 
     def test_pair_functions_see_no_builtins(self):
-        test = compile_pair(Comparison("<", col("A"), col("S")), SCHEMA, Schema([Attribute("S")]))
-        assert test.__globals__["__builtins__"] == {}
-        assert test(ROW, (11,)) is True
+        # A condition over both rows of a pair: left ``A`` against right ``S``.
+        right = Schema([Attribute("S")])
+        kernel = compile_block("loop", [col("S")], [Comparison("<", col("A"), col("S"))], SCHEMA, right)
+        assert kernel.__globals__["__builtins__"] == {}
+        assert kernel([ROW], [(11,), (10,)]) == [(11,)]
 
     def test_hostile_literals_cross_a_join_as_values(self):
         from repro.dbms.database import MiniDB

@@ -1,13 +1,9 @@
-"""Unit tests for height- and width-balanced histograms."""
+"""Unit tests for height-balanced histograms."""
 
 import pytest
 
 from repro.errors import StatisticsError
-from repro.stats.histogram import (
-    Histogram,
-    build_height_balanced,
-    build_width_balanced,
-)
+from repro.stats.histogram import Histogram, build_height_balanced
 
 
 class TestConstruction:
@@ -104,23 +100,3 @@ class TestHeightBalanced:
         assert build_height_balanced(
             sorted(raw), buckets, presorted=True
         ) == build_height_balanced([float(v) for v in raw], buckets)
-
-
-class TestWidthBalanced:
-    def test_equal_widths(self):
-        histogram = build_width_balanced(list(range(100)), num_buckets=4)
-        widths = [histogram.b2(i) - histogram.b1(i) for i in range(4)]
-        assert all(w == pytest.approx(widths[0]) for w in widths)
-
-    def test_total_preserved(self):
-        histogram = build_width_balanced([1.0, 2.0, 3.0, 100.0], num_buckets=3)
-        assert histogram.total == 4
-
-    def test_constant_column(self):
-        histogram = build_width_balanced([7.0] * 5, num_buckets=3)
-        assert histogram.total == 5
-        assert histogram.num_buckets == 1
-
-    def test_maximum_lands_in_last_bucket(self):
-        histogram = build_width_balanced([0.0, 5.0, 10.0], num_buckets=2)
-        assert histogram.b_no(10.0) == 1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.algebra.schema import Attribute, AttrType, Schema
-from repro.dbms.costmodel import CostMeter
 from repro.dbms.indexes import Index
 from repro.dbms.table import Table
 from repro.errors import DatabaseError
@@ -34,28 +33,28 @@ class TestConstruction:
 
 
 class TestLookup:
+    """A probe: the rows ``matches`` finds, priced by ``probe_charge``."""
+
     def test_equality(self):
         index = make_index([(3, 30), (1, 10), (3, 31), (2, 20)])
-        assert sorted(index.lookup(3)) == [(3, 30), (3, 31)]
+        assert sorted(index.matches(3)) == [(3, 30), (3, 31)]
 
     def test_miss(self):
         index = make_index([(1, 10)])
-        assert list(index.lookup(99)) == []
+        assert index.matches(99) == []
 
     def test_charges_meter(self):
         index = make_index([(i % 5, i) for i in range(100)])
-        meter = CostMeter()
-        list(index.lookup(2, meter))
-        assert meter.io >= 1
-        assert meter.cpu == 20
+        io, cpu = index.probe_charge(len(index.matches(2)))
+        assert io >= 1
+        assert cpu == 20
 
     def test_clustered_charges_less_io(self):
         rows = [(i % 5, i) for i in range(5000)]
-        unclustered_meter = CostMeter()
-        clustered_meter = CostMeter()
-        list(make_index(rows).lookup(2, unclustered_meter))
-        list(make_index(rows, clustered=True).lookup(2, clustered_meter))
-        assert clustered_meter.io < unclustered_meter.io
+        unclustered, clustered = make_index(rows), make_index(rows, clustered=True)
+        unclustered_io, _ = unclustered.probe_charge(len(unclustered.matches(2)))
+        clustered_io, _ = clustered.probe_charge(len(clustered.matches(2)))
+        assert clustered_io < unclustered_io
 
 
 class TestRebuild:
@@ -65,4 +64,4 @@ class TestRebuild:
         index = Index("IX", table, "K")
         table.append((0, 0))
         index.rebuild()
-        assert [list(index.lookup(key)) for key in (0, 1)] == [[(0, 0)], [(1, 10)]]
+        assert [index.matches(key) for key in (0, 1)] == [[(0, 0)], [(1, 10)]]

@@ -8,18 +8,12 @@ from repro.algebra.builder import scan
 from repro.core.engine import ExecutionEngine
 from repro.core.engine import observations_from_trace
 from repro.core.plans import compile_plan
-from repro.obs import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    Span,
-    Tracer,
-    cursor_span,
-    execution_trace,
-)
+from repro.obs.metrics import Counter, Histogram
+from repro.obs import MetricsRegistry, Span, Tracer
+from repro.obs.instrument import cursor_span, execution_trace
 from repro.obs.tracing import NULL_TRACER, RETAINED_ROOTS
 from repro.algebra.schema import AttrType, Attribute, Schema
-from repro.xxl import materialize, walk
+from repro.xxl.cursor import materialize, walk
 from repro.xxl.sort import SortCursor
 from repro.xxl.sources import RelationCursor
 
@@ -95,7 +89,7 @@ class TestSpan:
         exported = root.to_dict()
         assert exported["name"] == "query"
         assert exported["children"][0]["seconds"] == 0.001
-        assert json.loads(root.to_json())["attributes"]["sql"] == "SELECT 1"
+        assert json.loads(json.dumps(exported))["attributes"]["sql"] == "SELECT 1"
 
     def test_render_is_indented(self):
         root = Span("query", seconds=0.001)
@@ -266,7 +260,7 @@ class TestExecutionTrace:
         trace = ExecutionEngine().execute(execution_plan).trace
         cursors = trace.find_all(kind="cursor") + trace.find_all(kind="transfer")
         assert cursors and all(span.node is not None for span in cursors)
-        assert "node" not in trace.to_json() and "node=" not in trace.render()
+        assert "node" not in json.dumps(trace.to_dict()) and "node=" not in trace.render()
         assert all("cursor_id" not in span.attributes for span in trace.iter())
 
     def test_observations_derive_from_trace(self, execution_plan):

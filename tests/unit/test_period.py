@@ -25,14 +25,15 @@ class TestPeriod:
         with pytest.raises(ValueError):
             Period(10, 5)
 
+    # Closed-open: a period holds the day it starts on, not the day it ends on.
     def test_contains_start(self):
-        assert Period(2, 20).contains(2)
+        assert Period(2, 20).overlaps(Period(2, 3))
 
     def test_excludes_end(self):
-        assert not Period(2, 20).contains(20)
+        assert not Period(2, 20).overlaps(Period(20, 21))
 
     def test_contains_interior(self):
-        assert Period(2, 20).contains(10)
+        assert Period(2, 20).overlaps(Period(10, 11))
 
 
 class TestOverlap:

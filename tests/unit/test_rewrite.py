@@ -10,13 +10,11 @@ from repro.algebra.expressions import (
     FuncCall,
     Literal,
     Not,
-    Or,
     col,
     lit,
 )
 from repro.algebra.rewrite import (
     collect,
-    contains,
     rebuild,
     substitute,
     transform,
@@ -107,9 +105,10 @@ class TestSubstitute:
 
 class TestSearchHelpers:
     def test_contains(self):
+        # A node nested under another type is found; an absent type is not.
         expr = And([Comparison("<", col("A"), lit(1)), Not(lit(0))])
-        assert contains(expr, Not)
-        assert not contains(expr, Or)
+        assert collect(expr, Not) == [Not(lit(0))]
+        assert collect(expr, BinOp) == []
 
     def test_collect(self):
         expr = And([Comparison("<", col("A"), lit(1)), Comparison("=", col("B"), lit(2))])

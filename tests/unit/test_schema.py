@@ -97,10 +97,7 @@ class TestSchemaDerivation:
         with pytest.raises(SchemaError):
             left.concat(left, disambiguate=False)
 
-    def test_rename(self):
-        renamed = sample_schema().rename({"PosID": "ID", "t2": "Until"})
-        assert renamed.names == ("ID", "EmpName", "T1", "Until")
-
     def test_rename_preserves_types(self):
-        renamed = sample_schema().rename({"T1": "Start"})
-        assert renamed.type_of("Start") is AttrType.DATE
+        # What a disambiguated concat and a qualified column are built with.
+        renamed = sample_schema()["T1"].renamed("Start")
+        assert (renamed.name, renamed.type) == ("Start", AttrType.DATE)

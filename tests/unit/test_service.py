@@ -27,14 +27,9 @@ from repro.errors import (
 )
 from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
 from repro.resilience.health import BackendState, HealthMonitor, HealthPolicy
-from repro.service import (
-    FairShareScheduler,
-    HandleState,
-    QueryHandle,
-    QueryService,
-    ServiceConfig,
-    TenantSpec,
-)
+from repro.service.scheduler import FairShareScheduler
+from repro.service.handle import HandleState, QueryHandle
+from repro.service import QueryService, ServiceConfig, TenantSpec
 
 TEMPORAL = (
     "VALIDTIME SELECT K, COUNT(K) FROM R GROUP BY K ORDER BY K"

@@ -37,11 +37,10 @@ class TestBasics:
         assert values("5EMP 2e") == ["5", "EMP", "2", "E"]
 
     def test_exponent_numerals_parse_as_floats(self):
-        from repro.dbms.sql.parser import parse_expression
+        from repro.dbms.sql.parser import parse_statement
 
-        assert parse_expression("1e-05").value == 0.00001
-        assert parse_expression("7e2").value == 700.0
-        assert parse_expression("42").value == 42
+        items = parse_statement("SELECT 1e-05, 7e2, 42 FROM T").items
+        assert [item.expression.value for item in items] == [0.00001, 700.0, 42]
 
     def test_a_width_or_limit_must_be_a_whole_number(self):
         from repro.dbms.sql.parser import parse_statement

@@ -27,9 +27,14 @@ from repro.dbms.sql.ast import (
     SelectStmt,
     TableRef,
 )
-from repro.dbms.sql.parser import parse_expression, parse_statement
+from repro.dbms.sql.parser import parse_statement
 from repro.errors import SQLSyntaxError
 from repro.temporal.timestamps import day_of
+
+
+def parse_expression(sql: str):
+    """*sql* parsed as the WHERE condition of a statement."""
+    return parse_statement(f"SELECT * FROM T WHERE {sql}").where
 
 
 class TestExpressions:

@@ -61,11 +61,6 @@ class TestColumnLevel:
         with pytest.raises(StatisticsError):
             stats.column("Nope")
 
-    def test_has_column(self):
-        stats = analyze_table(loaded_table())
-        assert stats.has_column("K")
-        assert not stats.has_column("Z")
-
 
 class TestHistogramSelection:
     def test_auto_builds_numeric_histograms(self):
@@ -189,7 +184,7 @@ class TestDmlTracker:
         tracker = DmlTracker()
         stats, charge = tracker.analyze(table, "auto", 10)
         assert charge == scan_charge(table) and stats == analyze_table(table)
-        table.pending_delta = 0
+        assert tracker.since == table.changes
         return table, tracker
 
     def test_folds_only_when_the_log_covers_pending_delta(self, monkeypatch):
@@ -201,7 +196,6 @@ class TestDmlTracker:
         assert charge == fold_charge(table, 1)
         monkeypatch.undo()
         assert stats == analyze_table(table)
-        table.pending_delta = 0
 
         table.append((11, "c", 11))  # a writer that does not log
         stats, charge = tracker.analyze(table, "auto", 10)

@@ -72,21 +72,21 @@ class TestMutation:
 
     def test_truncate(self):
         table = make_table(5)
-        table.pending_delta = 0
+        before = table.changes
         table.truncate()
         assert table.cardinality == 0
-        assert table.pending_delta == 5
+        assert table.changes - before == 5
 
     def test_replace_rows_is_a_counted_unordered_write(self):
         table = Table("T", SCHEMA)
         table.bulk_load([(1, 1, 2), (2, 2, 3)], order=("K",))
-        table.pending_delta = 0
+        before = table.changes
         rows = table.rows
         table.replace_rows([(2, 2, 3), (3, 3, 4)], changed=2)
         assert table.rows is rows  # in place, like the writers it replaced
         assert table.rows == [(2, 2, 3), (3, 3, 4)]
         assert table.clustered_order == ()
-        assert table.pending_delta == 2
+        assert table.changes - before == 2
 
 
 class TestScan:

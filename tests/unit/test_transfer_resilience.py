@@ -9,9 +9,10 @@ from repro.core.plans import ExecutionPlan
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
 from repro.errors import RetryExhaustedError, TransientError
-from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy, RetryState
-from repro.xxl.sources import IterableCursor
+from repro.resilience import FaultInjector, FaultPolicy, RetryPolicy
+from repro.resilience.retry import RetryState
 from repro.xxl.transfer import TransferDCursor
+from tests.conftest import IterableCursor
 
 
 def no_sleep(_seconds):
@@ -170,7 +171,7 @@ class TestLoaderChunkAtomicity:
             connection.executemany("TMP_ATOMIC", SCHEMA, poisoned())
         assert db.table("TMP_ATOMIC").cardinality == 0
         # The rollback is a counted write like any other (DESIGN.md §20).
-        assert db.table("TMP_ATOMIC").pending_delta == 2
+        assert db.table("TMP_ATOMIC").changes == 2
         connection.executemany("TMP_ATOMIC", SCHEMA, rows(2))
         assert db.table("TMP_ATOMIC").cardinality == 2
         connection.drop_temp("TMP_ATOMIC")

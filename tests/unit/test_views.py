@@ -33,6 +33,7 @@ from repro.workloads.generator import (
     generate_relation_rows,
 )
 from repro.algebra.schema import Attribute, AttrType, Schema
+from tests.conftest import pending_delta
 
 
 def uis_relation(name: str = "BASE", cardinality: int = 400) -> RandomRelationSpec:
@@ -287,9 +288,9 @@ class TestViewLifecycle:
 
     def test_drop_view_removes_table_and_registration(self, tango):
         tango.create_view("V", taggr_plan(tango.db))
-        assert tango.list_views() == ["V"]
-        tango.drop_view("V")
-        assert tango.list_views() == []
+        assert tango.views.names() == ["V"]
+        tango.views.drop("V")
+        assert tango.views.names() == []
         assert not tango.db.has_table("V")
         with pytest.raises(ViewError):
             tango.views.get("V")
@@ -319,6 +320,7 @@ class TestUpdatePath:
         # refresh then reported success over a stale view.
         tango.create_view("V", taggr_plan(tango.db))
         before = list(tango.db.table("BASE").rows)
+        changes = tango.db.table("BASE").changes
         statistics = tango.db.statistics_of("BASE")
         with pytest.raises(DatabaseError):
             tango.apply_updates(
@@ -327,17 +329,17 @@ class TestUpdatePath:
         assert tango.db.table("BASE").rows == before
         assert tango.views.get("V").pending_rows == 0
         assert tango.db.statistics_of("BASE") is statistics
-        assert tango.db.table("BASE").pending_delta == 0
+        assert tango.db.table("BASE").changes == changes
 
     def test_updates_move_the_stats_delta_until_analyze(self, tango):
-        assert tango.db.table("BASE").pending_delta == 0
+        assert pending_delta(tango.db, "BASE") is None  # bulk-loaded: untracked
         tango.apply_updates("BASE", deletes=sample_rows(tango.db, 2))
         # apply_updates re-ANALYZEs, so the delta is consumed already.
-        assert tango.db.table("BASE").pending_delta == 0
+        assert pending_delta(tango.db, "BASE") == 0
         tango.db.table("BASE").append((1, 0, 5))
-        assert tango.db.table("BASE").pending_delta == 1
+        assert pending_delta(tango.db, "BASE") == 1
         tango.db.analyze("BASE")
-        assert tango.db.table("BASE").pending_delta == 0
+        assert pending_delta(tango.db, "BASE") == 0
 
 
 class TestDeltaAlgebra:
@@ -529,6 +531,24 @@ class TestWindowRule:
         assert tango.refresh_view("V", "incremental").strategy == "full"
         assert tango.metrics.counter("view_refresh_fallbacks").value == 1
 
+    def test_a_recreated_base_is_recomputed_not_taken_for_the_old_one(self):
+        """A base dropped and created again under its name, then given as
+        many rows as the view's log counted, is another table: refresh
+        recomputes instead of applying an empty delta to the old contents."""
+        sql = "VALIDTIME SELECT K, COUNT(V) FROM EVENT GROUP BY K ORDER BY K"
+        ddl = "CREATE TABLE EVENT (K INT, V INT, T1 DATE, T2 DATE)"
+        db = MiniDB()
+        db.execute(ddl)
+        db.execute("INSERT INTO EVENT VALUES (1, 1, 2, 20), (1, 2, 5, 25), (2, 3, 5, 10)")
+        with Tango(db) as tango:
+            tango.create_view("V", sql)
+            db.execute("DROP TABLE EVENT")
+            db.execute(ddl)
+            db.execute("INSERT INTO EVENT VALUES (3, 1, 1, 4), (3, 2, 2, 6), (4, 3, 7, 9)")
+            db.analyze("EVENT")
+            assert tango.refresh_view("V", "incremental").strategy == "full"
+            assert sorted(db.table("V").rows) == sorted(tango.query(sql).rows)
+
     def test_null_period_has_no_rule(self, tango):
         """A NULL instant is no more a period the window rule can clip than
         one that ends before it starts: ``DeltaUnsupported``, not a bare
@@ -620,6 +640,16 @@ class TestFeedbackInvalidation:
         db.drop_table("BASE")
         assert store.learned_cardinality("scan:base") is None
         assert store.learned_cardinality("join[](k=scan:base;k=scan:other)") is None
+
+    def test_a_recreated_tables_count_never_repeats_a_remembered_one(self):
+        # The new T reaches the row count the old one was learned at.
+        db, store = store_over("T")
+        db.insert_rows("T", [(2,), (3,)])
+        store.observe("scan:t", 3)
+        db.drop_table("T")
+        db.execute("CREATE TABLE T (K INT)")
+        db.insert_rows("T", [(4,), (5,), (6,)])
+        assert store.learned_cardinality("scan:t") is None
 
     def test_close_after_a_write_persists_no_stale_entry(self, tango, tmp_path):
         path = tmp_path / "feedback.json"

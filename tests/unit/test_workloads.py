@@ -101,7 +101,7 @@ class TestLoadUIS:
         db = MiniDB()
         dataset = load_uis(db, scale=0.01)
         for nominal in POSITION_VARIANTS:
-            name = dataset.variant_table(nominal)
+            name = dataset.variant_names[nominal]
             assert name == f"POSITION_{nominal}"
             assert db.table(name).cardinality == max(10, int(nominal * 0.01))
 

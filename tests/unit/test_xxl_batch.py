@@ -20,7 +20,8 @@ from repro.xxl.cursor import (
 from repro.xxl.dedup import DedupCursor
 from repro.xxl.filter import FilterCursor
 from repro.xxl.project import ProjectCursor
-from repro.xxl.sources import IterableCursor, RelationCursor
+from repro.xxl.sources import RelationCursor
+from tests.conftest import IterableCursor
 
 SCHEMA = Schema([Attribute("X")])
 

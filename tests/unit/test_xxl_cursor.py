@@ -5,7 +5,8 @@ import pytest
 from repro.algebra.schema import Attribute, Schema
 from repro.errors import ExecutionError
 from repro.xxl.cursor import Cursor, GeneratorCursor, materialize
-from repro.xxl.sources import IterableCursor, RelationCursor
+from repro.xxl.sources import RelationCursor
+from tests.conftest import IterableCursor
 
 SCHEMA = Schema([Attribute("X")])
 
