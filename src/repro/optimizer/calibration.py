@@ -110,7 +110,6 @@ class Calibrator:
         p_taggd = self._median(self._measure_taggr_d)
         p_scand = self._median(self._measure_scan_d)
         p_sortd = self._median(self._measure_sort_d)
-        self._p_scand = p_scand  # used by the join probe to net out scans
         p_joind = self._median(self._measure_join_d)
         p_joinm = self._median(self._measure_join_m)
         p_tjoinm = self._median(self._measure_temporal_join_m)

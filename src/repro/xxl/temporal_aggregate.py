@@ -7,28 +7,29 @@ aggregate values group by group.  Between two consecutive instants the set
 of valid tuples is constant, so one result tuple is emitted per constant
 interval in which at least one tuple is valid (Figure 3(c)).
 
-Here the two copies are one list per group: an ``(instant, ±1, row)`` event
-per ``T1`` and per ``T2``, all starts listed before all ends, put in order
-by a stable sort on the instant alone.  That is the merge of the T1-sorted
-copy with the T2-sorted one, starts before ends at one instant, and it
-never compares rows (they may hold NULLs).  A row with a NULL ``T1`` or
-``T2`` is valid at no instant; the sort trips on it, and only then is the
-group's event list rebuilt without such rows.  One walk over the events serves
-every aggregate: COUNT slides an integer (``COUNT(A)`` skips NULL
-arguments, ``COUNT(*)`` is the number of valid tuples), SUM/AVG/MIN/MAX
-slide a :class:`~repro.dbms.sql.functions.SlidingAggregate` and are NULL
-while every valid value is.  The MIN/MAX lazy-deletion heap is exactly why
-the algorithm wants the T2-sorted copy rather than the in-memory
-aggregation trees of Kline & Snodgrass [13].  The walk's source is rendered
-once per aggregate list, so an event costs straight-line code rather than a
-loop over the aggregates.
+Here that is literal: per group, the rows stably sorted on ``T1`` (their
+input order) are the start copy, ``sorted(rows, key=itemgetter(T2))`` the
+end copy, and one walk merges them, starts before ends at one instant,
+until the ends run out.  Both sorts key on the instant alone, so rows are
+never compared (they may hold NULLs).  A row with a NULL ``T1`` or ``T2`` is valid at no instant;
+a sort, or the walk's first comparison in a one-row group, trips on it, and
+only then is the group swept again without such rows (a ``TypeError`` in a
+group with no NULL endpoint propagates).  The walk serves every aggregate:
+COUNT slides an integer (``COUNT(A)`` skips NULL arguments, ``COUNT(*)`` is
+the number of valid tuples), SUM/AVG/MIN/MAX slide a
+:class:`~repro.dbms.sql.functions.SlidingAggregate` and are NULL while every
+valid value is.  The MIN/MAX lazy-deletion heap is exactly why the
+algorithm wants the T2-sorted copy rather than the in-memory aggregation
+trees of Kline & Snodgrass [13].
 
 The cursor works a batch of groups at a time: it splits each input batch
-into groups, sweeps every complete group into the output list and keeps the
-trailing group until the next batch (or the end) shows it complete.  Per
-group of *n* rows the meter is charged what a row-at-a-time sweep charges:
-``n·max(1, n.bit_length())`` for the T2-sorted copy, plus one per start and
-end consumed — ``2n`` when every period is valid.
+into groups and keeps the trailing group until the next batch (or the end)
+shows it complete.  One function, rendered once per grouping arity, period
+and aggregate list, sweeps every complete group of a batch into the output
+list, an event costing straight-line code and an output row one tuple
+display.  Per group of *n* rows the meter is charged what a row-at-a-time
+sweep charges: ``n·max(1, n.bit_length())`` for the T2-sorted copy, plus one
+per start and end consumed — ``2n`` when every period is valid.
 """
 
 from __future__ import annotations
@@ -45,61 +46,105 @@ from repro.dbms.sql.functions import SlidingAggregate
 from repro.errors import ExecutionError
 from repro.xxl.cursor import Cursor
 
-_INSTANT = itemgetter(0)
+#: One batch's sweep over its complete groups; returns the ticks.  ``live``
+#: counts the valid tuples, ``j`` the starts consumed; the rendered parts
+#: hold a ``cI`` integer per ``COUNT(A)`` and an ``aI``
+#: :class:`SlidingAggregate` per other aggregate.
+_SWEEP = """\
+def sweep(groups, out):
+    append = out.append
+    ticks = 0
+    for {key}, rows in groups:
+        mark = len(out)
+        while True:
+            try:
+                starts = sorted(rows, key=BEGIN)
+                starts.append(STOP)
+                start = starts[0]
+                begin = start[{t1}]
+                j = live = {counters}0
+                previous = None
+{states}                for row in sorted(rows, key=END):
+                    end = row[{t2}]
+                    while begin <= end:
+                        if begin != previous:
+                            if live:
+                                append(({row}previous, begin, {values}))
+                            previous = begin
+                        live += 1
+{add}                        j += 1
+                        start = starts[j]
+                        begin = start[{t1}]
+                    if end != previous:
+                        if live:
+                            append(({row}previous, end, {values}))
+                        previous = end
+                    live -= 1
+{remove}                break
+            except TypeError:
+                # A NULL T1 or T2 leaves its row valid at no instant (SQL's
+                # ``T1 <= t AND t < T2`` is unknown): the group loses it.
+                del out[mark:]
+                valid = [row for row in rows if row[{t1}] is not None and row[{t2}] is not None]
+                if len(valid) == len(rows):
+                    raise
+                rows = valid
+        n = len(rows)
+        ticks += n * (n.bit_length() or 1) + n + j
+    return ticks
+"""
 
-#: One group's walk over its sorted events.  ``live`` counts the valid
-#: tuples; the rendered parts hold a ``cI`` integer per ``COUNT(A)`` and an
-#: ``aI`` :class:`SlidingAggregate` per other aggregate.
-_WALK = """\
-def walk(key, events, append, sliding):
-    {unpack}live = {counters}0
-    previous = events[0][0]
-    for instant, sign, row in events:
-        if instant != previous:
-            if live:
-                append(key + (previous, instant, {values}))
-            previous = instant
-        live += sign
-{steps}"""
+
+class _Never:
+    """After every instant: the start copy's sentinel, never consumed."""
+
+    def __le__(self, other: object) -> bool:
+        return False
 
 
 @lru_cache(maxsize=256)
-def _compile_walk(arguments: tuple[tuple[str, int | None], ...]) -> Callable:
-    """The walk for aggregates given as (function, argument position), the
-    position ``None`` for ``COUNT(*)``; *sliding* holds the non-COUNT
-    aggregates' fresh states, in order."""
-    unpack, counters, values, steps = [], [], [], []
+def _compile_sweep(arity: int, t1: int, t2: int, arguments: tuple) -> Callable:
+    """The sweep for *arity* grouping attributes, the period at positions
+    *t1*/*t2* and aggregates given as (function, argument position), the
+    position ``None`` for ``COUNT(*)``."""
+    counters, states, values, add, remove = [], [], [], [], []
     for index, (func, position) in enumerate(arguments):
         if position is None:
             values.append("live")
         elif func == "COUNT":
             counters.append(f"c{index} = ")
             values.append(f"c{index}")
-            steps.append(f"if row[{position}] is not None: c{index} += sign")
+            add.append(f"if start[{position}] is not None: c{index} += 1")
+            remove.append(f"if row[{position}] is not None: c{index} -= 1")
         else:
-            unpack.append(f"a{index}, ")
+            states.append(f"a{index} = SlidingAggregate({func!r})")
             values.append(f"a{index}.result()")
-            steps.append(f"(a{index}.add if sign > 0 else a{index}.remove)(row[{position}])")
-    source = _WALK.format(
-        unpack="".join(unpack) + "= sliding\n    " if unpack else "",
+            add.append(f"a{index}.add(start[{position}])")
+            remove.append(f"a{index}.remove(row[{position}])")
+    keys = [f"k{i}" for i in range(arity)]
+    source = _SWEEP.format(
+        key=f"({', '.join(keys)})" if arity > 1 else "k0",
+        row="".join(f"{k}, " for k in keys),
+        t1=t1,
+        t2=t2,
         counters="".join(counters),
         values=", ".join(values),
-        steps="".join(f"        {step}\n" for step in steps),
+        states="".join(f"{' ' * 16}{line}\n" for line in states),
+        add="".join(f"{' ' * 24}{line}\n" for line in add),
+        remove="".join(f"{' ' * 20}{line}\n" for line in remove),
     )
-    namespace: dict = {}
-    exec(compile(source, "<TAGGR^M walk>", "exec"), namespace)
-    return namespace["walk"]
+    namespace = {
+        "BEGIN": itemgetter(t1),
+        "END": itemgetter(t2),
+        "STOP": (_Never(),) * (t1 + 1),
+        "SlidingAggregate": SlidingAggregate,
+    }
+    exec(compile(source, "<TAGGR^M sweep>", "exec"), namespace)
+    return namespace["sweep"]
 
 
 def _no_key(row: tuple) -> tuple:
     return ()
-
-
-def _events(rows: list[tuple], t1: int, t2: int) -> list[tuple]:
-    """A start per row, then an end per row, each ``(instant, ±1, row)``."""
-    events = [(row[t1], 1, row) for row in rows]
-    events += [(row[t2], -1, row) for row in rows]
-    return events
 
 
 class TemporalAggregateCursor(Cursor):
@@ -146,16 +191,12 @@ class TemporalAggregateCursor(Cursor):
 
         positions = [source.index_of(name) for name in self.group_by]
         self._key_of = itemgetter(*positions) if positions else _no_key
-        self._single = len(positions) == 1
-        self._t1 = source.index_of(t1)
-        self._t2 = source.index_of(t2)
-        self._walk = _compile_walk(
-            tuple(
-                (spec.func, None if spec.attribute is None else source.index_of(spec.attribute))
-                for spec in self.aggregates
-            )
+        arguments = tuple(
+            (spec.func, None if spec.attribute is None else source.index_of(spec.attribute))
+            for spec in self.aggregates
         )
-        self._sliding = [spec.func for spec in self.aggregates if spec.func != "COUNT"]
+        period = source.index_of(t1), source.index_of(t2)
+        self._sweep = _compile_sweep(len(positions), *period, arguments)
         #: The last group read: swept once a later key (or the end) arrives.
         self._key: object = None
         self._group: list[tuple] = []
@@ -166,7 +207,9 @@ class TemporalAggregateCursor(Cursor):
     def _next_batch(self, n: int) -> list[tuple]:
         out: list[tuple] = []
         while len(out) < n and not self._drained and self._failure is None:
-            self._sweep(self._complete_groups(self._input.next_batch(self.batch_size)), out)
+            ticks = self._sweep(self._complete_groups(self._input.next_batch(self.batch_size)), out)
+            if self._meter is not None:
+                self._meter.charge_cpu(ticks)
         if not out and self._failure is not None:
             raise self._failure
         return self._park_surplus(out, n)
@@ -195,34 +238,6 @@ class TemporalAggregateCursor(Cursor):
             self._key = key
             self._group = list(rows)
         return complete
-
-    def _sweep(self, groups: list[tuple[object, list[tuple]]], out: list[tuple]) -> None:
-        """One walk per group over its events, appended to *out*."""
-        t1, t2 = self._t1, self._t2
-        walk, single, sliding, append = self._walk, self._single, self._sliding, out.append
-        ticks = 0
-        for key, rows in groups:
-            events = _events(rows, t1, t2)
-            try:
-                events.sort(key=_INSTANT)
-            except TypeError:
-                # A NULL T1 or T2 leaves its row valid at no instant (SQL's
-                # ``T1 <= t AND t < T2`` is unknown): the group loses it.
-                rows = [row for row in rows if row[t1] is not None and row[t2] is not None]
-                if not rows:
-                    continue
-                events = _events(rows, t1, t2)
-                events.sort(key=_INSTANT)
-            # A start after the group's last end (a period ending before it
-            # begins) opens nothing the sweep would ever close: never consumed.
-            while events[-1][1] > 0:
-                events.pop()
-            count = len(rows)
-            ticks += count * max(1, count.bit_length()) + len(events)
-            states = [SlidingAggregate(func) for func in sliding] if sliding else ()
-            walk((key,) if single else key, events, append, states)
-        if self._meter is not None:
-            self._meter.charge_cpu(ticks)
 
     def _close(self) -> None:
         self._group = []

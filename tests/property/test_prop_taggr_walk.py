@@ -1,4 +1,4 @@
-"""Differential wall: ``TAGGR^M``'s batched event walk against the
+"""Differential wall: ``TAGGR^M``'s batched merge sweep against the
 row-at-a-time sweeps it replaced.
 
 The reference below is the operator's previous sweep code — one generator
@@ -7,7 +7,7 @@ a general :class:`SlidingAggregate` sweep and two counting specializations
 — with one change: an interval is emitted when some tuple is *valid* in it
 (``live``), not when some count is non-zero, which is the NULL-argument
 semantics the operator now follows (``COUNT(A)`` skips NULLs, the other
-aggregates are NULL when every value is).  The walk must give the same
+aggregates are NULL when every value is).  The merge must give the same
 rows, in the same order, and charge the same ``meter.cpu`` to the tick,
 at any batch size, grouping, aggregate list and NULL pattern.
 """

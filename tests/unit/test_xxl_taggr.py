@@ -195,3 +195,48 @@ class TestEdgeCases:
         rows = [(1, 0, i, i + 3) for i in range(0, 40, 2)]
         result = materialize(taggr(rows))
         assert len(result) <= 2 * len(rows) - 1
+
+
+def swept(rows, batch_size, aggregates=None):
+    """Rows and ``meter.cpu`` of TAGGR^M over *rows*, pulled *batch_size* at a time."""
+    meter = CostMeter()
+    cursor = taggr(rows, aggregates=aggregates, meter=meter)
+    cursor.batch_size = batch_size
+    return materialize(cursor), meter.cpu
+
+
+class TestMergeHazards:
+    """The start copy is merged with a T2-sorted copy: what it must not trust."""
+
+    VALID = [(1, 3, 0, 10), (1, 4, 2, 6), (1, 5, 4, 12), (2, 6, 1, 3)]
+    SPECS = [AggregateSpec("COUNT", "Pay", "N"), AggregateSpec("MAX", "Pay", "M")]
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_null_t2_after_valid_rows_drops_only_that_row(self, batch_size):
+        # The NULL row comes after rows that open intervals: the group is
+        # swept again without it, and billed as if it had never been there.
+        with_null = self.VALID[:3] + [(1, 9, 7, None)] + self.VALID[3:]
+        assert swept(with_null, batch_size, self.SPECS) == swept(
+            self.VALID, batch_size, self.SPECS
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_rows_out_of_t1_order_within_a_group(self, batch_size):
+        shuffled = [self.VALID[2], self.VALID[0], self.VALID[1], self.VALID[3]]
+        assert swept(shuffled, batch_size, self.SPECS) == swept(
+            self.VALID, batch_size, self.SPECS
+        )
+
+    def test_type_error_without_a_null_endpoint_propagates_once(self):
+        class Unsummable:
+            adds = 0
+
+            def __float__(self):
+                Unsummable.adds += 1
+                assert Unsummable.adds == 1, "the TypeError was retried"
+                raise TypeError("not a number")
+
+        rows = [(1, 3, 0, 10), (1, Unsummable(), 2, 6)]
+        with pytest.raises(TypeError, match="not a number"):
+            swept(rows, 256, [AggregateSpec("SUM", "Pay", "S")])
+        assert Unsummable.adds == 1
