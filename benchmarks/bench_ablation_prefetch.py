@@ -12,6 +12,7 @@ import time
 from harness import print_series
 
 from repro.dbms.jdbc import Connection
+from repro.xxl.cursor import materialize
 from repro.xxl.sources import SQLCursor
 
 PREFETCH_SIZES = (1, 10, 100, 1000)
@@ -27,7 +28,7 @@ def test_prefetch_ablation(benchmark, bench_db):
             bench_db.meter.reset()
             cursor = SQLCursor(connection, "SELECT * FROM POSITION")
             begin = time.perf_counter()
-            fetched = sum(1 for _ in cursor.init())
+            fetched = len(materialize(cursor))
             elapsed = time.perf_counter() - begin
             seconds[prefetch] = elapsed
             ticks[prefetch] = bench_db.meter.ticks

@@ -68,7 +68,7 @@ def drain_aggregation(schema, rows, batch_size: int) -> float:
     )
     taggr.batch_size = batch_size
     begin = time.perf_counter()
-    while taggr.next_batch(batch_size):
+    while taggr.next_batch():
         pass
     return time.perf_counter() - begin
 

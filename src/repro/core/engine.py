@@ -5,9 +5,9 @@ plan, call ``init()`` on each in sequence, then drain the last one —
 pipelined execution where earlier ``TRANSFER^D`` steps have materialized
 their temp tables by the time later ``TRANSFER^M`` SQL references them.
 The drain is *batched*: the output cursor is pulled through
-``next_batch(batch_size)`` — :data:`~repro.xxl.cursor.BATCH_SIZE` rows
-unless a test shrank the output cursor's — so the engine pays one dispatch
-per batch, not per row.
+``next_batch()``, which hands out whatever batch the output algorithm
+produces (at most :data:`~repro.xxl.cursor.BATCH_SIZE` rows), so the engine
+pays one dispatch per batch, not per row.
 
 Cleanup is unconditional: whatever a step raises — during ``init``, the
 drain, or ``close`` — every step is closed and every ``TRANSFER^D`` temp
@@ -140,8 +140,8 @@ class ExecutionEngine:
     ) -> ExecutionOutcome:
         """Figure 2's ExecuteQuery: init every result set, drain the last.
 
-        The drain pulls the output cursor's ``batch_size`` rows per
-        ``next_batch``.  *metrics*, when given, receives the
+        The drain pulls the output cursor's ``next_batch()`` until it is
+        drained.  *metrics*, when given, receives the
         ``batches_produced`` counter, the ``rows_per_batch`` histogram and
         the exchange bookkeeping.  *deadline_seconds*
         bounds the execution's wall time, checked at batch boundaries (step
@@ -193,11 +193,10 @@ class ExecutionEngine:
                 check_interrupts()
                 step.init()
             output = plan.output
-            size = output.batch_size
             fill = metrics.histogram("rows_per_batch") if metrics is not None else None
             while True:
                 check_interrupts()
-                batch = output.next_batch(size)
+                batch = output.next_batch()
                 if not batch:
                     break
                 batches += 1

@@ -157,13 +157,12 @@ class Tango:
             raise DatabaseError("this Tango instance is closed")
 
     def close(self) -> None:
-        """Release the DBMS connection and flush metrics; idempotent.
+        """Release the DBMS connection; idempotent.
 
         The learner persists its store first.  A pool-leased primary
         connection is returned to its pool, not closed; a borrowed pool
-        is left open for its owner.  The final metrics snapshot remains
-        available as :attr:`final_metrics` (and ``self.metrics`` stays
-        readable).  The collector's hold (:mod:`repro.core.gcpolicy`) is
+        is left open for its owner.  ``self.metrics`` stays readable.
+        The collector's hold (:mod:`repro.core.gcpolicy`) is
         given back even when one of these steps raises.
         """
         if self._closed:
@@ -171,7 +170,6 @@ class Tango:
         self._closed = True
         try:
             self.learner.close()
-            self.final_metrics = self.metrics.flush()
             self._disconnect()
         finally:
             gcpolicy.release()

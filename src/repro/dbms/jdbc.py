@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.algebra.schema import Schema
 from repro.dbms.database import MiniDB
 from repro.dbms.loader import DirectPathLoader
 from repro.dbms.sql.executor import ResultSet
-from repro.errors import DatabaseError, PoolTimeoutError
+from repro.errors import DatabaseError
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.resilience.faults import FaultInjector
 
@@ -48,7 +48,6 @@ class Cursor:
         self._exhausted = False
         self._round_trips = 0
         self._closed = False
-        self.rowcount = -1
         #: Whether the last SELECT came planned from the database's
         #: prepared plans (None before the first, and for other statements).
         self.plan_hit: bool | None = None
@@ -97,11 +96,9 @@ class Cursor:
             self._buffer_pos = 0
             self._exhausted = False
             self._round_trips = 0
-            self.rowcount = -1
         else:
             self.plan_hit = None
             self._result = None
-            self.rowcount = outcome
         return self
 
     @property
@@ -109,11 +106,6 @@ class Cursor:
         if self._result is None:
             raise DatabaseError("no open result set")
         return self._result.schema
-
-    @property
-    def description(self) -> list[tuple[str, str]]:
-        """DB-API-ish column descriptions: (name, type name)."""
-        return [(a.name, a.type.value) for a in self.schema]
 
     # -- fetching -------------------------------------------------------------------
 
@@ -147,20 +139,6 @@ class Cursor:
             self._exhausted = True
         self._buffer = batch
         self._buffer_pos = 0
-
-    def fetchone(self) -> tuple | None:
-        self._check_usable()
-        if self._result is None:
-            raise DatabaseError("no open result set")
-        if self._buffer_pos >= len(self._buffer):
-            if self._exhausted:
-                return None
-            self._refill()
-            if not self._buffer:
-                return None
-        row = self._buffer[self._buffer_pos]
-        self._buffer_pos += 1
-        return row
 
     def fetchmany(self, count: int) -> list[tuple]:
         """Up to *count* rows in one call, sliced straight off the prefetch
@@ -197,13 +175,6 @@ class Cursor:
 
     def fetchall(self) -> list[tuple]:
         return self.fetchmany(sys.maxsize)
-
-    def __iter__(self) -> Iterator[tuple]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
 
     @property
     def closed(self) -> bool:
@@ -323,27 +294,20 @@ class ConnectionPool:
     """A small fixed-size pool of connections to one MiniDB instance.
 
     ``TRANSFER^M`` fan-out pulls its partitions over concurrent
-    connections drawn from here, and the query service's workers lease
+    connections drawn from here, and the query service's workers take
     their primary connections here.  Connections are created lazily up
     to *size*; :meth:`release` parks a connection for reuse (or closes
     it if the pool was closed meanwhile).  All connections share the
     pool's metrics registry and fault injector, so chaos and accounting
     see partition traffic exactly like serial traffic.
 
-    Two exhaustion disciplines:
-
-    * default (``strict=False``): a burst beyond *size* gets *overflow*
-      connections, which :meth:`release` closes instead of parking —
-      never blocks, steady state stays at *size*;
-    * ``strict=True``: at most *size* connections ever exist;
-      :meth:`acquire` blocks until one is released, and raises
-      :class:`~repro.errors.PoolTimeoutError` when *timeout* expires
-      first — real admission back-pressure.
+    :meth:`acquire` never blocks: a burst beyond *size* gets *overflow*
+    connections, which :meth:`release` closes instead of parking, so the
+    steady state stays at *size*.
 
     Checked-out connections are tracked (:attr:`in_use`), so a caller
     that dies mid-checkout is visible as a leak instead of silently
-    shrinking the pool; :meth:`lease` is the context-manager form that
-    cannot leak.
+    shrinking the pool.
     """
 
     def __init__(
@@ -353,65 +317,37 @@ class ConnectionPool:
         prefetch: int = DEFAULT_PREFETCH,
         metrics: MetricsRegistry | None = None,
         injector: FaultInjector | None = None,
-        strict: bool = False,
     ):
         self.db = db
         self.size = max(1, size)
         self.prefetch = prefetch
         self.metrics = metrics
         self.injector = injector
-        self.strict = strict
         self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
         self._idle: list[Connection] = []
         #: Connections currently checked out (identity set).
         self._checked_out: dict[int, Connection] = {}
-        #: Live connections a strict pool has created and not yet retired.
-        self._created = 0
         self._closed = False
 
-    def _new_connection(self) -> Connection:
-        return Connection(
-            self.db,
-            prefetch=self.prefetch,
-            metrics=self.metrics,
-            injector=self.injector,
-        )
-
-    def acquire(self, timeout: float | None = None) -> Connection:
-        """An idle connection, a fresh one, or (strict) a blocking wait.
-
-        *timeout* only applies to a strict pool's wait; the default pool
-        never blocks.
-        """
-        with self._available:
+    def acquire(self) -> Connection:
+        """An idle connection, or a fresh one."""
+        with self._lock:
             if self._closed:
                 raise DatabaseError("connection pool is closed")
             if self._idle:
                 connection = self._idle.pop()
-                self._checked_out[id(connection)] = connection
-                return connection
-            if self.strict:
-                while self._created >= self.size and not self._idle:
-                    if not self._available.wait(timeout):
-                        raise PoolTimeoutError(
-                            f"no connection available within {timeout}s "
-                            f"(size={self.size}, in_use={len(self._checked_out)})"
-                        )
-                    if self._closed:
-                        raise DatabaseError("connection pool is closed")
-                if self._idle:
-                    connection = self._idle.pop()
-                    self._checked_out[id(connection)] = connection
-                    return connection
-                self._created += 1
-            connection = self._new_connection()
+            else:
+                connection = Connection(
+                    self.db,
+                    prefetch=self.prefetch,
+                    metrics=self.metrics,
+                    injector=self.injector,
+                )
             self._checked_out[id(connection)] = connection
             return connection
 
     def release(self, connection: Connection) -> None:
-        retire = False
-        with self._available:
+        with self._lock:
             self._checked_out.pop(id(connection), None)
             if (
                 not self._closed
@@ -419,15 +355,8 @@ class ConnectionPool:
                 and len(self._idle) < self.size
             ):
                 self._idle.append(connection)
-                self._available.notify()
                 return
-            if self.strict and self._created > 0:
-                # The slot is free again; a waiter may create a fresh one.
-                self._created -= 1
-                self._available.notify()
-            retire = True
-        if retire:
-            connection.close()
+        connection.close()
 
     @property
     def in_use(self) -> int:
@@ -441,9 +370,8 @@ class ConnectionPool:
             return len(self._idle)
 
     def close(self) -> None:
-        with self._available:
+        with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
-            self._available.notify_all()
         for connection in idle:
             connection.close()

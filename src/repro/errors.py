@@ -56,14 +56,6 @@ class ConnectionDroppedError(DatabaseError):
     """The DBMS connection is gone; no retry on this connection can help."""
 
 
-class PoolTimeoutError(DatabaseError):
-    """A strict connection pool stayed exhausted past the acquire timeout.
-
-    Raised only by pools built with ``strict=True`` (bounded checkout);
-    the default pool serves overflow connections instead of blocking.
-    """
-
-
 class AdmissionError(ReproError):
     """The query service refused a submission at the door.
 

@@ -10,8 +10,7 @@ of operations whose cost the corresponding formula describes.
 Timings use :func:`time.perf_counter`; sample relations are synthesized in a
 scratch table and dropped afterwards.  Middleware probes drain their cursor
 with :func:`~repro.xxl.cursor.materialize` — the batch protocol the
-execution engine uses — so a factor prices the algorithm as it will run,
-not the per-row ``has_next``/``next`` dispatch the engine never pays.
+execution engine uses — so a factor prices the algorithm as it will run.
 """
 
 from __future__ import annotations

@@ -123,7 +123,6 @@ class MaterializedView:
     #: stored contents and :attr:`pending` account for; beyond that, only a
     #: recompute is right.
     logged: dict[str, int | None] = field(default_factory=dict)
-    refreshes: int = 0
 
     @property
     def pending_rows(self) -> int:
@@ -360,7 +359,6 @@ class ViewManager:
                 table.replace_rows(rows, changed=delta_applied)
                 self.db.rebuild_indexes(table)
             view.sync(self.db)
-            view.refreshes += 1
             span.set(rows=len(rows), executed=executed)
         elapsed = time.perf_counter() - began
         self.metrics.counter("view_refreshes").inc()

@@ -4,7 +4,7 @@ The paper's Execution Engine is built on van den Bercken et al.'s XXL
 library of query-processing algorithms: every algorithm is an iterator
 ("result set") with ``init()`` / ``hasNext()`` / ``getNext()`` methods,
 enabling pipelined execution (Figure 2).  This package reimplements that
-model:
+model, with ``getNext()`` handing out a batch of rows per call:
 
 * :class:`~repro.xxl.cursor.Cursor` — the iterator protocol;
 * sources — in-memory relations and ``TRANSFER^M`` SQL cursors;

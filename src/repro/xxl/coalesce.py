@@ -56,7 +56,7 @@ class CoalesceCursor(GeneratorCursor):
 
         current_values: tuple | None = None
         start = end = 0
-        for row in self._input.iter_batched(self.batch_size):
+        for row in self._input.iter_batched():
             if self._meter is not None:
                 self._meter.charge_cpu(1)
             values = tuple(row[p] for p in value_positions)

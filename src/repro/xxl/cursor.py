@@ -4,19 +4,17 @@ Figure 2 of the paper: every algorithm is wrapped in a result set exposing
 ``init()`` and ``getNext()``; ``init()`` usually just sets up inner state
 but may do real work (``TRANSFER^D`` drains its whole input there).
 
-An algorithm implements exactly one pull hook: :meth:`Cursor._next_batch`
-returns up to *n* rows per call (``[]`` exactly when drained), so a
-pipeline pays one method-dispatch round trip per batch rather than per
-row.  Most algorithms subclass :class:`GeneratorCursor`, which supplies the
-hook by slicing the generator built in ``_generate()``.
-
-Everything a consumer sees is layered on that one hook by the base class:
-:meth:`Cursor.next_batch` is the batched face; Figure 2's
-``has_next()``/``next()`` and ``for row in cursor`` are a small adapter that
-pulls ``_next_batch(1)`` into the shared look-ahead buffer.  All faces drain
-that buffer first, so they may be mixed freely on one cursor without
-dropping or reordering a row, and a batch size of 1 degenerates to the
-paper's row-at-a-time execution.
+Here ``getNext()`` hands out a batch: :meth:`Cursor.next_batch` returns the
+next non-empty list of rows, or ``[]`` once the cursor is drained, so a
+pipeline pays one method-dispatch round trip per batch rather than per row.
+It takes no size.  An algorithm implements the one pull hook
+:meth:`Cursor._next_batch` and returns its natural unit: sources and
+generators slice :attr:`~Cursor.batch_size` rows (most algorithms subclass
+:class:`GeneratorCursor`, which supplies the hook by slicing the generator
+built in ``_generate()``), a projection maps one input batch, a filter
+returns what one or more input batches leave.  No cursor parks rows for a
+later call.  A batch size of 1 on every cursor degenerates to the paper's
+row-at-a-time execution.
 
 A cursor also *describes itself* — four facts every consumer (span tree,
 feedback loops, EXPLAIN ANALYZE, Figure 5 text) reads here
@@ -36,8 +34,8 @@ from typing import Iterable, Iterator
 from repro.algebra.schema import Schema
 from repro.errors import ExecutionError
 
-#: Rows per batch: every pull, the engine drain and every ``TRANSFER^D``
-#: load chunk.
+#: Rows per batch a source or generator hands out, and so the most any
+#: cursor's batch (an engine drain pull, a ``TRANSFER^D`` load chunk) holds.
 BATCH_SIZE = 256
 
 
@@ -45,14 +43,14 @@ class Cursor:
     """Abstract pipelined iterator over rows.
 
     Subclasses implement :meth:`_open` (called once from :meth:`init`) and
-    :meth:`_next_batch` (up to *n* rows, ``[]`` when drained) — directly,
-    or through :class:`GeneratorCursor` by writing the algorithm as a
-    generator.
+    :meth:`_next_batch` (the next non-empty batch, ``[]`` when drained) —
+    directly, or through :class:`GeneratorCursor` by writing the algorithm
+    as a generator.
     """
 
-    #: Rows pulled per internal batch.  Nothing in the middleware assigns
-    #: it; a test may shrink it on one instance (1 is the paper's
-    #: row-at-a-time protocol).
+    #: Rows a source or generator hands out per batch.  Nothing in the
+    #: middleware assigns it; a test may shrink it on one instance (1 is
+    #: the paper's row-at-a-time protocol).
     batch_size: int = BATCH_SIZE
     #: The Figure 5 label of the algorithm; every concrete class sets it.
     algorithm: str = ""
@@ -78,11 +76,6 @@ class Cursor:
         self.inputs: tuple[Cursor, ...] = tuple(inputs)
         self._initialized = False
         self._closed = False
-        #: Rows produced but not yet handed out: ``has_next`` buffers one
-        #: row here; a ``_next_batch`` that overshoots parks its surplus
-        #: here.  Every consuming method drains it first, so a buffered
-        #: row is never dropped whichever faces the caller mixes.
-        self._lookahead: list[tuple] = []
         #: Rows handed out so far (handy for tests and accounting).
         self.rows_produced = 0
         #: Non-empty batches handed out via :meth:`next_batch`.
@@ -105,24 +98,12 @@ class Cursor:
             self._initialized = True
         return self
 
-    def next_batch(self, n: int) -> list[tuple]:
-        """Return the next up-to-*n* rows; ``[]`` exactly when drained.
-
-        Buffered look-ahead rows are served first, so mixing this with
-        ``has_next``/``next`` never drops a row.
-        """
+    def next_batch(self) -> list[tuple]:
+        """Return the next non-empty batch; ``[]`` once drained, and on
+        every call after that."""
         self.init()
-        if n <= 0:
-            return []
         begin = perf_counter() if self.timed else None
-        lookahead = self._lookahead
-        if lookahead:
-            batch = lookahead[:n]
-            del lookahead[:n]
-            if len(batch) < n:
-                batch.extend(self._next_batch(n - len(batch)))
-        else:
-            batch = self._next_batch(n)
+        batch = self._next_batch()
         if batch:
             self.rows_produced += len(batch)
             self.batches_produced += 1
@@ -131,18 +112,9 @@ class Cursor:
             self.wall_seconds += perf_counter() - begin
         return batch
 
-    def iter_batched(self, size: int | None = None) -> Iterator[tuple]:
-        """Iterate rows, pulling them through :meth:`next_batch` internally.
-
-        The drop-in replacement for ``while c.has_next(): c.next()`` inner
-        loops: per-row cost is one generator resume instead of two cursor
-        dispatches plus buffer bookkeeping.
-        """
-        size = size if size is not None else self.batch_size
-        while True:
-            batch = self.next_batch(size)
-            if not batch:
-                return
+    def iter_batched(self) -> Iterator[tuple]:
+        """Iterate rows, pulling them through :meth:`next_batch`."""
+        while batch := self.next_batch():
             yield from batch
 
     def close(self) -> None:
@@ -154,27 +126,6 @@ class Cursor:
         if not self._closed:
             self._closed = True
             self._close()
-
-    # -- Figure 2's row-at-a-time face: an adapter over ``_next_batch(1)`` --------
-
-    def has_next(self) -> bool:
-        """True when another row is available (buffers one row ahead)."""
-        self.init()
-        if not self._lookahead:
-            # In front: a hook that overshot has parked its surplus behind.
-            self._lookahead[:0] = self._next_batch(1)
-        return bool(self._lookahead)
-
-    def next(self) -> tuple:
-        """Return the next row; raises :class:`ExecutionError` when drained."""
-        if not self.has_next():
-            raise ExecutionError(f"{type(self).__name__} has no more rows")
-        self.rows_produced += 1
-        return self._lookahead.pop(0)
-
-    def __iter__(self) -> Iterator[tuple]:
-        while self.has_next():
-            yield self.next()
 
     def __enter__(self) -> "Cursor":
         return self.init()
@@ -215,21 +166,9 @@ class Cursor:
     def _open(self) -> None:
         """One-time setup; default does nothing."""
 
-    def _next_batch(self, n: int) -> list[tuple]:
-        """Produce up to *n* rows (empty list when drained).
-
-        The single pull hook.  Implementations that naturally overproduce
-        (e.g. a filter working input-batch-wise) return at most *n* rows
-        and park the surplus via :meth:`_park_surplus`.
-        """
+    def _next_batch(self) -> list[tuple]:
+        """Produce the next non-empty batch (``[]`` when drained)."""
         raise NotImplementedError
-
-    def _park_surplus(self, rows: list[tuple], n: int) -> list[tuple]:
-        """Trim *rows* to *n*; the overshoot waits in the look-ahead buffer."""
-        if len(rows) > n:
-            self._lookahead.extend(rows[n:])
-            del rows[n:]
-        return rows
 
     def _close(self) -> None:
         """Release resources; default does nothing."""
@@ -239,8 +178,9 @@ class GeneratorCursor(Cursor):
     """A cursor whose rows come from a generator built in :meth:`_generate`.
 
     Most middleware algorithms subclass this: ``_generate`` expresses the
-    algorithm naturally and ``_next_batch`` ``islice``s the generator, so
-    a batch costs one slicing call rather than *n* ``next()`` round trips.
+    algorithm naturally and ``_next_batch`` ``islice``s
+    :attr:`~Cursor.batch_size` rows off the generator, so a batch costs one
+    slicing call rather than a ``next()`` round trip per row.
     """
 
     def __init__(self, schema: Schema, inputs: Iterable[Cursor] = ()):
@@ -250,9 +190,9 @@ class GeneratorCursor(Cursor):
     def _open(self) -> None:
         self._generator = self._generate()
 
-    def _next_batch(self, n: int) -> list[tuple]:
+    def _next_batch(self) -> list[tuple]:
         assert self._generator is not None
-        return list(islice(self._generator, n))
+        return list(islice(self._generator, self.batch_size))
 
     def _close(self) -> None:
         self._generator = None
@@ -266,22 +206,21 @@ class BatchReader:
 
     Sort-merge algorithms consume rows one at a time but compare-and-advance
     in tight loops; this adapter gives them ``read()`` (one row or ``None``)
-    backed by ``next_batch`` pulls, replacing two cursor dispatches per row
-    with one local method call and a list index.
+    backed by ``next_batch`` pulls, so a row costs one local method call and
+    a list index rather than a cursor dispatch.
     """
 
-    __slots__ = ("_cursor", "_size", "_batch", "_pos")
+    __slots__ = ("_cursor", "_batch", "_pos")
 
-    def __init__(self, cursor: Cursor, size: int | None = None):
+    def __init__(self, cursor: Cursor):
         self._cursor = cursor
-        self._size = size if size is not None else cursor.batch_size
         self._batch: list[tuple] = []
         self._pos = 0
 
     def read(self) -> tuple | None:
         """The next row, or ``None`` when the cursor is drained."""
         if self._pos >= len(self._batch):
-            self._batch = self._cursor.next_batch(self._size)
+            self._batch = self._cursor.next_batch()
             self._pos = 0
             if not self._batch:
                 return None
@@ -307,11 +246,8 @@ def materialize(cursor: Cursor) -> list[tuple]:
     """Drain a cursor into a list and close it."""
     try:
         rows: list[tuple] = []
-        cursor.init()
-        while True:
-            batch = cursor.next_batch(cursor.batch_size)
-            if not batch:
-                return rows
+        while batch := cursor.next_batch():
             rows.extend(batch)
+        return rows
     finally:
         cursor.close()

@@ -30,22 +30,22 @@ class DedupCursor(Cursor):
         self.schema = self._input.schema
         self._seen = set()
 
-    def _next_batch(self, n: int) -> list[tuple]:
-        out: list[tuple] = []
+    def _next_batch(self) -> list[tuple]:
+        # The first input batch that leaves a row it has not seen before.
+        seen = self._seen
+        assert seen is not None
         meter = self._meter
-        while len(out) < n:
-            batch = self._input.next_batch(max(n, self.batch_size))
-            if not batch:
-                break
+        while batch := self._input.next_batch():
             if meter is not None:
                 meter.charge_cpu(len(batch))
-            seen = self._seen
-            assert seen is not None
+            out = []
             for row in batch:
                 if row not in seen:
                     seen.add(row)
                     out.append(row)
-        return self._park_surplus(out, n)
+            if out:
+                return out
+        return []
 
     def _close(self) -> None:
         self._input.close()

@@ -33,7 +33,7 @@ class DifferenceCursor(GeneratorCursor):
             raise ExecutionError("difference arguments must be union-compatible")
         self.schema = self._left.schema
         self._suppress = Counter()
-        for row in self._right.iter_batched(self.batch_size):
+        for row in self._right.iter_batched():
             self._suppress[row] += 1
             if self._meter is not None:
                 self._meter.charge_cpu(1)
@@ -43,7 +43,7 @@ class DifferenceCursor(GeneratorCursor):
         suppress = self._suppress
         assert suppress is not None
         meter = self._meter
-        for row in self._left.iter_batched(self.batch_size):
+        for row in self._left.iter_batched():
             if meter is not None:
                 meter.charge_cpu(1)
             if suppress[row] > 0:

@@ -274,10 +274,9 @@ class ExchangeCursor(Cursor):
             pipeline.init()
             stream.schema = pipeline.schema
             busy += time.perf_counter() - begin
-            size = max(1, self.batch_size)
             while not cancel.is_set():
                 begin = time.perf_counter()
-                batch = pipeline.next_batch(size)
+                batch = pipeline.next_batch()
                 busy += time.perf_counter() - begin
                 if not batch:
                     break
@@ -315,8 +314,8 @@ class ExchangeCursor(Cursor):
 
     # -- consumer side ---------------------------------------------------------------
 
-    def _take(self, stream: _PartitionStream) -> list[tuple] | None:
-        """Next batch from one stream; None when it finished cleanly."""
+    def _take(self, stream: _PartitionStream) -> list[tuple]:
+        """Next batch from one stream; ``[]`` when it finished cleanly."""
         queue = stream.queue
         while True:
             if stream.error is not None:
@@ -335,7 +334,7 @@ class ExchangeCursor(Cursor):
                         # Even an empty partition publishes its schema (set
                         # by the producer after pipeline init, before done).
                         self._adopt_schema(stream)
-                        return None
+                        return []
                 else:
                     continue
             self._adopt_schema(stream)
@@ -345,28 +344,14 @@ class ExchangeCursor(Cursor):
         if not len(self.schema) and stream.schema is not None:
             self.schema = stream.schema
 
-    def _next_batch(self, n: int) -> list[tuple]:
-        out: list[tuple] = []
-        while len(out) < n:
-            rows = self._take_concat()
-            if rows is None:
-                break
-            if not out and len(rows) == n:
-                # A full arriving batch with nothing buffered is the hot
-                # path: hand it straight through.
-                return rows
-            out.extend(rows)
-        return self._park_surplus(out, n)
-
-    def _take_concat(self) -> list[tuple] | None:
-        """Next batch in partition order; ``None`` when every partition
-        stream has finished."""
+    def _next_batch(self) -> list[tuple]:
+        """The next batch to arrive, in partition order; ``[]`` when every
+        partition stream has finished."""
         while self._current < len(self._streams):
-            batch = self._take(self._streams[self._current])
-            if batch is not None:
+            if batch := self._take(self._streams[self._current]):
                 return batch
             self._current += 1
-        return None
+        return []
 
     # -- teardown --------------------------------------------------------------------
 

@@ -40,24 +40,18 @@ class FilterCursor(Cursor):
         self.schema = self._input.schema
         self._predicate = self._predicate_expr.compile(self.schema)
 
-    def _next_batch(self, n: int) -> list[tuple]:
+    def _next_batch(self) -> list[tuple]:
         # Work input-batch-wise: one pull + one C-level filter per input
-        # batch.  A low-selectivity predicate may need several input
-        # batches to fill n rows; a high-selectivity one may overshoot, and
-        # the surplus is parked in the shared look-ahead buffer.
+        # batch, returning the first input batch that leaves a row.
         predicate = self._predicate
         assert predicate is not None
         meter = self._meter
-        out: list[tuple] = []
-        size = max(n, self.batch_size)
-        while len(out) < n:
-            batch = self._input.next_batch(size)
-            if not batch:
-                break
+        while batch := self._input.next_batch():
             if meter is not None:
                 meter.charge_cpu(len(batch))
-            out.extend(filter(predicate, batch))
-        return self._park_surplus(out, n)
+            if out := list(filter(predicate, batch)):
+                return out
+        return []
 
     def _close(self) -> None:
         self._input.close()

@@ -75,8 +75,8 @@ class MergeJoinCursor(GeneratorCursor):
         )
         meter = self._meter
 
-        left_reader = BatchReader(self._left, self.batch_size)
-        right_reader = BatchReader(self._right, self.batch_size)
+        left_reader = BatchReader(self._left)
+        right_reader = BatchReader(self._right)
         left_row = left_reader.read()
         right_row = right_reader.read()
         try:

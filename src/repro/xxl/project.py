@@ -43,9 +43,9 @@ class ProjectCursor(Cursor):
         )
         self._func = compile_row([e for _, e in self._outputs], source)
 
-    def _next_batch(self, n: int) -> list[tuple]:
+    def _next_batch(self) -> list[tuple]:
         assert self._func is not None
-        batch = self._input.next_batch(n)
+        batch = self._input.next_batch()
         if self._meter is not None and batch:
             self._meter.charge_cpu(len(batch))
         return list(map(self._func, batch))

@@ -63,20 +63,17 @@ class SortCursor(GeneratorCursor):
             except TypeError:
                 return sorted(run, key=null_safe_key)
 
+        # Runs are cut at run_size rows, wherever the input's batches break.
         runs: list[list[tuple]] = []
         current: list[tuple] = []
         count = 0
-        while True:
-            batch = self._input.next_batch(
-                min(self.batch_size, self._run_size - len(current))
-            )
-            if not batch:
-                break
+        run_size = self._run_size
+        while batch := self._input.next_batch():
             current.extend(batch)
             count += len(batch)
-            if len(current) >= self._run_size:
-                runs.append(sort_run(current))
-                current = []
+            while len(current) >= run_size:
+                runs.append(sort_run(current[:run_size]))
+                del current[:run_size]
         if current:
             runs.append(sort_run(current))
         if self._meter is not None and count > 1:

@@ -3,8 +3,8 @@
 :class:`SQLCursor` is the ``TRANSFER^M`` algorithm's core: it issues a
 ``SELECT`` over the JDBC connection on ``init()`` and streams the result
 rows into the middleware (Section 3.2).  Its pull hook maps directly to
-JDBC: ``next_batch(n)`` is one ``fetchmany(n)``, so middleware batching and
-the connection's row prefetch compose instead of fighting.
+JDBC: ``next_batch()`` is one ``fetchmany(batch_size)``, so middleware
+batching and the connection's row prefetch compose instead of fighting.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class RelationCursor(Cursor):
     def _open(self) -> None:
         self._position = 0
 
-    def _next_batch(self, n: int) -> list[tuple]:
-        batch = list(self._rows[self._position : self._position + n])
+    def _next_batch(self) -> list[tuple]:
+        batch = list(self._rows[self._position : self._position + self.batch_size])
         self._position += len(batch)
         if self._meter is not None and batch:
             self._meter.charge_cpu(len(batch))
@@ -126,11 +126,11 @@ class SQLCursor(TransferMixin, Cursor):
             self.plan = "hit" if self._cursor.plan_hit else "miss"
         self.schema = self._cursor.schema
 
-    def _next_batch(self, n: int) -> list[tuple]:
+    def _next_batch(self) -> list[tuple]:
         assert self._cursor is not None
         begin = time.perf_counter()
         batch = self._call_dbms(
-            lambda: self._cursor.fetchmany(n), "transfer_m.fetch"
+            lambda: self._cursor.fetchmany(self.batch_size), "transfer_m.fetch"
         )
         self.fetch_seconds += time.perf_counter() - begin
         return batch

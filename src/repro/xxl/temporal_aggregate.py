@@ -25,26 +25,28 @@ trees of Kline & Snodgrass [13].
 The cursor works a batch of groups at a time: it splits each input batch
 into groups and keeps the trailing group until the next batch (or the end)
 shows it complete.  One function, rendered once per grouping arity, period
-and aggregate list, sweeps every complete group of a batch into the output
+and aggregate list, sweeps every complete group of a batch into one output
 list, an event costing straight-line code and an output row one tuple
-display.  Per group of *n* rows the meter is charged what a row-at-a-time
-sweep charges: ``n·max(1, n.bit_length())`` for the T2-sorted copy, plus one
-per start and end consumed — ``2n`` when every period is valid.
+display.  The cursor hands those lists out ``batch_size`` rows at a time,
+as every generator cursor does.  Per group of *n* rows the meter is charged
+what a row-at-a-time sweep charges: ``n·max(1, n.bit_length())`` for the
+T2-sorted copy, plus one per start and end consumed — ``2n`` when every
+period is valid.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.algebra.operators import AggregateSpec
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.sql.functions import SlidingAggregate
 from repro.errors import ExecutionError
-from repro.xxl.cursor import Cursor
+from repro.xxl.cursor import Cursor, GeneratorCursor
 
 #: One batch's sweep over its complete groups; returns the ticks.  ``live``
 #: counts the valid tuples, ``j`` the starts consumed; the rendered parts
@@ -147,7 +149,7 @@ def _no_key(row: tuple) -> tuple:
     return ()
 
 
-class TemporalAggregateCursor(Cursor):
+class TemporalAggregateCursor(GeneratorCursor):
     """Temporal aggregation over an input sorted on (group attrs, T1).
 
     Output: group attributes, ``T1``, ``T2``, one value per aggregate —
@@ -200,24 +202,30 @@ class TemporalAggregateCursor(Cursor):
         #: The last group read: swept once a later key (or the end) arrives.
         self._key: object = None
         self._group: list[tuple] = []
-        self._drained = False
-        #: An ordering error, raised once the groups before it are handed out.
+        #: An ordering error, raised by the pull after the groups before it are swept.
         self._failure: ExecutionError | None = None
+        super()._open()
 
-    def _next_batch(self, n: int) -> list[tuple]:
-        out: list[tuple] = []
-        while len(out) < n and not self._drained and self._failure is None:
-            ticks = self._sweep(self._complete_groups(self._input.next_batch(self.batch_size)), out)
+    def _generate(self) -> Iterator[tuple]:
+        return chain.from_iterable(self._sweeps())
+
+    def _sweeps(self) -> Iterator[list[tuple]]:
+        """One output list per input batch: its complete groups, swept."""
+        while True:
+            batch = self._input.next_batch()
+            out: list[tuple] = []
+            ticks = self._sweep(self._complete_groups(batch), out)
             if self._meter is not None:
                 self._meter.charge_cpu(ticks)
-        if not out and self._failure is not None:
-            raise self._failure
-        return self._park_surplus(out, n)
+            yield out
+            if self._failure is not None:
+                raise self._failure
+            if not batch:
+                return
 
     def _complete_groups(self, batch: list[tuple]) -> list[tuple[object, list[tuple]]]:
         """The groups *batch* completes, in order, as (key, rows)."""
         if not batch:
-            self._drained = True
             return [(self._key, self._group)] if self._group else []
         complete = []
         for key, rows in groupby(batch, self._key_of):
@@ -240,5 +248,6 @@ class TemporalAggregateCursor(Cursor):
         return complete
 
     def _close(self) -> None:
+        super()._close()
         self._group = []
         self._input.close()

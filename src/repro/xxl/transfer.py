@@ -7,10 +7,10 @@ work happens in ``init()`` — the cursor itself produces no rows, it only
 gates the algorithms that follow it in the execution-ready plan.
 
 The load is *chunked*: the input is drained through ``next_batch`` and each
-chunk goes down through the connection's ``executemany`` (the JDBC
-addBatch/executeBatch analogue riding the direct-path loader), so the
-middleware never materializes more than ``batch_size`` rows of the input at
-once and pays one call per chunk rather than per row.
+batch it returns goes down as one chunk through the connection's
+``executemany`` (the JDBC addBatch/executeBatch analogue riding the
+direct-path loader), so the middleware never holds more than one input
+batch at once and pays one call per chunk rather than per row.
 
 (The companion ``TRANSFER^M`` algorithm is
 :class:`repro.xxl.sources.SQLCursor`.)
@@ -108,9 +108,8 @@ class TransferDCursor(TransferMixin, Cursor):
     """Drains its input into a new DBMS table on ``init()``.
 
     ``order`` declares the sort order the input is known to arrive in, which
-    is recorded as the new table's clustered order.  ``batch_size`` bounds
-    the rows per ``executemany`` round trip (and the middleware-side
-    buffering).
+    is recorded as the new table's clustered order.  Each input batch is
+    one ``executemany`` round trip.
     """
 
     algorithm = "TRANSFER^D"
@@ -158,7 +157,7 @@ class TransferDCursor(TransferMixin, Cursor):
         while True:
             # Input production is middleware work and stays outside
             # load_seconds — the Section 7 signal times only the DBMS side.
-            chunk = self._input.next_batch(self.batch_size)
+            chunk = self._input.next_batch()
             if not chunk:
                 break
             begin = time.perf_counter()
@@ -174,7 +173,7 @@ class TransferDCursor(TransferMixin, Cursor):
             self.load_seconds += time.perf_counter() - begin
         self._input.close()
 
-    def _next_batch(self, n: int) -> list[tuple]:
+    def _next_batch(self) -> list[tuple]:
         return []
 
     def drop(self) -> None:

@@ -132,9 +132,9 @@ class IterableCursor(Cursor):
     def _open(self) -> None:
         self._iterator = iter(self._rows)
 
-    def _next_batch(self, n: int) -> list[tuple]:
+    def _next_batch(self) -> list[tuple]:
         assert self._iterator is not None
-        return list(islice(self._iterator, n))
+        return list(islice(self._iterator, self.batch_size))
 
 
 @pytest.fixture

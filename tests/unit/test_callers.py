@@ -18,7 +18,12 @@ Parses ``src/``, ``bench/``, ``examples/`` and ``benchmarks/`` with
 (c) a name a subpackage ``__init__.py`` re-exports (imports, or lists in
     ``__all__``) that nothing outside ``tests/`` imports through that
     package.  ``repro/__init__.py`` is the declared library boundary and is
-    exempt, and its imports are callers.
+    exempt, and its imports are callers;
+(d) an attribute ``src/`` stores (``obj.name = ...``, ``obj.name += ...``)
+    that nothing outside ``tests/`` loads: no ``obj.name`` read and no
+    identifier in a string constant names it, with string constants read
+    as in (a).  A docstring naming it is not a load, and neither is an
+    augmented assignment: a counter nothing reads is dead too.
 
 A site the check may not delete is a line of ``callers_allowlist.txt``:
 the site as this test prints it, then its reason.  The allowlist holds at
@@ -96,6 +101,10 @@ class Program:
     reexports: dict[str, dict[str, str]] = field(default_factory=dict)
     #: subpackage -> names imported through it.
     through: dict[str, set[str]] = field(default_factory=dict)
+    #: attribute -> the sites in ``src/`` that store it.
+    stored: dict[str, set[str]] = field(default_factory=dict)
+    #: every attribute name read, or named in a string constant.
+    loaded: set[str] = field(default_factory=set)
 
     def is_subpackage_init(self, module: str, path: str) -> bool:
         return path.endswith("__init__.py") and module.startswith("repro.")
@@ -157,6 +166,7 @@ class Program:
                 self.refer(node.id, path, node.lineno)
             elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 self.refer(node.attr, path, node.lineno)
+                self.loaded.add(node.attr)
                 base = dotted(node.value)
                 if base:
                     head, _, rest = base.partition(".")
@@ -167,6 +177,7 @@ class Program:
                 if id(node) not in skipped:
                     for part in IDENTIFIER.findall(node.value):
                         self.refer(part, path, node.lineno)
+                        self.loaded.add(part)
             elif isinstance(node, ast.Import) and not reexporting:
                 for alias in node.names:
                     self.imported.add(alias.name)
@@ -181,7 +192,9 @@ class Program:
                     if f"{base}.{alias.name}" in self.modules | self.packages:
                         aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
         if path.startswith("src/"):
-            self.define(tree, path, site(module, path.endswith("__init__.py")), "")
+            where = site(module, path.endswith("__init__.py"))
+            self.define(tree, path, where, "")
+            self.store(tree, where, "")
 
     def define(self, scope: ast.AST, path: str, where: str, prefix: str) -> None:
         for node in ast.iter_child_nodes(scope):
@@ -196,6 +209,18 @@ class Program:
                 self.define(node, path, where, f"{qualified}.")
             else:
                 self.define(node, path, where, prefix)
+
+    def store(self, scope: ast.AST, where: str, prefix: str) -> None:
+        """Record every attribute store under *scope*: a store on ``self``
+        is named after its class (``dbms/jdbc.py::Cursor.prefetch``), any
+        other after its module (``core/engine.py::timed``)."""
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                name = f"{prefix}{node.attr}" if on_self else node.attr
+                self.stored.setdefault(node.attr, set()).add(f"{where}::{name}")
+            inner = f"{prefix}{node.name}." if isinstance(node, ast.ClassDef) else prefix
+            self.store(node, where, inner)
 
     def refer(self, name: str, path: str, line: int) -> None:
         self.references.setdefault(name, []).append((path, line))
@@ -246,9 +271,24 @@ def unused_reexports(program: Program) -> list[str]:
     ]
 
 
+def unloaded(program: Program) -> list[str]:
+    """Rule (d): attributes stored and never loaded."""
+    return sorted(
+        site
+        for name, sites in program.stored.items()
+        if name not in program.loaded
+        for site in sites
+    )
+
+
 def hits(files: dict[str, str]) -> list[str]:
     program = analyse(files)
-    return uncalled(program) + unimported(program) + unused_reexports(program)
+    return (
+        uncalled(program)
+        + unimported(program)
+        + unused_reexports(program)
+        + unloaded(program)
+    )
 
 
 def allowlist(path: Path = ALLOWLIST) -> dict[str, str]:
@@ -314,6 +354,29 @@ def test_the_toy_program_is_read_as_documented():
         "toy/shapes.py",
         "toy/__init__.py::Shape",
     ]
+
+
+def test_a_stored_attribute_nothing_loads_is_found():
+    # ``size`` is read and getattr's string names ``kind``; ``count`` is only
+    # incremented, ``label`` only named in a docstring, ``flag`` never read.
+    toy = {
+        "src/repro/__init__.py": "",
+        "src/repro/toy.py": (
+            "class Box:\n"
+            '    """Holds a ``label``."""\n'
+            "    def __init__(self, other):\n"
+            "        self.size = 1\n"
+            "        self.count = 0\n"
+            "        self.label = 'x'\n"
+            "        self.kind = 'k'\n"
+            "        other.flag = True\n"
+            "    def grow(self):\n"
+            "        self.count += 1\n"
+            "        return self.size, getattr(self, 'kind')\n"
+        ),
+        "examples/use.py": "from repro.toy import Box\nBox(None).grow()\n",
+    }
+    assert hits(toy) == ["toy.py::Box.count", "toy.py::Box.label", "toy.py::flag"]
 
 
 def test_an_orphan_anywhere_in_src_is_found():

@@ -1,23 +1,21 @@
 """Concurrency coverage for :class:`repro.dbms.jdbc.ConnectionPool`.
 
-The pool is the service layer's contention point: N worker Tangos lease
+The pool is the service layer's contention point: N worker Tangos take
 their primary connections here while ``TRANSFER^M`` fan-out draws
 overflow connections through the same door.  These tests drive it from
-real threads — concurrent checkout/return, strict-mode exhaustion
-(blocking until a release vs. :class:`~repro.errors.PoolTimeoutError`),
-and leak visibility when a holder dies without releasing.
+real threads — concurrent checkout/return, overflow past *size*, and leak
+visibility when a holder dies without releasing.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection, ConnectionPool
-from repro.errors import DatabaseError, PoolTimeoutError
+from repro.errors import DatabaseError
 
 
 @pytest.fixture
@@ -60,8 +58,8 @@ class TestConcurrentCheckout:
         pool.close()
 
     def test_overflow_connections_are_retired_not_parked(self, db):
-        """Default (non-strict) mode: a burst beyond size gets overflow
-        connections, and releasing them shrinks back to size."""
+        """A burst beyond size gets overflow connections, and releasing
+        them shrinks back to size."""
         pool = ConnectionPool(db, size=2)
         held = [pool.acquire() for _ in range(5)]
         assert pool.in_use == 5
@@ -84,81 +82,15 @@ class TestConcurrentCheckout:
         with pytest.raises(DatabaseError):
             pool.acquire()
 
-
-class TestStrictMode:
-    def test_exhaustion_blocks_until_release(self, db):
-        """A strict pool at capacity parks the acquirer; a release from
-        another thread un-blocks it with the freed connection."""
-        pool = ConnectionPool(db, size=1, strict=True)
-        first = pool.acquire()
-        acquired = []
-
-        def blocked_acquirer():
-            connection = pool.acquire(timeout=5.0)
-            acquired.append(connection)
-            pool.release(connection)
-
-        thread = threading.Thread(target=blocked_acquirer)
-        thread.start()
-        time.sleep(0.05)
-        assert not acquired  # still parked: capacity is genuinely enforced
-        pool.release(first)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert len(acquired) == 1
-        pool.close()
-
-    def test_exhaustion_times_out(self, db):
-        pool = ConnectionPool(db, size=1, strict=True)
-        held = pool.acquire()
-        begin = time.monotonic()
-        with pytest.raises(PoolTimeoutError) as exc:
-            pool.acquire(timeout=0.05)
-        assert time.monotonic() - begin >= 0.05
-        # The error is diagnosable: it names the capacity and the holders.
-        assert "size=1" in str(exc.value)
-        assert "in_use=1" in str(exc.value)
-        pool.release(held)
-        pool.close()
-
-    def test_strict_pool_never_exceeds_size(self, db):
-        pool = ConnectionPool(db, size=3, strict=True)
-        peak = 0
-        peak_lock = threading.Lock()
-        errors: list[BaseException] = []
-
-        def worker():
-            nonlocal peak
-            try:
-                for _ in range(10):
-                    connection = pool.acquire(timeout=5.0)
-                    try:
-                        with peak_lock:
-                            peak = max(peak, pool.in_use)
-                        time.sleep(0.001)
-                    finally:
-                        pool.release(connection)
-            except BaseException as error:  # noqa: BLE001 - reported below
-                errors.append(error)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert peak <= 3
-        assert pool.in_use == 0
-        pool.close()
-
     def test_retiring_a_dead_connection_frees_the_slot(self, db):
-        """Closing (not releasing) a strict connection still returns its
-        slot, so a broken connection cannot shrink capacity forever."""
-        pool = ConnectionPool(db, size=1, strict=True)
+        """A connection closed mid-use and then released is not parked, so
+        the next acquire gets a live one."""
+        pool = ConnectionPool(db, size=1)
         connection = pool.acquire()
         connection.close()  # died mid-use
         pool.release(connection)  # holder returns the corpse
-        replacement = pool.acquire(timeout=1.0)  # slot is reusable
+        assert pool.idle == 0
+        replacement = pool.acquire()
         assert not replacement.closed
         pool.release(replacement)
         pool.close()

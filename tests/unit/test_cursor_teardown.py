@@ -47,7 +47,7 @@ def test_failing_left_close_still_closes_the_right_input(name):
     left = ClosingCursor(ValueError("left close failed"))
     right = ClosingCursor()
     cursor = BINARY[name](left, right).init()
-    cursor.next_batch(1)
+    cursor.next_batch()
     with pytest.raises(ValueError, match="left close failed"):
         cursor.close()
     assert (left.close_calls, right.close_calls) == (1, 1)
@@ -81,7 +81,7 @@ def test_pooled_cursor_releases_connection_when_jdbc_close_raises():
     db.execute("INSERT INTO R VALUES (1), (2)")
     pool = ConnectionPool(db, size=2)
     cursor = PooledSQLCursor(pool, "SELECT K FROM R").init()
-    assert cursor.next_batch(10) == [(1,), (2,)]
+    assert cursor.next_batch() == [(1,), (2,)]
     assert pool.in_use == 1
 
     def failing_close():

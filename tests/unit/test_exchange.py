@@ -251,7 +251,7 @@ class TestExchangeCursor:
         exchange = ExchangeCursor(pipelines, workers=2, queue_batches=1)
         exchange.init()
         with pytest.raises(RuntimeError, match="dead partition"):
-            while exchange.next_batch(64):
+            while exchange.next_batch():
                 pass
         exchange.close()  # must join the endless producer, not hang
 

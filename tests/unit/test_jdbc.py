@@ -73,7 +73,7 @@ class TestPreparedPlans:
             cursor = SQLCursor(connection, "SELECT K FROM T WHERE V = ?", binds=(value,))
             cursor.init()
             measured = cursor.measurements()
-            seen.append((measured["plan"], cursor.next_batch(5)))
+            seen.append((measured["plan"], cursor.next_batch()))
             # The span and the Figure 5 line show the text, bind spelled in place.
             assert measured["sql"] == f"SELECT K FROM T WHERE V = {spelled}"
             assert cursor.detail() == f"Query: {measured['sql']}"
@@ -82,13 +82,6 @@ class TestPreparedPlans:
 
 
 class TestCursor:
-    def test_fetchone_sequence(self, connection):
-        cursor = connection.execute("SELECT K FROM T ORDER BY K LIMIT 3")
-        assert cursor.fetchone() == (0,)
-        assert cursor.fetchone() == (1,)
-        assert cursor.fetchone() == (2,)
-        assert cursor.fetchone() is None
-
     def test_fetchmany(self, connection):
         cursor = connection.execute("SELECT K FROM T ORDER BY K")
         assert cursor.fetchmany(4) == [(0,), (1,), (2,), (3,)]
@@ -97,32 +90,20 @@ class TestCursor:
         cursor = connection.execute("SELECT K FROM T")
         assert len(cursor.fetchall()) == 25
 
-    def test_iteration(self, connection):
-        cursor = connection.execute("SELECT K FROM T")
-        assert sum(1 for _ in cursor) == 25
-
-    def test_description(self, connection):
-        cursor = connection.execute("SELECT K, V FROM T")
-        assert cursor.description == [("K", "int"), ("V", "int")]
-
     def test_no_result_set_raises(self, connection):
         cursor = connection.cursor()
         with pytest.raises(DatabaseError):
-            cursor.fetchone()
-
-    def test_ddl_reports_rowcount(self, connection):
-        cursor = connection.execute("INSERT INTO T VALUES (99, 990)")
-        assert cursor.rowcount == 1
+            cursor.fetchmany(1)
 
     def test_close(self, connection):
         cursor = connection.execute("SELECT K FROM T")
         cursor.close()
         with pytest.raises(DatabaseError):
-            cursor.fetchone()
+            cursor.fetchmany(1)
 
     def test_close_is_idempotent_and_terminal(self, connection):
         cursor = connection.execute("SELECT K FROM T")
-        cursor.fetchone()
+        cursor.fetchmany(1)
         cursor.close()
         cursor.close()  # idempotent
         assert cursor.closed
@@ -133,10 +114,10 @@ class TestCursor:
 
     def test_fetch_after_connection_close_raises(self, connection):
         cursor = connection.execute("SELECT K FROM T")
-        cursor.fetchone()
+        cursor.fetchmany(1)
         connection.close()
         with pytest.raises(DatabaseError):
-            cursor.fetchone()
+            cursor.fetchmany(1)
         with pytest.raises(DatabaseError):
             cursor.fetchmany(5)
 
@@ -174,11 +155,11 @@ class TestRoundTripAccounting:
             self.count_round_trips(connection.db, "SELECT K FROM T", prefetch=100) == 1
         )
 
-    def test_iteration_and_fetchmany_agree(self, connection):
+    def test_fetchall_and_fetchmany_agree(self, connection):
         metrics = MetricsRegistry()
         fresh = Connection(connection.db, prefetch=5, metrics=metrics)
-        list(fresh.cursor().execute("SELECT K FROM T"))
-        by_iteration = metrics.value("dbms_round_trips")
+        fresh.cursor().execute("SELECT K FROM T").fetchall()
+        by_fetchall = metrics.value("dbms_round_trips")
         rows = []
         cursor = fresh.cursor().execute("SELECT K FROM T")
         while True:
@@ -186,7 +167,7 @@ class TestRoundTripAccounting:
             if not batch:
                 break
             rows.extend(batch)
-        assert metrics.value("dbms_round_trips") - by_iteration == by_iteration
+        assert metrics.value("dbms_round_trips") - by_fetchall == by_fetchall
         assert len(rows) == 25
 
 
@@ -196,7 +177,7 @@ class TestFaultInjection:
         chaotic = Connection(connection.db, prefetch=5, injector=injector)
         cursor = chaotic.cursor().execute("SELECT K FROM T")
         with pytest.raises(TransientError):
-            cursor.fetchone()
+            cursor.fetchmany(1)
         assert injector.faults_injected == 1
 
     def test_fetchmany_reserves_rows_after_mid_call_fault(self, connection):
@@ -205,7 +186,7 @@ class TestFaultInjection:
         injector = FaultInjector(FaultPolicy(), seed=0)
         chaotic = Connection(connection.db, prefetch=5, injector=injector)
         cursor = chaotic.cursor().execute("SELECT K FROM T ORDER BY K")
-        assert cursor.fetchone() == (0,)  # buffer now holds rows 1..4
+        assert cursor.fetchmany(1) == [(0,)]  # buffer now holds rows 1..4
         injector.policy = FaultPolicy(round_trip_p=1.0)
         with pytest.raises(TransientError):
             cursor.fetchmany(8)  # takes rows 1..4, then the refill faults

@@ -257,7 +257,7 @@ def reflection_and_registries(tree: ast.AST) -> list[str]:
             and (
                 # a literal slot name, or a loop variable over some table of them
                 not isinstance(node.args[1], ast.Constant)
-                or node.args[1].value in CHILD_SLOTS | {"has_next"}
+                or node.args[1].value in CHILD_SLOTS | {"next_batch"}
             )
         ):
             problems.append(f"line {node.lineno}: {ast.unparse(node)} probes for children")
@@ -286,7 +286,7 @@ def test_the_cursor_tree_walks_are_not_vacuous(tmp_path):
         "def cursor_span(cursor, registry):\n"
         "    for attribute in CHILD_ATTRIBUTES:\n"
         "        child = getattr(cursor, attribute, None)\n"
-        "        if child is not None and hasattr(child, 'has_next'): pass\n"
+        "        if child is not None and hasattr(child, 'next_batch'): pass\n"
         "    lines.extend(_describe_cursor(getattr(cursor, '_input', None), 1))\n"
         "    registry = {}\n"
         "    label = getattr(config, 'tracing', False)\n"

@@ -183,8 +183,7 @@ class TestInstrumentedCursor:
         cursor.timed = True
         with cursor as opened:
             assert opened is cursor
-            assert cursor.has_next()
-            assert cursor.next() == (1, 10)
+            assert cursor.next_batch()[0] == (1, 10)
 
     def test_algorithm_label_is_declared_on_the_class(self):
         assert RelationCursor.algorithm == "RELATION^M"

@@ -13,6 +13,7 @@ from repro.dbms.jdbc import Connection, ConnectionPool
 from repro.errors import DatabaseError
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPolicy
+from repro.xxl.cursor import materialize
 from repro.xxl.sources import PooledSQLCursor, SQLCursor
 
 ROWS = 25
@@ -72,7 +73,7 @@ class TestRoundTripAccounting:
     def test_cursor_round_trips_match_prefetch_math(self, db):
         connection = Connection(db, prefetch=10)
         cursor = SQLCursor(connection, "SELECT N FROM NUMS")
-        rows = [row for row in cursor.init()]
+        rows = materialize(cursor)
         assert len(rows) == ROWS
         assert cursor.round_trips == math.ceil(ROWS / 10)
 
@@ -80,7 +81,7 @@ class TestRoundTripAccounting:
         connection = Connection(db, prefetch=10)
         cursor = SQLCursor(connection, "SELECT N FROM NUMS")
         cursor.init()
-        while cursor.next_batch(64):
+        while cursor.next_batch():
             pass
         cursor.close()
         assert cursor.round_trips == math.ceil(ROWS / 10)
@@ -89,8 +90,9 @@ class TestRoundTripAccounting:
         pool = ConnectionPool(db, size=2, prefetch=10)
         first = PooledSQLCursor(pool, "SELECT N FROM NUMS").init()
         second = PooledSQLCursor(pool, "SELECT N FROM NUMS WHERE N < 5").init()
+        first.batch_size = second.batch_size = 7
         # Interleave the drains: accounting must stay per-cursor.
-        while first.next_batch(7) or second.next_batch(7):
+        while first.next_batch() or second.next_batch():
             pass
         first.close()
         second.close()
@@ -131,7 +133,7 @@ class TestWireLatency:
     def test_latency_is_paid_per_round_trip(self, db):
         slept: list[float] = []
         connection = Connection(db, prefetch=10, injector=wire(0.005, slept.append))
-        rows = [row for row in SQLCursor(connection, "SELECT N FROM NUMS").init()]
+        rows = materialize(SQLCursor(connection, "SELECT N FROM NUMS"))
         assert len(rows) == ROWS
         # execute + ceil(25/10) fetch refills, one latency each.
         assert slept == [0.005] * (1 + math.ceil(ROWS / 10))

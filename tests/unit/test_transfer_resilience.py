@@ -33,9 +33,9 @@ def db():
 
 def make_transfer(db, data, injector=None, retry=None, batch_size=4):
     connection = Connection(db, injector=injector)
-    transfer = TransferDCursor(IterableCursor(SCHEMA, data), connection, retry=retry)
-    transfer.batch_size = batch_size  # rows per load chunk
-    return transfer
+    source = IterableCursor(SCHEMA, data)
+    source.batch_size = batch_size  # rows per load chunk: one per input batch
+    return TransferDCursor(source, connection, retry=retry)
 
 
 class TestEmptyInput:

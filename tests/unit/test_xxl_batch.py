@@ -1,12 +1,9 @@
-"""Unit tests for the batched cursor protocol (``next_batch``).
+"""Unit tests for the batched cursor protocol (``next_batch()``).
 
-The key invariant (the former lookahead-dropping bug): rows buffered by
-``has_next()`` — or parked by a native ``_next_batch`` that overshot — are
-*always* served first, whatever mix of ``next()`` / ``next_batch()`` /
-iteration consumes the cursor afterwards.
+``next_batch()`` takes no size: a source or generator hands out
+``batch_size`` rows, every other operator its natural unit, and ``[]``
+only once the cursor is drained — then on every later call.
 """
-
-import pytest
 
 from repro.algebra.expressions import BinOp, Comparison, col, lit
 from repro.algebra.schema import Attribute, Schema
@@ -47,114 +44,91 @@ class FallbackCursor(GeneratorCursor):
 class TestNextBatch:
     def test_batches_partition_the_stream(self):
         cursor = relation()
-        assert cursor.next_batch(4) == ROWS[:4]
-        assert cursor.next_batch(4) == ROWS[4:8]
-        assert cursor.next_batch(4) == ROWS[8:]
-        assert cursor.next_batch(4) == []
+        cursor.batch_size = 4
+        assert cursor.next_batch() == ROWS[:4]
+        assert cursor.next_batch() == ROWS[4:8]
+        assert cursor.next_batch() == ROWS[8:]
+        assert cursor.next_batch() == []
 
-    def test_non_positive_n_returns_empty(self):
-        cursor = relation()
-        assert cursor.next_batch(0) == []
-        assert cursor.next_batch(-3) == []
-        assert cursor.next() == (0,)  # nothing consumed
+    def test_a_drained_cursor_keeps_returning_empty(self):
+        cursor = FallbackCursor(ROWS)
+        assert cursor.next_batch() == ROWS
+        assert [cursor.next_batch() for _ in range(3)] == [[], [], []]
+        assert cursor.batches_produced == 1
 
     def test_oversized_batch_returns_everything(self):
-        assert relation().next_batch(1000) == ROWS
+        assert relation().next_batch() == ROWS
 
     def test_default_fallback_matches_native(self):
-        assert FallbackCursor(ROWS).next_batch(4) == ROWS[:4]
         cursor = FallbackCursor(ROWS)
-        assert cursor.next_batch(100) == ROWS
-        assert cursor.next_batch(1) == []
+        cursor.batch_size = 4
+        assert cursor.next_batch() == ROWS[:4]
+        cursor = FallbackCursor(ROWS)
+        assert cursor.next_batch() == ROWS
+        assert cursor.next_batch() == []
 
     def test_rows_and_batches_counters(self):
         cursor = relation()
-        cursor.next_batch(4)
-        cursor.next_batch(4)
-        cursor.next_batch(4)
+        cursor.batch_size = 4
+        for _ in range(4):
+            cursor.next_batch()
         assert cursor.rows_produced == 10
         assert cursor.batches_produced == 3  # the empty tail batch not counted
 
     def test_iter_batched(self):
         cursor = relation()
-        assert list(cursor.iter_batched(3)) == ROWS
+        cursor.batch_size = 3
+        assert list(cursor.iter_batched()) == ROWS
         assert cursor.batches_produced == 4
 
     def test_default_batch_size_is_class_attribute(self):
         assert Cursor.batch_size == BATCH_SIZE == 256
 
 
+def source(batch_size, rows=ROWS):
+    cursor = relation(rows)
+    cursor.batch_size = batch_size
+    return cursor
+
+
 class TestProtocolMixing:
-    """Regression tests: buffered lookahead rows are never dropped."""
+    """What an operator's ``next_batch()`` returns, batch by batch."""
 
-    def test_has_next_then_next_batch(self):
-        cursor = relation()
-        assert cursor.has_next()  # buffers (0,)
-        assert cursor.next_batch(3) == ROWS[:3]
+    def test_filter_returns_what_each_input_batch_leaves(self):
+        cursor = FilterCursor(source(4), Comparison(">", col("X"), lit(2)))
+        assert cursor.next_batch() == [(3,)]
+        assert cursor.next_batch() == [(4,), (5,), (6,), (7,)]
+        assert cursor.next_batch() == [(8,), (9,)]
+        assert cursor.next_batch() == []
 
-    def test_has_next_then_batch_then_next(self):
-        cursor = relation()
-        assert cursor.has_next()
-        assert cursor.next_batch(2) == ROWS[:2]
-        assert cursor.next() == (2,)
-        assert cursor.has_next()
-        assert cursor.next_batch(100) == ROWS[3:]
-        assert not cursor.has_next()
-
-    def test_repeated_has_next_buffers_one_row_only(self):
-        cursor = relation()
-        for _ in range(5):
-            assert cursor.has_next()
-        assert cursor.next_batch(100) == ROWS
-
-    def test_mixing_on_fallback_cursor(self):
-        cursor = FallbackCursor(ROWS)
-        assert cursor.has_next()
-        assert cursor.next_batch(4) == ROWS[:4]
-        assert cursor.next() == (4,)
-        assert list(cursor) == ROWS[5:]
-
-    def test_filter_overshoot_parks_surplus(self):
-        # FilterCursor pulls input batches larger than n; the surplus must
-        # surface in order on whichever call comes next.
-        cursor = FilterCursor(relation(), Comparison(">", col("X"), lit(3)))
-        assert cursor.next_batch(2) == [(4,), (5,)]
-        assert cursor.next() == (6,)
-        assert cursor.next_batch(10) == [(7,), (8,), (9,)]
-
-    def test_row_pull_over_an_overshooting_filter_keeps_order(self):
-        # The look-ahead re-buffering regression: has_next() pulls one row
-        # through a hook that parks its surplus in the same buffer — the
-        # pulled row must land in front of the surplus, not behind it.
-        cursor = FilterCursor(relation(), Comparison(">=", col("X"), lit(0)))
-        cursor.batch_size = 4
-        first = cursor.next()
-        assert [first] + cursor.next_batch(100) == ROWS
+    def test_filter_never_returns_empty_before_its_input_drains(self):
+        # Four input batches leave nothing; the fifth leaves one row.
+        cursor = FilterCursor(source(2), Comparison("=", col("X"), lit(9)))
+        assert cursor.next_batch() == [(9,)]
+        assert cursor.next_batch() == []
 
     def test_iteration_over_an_overshooting_dedup_keeps_order(self):
-        cursor = DedupCursor(relation([(i // 2,) for i in range(20)]))
-        cursor.batch_size = 8
-        assert list(cursor) == ROWS
+        cursor = DedupCursor(source(8, [(i // 2,) for i in range(20)]))
+        assert list(cursor.iter_batched()) == ROWS
 
     def test_project_batches(self):
-        cursor = ProjectCursor(relation(), [("Y", BinOp("*", col("X"), lit(10)))])
-        assert cursor.next_batch(3) == [(0,), (10,), (20,)]
-        assert cursor.has_next()
+        cursor = ProjectCursor(source(3), [("Y", BinOp("*", col("X"), lit(10)))])
+        assert cursor.next_batch() == [(0,), (10,), (20,)]
         assert materialize(cursor) == [(i * 10,) for i in range(3, 10)]
 
     def test_iterable_cursor_batches(self):
         cursor = IterableCursor(SCHEMA, ((i,) for i in range(5)))
-        assert cursor.has_next()
-        assert cursor.next_batch(3) == [(0,), (1,), (2,)]
-        assert cursor.next_batch(3) == [(3,), (4,)]
+        cursor.batch_size = 3
+        assert cursor.next_batch() == [(0,), (1,), (2,)]
+        assert cursor.next_batch() == [(3,), (4,)]
 
 
 class TestBatchReader:
     def test_reads_rows_then_none(self):
-        reader = BatchReader(relation([(1,), (2,), (3,)]).init(), 2)
+        reader = BatchReader(source(2, [(1,), (2,), (3,)]).init())
         assert [reader.read(), reader.read(), reader.read()] == [(1,), (2,), (3,)]
         assert reader.read() is None
         assert reader.read() is None
 
     def test_empty_cursor(self):
-        assert BatchReader(relation([]).init(), 4).read() is None
+        assert BatchReader(relation([]).init()).read() is None

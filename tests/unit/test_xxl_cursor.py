@@ -16,27 +16,20 @@ class TestProtocol:
         cursor = RelationCursor(SCHEMA, [(1,)])
         cursor.init()
         cursor.init()
-        assert cursor.next() == (1,)
+        assert cursor.next_batch() == [(1,)]
 
-    def test_has_next_buffers_without_consuming(self):
-        cursor = RelationCursor(SCHEMA, [(1,)])
-        assert cursor.has_next()
-        assert cursor.has_next()
-        assert cursor.next() == (1,)
-        assert not cursor.has_next()
-
-    def test_next_past_end_raises(self):
+    def test_next_batch_past_end_returns_empty(self):
         cursor = RelationCursor(SCHEMA, [])
-        with pytest.raises(ExecutionError):
-            cursor.next()
+        assert cursor.next_batch() == []
+        assert cursor.next_batch() == []
 
     def test_iteration(self):
         cursor = RelationCursor(SCHEMA, [(1,), (2,)])
-        assert list(cursor.init()) == [(1,), (2,)]
+        assert list(cursor.iter_batched()) == [(1,), (2,)]
 
     def test_rows_produced_counter(self):
         cursor = RelationCursor(SCHEMA, [(1,), (2,)])
-        list(cursor.init())
+        list(cursor.iter_batched())
         assert cursor.rows_produced == 2
 
     def test_use_after_close_raises(self):
@@ -47,7 +40,7 @@ class TestProtocol:
 
     def test_context_manager(self):
         with RelationCursor(SCHEMA, [(1,)]) as cursor:
-            assert cursor.next() == (1,)
+            assert cursor.next_batch() == [(1,)]
 
     def test_materialize(self):
         assert materialize(RelationCursor(SCHEMA, [(1,), (2,)])) == [(1,), (2,)]

@@ -40,7 +40,8 @@ def right(rows):
 class TestReadGroup:
     def test_reads_value_pack(self):
         cursor = RelationCursor(LEFT_SCHEMA, [(1, "a"), (1, "b"), (2, "c")]).init()
-        reader = BatchReader(cursor, 2)  # the pack straddles a batch boundary
+        cursor.batch_size = 2  # the pack straddles a batch boundary
+        reader = BatchReader(cursor)
         group, lookahead = read_group(reader, 0, reader.read())
         assert group == [(1, "a"), (1, "b")]
         assert lookahead == (2, "c")
@@ -62,10 +63,11 @@ class TestMergeJoin:
             "K",
             "K2",
         ).init()
-        assert cursor.next() == (1, "a", 1, "p")
-        assert cursor.next() == (2, "b", 2, "q")
+        cursor.batch_size = 1
+        assert cursor.next_batch() == [(1, "a", 1, "p")]
+        assert cursor.next_batch() == [(2, "b", 2, "q")]
         with pytest.raises(TypeError):
-            cursor.next()
+            cursor.next_batch()
 
     def test_basic(self):
         cursor = MergeJoinCursor(

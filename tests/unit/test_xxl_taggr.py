@@ -6,7 +6,7 @@ from repro.algebra.operators import AggregateSpec
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.errors import ExecutionError
-from repro.xxl.cursor import materialize
+from repro.xxl.cursor import materialize, walk
 from repro.xxl.sources import RelationCursor
 from repro.xxl.temporal_aggregate import TemporalAggregateCursor
 
@@ -175,11 +175,12 @@ class TestEdgeCases:
         # Error timing: group 1 is swept when key 3 arrives; key 2 < 3 then
         # aborts *before* group 3's results are emitted.
         cursor = taggr([(1, 0, 0, 5), (3, 0, 0, 5), (2, 0, 0, 5)]).init()
-        assert cursor.next() == (1, 0, 5, 1)
+        cursor.batch_size = 1
+        assert cursor.next_batch() == [(1, 0, 5, 1)]
         with pytest.raises(
             ExecutionError, match="not sorted on the grouping attributes"
         ):
-            cursor.next()
+            cursor.next_batch()
 
     def test_incomparable_group_keys_are_not_an_ordering_error(self):
         rows = materialize(taggr([(1, 0, 0, 5), ("x", 0, 0, 5)]))
@@ -201,7 +202,8 @@ def swept(rows, batch_size, aggregates=None):
     """Rows and ``meter.cpu`` of TAGGR^M over *rows*, pulled *batch_size* at a time."""
     meter = CostMeter()
     cursor = taggr(rows, aggregates=aggregates, meter=meter)
-    cursor.batch_size = batch_size
+    for member in walk([cursor]):
+        member.batch_size = batch_size
     return materialize(cursor), meter.cpu
 
 
