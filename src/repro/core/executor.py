@@ -23,8 +23,7 @@ from repro.algebra.operators import Operator
 from repro.algebra.schema import Schema
 from repro.core.engine import ExecutionEngine, ExecutionOutcome
 from repro.core.parser import is_temporal_query
-from repro.core.partition import ParallelContext
-from repro.core.plans import ExecutionPlan, compile_plan
+from repro.core.plans import ExecutionPlan, ParallelContext, compile_plan
 from repro.core.translator import SQLTranslator
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.jdbc import Connection, ConnectionPool
@@ -88,9 +87,9 @@ class Executor:
     """Runs queries on one thread, over one connection.
 
     *config* supplies ``tracing``, ``retry``,
-    ``deadline_seconds``, ``fallback`` and ``workers``.  *pool* is where partition fan-out draws its
-    extra connections (``workers > 1``); the caller owns *connection* and
-    *pool* and releases them.
+    ``deadline_seconds``, ``fallback`` and ``workers``.  *pool* is where a
+    fanned-out ``TRANSFER^M`` draws its partitions' connections (``workers >
+    1``); the caller owns *connection* and *pool* and releases them.
     """
 
     def __init__(
@@ -256,16 +255,14 @@ class Executor:
         parallel: bool = True,
     ) -> ExecutionPlan:
         """The Figure 5 algorithm sequence this executor would run *plan*
-        as — over its connection, fanned out across its pool when
-        ``config.workers > 1`` and *parallel*."""
+        as — over its connection, its ``TRANSFER^M`` steps fanned out across
+        its pool when ``config.workers > 1`` and *parallel*."""
         for node in plan.walk():
             algorithm_for(node)  # refused here, once, before any cursor exists
         context = None
-        if parallel and self.config.workers > 1:
+        if parallel and self.config.workers > 1 and self.pool is not None:
             context = ParallelContext(
-                workers=self.config.workers,
-                estimator=self.planner.estimator,
-                pool=self.pool,
+                self.config.workers, self.planner.estimator, self.pool
             )
         return compile_plan(
             plan,

@@ -4,7 +4,10 @@
 an :class:`ExecutionPlan` — an ordered list of middleware algorithms where
 
 * each maximal DBMS region below a ``T^M`` becomes one ``TRANSFER^M``
-  (an SQL cursor, text produced by the Translator-To-SQL);
+  (an SQL cursor, text produced by the Translator-To-SQL) — or, with
+  ``TangoConfig.workers > 1``, an exchange over one SQL cursor per range
+  partition of it, which stands in for that one cursor (see
+  :meth:`_Compiler._partition_spec`);
 * each ``T^D`` becomes a ``TRANSFER^D`` step that must be initialized
   *before* any ``TRANSFER^M`` whose SQL references its temp table (the
   dashed "algorithm sequence" arrows of Figure 5);
@@ -29,8 +32,21 @@ from repro.dbms.costmodel import CostMeter
 from repro.errors import PlanError
 from repro.optimizer.algorithms import algorithm_for
 from repro.xxl import Cursor, ExchangeCursor, SQLCursor, TransferDCursor
+from repro.xxl.exchange import PartitionSpec, range_partition_spec
 from repro.xxl.sources import PooledSQLCursor
 from repro.xxl.transfer import unique_temp_name
+
+
+@dataclass
+class ParallelContext:
+    """What the compiler needs to fan a ``TRANSFER^M`` out."""
+
+    #: Maximum partitions / producer threads (``TangoConfig.workers``).
+    workers: int
+    #: The Section 3.3 estimator supplying partition-point statistics.
+    estimator: object
+    #: Connection pool the per-partition ``TRANSFER^M`` cursors draw from.
+    pool: object
 
 
 @dataclass
@@ -74,11 +90,10 @@ def compile_plan(
     the feedback loops lay actuals against.  *retry* (a
     :class:`~repro.resilience.retry.RetryState`, the per-query retry
     budget) is handed to every transfer cursor so DBMS calls are retried
-    under the configured policy.  *parallel* (a
-    :class:`~repro.core.partition.ParallelContext`, present only when
-    ``TangoConfig.workers > 1``) lets the compiler fan partitionable
-    pipelines out across an exchange; without it the compiled plan is
-    byte-for-byte the serial one.
+    under the configured policy.  *parallel* (a :class:`ParallelContext`,
+    present only when ``TangoConfig.workers > 1``) lets the compiler fan
+    each eligible ``TRANSFER^M`` out across an exchange; without it the
+    compiled plan is byte-for-byte the serial one.
     """
     if plan.location is not Location.MIDDLEWARE:
         raise PlanError(
@@ -92,7 +107,7 @@ def compile_plan(
         retry,
         parallel,
     )
-    root = compiler.build_root(plan)
+    root = compiler.build(plan)
     return ExecutionPlan(
         steps=compiler.steps + [root],
         transfers_down=compiler.transfers_down,
@@ -123,71 +138,12 @@ class _Compiler:
         cursor.node = node
         return cursor
 
-    def build_root(self, node: Operator) -> Cursor:
-        """Cursor for the plan root — the one place parallelism applies.
-
-        With a :class:`~repro.core.partition.ParallelContext` attached, a
-        partitionable pipeline compiles into an exchange over per-partition
-        pipelines; anything else (or any analysis/statistics bail-out)
-        falls through to the plain serial :meth:`build`.
-        """
-        if self._parallel is not None:
-            exchange = self._try_parallel(node)
-            if exchange is not None:
-                return exchange
-        return self.build(node)
-
-    def _try_parallel(self, root: Operator) -> Cursor | None:
-        from repro.core.partition import (
-            partitionable_pipeline,
-            partition_spec_for,
-        )
-
-        found = partitionable_pipeline(root)
-        if found is None or self._parallel.pool is None:
-            return None
-        transfer, attribute = found
-        spec = partition_spec_for(transfer, attribute, self._parallel)
-        if spec is None or spec.degree < 2:
-            return None
-        # TRANSFER^M fan-out: one SQL per partition range, each pulled over
-        # its own pooled connection.  Cut-point order makes plain
-        # concatenation reproduce the delivered sort order.
-        self._prepare_transfers_down(transfer.input)
-        leaves = [
-            self._register(
-                PooledSQLCursor(
-                    self._parallel.pool, bound.sql, retry=self._retry, binds=bound.binds
-                ),
-                transfer,
-            )
-            for bound in self._partition_sqls(transfer, spec)
-        ]
-        pipelines = [
-            self._build_partition_pipeline(root, transfer, leaf) for leaf in leaves
-        ]
-        return self._register(
-            ExchangeCursor(pipelines, self._parallel.workers), root
-        )
-
-    def _build_partition_pipeline(
-        self, node: Operator, transfer: TransferM, leaf: Cursor
-    ) -> Cursor:
-        """Clone the unary middleware chain above *transfer* onto *leaf*."""
-        if node is transfer:
-            return leaf
-        return self._open(
-            node, [self._build_partition_pipeline(node.input, transfer, leaf)]
-        )
-
     def build(self, node: Operator) -> Cursor:
-        """Cursor for a middleware-located operator."""
+        """Cursor for a middleware-located operator: its algorithm over its
+        inputs' cursors, opened as its row says."""
         if isinstance(node, TransferM):
             return self._register(self._build_transfer_m(node), node)
-        return self._open(node, [self.build(child) for child in node.inputs])
-
-    def _open(self, node: Operator, inputs: list[Cursor]) -> Cursor:
-        """*node*'s algorithm over *inputs*, opened as its row says."""
+        inputs = [self.build(child) for child in node.inputs]
         row = algorithm_for(node)
         if row.parameters is None:  # backstop: ``validate_plan`` refuses these
             raise PlanError(
@@ -196,16 +152,55 @@ class _Compiler:
             )
         return self._register(row.open(node, inputs, self._meter), node)
 
-    def _build_transfer_m(self, node: TransferM) -> SQLCursor:
+    def _build_transfer_m(self, node: TransferM) -> Cursor:
         """One TRANSFER^M step covering the DBMS region below *node*.
 
         Any ``T^D`` nodes inside the region are compiled first (their
         middleware pipelines become earlier steps), and their temp-table
-        names are substituted into the SQL.
+        names are substituted into the SQL.  Fanned out, the step is an
+        exchange over one pooled SQL cursor per range partition, each
+        stamped with *node* like the serial cursor.
         """
         self._prepare_transfers_down(node.input)
-        bound = self._translator.translate_bound(node.input, self._temp_names)
-        return SQLCursor(self._connection, bound.sql, retry=self._retry, binds=bound.binds)
+        spec = self._partition_spec(node)
+        if spec is None:
+            bound = self._translator.translate_bound(node.input, self._temp_names)
+            return SQLCursor(
+                self._connection, bound.sql, retry=self._retry, binds=bound.binds
+            )
+        partitions = [
+            self._register(
+                PooledSQLCursor(
+                    self._parallel.pool, bound.sql, retry=self._retry, binds=bound.binds
+                ),
+                node,
+            )
+            for bound in self._partition_sqls(node, spec)
+        ]
+        return ExchangeCursor(partitions, self._parallel.workers)
+
+    def _partition_spec(self, node: TransferM) -> PartitionSpec | None:
+        """Range partitions for *node*, or None to fetch it serially.
+
+        A ``TRANSFER^M`` fans out when it delivers an order and no ``T^D``
+        feeds its region: partitions on the order's leading attribute, each
+        sorted under the same sort, concatenate in cut order to the serial
+        stream, so whatever runs above it cannot tell.  The statistics then
+        cap the degree (:func:`~repro.xxl.exchange.range_partition_spec`);
+        missing statistics mean "stay serial", never a wrong plan.
+        """
+        if self._parallel is None:
+            return None
+        delivered = guaranteed_order(node)
+        if not delivered or not node.schema.has(delivered[0]):
+            return None
+        if any(isinstance(inner, TransferD) for inner in node.input.walk()):
+            return None
+        try:
+            stats = self._parallel.estimator.estimate(node.input)
+        except Exception:  # noqa: BLE001 - missing stats means "stay serial"
+            return None
+        return range_partition_spec(delivered[0], stats, self._parallel.workers)
 
     def _partition_sqls(self, transfer: TransferM, spec) -> list[BoundSQL]:
         """Per-partition SQL for a fanned-out ``TRANSFER^M``: each range is

@@ -4,8 +4,8 @@ A cursor describes itself (:mod:`repro.xxl.cursor`): its inputs, its
 Figure 5 algorithm label, the plan node it implements and what it measured.
 :func:`execution_trace` turns a finished plan into a
 :class:`~repro.obs.tracing.Span` tree from exactly that — one child span per
-plan step, one nested span per cursor, a partition pipeline being an input
-like any other.  Transfer cursors always carry their tuple/byte/second
+plan step, one nested span per cursor, an exchange's partition cursors
+being inputs like any other.  Transfer cursors always carry their tuple/byte/second
 attributes (``TRANSFER^M`` and ``TRANSFER^D`` time themselves), so the
 adaptive-feedback signal exists even when full tracing is off; per-cursor
 wall time and ``next_batch()`` counts appear when the cursors were
@@ -62,8 +62,8 @@ def actual_rows(span: Span) -> int:
 def cardinality_observations(trace: Span) -> list[tuple[object, int]]:
     """(plan node, actual rows) pairs from one finished execution trace.
 
-    Partitioned executions compile several cursors per node (pooled range
-    fetches, pipeline clones); their counts sum to the node's total.
+    A fanned-out ``TRANSFER^M`` compiles one pooled range fetch per
+    partition for its node; their counts sum to the node's total.
     """
     totals: dict[int, list] = {}
     for span in trace.iter():

@@ -10,7 +10,7 @@ An extended Volcano-style optimizer (Section 4):
   list/multiset equivalence;
 * :mod:`repro.optimizer.algorithms` — one row per (operator, location)
   algorithm: its Figure 5 label, its Figure 6 (or "generic" DBMS) cost
-  formula, its cursor, its partition behaviour;
+  formula, its cursor and the node fields it is opened with;
 * :mod:`repro.optimizer.costs` — the cost factors and a whole-plan coster;
 * :mod:`repro.optimizer.physical` — plan validity (transfer structure,
   sorted-input prerequisites);

@@ -14,8 +14,7 @@ system knows about an algorithm *as an algorithm* is one row here:
   the node fields that are its parameters suffice.  A DBMS row has no cursor
   (the translator renders the whole region as SQL) and the two transfers are
   the compiler's to open — it owns the connection, the translator and the
-  temp-table names;
-* whether a pipeline through it may be range-partitioned, and on what.
+  temp-table names (and fans a ``TRANSFER^M`` out, DESIGN.md §5).
 
 What an algorithm needs of its inputs' order, delivers and reads stays beside
 the row, in :mod:`repro.algebra.properties`, which may not import upward.
@@ -93,14 +92,6 @@ class Algorithm:
     #: The node's fields the cursor takes between its inputs and the meter;
     #: None for what :meth:`open` cannot open (SQL, and the two transfers).
     parameters: tuple[str, ...] | None = None
-    #: May a pipeline through it be range-partitioned?  None: no, it runs
-    #: serially.  :data:`ROW_LOCAL`: yes, on any attribute.  Else the name of
-    #: the node field whose *first* attribute every partition must split on —
-    #: ``Sort.keys``: range partitions concatenated in cut-point order are
-    #: then the global sort; ``TemporalAggregate.group_by``: every group lands
-    #: wholly in one partition, and the one global group of an ungrouped
-    #: aggregate cannot split.
-    partition: str | None = None
 
     def open(
         self, node: Operator, inputs: list[Cursor], meter: CostMeter | None = None
@@ -108,18 +99,6 @@ class Algorithm:
         """The cursor evaluating *node* over the cursors *inputs*."""
         parameters = (getattr(node, name) for name in self.parameters)
         return self.cursor(*inputs, *parameters, meter)
-
-    def pinned(self, node: Operator) -> str | None:
-        """Where ``partition`` names a field: that field's first attribute
-        on *node*, or None when it is empty and *node* cannot split."""
-        attributes = getattr(node, self.partition)
-        return attributes[0] if attributes else None
-
-
-#: The ``partition`` of an order-preserving algorithm that looks at one row
-#: at a time, or only at rows that agree on the partition attribute (duplicates,
-#: value-equivalent rows): none of its work straddles a partition boundary.
-ROW_LOCAL = "row-local"
 
 
 # -- Figure 6 -----------------------------------------------------------------------------
@@ -257,36 +236,31 @@ def _tjoin_d(p, node: TemporalJoin, stats) -> float:
 
 
 def _cursor(
-    cursor: type[Cursor],
-    cost: Cost,
-    parameters: tuple[str, ...] | None = (),
-    partition: str | None = None,
+    cursor: type[Cursor], cost: Cost, parameters: tuple[str, ...] | None = ()
 ) -> Algorithm:
     """A row with a cursor: the label is the cursor class's own."""
-    return Algorithm(cursor.algorithm, cost, cursor, parameters, partition)
+    return Algorithm(cursor.algorithm, cost, cursor, parameters)
 
 
 ALGORITHMS: dict[tuple[type, Location], Algorithm] = {
-    # TRANSFER^M fetches the DBMS region below it; a fan-out starts here.
+    # TRANSFER^M fetches the DBMS region below it, fanned out or not.
     # ``None``: the compiler opens the two transfers.
-    (TransferM, _M): _cursor(SQLCursor, _of_input(transfer_m), None, ROW_LOCAL),
-    (Select, _M): _cursor(FilterCursor, _filter_m, ("predicate",), ROW_LOCAL),
+    (TransferM, _M): _cursor(SQLCursor, _of_input(transfer_m), None),
+    (Select, _M): _cursor(FilterCursor, _filter_m, ("predicate",)),
     (Project, _M): _cursor(
-        ProjectCursor, _of_input(lambda p, r: p.p_projm * r.size), ("outputs",), ROW_LOCAL
+        ProjectCursor, _of_input(lambda p, r: p.p_projm * r.size), ("outputs",)
     ),
-    (Sort, _M): _cursor(SortCursor, _of_input(sort_m), ("keys",), "keys"),
+    (Sort, _M): _cursor(SortCursor, _of_input(sort_m), ("keys",)),
     (TemporalAggregate, _M): _cursor(
-        TemporalAggregateCursor, _taggr_m, ("group_by", "aggregates", "period"), "group_by"
+        TemporalAggregateCursor, _taggr_m, ("group_by", "aggregates", "period")
     ),
     (TemporalJoin, _M): _cursor(
         TemporalJoinCursor, _tjoin_m, ("left_attr", "right_attr", "period")
     ),
     (Join, _M): _cursor(MergeJoinCursor, _join_m, ("left_attr", "right_attr", "residual")),
-    (Dedup, _M): _cursor(
-        DedupCursor, _of_input(lambda p, r: p.p_dedupm * r.size), partition=ROW_LOCAL
-    ),
+    (Dedup, _M): _cursor(DedupCursor, _of_input(lambda p, r: p.p_dedupm * r.size)),
     (Coalesce, _M): _cursor(
-        CoalesceCursor, _of_input(lambda p, r: p.p_coalm * r.size), ("period",), ROW_LOCAL
+        CoalesceCursor, _of_input(lambda p, r: p.p_coalm * r.size), ("period",)
     ),
     (Difference, _M): _cursor(DifferenceCursor, _difference_m),
     # The DBMS column: SQL, whatever algorithm the DBMS picks behind it.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.operators import Location, Operator
+from repro.algebra.operators import Location, Operator, TransferM
 from repro.optimizer.algorithms import ALGORITHMS
 from repro.stats.cardinality import CardinalityEstimator
 
@@ -62,12 +62,13 @@ class PlanCoster:
     column, which reads the statistics it needs off the
     :class:`~repro.stats.cardinality.CardinalityEstimator`.
 
-    With ``parallel_degree > 1`` the Figure 6 formulas gain the parallel
-    terms: an algorithm with a ``partition`` behaviour scales as
-    ``startup · d + cost / d`` — per-partition scaling plus a fixed startup
-    per partition — while the serial ones (joins, differences, everything in
-    the DBMS) are charged unchanged.  ``parallel_degree=1`` reproduces the
-    serial formulas exactly.
+    With ``parallel_degree > 1`` the ``TRANSFER^M`` formula gains the
+    parallel terms ``startup · d + cost / d`` — per-partition scaling plus a
+    fixed startup per partition — because the fetch is the one step that
+    fans out: its partitions overlap on the wire, while every middleware
+    algorithm above it runs serially on the caller's thread and is charged
+    unchanged.  ``parallel_degree=1`` reproduces the serial formulas
+    exactly.
     """
 
     def __init__(
@@ -81,7 +82,7 @@ class PlanCoster:
         self.parallel_degree = max(1, parallel_degree)
 
     def _parallel(self, cost: float) -> float:
-        """The parallel cost of partitionable work costing *cost* serially."""
+        """The parallel cost of a fetch costing *cost* serially."""
         degree = self.parallel_degree
         if degree <= 1:
             return cost
@@ -111,4 +112,4 @@ class PlanCoster:
             # the search (rule X1) puts it.
             row = ALGORITHMS[type(plan), _M if plan.location is _D else _D]
         cost = row.cost(self.factors, plan, self.estimator)
-        return cost if row.partition is None else self._parallel(cost)
+        return self._parallel(cost) if type(plan) is TransferM else cost

@@ -1,24 +1,23 @@
-"""Partition-parallel execution: range partitions behind an exchange.
+"""Partition-parallel ``TRANSFER^M``: range partitions behind an exchange.
 
 The paper's Execution Engine (Figure 2) is strictly serial: wall-clock time
-is the *sum* of DBMS fetch time and middleware CPU.  This module adds the
-classic exchange-operator design (Graefe's Volcano) on top of the cursor
-protocol so a middleware pipeline can run as *k* independent partitions:
+is the *sum* of DBMS fetch time and middleware CPU.  The one step bound by
+the wire is ``TRANSFER^M`` issuing its ``SELECT``, so that is the one step
+this module parallelizes, with the classic exchange operator (Graefe's
+Volcano) on the cursor protocol:
 
 * :class:`PartitionSpec` describes how rows split — by range on an
   attribute, cut points picked from the Section 3.3 histograms, so the
   DBMS-side ``SELECT`` fans out into per-partition range predicates;
-* :class:`ExchangeCursor` fans the per-partition pipelines out across a
-  bounded thread pool with backpressure-bounded per-partition queues, and
+* :class:`ExchangeCursor` pulls the per-partition fetches on a bounded
+  thread pool with backpressure-bounded per-partition queues, and
   reassembles the delivered sort order by concatenating the partitions in
-  cut-point order.
+  cut-point order.  It stands in for the one ``SQLCursor`` the serial plan
+  has there; the middleware pipeline above it is the serial one.
 
 Under CPython's GIL the win is overlapped wire latency, not CPU (DESIGN.md
-§5), which is why the fan-out happens at the ``TRANSFER^M`` and nowhere
-else.  Everything here is strictly opt-in: plans compiled without a
-:class:`~repro.core.partition.ParallelContext` (``TangoConfig.workers=1``)
-never touch this module, so the serial engine stays byte-for-byte the
-paper's.
+§5).  Plans compiled with ``TangoConfig.workers=1`` never touch this
+module, so the serial engine stays byte-for-byte the paper's.
 """
 
 from __future__ import annotations
@@ -29,18 +28,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from queue import Empty, Full, Queue
 
-from repro.algebra.expressions import Comparison, Expression, col, conjoin, lit
+from repro.algebra.expressions import And, Comparison, Expression, Not, Or, col, lit
 from repro.algebra.schema import Schema
 from repro.errors import ExecutionError
 from repro.stats.collector import AttributeStats, RelationStats
 from repro.xxl.cursor import Cursor
 
-#: Batches each partition queue buffers before its producer blocks
-#: (the backpressure bound: memory per partition ≤ queue_batches × batch).
-DEFAULT_QUEUE_BATCHES = 4
-
 #: Producers and the consumer poll their queues at this granularity so a
-#: cancellation (sibling failure, deadline, teardown) is noticed promptly.
+#: cancellation (sibling failure, teardown) is noticed promptly.
 _POLL_SECONDS = 0.02
 
 #: Estimated rows below which a partition is not worth its startup cost.
@@ -52,10 +47,11 @@ class PartitionSpec:
     """How one stream of rows splits into ``degree`` range partitions.
 
     Partition *i* holds rows whose ``attribute`` value falls in
-    ``[cut_points[i-1], cut_points[i])`` (open-ended at both extremes), so
-    concatenating partitions in order preserves any sort order led by
-    ``attribute``, and every distinct value (every TAGGR^M group) lands
-    wholly in one partition.
+    ``[cut_points[i-1], cut_points[i])`` (open-ended at both extremes), and
+    the last partition also holds the rows whose value is NULL, which sort
+    last.  Concatenating partitions in order therefore preserves any sort
+    order led by ``attribute``, and every distinct value lands wholly in
+    one partition.
     """
 
     attribute: str
@@ -81,20 +77,27 @@ class PartitionSpec:
         TRANSFER^M fan-out selects each partition with; ``None`` for the
         single partition that takes everything.  The ranges cover every
         value whatever the statistics said, so stale histograms can only
-        unbalance the partitions, never lose rows."""
+        unbalance the partitions, never lose rows.  A bounded partition
+        tests ``IS NOT NULL`` before its bounds, so no comparison ever sees
+        a NULL; the last one takes ``IS NULL OR >= lo``."""
         column = col(self.attribute)
+        is_null = Comparison("=", column, lit(None))
 
         def cut(value: float) -> Expression:
             # Integral cut points as ints: predicates on INT/DATE read naturally.
             return lit(int(value) if float(value).is_integer() else value)
 
-        predicates = []
+        predicates: list[Expression | None] = []
         for index in range(self.degree):
             lo, hi = self.bounds(index)
-            terms = [] if lo is None else [Comparison(">=", column, cut(lo))]
+            at_least = [] if lo is None else [Comparison(">=", column, cut(lo))]
             if hi is not None:
-                terms.append(Comparison("<", column, cut(hi)))
-            predicates.append(conjoin(terms))
+                below = Comparison("<", column, cut(hi))
+                predicates.append(And((Not(is_null), *at_least, below)))
+            elif at_least:
+                predicates.append(Or((is_null, *at_least)))
+            else:
+                predicates.append(None)
         return predicates
 
 
@@ -131,10 +134,7 @@ def _strictly_increasing(points: list[float]) -> tuple[float, ...]:
 
 
 def range_partition_spec(
-    attribute: str,
-    stats: RelationStats,
-    degree: int,
-    min_rows: int = MIN_PARTITION_ROWS,
+    attribute: str, stats: RelationStats, degree: int
 ) -> PartitionSpec | None:
     """A balanced range :class:`PartitionSpec`, or None when partitioning
     is not worthwhile (too few rows, too few distinct values, no usable
@@ -142,7 +142,7 @@ def range_partition_spec(
     exists (equal-count split), else from a uniform min/max split."""
     if degree < 2:
         return None
-    capacity = int(stats.cardinality // max(1, min_rows))
+    capacity = int(stats.cardinality // MIN_PARTITION_ROWS)
     degree = min(degree, max(1, capacity))
     attr_stats: AttributeStats = stats.attribute(attribute)
     if attr_stats.distinct:
@@ -168,59 +168,54 @@ class _Cancelled(Exception):
     """Internal: a producer noticed the exchange was cancelled."""
 
 
-class _PartitionStream:
-    """The queue plumbing between one producer thread and the consumer."""
-
-    __slots__ = ("queue", "done", "error", "schema")
-
-    def __init__(self, capacity: int):
-        self.queue: Queue = Queue(maxsize=max(1, capacity))
-        self.done = threading.Event()
-        self.error: BaseException | None = None
-        self.schema: Schema | None = None
+#: A producer's last queue item: its partition is finished (a failure, if
+#: any, is recorded before this is put).
+_END = object()
 
 
 class ExchangeCursor(Cursor):
-    """Runs per-partition pipelines on a bounded thread pool and
-    reassembles one ordered output stream.
+    """Pulls per-partition ``TRANSFER^M`` cursors on a bounded thread pool
+    and reassembles one ordered output stream.
 
-    Each pipeline is produced into a backpressure-bounded queue by one
+    Each partition is produced into a backpressure-bounded queue by one
     task on a ``ThreadPoolExecutor`` of at most ``workers`` threads, and
     the partitions are concatenated in index order (correct for range
     partitions, whose bounds ascend).  Fewer workers than partitions is
     fine: the consumer drains partition *i* before it asks for *i+1*, so a
-    partition still waiting for a thread blocks nobody.
+    partition still waiting for a thread blocks nobody.  Partition 0 puts
+    its schema before its rows: ``init()`` returns once it is known, which
+    is when the cursor above reads it.
 
     A failing partition cancels its siblings: the first error is recorded,
     the cancel event stops every producer, and the error resurfaces from
-    the consumer — the engine's unconditional teardown then closes
-    everything, and ``Tango.query`` falls back to the all-DBMS plan when
-    the shared retry budget was the cause.
+    the consumer, whichever partition it is waiting on — the engine's
+    unconditional teardown then closes everything, and ``Tango.query``
+    falls back to the all-DBMS plan when the shared retry budget was the
+    cause.
     """
 
     algorithm = "EXCHANGE"
     kind = "exchange"
+    #: Batches each partition queue buffers before its producer blocks
+    #: (the backpressure bound: memory per partition ≤ queue_batches ×
+    #: batch).  A test may shrink it on one instance.
+    queue_batches: int = 4
 
-    def __init__(
-        self,
-        pipelines: list[Cursor],
-        workers: int,
-        queue_batches: int = DEFAULT_QUEUE_BATCHES,
-    ):
-        super().__init__(Schema([]), pipelines)
-        if not pipelines:
+    def __init__(self, partitions: list[Cursor], workers: int):
+        super().__init__(Schema([]), partitions)
+        if not partitions:
             raise ExecutionError("an exchange needs at least one partition")
         self.partitions = len(self.inputs)
         self.workers = max(1, min(workers, self.partitions))
-        self._queue_batches = max(1, queue_batches)
         #: Producer blocks on a full partition queue (backpressure events).
         self.queue_full_stalls = 0
         #: Σ busy seconds / (wall seconds × partitions), computed at close.
         self.parallel_efficiency = 0.0
-        self._stall_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._failure: BaseException | None = None
         self._cancel: threading.Event | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._streams: list[_PartitionStream] = []
+        self._queues: list[Queue] = []
         self._busy: list[float] = []
         self._begin = 0.0
         self._current = 0
@@ -233,9 +228,9 @@ class ExchangeCursor(Cursor):
 
     def describe(self, indent: int = 0) -> list[str]:
         lines = ["  " * indent + f"{self.algorithm}  {self.detail()}"]
-        for index, pipeline in enumerate(self.inputs):
+        for index, partition in enumerate(self.inputs):
             lines.append("  " * (indent + 1) + f"[partition {index}]")
-            lines.extend(pipeline.describe(indent + 2))
+            lines.extend(partition.describe(indent + 2))
         return lines
 
     def measurements(self) -> dict:
@@ -252,104 +247,96 @@ class ExchangeCursor(Cursor):
 
     def _open(self) -> None:
         self._cancel = threading.Event()
-        self._streams = [
-            _PartitionStream(self._queue_batches) for _ in self.inputs
-        ]
+        self._queues = [Queue(maxsize=self.queue_batches) for _ in self.inputs]
         self._busy = [0.0] * self.partitions
         self._begin = time.perf_counter()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="tango-exchange"
         )
-        for index, (pipeline, stream) in enumerate(zip(self.inputs, self._streams)):
-            self._executor.submit(self._produce, index, pipeline, stream)
+        for index, (partition, queue) in enumerate(zip(self.inputs, self._queues)):
+            self._executor.submit(self._produce, index, partition, queue)
+        self.schema = self._get(self._queues[0])
 
-    def _produce(
-        self, index: int, pipeline: Cursor, stream: _PartitionStream
-    ) -> None:
+    def _produce(self, index: int, partition: Cursor, queue: Queue) -> None:
         busy = 0.0
         cancel = self._cancel
         assert cancel is not None
         try:
             begin = time.perf_counter()
-            pipeline.init()
-            stream.schema = pipeline.schema
+            partition.init()
             busy += time.perf_counter() - begin
+            if index == 0:
+                self._offer(queue, partition.schema)
             while not cancel.is_set():
                 begin = time.perf_counter()
-                batch = pipeline.next_batch()
+                batch = partition.next_batch()
                 busy += time.perf_counter() - begin
                 if not batch:
                     break
-                self._offer(stream, batch)
+                self._offer(queue, batch)
         except _Cancelled:
             pass
         except BaseException as error:  # noqa: BLE001 - crosses the thread
-            stream.error = error
-            cancel.set()
+            self._fail(error)
         finally:
             self._busy[index] = busy
             try:
-                pipeline.close()
+                partition.close()
             except BaseException as error:  # noqa: BLE001
-                if stream.error is None:
-                    stream.error = error
-                    cancel.set()
-            stream.done.set()
+                self._fail(error)
+            try:
+                self._offer(queue, _END)
+            except _Cancelled:
+                pass  # the consumer finds the cancel once the queue runs dry
 
-    def _offer(self, stream: _PartitionStream, batch: list[tuple]) -> None:
-        queue = stream.queue
+    def _fail(self, error: BaseException) -> None:
+        """Record *error* unless another partition failed first; cancel."""
+        with self._lock:
+            if self._failure is None:
+                self._failure = error
+        assert self._cancel is not None
+        self._cancel.set()
+
+    def _offer(self, queue: Queue, item) -> None:
         cancel = self._cancel
         assert cancel is not None
         if queue.full():
-            with self._stall_lock:
+            with self._lock:
                 self.queue_full_stalls += 1
         while True:
-            if cancel.is_set():
-                raise _Cancelled()
             try:
-                queue.put(batch, timeout=_POLL_SECONDS)
+                queue.put(item, timeout=_POLL_SECONDS)
                 return
             except Full:
-                continue
+                if cancel.is_set():
+                    raise _Cancelled() from None
 
     # -- consumer side ---------------------------------------------------------------
 
-    def _take(self, stream: _PartitionStream) -> list[tuple]:
-        """Next batch from one stream; ``[]`` when it finished cleanly."""
-        queue = stream.queue
+    def _get(self, queue: Queue):
+        """The next item of one partition's *queue*: a batch, partition 0's
+        schema, or ``_END``.  Raises the recorded failure at an end, or as
+        soon as a failure cancelled the exchange and *queue* is dry."""
+        cancel = self._cancel
+        assert cancel is not None
         while True:
-            if stream.error is not None:
-                raise stream.error
             try:
-                batch = queue.get(timeout=_POLL_SECONDS)
+                item = queue.get(timeout=_POLL_SECONDS)
             except Empty:
-                if stream.done.is_set():
-                    # The producer sets done after its last put; one final
-                    # non-blocking drain closes the race.
-                    try:
-                        batch = queue.get_nowait()
-                    except Empty:
-                        if stream.error is not None:
-                            raise stream.error
-                        # Even an empty partition publishes its schema (set
-                        # by the producer after pipeline init, before done).
-                        self._adopt_schema(stream)
-                        return []
-                else:
-                    continue
-            self._adopt_schema(stream)
-            return batch
-
-    def _adopt_schema(self, stream: _PartitionStream) -> None:
-        if not len(self.schema) and stream.schema is not None:
-            self.schema = stream.schema
+                if cancel.is_set():
+                    raise self._failure from None  # set before the cancel
+                continue
+            if item is _END and self._failure is not None:
+                raise self._failure
+            return item
 
     def _next_batch(self) -> list[tuple]:
         """The next batch to arrive, in partition order; ``[]`` when every
-        partition stream has finished."""
-        while self._current < len(self._streams):
-            if batch := self._take(self._streams[self._current]):
-                return batch
+        partition has finished."""
+        while self._current < len(self._queues):
+            item = self._get(self._queues[self._current])
+            if item is not _END:
+                return item
             self._current += 1
         return []
 
@@ -357,19 +344,19 @@ class ExchangeCursor(Cursor):
 
     def _close(self) -> None:
         if self._cancel is None:
-            # Never initialized: the pipelines were never started either.
-            for pipeline in self.inputs:
+            # Never initialized: the partitions were never started either.
+            for partition in self.inputs:
                 try:
-                    pipeline.close()
+                    partition.close()
                 except BaseException:  # noqa: BLE001 - best-effort cleanup
                     pass
             return
         self._cancel.set()
         # Unblock producers stuck on full queues, then join them.
-        for stream in self._streams:
+        for queue in self._queues:
             while True:
                 try:
-                    stream.queue.get_nowait()
+                    queue.get_nowait()
                 except Empty:
                     break
         if self._executor is not None:

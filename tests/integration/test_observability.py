@@ -190,34 +190,31 @@ class TestExplainAnalyze:
 
     def test_partitioned_run_times_every_row_and_sums_per_node(self):
         """An estimate belongs to a plan node; four partition cursors
-        implement it.  Before PR 18 each partition row was laid against
-        the whole node's estimate (q-error 3.8-4.1) and none of them had a
-        time."""
+        implement the ``T^M``.  Each partition row is laid against the
+        node's estimate through the sum over them (q-error 1.0, not 3.8-4.1)
+        and has a time.  The exchange stands in for the one ``TRANSFER^M``,
+        so it sits under ``TAGGR^M``, which runs once, serially."""
         db = MiniDB()
         load_uis(db, scale=0.05, with_variants=False, seed=1)
         config = TangoConfig(workers=4)
         with Tango(db, config, fault_injector=FaultInjector(FaultPolicy(), seed=0)) as tango:
             report = tango.explain_analyze(queries.query1_sql())
-        exchange, *partitioned = report.operators
-        assert exchange.algorithm == "EXCHANGE" and exchange.workers == 4
-        assert all(m.depth > 0 and m.actual_total_us is not None for m in partitioned)
-        assert all(m.actual_self_us is not None for m in partitioned)
-        by_algorithm = {}
-        for m in partitioned:
-            by_algorithm.setdefault(m.algorithm, []).append(m)
+        taggr, exchange, *transfers = report.operators
+        assert (taggr.algorithm, taggr.depth) == ("TAGGR^M", 0)
+        assert (exchange.algorithm, exchange.depth, exchange.workers) == ("EXCHANGE", 1, 4)
         # No SORT^M since PR 21: over the pruned scan the sort is cheaper in
         # the DBMS (10,379 us against 16,516 for Sort^M over all eight
         # columns), which is what ``query1_initial_plan`` always got.
-        assert {name: len(rows) for name, rows in by_algorithm.items()} == {
-            "TAGGR^M": 4, "TRANSFER^M": 4
-        }
-        transfers = by_algorithm["TRANSFER^M"]
+        assert [(m.algorithm, m.depth) for m in transfers] == [("TRANSFER^M", 2)] * 4
+        assert all(
+            m.actual_total_us is not None and m.actual_self_us is not None
+            for m in report.operators
+        )
         assert [m.actual_rows for m in transfers] == [1022, 1046, 1094, 1030]
         assert all(m.estimated_rows == 4192 and m.qerror == 1.0 for m in transfers)
-        taggr = by_algorithm["TAGGR^M"]
-        assert sum(m.actual_rows for m in taggr) == exchange.actual_rows == 7180
-        assert all(m.qerror == pytest.approx(7180 / 4721, abs=1e-3) for m in taggr)
-        assert exchange.qerror == taggr[0].qerror
+        assert exchange.actual_rows == 4192 and exchange.qerror == 1.0
+        assert taggr.actual_rows == 7180
+        assert taggr.qerror == pytest.approx(7180 / 4721, abs=1e-3)
 
 
 class TestTracerRetention:
@@ -292,6 +289,13 @@ class TestAdaptiveFeedbackFromSpans:
 # The ten ``batch=1`` cases left with ``TangoConfig.batch_size``; every plan
 # now runs at ``BATCH_SIZE``, which the ``batches`` values depend on, so the
 # case names keep it.
+#
+# Moving the exchange below the pipeline re-recorded ``Q1``, ``Q2`` and
+# ``Q2-P1 forced`` at ``workers=4``, and nothing else: the exchange stands in for each ordered ``TRANSFER^M``
+# (below ``TAGGR^M``, and below both inputs of Query 2's ``TJOIN^M``) instead
+# of cloning the pipeline above Query 1's, and each partition's statement
+# leads with ``IS NOT NULL`` (the last one: ``IS NULL OR``).  Result rows and
+# every transfer's rows, tuples and bytes did not move.
 
 GOLDEN_SPANS = Path(__file__).with_name("golden_spans.json")
 DROPPED_KEYS = {"cursor_id", "next_calls", "batch_calls", "init_seconds"}

@@ -92,12 +92,39 @@ class TestSerialParallelEquivalence:
         tango.close()
 
 
+class TestFanOutBelowAJoin:
+    def test_query2_fans_out_under_its_temporal_join_in_serial_order(self):
+        # Every DBMS call sleeps 10 ms, as over a wire: the regime the
+        # exchange is for.  Both inputs of TJOIN^M are ordered fetches.
+        db = MiniDB()
+        load_uis(db, scale=0.02, with_variants=False)
+        rows, traces = {}, {}
+        for workers in (1, 4):
+            wire = FaultInjector(FaultPolicy(latency_p=1.0, latency_seconds=0.01), seed=0)
+            config = TangoConfig(workers=workers, tracing=True)
+            with Tango(db, config=config, fault_injector=wire) as tango:
+                plan = tango.optimize(initial_plan(db, "Q2")).plan
+                result = tango.execute_plan(plan)
+            rows[workers], traces[workers] = result.rows, result.trace
+        assert rows[4] == rows[1]  # list-equal, order included
+        assert traces[1].find_all(kind="exchange") == []
+        join = traces[4].find(name="TJOIN^M")
+        exchanges = join.find_all(kind="exchange")
+        assert len(exchanges) >= 2
+        assert all(span.attributes["partitions"] >= 2 for span in exchanges)
+        assert_no_leaked_temp_tables(db)
+
+
 class TestPartitionStatements:
     """A partition's SQL is the region's own block with its range as one
     more conjunct: the fan-out goes through ``translate()`` like every other
     ``T^M`` (there is no second renderer to keep in step)."""
 
-    RANGE = r"(Q1\.PosID >= ([\d.]+))?( AND )?(Q1\.PosID < ([\d.]+))?"
+    #: ``[lo, hi)`` on a non-NULL key, or the last range, which takes NULL.
+    RANGE = (
+        r"Q1\.PosID IS NOT NULL( AND Q1\.PosID >= (?P<lo>[\d.]+))? AND Q1\.PosID < (?P<hi>[\d.]+)"
+        r"|Q1\.PosID IS NULL OR Q1\.PosID >= (?P<last>[\d.]+)"
+    )
 
     def statements(self, db, workers):
         with Tango(db, config=TangoConfig(workers=workers)) as tango:
@@ -112,11 +139,13 @@ class TestPartitionStatements:
             assert sql.count("SELECT") == 1
             select, source, where, order = sql.split("\n")
             assert source == "FROM POSITION Q1" and order == "ORDER BY PosID, T1"
-            match = re.fullmatch("WHERE " + self.RANGE, where)
+            match = re.fullmatch(f"WHERE (?:{self.RANGE})", where)
             assert match, where
-            bounds.append((match.group(2), match.group(5)))
-        # Open at both extremes, and each range starts where the last ended.
+            bounds.append((match["lo"] or match["last"], match["hi"]))
+        # Open at both extremes, and each range starts where the last ended;
+        # only the last one takes NULL.
         assert bounds[0][0] is None and bounds[-1][1] is None
+        assert ["IS NULL OR" in sql for sql in statements] == [False] * 3 + [True]
         assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
         assert None not in [hi for _, hi in bounds[:-1]]
 

@@ -209,11 +209,6 @@ def view_plan(db, shape: str):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_incremental_matches_full_recompute(shape, seed, workers):
-    if shape == "taggr_null_key" and workers > 1:
-        pytest.skip(
-            "a range partition on a NULL-bearing key reaches MiniDB as `K0 < cut`, "
-            "which raises on NULL instead of being unknown"
-        )
     config = TangoConfig(workers=workers)
     db_inc, specs = build_db(random.Random(f"prop-views:{seed}"), shape)
     db_full, _ = build_db(random.Random(f"prop-views:{seed}"), shape)

@@ -1,6 +1,7 @@
 """The algorithm table (``repro.optimizer.algorithms.ALGORITHMS``): which
 (operator, location) pairs have a row, that exactly those run, and every
-column of every row — label, Figure 6 formula, cursor, partition behaviour."""
+column of every row — label, Figure 6 formula, cursor; which ``TRANSFER^M``
+the compiler fans out, and that the coster divides only its price."""
 
 import dataclasses
 
@@ -28,16 +29,19 @@ from repro.algebra.operators import (
 )
 from repro.algebra.properties import needed_orders
 from repro.core.engine import ExecutionEngine
-from repro.core.partition import partitionable_pipeline
 from repro.core.plans import compile_plan
-from repro.core.tango import Tango
+from repro.core.tango import Tango, TangoConfig
+from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
 from repro.errors import OptimizerError, PlanError
-from repro.optimizer.algorithms import ALGORITHMS, ROW_LOCAL, algorithm_for
+from repro.optimizer.algorithms import ALGORITHMS
 from repro.optimizer.costs import CostFactors, PlanCoster
 from repro.optimizer.physical import PlanValidityError, algorithm_name, validate_plan
 from repro.stats.collector import AttributeStats, RelationStats
-from repro.xxl import Cursor
+from repro.workloads.uis import load_uis
+from repro.xxl import Cursor, ExchangeCursor
+from repro.xxl.cursor import walk
+from repro.xxl.sources import PooledSQLCursor
 from tests.conftest import make_figure3_db
 
 MW, DB = Location.MIDDLEWARE, Location.DBMS
@@ -322,59 +326,71 @@ def test_dbms_temporal_join_is_billed_for_the_pairs_before_the_overlap_test(db):
     ]
 
 
-# -- partition behaviour ------------------------------------------------------------------
-
-PARTITIONS = {
-    (TransferM, MW): ROW_LOCAL,
-    (Select, MW): ROW_LOCAL,
-    (Project, MW): ROW_LOCAL,
-    (Dedup, MW): ROW_LOCAL,
-    (Coalesce, MW): ROW_LOCAL,
-    (Sort, MW): "keys",
-    (TemporalAggregate, MW): "group_by",
-}
+# -- TRANSFER^M fan-out -------------------------------------------------------------------
 
 
-def test_the_partition_column():
-    assert {
-        pair: row.partition for pair, row in ALGORITHMS.items() if row.partition is not None
-    } == PARTITIONS
+@pytest.fixture(scope="module")
+def uis_db():
+    """Enough rows for the statistics to allow partitions (Figure 3's
+    three are too few)."""
+    db = MiniDB()
+    load_uis(db, scale=0.01, with_variants=False)
+    return db
+
+
+def fanned_out(db, plan) -> list[tuple[Operator, int]]:
+    """``(T^M node, partitions)`` of every ``TRANSFER^M`` that *plan*
+    compiles to an exchange at four workers."""
+    with Tango(db, config=TangoConfig(workers=4)) as tango:
+        execution = tango.executor.compile(plan)
+        exchanges = [c for c in walk(execution.steps) if isinstance(c, ExchangeCursor)]
+        execution.cleanup()
+    for exchange in exchanges:
+        assert all(type(c) is PooledSQLCursor for c in exchange.inputs)
+        assert all(c.node is exchange.node for c in exchange.inputs)
+    return [(exchange.node, exchange.partitions) for exchange in exchanges]
+
+
+def test_an_ordered_transfer_with_no_transfer_d_inside_fans_out(uis_db):
+    scan = Scan("POSITION", uis_db.schema_of("POSITION"))
+    fetched = TransferM(Sort(scan, DB, ("PosID", "T1")))
+    assert fanned_out(uis_db, fetched) == [(fetched, 4)]
+    # Whatever runs above it: the ungrouped TAGGR^M whose one group no
+    # pipeline clone could split, both inputs of a temporal join.
+    ungrouped = TemporalAggregate(
+        TransferM(Sort(scan, DB, ("T1",))), MW, (), (AggregateSpec("COUNT", "PosID"),)
+    )
+    assert fanned_out(uis_db, ungrouped) == [(ungrouped.input, 4)]
+    other = TransferM(Sort(dataclasses.replace(scan), DB, ("PosID", "T1")))
+    joined = BUILD[TemporalJoin](MW, fetched, other)
+    assert fanned_out(uis_db, joined) == [(fetched, 4), (other, 4)]
+
+
+def test_an_unordered_or_transfer_d_fed_transfer_stays_serial(uis_db):
+    scan = Scan("POSITION", uis_db.schema_of("POSITION"))
+    assert fanned_out(uis_db, TransferM(scan)) == []
+    fetched = TransferM(Sort(scan, DB, ("PosID", "T1")))
+    loaded = TransferM(Sort(TransferD(fetched), DB, ("PosID", "T1")))
+    # The T^D's own input still fans out; the T^M it feeds does not.
+    assert fanned_out(uis_db, loaded) == [(fetched, 4)]
+    # Statistics decide the rest: no numeric range on a string, too few rows.
+    assert fanned_out(uis_db, TransferM(Sort(scan, DB, ("EmpName",)))) == []
+    small = Select(scan, DB, Comparison("<", col("PosID"), lit(3)))
+    assert fanned_out(uis_db, TransferM(Sort(small, DB, ("PosID",)))) == []
 
 
 @pytest.mark.parametrize(
     "pair", ALGORITHMS, ids=lambda pair: f"{pair[0].__name__}^{pair[1].superscript}"
 )
 def test_the_coster_divides_exactly_the_partitionable_algorithms(db, pair):
+    """``TRANSFER^M`` is the one algorithm that fans out, so the one the
+    parallel term applies to: everything above it runs serially."""
     _, node = one_node_plan(db, *pair)
     with Tango(db) as tango:
         estimator = tango.planner.estimator
         serial = PlanCoster(estimator, F).node_cost(node)
         fanned = PlanCoster(estimator, F, parallel_degree=4).node_cost(node)
-    if pair in PARTITIONS:
+    if pair == (TransferM, MW):
         assert fanned == F.p_par_startup * 4 + serial / 4
     else:
         assert fanned == serial
-
-
-def test_the_walk_follows_the_column_down_to_the_transfer(db):
-    scan = Scan("POSITION", db.schema_of("POSITION"))
-    fetched = TransferM(Sort(scan, DB, ("PosID", "T1")))
-    grouped = BUILD[TemporalAggregate](MW, fetched)
-    assert partitionable_pipeline(fetched) == (fetched, "PosID")
-    assert partitionable_pipeline(grouped) == (fetched, "PosID")
-    assert partitionable_pipeline(Sort(grouped, MW, ("posid", "T1"))) == (fetched, "posid")
-    assert partitionable_pipeline(Sort(grouped, MW, ("T1",))) is None  # pins disagree
-    # Row-local algorithms pass the pin through; an unordered fetch has none.
-    chain = Dedup(Select(Sort(TransferM(scan), MW, ("EmpName",)), MW, TWO_COMPARISONS), MW)
-    assert partitionable_pipeline(chain) == (chain.input.input.input, "EmpName")
-    assert partitionable_pipeline(TransferM(scan)) is None
-    # Serial algorithms, and a pipeline fed by a T^D, stay serial.
-    assert partitionable_pipeline(BUILD[TemporalJoin](MW, fetched, fetched)) is None
-    assert partitionable_pipeline(TransferM(TransferD(fetched))) is None
-    # One global group cannot split — though the coster divides its price all
-    # the same (ROADMAP item 4 has the disagreement; it is not fixed here).
-    ungrouped = TemporalAggregate(
-        TransferM(Sort(scan, DB, ("T1",))), MW, (), (AggregateSpec("COUNT", "PosID"),)
-    )
-    assert partitionable_pipeline(ungrouped) is None
-    assert algorithm_for(ungrouped).partition == "group_by"

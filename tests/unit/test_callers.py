@@ -6,8 +6,8 @@ Parses ``src/``, ``bench/``, ``examples/`` and ``benchmarks/`` with
 (a) a function, class or method defined in ``src/`` that nothing outside
     ``tests/`` names.  Dunders are exempt: Python calls them.  Every
     identifier in a string constant counts as a reference, because the
-    algorithm table and ``getattr(node, row.partition)`` dispatch by name
-    and the shrinker emits code that calls the oracle.  A docstring, a
+    algorithm table's ``parameters`` dispatch by name (``getattr(node,
+    name)``) and the shrinker emits code that calls the oracle.  A docstring, a
     comment, an
     ``__all__`` entry, a subpackage ``__init__.py``'s re-export, and a
     definition's mention of its own name inside its own body do not;

@@ -1,20 +1,21 @@
 """Unit tests for the partition-parallel exchange layer: range partition
-specs, cut-point selection, the exchange cursor's concat reassembly,
-backpressure, failure propagation, and the temp-name/drop races the
-parallel engine depends on."""
+specs (NULL keys included), cut-point selection, the exchange cursor's
+concat reassembly, backpressure, end-of-partition markers, failure
+propagation, and the temp-name/drop races the parallel engine depends on."""
 
 import threading
+import time
 
 import pytest
 
-from repro.algebra.expressions import Comparison, col, lit
+from repro.algebra.expressions import And, Comparison, Not, Or, col, lit
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.database import MiniDB
 from repro.dbms.jdbc import Connection
 from repro.errors import ExecutionError
 from repro.stats.collector import AttributeStats, RelationStats
 from repro.stats.histogram import Histogram
-from repro.xxl.cursor import GeneratorCursor, materialize
+from repro.xxl.cursor import Cursor, GeneratorCursor, materialize
 from repro.xxl.exchange import (
     ExchangeCursor,
     PartitionSpec,
@@ -61,6 +62,9 @@ class TestPartitionSpec:
         assert assign(20) == 2
         assert assign(-100) == 0
         assert assign(10_000) == 2
+        # NULL sorts last, so the last range takes it; a bounded range tests
+        # IS NOT NULL first and never compares a NULL (which would raise).
+        assert assign(None) == 2
 
     def test_bounds_open_at_the_extremes(self):
         spec = PartitionSpec("K", 3, (10.0, 20.0))
@@ -70,6 +74,7 @@ class TestPartitionSpec:
 
     def test_predicates_cover_the_whole_value_space(self):
         spec = PartitionSpec("K", 3, (10.0, 20.0))
+        is_null = Comparison("=", col("K"), lit(None))
 
         def at_least(value):
             return Comparison(">=", col("K"), lit(value))
@@ -78,14 +83,14 @@ class TestPartitionSpec:
             return Comparison("<", col("K"), lit(value))
 
         assert spec.predicates() == [
-            below(10),
-            at_least(10) & below(20),
-            at_least(20),
+            And((Not(is_null), below(10))),
+            And((Not(is_null), at_least(10), below(20))),
+            Or((is_null, at_least(20))),
         ]
         assert [p.to_sql() for p in spec.predicates()] == [
-            "K < 10",
-            "K >= 10 AND K < 20",
-            "K >= 20",
+            "K IS NOT NULL AND K < 10",
+            "K IS NOT NULL AND K >= 10 AND K < 20",
+            "K IS NULL OR K >= 20",
         ]
 
     def test_single_partition_predicate_is_unbounded(self):
@@ -145,7 +150,7 @@ class TestRangePartitionSpec:
         assert range_partition_spec("K", stats_for(100), 4) is None
 
     def test_degree_capped_by_cardinality(self):
-        spec = range_partition_spec("K", stats_for(300), 4, min_rows=128)
+        spec = range_partition_spec("K", stats_for(300), 4)  # 128 rows a partition
         assert spec is not None
         assert spec.degree == 2
 
@@ -213,8 +218,8 @@ class TestExchangeCursor:
                 IterableCursor(SCHEMA, rows_for(range(2000, 4000))),
             ],
             workers=1,
-            queue_batches=1,
         )
+        exchange.queue_batches = 1
         assert materialize(exchange) == rows_for(range(4000))
         assert exchange.queue_full_stalls > 0
 
@@ -248,12 +253,45 @@ class TestExchangeCursor:
             IterableCursor(SCHEMA, endless()),
             FailingCursor(SCHEMA, [], RuntimeError("dead partition")),
         ]
-        exchange = ExchangeCursor(pipelines, workers=2, queue_batches=1)
+        exchange = ExchangeCursor(pipelines, workers=2)
+        exchange.queue_batches = 1
         exchange.init()
         with pytest.raises(RuntimeError, match="dead partition"):
             while exchange.next_batch():
                 pass
         exchange.close()  # must join the endless producer, not hang
+
+    def test_a_sibling_failure_reaches_a_consumer_waiting_on_an_earlier_partition(self):
+        release = threading.Event()
+
+        class Stuck(Cursor):
+            def _next_batch(self):
+                release.wait(timeout=10)
+                return []
+
+        exchange = ExchangeCursor(
+            [Stuck(SCHEMA), FailingCursor(SCHEMA, [], RuntimeError("dead sibling"))],
+            workers=2,
+        )
+        try:
+            with pytest.raises(RuntimeError, match="dead sibling"):
+                exchange.next_batch()  # partition 0 is still pulling
+            assert not release.is_set()
+        finally:
+            release.set()
+            exchange.close()
+
+    def test_the_end_of_a_partition_is_not_waited_out(self, monkeypatch):
+        # Each partition's end arrives on its queue: draining four
+        # partitions takes no poll timeout, however long one is.
+        monkeypatch.setattr("repro.xxl.exchange._POLL_SECONDS", 5.0)
+        exchange = ExchangeCursor(
+            [IterableCursor(SCHEMA, rows_for(range(i, i + 10))) for i in range(0, 40, 10)],
+            workers=4,
+        )
+        begin = time.perf_counter()
+        assert materialize(exchange) == rows_for(range(40))
+        assert time.perf_counter() - begin < 1.0
 
     def test_close_without_init_closes_pipelines(self):
         sources = [ClosableCursor(SCHEMA, []), ClosableCursor(SCHEMA, [])]
